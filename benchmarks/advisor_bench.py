@@ -172,7 +172,6 @@ def run_advisor_section(args) -> dict:
         "sequential": {
             "wall_seconds": round(seq_wall, 4),
             "candidates_per_sec": round(seq.candidate_count / seq_wall, 2),
-            "kernel": seq.kernel_stats,
         },
         "parallel": {
             "workers": args.workers,
@@ -235,14 +234,12 @@ def run_incremental_section(args) -> dict:
             "wall_seconds": round(full_wall, 4),
             "candidates_per_sec": full_cps,
             "optimizer_calls": full.optimizer_calls,
-            "kernel": full.kernel_stats,
         },
         "incremental": {
             "wall_seconds": round(inc_wall, 4),
             "candidates_per_sec": inc_cps,
             "optimizer_calls": inc.optimizer_calls,
             "delta": inc.delta_stats,
-            "kernel": inc.kernel_stats,
         },
         "speedup": round(full_wall / inc_wall, 3),
         "candidates_per_sec_ratio": round(

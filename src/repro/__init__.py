@@ -60,17 +60,6 @@ from repro.datasets import (
 __version__ = "1.0.0"
 
 
-def __getattr__(name: str):
-    """PEP 562 forwarders for the deprecated free-function entry
-    points; the home-module shims emit the DeprecationWarning.  Use
-    :class:`repro.api.Session` instead."""
-    if name in ("tune", "tune_decoupled", "run_sweep"):
-        from repro import advisor as _advisor
-        return getattr(_advisor, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
 __all__ = [
     "__version__",
     # catalog / storage
@@ -105,9 +94,6 @@ __all__ = [
     "AdvisorResult",
     "TuningSession",
     "RetuneResult",
-    "tune",
-    "tune_decoupled",
-    "run_sweep",
     "SweepResult",
     # engine
     "Executor",

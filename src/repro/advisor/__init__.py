@@ -12,16 +12,16 @@ from repro.advisor.advisor import (
     variants,
 )
 from repro.advisor.algorithms import SelectionAlgorithm
+from repro.advisor.algorithms.base import (
+    BatchCost,
+    EnumerationOptions,
+    EnumerationResult,
+)
 from repro.advisor.candidates import (
     CandidateOptions,
     candidate_indexes,
     expand_compression_variants,
     mv_candidates,
-)
-from repro.advisor.enumeration import (
-    EnumerationOptions,
-    EnumerationResult,
-    Enumerator,
 )
 from repro.advisor.merging import generate_merged_candidates, merge_pair
 from repro.advisor.retune import (
@@ -52,9 +52,6 @@ __all__ = [
     "register_variant",
     "variant_names",
     "variants",
-    "tune",
-    "tune_decoupled",
-    "run_sweep",
     "TuningSession",
     "RetuneResult",
     "retune_run",
@@ -76,24 +73,5 @@ __all__ = [
     "generate_merged_candidates",
     "EnumerationOptions",
     "EnumerationResult",
-    "Enumerator",
+    "BatchCost",
 ]
-
-
-def __getattr__(name: str):
-    """Deprecated names forward to the shims in their home modules
-    (which emit the DeprecationWarning) — eagerly importing them here
-    would warn on every package import.  ``tune``/``tune_decoupled``/
-    ``run_sweep`` moved to the :class:`repro.api.Session` facade."""
-    if name == "VARIANTS":
-        from repro.advisor import advisor as _advisor
-        return _advisor.VARIANTS
-    if name in ("tune", "tune_decoupled"):
-        from repro.advisor import advisor as _advisor
-        return getattr(_advisor, name)
-    if name == "run_sweep":
-        from repro.advisor import sweep as _sweep
-        return _sweep.run_sweep
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )

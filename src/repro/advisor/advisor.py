@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 from repro.advisor import algorithms
@@ -120,12 +119,6 @@ class AdvisorOptions:
     workers: int = 1
     cache_dir: str | None = None
     delta_costing: bool = True
-    #: costing-kernel backend for batch access-path evaluation:
-    #: ``"auto"`` (numpy when importable, else the pure-python loop),
-    #: ``"numpy"`` (required), ``"python"`` (forced scalar fallback).
-    #: Backends are float-identical by the kernel identity contract —
-    #: recommendations never depend on the choice.
-    kernel: str = "auto"
     #: selection strategy over the shared candidate pool, resolved
     #: through :func:`repro.advisor.algorithms.get` — the default is
     #: the paper's greedy(+backtracking) search; alternatives are
@@ -166,8 +159,8 @@ class AdvisorResult:
     cost_cache_stats: dict = field(default_factory=dict)
     #: parallel-engine counters for this run; see :meth:`ParallelEngine.stats`.
     engine_stats: dict = field(default_factory=dict)
-    #: costing-kernel counters (backend, lanes, batch split); see
-    #: :meth:`repro.optimizer.kernels.CostKernel.stats`.
+    #: costing-kernel counters (lanes, batches, shape-memo entries);
+    #: see :meth:`repro.optimizer.kernels.CostKernel.stats`.
     kernel_stats: dict = field(default_factory=dict)
     #: delta-costing counters (parent-process side) for this run; see
     #: :meth:`DeltaWorkloadCoster.stats`.  Empty when delta costing is
@@ -336,7 +329,6 @@ class TuningAdvisor:
             database, self.stats, sizes=self._size_lookup,
             constants=constants, cost_cache=cost_cache,
             cost_context=self._cost_context,
-            kernel=options.kernel,
         )
         self.base_config = base_config or self.default_base_configuration()
         self._original_base_sizes = {
@@ -790,41 +782,6 @@ for _spec in (
 ):
     register_variant(_spec)
 del _spec
-
-
-def __getattr__(name: str):
-    """Module-level deprecation shims.
-
-    ``VARIANTS``: the string-keyed dict became the :class:`VariantSpec`
-    registry.  Direct access still works (a fresh name -> overrides
-    mapping is synthesized) but warns; mutations no longer reach the
-    registry — use :func:`register_variant`.
-
-    ``tune`` / ``tune_decoupled``: the free functions became methods of
-    the ``repro.api.Session`` facade.  The originals are returned
-    unchanged (byte-identical behaviour) behind a
-    :class:`DeprecationWarning`.
-    """
-    if name == "VARIANTS":
-        warnings.warn(
-            "repro.advisor.advisor.VARIANTS is deprecated; use "
-            "repro.advisor.variants() / get_variant(name) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {spec.name: dict(spec.options) for spec in variants()}
-    if name in ("tune", "tune_decoupled"):
-        warnings.warn(
-            f"repro.advisor.advisor.{name}() is deprecated; use "
-            "repro.api.Session (Session.tune / Session.tune_decoupled) "
-            "instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return globals()[f"_{name}"]
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
 
 
 def _tune(

@@ -366,7 +366,6 @@ class TuningSession:
         self.stats = stats or DatabaseStats(database)
         self.progress = progress
         self.options_extra = dict(options_extra)
-        self._default_budget = None
         self._default_budget = self._resolve_budget(
             budget_bytes, budget_fraction, required=False
         )
@@ -394,7 +393,9 @@ class TuningSession:
             return self.database.total_data_bytes() * budget_fraction
         if budget_bytes is not None:
             return float(budget_bytes)
-        if self._default_budget is None and required:
+        if not required:
+            return None
+        if self._default_budget is None:
             raise AdvisorError(
                 "no budget: pass budget_bytes/budget_fraction to the "
                 "session or to the call"

@@ -12,7 +12,7 @@ step of every (budget, seed) combination.
 Determinism contract
 --------------------
 ``run_sweep`` returns byte-identical :class:`AdvisorResult`\\ s to
-looping :func:`repro.advisor.tune` sequentially with the same per-run
+looping :func:`repro.api.tune` sequentially with the same per-run
 wiring, at any worker count.  Three design choices make that hold:
 
 * Each run unit gets a **fresh** :class:`SizeEstimator` (its own
@@ -222,25 +222,6 @@ class _SweepJob:
 def _run_unit_task(job: _SweepJob, index: int) -> AdvisorResult:
     """Worker task: one whole advisor run (the sweep's shard unit)."""
     return job.run_unit(index)
-
-
-def __getattr__(name: str):
-    """PEP 562 deprecation shim: ``run_sweep`` became
-    ``repro.api.Session.sweep``.  The original function is returned
-    unchanged (byte-identical behaviour) behind a warning."""
-    if name == "run_sweep":
-        import warnings
-
-        warnings.warn(
-            "repro.advisor.sweep.run_sweep() is deprecated; use "
-            "repro.api.Session.sweep instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _run_sweep
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
 
 
 def _run_sweep(

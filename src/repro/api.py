@@ -1,7 +1,6 @@
 """`repro.api` — the one public entry point for tuning.
 
-The historical free functions (``repro.advisor.advisor.tune``,
-``tune_decoupled``, ``repro.advisor.sweep.run_sweep``) drifted into
+The free functions (``tune``, ``tune_decoupled``, ``run_sweep``) have
 three overlapping signatures, each re-plumbing database, workload,
 stats, caches, and variant on every call.  :class:`Session` owns that
 context once — database, workload, variant + option defaults, shared
@@ -16,14 +15,9 @@ method:
   select-then-compress strawman (Example 1/2).
 * :meth:`Session.sweep` — sharded budget sweep / seed ablation.
 
-The old callables remain importable as thin PEP 562 shims that emit a
-:class:`DeprecationWarning` and return the original implementation
-unchanged (byte-identical results).  For callers that genuinely want
-the one-shot functional form (explicit estimators, ad-hoc engines —
-mostly tests and benchmarks), this module also re-exports it under its
-supported home: ``repro.api.tune`` / ``tune_decoupled`` / ``run_sweep``
-are the same objects the deprecated paths shim to, without the
-warning.
+For callers that genuinely want the one-shot functional form (explicit
+estimators, ad-hoc engines — mostly tests and benchmarks), this module
+also exports it: ``repro.api.tune`` / ``tune_decoupled`` / ``run_sweep``.
 
 Example::
 
@@ -46,7 +40,7 @@ from repro.advisor.sweep import SweepResult, _run_sweep
 from repro.compression.base import CompressionMethod
 from repro.workload.query import Workload
 
-#: supported functional aliases (same objects as the deprecated paths).
+#: the functional one-shot forms.
 tune = _tune
 tune_decoupled = _tune_decoupled
 run_sweep = _run_sweep

@@ -60,7 +60,6 @@ def _make_session(args, db, wl) -> Session:
         enable_mv=getattr(args, "all_features", False),
         workers=args.workers,
         delta_costing=not args.full_recost,
-        kernel=args.kernel,
     )
 
 
@@ -77,10 +76,9 @@ def cmd_tune(args) -> int:
           f"{result.elapsed_seconds:.1f}s")
     ks = result.kernel_stats
     if ks:
-        print(f"costing kernel: {ks.get('backend', '?')} backend, "
-              f"{ks.get('lanes_total', 0)} lanes "
-              f"({ks.get('batches_numpy', 0)} array batches, "
-              f"{ks.get('batches_scalar', 0)} scalar)")
+        print(f"costing kernel: {ks.get('lanes_total', 0)} lanes in "
+              f"{ks.get('batches_scalar', 0)} batches, "
+              f"{ks.get('shape_entries', 0)} memoized shapes")
     ds = result.delta_stats
     if ds:
         # .get guards: full-recost runs and older stats payloads carry
@@ -113,7 +111,6 @@ def cmd_sweep(args) -> int:
         enable_partial=args.all_features,
         enable_mv=args.all_features,
         delta_costing=not args.full_recost,
-        kernel=args.kernel,
     )
     result = session.sweep(budgets, seeds=args.seeds, workers=args.workers)
     print(f"database {db.name}: {total / 1024:.0f} KiB raw, "
@@ -297,7 +294,6 @@ def cmd_validate(args) -> int:
         stats=stats,
         workers=args.workers,
         delta_costing=not args.full_recost,
-        kernel=args.kernel,
     )
     result = session.tune(budget_bytes=budget)
     report = validate_recommendation(
@@ -579,12 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "re-cost the whole workload per candidate "
                             "(identical recommendations, slower — the "
                             "A/B baseline for the incremental bench)")
-        p.add_argument("--kernel", choices=("auto", "numpy", "python"),
-                       default="auto",
-                       help="costing-kernel backend for batch "
-                            "access-path evaluation (auto = numpy when "
-                            "importable; backends are float-identical, "
-                            "so recommendations never change)")
 
     p_tune = sub.add_parser("tune", help="run the tuning advisor")
     add_dataset_args(p_tune)

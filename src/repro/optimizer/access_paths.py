@@ -95,9 +95,9 @@ class AccessShape:
     context — everything :func:`cost_access` decides before the float
     arithmetic starts.  Shapes depend only on (index identity,
     predicates, needed columns, statistics), so callers that sweep the
-    same predicate context over many candidate sets cache them and
-    replay the flat numeric part through
-    :mod:`repro.optimizer.kernels`.
+    same predicate context over many candidate sets cache them (see
+    :mod:`repro.optimizer.kernels`) and replay only the flat numeric
+    part, :func:`plan_from_shape`.
 
     Attributes:
         sel_prefix: selectivity of the sargable key-prefix predicates.
@@ -181,10 +181,7 @@ def plan_from_shape(
     base_lookup: tuple[IndexDef, float] | None,
 ) -> AccessPlan | None:
     """The flat numeric part of :func:`cost_access`: evaluate one
-    already-shaped structure.  This scalar function is the identity
-    reference for every kernel backend — the numpy kernel mirrors these
-    expressions operation for operation (see
-    :mod:`repro.optimizer.kernels`)."""
+    already-shaped structure."""
     pages = max(1.0, index_bytes / PAGE_SIZE)
     if shape.can_seek:
         pages_read = max(1.0, pages * shape.sel_prefix)
@@ -268,7 +265,7 @@ def best_access_plan(
     predicates: tuple[Predicate, ...],
     needed_columns: tuple[str, ...],
     constants: CostConstants,
-    kernel=None,
+    kernel,
     shape_key=None,
 ) -> AccessPlan:
     """Pick the cheapest plan among ``structures``.
@@ -276,9 +273,8 @@ def best_access_plan(
     Args:
         structures: (index, bytes, rows) triples available on the table;
             must contain at least the base structure.
-        kernel: optional :class:`~repro.optimizer.kernels.CostKernel`
-            to evaluate the structures as one batch (float-identical to
-            the scalar loop by the kernel identity contract).
+        kernel: the run's :class:`~repro.optimizer.kernels.CostKernel`
+            (shape memo + lane evaluator).
         shape_key: hashable (statement context, table) key identifying
             the fixed (predicates, needed columns) context, enabling
             the kernel's per-run shape cache.
@@ -288,29 +284,19 @@ def best_access_plan(
         if index.kind in (IndexKind.HEAP, IndexKind.CLUSTERED):
             base = (index, size_bytes)
             break
-    if kernel is not None:
-        lanes = []
-        for index, size_bytes, rows in structures:
-            shape = kernel.shape_for(
-                shape_key, index, predicates, needed_columns, stats,
-                constants,
-            )
-            if shape is not None:
-                lanes.append((index, size_bytes, rows, shape))
-        plans = [
-            plan
-            for plan in kernel.batch_access_plans(lanes, constants, base)
-            if plan is not None
-        ]
-    else:
-        plans = []
-        for index, size_bytes, rows in structures:
-            plan = cost_access(
-                index, size_bytes, rows, predicates, needed_columns,
-                stats, constants, base_lookup=base,
-            )
-            if plan is not None:
-                plans.append(plan)
+    lanes = []
+    for index, size_bytes, rows in structures:
+        shape = kernel.shape_for(
+            shape_key, index, predicates, needed_columns, stats,
+            constants,
+        )
+        if shape is not None:
+            lanes.append((index, size_bytes, rows, shape))
+    plans = [
+        plan
+        for plan in kernel.batch_access_plans(lanes, constants, base)
+        if plan is not None
+    ]
     if not plans:
         raise OptimizerError(
             f"no usable access path for table {table!r} "

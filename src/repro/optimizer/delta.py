@@ -907,7 +907,7 @@ class DeltaWorkloadCoster:
             preds,
             needed,
             coster.constants,
-            kernel=coster.kernel,
+            coster.kernel,
             shape_key=(si, table),
         )
         self._table_plans[key] = plan
@@ -996,13 +996,12 @@ class DeltaWorkloadCoster:
     def _fill_probe_group(
         self, table: str, base: IndexDef, base_id: tuple
     ) -> None:
-        """Kernel-batch the probes of every universe secondary on
-        ``table`` whose size is already peekable, across **every**
-        SELECT statement touching the table, on the first probe miss
-        against this base.  Sweeps probe all affected statements for
-        each candidate, so the whole group is demanded work — batching
-        it turns thousands of scalar :func:`cost_access` calls into a
-        few flat kernel evaluations.
+        """Batch the probes of every universe secondary on ``table``
+        whose size is already peekable, across **every** SELECT
+        statement touching the table, on the first probe miss against
+        this base.  Sweeps probe all affected statements for each
+        candidate, so the whole group is demanded work — one lane
+        batch per group instead of one :meth:`_probe` per miss.
 
         Sizing is strictly peek-only (``size_if_known``): a lane is
         only filled when no new estimation work is needed, so the
@@ -1017,11 +1016,10 @@ class DeltaWorkloadCoster:
         if group in self._probe_filled:
             return
         self._probe_filled.add(group)
-        kernel = getattr(self.whatif, "kernel", None)
-        if kernel is None or self._universe is None or \
-                self._size_peek is None:
+        if self._universe is None or self._size_peek is None:
             return
         whatif = self.whatif
+        kernel = whatif.kernel
         stats = whatif.stats.table(table)
         constants = whatif.coster.constants
         secondaries = [
@@ -1083,30 +1081,22 @@ class DeltaWorkloadCoster:
 
     def _probe(self, si: int, table: str, ix: IndexDef, base: IndexDef):
         """One :func:`cost_access` evaluation with exactly the inputs
-        ``StatementCoster._structures_for`` would feed it (through the
-        kernel's shape cache when one is wired — same floats either
-        way by the shape/eval split)."""
+        ``StatementCoster._structures_for`` would feed it, through the
+        kernel's shape cache."""
         self.probe_evals += 1
         preds, needed = self._probe_info[si][table]
         whatif = self.whatif
         ix_bytes, ix_rows = whatif._sizes(ix)
         base_bytes, _base_rows = whatif._sizes(base)
-        kernel = getattr(whatif, "kernel", None)
-        if kernel is not None:
-            shape = kernel.shape_for(
-                (si, table), ix, preds, needed,
-                whatif.stats.table(table), whatif.coster.constants,
-            )
-            if shape is None:
-                return None
-            return plan_from_shape(
-                ix, ix_bytes, ix_rows, shape, whatif.coster.constants,
-                (base, base_bytes),
-            )
-        return cost_access(
-            ix, ix_bytes, ix_rows, preds, needed,
-            whatif.stats.table(table), whatif.coster.constants,
-            base_lookup=(base, base_bytes),
+        constants = whatif.coster.constants
+        shape = whatif.kernel.shape_for(
+            (si, table), ix, preds, needed,
+            whatif.stats.table(table), constants,
+        )
+        if shape is None:
+            return None
+        return plan_from_shape(
+            ix, ix_bytes, ix_rows, shape, constants, (base, base_bytes),
         )
 
     # ------------------------------------------------------------------

@@ -1,101 +1,32 @@
-"""Array-based costing kernels.
+"""The access-shape memo and the lane evaluator.
 
 The advisor's hot path evaluates the same access-path arithmetic over
 whole candidate sets: every sweep re-costs every per-table structure
 against a fixed predicate context.  The discrete part of that work
 (predicate subsumption, prefix selectivity, covering checks) is hoisted
-into :class:`~repro.optimizer.access_paths.AccessShape`; what remains
-per structure is a short, branch-light float expression.  This module
-evaluates those expressions over *batches* of structures ("lanes") in
-flat numeric loops, with two interchangeable backends:
-
-``python``
-    A scalar loop over
-    :func:`~repro.optimizer.access_paths.plan_from_shape` — always
-    available, and the identity reference.
-
-``numpy``
-    The same expression tree evaluated element-wise over float64
-    arrays.  Every operation mirrors the scalar code operation for
-    operation (same order, same ``max``/branch structure via
-    ``np.maximum``/``np.where``), and the expressions contain only
-    IEEE-754 basic operations (+, *, /, min/max) — no transcendentals,
-    no reductions — so each lane's result is **bit-identical** to the
-    scalar path.  That is the kernel identity contract: backends may
-    differ in speed, never in a single float.
-
-Backend selection (``AdvisorOptions.kernel`` / ``repro tune
---kernel``): ``auto`` picks numpy when importable, ``python`` forces
-the fallback, ``numpy`` demands the import and fails loudly otherwise.
-Setting ``REPRO_DISABLE_NUMPY=1`` makes numpy invisible to ``auto``
-(used by the CI numpy-absent leg and the property tests).
+into :class:`~repro.optimizer.access_paths.AccessShape` and memoized
+here per (predicate context, structure); what remains per structure is
+a short float expression, evaluated by one scalar loop over
+:func:`~repro.optimizer.access_paths.plan_from_shape`.
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.errors import OptimizerError
-from repro.optimizer.access_paths import (
-    AccessPlan,
-    access_shape,
-    plan_from_shape,
-)
+from repro.optimizer.access_paths import access_shape, plan_from_shape
 from repro.parallel.signature import index_identity
-from repro.storage.page import PAGE_SIZE
-
-#: Below this many lanes the per-call numpy overhead (array building,
-#: ufunc dispatch) exceeds the loop it replaces, so even the numpy
-#: backend uses the scalar loop.  Deterministic: depends only on the
-#: batch size, and by the identity contract the results are the same
-#: either way.
-NUMPY_MIN_LANES = 32
-
-KERNEL_BACKENDS = ("auto", "numpy", "python")
 
 #: sentinel distinguishing "shape not yet computed" from "unusable".
 _UNSHAPED = object()
 
 
-def numpy_module():
-    """The numpy module, or None when unavailable (not importable, or
-    hidden via ``REPRO_DISABLE_NUMPY=1``)."""
-    if os.environ.get("REPRO_DISABLE_NUMPY") == "1":
-        return None
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
-
-
-def resolve_backend(name: str = "auto"):
-    """Resolve a backend name to a :class:`CostKernel`.
-
-    Args:
-        name: ``auto`` (numpy if importable, else python), ``numpy``
-            (required — raises if unavailable), or ``python``.
-    """
-    if name not in KERNEL_BACKENDS:
-        raise OptimizerError(
-            f"unknown kernel backend {name!r} "
-            f"(choose from {', '.join(KERNEL_BACKENDS)})"
-        )
-    if name == "python":
-        return CostKernel("python", None)
-    np = numpy_module()
-    if np is None:
-        if name == "numpy":
-            raise OptimizerError(
-                "kernel backend 'numpy' requested but numpy is not "
-                "available (not installed, or REPRO_DISABLE_NUMPY=1)"
-            )
-        return CostKernel("python", None)
-    return CostKernel("numpy", np)
+def resolve_backend(name: str = "auto") -> "CostKernel":
+    """A fresh :class:`CostKernel`; ``name`` is ignored.  Kept because
+    ``benchmarks/ledger/worker.py`` calls ``resolve_backend("auto")``."""
+    return CostKernel()
 
 
 class CostKernel:
-    """Batch evaluator for shaped access-path lanes.
+    """Shape memo plus batch evaluator for shaped access-path lanes.
 
     A *lane* is ``(index, index_bytes, rows_in_structure, shape)`` —
     one structure with its sizes and its precomputed
@@ -104,15 +35,12 @@ class CostKernel:
     None for a non-covering lane without a base lookup) per lane, in
     lane order.
 
-    Instrumentation counters (``lanes_total``, ``batches_numpy``,
-    ``batches_scalar``) feed the bench metadata.
+    Instrumentation counters (``lanes_total``, ``batches_scalar``) feed
+    the bench metadata.
     """
 
-    def __init__(self, backend: str, np) -> None:
-        self.backend = backend
-        self._np = np
+    def __init__(self) -> None:
         self.lanes_total = 0
-        self.batches_numpy = 0
         self.batches_scalar = 0
         #: (shape_key, index identity) -> AccessShape | None.  Shapes
         #: are pure functions of (structure, predicate context) and a
@@ -122,9 +50,7 @@ class CostKernel:
 
     def stats(self) -> dict:
         return {
-            "backend": self.backend,
             "lanes_total": self.lanes_total,
-            "batches_numpy": self.batches_numpy,
             "batches_scalar": self.batches_scalar,
             "shape_entries": len(self._shapes),
         }
@@ -153,93 +79,10 @@ class CostKernel:
     def batch_access_plans(self, lanes: list, constants, base_lookup) -> list:
         """Evaluate every lane; aligned list of AccessPlan | None."""
         self.lanes_total += len(lanes)
-        if self._np is None or len(lanes) < NUMPY_MIN_LANES:
-            self.batches_scalar += 1
-            return [
-                plan_from_shape(
-                    index, index_bytes, rows, shape, constants,
-                    base_lookup,
-                )
-                for index, index_bytes, rows, shape in lanes
-            ]
-        self.batches_numpy += 1
-        return self._numpy_batch(lanes, constants, base_lookup)
-
-    def _numpy_batch(self, lanes, constants, base_lookup):
-        # Mirrors plan_from_shape() operation for operation.  Both
-        # np.where() arms are computed for every lane; since every
-        # expression is an element-wise IEEE basic operation this only
-        # costs cycles, never changes the selected arm's bits.
-        np = self._np
-        n = len(lanes)
-        index_bytes = np.empty(n, dtype=np.float64)
-        rows_in = np.empty(n, dtype=np.float64)
-        sel_prefix = np.empty(n, dtype=np.float64)
-        residual = np.empty(n, dtype=np.float64)
-        sel_all = np.empty(n, dtype=np.float64)
-        beta = np.empty(n, dtype=np.float64)
-        n_used = np.empty(n, dtype=np.float64)
-        n_needed = np.empty(n, dtype=np.float64)
-        can_seek = np.empty(n, dtype=bool)
-        covering = np.empty(n, dtype=bool)
-        compressed = np.empty(n, dtype=bool)
-        for i, (_index, size_bytes, rows, shape) in enumerate(lanes):
-            index_bytes[i] = size_bytes
-            rows_in[i] = rows
-            sel_prefix[i] = shape.sel_prefix
-            residual[i] = shape.residual
-            sel_all[i] = shape.sel_all
-            beta[i] = shape.beta
-            n_used[i] = shape.n_used_cols
-            n_needed[i] = shape.n_needed
-            can_seek[i] = shape.can_seek
-            covering[i] = shape.covering
-            compressed[i] = shape.compressed
-
-        pages = np.maximum(1.0, index_bytes / PAGE_SIZE)
-        pages_read = np.maximum(1.0, pages * sel_prefix)
-        rows_read = np.where(can_seek, rows_in * sel_prefix, rows_in)
-        io = np.where(
-            can_seek,
-            pages_read * constants.io_seq_page
-            + 2 * constants.io_random_page,
-            pages * constants.io_seq_page,
-        )
-        cpu = rows_read * constants.cpu_tuple
-        cpu = cpu + (rows_read * residual) * constants.cpu_predicate
-        cpu = np.where(
-            compressed, cpu + (beta * rows_read) * n_used, cpu
-        )
-        rows_out = rows_in * sel_all
-
-        needs_base = ~covering
-        if base_lookup is not None:
-            base_index, _base_bytes = base_lookup
-            lookups = rows_out
-            lookup_io = lookups * constants.io_random_page
-            lookup_cpu = lookups * constants.cpu_tuple
-            if base_index.method.is_compressed:
-                base_beta = constants.beta[base_index.method]
-                lookup_cpu = lookup_cpu + (
-                    (base_beta * lookups) * n_needed
-                )
-            io = np.where(needs_base, io + lookup_io, io)
-            cpu = np.where(needs_base, cpu + lookup_cpu, cpu)
-        cost = io + cpu
-
-        plans: list = []
-        for i, (index, _size_bytes, _rows, shape) in enumerate(lanes):
-            if needs_base[i] and base_lookup is None:
-                plans.append(None)
-                continue
-            plans.append(
-                AccessPlan(
-                    index=index,
-                    cost=float(cost[i]),
-                    io_cost=float(io[i]),
-                    cpu_cost=float(cpu[i]),
-                    rows_out=float(rows_out[i]),
-                    used_seek=shape.can_seek,
-                )
+        self.batches_scalar += 1
+        return [
+            plan_from_shape(
+                index, index_bytes, rows, shape, constants, base_lookup,
             )
-        return plans
+            for index, index_bytes, rows, shape in lanes
+        ]

@@ -18,6 +18,7 @@ from repro.catalog.schema import Database
 from repro.errors import OptimizerError
 from repro.optimizer.access_paths import AccessPlan, best_access_plan
 from repro.optimizer.constants import CostConstants
+from repro.optimizer.kernels import CostKernel
 from repro.physical.configuration import Configuration
 from repro.physical.index_def import IndexDef
 from repro.physical.mv_def import MVDefinition
@@ -57,7 +58,7 @@ class StatementCoster:
         stats: DatabaseStats,
         sizes: SizeLookup,
         constants: CostConstants,
-        kernel=None,
+        kernel: CostKernel,
     ) -> None:
         self.database = database
         self.stats = stats
@@ -117,7 +118,7 @@ class StatementCoster:
             structures = self._structures_for(table, config)
             plan = best_access_plan(
                 self.database, stats, table, structures, preds, needed,
-                constants, kernel=self.kernel, shape_key=(query, table),
+                constants, self.kernel, shape_key=(query, table),
             )
             plans.append(plan)
             io += plan.io_cost

@@ -15,6 +15,7 @@ from repro.catalog.schema import Database
 from repro.parallel.cache import CostCache
 from repro.parallel.signature import index_identity
 from repro.optimizer.constants import DEFAULT_COST_CONSTANTS, CostConstants
+from repro.optimizer.kernels import CostKernel
 from repro.optimizer.statement_cost import (
     CostBreakdown,
     SizeLookup,
@@ -54,11 +55,6 @@ class WhatIfOptimizer:
             (sampled data, accuracy constraint, cost constants); a
             string, or a zero-argument callable resolved lazily on the
             first persistent lookup.
-        kernel: costing-kernel backend name (``auto``/``numpy``/
-            ``python``, see :mod:`repro.optimizer.kernels`) or an
-            already-resolved :class:`~repro.optimizer.kernels.CostKernel`.
-            Backends are float-identical by contract; the choice only
-            affects throughput.
     """
 
     def __init__(
@@ -69,19 +65,16 @@ class WhatIfOptimizer:
         constants: CostConstants = DEFAULT_COST_CONSTANTS,
         cost_cache: CostCache | None = None,
         cost_context: str | Callable[[], str] = "",
-        kernel="auto",
     ) -> None:
-        from repro.optimizer.kernels import CostKernel, resolve_backend
-
         self.database = database
         self.stats = stats or DatabaseStats(database)
         self._sizes = sizes or self._default_sizes
-        if not isinstance(kernel, CostKernel):
-            kernel = resolve_backend(kernel or "auto")
-        self.kernel = kernel
+        #: the run's access-shape memo and lane evaluator, shared with
+        #: the statement coster and the delta coster.
+        self.kernel = CostKernel()
         self.coster = StatementCoster(
             database, self.stats, self._lookup_size, constants,
-            kernel=self.kernel,
+            self.kernel,
         )
         self._cache: dict[tuple, CostBreakdown] = {}
         #: plan costs recovered from persistent replays (fresh
@@ -246,10 +239,7 @@ class WhatIfOptimizer:
     ) -> list[CostBreakdown]:
         """Costs of one statement under a *set* of candidate
         configurations, in input order (in-memory and persistent
-        cost-cache aware).  Fresh evaluations run through the costing
-        kernel wired into the coster (see
-        :mod:`repro.optimizer.kernels`), so full-recost sweeps batch
-        their per-table access-path arithmetic."""
+        cost-cache aware)."""
         return [self.cost(statement, config) for config in configs]
 
     def workload_cost(self, workload: Workload,

@@ -86,8 +86,10 @@ def effective_cpu_count() -> int:
 
 
 def default_workers() -> int:
-    """Workers for ``--workers 0`` (auto): one per CPU, at least one."""
-    return max(1, os.cpu_count() or 1)
+    """Workers for ``--workers 0`` (auto): one per CPU this process may
+    run on — the same count :attr:`ParallelEngine.parallel` decides
+    from, so a pinned process never forks more workers than CPUs."""
+    return effective_cpu_count()
 
 
 #: Tasks each worker should get, at minimum, for a fan-out to beat the
@@ -127,9 +129,6 @@ class ParallelEngine:
         #: (False restores the fork-per-session behavior).
         self.keep_alive = keep_alive
         self._pool: ProcessPoolExecutor | None = None
-        #: shared-memory sample store this engine owns (see
-        #: :meth:`share_samples`); unlinked at :meth:`shutdown`.
-        self._shared_store = None
         self._session_context = None
         #: context the dormant pool's workers were forked against.
         self._pool_context = None
@@ -185,47 +184,11 @@ class ParallelEngine:
         with ``stale_ok=True``)."""
         self._dirty = True
 
-    def share_samples(self, manager) -> int:
-        """Move ``manager``'s materialized sample bytes into a
-        shared-memory segment the engine's workers will map at fork.
-
-        No-op (returns 0) when the engine cannot fan out — sequential
-        runs keep their heap-resident lists and pay nothing.  The
-        engine owns the segment: it is destroyed at :meth:`shutdown`,
-        which must therefore outlive every map that reads the samples.
-        """
-        if not self.parallel:
-            return 0
-        from repro.parallel.shm import SharedSamplePages
-
-        store = SharedSamplePages()
-        published = manager.share_samples(store)
-        if not published:
-            store.close(unlink=True)
-            return 0
-        # A prior store may still back an earlier manager; release it
-        # only after the new one is live.
-        self._release_shared()
-        self._shared_store = store
-        return published
-
-    @property
-    def shared_store(self):
-        """The live shared sample store (None when not sharing)."""
-        return self._shared_store
-
-    def _release_shared(self) -> None:
-        store, self._shared_store = self._shared_store, None
-        if store is not None:
-            store.close(unlink=True)
-
     def shutdown(self) -> None:
-        """Release the dormant worker pool (if any) and the shared
-        sample segment.  Owners call this when their run ends; the
-        engine stays usable — a later session simply forks a fresh
-        pool."""
+        """Release the dormant worker pool (if any).  Owners call this
+        when their run ends; the engine stays usable — a later session
+        simply forks a fresh pool."""
         self._shutdown_pool()
-        self._release_shared()
 
     def _shutdown_pool(self) -> None:
         pool, self._pool = self._pool, None
@@ -367,10 +330,6 @@ class ParallelEngine:
             "tasks_dispatched": self.tasks_dispatched,
             "pools_forked": self.pools_forked,
             "pools_reused": self.pools_reused,
-            "shared_samples": (
-                self._shared_store.stats()
-                if self._shared_store is not None else None
-            ),
         }
 
 

@@ -172,34 +172,6 @@ class SampleManager:
             return self.filtered_sample(index.table, preds, fraction)
         return self.table_sample(index.table, fraction)
 
-    def share_samples(self, store) -> int:
-        """Publish every cached sample's materialized column blobs into
-        ``store`` (a :class:`~repro.parallel.shm.SharedSamplePages`) and
-        repoint the caches at the shared segment.
-
-        Called by the parallel engine right before its pool forks:
-        workers then map the one shared segment instead of breaking
-        copy-on-write on heap-resident value lists.  Returns the number
-        of samples published (0 when nothing is materialized yet).
-        """
-        start = time.perf_counter()
-        shareable = []
-        for kind, cache in (("table", self._samples),
-                            ("filtered", self._filtered)):
-            for key, serialized in cache.items():
-                columns = serialized.shared_columns()
-                if columns:
-                    shareable.append(((kind,) + key, serialized, columns))
-        published = store.publish(
-            (key, columns) for key, serialized, columns in shareable
-        )
-        if published:
-            for key, serialized, _ in shareable:
-                serialized.share_to(store, key)
-        self.timings["share_samples"] += time.perf_counter() - start
-        self.counts["share_samples"] += published
-        return published
-
     def reset_timings(self) -> None:
         self.timings.clear()
         self.counts.clear()

@@ -29,8 +29,8 @@ from repro.sizeest.graph import NodeState, node_key
 from repro.sizeest.planner import choose_plan, execute_plan
 from repro.sizeest.samplecf import SampleCFRunner, SizeEstimate, index_category
 from repro.stats.column_stats import DatabaseStats
-from repro.storage.index_build import measure_structure, stored_columns
-from repro.storage.rowcache import RID_COLUMN, SerializedTable
+from repro.storage.index_build import measure_structure
+from repro.storage.rowcache import SerializedTable
 
 #: fault-injection hook (see :mod:`repro.service.faults`): rebound to
 #: that module's ``fire`` when a plan is installed, None otherwise —
@@ -92,10 +92,6 @@ class SizeEstimator:
         self.deduction = DeductionEngine(database, self.sizer, self.distinct)
 
         self._cache: dict[IndexDef, SizeEstimate] = {}
-        #: samples published into the engine's shared-memory store (0
-        #: until the first parallel fan-out; sequential runs never pay).
-        self.shared_samples = 0
-        self._shared_published = False
         self._existing: list[IndexDef] = []
         self._full_serialized: dict[str, SerializedTable] = {}
         #: planning/estimation wall-clock per category (Fig 11)
@@ -262,30 +258,6 @@ class SizeEstimator:
             and count >= self.engine.min_batch
         )
 
-    def _warm_sample_columns(self, index: IndexDef, fraction: float) -> None:
-        """Materialize the stripped column blobs the SampleCF build of
-        ``index`` will read.  Run in the parent before the fork so the
-        blobs exist when :meth:`_share_samples_once` publishes — workers
-        then map shared pages instead of each re-stripping its own
-        heap-resident copy."""
-        sample = self.runner._sample_for(index, fraction)
-        for col in stored_columns(sample, index.kind, index.key_columns,
-                                  index.included_columns):
-            if col.name == RID_COLUMN.name:
-                sample.rid_stripped()
-            else:
-                sample.stripped(col.name)
-
-    def _share_samples_once(self) -> None:
-        """Publish the manager's warmed samples into the engine's
-        shared-memory store before the first fork, so workers map one
-        segment instead of COW-duplicating heap value lists.  One-shot:
-        samples warmed later travel through plain fork inheritance."""
-        if self._shared_published or self.engine is None:
-            return
-        self._shared_published = True
-        self.shared_samples = self.engine.share_samples(self.manager)
-
     def _run_direct(self, direct: list[IndexDef]) -> None:
         """SampleCF for partial/MV indexes, fanned out when worth it."""
         if not self._parallelizable(len(direct)):
@@ -299,8 +271,7 @@ class SizeEstimator:
         # Build the (partial/MV) samples in the parent so every worker
         # inherits them at fork instead of re-deriving its own copy.
         for ix in direct:
-            self._warm_sample_columns(ix, self.default_fraction)
-        self._share_samples_once()
+            self.runner._sample_for(ix, self.default_fraction)
         start = time.perf_counter()
         payloads = [(ix, self.default_fraction) for ix in direct]
         with self.engine.session(self, stale_ok=True):
@@ -322,8 +293,7 @@ class SizeEstimator:
             return None
         for ix in sampled:
             # Parent-side sample warm-up, inherited by the fork below.
-            self._warm_sample_columns(ix, plan.fraction)
-        self._share_samples_once()
+            self.runner._sample_for(ix, plan.fraction)
         payloads = [(ix, plan.fraction) for ix in sampled]
         with self.engine.session(self, stale_ok=True):
             results = self.engine.map(_samplecf_task, payloads, context=self)

@@ -18,11 +18,6 @@ from repro.compression.base import strip_value
 #: Pseudo-column used as the row locator stored in secondary indexes.
 RID_COLUMN = Column("_rid", IntType(8))
 
-#: Column slot the RID blob is shared under (matches
-#: :data:`repro.parallel.shm.RID_SLOT`; no real column may shadow the
-#: pseudo-column's reserved name).
-RID_SLOT = RID_COLUMN.name
-
 
 def _sort_key_for(values: list):
     """Per-column sort keys tolerant of NULLs (None sorts first)."""
@@ -38,9 +33,6 @@ class SerializedTable:
         self._distinct: dict[str, set[bytes]] = {}
         self._orders: dict[tuple[str, ...], list[int]] = {}
         self._rid_stripped: list[bytes] | None = None
-        #: (store, key) after :meth:`share_to`: canonical bytes live in
-        #: a shared-memory segment instead of this process's heap.
-        self._shared = None
 
     # ------------------------------------------------------------------
     def stripped(self, column_name: str) -> list[bytes]:
@@ -48,12 +40,6 @@ class SerializedTable:
         cached = self._stripped.get(column_name)
         if cached is not None:
             return cached
-        if self._shared is not None:
-            store, key = self._shared
-            out = store.column(key, column_name)
-            if out is not None:
-                self._stripped[column_name] = out
-                return out
         column = self.table.column(column_name)
         encode = column.dtype.encode
         out = [strip_value(encode(v), column)
@@ -64,36 +50,12 @@ class SerializedTable:
     def rid_stripped(self) -> list[bytes]:
         """Stripped RID bytes (row position as an 8-byte int), row order."""
         if self._rid_stripped is None:
-            if self._shared is not None:
-                store, key = self._shared
-                out = store.column(key, RID_SLOT)
-                if out is not None:
-                    self._rid_stripped = out
-                    return out
             encode = RID_COLUMN.dtype.encode
             self._rid_stripped = [
                 strip_value(encode(i), RID_COLUMN)
                 for i in range(self.table.num_rows)
             ]
         return self._rid_stripped
-
-    # ------------------------------------------------------------------
-    def shared_columns(self) -> dict[str, list[bytes]]:
-        """The materialized column blobs this cache currently holds, in
-        the shape :meth:`SharedSamplePages.publish` takes (RID under
-        the reserved slot)."""
-        columns: dict[str, list[bytes]] = dict(self._stripped)
-        if self._rid_stripped is not None:
-            columns[RID_SLOT] = self._rid_stripped
-        return columns
-
-    def share_to(self, store, key) -> None:
-        """Switch this cache to read from ``store[key]`` (already
-        published there) and drop the process-local value lists, so the
-        shared segment is the single canonical copy the workers map."""
-        self._shared = (store, key)
-        self._stripped = {}
-        self._rid_stripped = None
 
     # ------------------------------------------------------------------
     def distinct_stripped(self, column_name: str) -> set[bytes]:

@@ -8,7 +8,6 @@ from repro.advisor import (
     CandidateConfiguration,
     CandidateOptions,
     EnumerationOptions,
-    Enumerator,
     candidate_indexes,
     cluster_skyline,
     expand_compression_variants,
@@ -18,6 +17,7 @@ from repro.advisor import (
     select_skyline,
     select_top_k,
 )
+from repro.advisor.algorithms import GreedyBacktrackAlgorithm
 from repro.compression import CompressionMethod
 from repro.physical import Configuration, IndexDef
 from repro.storage import IndexKind
@@ -238,7 +238,7 @@ class TestEnumeration:
             backtracking=backtracking,
             seed_fanout=seed_fanout,
         )
-        enumerator = Enumerator(
+        enumerator = GreedyBacktrackAlgorithm(
             Workload(),
             fake.cost,
             fake.size,
@@ -303,7 +303,7 @@ class TestEnumeration:
                             method=CompressionMethod.ROW)
         fake.sizes[heap_row] = -0.0  # placeholder
         options = EnumerationOptions(budget_bytes=0.0)
-        enumerator = Enumerator(
+        enumerator = GreedyBacktrackAlgorithm(
             Workload(),
             lambda cfg: 100.0 - (5.0 if heap_row in cfg else 0.0),
             lambda ix: {heap_row: 4.0 * FakeCost.MB}.get(

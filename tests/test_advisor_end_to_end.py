@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.advisor import AdvisorOptions, TuningAdvisor, tune
+from repro.advisor import AdvisorOptions, TuningAdvisor
+from repro.api import tune
 from repro.datasets import tpch_workload
 from repro.errors import AdvisorError
 from repro.sizeest import SizeEstimator

@@ -1,21 +1,11 @@
-"""The ``repro.api`` facade and the deprecation shims around it.
-
-The contract: ``Session`` is the one public entry point (tune / retune
-/ tune_decoupled / sweep over owned context); the historical free
-functions remain importable from their old homes as PEP 562 shims that
-warn and return the *same object* (byte-identical behaviour by
-construction); and ``repro.api`` re-exports that object un-deprecated.
+"""The ``repro.api`` facade: ``Session`` is the one public entry point
+(tune / retune / tune_decoupled / sweep over owned context), beside the
+functional one-shot ``repro.api.tune``.
 """
-
-import warnings
 
 import pytest
 
-import repro
-import repro.advisor
-import repro.advisor.advisor as advisor_mod
-import repro.advisor.sweep as sweep_mod
-from repro.api import Session, run_sweep, tune, tune_decoupled
+from repro.api import Session, tune
 from repro.datasets.sales import sales_database, sales_workload
 from repro.errors import AdvisorError
 
@@ -24,42 +14,6 @@ from repro.errors import AdvisorError
 def inputs():
     db = sales_database(scale=0.02)
     return db, sales_workload(db)
-
-
-def _deprecated(module, name):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        got = getattr(module, name)
-    assert any(
-        issubclass(w.category, DeprecationWarning) for w in caught
-    ), f"{module.__name__}.{name} did not warn"
-    return got
-
-
-class TestShims:
-    def test_shims_are_the_same_objects(self):
-        """Byte-identical by construction: every deprecated path hands
-        back the exact function the facade exports."""
-        assert _deprecated(advisor_mod, "tune") is tune
-        assert _deprecated(advisor_mod, "tune_decoupled") is tune_decoupled
-        assert _deprecated(sweep_mod, "run_sweep") is run_sweep
-        # ... and the package-level re-exports forward to the same.
-        assert _deprecated(repro.advisor, "tune") is tune
-        assert _deprecated(repro.advisor, "run_sweep") is run_sweep
-        assert _deprecated(repro, "tune") is tune
-        assert _deprecated(repro, "tune_decoupled") is tune_decoupled
-        assert _deprecated(repro, "run_sweep") is run_sweep
-
-    def test_api_exports_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            from repro.api import run_sweep, tune, tune_decoupled  # noqa: F401, F811
-
-    def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            advisor_mod.no_such_name
-        with pytest.raises(AttributeError):
-            sweep_mod.no_such_name
 
 
 class TestSession:

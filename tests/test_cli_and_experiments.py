@@ -43,6 +43,7 @@ class TestCLI:
         assert "delta costing:" in delta_out
         assert "candidates pruned" in delta_out
         assert "costing kernel:" in delta_out
+        assert "memoized shapes" in delta_out
 
         assert main(base + ["--full-recost"]) == 0
         full_out = capsys.readouterr().out
@@ -63,15 +64,9 @@ class TestCLI:
 
         assert answer(delta_out) == answer(full_out)
 
-    def test_tune_kernel_flag_forces_backend(self, capsys):
-        assert main([
-            "tune", "--dataset", "sales", "--scale", "0.03",
-            "--budget", "0.2", "--variant", "dtac-both",
-            "--kernel", "python",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "costing kernel: python backend" in out
-        assert "0 array batches" in out
+    def test_tune_has_no_kernel_flag(self):
+        with pytest.raises(SystemExit):
+            main(["tune", "--kernel", "python"])
 
     def test_sweep_rejects_bad_budget_list(self):
         with pytest.raises(SystemExit):

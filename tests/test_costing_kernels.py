@@ -1,159 +1,80 @@
-"""The costing-kernel identity contract: the numpy batch backend, the
-pure-python fallback, and the pre-kernel scalar path must agree on every
-recommendation **to the float** — across backends, hash seeds, and
-worker counts.  Also covers backend resolution (``auto``/``numpy``/
-``python``) and the ``REPRO_DISABLE_NUMPY`` escape hatch."""
+"""The access-shape memo must not change a float: plans evaluated
+through the :class:`CostKernel` (memoized shape + scalar lane loop)
+equal the :func:`cost_access` scalar reference exactly, on first
+evaluation and on memo hits — and costing needs no third-party array
+library."""
 
 import os
 import subprocess
 import sys
 
-import pytest
+from repro.optimizer import DEFAULT_COST_CONSTANTS, cost_access
+from repro.optimizer.kernels import CostKernel
+from repro.physical import IndexDef
+from repro.storage import IndexKind
+from repro.workload import Comparison
 
-from repro.api import tune
-from repro.datasets import sales_database, sales_workload
-from repro.errors import OptimizerError
-from repro.optimizer.kernels import (
-    KERNEL_BACKENDS,
-    NUMPY_MIN_LANES,
-    numpy_module,
-    resolve_backend,
+SRC = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), os.pardir, "src")
 )
-from repro.parallel.engine import fork_available
-
-HAVE_NUMPY = numpy_module() is not None
 
 
-@pytest.fixture(scope="module")
-def tuning_inputs():
-    db = sales_database(scale=0.04)
-    wl = sales_workload(db)
-    return db, wl, db.total_data_bytes() * 0.15
+def test_memoized_lanes_match_cost_access_to_the_float(small_stats):
+    stats = small_stats.table("fact")
+    predicates = (Comparison("f_cat", "=", "CAT_1"),)
+    needed = ("f_cat", "f_price")
+    base = (IndexDef("fact", (), kind=IndexKind.HEAP), 40 * 8192.0)
+    structures = [
+        (base[0], base[1], 4000.0),
+        (IndexDef("fact", ("f_cat",), included_columns=("f_price",)),
+         10 * 8192.0, 4000.0),
+        (IndexDef("fact", ("f_cat",)), 6 * 8192.0, 4000.0),
+        (IndexDef("fact", ("f_qty",)), 6 * 8192.0, 4000.0),
+    ]
+    reference = [
+        cost_access(index, size, rows, predicates, needed, stats,
+                    DEFAULT_COST_CONSTANTS, base_lookup=base)
+        for index, size, rows in structures
+    ]
+    kernel = CostKernel()
+    for sweep in (1, 2):  # second sweep is served by the shape memo
+        lanes = [
+            (index, size, rows,
+             kernel.shape_for("ctx", index, predicates, needed, stats,
+                              DEFAULT_COST_CONSTANTS))
+            for index, size, rows in structures
+        ]
+        plans = kernel.batch_access_plans(
+            lanes, DEFAULT_COST_CONSTANTS, base
+        )
+        assert plans == reference
+        assert kernel.stats() == {
+            "lanes_total": sweep * len(structures),
+            "batches_scalar": sweep,
+            "shape_entries": len(structures),
+        }
 
 
-def _fingerprint(result):
-    """Everything the identity contract promises, float-exact."""
-    return (
-        result.configuration,
-        result.final_cost,
-        result.base_cost,
-        result.consumed_bytes,
-        result.steps,
-    )
+_NO_NUMPY_SCRIPT = """\
+import sys
 
-
-class TestBackendResolution:
-    def test_python_backend_always_available(self):
-        kernel = resolve_backend("python")
-        assert kernel.backend == "python"
-        assert kernel.stats()["backend"] == "python"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(OptimizerError, match="unknown kernel backend"):
-            resolve_backend("cuda")
-        assert "auto" in KERNEL_BACKENDS
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
-    def test_auto_prefers_numpy_when_present(self):
-        assert resolve_backend("auto").backend == "numpy"
-
-    def test_disable_env_hides_numpy_from_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        assert numpy_module() is None
-        assert resolve_backend("auto").backend == "python"
-
-    def test_disable_env_makes_explicit_numpy_fail_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        with pytest.raises(OptimizerError, match="numpy is not"):
-            resolve_backend("numpy")
-
-
-class TestKernelIdentity:
-    """Backends may differ in speed, never in a single float."""
-
-    def test_python_kernel_matches_auto(self, tuning_inputs):
-        db, wl, budget = tuning_inputs
-        auto = tune(db, wl, budget, variant="dtac-both")
-        forced = tune(db, wl, budget, variant="dtac-both", kernel="python")
-        assert _fingerprint(forced) == _fingerprint(auto)
-        assert forced.kernel_stats["backend"] == "python"
-        assert forced.kernel_stats["batches_numpy"] == 0
-        assert forced.kernel_stats["lanes_total"] > 0
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
-    def test_numpy_matches_python_to_the_float(self, tuning_inputs):
-        db, wl, budget = tuning_inputs
-        vec = tune(db, wl, budget, variant="dtac-both", kernel="numpy")
-        ref = tune(db, wl, budget, variant="dtac-both", kernel="python")
-        assert _fingerprint(vec) == _fingerprint(ref)
-        assert vec.final_cost == ref.final_cost  # float-exact, not approx
-        assert vec.kernel_stats["backend"] == "numpy"
-        # The array path must actually have run, or the test is vacuous.
-        assert vec.kernel_stats["batches_numpy"] > 0
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
-    def test_numpy_matches_with_delta_costing_off(self, tuning_inputs):
-        """Full-recost sweeps push whole candidate sets through
-        batch_access_plans — the widest lanes the kernel ever sees."""
-        db, wl, budget = tuning_inputs
-        vec = tune(db, wl, budget, variant="dtac-both", kernel="numpy",
-                   delta_costing=False)
-        ref = tune(db, wl, budget, variant="dtac-both", kernel="python",
-                   delta_costing=False)
-        assert _fingerprint(vec) == _fingerprint(ref)
-
-    def test_small_batches_use_scalar_loop_even_on_numpy(self):
-        """Below NUMPY_MIN_LANES the numpy backend itself falls back to
-        the scalar loop — same floats either way, fewer cycles."""
-        kernel = resolve_backend("python")
-        assert kernel.batch_access_plans([], None, None) == []
-        assert kernel.batches_scalar == 1
-        assert NUMPY_MIN_LANES > 1
-
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_workers_two_identical_across_backends(self, tuning_inputs,
-                                                   monkeypatch):
-        monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
-        db, wl, budget = tuning_inputs
-        seq = tune(db, wl, budget, variant="dtac-both", workers=1,
-                   kernel="python")
-        par = tune(db, wl, budget, variant="dtac-both", workers=2)
-        assert _fingerprint(par) == _fingerprint(seq)
-        assert par.engine_stats["parallel_maps"] > 0
-
-
-_HASHSEED_SCRIPT = """\
-from repro.api import tune
+from repro.api import Session
 from repro.datasets import sales_database, sales_workload
 
 db = sales_database(scale=0.02)
-wl = sales_workload(db)
-result = tune(db, wl, db.total_data_bytes() * 0.15, variant="dtac-both",
-              kernel={kernel!r})
-print(sorted(ix.display_name() for ix in result.configuration))
-print(repr(result.final_cost))
-print(repr(result.base_cost))
-print(result.consumed_bytes)
+result = Session(db, sales_workload(db), budget_fraction=0.15).tune()
+assert "numpy" not in sys.modules, "costing imported numpy"
+stats = result.kernel_stats
+assert stats["lanes_total"] > 0 and stats["batches_scalar"] > 0, stats
 """
 
 
-class TestHashSeedIndependence:
-    @pytest.mark.parametrize("kernel", ["python", "auto"])
-    def test_recommendation_stable_across_hash_seeds(self, kernel):
-        """Set iteration order must never leak into the recommendation:
-        the same tune under different PYTHONHASHSEEDs prints the same
-        configuration and the same float costs."""
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        outputs = []
-        for seed in ("0", "424242"):
-            env = dict(os.environ,
-                       PYTHONPATH=os.path.abspath(src),
-                       PYTHONHASHSEED=seed)
-            proc = subprocess.run(
-                [sys.executable, "-c",
-                 _HASHSEED_SCRIPT.format(kernel=kernel)],
-                capture_output=True, text=True, env=env, check=False,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1]
+def test_tune_never_imports_numpy():
+    """Costing is one scalar loop over memoized shapes — zero
+    dependencies, even when an array library is installed."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT],
+        capture_output=True, text=True, check=False,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 0, proc.stderr

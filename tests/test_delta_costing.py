@@ -14,8 +14,8 @@ import random
 
 import pytest
 
-from repro.advisor.advisor import AdvisorOptions, TuningAdvisor, tune
-from repro.api import run_sweep
+from repro.advisor.advisor import AdvisorOptions, TuningAdvisor
+from repro.api import run_sweep, tune
 from repro.datasets.sales import sales_database, sales_workload
 from repro.parallel.cache import CostCache
 from repro.parallel.engine import fork_available

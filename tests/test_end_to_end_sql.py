@@ -18,9 +18,9 @@ from repro import (
     Table,
     Workload,
     parse_statement,
-    tune,
     validate_recommendation,
 )
+from repro.api import tune
 from repro.catalog.datatypes import DateType, IntType
 from repro.catalog import char
 from repro.storage.index_build import IndexKind

@@ -4,7 +4,10 @@ pool moves."""
 
 import pytest
 
-from repro.advisor.enumeration import EnumerationOptions, Enumerator
+from repro.advisor.algorithms import (
+    EnumerationOptions,
+    GreedyBacktrackAlgorithm,
+)
 from repro.compression import CompressionMethod
 from repro.physical.configuration import Configuration
 from repro.physical.index_def import IndexDef
@@ -66,7 +69,9 @@ def make_enumerator(fake, budget_mb=10.0, seed_fanout=3,
         seed_fanout=seed_fanout,
         allow_compression=allow_compression,
     )
-    return Enumerator(Workload(), fake.cost, fake.size, {"t": 0.0}, options)
+    return GreedyBacktrackAlgorithm(
+        Workload(), fake.cost, fake.size, {"t": 0.0}, options
+    )
 
 
 class TestSeededMultiStart:
@@ -180,7 +185,7 @@ class TestPolish:
         options = EnumerationOptions(
             budget_bytes=20.0 * MB, seed_fanout=2
         )
-        enumerator = Enumerator(
+        enumerator = GreedyBacktrackAlgorithm(
             Workload(), cost, fake.size, {"t": 0.0}, options
         )
         result = enumerator.run([fake.s_page], Configuration([fake.heap]))

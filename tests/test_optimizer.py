@@ -11,6 +11,7 @@ from repro.optimizer import (
     cost_access,
     mv_matches_query,
 )
+from repro.optimizer.kernels import CostKernel
 from repro.physical import Configuration, IndexDef, MVDefinition
 from repro.storage import IndexKind
 from repro.workload import (
@@ -138,6 +139,7 @@ class TestAccessPaths:
             predicates=(Comparison("f_cat", "=", "CAT_1"),),
             needed_columns=("f_cat", "f_price"),
             constants=DEFAULT_COST_CONSTANTS,
+            kernel=CostKernel(),
         )
         assert plan.index.kind is IndexKind.SECONDARY
         assert plan.used_seek

@@ -4,7 +4,8 @@ byte-identical advisor recommendations against the sequential path."""
 
 import pytest
 
-from repro.advisor import AdvisorOptions, TuningAdvisor, tune
+from repro.advisor import AdvisorOptions, TuningAdvisor
+from repro.api import tune
 from repro.datasets import sales_database, sales_workload
 from repro.parallel import ParallelEngine
 from repro.parallel import engine as engine_mod
@@ -167,6 +168,16 @@ class TestAutoDegrade:
 
     def test_effective_cpu_count_positive(self):
         assert effective_cpu_count() >= 1
+
+    def test_auto_workers_follow_affinity_not_the_box(self, monkeypatch):
+        """``workers=0`` on a process pinned to 4 of 64 CPUs sizes the
+        pool from the 4 it may run on, like the degrade decision."""
+        monkeypatch.setattr(engine_mod.os, "cpu_count", lambda: 64)
+        monkeypatch.delattr(engine_mod.os, "process_cpu_count",
+                            raising=False)
+        monkeypatch.setattr(engine_mod.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2, 3}, raising=False)
+        assert ParallelEngine(workers=0).workers == 4
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork")

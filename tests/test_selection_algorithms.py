@@ -12,7 +12,6 @@ the default search, extended to the whole registry.
 import asyncio
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -23,13 +22,12 @@ from repro.advisor import (
     variant_names,
     variants,
 )
-from repro.advisor.advisor import AdvisorOptions, tune
+from repro.advisor.advisor import AdvisorOptions
 from repro.advisor.algorithms import (
     GreedyBacktrackAlgorithm,
     SelectionAlgorithm,
 )
-from repro.advisor.enumeration import Enumerator
-from repro.api import run_sweep
+from repro.api import run_sweep, tune
 from repro.datasets.sales import sales_database, sales_workload
 from repro.errors import AdvisorError, JobCancelled, ServiceError
 from repro.service import AdvisorService, describe_algorithms
@@ -93,8 +91,7 @@ class TestRegistry:
         with pytest.raises(AdvisorError, match="no registry name"):
             algorithms.register(Nameless)
 
-    def test_enumerator_alias_is_the_default_algorithm(self):
-        assert Enumerator is GreedyBacktrackAlgorithm
+    def test_greedy_backtrack_is_registered(self):
         assert (
             algorithms.get("greedy-backtrack") is GreedyBacktrackAlgorithm
         )
@@ -210,33 +207,6 @@ class TestVariantRegistry:
         assert options.budget_bytes == 123.0
         assert options.workers == 2
         assert options.algorithm == "ibm"
-
-    def test_legacy_variants_mapping_warns(self):
-        """``VARIANTS`` survives as a deprecated module attribute
-        synthesizing the old name->options dict from the registry."""
-        from repro.advisor import advisor as advisor_module
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            mapping = advisor_module.VARIANTS
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert set(mapping) == set(variant_names())
-        assert mapping["dtac-both"] == dict(
-            get_variant("dtac-both").options
-        )
-
-    def test_package_level_variants_access_forwards(self):
-        import repro.advisor as advisor_pkg
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            mapping = advisor_pkg.VARIANTS
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert set(mapping) == set(variant_names())
 
 
 def _run_with_hashseed(script: str, hashseed: str) -> str:
