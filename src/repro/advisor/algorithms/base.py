@@ -209,7 +209,11 @@ class SelectionAlgorithm:
 
     def fits(self, config: Configuration) -> bool:
         """Whether a configuration stays within the storage budget."""
-        return self.consumed(config) <= self.options.budget_bytes + 1e-6
+        return self._within_budget(self.consumed(config))
+
+    def _within_budget(self, consumed: float) -> bool:
+        """:meth:`fits` for a caller that already holds ``consumed``."""
+        return consumed <= self.options.budget_bytes + 1e-6
 
     # ------------------------------------------------------------------
     def _emit(self, event: str, **fields) -> None:

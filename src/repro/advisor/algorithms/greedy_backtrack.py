@@ -126,14 +126,16 @@ class GreedyBacktrackAlgorithm(SelectionAlgorithm):
         )
         scored: list[tuple[float, float, Configuration, str]] = []
         best_any = None  # (delta_cost, config)
+        base_consumed = self.consumed(base)
         for (ix, candidate), cost in zip(moves, costs):
             if cost is None:
                 continue
             delta_cost = base_cost - cost
             if delta_cost <= 0:
                 continue
-            delta_size = self.consumed(candidate) - self.consumed(base)
-            if self.fits(candidate):
+            consumed = self.consumed(candidate)
+            delta_size = consumed - base_consumed
+            if self._within_budget(consumed):
                 scored.append((
                     self._score(delta_cost, delta_size),
                     cost,
@@ -200,14 +202,16 @@ class GreedyBacktrackAlgorithm(SelectionAlgorithm):
                 costs = self._candidate_costs(
                     [candidate for _ix, candidate in moves], threshold
                 )
+            current_consumed = self.consumed(current)
             for (ix, candidate), cost in zip(moves, costs):
                 if cost is None:
                     continue
                 delta_cost = current_cost - cost
                 if delta_cost <= 0:
                     continue
-                delta_size = self.consumed(candidate) - self.consumed(current)
-                if self.fits(candidate):
+                consumed = self.consumed(candidate)
+                delta_size = consumed - current_consumed
+                if self._within_budget(consumed):
                     score = self._score(delta_cost, delta_size)
                     if best_feasible is None or score > best_feasible[0]:
                         best_feasible = (
@@ -400,7 +404,8 @@ class GreedyBacktrackAlgorithm(SelectionAlgorithm):
         shrinking, until the configuration fits (or no swap helps)."""
         config = oversized
         for _round in range(len(list(config)) + 1):
-            if self.fits(config):
+            config_consumed = self.consumed(config)
+            if self._within_budget(config_consumed):
                 return config
             best = None  # (cost, config)
             swaps = []
@@ -413,7 +418,7 @@ class GreedyBacktrackAlgorithm(SelectionAlgorithm):
                 for method in (CompressionMethod.ROW, CompressionMethod.PAGE):
                     variant = ix.with_method(method)
                     swapped = config.replace(ix, variant)
-                    if self.consumed(swapped) >= self.consumed(config):
+                    if self.consumed(swapped) >= config_consumed:
                         continue
                     swaps.append(swapped)
             swap_costs = self.batch_cost(swaps)

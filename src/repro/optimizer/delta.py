@@ -18,22 +18,33 @@ exploits that three ways, without moving a single float:
   left-to-right accumulation :meth:`WhatIfOptimizer.workload_cost`
   performs, so totals are bit-equal to the full-recost path.
 
-* **Access-path probes.**  For a SELECT statement, adding one secondary
-  index only changes the cost if the new index's single-table access
-  plan *beats* the plan the optimizer chose without it (plan selection
-  is a ``min`` over per-structure plans, and every other term of the
-  statement cost is unchanged when the chosen plans are unchanged).
-  The coster probes the candidate's plan with one
-  :func:`~repro.optimizer.access_paths.cost_access` call — cached per
-  (statement, candidate, base structure) — and when the probe *strictly
-  loses* against the chosen plan's cost, reuses the reference term as
-  the exact new term.  Strictness matters: on a tie the optimizer's
-  first-minimum tie-break could switch plans, so ties fall through to a
-  full recost.  When the probe *strictly wins* (a unique strict
-  minimum), the statement total is rebuilt from the reference's chosen
-  plans with the winner patched in, replaying ``_cost_select``'s exact
-  accumulation — the same floats in the same order — so even winning
-  candidates skip the all-tables x all-structures recost.
+* **Access-path probes, resolved sweep-major.**  For a SELECT
+  statement, adding one secondary index only changes the cost if the
+  new index's single-table access plan *beats* the plan the optimizer
+  chose without it (plan selection is a ``min`` over per-structure
+  plans, and every other term of the statement cost is unchanged when
+  the chosen plans are unchanged).  A greedy sweep asks that question
+  for every (candidate, statement) pair on every step, so the two
+  operands are held in sweep shape: a **probe row** per (candidate,
+  base structure) — the candidate's access-plan cost for every
+  statement on its table, valid for the whole run — and a **reference
+  vector** per table — the plan cost the reference configuration chose
+  for each of those statements, rebuilt after each :meth:`rebase`.
+  Costing ``reference ∪ {secondary}`` is one pass of ``probe > chosen``
+  comparisons; a statement whose probe *strictly loses* keeps its
+  reference term (the exact new term) without touching the memo or
+  allocating anything.  Strictness matters: on a tie the optimizer's
+  first-minimum tie-break could switch plans, so ties — like winners,
+  maintenance statements and statements with an MV in scope — go on to
+  the per-statement memo, where a tie recomputes the table's plan
+  search and a *strict win* (a unique strict minimum) rebuilds the
+  statement total from the reference's chosen plans with the winner
+  patched in, replaying ``_cost_select``'s exact accumulation — the
+  same floats in the same order — so even winning candidates skip the
+  all-tables x all-structures recost.  The same argument covers a
+  *removed* secondary the reference did not choose (a compression-
+  method swap removes one variant and adds another): the chosen plan
+  stays the first minimum over what remains.
 
 * **Bound-based candidate pruning.**  Per statement the coster
   maintains a lower bound — the cheapest cost any enumerable
@@ -81,6 +92,7 @@ runs.
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -107,8 +119,41 @@ from repro.workload.query import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle with whatif
     from repro.optimizer.whatif import WhatIfOptimizer
 
-#: sentinel distinguishing "probe not yet computed" from "plan unusable".
+#: sentinel distinguishing "not yet computed" from a computed None
+#: (an unusable plan, an unavailable cap).
 _UNPROBED = object()
+
+_INF = math.inf
+
+
+class _RefVector:
+    """What a sweep compares one table's probe rows against under one
+    reference: ``stmts`` is the interned ``_by_table`` list, and the
+    other lists align with it.
+
+    ``chosen`` holds the cost of the plan the reference chose on the
+    table — inf where there is none to lose to (a maintenance
+    statement, an MV substitution).  ``reusable`` is ``chosen`` with
+    inf also where an MV is in the statement's scope: reuse needs a
+    recost there, the zero-delta certificate does not.  ``cap`` is the
+    table's ``Σ reference term − floor``, summed on first demand."""
+
+    __slots__ = ("stmts", "chosen", "reusable", "cap")
+
+    def __init__(self, stmts, chosen, reusable) -> None:
+        self.stmts = stmts
+        self.chosen = chosen
+        self.reusable = reusable
+        self.cap = _UNPROBED
+
+
+def _sole_addition(added, removed) -> "IndexDef | None":
+    """The one non-MV index a pure single-add diff adds (the sweep
+    shape ``reference ∪ {candidate}``), else None."""
+    if removed or len(added) != 1:
+        return None
+    (ix,) = added
+    return ix if ix.mv is None else None
 
 
 class DeltaWorkloadCoster:
@@ -230,13 +275,18 @@ class DeltaWorkloadCoster:
         #: (si, table, base identity) groups already batch-probed.
         self._probe_filled: set = set()
 
-        # Hot-path caches.  _ref_bases and _shift_cache depend on the
+        # Sweep state.  _ref_bases and _ref_vectors depend on the
         # reference configuration and are reset on every rebase;
-        # _sig_mv is a pure property of a signature and persists.
+        # _probe_rows (like the probes they are read from) and _sig_mv
+        # (a pure property of a signature) persist for the run.
         #: table -> (base structure, base identity) under the reference.
         self._ref_bases: dict = {}
-        #: (si, added identity) -> shifted signature (single-add case).
-        self._shift_cache: dict = {}
+        #: table -> _RefVector under the reference.
+        self._ref_vectors: dict = {}
+        #: (candidate identity, base identity) -> the candidate's probe
+        #: cost per statement of its table, aligned with ``_by_table``
+        #: (inf = unusable plan, or not a SELECT).
+        self._probe_rows: dict = {}
         #: signature -> whether it contains an MV identity.
         self._sig_mv: dict = {}
 
@@ -298,7 +348,7 @@ class DeltaWorkloadCoster:
         self._ref_full_plans = full
         self._ref_total = sum(terms)
         self._ref_bases = {}
-        self._shift_cache = {}
+        self._ref_vectors = {}
         return self._ref_total
 
     # ------------------------------------------------------------------
@@ -307,7 +357,9 @@ class DeltaWorkloadCoster:
     def workload_cost(self, config: Configuration) -> float:
         """Weighted workload cost of ``config``, re-evaluating only the
         statements whose relevant-structure set differs from the
-        reference configuration's."""
+        reference configuration's — and, for ``reference ∪ {one
+        secondary}``, only those the candidate's probe row does not
+        strictly lose on."""
         if self._ref_config is None:
             return self.rebase(config)
         ref = self._ref_config
@@ -315,19 +367,27 @@ class DeltaWorkloadCoster:
             return self._ref_total
         added = config.indexes - ref.indexes
         removed = ref.indexes - config.indexes
-        term_for = self._term_for
-        shifted = self._shifted_sig
-        out: list[float] | None = None
-        diff = added if not removed else added | removed
-        for si in self._affected(diff):
-            term = term_for(
-                si, shifted(si, added, removed), config, added, removed,
-            )[0]
-            if out is None:
-                out = list(self._ref_terms)
-            out[si] = term
-        if out is None:
+        ix = _sole_addition(added, removed)
+        if ix is not None and ix.kind is IndexKind.SECONDARY:
+            vector = self._ref_vector(ix.table)
+            affected = [
+                si for si, probe, chosen in zip(
+                    vector.stmts, self._probe_row(ix), vector.reusable
+                )
+                if not probe > chosen
+            ]
+            # Strict losers keep their reference term, bit for bit.
+            self.reused_terms += len(vector.stmts) - len(affected)
+        else:
+            affected = self._affected(added | removed)
+        if not affected:
             return self._ref_total
+        out = list(self._ref_terms)
+        for si in affected:
+            out[si] = self._term_for(
+                si, self._shifted_sig(si, added, removed), config,
+                added, removed,
+            )[0]
         return sum(out)
 
     def batch(self, configs: Sequence[Configuration]) -> list[float]:
@@ -395,6 +455,7 @@ class DeltaWorkloadCoster:
         self._size_peek = size_if_known
         self._floors = {}
         self._probe_filled = set()
+        self._ref_vectors = {}  # their caps were sums over the old floors
 
     def lower_bound(self, si: int) -> float | None:
         """Weighted lower bound on statement ``si``'s term over every
@@ -426,22 +487,24 @@ class DeltaWorkloadCoster:
         if removed:
             return True  # swaps/base replacements: never certified
         affected = self._affected(added)
-
-        certified = True
-        for si in affected:
-            if not self._is_select[si]:
-                certified = False
-                break
-            if self._ref_plans[si] is None:
-                certified = False
-                break
-            for ix in added:
-                if self._relevant(si, ix) and \
-                        not self._probe_loses(si, ix):
-                    certified = False
-                    break
-            if not certified:
-                break
+        ix = _sole_addition(added, ())
+        if ix is not None and ix.kind is IndexKind.SECONDARY:
+            # The sweep shape: every statement on the table must have a
+            # chosen plan the candidate's probe strictly loses to.
+            certified = all(map(
+                operator.gt,
+                self._probe_row(ix), self._ref_vector(ix.table).chosen,
+            ))
+        else:
+            certified = all(
+                self._is_select[si]
+                and self._ref_plans[si] is not None
+                and all(
+                    self._probe_loses(si, ix)
+                    for ix in added if self._relevant(si, ix)
+                )
+                for si in affected
+            )
         if certified:
             self.pruned_zero_delta += 1
             return False
@@ -471,15 +534,29 @@ class DeltaWorkloadCoster:
         ``greedy-backtrack`` compares caps across the whole candidate
         sweep before deciding which low-cap candidates were provably
         invisible (and then records them via :meth:`note_bound_pruned`).
+        The cap is a property of the affected statements, so a sweep's
+        candidates on one table share one sum per reference.
         """
         ref = self._ref_config
         if ref is None or self._universe is None:
             return None
         added = config.indexes - ref.indexes
-        if ref.indexes - config.indexes:
+        removed = ref.indexes - config.indexes
+        if removed:
             return None  # swaps/base replacements: no cap
+        ix = _sole_addition(added, ())
+        if ix is None:
+            return self._cap_over(self._affected(added))
+        vector = self._ref_vector(ix.table)
+        if vector.cap is _UNPROBED:
+            vector.cap = self._cap_over(vector.stmts)
+        return vector.cap
+
+    def _cap_over(self, affected: list[int]) -> float | None:
+        """``Σ reference term − floor`` over ``affected``, in workload
+        order (None when a statement has no floor)."""
         cap = 0.0
-        for si in self._affected(added):
+        for si in affected:
             floor = self.lower_bound(si)
             if floor is None:
                 return None
@@ -543,31 +620,16 @@ class DeltaWorkloadCoster:
         """The relevant-subset signature after a diff, derived from the
         reference signature without rescanning the configuration."""
         sig = self._ref_sigs[si]
-        if not removed and len(added) == 1:
-            # The enumeration hot path: config ∪ {candidate}.  Sweeps
-            # re-derive the same (statement, candidate) signature many
-            # times per reference, so the union is cached per rebase.
-            for ix in added:
-                ident = (
-                    ix.__dict__.get("_identity_cache")
-                    or index_identity(ix)
-                )
-                key = (si, ident)
-                out = self._shift_cache.get(key)
-                if out is None:
-                    out = sig | {ident} if self._relevant(si, ix) else sig
-                    self._shift_cache[key] = out
-                return out
-        drop = {
-            index_identity(ix) for ix in removed if self._relevant(si, ix)
-        }
-        grow = {
-            index_identity(ix) for ix in added if self._relevant(si, ix)
-        }
-        if drop:
-            sig = sig - drop
-        if grow:
-            sig = sig | grow
+        if removed:
+            sig = sig.difference(
+                index_identity(ix) for ix in removed
+                if self._relevant(si, ix)
+            )
+        if added:
+            sig = sig.union(
+                index_identity(ix) for ix in added
+                if self._relevant(si, ix)
+            )
         return sig
 
     def _sig_has_mv(self, sig: frozenset) -> bool:
@@ -647,11 +709,12 @@ class DeltaWorkloadCoster:
         when the plans decide it without a full recost:
 
         * reference reuse when every change is invisible (non-matching
-          MVs, unusable plans, plans that strictly lose);
+          MVs, unusable plans, added plans that strictly lose, removed
+          secondaries the reference did not choose);
         * a plan-patched rebuild otherwise — a purely-added winner's
           probe plan (a strict unique minimum), or, for tables whose
-          structure set changed structurally (base swaps, removals,
-          ties), the table's plan recomputed by the *real*
+          structure set changed structurally (base swaps, a removed
+          chosen plan, ties), the table's plan recomputed by the *real*
           ``_structures_for`` + :func:`best_access_plan`, so ordering
           and tie-breaks are the optimizer's own.
 
@@ -660,71 +723,31 @@ class DeltaWorkloadCoster:
         stmt = self._stmts[si]
         if self._sig_has_mv(sig):
             return None  # MVs in scope: substitution needs a recost
-        if not removed and len(added) == 1:
-            # Enumeration hot path: config ∪ {one secondary}.  The
-            # general loop below reduces exactly to this sequence for a
-            # single added non-MV secondary; inlining it skips the
-            # per-call container setup the general diff walk needs.
-            for ix in added:
-                break
-            if ix.mv is None and ix.kind is IndexKind.SECONDARY:
-                if not self._relevant(si, ix):
-                    entry = None  # invisible: reference reuse below
-                else:
-                    entry = self._probe_cached(si, ix)
-                chosen = (
-                    None if entry is None
-                    else self._chosen_plan_cost(si, ix.table)
-                )
-                if entry is None or (
-                    chosen is not None and entry.cost > chosen
-                ):
-                    self.reused_terms += 1
-                    return (
-                        self._ref_terms[si],
-                        self._ref_totals[si],
-                        self._ref_plans[si],
-                        self._ref_full_plans[si],
-                    )
-                if chosen is not None:
-                    full = self._ref_full_plans[si]
-                    if full is None:
-                        full = self._reconstruct_ref_plans(si)
-                        if full is None:
-                            return None
-                    patched = list(full)
-                    ti = stmt.tables.index(ix.table)
-                    if entry.cost == chosen:
-                        # Tie: the optimizer's first-minimum order
-                        # decides — recompute the table's plan search.
-                        patched[ti] = self._table_plan(
-                            si, ix.table, sig, config
-                        )
-                    else:
-                        patched[ti] = entry
-                    total = self._select_total_from_plans(si, patched)
-                    term = self._weights[si] * total
-                    self.patched_terms += 1
-                    return (
-                        term, total,
-                        tuple(plan.cost for plan in patched),
-                        tuple(patched),
-                    )
-                # chosen is None (defensive): fall through to the
-                # general path, which recomputes the table's plan.
+        full = self._ref_full_plans[si]
+        recompute: set[str] = set()
+        winners: dict[str, object] = {}
         for ix in removed:
-            if self._relevant(si, ix) and ix.is_mv_index:
+            if not self._relevant(si, ix):
+                continue
+            if ix.is_mv_index:
                 # Non-matching MVs are invisible; matching ones change
                 # the substitution choice.
                 if mv_matches_query(ix.mv, stmt):
                     return None
-        recompute: set[str] = set()
-        winners: dict[str, object] = {}
-        removed_tables = {
-            ix.table for ix in removed
-            if not ix.is_mv_index and self._relevant(si, ix)
-        }
-        recompute |= removed_tables
+                continue
+            if (
+                ix.kind is IndexKind.SECONDARY
+                and full is not None
+                and full[stmt.tables.index(ix.table)].index != ix
+            ):
+                # A secondary the reference did not choose: every
+                # structure ordered before the chosen plan still costs
+                # strictly more and none after it costs less, so the
+                # chosen plan stays the first minimum over what remains
+                # (the method-swap shape: its added variant is probed
+                # against that same chosen cost below).
+                continue
+            recompute.add(ix.table)
         for ix in added:
             if not self._relevant(si, ix):
                 continue
@@ -771,9 +794,8 @@ class DeltaWorkloadCoster:
                 self._ref_terms[si],
                 self._ref_totals[si],
                 self._ref_plans[si],
-                self._ref_full_plans[si],
+                full,
             )
-        full = self._ref_full_plans[si]
         if full is None:
             # Persistent replay: the reference carries plan costs but
             # not the plans themselves — rebuild them with the real
@@ -970,20 +992,65 @@ class DeltaWorkloadCoster:
         except (ValueError, IndexError):  # pragma: no cover - defensive
             return None
 
+    def _ref_base(self, table: str) -> tuple:
+        """(base structure, base identity) of ``table`` under the
+        reference — (None, None) for an untracked table."""
+        cached = self._ref_bases.get(table)
+        if cached is None:
+            base = self._ref_config.base_structure(table)
+            cached = (base, None if base is None else index_identity(base))
+            self._ref_bases[table] = cached
+        return cached
+
+    def _ref_vector(self, table: str) -> _RefVector:
+        """The reference's chosen plan costs for every statement on
+        ``table`` (built on first demand after a rebase)."""
+        vector = self._ref_vectors.get(table)
+        if vector is None:
+            stmts = self._by_table.get(table, [])
+            chosen = [
+                self._chosen_plan_cost(si, table)
+                if self._is_select[si] and self._ref_plans[si] is not None
+                else _INF
+                for si in stmts
+            ]
+            reusable = [
+                _INF if self._sig_has_mv(self._ref_sigs[si]) else cost
+                for si, cost in zip(stmts, chosen)
+            ]
+            vector = _RefVector(stmts, chosen, reusable)
+            self._ref_vectors[table] = vector
+        return vector
+
+    def _probe_row(self, ix: IndexDef) -> list[float]:
+        """Secondary ``ix``'s access-plan cost for every statement on
+        its table against the table's reference base, aligned with
+        ``_by_table`` — inf where it has no usable plan and for
+        maintenance statements (which are never probed).  Read off the
+        per-pair probes on first demand and kept for the run: a probe
+        depends on the base structure, not on the rest of the
+        reference."""
+        key = (index_identity(ix), self._ref_base(ix.table)[1])
+        row = self._probe_rows.get(key)
+        if row is None:
+            row = []
+            for si in self._by_table.get(ix.table, ()):
+                plan = (
+                    self._probe_cached(si, ix)
+                    if self._is_select[si] else None
+                )
+                row.append(_INF if plan is None else plan.cost)
+            self._probe_rows[key] = row
+        return row
+
     def _probe_cached(self, si: int, ix: IndexDef):
         """The candidate's access plan against the reference base of
         its table (cached; None = unusable)."""
         table = ix.table
-        cached_base = self._ref_bases.get(table)
-        if cached_base is None:
-            base = self._ref_config.base_structure(table)
-            if base is None:  # pragma: no cover - bases always tracked
-                return None
-            cached_base = (base, index_identity(base))
-            self._ref_bases[table] = cached_base
-        base, base_id = cached_base
-        ident = ix.__dict__.get("_identity_cache") or index_identity(ix)
-        key = (si, table, ident, base_id)
+        base, base_id = self._ref_base(table)
+        if base is None:  # pragma: no cover - bases always tracked
+            return None
+        key = (si, table, index_identity(ix), base_id)
         plan = self._probes.get(key, _UNPROBED)
         if plan is _UNPROBED:
             self._fill_probe_group(table, base, base_id)

@@ -75,6 +75,31 @@ def _random_configs(base: Configuration, pool, seed: int, n: int):
     return configs
 
 
+def _assert_method_swaps_match(whatif, wl, base, pool):
+    """Secondary -> compressed-variant swaps against a reference that
+    holds the secondary (the backtrack/polish shape): exact, and for a
+    SELECT whose chosen plan is not the swapped index decided from the
+    variant's probe — a reference reuse, which a swap never was while
+    every swapped table re-ran its plan search."""
+    from repro.compression.base import CompressionMethod
+
+    grown = base
+    for ix in pool:
+        grown = grown.add(ix)
+    delta = whatif.delta_coster(wl)
+    delta.rebase(grown)
+    swaps = [
+        grown.replace(ix, ix.with_method(method))
+        for ix in pool
+        for method in (CompressionMethod.ROW, CompressionMethod.PAGE)
+    ]
+    reused_before = delta.stats()["reused_terms"]
+    incremental = delta.batch(swaps)
+    assert delta.stats()["reused_terms"] > reused_before
+    whatif.clear_cache()
+    assert incremental == whatif.workload_cost_batch(wl, swaps)
+
+
 class TestIncrementalEqualsFull:
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_randomized_sequences_match_full_batch(self, costing_rig, seed):
@@ -128,6 +153,34 @@ class TestIncrementalEqualsFull:
         incremental = delta.batch(configs)
         whatif.clear_cache()
         assert incremental == whatif.workload_cost_batch(wl, configs)
+        _assert_method_swaps_match(whatif, wl, base, pool)
+
+    def test_method_swap_strict_win_is_patched(self, costing_rig):
+        """The other decided swap shape: the reference chose ``narrow``
+        over ``wide``, and ``wide``'s ROW variant strictly beats it —
+        the variant's probe is patched in, no plan search."""
+        from repro.compression.base import CompressionMethod
+
+        whatif, wl, base, _pool = costing_rig
+        wide = IndexDef("sales", ("sa_productkey", "sa_channel"),
+                        included_columns=("sa_total",))
+        narrow = IndexDef("sales", ("sa_productkey",),
+                          included_columns=("sa_channel", "sa_total"))
+        variant = wide.with_method(CompressionMethod.ROW)
+        ref = base.add(wide).add(narrow)
+        swapped = ref.replace(wide, variant)
+        s07 = next(ws.statement for ws in wl.queries if ws.name == "S07_v1")
+        assert whatif.cost(s07, ref).plans[0].index == narrow
+        assert whatif.cost(s07, swapped).plans[0].index == variant
+        delta = whatif.delta_coster(wl)
+        delta.rebase(ref)
+        searched = len(delta._table_plans)
+        assert delta.statement_cost(s07, swapped) == \
+            whatif.cost(s07, swapped).total
+        assert len(delta._table_plans) == searched
+        incremental = delta.workload_cost(swapped)
+        whatif.clear_cache()
+        assert incremental == whatif.workload_cost(wl, swapped)
 
     def test_fork_view_is_isolated(self, costing_rig):
         whatif, wl, base, pool = costing_rig
@@ -222,6 +275,7 @@ class TestUpdateHeavyIncremental:
         incremental = delta.batch(configs)
         whatif.clear_cache()
         assert incremental == whatif.workload_cost_batch(wl, configs)
+        _assert_method_swaps_match(whatif, wl, base, pool)
 
     def test_statement_cost_matches_whatif(self, update_heavy_rig):
         whatif, wl, base, pool, _db, _budget = update_heavy_rig
@@ -243,6 +297,26 @@ class TestUpdateHeavyIncremental:
         assert on.base_cost == off.base_cost
         assert on.steps == off.steps
         assert on.delta_stats["patched_maintenance"] > 0
+
+    def test_tune_identical_when_maintenance_comes_first(
+        self, update_heavy_rig
+    ):
+        """The same workload with its maintenance statements ahead of
+        the SELECTs: the first statement on ``sales`` and ``customers``
+        is then one no probe can certify, so every zero-delta sweep on
+        those tables meets it before any SELECT."""
+        from repro.workload.query import Workload
+
+        whatif, wl, base, pool, db, budget = update_heavy_rig
+        flipped = Workload([*wl.updates, *wl.queries])
+        assert not flipped.statements[0].statement.is_select
+        off = tune(db, flipped, budget, variant="dtac-both",
+                   delta_costing=False)
+        on = tune(db, flipped, budget, variant="dtac-both",
+                  delta_costing=True)
+        assert on.configuration == off.configuration
+        assert on.final_cost == off.final_cost
+        assert on.steps == off.steps
 
     def test_maintenance_total_is_order_independent(self, update_heavy_rig):
         """The fsum accumulation contract: per-structure contributions
@@ -531,3 +605,196 @@ class TestPruning:
         assert on.configuration == off.configuration
         assert on.final_cost == off.final_cost
         assert on.steps == off.steps
+
+
+# ----------------------------------------------------------------------
+# the sweep shape: probe rows against per-table reference vectors
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def tpch_zipf_rig():
+    """Zipf-skewed TPC-H under the INSERT-heavy mix, with a pool drawn
+    from the advisor's own candidate generator."""
+    from repro.advisor.candidates import CandidateOptions, candidate_indexes
+    from repro.datasets.tpch import tpch_database, tpch_workload
+
+    db = tpch_database(scale=0.1, z=1.0)
+    wl = tpch_workload(db, select_weight=1, insert_weight=10)
+    stats = DatabaseStats(db)
+    advisor = TuningAdvisor(
+        db, wl, AdvisorOptions(budget_bytes=db.total_data_bytes() * 0.2),
+        estimator=SizeEstimator(db, stats=stats), stats=stats,
+    )
+    pool = []
+    for ws in wl.queries[:8]:
+        pool.extend(candidate_indexes(
+            db, ws.statement, CandidateOptions(enable_compression=False)
+        )[:2])
+    pool = [ix for ix in dict.fromkeys(pool)
+            if ix.kind is IndexKind.SECONDARY]
+    return advisor.whatif, wl, advisor.base_config, pool, db
+
+
+@pytest.fixture(scope="module")
+def sweep_rig(request):
+    """(whatif, workload, base, secondary pool, database) of one of the
+    three rigs the sweep tests run on."""
+    if request.param == "tpch-zipf":
+        return request.getfixturevalue("tpch_zipf_rig")
+    if request.param == "update-heavy":
+        whatif, wl, base, pool, db, _budget = \
+            request.getfixturevalue("update_heavy_rig")
+        return whatif, wl, base, pool, db
+    whatif, wl, base, pool = request.getfixturevalue("costing_rig")
+    return whatif, wl, base, pool, request.getfixturevalue("delta_inputs")[0]
+
+
+ALL_RIGS = ["sales", "update-heavy", "tpch-zipf"]
+
+
+def _sweep_pool(db, wl, base, pool):
+    """The rig's secondaries plus what else a real pool holds: their
+    compressed variants, compressed base variants, partial indexes and
+    an MV index (the last two from the candidate generator)."""
+    from repro.advisor.candidates import CandidateOptions, candidate_indexes
+    from repro.compression.base import CompressionMethod
+
+    options = CandidateOptions(
+        enable_compression=False, enable_partial=True, enable_mv=True,
+        max_candidates_per_query=40,
+    )
+    generated = [
+        ix for ws in wl.queries
+        for ix in candidate_indexes(db, ws.statement, options)
+    ]
+    partial = list(dict.fromkeys(ix for ix in generated if ix.is_partial))
+    mvs = list(dict.fromkeys(ix for ix in generated if ix.is_mv_index))
+    assert partial and mvs
+    extras = partial[:2] + mvs[:2]
+    extras += [ix.with_method(CompressionMethod.PAGE) for ix in pool[:3]]
+    extras += [
+        ix.with_method(CompressionMethod.ROW) for ix in base.ordered()
+    ]
+    return list(dict.fromkeys([*pool, *extras])), partial[0], mvs[0]
+
+
+def _single_adds(ref, pool):
+    adds = [ref.add(ix) for ix in pool if ix not in ref]
+    return [config for config in adds if config != ref]
+
+
+@pytest.mark.parametrize("sweep_rig", ALL_RIGS, indirect=True)
+class TestSweepMajor:
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_sweeps_along_a_chain_match_full_recost(self, sweep_rig, seed):
+        """After every rebase of a greedy-like chain — plain adds, a
+        partial index, a base swap, a method swap, an MV add — the
+        sweep over all single adds is exact whichever way it is asked
+        for, the second asking being answered from rows already held."""
+        from repro.compression.base import CompressionMethod
+
+        whatif, wl, base, pool, db = sweep_rig
+        sweep_pool, partial, mv = _sweep_pool(db, wl, base, pool)
+        rng = random.Random(seed)
+        first, second, third = rng.sample(pool, 3)
+        heap = base.base_structure(first.table)
+        chain = [
+            lambda c: c,
+            lambda c: c.add(first),
+            lambda c: c.add(partial),
+            lambda c: c.add(heap.with_method(
+                rng.choice([CompressionMethod.ROW, CompressionMethod.PAGE]))),
+            lambda c: c.add(second),
+            lambda c: c.replace(first, first.with_method(
+                rng.choice([CompressionMethod.ROW, CompressionMethod.PAGE]))),
+            lambda c: c.add(mv),
+            lambda c: c.add(third),
+        ]
+        delta = whatif.delta_coster(wl)
+        delta.register_universe(
+            [*sweep_pool, *base.ordered()], lambda ix: whatif._sizes(ix)
+        )
+        ref = base
+        for step in chain:
+            ref = step(ref)
+            ref_cost = delta.rebase(ref)
+            adds = _single_adds(ref, sweep_pool)
+            batched = delta.batch(adds)
+            assert [delta.workload_cost(c) for c in adds] == batched
+            whatif.clear_cache()
+            assert whatif.workload_cost_batch(wl, adds) == batched
+            assert whatif.workload_cost(wl, ref) == ref_cost
+
+    def test_a_repeated_sweep_does_no_new_work(self, sweep_rig):
+        """Costing a pool twice against one reference probes nothing
+        and memoizes nothing the second time; and the first sweep only
+        memoizes what it had to resolve — the pairs the candidate's
+        probe does not strictly lose (winners, ties) or cannot decide
+        (maintenance statements) — while every loser is a reused
+        reference term."""
+        from repro.optimizer.access_paths import cost_access
+        from repro.workload.query import SelectQuery
+
+        whatif, wl, base, pool, db = sweep_rig
+        ref = base.add(pool[0])
+        candidates = [ix for ix in pool if ix not in ref]
+        adds = [ref.add(ix) for ix in candidates]
+        delta = whatif.delta_coster(wl)
+        delta.rebase(ref)
+        before = delta.stats()
+        first = delta.batch(adds)
+        swept = delta.stats()
+
+        losers = resolved = 0
+        constants = whatif.coster.constants
+        for ix in candidates:
+            heap = ref.base_structure(ix.table)
+            for ws in wl:
+                stmt = ws.statement
+                if isinstance(stmt, SelectQuery):
+                    if ix.table not in stmt.tables:
+                        continue
+                    plan = cost_access(
+                        ix, *whatif._sizes(ix),
+                        stmt.predicates_of_table(db, ix.table),
+                        stmt.columns_of_table(db, ix.table),
+                        whatif.stats.table(ix.table), constants,
+                        base_lookup=(heap, whatif._sizes(heap)[0]),
+                    )
+                    chosen = whatif.cost_with_plans(stmt, ref)[1][
+                        stmt.tables.index(ix.table)
+                    ]
+                    if plan is None or plan.cost > chosen:
+                        losers += 1
+                        continue
+                elif stmt.table != ix.table:
+                    continue
+                resolved += 1
+        assert losers > 0 and resolved > 0
+        assert swept["reused_terms"] - before["reused_terms"] == losers
+        assert swept["memo_entries"] - before["memo_entries"] <= resolved
+
+        assert delta.batch(adds) == first
+        again = delta.stats()
+        assert again["probe_evals"] == swept["probe_evals"]
+        assert again["memo_entries"] == swept["memo_entries"]
+
+    def test_improvement_cap_is_one_sum_per_table(self, sweep_rig):
+        whatif, wl, base, pool, _db = sweep_rig
+        delta = whatif.delta_coster(wl)
+        ref = base.add(pool[0])
+        delta.rebase(ref)
+        delta.register_universe(
+            [*pool, *base.ordered()], lambda ix: whatif._sizes(ix)
+        )
+        by_table = {}
+        for ix in pool:
+            if ix not in ref:
+                by_table.setdefault(ix.table, []).append(ix)
+        shared = [ixs for ixs in by_table.values() if len(ixs) > 1]
+        assert shared
+        for ixs in shared:
+            expected = 0.0  # the per-candidate loop, in workload order
+            for si in delta._affected([ixs[0]]):
+                expected += delta._ref_terms[si] - delta.lower_bound(si)
+            for ix in ixs:
+                assert delta.improvement_cap(ref.add(ix)) == expected
