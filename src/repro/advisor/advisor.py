@@ -384,8 +384,10 @@ class TuningAdvisor:
         depends on beyond the (statement, sized structures) key: the
         sampled data behind the size estimates, the accuracy constraint
         that shaped them, and the cost constants.  Resolved lazily on
-        the first persistent cost lookup (the sample fingerprint is an
-        O(rows) scan, computed once per estimator)."""
+        the first persistent cost lookup: the sample fingerprint scans
+        every value of a table the first time that table object is
+        fingerprinted and is a few digest re-hashes on later runs over
+        the same database (see ``Table.content_digest``)."""
         est = self.estimator
         material = (
             f"fp={est.sample_fingerprint};"

@@ -7,6 +7,7 @@ for the statistics builders.  Row-wise views are materialized on demand.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from typing import Iterable, Iterator, Sequence
 
@@ -44,6 +45,8 @@ class Table:
         self.primary_key: tuple[str, ...] = tuple(primary_key)
         self._by_name = {c.name: c for c in self.columns}
         self._data: dict[str, list] = {c.name: [] for c in self.columns}
+        #: memo of :meth:`content_digest`; the mutators below drop it
+        self._digest: str | None = None
 
     # ------------------------------------------------------------------
     # Schema access
@@ -90,6 +93,7 @@ class Table:
             )
         for col, value in zip(self.columns, values):
             self._data[col.name].append(value)
+        self._digest = None
 
     def extend_rows(self, rows: Iterable[Sequence]) -> None:
         """Append many rows (in column order)."""
@@ -105,6 +109,26 @@ class Table:
                 f"{self.name!r} has {self.num_rows} rows"
             )
         self._data[name] = values
+        self._digest = None
+
+    def content_digest(self) -> str:
+        """Stable digest of the table's name, schema and every value.
+
+        Exact (no value is skipped) but column-wise: one ``repr`` per
+        column list, each prefixed by the column's name and type, so a
+        value cannot move between rows, columns or tables — or change
+        type, ``1`` vs ``'1'`` — without changing the digest.  Memoised
+        until the next :meth:`append_row` / :meth:`set_column_data`;
+        lists handed out by :meth:`column_values` must not be mutated.
+        """
+        if self._digest is None:
+            h = hashlib.sha256()
+            h.update(f"table={self.name!r};rows={self.num_rows};".encode())
+            for col in self.columns:
+                h.update(f"column={col.name!r}:{col.dtype.name};".encode())
+                h.update(repr(self._data[col.name]).encode())
+            self._digest = h.hexdigest()
+        return self._digest
 
     def iter_rows(self, columns: Sequence[str] | None = None) -> Iterator[tuple]:
         """Iterate rows as tuples, optionally projecting to ``columns``."""

@@ -64,7 +64,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with repro.sizeest
 
 CACHE_FILE = "estimates.json"
 COST_CACHE_FILE = "costs.json"
-_FORMAT_VERSION = 1
+#: bumped whenever the *meaning* of a key changes, so files written
+#: under the old scheme are dropped on load instead of being merged
+#: forward as entries that can never hit.  2: the sample fingerprint
+#: became column-wise (Table.content_digest); 1: row-wise fingerprint.
+_FORMAT_VERSION = 2
 
 #: fault-injection hook (see :mod:`repro.service.faults`): rebound to
 #: that module's ``fire`` when a plan is installed, None otherwise.

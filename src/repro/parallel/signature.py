@@ -101,15 +101,19 @@ def sample_fingerprint(manager) -> str:
     """Digest of everything the sampling layer's output depends on.
 
     Covers the sampling seed, the minimum-sample-row clamp, and each
-    table's schema and row content.  Any change — regenerated data, a
+    table's name, schema and content.  Any change — regenerated data, a
     different scale or skew, another seed — yields a new fingerprint,
     which invalidates every persisted estimate derived from the old
     samples (their keys simply never match again).
 
-    Deliberately exact (hashes every row): the one-time O(rows) scan
-    per estimator is small next to a SampleCF batch, and it buys a
+    Deliberately exact (every value of every column is hashed, see
+    :meth:`~repro.catalog.table.Table.content_digest`): that buys a
     hard guarantee that a cache entry can never be replayed against
     modified data — a probabilistic subsample would trade that away.
+    The O(values) scan is paid once per table object, not per run: the
+    digest is memoised on the table until its data changes, so only the
+    first estimator over a database scans; later runs re-hash a few
+    hex digests.
 
     Args:
         manager: a :class:`~repro.sampling.sample_manager.SampleManager`.
@@ -117,8 +121,5 @@ def sample_fingerprint(manager) -> str:
     h = hashlib.sha256()
     h.update(f"seed={manager.seed};min_rows={manager.min_sample_rows};".encode())
     for table in sorted(manager.database.tables, key=lambda t: t.name):
-        h.update(f"table={table.name};rows={table.num_rows};".encode())
-        h.update(",".join(table.column_names).encode())
-        for row in table.iter_rows():
-            h.update(repr(row).encode())
+        h.update(table.content_digest().encode())
     return h.hexdigest()

@@ -4,11 +4,13 @@ stripped lengths)."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
 from repro.catalog.table import Table
 from repro.compression.base import strip_value
+from repro.errors import StatisticsError
 from repro.stats.histogram import EquiDepthHistogram
 
 
@@ -71,32 +73,44 @@ class TableStats:
 
     @classmethod
     def build(cls, table: Table, histogram_buckets: int = 32) -> "TableStats":
-        """Compute exact statistics from the table data."""
+        """Compute exact statistics from the table data.
+
+        One ``Counter`` pass per column; everything after it (stripped
+        lengths, bounds, histogram) is per distinct value.
+        """
         stats: dict[str, ColumnStats] = {}
         for col in table.columns:
             values = table.column_values(col.name)
-            non_null = [v for v in values if v is not None]
-            n_nulls = len(values) - len(non_null)
-            distinct = set(non_null)
-            if non_null:
+            counts = Counter(values)
+            n_nulls = counts.pop(None, 0)
+            try:
+                keys = sorted(counts)
+            except TypeError as exc:
+                raise StatisticsError(
+                    f"column {table.name}.{col.name}: values cannot be "
+                    f"ordered ({exc})"
+                ) from exc
+            multiplicities = [counts[k] for k in keys]
+            if keys:
+                encode = col.dtype.encode
                 total_stripped = sum(
-                    len(strip_value(col.dtype.encode(v), col))
-                    for v in non_null
+                    n * len(strip_value(encode(v), col))
+                    for v, n in zip(keys, multiplicities)
                 )
-                avg_len = total_stripped / len(non_null)
-                mn, mx = min(non_null), max(non_null)
+                avg_len = total_stripped / (len(values) - n_nulls)
+                mn, mx = keys[0], keys[-1]
             else:
                 avg_len, mn, mx = 0.0, None, None
             stats[col.name] = ColumnStats(
                 name=col.name,
                 n_rows=len(values),
                 n_nulls=n_nulls,
-                n_distinct=len(distinct),
+                n_distinct=len(keys),
                 min_value=mn,
                 max_value=mx,
                 avg_stripped_len=avg_len,
-                histogram=EquiDepthHistogram.build(
-                    non_null, histogram_buckets
+                histogram=EquiDepthHistogram.from_distinct(
+                    keys, multiplicities, histogram_buckets
                 ),
             )
         return cls(table, stats)

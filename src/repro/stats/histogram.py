@@ -7,7 +7,10 @@ estimation (and for the "Optimizer" baseline of the paper's Table 1).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from repro.errors import StatisticsError
@@ -34,10 +37,27 @@ class EquiDepthHistogram:
     @classmethod
     def build(cls, values: Sequence, n_buckets: int = 32) -> "EquiDepthHistogram":
         """Build from raw values (NULLs excluded by the caller)."""
+        counts = Counter(values)
+        keys = sorted(counts)
+        return cls.from_distinct(keys, [counts[k] for k in keys], n_buckets)
+
+    @classmethod
+    def from_distinct(
+        cls, keys: Sequence, counts: Sequence[int], n_buckets: int = 32
+    ) -> "EquiDepthHistogram":
+        """Build from the sorted distinct values and their multiplicities.
+
+        Bucket boundaries are row positions in the (never materialized)
+        sorted column; cumulative counts map a position back to its
+        distinct value by bisection, so the work is per distinct value
+        and per bucket, not per row.
+        """
         if n_buckets <= 0:
             raise StatisticsError("n_buckets must be positive")
-        data = sorted(values)
-        total = len(data)
+        # ends[i]: rows sorting at or before keys[i]; the row at sorted
+        # position p holds keys[bisect_right(ends, p)].
+        ends = list(accumulate(counts))
+        total = ends[-1] if ends else 0
         if total == 0:
             return cls([], 0)
         n_buckets = min(n_buckets, total)
@@ -50,13 +70,14 @@ class EquiDepthHistogram:
             end = min(end, total)
             if start >= total:
                 break
-            chunk = data[start:end]
+            first = bisect_right(ends, start)
+            last = bisect_right(ends, end - 1, first)
             buckets.append(
                 Bucket(
-                    lo=chunk[0],
-                    hi=chunk[-1],
-                    count=len(chunk),
-                    distinct=len(set(chunk)),
+                    lo=keys[first],
+                    hi=keys[last],
+                    count=end - start,
+                    distinct=last - first + 1,
                 )
             )
             start = end

@@ -2,10 +2,12 @@
 (compression method can never alias), persistence round-trips, and
 invalidation when the sample fingerprint changes."""
 
+import json
+
 import pytest
 
 from repro.compression import CompressionMethod
-from repro.parallel import EstimationCache, index_signature, sample_fingerprint
+from repro.parallel import CostCache, EstimationCache, index_signature, sample_fingerprint
 from repro.physical import IndexDef
 from repro.sizeest import SizeEstimator
 from repro.sizeest.samplecf import SizeEstimate
@@ -84,6 +86,23 @@ class TestPersistence:
         (tmp_path / "estimates.json").write_text("{not json")
         cache = EstimationCache(tmp_path)
         assert len(cache) == 0
+
+    @pytest.mark.parametrize("cache_cls", [EstimationCache, CostCache])
+    def test_older_format_is_ignored_and_overwritten(self, tmp_path, cache_cls):
+        # A file written under format 1 (row-wise sample fingerprints)
+        # holds keys no current run can produce: it must not load, and
+        # the next save must replace it rather than merge it forward.
+        file = tmp_path / cache_cls.FILE
+        file.write_text(json.dumps(
+            {"version": 1, "entries": {"stale-key": {"stale": True}}}
+        ))
+        cache = cache_cls(tmp_path)
+        assert len(cache) == 0
+        cache._store("fresh-key", {"fresh": True})
+        cache.save()
+        payload = json.loads(file.read_text())
+        assert payload["version"] == 2
+        assert list(payload["entries"]) == ["fresh-key"]
 
     def test_file_path_rejected_up_front(self, tmp_path):
         from repro.errors import ReproError
