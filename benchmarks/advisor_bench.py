@@ -1,12 +1,12 @@
 #!/usr/bin/env python
 """Advisor benchmark runner: emits ``BENCH_advisor.json``.
 
-Measures the parallel candidate-evaluation engine against the
-sequential path and tracks the numbers across PRs:
+Tracks the advisor's deterministic outputs (and a few machine-
+normalized ratios) across PRs:
 
-* **advisor** — one full DTAc tuning session on the Sales workload,
-  ``workers=1`` vs ``--workers N``, asserting byte-identical
-  recommendations and recording wall time + candidates/sec.
+* **advisor** — one full DTAc tuning session on the Sales workload:
+  the recommendation every other section is held against, wall time
+  and candidates/sec.
 * **algorithms** — every registered selection algorithm (greedy
   backtracking, IBM-style knapsack, drop-based relaxation, anytime
   greedy) on the same session: improvement %, wall time, budget
@@ -25,35 +25,34 @@ sequential path and tracks the numbers across PRs:
   cold-tunes drift phase 0, the workload shifts to phase 2 (disjoint
   hot set), and the incremental retune from the previous configuration
   races a cold tune of the shifted workload; ``compare_bench.py``
-  gates retune wall <= 0.5x cold at <= 1.05x the cold tune's final
-  cost with at least one structure provably dropped.
+  gates the retune at <= 1.05x the cold tune's final cost with at
+  least one structure provably dropped (the wall ratio is recorded
+  only — the ledger's ``retune_p50_s`` beside ``cold_p50_s`` is the
+  probe-scaled measurement).
 * **cache** — the same session cold vs warm through the persistent
   :class:`EstimationCache`, recording the warm hit rate.
 * **sweep** — a 3-budget x 2-seed sweep through the sweep orchestration
-  API: run-level sharding (workers=1 vs N) checked byte-identical
+  API: run-level sharding (workers=1 vs N — whole advisor runs are the
+  only unit ever forked) checked byte-identical
   against a sequential per-run ``tune()`` loop, then cold vs warm
   through the persistent what-if :class:`CostCache` with the warm
   cost-cache hit rate recorded.
 * **fig9** — the paper's Figure 9 SampleCF error sweep (TPC-H index
-  population x sampling fractions), the estimation-bound workload where
-  the fan-out pays off most, sequential vs parallel with an
-  element-wise identity check on the error table.
+  population x sampling fractions): the error table and SampleCF
+  runs/sec.
 * **service** — the job-based serving layer: two-context overlap
   (concurrent jobs on two scheduler lanes vs the same jobs truly
   serialized; on hosts with >=4 cores ``compare_bench.py`` gates the
   concurrent arm not-slower, below that the ratio is recorded for the
-  trend series only — oversubscribed lanes honestly lose) and warm
-  session affinity (two same-context tunes through one lane: the
-  second must be granted warm reuse of the dormant engine pool,
-  ``warm_runs >= 1`` and ``pools_reused >= 1``, gated) — with every
-  job result checked byte-identical to a direct sequential ``tune()``.
+  trend series only) and journal durability — with every job result
+  checked byte-identical to a direct sequential ``tune()``.
 
 Everything under ``"results"``-style keys (recommendations, error rows,
 hit rates, identity flags) is deterministic run-to-run — datasets and
 samples are generated from explicit seeds.  Wall-clock figures
-naturally vary with the machine; ``meta.cpu_count`` records how many
-cores the speedup had to work with (on a single-core runner the
-parallel path degrades gracefully to ~1x).
+naturally vary with the machine; ``meta.effective_cpus`` records how
+many cores the sharded sweep had to work with (on a single-core runner
+it degrades to the sequential loop and says so in its ``engine`` block).
 
 Usage::
 
@@ -90,7 +89,6 @@ from repro.experiments.common import (  # noqa: E402
 from repro.experiments.samplecf_errors import ErrorLab  # noqa: E402
 from repro.experiments.table2_error_fit import FRACTIONS  # noqa: E402
 from repro.parallel.engine import (  # noqa: E402
-    ParallelEngine,
     effective_cpu_count,
     fork_available,
 )
@@ -112,13 +110,6 @@ SWEEP_SEEDS = (DEFAULT_SAMPLE_SEED, DEFAULT_SAMPLE_SEED + 1)
 #: compare_bench gates it > 0 with recommendations still identical to
 #: the full-recost path at the same threshold.
 PRUNED_MIN_IMPROVEMENT = 0.05
-
-
-def _fig9_task(lab: ErrorLab, index) -> list[float]:
-    """Worker task: one index's SampleCF errors at every fraction (the
-    ground-truth full build is computed once per index, inside the
-    task, so no worker repeats another's truth)."""
-    return [lab.samplecf_error(index, f) for f in FRACTIONS]
 
 
 def _config_names(result) -> list[str]:
@@ -153,17 +144,7 @@ def run_advisor_section(args) -> dict:
 
     seq_wall, seq = _best_of(
         ADVISOR_TRIALS,
-        lambda: tune(db, wl, budget, variant=args.variant, workers=1))
-
-    par_wall, par = _best_of(
-        ADVISOR_TRIALS,
-        lambda: tune(db, wl, budget, variant=args.variant,
-                     workers=args.workers))
-
-    identical = (
-        seq.configuration == par.configuration
-        and seq.final_cost == par.final_cost
-    )
+        lambda: tune(db, wl, budget, variant=args.variant))
     return {
         "dataset": "sales",
         "scale": args.scale,
@@ -173,14 +154,6 @@ def run_advisor_section(args) -> dict:
             "wall_seconds": round(seq_wall, 4),
             "candidates_per_sec": round(seq.candidate_count / seq_wall, 2),
         },
-        "parallel": {
-            "workers": args.workers,
-            "wall_seconds": round(par_wall, 4),
-            "candidates_per_sec": round(par.candidate_count / par_wall, 2),
-            "engine": par.engine_stats,
-        },
-        "speedup": round(seq_wall / par_wall, 3),
-        "identical_recommendations": identical,
         "result": {
             "improvement_pct": seq.improvement_pct,
             "final_cost": seq.final_cost,
@@ -289,7 +262,7 @@ def run_drift_section(args) -> dict:
     first, last = DRIFT_PHASES
 
     session = Session(db, budget_fraction=DRIFT_BUDGET_FRACTION,
-                      variant=args.variant, workers=args.workers)
+                      variant=args.variant)
     session.tune(workload=drifting.phase(first))
     previous = session.configuration
 
@@ -304,8 +277,7 @@ def run_drift_section(args) -> dict:
         INCREMENTAL_TRIALS,
         lambda: Session(db, drifting.phase(last),
                         budget_fraction=DRIFT_BUDGET_FRACTION,
-                        variant=args.variant,
-                        workers=args.workers).tune())
+                        variant=args.variant).tune())
 
     return {
         "dataset": "sales",
@@ -445,7 +417,7 @@ def run_sweep_section(args) -> dict:
         "tune_loop_wall_seconds": round(loop_wall, 4),
         "sweep_workers1_wall_seconds": round(cold_wall, 4),
         "sweep_sharded": {
-            "workers": args.workers,
+            "workers": sharded.workers,
             "wall_seconds": round(sharded_wall, 4),
             "engine": sharded.engine_stats,
             "speedup_vs_loop": round(loop_wall / sharded_wall, 3),
@@ -506,7 +478,7 @@ def run_algorithms_section(args, advisor_section: dict) -> dict:
     for name in algorithms.names():
         t0 = time.perf_counter()
         result = tune(db, wl, budget, variant=args.variant,
-                      algorithm=name, workers=1)
+                      algorithm=name)
         wall = time.perf_counter() - t0
         entries.append({
             "algorithm": name,
@@ -560,25 +532,12 @@ def run_fig9_section(args) -> dict:
     db = get_tpch(args.fig9_scale)
     indexes = index_population(db, TPCH_ERROR_KEYSETS)
 
-    seq_lab = ErrorLab(db)
+    lab = ErrorLab(db)
     t0 = time.perf_counter()
-    seq_errors = [_fig9_task(seq_lab, ix) for ix in indexes]
+    seq_errors = [
+        [lab.samplecf_error(ix, f) for f in FRACTIONS] for ix in indexes
+    ]
     seq_wall = time.perf_counter() - t0
-
-    par_lab = ErrorLab(db)
-    engine = ParallelEngine(args.workers)
-    # Warm the per-fraction samples in the parent: workers inherit them
-    # at fork instead of each deriving a private copy.
-    for ix in indexes:
-        for f in FRACTIONS:
-            par_lab.manager.table_sample(ix.table, f)
-    t0 = time.perf_counter()
-    try:
-        with engine.session(par_lab):
-            par_errors = engine.map(_fig9_task, indexes, context=par_lab)
-    finally:
-        engine.shutdown()
-    par_wall = time.perf_counter() - t0
 
     rows = []
     for fi, fraction in enumerate(FRACTIONS):
@@ -603,27 +562,19 @@ def run_fig9_section(args) -> dict:
         "population": len(indexes),
         "fractions": list(FRACTIONS),
         "sequential_wall_seconds": round(seq_wall, 4),
-        "parallel_wall_seconds": round(par_wall, 4),
-        "workers": args.workers,
-        "speedup": round(seq_wall / par_wall, 3),
         "samplecf_runs_per_sec": round(
-            len(indexes) * len(FRACTIONS) / par_wall, 2
+            len(indexes) * len(FRACTIONS) / seq_wall, 2
         ),
-        "identical_errors": par_errors == seq_errors,
         "rows": rows,
     }
 
 
 def run_service_section(args) -> dict:
-    """Job-based serving: two-context overlap and warm pool affinity.
+    """Job-based serving: two-context overlap and journal durability.
 
     Overlap arm: one tune job on each of two registered contexts,
     submitted concurrently (per-context lanes) vs awaited one after the
-    other — wall ratio recorded; each lane's engine uses ``--workers``
-    processes, which is where multi-core hosts overlap for real (lane
-    threads alone share the GIL).  Warm arm: two same-context tunes at
-    different budgets through one lane; the second run's wiring matches,
-    so it must reuse the dormant pool instead of re-forking.
+    other — wall ratio recorded (lane threads share the GIL).
     Durability arm: one job through a journal-backed service, then a
     second service life over the same cache dir — the restored record
     must come back terminal with the identical result payload.
@@ -639,11 +590,11 @@ def run_service_section(args) -> dict:
     db_b = sales_database(scale=args.scale, seed=args.seed + 1)
     wl_b = sales_workload(db_b)
     payload = dict(budget_fraction=args.budget, variant=args.variant)
-    warm_payload = dict(budget_fraction=args.budget / 2,
+    half_payload = dict(budget_fraction=args.budget / 2,
                         variant=args.variant)
 
     async def overlap(concurrent: bool):
-        service = AdvisorService(workers=args.workers)
+        service = AdvisorService()
         service.register("ctx_a", db_a, wl_a)
         service.register("ctx_b", db_b, wl_b)
         await service.start()
@@ -673,25 +624,13 @@ def run_service_section(args) -> dict:
         async for _ in service.job_events(job.id):
             pass
 
-    async def warm():
-        service = AdvisorService(workers=args.workers)
-        service.register("ctx_a", db_a, wl_a)
-        await service.start()
-        try:
-            first = await service.tune("ctx_a", **payload)
-            second = await service.tune("ctx_a", **warm_payload)
-            return first, second, service.stats()
-        finally:
-            await service.stop()
-
     async def durability(cache_dir: str):
         # First life: journal one job end to end, then stop cleanly.
-        service = AdvisorService(workers=args.workers,
-                                 cache_dir=cache_dir)
+        service = AdvisorService(cache_dir=cache_dir)
         service.register("ctx_a", db_a, wl_a)
         await service.start()
         try:
-            job = service.submit_job("tune", "ctx_a", warm_payload)
+            job = service.submit_job("tune", "ctx_a", half_payload)
             await _drain_job(service, job)
             first = job.snapshot()
             appended = service.stats()["jobs"]["journal"]["appended"]
@@ -699,8 +638,7 @@ def run_service_section(args) -> dict:
             await service.stop()
         # Second life over the same journal: recovery must restore the
         # terminal record — result and event log intact, no live lease.
-        service = AdvisorService(workers=args.workers,
-                                 cache_dir=cache_dir)
+        service = AdvisorService(cache_dir=cache_dir)
         service.register("ctx_a", db_a, wl_a)
         await service.start()
         try:
@@ -725,7 +663,6 @@ def run_service_section(args) -> dict:
     # lane*, so the serialized arm measures the same work end-to-end.
     serial_wall, serial_results = asyncio.run(overlap(False))
     conc_wall, conc_results = asyncio.run(overlap(True))
-    warm_first, warm_second, warm_stats = asyncio.run(warm())
     with tempfile.TemporaryDirectory() as journal_dir:
         durable = asyncio.run(durability(journal_dir))
 
@@ -736,52 +673,35 @@ def run_service_section(args) -> dict:
                       variant=args.variant, stats=stats_a),
         "ctx_b": tune(db_b, wl_b, db_b.total_data_bytes() * args.budget,
                       variant=args.variant, stats=stats_b),
-        "warm": tune(db_a, wl_a,
-                     db_a.total_data_bytes() * args.budget / 2,
-                     variant=args.variant, stats=stats_a),
     }
     identical_jobs = all(
         result["result"] == serialize_result(direct[name])["result"]
         for results in (serial_results, conc_results)
         for name, result in zip(("ctx_a", "ctx_b"), results)
     )
-    identical_warm = (
-        warm_first["result"]
-        == serialize_result(direct["ctx_a"])["result"]
-        and warm_second["result"]
-        == serialize_result(direct["warm"])["result"]
-    )
     return {
         "dataset": "sales",
         "scale": args.scale,
         "budget_fraction": args.budget,
         "variant": args.variant,
-        "workers": args.workers,
         "overlap": {
             "contexts": 2,
             "serialized_wall_seconds": round(serial_wall, 4),
             "concurrent_wall_seconds": round(conc_wall, 4),
             "speedup": round(serial_wall / conc_wall, 3),
         },
-        "warm": {
-            "pools_reused": warm_stats["pools_reused"],
-            "warm_runs": warm_stats["scheduler"]["warm_runs"],
-            "pools_forked": warm_stats["scheduler"]["pools_forked"],
-        },
         "durability": durable,
         "identical_job_results": identical_jobs,
-        "identical_warm_results": identical_warm,
     }
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        description="Benchmark the parallel advisor engine "
-                    "(emits BENCH_advisor.json)"
+        description="Benchmark the advisor (emits BENCH_advisor.json)"
     )
     parser.add_argument("--workers", type=int, default=4,
-                        help="pool size for the parallel runs "
-                             "(0 = one per CPU)")
+                        help="advisor runs in flight in the sharded "
+                             "sweep arm (0 = one per CPU)")
     parser.add_argument("--scale", type=float, default=0.2,
                         help="sales dataset scale for the advisor runs")
     parser.add_argument("--budget", type=float, default=0.2,
@@ -824,8 +744,7 @@ def main(argv: list[str] | None = None) -> int:
             "seed": args.seed,
         }
     }
-    print(f"[bench] advisor: sales scale={args.scale} "
-          f"workers={args.workers}", flush=True)
+    print(f"[bench] advisor: sales scale={args.scale}", flush=True)
     payload["advisor"] = run_advisor_section(args)
     if not args.skip_algorithms:
         print(f"[bench] algorithms: {', '.join(algorithms.names())}",
@@ -852,7 +771,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[bench] fig9: tpch scale={args.fig9_scale}", flush=True)
         payload["fig9"] = run_fig9_section(args)
     if not args.skip_service:
-        print("[bench] service: two-context overlap + warm affinity",
+        print("[bench] service: two-context overlap + durability",
               flush=True)
         payload["service"] = run_service_section(args)
 
@@ -860,8 +779,8 @@ def main(argv: list[str] | None = None) -> int:
     out.write_text(json.dumps(payload, indent=2) + "\n")
     adv = payload["advisor"]
     print(f"[bench] wrote {out}")
-    print(f"[bench] advisor speedup x{adv['speedup']} "
-          f"(identical={adv['identical_recommendations']})")
+    print(f"[bench] advisor {adv['sequential']['wall_seconds']}s, "
+          f"{adv['sequential']['candidates_per_sec']} cands/sec")
     if "algorithms" in payload:
         alg = payload["algorithms"]
         for entry in alg["results"]:
@@ -899,17 +818,19 @@ def main(argv: list[str] | None = None) -> int:
               f"workers={sw['identical_across_workers']} "
               f"warm={sw['identical_cold_vs_warm']}; "
               f"warm cost-cache hit rate {sw['warm_cost_hit_rate']:.2%} "
-              f"(x{sw['warm_speedup']} faster warm)")
+              f"(x{sw['warm_speedup']} faster warm); sharded "
+              f"x{sw['sweep_sharded']['speedup_vs_loop']} vs loop, "
+              f"parallel_maps="
+              f"{sw['sweep_sharded']['engine']['parallel_maps']}")
     if "fig9" in payload:
-        print(f"[bench] fig9 speedup x{payload['fig9']['speedup']} "
-              f"(identical={payload['fig9']['identical_errors']})")
+        print(f"[bench] fig9 "
+              f"{payload['fig9']['samplecf_runs_per_sec']} "
+              "SampleCF runs/sec")
     if "service" in payload:
         svc = payload["service"]
         print(f"[bench] service overlap x{svc['overlap']['speedup']} "
-              f"(2 contexts), warm pools_reused="
-              f"{svc['warm']['pools_reused']} "
-              f"(identical jobs={svc['identical_job_results']} "
-              f"warm={svc['identical_warm_results']})")
+              f"(2 contexts, identical "
+              f"jobs={svc['identical_job_results']})")
         dur = svc["durability"]
         print(f"[bench] service durability: restored="
               f"{dur['jobs_restored']} "
@@ -921,8 +842,7 @@ def main(argv: list[str] | None = None) -> int:
                      "identical_cold_vs_warm")
     )
     ok = (
-        adv["identical_recommendations"]
-        and sweep_ok
+        sweep_ok
         and payload.get("algorithms", {}).get(
             "identical_default_to_advisor", True
         )
@@ -936,9 +856,7 @@ def main(argv: list[str] | None = None) -> int:
         and payload.get("incremental", {}).get("pruned", {}).get(
             "identical_recommendations", True
         )
-        and payload.get("fig9", {}).get("identical_errors", True)
         and payload.get("service", {}).get("identical_job_results", True)
-        and payload.get("service", {}).get("identical_warm_results", True)
         and payload.get("service", {}).get("durability", {}).get(
             "identical_restored_result", True
         )

@@ -5,7 +5,7 @@ the committed baseline and fail CI on real regressions.
 Three classes of check, in decreasing strictness:
 
 * **Determinism flags** (hard): every ``identical_*`` flag in the fresh
-  run must be true — the parallel/sharded/cached paths must reproduce
+  run must be true — the sharded/cached/served paths must reproduce
   the sequential results on the runner, not just on the machine that
   committed the baseline.
 * **Recommendation drift** (hard): the recommended configurations,
@@ -57,8 +57,7 @@ _PARAM_KEYS = {
     "cache": (),
     "sweep": ("dataset", "scale", "variant", "budget_fractions", "seeds"),
     "fig9": ("dataset", "scale", "population", "fractions"),
-    "service": ("dataset", "scale", "budget_fraction", "variant",
-                "workers"),
+    "service": ("dataset", "scale", "budget_fraction", "variant"),
 }
 
 #: (section, key) wall-clock figures compared under --wall-tolerance.
@@ -74,12 +73,11 @@ _WALL_KEYS = (
 )
 
 #: Two-context overlap must never be materially *slower* than the same
-#: jobs serialized — but only judged on hosts with enough cores to run
-#: both lanes' engine pools at once (2 lanes x 2 workers).  Below that,
-#: concurrency honestly loses to oversubscription (on the 1-CPU dev
-#: container the measured ratio is ~0.6x), so the figure is recorded
-#: for the trend series but not gated; the nightly full-scale run on a
-#: multi-core runner is where the real ratio is held to account.
+#: jobs serialized — but only judged on hosts with cores to spare for
+#: both lane threads.  Below that, concurrency honestly loses (on the
+#: 1-CPU dev container the measured ratio is ~0.6x), so the figure is
+#: recorded for the trend series but not gated; the nightly full-scale
+#: run on a multi-core runner is where the real ratio is held to account.
 MAX_OVERLAP_SLOWDOWN = 1.35
 MIN_OVERLAP_GATE_CPUS = 4
 
@@ -124,14 +122,6 @@ class Gate:
         self.notes.append(message)
 
 
-#: Floor on the advisor section's parallel-vs-sequential speedup.  With
-#: the engine's single-CPU auto-degrade, the parallel arm either fans
-#: out with real concurrency (speedup > 1 expected) or degrades to the
-#: sequential path (speedup ~1.0); either way losing beyond noise means
-#: the fan-out fired where it could only add overhead — the exact bug
-#: the degrade exists to prevent.  0.8 is noise slack, not a target.
-MIN_PARALLEL_SPEEDUP = 0.8
-
 #: Acceptance floor for delta-costing speedup over full recosting.
 #: Was 3.0 when full recosting paid un-memoized selectivity estimation
 #: on every costing; the stats-layer selectivity memo sped the
@@ -141,18 +131,18 @@ MIN_PARALLEL_SPEEDUP = 0.8
 MIN_INCREMENTAL_SPEEDUP = 2.0
 
 #: Continuous-tuning acceptance: after the drift arm's phase shift the
-#: incremental retune must finish in at most half the cold-tune wall
-#: (speedup >= 2, both arms in the same process so the ratio is
-#: machine-normalized), land within 5% of the cold tune's final cost,
-#: and provably drop at least one structure the shift stranded.
-MIN_RETUNE_SPEEDUP = 2.0
+#: incremental retune must land within 5% of the cold tune's final cost
+#: and provably drop at least one structure the shift stranded.  (The
+#: retune-vs-cold wall ratio is the ledger's ``retune_p50_s`` beside
+#: ``cold_p50_s``, probe-scaled; a best-of-N block ratio here flipped
+#: per draw.)
 MAX_RETUNE_QUALITY_RATIO = 1.05
 
 
 def compare(baseline: dict, fresh: dict, wall_tolerance: float,
             hit_slack: float,
             min_incremental_speedup: float = MIN_INCREMENTAL_SPEEDUP,
-            min_retune_speedup: float = MIN_RETUNE_SPEEDUP) -> Gate:
+            ) -> Gate:
     gate = Gate()
 
     for section, keys in _PARAM_KEYS.items():
@@ -280,31 +270,6 @@ def compare(baseline: dict, fresh: dict, wall_tolerance: float,
                     f"ok algorithms.{default_name} matches baseline"
                 )
 
-    # 2.4 Parallel-arm floor: the parallel advisor run must not lose to
-    #     the sequential run beyond noise.  The engine degrades to
-    #     sequential on effectively single-CPU hosts, so a big loss
-    #     here means the degrade failed (forked workers time-slicing
-    #     one core) or the fan-out regressed on a real multi-core.
-    par_speedup = _dig(fresh, ("advisor", "speedup"))
-    if isinstance(par_speedup, (int, float)):
-        engine = _dig(fresh, ("advisor", "parallel", "engine")) or {}
-        degraded = engine.get("degraded_sequential")
-        if par_speedup < MIN_PARALLEL_SPEEDUP:
-            gate.fail(
-                f"advisor.speedup below the parallel floor: "
-                f"x{par_speedup:.2f} < x{MIN_PARALLEL_SPEEDUP:.1f} "
-                f"(engine degraded_sequential={degraded!r}, "
-                f"parallel_maps={engine.get('parallel_maps')!r}) — the "
-                "parallel arm must never lose to sequential beyond noise"
-            )
-        else:
-            gate.note(
-                f"ok advisor.speedup = x{par_speedup:.2f}"
-                + (" (engine degraded to sequential)" if degraded else "")
-            )
-    elif "advisor" in baseline:
-        gate.fail("advisor section missing its speedup figure")
-
     # 2.5 Incremental-costing speedup floor: delta-aware costing must
     #     keep beating the full-recost path by the acceptance bar on
     #     the runner itself (both arms run sequentially in the same
@@ -350,25 +315,13 @@ def compare(baseline: dict, fresh: dict, wall_tolerance: float,
     elif "pruned" in baseline.get("incremental", {}):
         gate.fail("incremental.pruned sub-arm missing from the fresh run")
 
-    # 2.65 Continuous-tuning gates: the drift arm's retune must be the
-    #      cheap path (>= 2x over cold-tuning the shifted workload), at
+    # 2.65 Continuous-tuning gates: the drift arm's retune must land at
     #      cold-tune quality, with at least one drop provably fired by
     #      the phase shift; and both arms' recommendations are
     #      deterministic given the committed seeds, so they are held to
     #      the baseline like every other recommendation.
     drift = fresh.get("drift")
     if drift is not None:
-        speedup = drift.get("retune_speedup")
-        if not isinstance(speedup, (int, float)) \
-                or speedup < min_retune_speedup:
-            gate.fail(
-                f"drift.retune_speedup below the acceptance floor: "
-                f"x{speedup!r} < x{min_retune_speedup:.1f} — the "
-                "incremental retune must cost at most "
-                f"1/{min_retune_speedup:.0f} of a cold tune"
-            )
-        else:
-            gate.note(f"ok drift.retune_speedup = x{speedup:.2f}")
         drops = drift.get("drops_fired")
         if not isinstance(drops, int) or drops < 1:
             gate.fail(
@@ -404,40 +357,10 @@ def compare(baseline: dict, fresh: dict, wall_tolerance: float,
                 gate.note(f"ok drift.{arm} recommendation matches "
                           "baseline")
 
-    # 2.7 Job-serving gates: the warm arm must actually reuse the
-    #     lane's engine pool (the whole point of session affinity), and
-    #     two-context overlap must not be slower than serializing the
-    #     same jobs.
+    # 2.7 Job-serving gate: two-context overlap must not be slower
+    #     than serializing the same jobs.
     service = fresh.get("service")
     if service is not None:
-        effective = _dig(fresh, ("meta", "effective_cpus"))
-        if service.get("workers", 1) > 1 and (
-            not isinstance(effective, int) or effective >= 2
-        ):
-            # warm_runs counts prepare_warm *grants* (cross-run
-            # affinity specifically); pools_reused alone could be
-            # satisfied by within-run session reuse even with the
-            # affinity feature broken.  On an effectively single-CPU
-            # host the engines degrade to sequential and never fork a
-            # pool at all, so there is nothing to keep warm — the
-            # affinity floors only apply where pools exist.
-            for key, floor in (("warm_runs", 1), ("pools_reused", 1)):
-                value = _dig(fresh, ("service", "warm", key))
-                if not isinstance(value, (int, float)) or value < floor:
-                    gate.fail(
-                        f"service.warm.{key} below the affinity "
-                        f"floor: {value!r} < {floor} — the second "
-                        "same-context tune re-forked instead of "
-                        "reusing the lane's warm pool"
-                    )
-                else:
-                    gate.note(f"ok service.warm.{key} = {value}")
-        elif service.get("workers", 1) > 1:
-            gate.note(
-                f"service.warm affinity not gated ({effective!r} "
-                "effective CPU: engines degrade to sequential, no "
-                "pools to keep warm)"
-            )
         serial = _dig(fresh, ("service", "overlap",
                               "serialized_wall_seconds"))
         conc = _dig(fresh, ("service", "overlap",
@@ -553,10 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=MIN_INCREMENTAL_SPEEDUP,
                         help="acceptance floor for delta-costing "
                              "speedup over full recosting")
-    parser.add_argument("--min-retune-speedup", type=float,
-                        default=MIN_RETUNE_SPEEDUP,
-                        help="acceptance floor for the drift arm's "
-                             "retune speedup over a cold tune")
     parser.add_argument("--update-baseline", action="store_true",
                         help="regenerate and overwrite --baseline at "
                              "the committed smoke parameters (for "
@@ -579,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[compare] cannot load inputs: {exc}")
         return 1
     gate = compare(baseline, fresh, args.wall_tolerance, args.hit_slack,
-                   args.min_incremental_speedup, args.min_retune_speedup)
+                   args.min_incremental_speedup)
     for note in gate.notes:
         print(f"[compare] {note}")
     for failure in gate.failures:

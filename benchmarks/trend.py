@@ -44,7 +44,6 @@ _CONTEXT = (
     ("incremental_speedup", ("incremental", "speedup")),
     ("sweep_warm_cost_hit_rate", ("sweep", "warm_cost_hit_rate")),
     ("service_overlap_speedup", ("service", "overlap", "speedup")),
-    ("service_pools_reused", ("service", "warm", "pools_reused")),
     ("cpu_count", ("meta", "cpu_count")),
     ("python", ("meta", "python")),
 )

@@ -21,9 +21,7 @@ from repro.advisor.merging import (
     generate_merged_candidates,
 )
 from repro.advisor.selection import (
-    CandidateConfiguration,
     cluster_skyline,
-    evaluate_candidates,
     evaluate_candidates_batch,
     select_skyline,
     select_top_k,
@@ -34,7 +32,6 @@ from repro.errors import AdvisorError
 from repro.optimizer.constants import DEFAULT_COST_CONSTANTS, CostConstants
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.parallel.cache import CostCache, EstimationCache
-from repro.parallel.engine import DirtyRelay, ParallelEngine
 from repro.physical.configuration import Configuration
 from repro.physical.index_def import IndexDef
 from repro.sizeest.estimator import SizeEstimator
@@ -80,21 +77,15 @@ class AdvisorOptions:
     * DTAc (Backtrack): compression on, backtracking enumeration
     * DTAc (Both):      compression on, skyline + backtracking
 
-    ``workers`` > 1 fans candidate evaluation over a process pool
-    (``0`` = one per CPU); results are identical to ``workers=1``.
     ``delta_costing`` routes enumeration costing through the
     delta-aware :class:`~repro.optimizer.delta.DeltaWorkloadCoster`
     (statement-level memoization, access-path probes, bound-based
     candidate pruning); recommendations are byte-identical with it on
-    or off, at any worker count — off only costs time.
+    or off — off only costs time.
     ``cache_dir`` persists size estimates *and* what-if costs across
     runs (``estimates.json`` / ``costs.json`` in the same directory).
-    Caveat: with ``workers`` > 1 the enumeration costings happen in
-    forked workers whose cost-cache entries die with the pool, so only
-    parent-side costs are persisted from a single parallel run —
-    :func:`repro.advisor.run_sweep` is the path that combines full
-    cost persistence with parallelism (its shard unit is a whole run,
-    costed in-process).
+    A run never forks: parallelism is :func:`repro.api.run_sweep`'s,
+    whose shard unit is a whole run.
     """
 
     budget_bytes: float
@@ -116,7 +107,6 @@ class AdvisorOptions:
     skyline_cluster_max: int = 12
     e: float = 0.5
     q: float = 0.9
-    workers: int = 1
     cache_dir: str | None = None
     delta_costing: bool = True
     #: selection strategy over the shared candidate pool, resolved
@@ -153,23 +143,19 @@ class AdvisorResult:
     #: cache is wired); see :meth:`EstimationCache.stats`.
     cache_stats: dict = field(default_factory=dict)
     #: persistent what-if cost-cache counters for this run (empty when
-    #: no cache is wired); see :meth:`CostCache.stats`.  Parent-process
-    #: counters only — like :attr:`optimizer_calls`, worker-side
-    #: lookups/stores with ``workers > 1`` die with the pool.
+    #: no cache is wired); see :meth:`CostCache.stats`.
     cost_cache_stats: dict = field(default_factory=dict)
-    #: parallel-engine counters for this run; see :meth:`ParallelEngine.stats`.
+    #: always empty (a run never forks); benchmarks/ledger/inprocess.py
+    #: reads it with ``.get`` and the ledger is frozen.
     engine_stats: dict = field(default_factory=dict)
     #: costing-kernel counters (lanes, batches, shape-memo entries);
     #: see :meth:`repro.optimizer.kernels.CostKernel.stats`.
     kernel_stats: dict = field(default_factory=dict)
-    #: delta-costing counters (parent-process side) for this run; see
+    #: delta-costing counters for this run; see
     #: :meth:`DeltaWorkloadCoster.stats`.  Empty when delta costing is
     #: disabled.
     delta_stats: dict = field(default_factory=dict)
-    #: what-if optimizer invocations in the *parent* process only —
-    #: with ``workers > 1`` most costings happen in forked workers
-    #: whose counters die with the pool, so this is not comparable
-    #: across different worker counts.
+    #: what-if optimizer invocations of this run.
     optimizer_calls: int = 0
 
     @property
@@ -183,41 +169,13 @@ class AdvisorResult:
         return 100.0 * self.improvement
 
 
-#: Progress hook: called in the parent process with one small JSON-able
+#: Progress hook: called with one small JSON-able
 #: event dict per advisor milestone (phase transitions, every accepted
 #: greedy step).  Purely observational — it must not change any result —
 #: but it MAY raise (e.g. :class:`repro.errors.JobCancelled`) to abort
 #: the run at the next event, which is how the tuning service cancels
 #: running jobs with one-greedy-step latency.
 ProgressHook = Callable[[dict], None]
-
-
-def _task_advisor(context) -> "TuningAdvisor":
-    """The advisor a worker task should evaluate against: the fork
-    context itself, or — for service lanes that keep one pool warm
-    across runs — the advisor the stable fork-context holder pointed at
-    when this worker forked (see ``TuningAdvisor(fork_context=...)``)."""
-    return getattr(context, "advisor", None) or context
-
-
-def _eval_query_task(
-    context, qi: int
-) -> list[CandidateConfiguration]:
-    """Worker task: evaluate one query's candidate set (step 2)."""
-    advisor = _task_advisor(context)
-    return evaluate_candidates(
-        advisor.workload.queries[qi].statement,
-        advisor._per_query[qi],
-        advisor.base_config,
-        advisor._query_cost,
-        advisor._index_size,
-        query_cost_batch=advisor._query_cost_batch,
-    )
-
-
-def _workload_cost_task(context, config) -> float:
-    """Worker task: one configuration's full weighted workload cost."""
-    return _task_advisor(context)._workload_cost(config)
 
 
 class TuningAdvisor:
@@ -232,11 +190,8 @@ class TuningAdvisor:
         stats: DatabaseStats | None = None,
         constants: CostConstants = DEFAULT_COST_CONSTANTS,
         base_config: Configuration | None = None,
-        engine: ParallelEngine | None = None,
         cost_cache: CostCache | None = None,
         progress: ProgressHook | None = None,
-        fork_context: "object | None" = None,
-        fork_stale_ok: bool = False,
         algorithm_cls: "Callable[..., object] | None" = None,
         extra_candidates: "Iterable[IndexDef] | None" = None,
     ) -> None:
@@ -258,28 +213,8 @@ class TuningAdvisor:
         #: sound over the carried-over configuration.
         self._extra_candidates = list(extra_candidates or ())
         self.stats = stats or DatabaseStats(database)
-        #: engines we created are ours to shut down when the run ends;
-        #: injected engines (e.g. a sweep's shared session) belong to
-        #: the caller.
-        self._owns_engine = engine is None
-        self.engine = engine or ParallelEngine(options.workers)
         self._constants = constants
         self.progress = progress
-        #: the object engine sessions fork against.  Default: this
-        #: advisor (a fresh pool per run).  A service lane passes a
-        #: *stable* holder object instead — workers then resolve the
-        #: advisor through ``holder.advisor`` at task time, and a later
-        #: run with identical wiring (same context, seed, e/q, variant,
-        #: options — everything but the budget, which never enters a
-        #: worker-side float) can reuse the dormant pool via
-        #: ``fork_stale_ok=True``: the inherited estimator already holds
-        #: every estimate the rerun recomputes, bit-for-bit, so stale
-        #: workers return exactly the floats fresh ones would.
-        self._fork = fork_context if fork_context is not None else self
-        self._fork_stale_ok = fork_stale_ok
-        if fork_context is not None:
-            # Before any fork, so freshly-forked workers inherit it.
-            fork_context.advisor = self
         cache = (
             EstimationCache(options.cache_dir)
             if options.cache_dir is not None
@@ -289,38 +224,11 @@ class TuningAdvisor:
             estimator = SizeEstimator(
                 database, stats=self.stats, e=options.e, q=options.q,
                 cache=cache,
-                engine=(
-                    DirtyRelay(self.engine)
-                    if fork_context is not None else self.engine
-                ),
             )
-        else:
-            # Attach this run's machinery to a shared estimator only
-            # where it has none, so explicit caller wiring wins.
-            if estimator.cache is None and cache is not None:
-                estimator.cache = cache
-            if estimator.engine is None and self.engine.parallel:
-                # Warm-lane runs hand the estimator a relay: dirty
-                # marks still reach the engine, but estimator-context
-                # sessions (which would churn the lane's warm pool)
-                # can never open — estimation stays in the parent.
-                estimator.engine = (
-                    DirtyRelay(self.engine)
-                    if fork_context is not None else self.engine
-                )
-        est_engine = estimator.engine
-        if isinstance(est_engine, DirtyRelay):
-            est_engine = est_engine.engine
-        if (
-            est_engine is not None
-            and est_engine is not self.engine
-        ):
-            # The estimator's dirty marks (fresh compressed estimates)
-            # land on *its* engine, not ours — cross-session pool reuse
-            # would hand enumeration workers forked before those
-            # estimates existed.  Fork per session instead, which is
-            # always correct.
-            self.engine.keep_alive = False
+        elif estimator.cache is None and cache is not None:
+            # Attach this run's cache to a shared estimator only where
+            # it has none, so explicit caller wiring wins.
+            estimator.cache = cache
         self.estimator = estimator
         if cost_cache is None and options.cache_dir is not None:
             cost_cache = CostCache(options.cache_dir)
@@ -340,7 +248,6 @@ class TuningAdvisor:
             self.whatif.delta_coster(workload)
             if options.delta_costing else None
         )
-        self._per_query: dict[int, list[IndexDef]] = {}
 
     # ------------------------------------------------------------------
     def default_base_configuration(self) -> Configuration:
@@ -425,11 +332,8 @@ class TuningAdvisor:
         ]
 
     def _batch_workload_cost(self, configs) -> list[float]:
-        """Workload costs of a candidate sweep: fanned over the engine
-        while its session is open, otherwise through the what-if
-        optimizer's (cache-aware, delta-aware) sequential batch API."""
-        if self.engine.in_session:
-            return self.engine.map(_workload_cost_task, configs, context=self)
+        """Workload costs of a candidate sweep, through the what-if
+        optimizer's (cache-aware, delta-aware) batch API."""
         return self.whatif.workload_cost_batch(
             self.workload, configs, delta=self.delta
         )
@@ -450,20 +354,7 @@ class TuningAdvisor:
     # ------------------------------------------------------------------
     def run(self) -> AdvisorResult:
         """Run one full tuning session: candidate generation, batch size
-        estimation, per-query selection, merging, and enumeration.
-
-        One engine pool serves the whole run: the enumeration session
-        reuses the per-query evaluation session's workers whenever no
-        new estimation state appeared in between (the estimator marks
-        the engine dirty otherwise, forcing exactly the re-fork the old
-        session-per-phase design always paid)."""
-        try:
-            return self._run()
-        finally:
-            if self._owns_engine:
-                self.engine.shutdown()
-
-    def _run(self) -> AdvisorResult:
+        estimation, per-query selection, merging, and enumeration."""
         start = time.perf_counter()
         options = self.options
         self._emit("phase", phase="candidates",
@@ -477,15 +368,16 @@ class TuningAdvisor:
 
         # 1. Per-query syntactic candidates, expanded per compression
         #    method, sizes estimated in one batch (Section 5's framework).
-        per_query: dict[int, list[IndexDef]] = {}
+        per_query: list[list[IndexDef]] = []
         all_candidates: list[IndexDef] = []
-        for qi, ws in enumerate(self.workload.queries):
-            query = ws.statement
-            base = candidate_indexes(self.database, query, cand_options)
+        for ws in self.workload.queries:
+            base = candidate_indexes(
+                self.database, ws.statement, cand_options
+            )
             expanded = expand_compression_variants(
                 base, options.enable_compression
             )
-            per_query[qi] = expanded
+            per_query.append(expanded)
             all_candidates.extend(expanded)
         unique_candidates = list(dict.fromkeys(all_candidates))
         compressed = [
@@ -495,33 +387,19 @@ class TuningAdvisor:
             self.estimator.estimate_many(compressed, options.e, options.q)
 
         # 2. Candidate selection per query: top-k or skyline (Section 6.1).
-        #    Queries are independent, so each one's candidate-set
-        #    evaluation is one fan-out unit; the session forks *after*
-        #    step 1 so workers inherit every size estimate.
-        self._per_query = per_query
-        n_queries = len(self.workload.queries)
         self._emit("phase", phase="selection",
                    candidates=len(unique_candidates))
         if self.delta is not None:
-            # Base the delta coster before any candidate costing (and
-            # before the fork below, so workers inherit the reference
-            # terms instead of each re-deriving them).
+            # Base the delta coster before any candidate costing.
             self.delta.rebase(self.base_config)
-        if self.engine.parallel:
-            with self.engine.session(self._fork,
-                                     stale_ok=self._fork_stale_ok):
-                per_query_configs = self.engine.map(
-                    _eval_query_task, range(n_queries), context=self._fork
-                )
-        else:
-            per_query_configs = evaluate_candidates_batch(
-                [ws.statement for ws in self.workload.queries],
-                [per_query[qi] for qi in range(n_queries)],
-                self.base_config,
-                self._query_cost,
-                self._index_size,
-                query_cost_batch=self._query_cost_batch,
-            )
+        per_query_configs = evaluate_candidates_batch(
+            [ws.statement for ws in self.workload.queries],
+            per_query,
+            self.base_config,
+            self._query_cost,
+            self._index_size,
+            query_cost_batch=self._query_cost_batch,
+        )
         pool: list[IndexDef] = []
         for qi, ws in enumerate(self.workload.queries):
             configs = per_query_configs[qi]
@@ -640,17 +518,8 @@ class TuningAdvisor:
             progress=self.progress,
             query_cost_batch=self._query_cost_batch,
         )
-        if self.cost_cache is not None:
-            # Resolve the persistent-key context (an O(rows) sample
-            # fingerprint) in the parent, so enumeration workers inherit
-            # it through fork instead of each recomputing it.
-            self.whatif._context()
         base_cost = self._workload_cost(self.base_config)
-        # Forked here: workers inherit the full estimate/sample state,
-        # and each greedy sweep fans its candidate costings out.
-        with self.engine.session(self._fork,
-                                 stale_ok=self._fork_stale_ok):
-            result = search.run(pool, self.base_config)
+        result = search.run(pool, self.base_config)
 
         sizes = {
             ix: self._index_size(ix) for ix in result.configuration
@@ -680,7 +549,6 @@ class TuningAdvisor:
                 self.cost_cache.stats()
                 if self.cost_cache is not None else {}
             ),
-            engine_stats=self.engine.stats(),
             kernel_stats=self.whatif.kernel.stats(),
             delta_stats=(
                 self.delta.stats() if self.delta is not None else {}

@@ -4,7 +4,7 @@ resolves through.
 
 A :class:`SelectionAlgorithm` is handed the advisor's prepared state —
 the candidate pool, the base configuration, a workload-cost callable
-(optionally batched over the parallel engine, optionally delta-aware)
+(optionally batched, optionally delta-aware)
 and a size callable — and returns an :class:`EnumerationResult`.  The
 base class owns everything the strategies share:
 
@@ -38,8 +38,9 @@ from repro.workload.query import SelectQuery, Workload
 
 #: Batched costing hook: all of one sweep's candidate configurations at
 #: once, returning their workload costs in input order.  The advisor
-#: wires the parallel engine in here; the default recomputes through the
-#: per-configuration callable, so both paths see identical floats.
+#: wires the what-if optimizer's batch API in here; the default
+#: recomputes through the per-configuration callable, so both paths see
+#: identical floats.
 BatchCost = Callable[[Sequence[Configuration]], "list[float]"]
 
 #: Per-statement costing hook: one query's costs under many (small)

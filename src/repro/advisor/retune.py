@@ -270,11 +270,8 @@ def retune_run(
     estimator: SizeEstimator | None = None,
     stats: DatabaseStats | None = None,
     base_config: Configuration | None = None,
-    engine=None,
     cost_cache: CostCache | None = None,
     progress: ProgressHook | None = None,
-    fork_context=None,
-    fork_stale_ok: bool = False,
 ) -> AdvisorResult:
     """One incremental retune with explicit wiring: a standard advisor
     run whose search is the drop-then-refill :class:`_RetuneSearch`
@@ -289,11 +286,8 @@ def retune_run(
         estimator=estimator,
         stats=stats,
         base_config=base_config,
-        engine=engine,
         cost_cache=cost_cache,
         progress=progress,
-        fork_context=fork_context,
-        fork_stale_ok=fork_stale_ok,
         algorithm_cls=partial(_RetuneSearch, previous),
         extra_candidates=previous.ordered(),
     )

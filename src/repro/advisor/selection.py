@@ -118,11 +118,8 @@ def evaluate_candidates_batch(
 ) -> list[list[CandidateConfiguration]]:
     """Evaluate per-query candidate *sets* for many queries at once.
 
-    The sequential counterpart of the advisor's per-query fan-out: one
-    entry of the result per query, each computed exactly as
-    :func:`evaluate_candidates` would.  The parallel engine dispatches
-    the same per-query unit to workers, so both paths agree float-for-
-    float.
+    One entry of the result per query, each computed exactly as
+    :func:`evaluate_candidates` would.
     """
     if len(queries) != len(candidates_per_query):
         raise ValueError(

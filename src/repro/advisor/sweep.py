@@ -3,11 +3,11 @@ one job.
 
 The paper's design experiments are dominated by *repeated* advisor runs
 over the same workload — budget sweeps (Figures 12-17), sampling-seed
-ablations, estimator comparisons.  PR 1's engine parallelizes within a
-single run (one SampleCF batch, one configuration sweep); this module
-shards at the level above: the work unit is an **entire advisor run**,
-and one long-lived :class:`ParallelEngine` session serves every greedy
-step of every (budget, seed) combination.
+ablations, estimator comparisons.  This module shards them: the work
+unit is an **entire advisor run**, and one :class:`ParallelEngine`
+``map`` runs every (budget, seed) combination, ``workers`` at a time.
+A run itself never forks — run granularity is the only grain at which
+forked workers measurably pay (see README, "Parallelism").
 
 Determinism contract
 --------------------
@@ -209,7 +209,6 @@ class _SweepJob:
             options,
             estimator=estimator,
             stats=self.stats,
-            engine=ParallelEngine(workers=1),
             cost_cache=(
                 self.cost_cache.fork_view()
                 if self.cost_cache is not None else None
@@ -234,7 +233,6 @@ def _run_sweep(
     workers: int = 1,
     cache_dir: str | None = None,
     stats: DatabaseStats | None = None,
-    engine: ParallelEngine | None = None,
     progress=None,
     **options_extra,
 ) -> SweepResult:
@@ -247,15 +245,13 @@ def _run_sweep(
         seeds: sampling seeds to ablate over (default: the estimator's
             standard seed, i.e. a plain budget sweep).
         variant: advisor variant name (see :func:`repro.advisor.variants`).
-        workers: pool size for run-level sharding (0 = one per CPU,
+        workers: advisor runs in flight at once (0 = one per CPU,
             1 = sequential); results are identical at any value.
         cache_dir: directory for the persistent size-estimate and
             what-if cost caches, shared by every unit and across sweeps
             (a rerun of the same sweep skips costing almost entirely).
         stats: precomputed :class:`DatabaseStats` (built once if
             omitted).
-        engine: injected :class:`ParallelEngine` (tests); overrides
-            ``workers``.
         progress: observational event hook (may raise to abort — the
             job layer's cancellation path).  Sequential execution
             forwards every unit's advisor events tagged with the unit
@@ -269,11 +265,11 @@ def _run_sweep(
     """
     get_variant(variant)
     algorithms.get(options_extra.get("algorithm", algorithms.DEFAULT_ALGORITHM))
-    for reserved in ("workers", "cache_dir", "budget_bytes"):
+    for reserved in ("cache_dir", "budget_bytes"):
         if reserved in options_extra:
             raise AdvisorError(
                 f"pass {reserved!r} as a run_sweep argument, not via "
-                "advisor options — the sweep owns engine and cache wiring"
+                "advisor options — the sweep owns cache wiring"
             )
     if not budgets:
         raise AdvisorError("run_sweep needs at least one budget")
@@ -294,35 +290,28 @@ def _run_sweep(
         if progress is not None:
             progress({"event": event, **fields})
 
-    owns_engine = engine is None
-    engine = engine or ParallelEngine(workers)
-    try:
-        if engine.parallel and len(units) >= engine.min_batch:
-            # One session for the whole sweep: workers fork once,
-            # inherit the database/stats/cache snapshot, and serve
-            # every greedy step of every unit until the sweep ends.
-            emit("sweep_sharded", units=len(units),
-                 workers=engine.workers)
-            with engine.session(job):
-                results = engine.map(_run_unit_task, range(len(units)), job)
-            for i, (seed, budget) in enumerate(units):
-                emit("sweep_unit", unit=i, units=len(units),
-                     seed=seed, budget_bytes=budget, status="done")
-        else:
-            results = []
-            for i, (seed, budget) in enumerate(units):
-                emit("sweep_unit", unit=i, units=len(units),
-                     seed=seed, budget_bytes=budget, status="started")
-                unit_progress = (
-                    (lambda ev, _i=i: progress({**ev, "unit": _i}))
-                    if progress is not None else None
-                )
-                results.append(job.run_unit(i, progress=unit_progress))
-                emit("sweep_unit", unit=i, units=len(units),
-                     seed=seed, budget_bytes=budget, status="done")
-    finally:
-        if owns_engine:
-            engine.shutdown()
+    engine = ParallelEngine(workers)
+    pool_size = engine.pool_size(len(units))
+    if pool_size > 1:
+        # Workers fork inside the map and inherit the database, stats
+        # and cache snapshot; each runs whole units until none are left.
+        emit("sweep_sharded", units=len(units), workers=pool_size)
+        results = engine.map(_run_unit_task, range(len(units)), job)
+        for i, (seed, budget) in enumerate(units):
+            emit("sweep_unit", unit=i, units=len(units),
+                 seed=seed, budget_bytes=budget, status="done")
+    else:
+        results = []
+        for i, (seed, budget) in enumerate(units):
+            emit("sweep_unit", unit=i, units=len(units),
+                 seed=seed, budget_bytes=budget, status="started")
+            unit_progress = (
+                (lambda ev, _i=i: progress({**ev, "unit": _i}))
+                if progress is not None else None
+            )
+            results.append(job.run_unit(i, progress=unit_progress))
+            emit("sweep_unit", unit=i, units=len(units),
+                 seed=seed, budget_bytes=budget, status="done")
 
     runs = [
         SweepRun(seed=seed, budget_bytes=budget, result=result)
@@ -331,7 +320,9 @@ def _run_sweep(
     return SweepResult(
         runs=runs,
         elapsed_seconds=time.perf_counter() - start,
-        workers=engine.workers,
+        # Processes that ran units (a pool whose worker died reruns
+        # them in this one).
+        workers=pool_size if engine.parallel_maps else 1,
         engine_stats=engine.stats(),
         estimation_cache_stats=_aggregate_cache_stats(
             [run.result.cache_stats for run in runs]

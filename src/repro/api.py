@@ -16,7 +16,7 @@ method:
 * :meth:`Session.sweep` — sharded budget sweep / seed ablation.
 
 For callers that genuinely want the one-shot functional form (explicit
-estimators, ad-hoc engines — mostly tests and benchmarks), this module
+estimators — mostly tests and benchmarks), this module
 also exports it: ``repro.api.tune`` / ``tune_decoupled`` / ``run_sweep``.
 
 Example::
@@ -94,7 +94,8 @@ class Session(TuningSession):
         **extra,
     ) -> SweepResult:
         """Sharded budget sweep / seed ablation over this session's
-        context (database, variant, stats, cache directory).  Does not
+        context (database, variant, stats, cache directory), ``workers``
+        advisor runs in flight at once.  Does not
         advance the session's configuration — a sweep is many
         hypothetical runs, not one deployment decision."""
         workload = self._resolve_workload(workload)

@@ -58,7 +58,6 @@ def _make_session(args, db, wl) -> Session:
         algorithm=args.algorithm,
         enable_partial=getattr(args, "all_features", False),
         enable_mv=getattr(args, "all_features", False),
-        workers=args.workers,
         delta_costing=not args.full_recost,
     )
 
@@ -212,16 +211,14 @@ def cmd_retune(args) -> int:
 
 def cmd_estimate(args) -> int:
     from repro.compression import CompressionMethod
-    from repro.parallel import EstimationCache, ParallelEngine
+    from repro.parallel import EstimationCache
     from repro.physical import IndexDef
     from repro.sizeest import SizeEstimator
 
     db, wl = _make_dataset(args)
-    engine = ParallelEngine(args.workers)
     estimator = SizeEstimator(
         db, e=args.error, q=args.confidence,
         cache=EstimationCache(args.cache_dir) if args.cache_dir else None,
-        engine=engine,
     )
     fact = "lineitem" if args.dataset == "tpch" else "sales"
     table = db.table(fact)
@@ -231,11 +228,7 @@ def cmd_estimate(args) -> int:
         for k in keys
         for m in (CompressionMethod.ROW, CompressionMethod.PAGE)
     ]
-    try:
-        estimates = estimator.estimate_many(targets)
-    finally:
-        # We own this engine: release its kept-alive worker pool.
-        engine.shutdown()
+    estimates = estimator.estimate_many(targets)
     for ix, est in estimates.items():
         print(f"{ix.display_name():55s} {est.source:9s} "
               f"{est.est_bytes / 1024:8.0f} KiB  cost={est.cost:.0f}")
@@ -292,7 +285,6 @@ def cmd_validate(args) -> int:
         variant=args.variant,
         cache_dir=args.cache_dir,
         stats=stats,
-        workers=args.workers,
         delta_costing=not args.full_recost,
     )
     result = session.tune(budget_bytes=budget)
@@ -539,6 +531,10 @@ _fraction_list = _csv_list(float, "budget")
 _seed_list = _csv_list(int, "seed")
 
 
+_WORKERS_HELP = ("advisor runs in flight at once (sweep units); "
+                 "0 = one per CPU, 1 = sequential")
+
+
 def _workers_arg(value: str) -> int:
     try:
         workers = int(value)
@@ -564,9 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--zipf", type=float, default=0.0)
         p.add_argument("--select-weight", type=float, default=5.0)
         p.add_argument("--insert-weight", type=float, default=1.0)
-        p.add_argument("--workers", type=_workers_arg, default=1,
-                       help="process-pool size for candidate evaluation "
-                            "(0 = one per CPU, 1 = sequential)")
         p.add_argument("--cache-dir", default=None,
                        help="directory for the persistent size-estimate "
                             "cache (shared across runs)")
@@ -593,9 +586,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep",
         help="run a whole budget sweep / seed ablation as one sharded "
-             "job (one engine session, persistent size + cost caches)",
+             "job (persistent size + cost caches)",
     )
     add_dataset_args(p_sweep)
+    p_sweep.add_argument("--workers", type=_workers_arg, default=1,
+                         help=_WORKERS_HELP)
     p_sweep.add_argument("--budgets", type=_fraction_list,
                          default=[0.1, 0.2, 0.3],
                          help="comma-separated storage budgets as "
@@ -678,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the async tuning service (JSON over HTTP): concurrent "
              "tune/sweep/estimate/cost requests with in-flight "
-             "coalescing, one shared engine pool and persistent caches",
+             "coalescing and persistent caches",
     )
     p_srv.add_argument("--dataset", choices=("tpch", "sales", "both"),
                        default="sales",
@@ -691,8 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--port", type=int, default=8765,
                        help="TCP port (0 = ephemeral, printed at boot)")
     p_srv.add_argument("--workers", type=_workers_arg, default=1,
-                       help="shared engine pool size every advisor run "
-                            "borrows (0 = one per CPU, 1 = sequential)")
+                       help=_WORKERS_HELP)
     p_srv.add_argument("--cache-dir", default=None,
                        help="directory for the persistent size-estimate "
                             "and what-if cost caches")

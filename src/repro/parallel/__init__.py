@@ -1,6 +1,5 @@
-"""Parallel candidate evaluation: process-pool fan-out for SampleCF
-builds and what-if costings, plus a persistent, content-addressed
-estimation cache shared across advisor runs.
+"""Run-level sharding and the persistent, content-addressed caches
+shared across advisor runs.
 
 The package has three parts:
 
@@ -12,13 +11,14 @@ The package has three parts:
   size-estimate cache keyed on index signature x compression method x
   sample fingerprint, and :class:`CostCache`, the on-disk what-if cost
   cache keyed on statement x sized-structure signatures x run context.
-* :mod:`repro.parallel.engine` — :class:`ParallelEngine`, a fork-based
-  process pool with deterministic result ordering and a transparent
-  sequential fallback (``workers=1`` or platforms without ``fork``).
+* :mod:`repro.parallel.engine` — :class:`ParallelEngine`, one ordered
+  ``map`` of whole advisor runs (sweep units) over forked workers, with
+  a transparent sequential fallback (``workers=1``, one effective CPU,
+  or platforms without ``fork``).
 """
 
 from repro.parallel.cache import CostCache, EstimationCache
-from repro.parallel.engine import DirtyRelay, ParallelEngine
+from repro.parallel.engine import ParallelEngine
 from repro.parallel.signature import (
     config_signature,
     index_identity,
@@ -30,7 +30,6 @@ from repro.parallel.signature import (
 
 __all__ = [
     "CostCache",
-    "DirtyRelay",
     "EstimationCache",
     "ParallelEngine",
     "config_signature",

@@ -6,8 +6,8 @@ progress, cancellation, priority lanes and tenant quotas),
 :class:`JobJournal` (the append-only journal that makes the job tier
 survive restarts), :class:`JobWorker` (``repro serve --worker``
 scale-out over journal leases), :class:`ContextScheduler` /
-:class:`FairQueue` (per-context worker lanes with warm engine affinity
-and tenant-fair turn-taking), :class:`ServiceHTTPServer` /
+:class:`FairQueue` (per-context worker lanes and tenant-fair
+turn-taking), :class:`ServiceHTTPServer` /
 :func:`serve` (stdlib JSON-over-HTTP incl. ``/v1/jobs``), and
 :class:`AdvisorClient` (async client with retry/backoff and event
 streaming).  :mod:`repro.service.faults` adds a deterministic
@@ -47,7 +47,6 @@ from repro.service.scheduler import (
     ContextLane,
     ContextScheduler,
     FairQueue,
-    WarmSlot,
 )
 from repro.service.service import REQUEST_KINDS, AdvisorService
 from repro.service.worker import JobWorker
@@ -76,7 +75,6 @@ __all__ = [
     "ServiceHTTPServer",
     "ServiceHTTPError",
     "TERMINAL_STATES",
-    "WarmSlot",
     "serve",
     "clear_faults",
     "describe_active",

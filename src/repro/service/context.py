@@ -16,8 +16,6 @@ what ran before it or concurrently with it.
 
 from __future__ import annotations
 
-import json
-
 from repro.advisor import algorithms
 from repro.advisor.advisor import (
     AdvisorResult,
@@ -34,10 +32,8 @@ from repro.compression.base import CompressionMethod
 from repro.errors import ServiceError
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.parallel.cache import CostCache, EstimationCache
-from repro.parallel.engine import ParallelEngine
 from repro.physical.index_def import IndexDef
 from repro.sampling.sample_manager import DEFAULT_SAMPLE_SEED, SampleManager
-from repro.service.scheduler import WarmSlot
 from repro.sizeest.estimator import SizeEstimator
 from repro.stats.column_stats import DatabaseStats
 from repro.storage.index_build import IndexKind
@@ -46,7 +42,7 @@ from repro.workload.parser import parse_statement
 from repro.workload.query import Workload
 
 #: AdvisorOptions fields a request may override (wiring-level fields —
-#: workers, cache_dir — belong to the service, not the request).
+#: cache_dir — belong to the service, not the request).
 _REQUEST_OPTION_FIELDS = frozenset({
     "candidate_selection", "top_k", "strategy", "backtracking",
     "seed_fanout", "min_improvement", "enable_partial", "enable_mv",
@@ -180,11 +176,6 @@ class ServiceContext:
             database, self.stats, sizes=self._size_lookup,
         )
         self.base_config = default_base_configuration(database)
-        #: stable fork-context holder: the scheduler lane's engine
-        #: forks worker pools against this object, so a later
-        #: same-wiring tune can reuse the dormant pool instead of
-        #: re-forking (see repro.service.scheduler).
-        self.warm_slot = WarmSlot(name)
 
     # ------------------------------------------------------------------
     def _size_lookup(self, index: IndexDef) -> tuple[float, float]:
@@ -248,41 +239,17 @@ class ServiceContext:
             ) from None
         return variant
 
-    def tune_signature(self, payload: dict) -> str:
-        """Wiring signature of a tune request: every input that can
-        move a *worker-side* float — variant, sampling seed, and all
-        advisor option overrides — excluding the budget, which only
-        gates parent-side feasibility decisions.  Two requests with
-        equal signatures may share a warm engine pool: the pool's
-        inherited estimator state holds exactly the estimates the new
-        run would recompute, bit for bit."""
-        return json.dumps({
-            "context": self.name,
-            "variant": self._variant(payload),
-            "seed": int(payload.get("seed", DEFAULT_SAMPLE_SEED)),
-            "options": self._advisor_extra(payload),
-        }, sort_keys=True)
-
-    def run_tune(
-        self,
-        payload: dict,
-        engine: ParallelEngine,
-        *,
-        fork_slot: WarmSlot | None = None,
-        stale_ok: bool = False,
-        progress=None,
-    ) -> dict:
+    def run_tune(self, payload: dict, progress=None) -> dict:
         """One advisor run, isolated exactly like a sweep unit: fresh
         seeded estimator, fork views of the persistent caches.
 
-        ``fork_slot``/``stale_ok`` come from the scheduler's warm-
-        affinity decision; ``progress`` threads the job layer's event
-        hook into the advisor (one event per greedy step)."""
-        budget = self._budget_bytes(payload)
+        ``progress`` threads the job layer's event hook into the
+        advisor (one event per greedy step)."""
         variant = self._variant(payload)
+        extra = self._advisor_extra(payload)
         seed = int(payload.get("seed", DEFAULT_SAMPLE_SEED))
         options = get_variant(variant).advisor_options(
-            budget, **self._advisor_extra(payload)
+            self._budget_bytes(payload), **extra
         )
         estimator = SizeEstimator(
             self.database,
@@ -305,11 +272,8 @@ class ServiceContext:
             options,
             estimator=estimator,
             stats=self.stats,
-            engine=engine,
             cost_cache=cost_view,
             progress=progress,
-            fork_context=fork_slot,
-            fork_stale_ok=stale_ok,
         )
         result = advisor.run()
         if cost_view is not None:
@@ -395,8 +359,7 @@ class ServiceContext:
             # retune runs cold and establishes generation 1.
             payload["generation"] = 1
 
-    def run_retune(self, payload: dict, engine: ParallelEngine,
-                   progress=None) -> dict:
+    def run_retune(self, payload: dict, progress=None) -> dict:
         """One incremental retune, isolated exactly like
         :meth:`run_tune`: fresh seeded estimator, fork views of the
         persistent caches.  The previous configuration comes from the
@@ -437,7 +400,6 @@ class ServiceContext:
                 options,
                 estimator=estimator,
                 stats=self.stats,
-                engine=engine,
                 cost_cache=cost_view,
                 progress=progress,
             )
@@ -451,7 +413,6 @@ class ServiceContext:
                 options,
                 estimator=estimator,
                 stats=self.stats,
-                engine=engine,
                 cost_cache=cost_view,
                 progress=progress,
             )
@@ -496,10 +457,11 @@ class ServiceContext:
             out["retune"]["drift"] = drift_info
         return out
 
-    def run_sweep(self, payload: dict, engine: ParallelEngine,
+    def run_sweep(self, payload: dict, workers: int = 1,
                   progress=None) -> dict:
         """A whole budget sweep / seed ablation as one unit (the sweep
-        module owns per-unit isolation)."""
+        module owns per-unit isolation), ``workers`` advisor runs in
+        flight at once."""
         variant = self._variant(payload)
         total = self.database.total_data_bytes()
         if "budget_bytes" in payload:
@@ -518,7 +480,7 @@ class ServiceContext:
             seeds=[int(s) for s in seeds] if seeds else None,
             variant=variant,
             stats=self.stats,
-            engine=engine,
+            workers=workers,
             cache_dir=self.cache_dir,
             progress=progress,
             **self._advisor_extra(payload),

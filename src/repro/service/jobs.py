@@ -25,8 +25,7 @@ polls, streams, and cancels::
   immediately; running jobs carry a cancel flag the progress hook
   checks, so the run unwinds (:class:`~repro.errors.JobCancelled`) at
   the next event — cancellation latency is bounded by one greedy step.
-  A cancelled or failed run releases its scheduler lane and drops the
-  lane's engine pool (a partially-built pool must never look warm).
+  A cancelled or failed run releases its scheduler lane.
 
 Since PR 7 the job tier is **durable and multi-tenant**:
 

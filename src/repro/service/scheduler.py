@@ -1,46 +1,19 @@
-"""Per-context scheduling for the tuning service: worker lanes and
-warm engine affinity.
+"""Per-context scheduling for the tuning service: worker lanes.
 
-PR 4's service ran every request on ONE executor thread with ONE shared
-engine: correct, but tuning runs on *different* contexts serialized
-needlessly, and every run re-forked the engine pool (each
-:class:`~repro.advisor.advisor.TuningAdvisor` is a fresh fork context).
-This module replaces that single global executor with a
-:class:`ContextScheduler`:
+A :class:`ContextScheduler` assigns each registered context to a
+:class:`ContextLane` — a single-thread executor.  A lane executes
+strictly one request at a time, so per-context runs serialize (the
+determinism contract needs nothing more), while runs on different
+contexts overlap on multi-core hosts.  The lane count is capped
+(``--max-context-workers``); past the cap, contexts share the
+least-loaded lane, assigned stably in registration order.  Lanes hold
+no processes: a tune or retune runs in the lane thread, and a sweep job
+forks its pool for the duration of its own ``map``.
 
-* **Lanes.**  Each registered context is assigned to a
-  :class:`ContextLane` — a single-thread executor plus its own
-  keep-alive :class:`ParallelEngine`.  A lane executes strictly one
-  request at a time, so per-context runs serialize exactly as before
-  (the determinism contract needs nothing more), while runs on
-  different contexts overlap on multi-core hosts.  The lane count is
-  capped (``--max-context-workers``); past the cap, contexts share the
-  least-loaded lane, assigned stably in registration order.
-
-* **Warm affinity.**  A lane's engine outlives its runs, and every
-  context owns a stable :class:`WarmSlot` fork-context holder.  An
-  advisor run forks the lane pool against the *slot* (not against the
-  advisor), so a later run on the same context can find the pool still
-  forked against its slot.  :meth:`ContextScheduler.prepare_warm`
-  decides whether that dormant pool may serve the new run: only when
-  the run's *wiring signature* — context, variant, sampling seed, and
-  every advisor option except the budget — matches the signature the
-  pool was forked under.  Identical wiring means the inherited
-  estimator already holds, bit for bit, every estimate the new run
-  would recompute (estimates are deterministic functions of the seeded
-  samples), so stale workers return exactly the floats fresh ones
-  would; the budget is excluded because it never enters a worker-side
-  float (it only gates parent-side feasibility).  On a mismatch the
-  pool is dropped and the run forks cold — always correct, never warm.
-
-A run that fails or is cancelled mid-flight releases its lane pool
-(:meth:`ContextScheduler.release`): a partially-built pool could lack
-estimates a "warm" successor would rely on, so it must never be reused.
-
-Since PR 7 the module also owns :class:`FairQueue` — the job tier's
-per-context turn-taking policy (priority lanes + weighted round-robin
-across tenants), sitting *in front of* the lane: the lane serializes,
-the queue decides who goes next.
+The module also owns :class:`FairQueue` — the job tier's per-context
+turn-taking policy (priority lanes + weighted round-robin across
+tenants), sitting *in front of* the lane: the lane serializes, the
+queue decides who goes next.
 """
 
 from __future__ import annotations
@@ -50,7 +23,6 @@ import bisect
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.parallel.engine import ParallelEngine
 from repro.service.faults import fire
 
 #: job priority lanes, strongest first — the pick order of
@@ -121,32 +93,12 @@ class FairQueue:
         return None
 
 
-class WarmSlot:
-    """Stable fork-context holder for one registered context.
-
-    The engine forks worker pools against this object; the advisor of
-    the moment hangs off :attr:`advisor` (set by
-    ``TuningAdvisor(fork_context=slot)`` before any fork, resolved by
-    worker tasks at task time), and :attr:`signature` records the
-    wiring the dormant pool's inherited state matches.
-    """
-
-    def __init__(self, context_name: str) -> None:
-        self.context_name = context_name
-        #: the advisor whose run the pool's workers forked under.
-        self.advisor = None
-        #: wiring signature of the pool's inherited state (None = no
-        #: reusable pool state).
-        self.signature: str | None = None
-
-
 class ContextLane:
-    """One serial execution lane: a single worker thread plus a
-    keep-alive engine shared by every context assigned here."""
+    """One serial execution lane: a single worker thread shared by
+    every context assigned here."""
 
-    def __init__(self, index: int, engine: ParallelEngine) -> None:
+    def __init__(self, index: int) -> None:
         self.index = index
-        self.engine = engine
         self.executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"advisor-lane-{index}"
         )
@@ -159,43 +111,26 @@ class ContextLane:
         self.contexts: list[str] = []
         #: requests + jobs executed on this lane.
         self.executed = 0
-        #: warm-pool reuses granted on this lane.
-        self.warm_runs = 0
 
     def stats(self) -> dict:
         return {
             "index": self.index,
             "contexts": list(self.contexts),
             "executed": self.executed,
-            "warm_runs": self.warm_runs,
-            "engine": self.engine.stats(),
         }
 
 
 class ContextScheduler:
-    """Assigns contexts to lanes and manages warm engine affinity.
+    """Assigns contexts to lanes.
 
     Args:
-        workers: engine pool size for every lane's engine (0 = one per
-            CPU, 1 = sequential — lanes still overlap, only the
-            *within-run* fan-out degrades).
         max_lanes: lane cap; contexts beyond it share lanes.
-        primary_engine: injected engine for the first lane (the
-            service's historical ``engine`` attribute, so existing
-            wiring and tests keep observing the pool they injected).
     """
 
-    def __init__(
-        self,
-        workers: int = 1,
-        max_lanes: int = 4,
-        primary_engine: ParallelEngine | None = None,
-    ) -> None:
+    def __init__(self, max_lanes: int = 4) -> None:
         if max_lanes < 1:
             raise ValueError(f"max_lanes must be >= 1, got {max_lanes}")
-        self.workers = workers
         self.max_lanes = max_lanes
-        self._primary_engine = primary_engine
         self._lanes: list[ContextLane] = []
         self._assignment: dict[str, ContextLane] = {}
 
@@ -215,12 +150,7 @@ class ContextScheduler:
         if lane is not None:
             return lane
         if len(self._lanes) < self.max_lanes:
-            engine = (
-                self._primary_engine
-                if not self._lanes and self._primary_engine is not None
-                else ParallelEngine(self.workers)
-            )
-            lane = ContextLane(len(self._lanes), engine)
+            lane = ContextLane(len(self._lanes))
             self._lanes.append(lane)
         else:
             # Stable least-loaded assignment: fewest contexts wins,
@@ -233,57 +163,15 @@ class ContextScheduler:
         return lane
 
     # ------------------------------------------------------------------
-    def prepare_warm(self, lane: ContextLane, slot: WarmSlot,
-                     signature: str) -> bool:
-        """Decide warm vs cold for a run about to execute on ``lane``
-        (called on the lane thread, so per-lane state is race-free).
-
-        Warm — reuse the dormant pool past dirty marks — only when the
-        pool exists, was forked against this context's slot, and the
-        wiring signature matches.  Anything else drops the pool and
-        records the new signature for the *next* run to match against.
-        """
-        warm = (
-            lane.engine.has_pool
-            and lane.engine.pool_context is slot
-            and slot.signature == signature
-        )
-        if warm:
-            lane.warm_runs += 1
-        else:
-            lane.engine.shutdown()
-            slot.signature = signature
-        return warm
-
-    def release(self, lane: ContextLane, slot: WarmSlot) -> None:
-        """Drop a lane's pool and forget the slot's signature — called
-        when a run fails or is cancelled mid-flight, because a
-        partially-built pool may lack estimates a warm successor would
-        silently rely on."""
-        lane.engine.shutdown()
-        slot.signature = None
-
-    # ------------------------------------------------------------------
     def shutdown(self, wait: bool = True) -> None:
         """Release every lane: waits for in-flight lane work (no run is
-        abandoned halfway through shared cache state), then drops each
-        lane's engine pool."""
+        abandoned halfway through shared cache state)."""
         for lane in self._lanes:
             lane.executor.shutdown(wait=wait)
-        for lane in self._lanes:
-            lane.engine.shutdown()
 
     def stats(self) -> dict:
-        lanes = [lane.stats() for lane in self._lanes]
         return {
             "max_lanes": self.max_lanes,
-            "lanes": lanes,
+            "lanes": [lane.stats() for lane in self._lanes],
             "contexts_assigned": len(self._assignment),
-            "pools_forked": sum(
-                ln["engine"]["pools_forked"] for ln in lanes
-            ),
-            "pools_reused": sum(
-                ln["engine"]["pools_reused"] for ln in lanes
-            ),
-            "warm_runs": sum(ln["warm_runs"] for ln in lanes),
         }

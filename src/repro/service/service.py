@@ -5,9 +5,8 @@ tuning sessions over a single optimizer instance.  This module is that
 serving layer for the reproduction: an asyncio :class:`AdvisorService`
 accepting concurrent ``tune`` / ``sweep`` / ``estimate_size`` /
 ``whatif_cost`` requests against registered schema+workload contexts,
-backed by the existing batched APIs, the persistent
-:class:`EstimationCache`/:class:`CostCache`, and **one** shared
-keep-alive :class:`ParallelEngine` pool.
+backed by the existing batched APIs and the persistent
+:class:`EstimationCache`/:class:`CostCache`.
 
 Three properties the stress tests pin down:
 
@@ -34,9 +33,10 @@ Since PR 5 the execution side is a **per-context scheduler**
 (:mod:`repro.service.scheduler`): one serial worker lane per
 registered context (capped by ``max_context_workers``), so the
 determinism contract holds per context while runs on *different*
-contexts overlap on multi-core hosts; each lane keeps one engine pool
-warm across same-context requests (``pools_reused`` in
-:meth:`stats`).  Long-running work is best submitted as a **job**
+contexts overlap on multi-core hosts.  A tune or retune runs in its
+lane thread and never forks; only a ``sweep`` shards, over a pool that
+lives for that sweep (``workers`` runs in flight).  Long-running work
+is best submitted as a **job**
 (:mod:`repro.service.jobs`): durable records with streamed per-greedy-
 step progress and cancellation, served over ``/v1/jobs``.
 """
@@ -52,7 +52,6 @@ import os
 from repro.catalog.schema import Database
 from repro.errors import BackpressureError, ServiceError
 from repro.parallel.cache import CostCache, EstimationCache
-from repro.parallel.engine import ParallelEngine
 from repro.service.context import ServiceContext
 from repro.service.faults import (
     FaultPlan,
@@ -88,16 +87,14 @@ class AdvisorService:
     """Long-lived async tuning service over registered contexts.
 
     Args:
-        workers: pool size of the shared :class:`ParallelEngine` every
-            advisor run borrows (0 = one per CPU, 1 = sequential).
+        workers: advisor runs in flight at once inside one ``sweep``
+            (0 = one per CPU, 1 = sequential); tunes never fork.
         cache_dir: directory for the persistent size-estimate and
             what-if cost caches, shared by every context and request.
         max_pending: bound of the request queue (backpressure beyond).
         max_context_workers: scheduler lane cap — at most this many
             contexts execute concurrently; beyond it contexts share
             lanes (per-context runs always serialize on their lane).
-        engine: injected engine (tests); used by the first lane, and
-            released on :meth:`stop` like every lane engine.
         tenant_quota: per-tenant cap on active (non-terminal) jobs —
             submissions beyond it raise
             :class:`~repro.errors.QuotaExceededError` (HTTP 429).
@@ -128,7 +125,6 @@ class AdvisorService:
         cache_dir: str | None = None,
         max_pending: int = 64,
         max_context_workers: int = 4,
-        engine: ParallelEngine | None = None,
         tenant_quota: int | None = None,
         tenant_weights: dict | None = None,
         execute_jobs: bool = True,
@@ -147,7 +143,6 @@ class AdvisorService:
                 f"got {max_context_workers}"
             )
         self.workers = workers
-        self.engine = engine or ParallelEngine(workers)
         self.cache_dir = cache_dir
         self.estimation_cache = (
             EstimationCache(cache_dir) if cache_dir is not None else None
@@ -158,10 +153,7 @@ class AdvisorService:
         self.max_pending = max_pending
         self.max_context_workers = max_context_workers
         self.contexts: dict[str, ServiceContext] = {}
-        self.scheduler = ContextScheduler(
-            workers=workers, max_lanes=max_context_workers,
-            primary_engine=self.engine,
-        )
+        self.scheduler = ContextScheduler(max_lanes=max_context_workers)
         #: the durable job journal (None without a cache_dir: the job
         #: tier degrades to the in-memory pre-durability behavior).
         # Fault injection activates before the first journal append so
@@ -243,12 +235,9 @@ class AdvisorService:
         self._gate_waiters = []
         if self._scheduler_spent:
             # A stopped scheduler's lane executors are terminally shut
-            # down; a restarted service schedules on fresh lanes (the
-            # primary engine object is reusable — sessions re-fork).
+            # down; a restarted service schedules on fresh lanes.
             self.scheduler = ContextScheduler(
-                workers=self.workers,
-                max_lanes=self.max_context_workers,
-                primary_engine=self.engine,
+                max_lanes=self.max_context_workers
             )
             self._scheduler_spent = False
         self._running = True
@@ -288,8 +277,8 @@ class AdvisorService:
 
     async def stop(self, drain: bool = True) -> None:
         """Stop the service: optionally drain admitted requests and
-        jobs, then release every scheduler lane (executor threads and
-        engine pools) and persist the caches.  With ``drain=False``,
+        jobs, then release every scheduler lane (executor threads) and
+        persist the caches.  With ``drain=False``,
         admitted-but-unexecuted requests fail with
         :class:`ServiceError` and running jobs are flagged for
         cancellation — they unwind at their next progress event."""
@@ -331,13 +320,10 @@ class AdvisorService:
         # Cancelled jobs settle fast (their runs unwind at the next
         # progress event); wait so no lane thread outlives the service.
         await self.jobs.drain()
-        # Waits for in-flight lane threads, then drops every lane's
-        # engine pool — a stopped service never leaks forked processes
-        # or abandons a run halfway through shared cache state.
+        # Waits for in-flight lane threads — a stopped service never
+        # abandons a run halfway through shared cache state.
         self.scheduler.shutdown(wait=True)
         self._scheduler_spent = True
-        # The primary engine may predate any lane (injected engines).
-        self.engine.shutdown()
         if self.journal is not None:
             self.journal.close()
         self.save_caches()
@@ -535,51 +521,20 @@ class AdvisorService:
     ) -> dict:
         """Synchronous request execution (runs on a lane thread).
 
-        ``lane`` wires the run to the lane's engine and, for tune
-        requests, the context's warm fork slot; ``progress`` threads
-        the job layer's event hook into the advisor."""
+        ``lane`` is the lane thread this runs on (counted only);
+        ``progress`` threads the job layer's event hook into the
+        advisor."""
         fire("service.execute", kind=kind, context=context_name)
         context = self.contexts[context_name]
         if lane is not None:
             lane.executed += 1
-        engine = lane.engine if lane is not None else self.engine
         if kind == "tune":
-            slot = context.warm_slot
-            stale_ok = False
-            if lane is not None:
-                stale_ok = self.scheduler.prepare_warm(
-                    lane, slot, context.tune_signature(payload)
-                )
-            try:
-                return context.run_tune(
-                    payload, engine, fork_slot=slot,
-                    stale_ok=stale_ok, progress=progress,
-                )
-            except BaseException:
-                if lane is not None:
-                    # A failed or cancelled run leaves a partial pool —
-                    # it must never look warm to a successor.
-                    self.scheduler.release(lane, slot)
-                raise
+            return context.run_tune(payload, progress=progress)
         if kind == "sweep":
-            try:
-                return context.run_sweep(payload, engine,
-                                         progress=progress)
-            finally:
-                if lane is not None:
-                    # A sweep's pool forks against its own (now dead)
-                    # job object — never reusable; don't leave idle
-                    # workers parked on the lane.
-                    lane.engine.shutdown()
+            return context.run_sweep(payload, self.workers,
+                                     progress=progress)
         if kind == "retune":
-            try:
-                return context.run_retune(payload, engine,
-                                          progress=progress)
-            finally:
-                if lane is not None:
-                    # Like a sweep, a retune forks against a transient
-                    # job object — the lane pool is not reusable after.
-                    lane.engine.shutdown()
+            return context.run_retune(payload, progress=progress)
         if kind == "estimate_size":
             return context.run_estimate_size(payload)
         if kind == "whatif_cost":
@@ -605,8 +560,8 @@ class AdvisorService:
         bounds its wall time from submission; ``retries``/
         ``retry_backoff`` give transient failures a budget."""
         # Same closed schema as POST /v1/jobs, minus the envelope: a
-        # payload smuggling routing fields would skew journaled re-runs
-        # and warm-affinity signatures, so it fails at submission.
+        # payload smuggling routing fields would skew journaled
+        # re-runs, so it fails at submission.
         validate_job_payload(kind, dict(payload or {}))
         return self.jobs.submit(kind, context, dict(payload or {}),
                                 tenant=tenant, priority=priority,
@@ -638,9 +593,7 @@ class AdvisorService:
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Service counters: queue state, per-kind request/coalescing/
-        completion counts, scheduler lanes (warm-pool reuse), jobs,
-        engine and cache stats."""
-        scheduler = self.scheduler.stats()
+        completion counts, scheduler lanes, jobs and cache stats."""
         return {
             "contexts": sorted(self.contexts),
             "running": self.started,
@@ -652,11 +605,7 @@ class AdvisorService:
             "completed": dict(self.completed),
             "failed": dict(self.failed),
             "rejected": self.rejected,
-            "engine": self.engine.stats(),
-            "scheduler": scheduler,
-            #: top-level convenience: total warm-pool reuses across
-            #: lanes (the service-affinity acceptance metric).
-            "pools_reused": scheduler["pools_reused"],
+            "scheduler": self.scheduler.stats(),
             "degraded": self.degraded,
             "faults": describe_active(),
             "jobs": self.jobs.stats(),

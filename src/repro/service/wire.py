@@ -12,7 +12,7 @@ This replaces the ad-hoc routing-field checks that used to live in
 :mod:`repro.service.context` (``_reject_routing``): instead of
 enumerating the specific stray fields that once caused trouble
 (``tenant``/``priority`` smuggled into a tune payload would skew
-coalescing keys, warm-affinity signatures, and journaled re-runs), the
+coalescing keys and journaled re-runs), the
 envelope is closed — anything not explicitly allowed is rejected at the
 door, with the allowed set in the error text.
 
@@ -117,8 +117,8 @@ def validate_job_payload(kind: str, payload: dict) -> None:
     job tier after the HTTP layer pops the envelope (or that a Python
     caller passes to ``submit_job`` directly).  Stricter than
     :func:`validate_job`: envelope fields (routing, context, version)
-    must not be smuggled inside — they would skew coalescing keys,
-    warm-affinity signatures, and journaled re-runs."""
+    must not be smuggled inside — they would skew coalescing keys and
+    journaled re-runs."""
     allowed = JOB_FIELDS.get(kind)
     if allowed is not None:
         _check_fields(payload, allowed - JOB_ROUTING - _COMMON,

@@ -5,7 +5,7 @@ coordinator (possibly ``--dispatch-only``) accepts submissions over
 ``/v1/jobs`` and journals them; any number of worker processes share
 the same ``--cache-dir``, claim queued jobs through journal **leases**
 (atomic ``O_EXCL`` create — exactly one winner per job), execute them
-against their own engine pool, and journal seq-numbered progress
+in their own process, and journal seq-numbered progress
 events, results and terminal states.  The coordinator's poll task
 folds those records back into its in-memory job records, so HTTP
 clients poll and stream worker-executed jobs exactly like local ones.
@@ -65,7 +65,7 @@ class JobWorker:
     Args:
         service: an :class:`AdvisorService` built with the shared
             ``cache_dir`` and a unique ``journal_writer`` — the worker
-            uses its contexts, engine and caches but never starts its
+            uses its contexts and caches but never starts its
             asyncio side.  Tenant weights for the claim rotation come
             from this service's own configuration (pass the
             coordinator's ``--tenant-weight`` flags to workers too).

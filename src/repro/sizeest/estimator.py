@@ -18,14 +18,13 @@ from typing import Iterable, Sequence
 
 from repro.catalog.schema import Database
 from repro.parallel.cache import EstimationCache
-from repro.parallel.engine import ParallelEngine
 from repro.parallel.signature import sample_fingerprint
 from repro.physical.index_def import IndexDef
 from repro.sampling.sample_manager import DEFAULT_FRACTIONS, SampleManager
 from repro.sizeest.analytic import AnalyticSizer
 from repro.sizeest.deduction import DeductionEngine, MultiColumnDistinct
 from repro.sizeest.error_model import DEFAULT_ERROR_MODEL, ErrorModel, ErrorRV
-from repro.sizeest.graph import NodeState, node_key
+from repro.sizeest.graph import node_key
 from repro.sizeest.planner import choose_plan, execute_plan
 from repro.sizeest.samplecf import SampleCFRunner, SizeEstimate, index_category
 from repro.stats.column_stats import DatabaseStats
@@ -36,12 +35,6 @@ from repro.storage.rowcache import SerializedTable
 #: that module's ``fire`` when a plan is installed, None otherwise —
 #: declared here so the estimator never imports the service package.
 FAULT_HOOK = None
-
-
-def _samplecf_task(estimator: "SizeEstimator", payload) -> SizeEstimate:
-    """Worker task: one SampleCF build on the forked estimator state."""
-    index, fraction = payload
-    return estimator.runner.run(index, fraction)
 
 
 class SizeEstimator:
@@ -56,7 +49,6 @@ class SizeEstimator:
         default_fraction: sampling fraction for one-off estimates.
         use_deduction: disable to force SampleCF on everything.
         cache: persistent estimate cache shared across runs (optional).
-        engine: parallel engine for fanning SampleCF builds (optional).
     """
 
     def __init__(
@@ -71,7 +63,6 @@ class SizeEstimator:
         fractions: Sequence[float] = DEFAULT_FRACTIONS,
         use_deduction: bool = True,
         cache: EstimationCache | None = None,
-        engine: ParallelEngine | None = None,
     ) -> None:
         self.database = database
         self.stats = stats or DatabaseStats(database)
@@ -83,7 +74,6 @@ class SizeEstimator:
         self.fractions = tuple(fractions)
         self.use_deduction = use_deduction
         self.cache = cache
-        self.engine = engine
         self._fingerprint: str | None = None
 
         self.sizer = AnalyticSizer(database, self.stats, self.manager)
@@ -166,8 +156,7 @@ class SizeEstimator:
         """Plan + execute size estimation for a batch of indexes.
 
         Consults the persistent :class:`EstimationCache` first (when
-        wired), fans SampleCF builds over the parallel engine (when
-        wired and worth it), and stores fresh estimates back.
+        wired) and stores fresh estimates back.
         """
         if FAULT_HOOK is not None:
             FAULT_HOOK("estimator.estimate", indexes=len(indexes))
@@ -177,7 +166,6 @@ class SizeEstimator:
             ix for ix in indexes
             if ix not in self._cache and ix.method.is_compressed
         ))
-        new_compressed = bool(pending)
         for ix in indexes:
             if ix not in self._cache and not ix.method.is_compressed:
                 self.estimate(ix)
@@ -195,7 +183,10 @@ class SizeEstimator:
 
         # Partial and MV indexes: direct SampleCF on their special samples.
         direct = [ix for ix in pending if ix.is_partial or ix.is_mv_index]
-        self._run_direct(direct)
+        for ix in direct:
+            start = time.perf_counter()
+            self._cache[ix] = self.runner.run(ix, self.default_fraction)
+            self.timings[index_category(ix)] += time.perf_counter() - start
 
         plain = [ix for ix in pending if not (ix.is_partial or ix.is_mv_index)]
         if plain:
@@ -216,7 +207,6 @@ class SizeEstimator:
             estimates = execute_plan(
                 plan, self.runner, self.deduction, self.error_model,
                 self.manager, exact_size_fn=self.true_size,
-                precomputed=self._parallel_sampled(plan),
             )
             for ix in plain:
                 key = node_key(ix)
@@ -240,64 +230,7 @@ class SizeEstimator:
                     self.cache.put(ix, fingerprint, e, q, est)
             self.cache.save()
 
-        if new_compressed and self.engine is not None:
-            # Fresh compressed estimates postdate any dormant worker
-            # pool: advisor-context sessions must re-fork so workers see
-            # them (SampleCF sessions opt back in via stale_ok — their
-            # tasks depend only on deterministic samples).
-            self.engine.mark_dirty()
-
         return {ix: self._cache[ix] for ix in indexes}
-
-    # ------------------------------------------------------------------
-    def _parallelizable(self, count: int) -> bool:
-        return (
-            self.engine is not None
-            and self.engine.parallel
-            and not self.engine.in_session
-            and count >= self.engine.min_batch
-        )
-
-    def _run_direct(self, direct: list[IndexDef]) -> None:
-        """SampleCF for partial/MV indexes, fanned out when worth it."""
-        if not self._parallelizable(len(direct)):
-            for ix in direct:
-                start = time.perf_counter()
-                self._cache[ix] = self.runner.run(ix, self.default_fraction)
-                self.timings[index_category(ix)] += (
-                    time.perf_counter() - start
-                )
-            return
-        # Build the (partial/MV) samples in the parent so every worker
-        # inherits them at fork instead of re-deriving its own copy.
-        for ix in direct:
-            self.runner._sample_for(ix, self.default_fraction)
-        start = time.perf_counter()
-        payloads = [(ix, self.default_fraction) for ix in direct]
-        with self.engine.session(self, stale_ok=True):
-            results = self.engine.map(_samplecf_task, payloads, context=self)
-        elapsed = time.perf_counter() - start
-        for ix, est in zip(direct, results):
-            self._cache[ix] = est
-            self.timings[index_category(ix)] += elapsed / len(direct)
-
-    def _parallel_sampled(self, plan) -> dict | None:
-        """Pre-execute a plan's SAMPLED leaves on the pool (the deduced
-        nodes depend on them and stay sequential in the parent)."""
-        sampled = [
-            node.index
-            for node in plan.graph.nodes.values()
-            if node.state is NodeState.SAMPLED and not node.is_existing
-        ]
-        if not self._parallelizable(len(sampled)):
-            return None
-        for ix in sampled:
-            # Parent-side sample warm-up, inherited by the fork below.
-            self.runner._sample_for(ix, plan.fraction)
-        payloads = [(ix, plan.fraction) for ix in sampled]
-        with self.engine.session(self, stale_ok=True):
-            results = self.engine.map(_samplecf_task, payloads, context=self)
-        return {node_key(ix): est for ix, est in zip(sampled, results)}
 
     # ------------------------------------------------------------------
     def true_size(self, index: IndexDef) -> float:

@@ -96,23 +96,14 @@ def execute_plan(
     error_model: ErrorModel,
     manager: SampleManager,
     exact_size_fn: Callable[[IndexDef], float] | None = None,
-    precomputed: dict[NodeKey, SizeEstimate] | None = None,
 ) -> dict[NodeKey, SizeEstimate]:
     """Run SampleCF / deductions per the plan, bottom-up.
 
     Returns estimates for every node remaining in the (pruned) graph;
     callers pick out their targets by :func:`node_key`.
-
-    Args:
-        precomputed: SampleCF results for (non-existing) SAMPLED nodes
-            produced elsewhere — e.g. fanned over a worker pool — keyed
-            by :func:`node_key`; the plan walk consumes them instead of
-            re-running SampleCF.
     """
     graph = plan.graph
     estimates: dict[NodeKey, SizeEstimate] = {}
-    if precomputed:
-        estimates.update(precomputed)
 
     def resolve(key: NodeKey) -> SizeEstimate:
         cached = estimates.get(key)

@@ -67,6 +67,15 @@ def small_db() -> Database:
     return db
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Run-level sharding must be reachable on a one-CPU host too: the
+    engine degrades from what ``effective_cpu_count`` observes."""
+    from repro.parallel import engine
+
+    monkeypatch.setattr(engine, "effective_cpu_count", lambda: 2)
+
+
 @pytest.fixture(scope="session")
 def small_stats(small_db) -> DatabaseStats:
     return DatabaseStats(small_db)

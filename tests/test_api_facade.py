@@ -5,6 +5,7 @@ functional one-shot ``repro.api.tune``.
 
 import pytest
 
+from repro.advisor import AdvisorOptions
 from repro.api import Session, tune
 from repro.datasets.sales import sales_database, sales_workload
 from repro.errors import AdvisorError
@@ -51,6 +52,17 @@ class TestSession:
             Session(db, wl, variant="dtac-none").tune()
         with pytest.raises(AdvisorError, match="no workload"):
             Session(db, budget_fraction=0.1).tune()
+
+    def test_workers_is_not_a_tuning_option(self, inputs):
+        """Parallelism belongs to ``sweep(workers=)`` alone: a tune
+        handed ``workers`` refuses it instead of ignoring it."""
+        db, wl = inputs
+        with pytest.raises(TypeError, match="workers"):
+            AdvisorOptions(budget_bytes=1.0, workers=2)
+        session = Session(db, wl, budget_fraction=0.15,
+                          variant="dtac-none", workers=2)
+        with pytest.raises(TypeError, match="workers"):
+            session.tune()
 
     def test_sweep_and_decoupled_do_not_advance_session(self, inputs):
         db, wl = inputs

@@ -18,7 +18,6 @@ from repro.advisor.advisor import AdvisorOptions, TuningAdvisor
 from repro.api import run_sweep, tune
 from repro.datasets.sales import sales_database, sales_workload
 from repro.parallel.cache import CostCache
-from repro.parallel.engine import fork_available
 from repro.physical.configuration import Configuration
 from repro.physical.index_def import IndexDef
 from repro.sizeest.estimator import SizeEstimator
@@ -428,18 +427,6 @@ class TestAdvisorIdentity:
         assert on.steps == off.steps
         assert on.delta_stats["reused_terms"] > 0
         assert off.delta_stats == {}
-
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_workers_two_identical_to_sequential_delta(self, delta_inputs,
-                                                       monkeypatch):
-        monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
-        db, wl, budget = delta_inputs
-        seq = tune(db, wl, budget, variant="dtac-both", workers=1)
-        par = tune(db, wl, budget, variant="dtac-both", workers=2)
-        assert par.configuration == seq.configuration
-        assert par.final_cost == seq.final_cost
-        assert par.steps == seq.steps
-        assert par.engine_stats["parallel_maps"] > 0
 
     def test_sweep_identical_with_delta_on_or_off(self):
         db = sales_database(scale=0.03)

@@ -75,7 +75,7 @@ class StubService:
         self.started = True
         self._closing = False
         self.max_pending = 64
-        self.scheduler = ContextScheduler(workers=1, max_lanes=2)
+        self.scheduler = ContextScheduler(max_lanes=2)
         self.journal = journal
         self.executed = []
         #: fail the first N executions with a transient error.

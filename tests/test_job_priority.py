@@ -82,7 +82,7 @@ class StubService:
         self.started = True
         self._closing = False
         self.max_pending = 64
-        self.scheduler = ContextScheduler(workers=1, max_lanes=2)
+        self.scheduler = ContextScheduler(max_lanes=2)
         self.gate = threading.Event()
         self.executed = []
         self.jobs = JobManager(self, **manager_kwargs)

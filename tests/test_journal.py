@@ -38,7 +38,7 @@ class StubService:
         self.started = True
         self._closing = False
         self.max_pending = 64
-        self.scheduler = ContextScheduler(workers=1, max_lanes=2)
+        self.scheduler = ContextScheduler(max_lanes=2)
         self.executed = []
         self.jobs = JobManager(self, journal=journal, **manager_kwargs)
 

@@ -4,7 +4,7 @@ algorithm's ``best_so_far`` cancel-early contract.
 
 Determinism is the load-bearing invariant: every registered algorithm
 must produce byte-identical recommendations run-to-run, across
-PYTHONHASHSEED values, at workers 1 vs 2, and against cold vs warm
+PYTHONHASHSEED values, and against cold vs warm
 persistent cost caches — the same contract the golden canaries pin for
 the default search, extended to the whole registry.
 """
@@ -120,15 +120,6 @@ class TestDeterminismAndBudget:
         assert first.final_cost <= first.base_cost
 
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
-    def test_workers_do_not_move_results(self, inputs, algorithm):
-        db, wl, budget = inputs
-        sequential = tune(db, wl, budget, variant="dtac-both",
-                          algorithm=algorithm, workers=1)
-        parallel = tune(db, wl, budget, variant="dtac-both",
-                        algorithm=algorithm, workers=2)
-        assert _digest(sequential) == _digest(parallel)
-
-    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
     def test_cold_vs_warm_cost_cache_identical(
         self, inputs, algorithm, tmp_path
     ):
@@ -203,9 +194,10 @@ class TestVariantRegistry:
 
     def test_advisor_options_extra_wins_on_conflict(self):
         spec = get_variant("dtac-both")
-        options = spec.advisor_options(123.0, workers=2, algorithm="ibm")
+        options = spec.advisor_options(123.0, backtracking=False,
+                                       algorithm="ibm")
         assert options.budget_bytes == 123.0
-        assert options.workers == 2
+        assert options.backtracking is False
         assert options.algorithm == "ibm"
 
 

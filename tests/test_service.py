@@ -6,10 +6,11 @@ of concurrent clients gets byte-identical responses to sequential
 execution (request isolation mirrors sweep units), identical in-flight
 requests run once (coalescing counters prove the dedup), the bounded
 queue rejects honestly when full, and stopping the service under load
-leaks neither the scheduler's lane threads nor any engine pool.
+leaks neither the scheduler's lane threads nor any child process.
 """
 
 import asyncio
+import multiprocessing
 import threading
 
 import pytest
@@ -17,7 +18,6 @@ import pytest
 from repro.api import tune
 from repro.datasets.sales import sales_database, sales_workload
 from repro.errors import BackpressureError, ServiceError
-from repro.parallel.engine import ParallelEngine, fork_available
 from repro.service import AdvisorService, serialize_result
 from repro.service.service import canonical_payload
 
@@ -98,26 +98,6 @@ class TestConcurrencyDeterminism:
                         variant="dtac-none")
         assert conc[0]["result"] == serialize_result(direct_a)["result"]
         assert conc[4]["result"] == conc[0]["result"]
-
-    @pytest.mark.slow
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_shared_engine_pool_identical_results(self, service_inputs):
-        """The shared keep-alive engine pool (workers=2) must not move
-        any float of a response."""
-        db, wl = service_inputs
-
-        async def with_engine(engine):
-            service = await _make_service(db, wl, engine=engine)
-            try:
-                return await service.tune("sales", **TUNE_A)
-            finally:
-                await service.stop()
-
-        seq = run(with_engine(ParallelEngine(1)))
-        par_engine = ParallelEngine(2)
-        par = run(with_engine(par_engine))
-        assert par["result"] == seq["result"]
-        assert par_engine._pool is None  # stop() released the pool
 
 
 class TestCoalescing:
@@ -337,7 +317,7 @@ class TestBackpressure:
 class TestLifecycle:
     def test_shutdown_under_load_leaks_nothing(self, service_inputs):
         """stop(drain=False) with queued work: queued requests fail
-        with ServiceError, no engine pool or executor survives, and the
+        with ServiceError, no child process or executor survives, and the
         service can start again afterwards."""
         db, wl = service_inputs
 
@@ -375,11 +355,7 @@ class TestLifecycle:
             release.set()
             await stopper
             context.run_whatif_cost = original
-            assert service.engine._pool is None
-            assert all(
-                lane.engine._pool is None
-                for lane in service.scheduler.lanes
-            )
+            assert multiprocessing.active_children() == []
             assert not service.started
             outcomes = await asyncio.gather(
                 running, *queued, return_exceptions=True

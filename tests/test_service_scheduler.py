@@ -1,22 +1,15 @@
-"""Per-context scheduling: lane assignment, cross-context overlap, and
-warm engine affinity (pool reuse across same-context requests).
-
-The affinity contract under test (see ``repro.service.scheduler``): a
-second tune with identical wiring (same context/variant/seed/options —
-any budget) reuses the lane's dormant engine pool (``pools_reused`` >=
-1) and still answers **byte-identically** to a fresh sequential run; a
-wiring change re-forks; a failed or cancelled run releases the pool.
-"""
+"""Per-context scheduling: lane assignment, cross-context overlap,
+same-context ordering — and lanes that hold no processes."""
 
 import asyncio
+import multiprocessing
 import threading
 
 import pytest
 
 from repro.datasets.sales import sales_database, sales_workload
-from repro.parallel.engine import ParallelEngine, fork_available
 from repro.service import AdvisorService
-from repro.service.scheduler import ContextScheduler, WarmSlot
+from repro.service.scheduler import ContextScheduler
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +39,7 @@ TUNE = dict(budget_fraction=0.12, variant="dtac-none")
 
 class TestLaneAssignment:
     def test_dedicated_lanes_until_cap_then_stable_sharing(self):
-        scheduler = ContextScheduler(workers=1, max_lanes=2)
+        scheduler = ContextScheduler(max_lanes=2)
         try:
             a = scheduler.lane_for("a")
             b = scheduler.lane_for("b")
@@ -68,16 +61,6 @@ class TestLaneAssignment:
     def test_lane_cap_validation(self):
         with pytest.raises(ValueError):
             ContextScheduler(max_lanes=0)
-
-    def test_primary_engine_used_by_first_lane(self):
-        engine = ParallelEngine(1)
-        scheduler = ContextScheduler(workers=1, max_lanes=2,
-                                     primary_engine=engine)
-        try:
-            assert scheduler.lane_for("a").engine is engine
-            assert scheduler.lane_for("b").engine is not engine
-        finally:
-            scheduler.shutdown()
 
 
 class TestCrossContextOverlap:
@@ -152,151 +135,21 @@ class TestCrossContextOverlap:
         assert order == [0, 1, 2, 3]
 
 
-@pytest.mark.skipif(not fork_available(), reason="needs fork")
-class TestWarmAffinity:
-    @pytest.fixture(autouse=True)
-    def _force_parallel(self, monkeypatch):
-        # Warm-affinity semantics need real forked pools even when the
-        # host exposes a single effective CPU (where engines degrade).
-        monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
-
-    def test_second_same_context_tune_reuses_pool_byte_identically(
-        self, sched_inputs
-    ):
-        """The acceptance criterion: with a parallel engine, the second
-        same-context job reuses the lane's warm pool (pools_reused >=
-        1) and each response is byte-identical to a fresh sequential
-        service's answer."""
-
-        async def warm_scenario():
-            service = await _make_service(sched_inputs, workers=2)
-            try:
-                first = await service.tune("sales", **TUNE)
-                stats_before = service.stats()
-                # Different budget, same wiring: still warm.
-                second = await service.tune(
-                    "sales", budget_fraction=0.2, variant="dtac-none",
-                )
-                stats_after = service.stats()
-                return first, second, stats_before, stats_after
-            finally:
-                await service.stop()
-
-        async def sequential_baseline():
-            service = await _make_service(sched_inputs)
-            try:
-                return (
-                    await service.tune("sales", **TUNE),
-                    await service.tune("sales", budget_fraction=0.2,
-                                       variant="dtac-none"),
-                )
-            finally:
-                await service.stop()
-
-        first, second, before, after = run(warm_scenario())
-        base_first, base_second = run(sequential_baseline())
-        assert first["result"] == base_first["result"]
-        assert second["result"] == base_second["result"]
-        assert after["pools_reused"] > before["pools_reused"]
-        assert after["pools_reused"] >= 1
-        assert after["scheduler"]["warm_runs"] >= 1
-
-    def test_wiring_change_forks_cold(self, sched_inputs):
-        """A different sampling seed is different wiring: the pool is
-        dropped, the run forks cold, and the answer matches a fresh
-        sequential run with that seed."""
+class TestNoWorkerProcesses:
+    def test_served_tune_job_leaves_no_child_process(self, sched_inputs):
+        """A tune runs in its lane thread, whatever ``workers`` says:
+        nothing is forked, so nothing can be left behind."""
 
         async def scenario():
             service = await _make_service(sched_inputs, workers=2)
             try:
-                await service.tune("sales", **TUNE)
-                warm_before = service.stats()["scheduler"]["warm_runs"]
-                reseeded = await service.tune(
-                    "sales", budget_fraction=0.12, variant="dtac-none",
-                    seed=12345,
-                )
-                warm_after = service.stats()["scheduler"]["warm_runs"]
-                return reseeded, warm_before, warm_after
+                record = service.submit_job("tune", "sales", TUNE)
+                async for _ in service.job_events(record.id):
+                    pass
+                return record.state, multiprocessing.active_children()
             finally:
                 await service.stop()
 
-        async def baseline():
-            service = await _make_service(sched_inputs)
-            try:
-                return await service.tune(
-                    "sales", budget_fraction=0.12, variant="dtac-none",
-                    seed=12345,
-                )
-            finally:
-                await service.stop()
-
-        reseeded, warm_before, warm_after = run(scenario())
-        assert warm_after == warm_before  # no warm grant across wiring
-        assert reseeded["result"] == run(baseline())["result"]
-
-    def test_failed_tune_releases_pool(self, sched_inputs):
-        async def scenario():
-            service = await _make_service(sched_inputs, workers=2)
-            try:
-                await service.tune("sales", **TUNE)
-                lane = service.scheduler.lane_for("sales")
-                slot = service.contexts["sales"].warm_slot
-                assert lane.engine.has_pool
-                assert slot.signature is not None
-                # Sabotage the next run mid-flight.
-                context = service.contexts["sales"]
-                original = context.run_tune
-
-                def exploding(payload, engine, **kwargs):
-                    raise RuntimeError("boom")
-
-                context.run_tune = exploding
-                try:
-                    with pytest.raises(RuntimeError, match="boom"):
-                        await service.tune(
-                            "sales", budget_fraction=0.2,
-                            variant="dtac-none",
-                        )
-                finally:
-                    context.run_tune = original
-                released = (lane.engine.has_pool, slot.signature)
-                # And the lane recovers for the next run.
-                again = await service.tune("sales", **TUNE)
-                return released, again
-            finally:
-                await service.stop()
-
-        (has_pool, signature), again = run(scenario())
-        assert not has_pool
-        assert signature is None
-        assert again["result"]["improvement"] > 0
-
-    def test_stop_releases_every_lane_pool(self, sched_inputs):
-        async def scenario():
-            service = await _make_service(sched_inputs, workers=2)
-            await service.tune("sales", **TUNE)
-            await service.tune("sales_b", **TUNE)
-            lanes = service.scheduler.lanes
-            assert any(lane.engine.has_pool for lane in lanes)
-            await service.stop()
-            return [lane.engine.has_pool for lane in lanes]
-
-        assert not any(run(scenario()))
-
-
-class TestWarmSlotPlumbing:
-    def test_prepare_warm_records_signature(self):
-        scheduler = ContextScheduler(workers=1, max_lanes=1)
-        try:
-            lane = scheduler.lane_for("ctx")
-            slot = WarmSlot("ctx")
-            # Sequential engines never have pools: always cold, but the
-            # signature is still tracked.
-            assert scheduler.prepare_warm(lane, slot, "sig-1") is False
-            assert slot.signature == "sig-1"
-            assert scheduler.prepare_warm(lane, slot, "sig-2") is False
-            assert slot.signature == "sig-2"
-            scheduler.release(lane, slot)
-            assert slot.signature is None
-        finally:
-            scheduler.shutdown()
+        state, children = run(scenario())
+        assert state == "done"
+        assert children == []

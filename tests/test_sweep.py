@@ -1,5 +1,5 @@
 """Tests for sweep orchestration: byte-identical results against a
-sequential per-run ``tune()`` loop (at workers=1 and workers=2), warm
+sequential per-run ``tune()`` loop (at workers=1 and sharded), warm
 persistent caches reproducing the cold sweep with a >90% cost-cache hit
 rate, and cache snapshot isolation between sweep units."""
 
@@ -8,6 +8,7 @@ import pytest
 from repro.api import run_sweep, tune
 from repro.datasets import sales_database, sales_workload
 from repro.errors import AdvisorError
+from repro.parallel import engine as engine_mod
 from repro.parallel.engine import fork_available
 from repro.sampling import DEFAULT_SAMPLE_SEED, SampleManager
 from repro.sizeest import SizeEstimator
@@ -66,18 +67,52 @@ class TestSweepEquivalence:
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_sharded_matches_tune_loop(
-        self, sweep_inputs, sequential_baseline, monkeypatch
+        self, sweep_inputs, sequential_baseline, two_cpus
     ):
-        monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
         db, wl, budgets = sweep_inputs
         sweep = run_sweep(
             db, wl, budgets, seeds=SEEDS, variant=VARIANT, workers=2
         )
         for run, expected in zip(sweep.runs, sequential_baseline):
             _assert_same_result(run.result, expected)
-        # The whole sweep ran as ONE engine session with run-level units.
+        # The whole sweep ran as ONE engine map with run-level units.
         assert sweep.engine_stats["parallel_maps"] == 1
         assert sweep.engine_stats["tasks_dispatched"] == len(sweep.runs)
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_two_unit_sweep_shards(
+        self, sweep_inputs, sequential_baseline, two_cpus
+    ):
+        """Whole runs are worth a fork each: two units on two workers
+        must shard (a per-candidate task floor used to run them in the
+        parent while still reporting workers=2)."""
+        db, wl, budgets = sweep_inputs
+        events = []
+        sweep = run_sweep(
+            db, wl, budgets, seeds=SEEDS[:1], variant=VARIANT, workers=2,
+            progress=events.append,
+        )
+        assert sweep.engine_stats["parallel_maps"] == 1
+        assert sweep.engine_stats["tasks_dispatched"] == 2
+        assert sweep.workers == 2
+        assert events[0] == {"event": "sweep_sharded", "units": 2,
+                             "workers": 2}
+        for run, expected in zip(sweep.runs, sequential_baseline[:2]):
+            _assert_same_result(run.result, expected)
+
+    def test_one_cpu_sweep_reports_one_worker(
+        self, sweep_inputs, sequential_baseline, monkeypatch
+    ):
+        monkeypatch.setattr(engine_mod, "effective_cpu_count", lambda: 1)
+        db, wl, budgets = sweep_inputs
+        sweep = run_sweep(
+            db, wl, budgets[:1], seeds=SEEDS, variant=VARIANT, workers=2
+        )
+        assert sweep.workers == 1
+        assert sweep.engine_stats["degraded_sequential"] is True
+        assert sweep.engine_stats["parallel_maps"] == 0
+        for run, expected in zip(sweep.runs, sequential_baseline[::2]):
+            _assert_same_result(run.result, expected)
 
     def test_run_for_lookup(self, sweep_inputs):
         db, wl, budgets = sweep_inputs
@@ -125,14 +160,13 @@ class TestSweepCaches:
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_sharded_cached_sweep_persists_and_reproduces(
-        self, sweep_inputs, tmp_path, monkeypatch
+        self, sweep_inputs, tmp_path, two_cpus
     ):
         """The headline combination: run-level sharding *with* a cache
         directory.  fork_view snapshots are taken inside forked workers
         and multiple worker processes save concurrently through the
         advisory lock — the warm sequential rerun must see everything
         they persisted and reproduce the sharded results exactly."""
-        monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
         db, wl, budgets = sweep_inputs
         cold = run_sweep(
             db, wl, budgets, seeds=SEEDS, variant=VARIANT,

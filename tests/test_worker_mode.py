@@ -41,7 +41,7 @@ class StubService:
         self.started = True
         self._closing = False
         self.max_pending = 64
-        self.scheduler = ContextScheduler(workers=1, max_lanes=2)
+        self.scheduler = ContextScheduler(max_lanes=2)
         self.journal = journal
         self.fail = fail
         #: job id to drop a cancel marker for mid-execution, so the
