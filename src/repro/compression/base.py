@@ -12,11 +12,13 @@ SQL Server packages these as ROW (NULL suppression — ORD-IND) and PAGE
 (NULL suppression + prefix + local dictionary — ORD-DEP); we mirror that
 and additionally expose GLOBAL_DICT and RLE codecs.
 
-Codecs are *incremental*: values are fed one at a time and the codec can
-report the exact number of bytes the column would occupy on the current
-page at any moment.  The page packer uses this to fill 8 KiB pages
-exactly, which is what makes measured compression fractions respond to
-value distributions the way the paper requires.
+Codecs are *incremental*: values are fed a value (``add``) or a chunk
+(``extend``) at a time and the codec can report the exact number of bytes
+the column would occupy on the current page at any moment.  The page
+packer fills 8 KiB pages chunk-wise exact — it extends by a chunk sized
+from the remaining capacity and backs off to single rows at the page
+boundary — which is what makes measured compression fractions respond
+to value distributions the way the paper requires.
 """
 
 from __future__ import annotations
@@ -98,9 +100,18 @@ class ColumnCodec:
     Subclasses implement :meth:`add` and :meth:`size`.  ``size`` must be the
     exact byte footprint of this column on the current page, including any
     per-page metadata the scheme needs (stored prefixes, dictionaries...).
-    ``add`` returns that same footprint *after* the value lands, so the
-    page packer's hot loop gets the running size from the call it already
-    makes instead of a second ``size()`` pass per row.
+    ``add`` returns that same footprint *after* the value lands, and
+    ``extend`` the footprint after a whole chunk lands, so the page packer
+    gets the running size from the call it already makes instead of a
+    second ``size()`` pass.
+
+    The on-page size must be **non-decreasing in rows**: a value never
+    makes the page smaller.  The packer's exactness rests on it — "close
+    the page at the first row that overflows" equals "keep the largest
+    prefix that fits" only then — and every codec here has the property
+    (a shrinking common prefix costs each earlier row at least what the
+    anchor saves; a dictionary entry's footprint only grows with its
+    count; ``min`` over non-decreasing parts is non-decreasing).
     """
 
     def __init__(self, column: Column) -> None:
@@ -111,6 +122,20 @@ class ColumnCodec:
         """Feed the next (already padding-stripped) value; returns the
         column's exact on-page size after the add (== :meth:`size`)."""
         raise NotImplementedError
+
+    def extend(self, values: Sequence[bytes]) -> int:
+        """Feed a run of values; returns what the last :meth:`add` of
+        that run would have returned (== :meth:`size` afterwards).
+
+        This default is that loop — correct for every codec, and what
+        the order-sensitive ones (RLE, DELTA) use.  Codecs whose state
+        is a function of the chunk as a whole override it with C-level
+        built-ins.
+        """
+        size = self.size()
+        for stripped in values:
+            size = self.add(stripped)
+        return size
 
     def size(self) -> int:
         """Exact bytes this column occupies on the current page."""
@@ -127,6 +152,10 @@ class RawCodec(ColumnCodec):
     def add(self, stripped: bytes) -> int:
         self.count += 1
         return self.count * self.column.width
+
+    def extend(self, values: Sequence[bytes]) -> int:
+        self.count += len(values)
+        return self.size()
 
     def size(self) -> int:
         return self.count * self.column.width

@@ -39,6 +39,10 @@ class BitPackCodec(ColumnCodec):
         self.count += 1
         return PAGE_OVERHEAD + -(-self.count * self.bits // 8)
 
+    def extend(self, values) -> int:
+        self.count += len(values)
+        return self.size()
+
     def size(self) -> int:
         if self.count == 0:
             return 0

@@ -49,6 +49,10 @@ class GlobalDictionaryCodec(ColumnCodec):
         self.count += 1
         return self.count * self._ptr
 
+    def extend(self, values) -> int:
+        self.count += len(values)
+        return self.size()
+
     def size(self) -> int:
         return self.count * self._ptr
 

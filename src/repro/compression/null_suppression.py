@@ -25,6 +25,12 @@ class NullSuppressionCodec(ColumnCodec):
         self._bytes += VALUE_HEADER + len(stripped)
         return self._bytes
 
+    def extend(self, values) -> int:
+        n = len(values)
+        self.count += n
+        self._bytes += n * VALUE_HEADER + sum(map(len, values))
+        return self._bytes
+
     def size(self) -> int:
         return self._bytes
 

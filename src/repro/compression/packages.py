@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Mapping, Sequence
 
 from repro.catalog.column import Column
@@ -38,8 +39,11 @@ class PageCodec(ColumnCodec):
     per-page ``min`` — but maintained inline in a single ``add``.  The
     composite pays three dispatched sub-adds per value, and PAGE is the
     codec SampleCF runs most, so the fusion is visible in advisor wall
-    time.  ``tests/test_compression_codecs.py`` pins the equivalence
-    against the composite on randomized data.
+    time.  ``extend`` lands a whole chunk with built-ins: the common
+    prefix of a set is that of its ``min`` and ``max``, and the
+    dictionary totals move once per distinct value of the chunk.
+    ``tests/test_compression_codecs.py`` pins the equivalence against
+    the composite on randomized data.
     """
 
     def __init__(self, column) -> None:
@@ -106,6 +110,62 @@ class PageCodec(ColumnCodec):
         if dic < ns:
             ns = dic
         return ns
+
+    def extend(self, values: Sequence[bytes]) -> int:
+        n = len(values)
+        if n <= 1:
+            # The packer's one-row probes at a page boundary.
+            return self.add(values[0]) if n else self.size()
+        self.count += n
+        plain_bytes = n * _VALUE_HEADER + sum(map(len, values))
+        self._ns_bytes += plain_bytes
+        self._sum_len += plain_bytes - n * _VALUE_HEADER
+
+        prefix = self._prefix
+        if prefix is None or prefix:
+            lo, hi = min(values), max(values)
+            if prefix is None:
+                prefix = lo
+            keep = min(common_prefix_len(prefix, lo),
+                       common_prefix_len(prefix, hi))
+            self._prefix = prefix[:keep]
+
+        # Dictionary totals: charge every value as if new to the page
+        # and seen once (plain: header + length), then settle the
+        # distinct values that is wrong for — already on the page, or
+        # repeated within the chunk.
+        counts = self._counts
+        totals = self._totals
+        tally = Counter(values)
+        settle = counts.keys() & tally.keys()
+        if len(tally) < n:
+            settle.update([v for v, c in tally.items() if c > 1])
+        total1 = total2 = plain_bytes
+        for stripped in settle:
+            # As in add(): a value seen c times costs min(c * header,
+            # c * ptr + header).  Move it from its old count to its new
+            # one and refund the provisional charge.
+            header = _VALUE_HEADER + len(stripped)
+            old = counts.get(stripped, 0)
+            tally[stripped] = new = old + tally[stripped]
+            refund = (new - old) * header
+            plain = new * header
+            enc = new + header
+            total1 += (plain if plain < enc else enc) - refund
+            enc += new
+            total2 += (plain if plain < enc else enc) - refund
+            if old:
+                plain = old * header
+                enc = old + header
+                total1 -= plain if plain < enc else enc
+                enc += old
+                total2 -= plain if plain < enc else enc
+        totals[0] += total1
+        totals[1] += total2
+        counts.update(tally)
+        if self._ptr == 1 and len(counts) > _PTR1_LIMIT:
+            self._ptr = 2
+        return self.size()
 
     def size(self) -> int:
         if self.count == 0:

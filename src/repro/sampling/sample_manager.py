@@ -56,6 +56,7 @@ class SampleManager:
         self._filtered: dict[tuple, SerializedTable] = {}
         self._synopses: dict[tuple[str, float], Table] = {}
         self._mv_samples: dict[tuple, MVSample] = {}
+        self._mv_serialized: dict[tuple, SerializedTable] = {}
         #: seconds spent building each artifact category
         self.timings: dict[str, float] = defaultdict(float)
         #: build counters per category
@@ -163,10 +164,16 @@ class SampleManager:
     # ------------------------------------------------------------------
     def sample_for_index(self, index, fraction: float) -> SerializedTable:
         """Route an :class:`~repro.physical.index_def.IndexDef` to the
-        right sample kind: MV sample, filtered sample, or plain sample."""
+        (cached) sample SampleCF builds it on: MV sample, filtered
+        sample, or plain table sample."""
         if index.is_mv_index:
             mv_sample = self.mv_sample(index.mv, fraction)
-            return SerializedTable(mv_sample.table)
+            key = (index.mv, round(mv_sample.fraction, 6))
+            cached = self._mv_serialized.get(key)
+            if cached is None:
+                cached = SerializedTable(mv_sample.table)
+                self._mv_serialized[key] = cached
+            return cached
         if index.is_partial:
             preds = (index.filter,)
             return self.filtered_sample(index.table, preds, fraction)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 
 from repro.compression.base import CompressionMethod
 from repro.errors import SizeEstimationError
@@ -33,6 +34,19 @@ NodeKey = tuple[str, str, tuple[str, ...], CompressionMethod]
 #: Kind tag: every base structure stores the full column set, so heaps
 #: and clustered indexes share one tag class for ColSet purposes.
 _BASE_KINDS = (IndexKind.HEAP, IndexKind.CLUSTERED)
+
+
+#: ColSet class of a node: (table, method, "base" | column set).  Two
+#: ORD-IND nodes can be deduced from one another iff they share it.
+ColSetKey = tuple[str, CompressionMethod, "str | frozenset[str]"]
+
+
+def _colset_key(key: NodeKey) -> ColSetKey:
+    table, tag, columns, method = key
+    # Every base structure stores the table's full column set: any two
+    # are ColSet-equivalent (the paper's clustered-index observation in
+    # Section 4.2).
+    return (table, method, "base" if tag == "base" else frozenset(columns))
 
 
 def node_key(index: IndexDef) -> NodeKey:
@@ -86,6 +100,9 @@ class EstimationGraph:
         self.nodes: dict[NodeKey, IndexNode] = {}
         self.deductions: dict[NodeKey, list[DeductionNode]] = {}
         self.max_segments = max_segments
+        #: node keys per ColSet class, in insertion order (the order
+        #: ``nodes`` holds them in, which ties in the planners break on).
+        self._colset_classes: dict[ColSetKey, list[NodeKey]] = {}
 
     # ------------------------------------------------------------------
     def add_index(
@@ -99,6 +116,7 @@ class EstimationGraph:
         if node is None:
             node = IndexNode(key=key, index=index)
             self.nodes[key] = node
+            self._colset_classes.setdefault(_colset_key(key), []).append(key)
         node.is_target = node.is_target or is_target
         if is_existing:
             node.is_existing = True
@@ -109,16 +127,6 @@ class EstimationGraph:
         return self.nodes[key]
 
     # ------------------------------------------------------------------
-    def _child_index(self, parent: IndexDef,
-                     columns: tuple[str, ...]) -> IndexDef:
-        """A helper index over a column segment of the parent."""
-        return IndexDef(
-            table=parent.table,
-            key_columns=columns,
-            kind=IndexKind.SECONDARY,
-            method=parent.method,
-        )
-
     def expand_node(self, key: NodeKey) -> list[DeductionNode]:
         """Create this node's deduction candidates (and their children).
 
@@ -128,39 +136,33 @@ class EstimationGraph:
         """
         if key in self.deductions:
             return self.deductions[key]
-        node = self.nodes[key]
         out: list[DeductionNode] = []
         table, tag, columns, method = key
 
         if method.is_order_independent:
-            colset = frozenset(columns)
-            for other_key, other in list(self.nodes.items()):
-                if other_key == key:
-                    continue
-                o_table, o_tag, o_columns, o_method = other_key
-                if o_table != table or o_method is not method:
-                    continue
-                if tag == "base":
-                    # Every base structure stores the table's full column
-                    # set: any two are ColSet-equivalent (the paper's
-                    # clustered-index observation in Section 4.2).
-                    if o_tag == "base":
-                        out.append(
-                            DeductionNode("colset", key, (other_key,))
-                        )
-                elif o_tag == "sec" and frozenset(o_columns) == colset:
-                    out.append(DeductionNode("colset", key, (other_key,)))
+            out.extend(
+                DeductionNode("colset", key, (other,))
+                for other in self._colset_classes[_colset_key(key)]
+                if other != key
+            )
 
         # ColExt over column segments: secondary indexes only (a base
         # structure's stored columns are the whole table, not its key).
         if tag == "sec" and len(columns) >= 2 and method.is_compressed:
             for partition in _segment_partitions(columns, self.max_segments):
-                children = []
-                for segment in partition:
-                    child = self._child_index(node.index, segment)
-                    self.add_index(child)
-                    children.append(node_key(child))
-                out.append(DeductionNode("colext", key, tuple(children)))
+                children = tuple(
+                    (table, "sec", segment, method) for segment in partition
+                )
+                for child in children:
+                    if child not in self.nodes:
+                        # A helper index over a column segment.
+                        self.add_index(IndexDef(
+                            table=table,
+                            key_columns=child[2],
+                            kind=IndexKind.SECONDARY,
+                            method=method,
+                        ))
+                out.append(DeductionNode("colext", key, children))
 
         self.deductions[key] = out
         return out
@@ -192,6 +194,7 @@ class EstimationGraph:
             if key not in used:
                 del self.nodes[key]
                 self.deductions.pop(key, None)
+                self._colset_classes[_colset_key(key)].remove(key)
 
 
 def _segment_partitions(
@@ -199,10 +202,21 @@ def _segment_partitions(
 ) -> list[tuple[tuple[str, ...], ...]]:
     """All partitions of ``columns`` into 2..max_segments contiguous,
     order-preserving segments (A+B, AB+C, A+B+C, ...)."""
-    n = len(columns)
-    out: list[tuple[tuple[str, ...], ...]] = []
+    return [
+        tuple(columns[start:end] for start, end in partition)
+        for partition in _segment_bounds(len(columns), max_segments)
+    ]
 
-    def rec(start: int, parts: list[tuple[str, ...]]) -> None:
+
+@cache
+def _segment_bounds(
+    n: int, max_segments: int
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """:func:`_segment_partitions` of ``n`` columns as (start, end)
+    slices — a function of the width alone, so computed once."""
+    out: list[tuple[tuple[int, int], ...]] = []
+
+    def rec(start: int, parts: list[tuple[int, int]]) -> None:
         if start == n:
             if len(parts) >= 2:
                 out.append(tuple(parts))
@@ -210,9 +224,9 @@ def _segment_partitions(
         if len(parts) == max_segments:
             return
         for end in range(start + 1, n + 1):
-            parts.append(columns[start:end])
+            parts.append((start, end))
             rec(end, parts)
             parts.pop()
 
     rec(0, [])
-    return out
+    return tuple(out)

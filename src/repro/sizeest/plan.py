@@ -34,15 +34,24 @@ class PlanEvaluator:
         self.sizer = sizer
         self.manager = manager
         self.fraction = fraction
+        # Both are functions of the node alone (its index, whether it
+        # exists) once planning starts; the planners ask thousands of
+        # times per pass.
+        self._sampled_rvs: dict[NodeKey, ErrorRV] = {}
+        self._sampling_costs: dict[NodeKey, float] = {}
 
     # ------------------------------------------------------------------
     def sampled_rv(self, key: NodeKey) -> ErrorRV:
-        table, _tag, _cols, method = key
-        node = self.graph.nodes[key]
-        if node.is_existing:
-            return ErrorRV.exact()
-        eff = self.manager.effective_fraction(table, self.fraction)
-        return self.error_model.samplecf_rv(method, eff)
+        rv = self._sampled_rvs.get(key)
+        if rv is None:
+            table, _tag, _cols, method = key
+            if self.graph.nodes[key].is_existing:
+                rv = ErrorRV.exact()
+            else:
+                eff = self.manager.effective_fraction(table, self.fraction)
+                rv = self.error_model.samplecf_rv(method, eff)
+            self._sampled_rvs[key] = rv
+        return rv
 
     def deduction_rv(self, deduction: DeductionNode) -> ErrorRV:
         _table, _tag, _cols, method = deduction.parent
@@ -79,10 +88,15 @@ class PlanEvaluator:
 
     # ------------------------------------------------------------------
     def sampling_cost(self, key: NodeKey) -> float:
-        node = self.graph.nodes[key]
-        if node.is_existing:
-            return 0.0
-        return self.sizer.samplecf_cost(node.index, self.fraction)
+        cost = self._sampling_costs.get(key)
+        if cost is None:
+            node = self.graph.nodes[key]
+            cost = (
+                0.0 if node.is_existing
+                else self.sizer.samplecf_cost(node.index, self.fraction)
+            )
+            self._sampling_costs[key] = cost
+        return cost
 
     def total_cost(self) -> float:
         return sum(

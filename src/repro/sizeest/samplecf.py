@@ -89,35 +89,17 @@ class SampleCFRunner:
         #: seconds spent building indexes on samples, per category
         self.timings: dict[str, float] = defaultdict(float)
         self.run_count = 0
-        self._mv_serialized: dict = {}
 
-    # ------------------------------------------------------------------
-    def _sample_for(self, index: IndexDef, fraction: float) -> SerializedTable:
-        if index.is_mv_index:
-            mv_sample = self.manager.mv_sample(index.mv, fraction)
-            key = (index.mv, round(mv_sample.fraction, 6))
-            cached = self._mv_serialized.get(key)
-            if cached is None:
-                cached = SerializedTable(mv_sample.table)
-                self._mv_serialized[key] = cached
-            return cached
-        if index.is_partial:
-            return self.manager.filtered_sample(
-                index.table, (index.filter,), fraction
-            )
-        return self.manager.table_sample(index.table, fraction)
-
-    # ------------------------------------------------------------------
     def measure_bytes_per_row(
-        self, index: IndexDef, fraction: float
+        self, index: IndexDef, sample: SerializedTable
     ) -> tuple[float, float]:
-        """Build the index on its sample, both compressed and plain.
+        """Build the compressed index on ``sample`` (the one
+        :meth:`SampleManager.sample_for_index` routes it to).
 
         Returns ``(compressed bytes/row, index-level extra bytes)`` —
         per-row byte footprints transfer from sample to full data (page
         counts do not: a 1.5k-row sample quantizes to a handful of pages).
         """
-        sample = self._sample_for(index, fraction)
         start = time.perf_counter()
         try:
             if sample.table.num_rows == 0:
@@ -157,10 +139,12 @@ class SampleCFRunner:
 
     def run(self, index: IndexDef, fraction: float) -> SizeEstimate:
         """Full SampleCF estimate of a compressed index's size."""
-        bytes_per_row, extra = self.measure_bytes_per_row(index, fraction)
-        sample_rows = self._sample_for(index, fraction).table.num_rows
+        sample = self.manager.sample_for_index(index, fraction)
+        bytes_per_row, extra = self.measure_bytes_per_row(index, sample)
         rows = self.sizer.estimated_rows(index)
-        bytes_per_row += self._rid_correction(index, sample_rows, rows)
+        bytes_per_row += self._rid_correction(
+            index, sample.table.num_rows, rows
+        )
         est_bytes = extrapolate_size(
             rows, bytes_per_row, self.sizer.key_width(index),
             is_heap=index.kind is IndexKind.HEAP,

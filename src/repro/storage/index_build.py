@@ -111,34 +111,23 @@ def measure_structure(
         raise StorageError(f"{kind} requires key columns")
     columns = stored_columns(serialized, kind, key_columns, included_columns)
 
-    order = (
-        list(range(table.num_rows))
-        if kind is IndexKind.HEAP
-        else serialized.sort_order(key_columns)
-    )
-
-    # Gather per-column stripped bytes in storage (sorted) order.
-    stripped_cols: list[list[bytes]] = []
-    for col in columns:
-        source = (
-            serialized.rid_stripped()
-            if col.name == RID_COLUMN.name
-            else serialized.stripped(col.name)
-        )
-        stripped_cols.append([source[i] for i in order])
-
     row_width = sum(c.width for c in columns)
     if method is CompressionMethod.NONE:
         leaf = pack_fixed_width(table.num_rows, row_width)
     else:
-        distincts = {
-            col.name: (
-                table.num_rows
-                if col.name == RID_COLUMN.name
-                else serialized.n_distinct(col.name)
-            )
-            for col in columns
-        }
+        # Index-wide distinct counts: only the global-code codecs size
+        # their pointers from them.
+        distincts = {}
+        if method in (CompressionMethod.GLOBAL_DICT,
+                      CompressionMethod.BITPACK):
+            distincts = {
+                col.name: (
+                    table.num_rows
+                    if col.name == RID_COLUMN.name
+                    else serialized.n_distinct(col.name)
+                )
+                for col in columns
+            }
         extra = 0
         if method is CompressionMethod.GLOBAL_DICT:
             extra = sum(
@@ -147,6 +136,12 @@ def measure_structure(
                 if col.name != RID_COLUMN.name
             )
         codecs = make_codecs(method, columns, distincts)
+        # Per-column stripped bytes in storage order: row order for a
+        # heap, key order for an index.
+        order_key = () if kind is IndexKind.HEAP else key_columns
+        stripped_cols = [
+            serialized.ordered(col.name, order_key) for col in columns
+        ]
         leaf = pack_columns(stripped_cols, codecs, extra_bytes=extra)
 
     interior = 0

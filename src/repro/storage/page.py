@@ -1,9 +1,9 @@
 """Slotted-page layout constants and the exact page packer.
 
 Pages are 8 KiB as in SQL Server.  The packer feeds values into the
-per-column incremental codecs and starts a new page exactly when the next
-row no longer fits, so page counts (and hence compression fractions) are
-measured, not approximated.
+per-column incremental codecs a chunk at a time and starts a new page
+exactly when the next row no longer fits, so page counts (and hence
+compression fractions) are measured, not approximated.
 """
 
 from __future__ import annotations
@@ -23,6 +23,10 @@ ROW_OVERHEAD = 4
 
 #: Bytes on a page available for row data.
 PAGE_CAPACITY = PAGE_SIZE - PAGE_HEADER
+
+#: Rows in the first chunk tried on the first page (later pages start
+#: from what the page before them held).
+_FIRST_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,15 @@ def pack_fixed_width(rows: int, row_width: int) -> PackResult:
     return PackResult(pages=pages, used_bytes=rows * per_row, rows=rows)
 
 
+def _short_of(estimate: int) -> int:
+    """A chunk a sixteenth short of ``estimate`` rows (at least one row).
+
+    Falling short costs a few one-row chunks at the page boundary;
+    overshooting costs re-extending every row verified so far.
+    """
+    return max(1, estimate - (estimate >> 4))
+
+
 def pack_columns(
     stripped_columns: Sequence[Sequence[bytes]],
     codecs: Sequence[ColumnCodec],
@@ -105,38 +118,65 @@ def pack_columns(
         return PackResult(pages=0, used_bytes=0, rows=0,
                           extra_bytes=extra_bytes)
 
-    pages = 1
-    used = 0
-    rows_on_page = 0
-    closed_size = 0  # size of the current page before the latest row
-    # codec.add() returns the column's exact on-page size, so the hot
-    # loop sums the returns instead of a second size() pass per row.
     pairs = list(zip(stripped_columns, codecs))
-    for i in range(n_rows):
-        total = 0
-        for col, codec in pairs:
-            total += codec.add(col[i])
-        rows_on_page += 1
-        current = rows_on_page * row_overhead + total
-        if current > PAGE_CAPACITY:
-            if rows_on_page == 1:
-                raise StorageError(
-                    "a single compressed row exceeds page capacity"
+    pages = 0
+    used = 0
+    start = 0  # first row of the page being filled
+    expect = _FIRST_CHUNK  # rows the page is expected to hold
+    while True:
+        # Invariant: the codecs hold exactly rows [start, start + rows),
+        # which occupy ``size`` <= PAGE_CAPACITY bytes.
+        rows = size = 0
+        step = min(expect, n_rows - start)
+        while step:
+            lo = start + rows
+            total = (rows + step) * row_overhead
+            for col, codec in pairs:
+                total += codec.extend(col[lo:lo + step])
+            if total <= PAGE_CAPACITY:
+                rows += step
+                size = total
+                # Next chunk: what the remaining capacity holds at this
+                # page's bytes per row so far.
+                step = min(
+                    _short_of((PAGE_CAPACITY - size) * rows // max(1, size)),
+                    n_rows - start - rows,
                 )
-            # Close the page without this row, then re-add the row fresh.
-            pages += 1
-            used += closed_size
+                continue
+            if step == 1:
+                # The row after the verified prefix overflows: sizes
+                # are non-decreasing in rows, so the prefix is the
+                # largest that fits.
+                if rows:
+                    break
+                if start == 0:
+                    raise StorageError(
+                        "a single compressed row exceeds page capacity"
+                    )
+                # A later row wider than a page sits alone on its page
+                # (as the row-at-a-time packer left it).
+                rows, size = 1, total
+                break
+            # Overshoot: rebuild the verified prefix and retry with the
+            # chunk the overshoot's own bytes per row would have fit.
             for codec in codecs:
                 codec.reset()
-            total = 0
-            for col, codec in pairs:
-                total += codec.add(col[i])
-            rows_on_page = 1
-            current = row_overhead + total
-        closed_size = current
-    used += closed_size
-    return PackResult(pages=pages, used_bytes=used, rows=n_rows,
-                      extra_bytes=extra_bytes)
+            if rows:
+                for col, codec in pairs:
+                    codec.extend(col[start:lo])
+            step = min(
+                _short_of((PAGE_CAPACITY - size) * step // (total - size)),
+                step - 1,
+            )
+        pages += 1
+        used += size
+        start += rows
+        if start == n_rows:
+            return PackResult(pages=pages, used_bytes=used, rows=n_rows,
+                              extra_bytes=extra_bytes)
+        expect = _short_of(rows)
+        for codec in codecs:
+            codec.reset()
 
 
 def btree_overhead_pages(leaf_pages: int, key_width: int) -> int:

@@ -340,3 +340,128 @@ class TestPageFusion:
         assert isinstance(
             make_codec(CompressionMethod.PAGE, CHAR_COL), PageCodec
         )
+
+
+# ----------------------------------------------------------------------
+# The bulk contract: extend(values) == the last add() of that run
+# ----------------------------------------------------------------------
+#: every codec, by the name its failure should print under
+CODEC_FACTORIES = {
+    "raw": lambda: RawCodec(CHAR_COL),
+    "null-suppression": lambda: NullSuppressionCodec(CHAR_COL),
+    "prefix": lambda: PrefixCodec(CHAR_COL),
+    "local-dictionary": lambda: LocalDictionaryCodec(CHAR_COL),
+    "min-of": TestPageFusion._composite,
+    "page": lambda: make_codec(CompressionMethod.PAGE, CHAR_COL),
+    "global-dictionary": lambda: GlobalDictionaryCodec(CHAR_COL, 300),
+    "rle": lambda: RunLengthCodec(CHAR_COL),
+    "delta": lambda: make_codec(CompressionMethod.DELTA, CHAR_COL),
+    "bitpack": lambda: make_codec(CompressionMethod.BITPACK, CHAR_COL, 300),
+}
+ALL_CODECS = pytest.mark.parametrize("name", sorted(CODEC_FACTORIES))
+
+#: value streams that repeat, share prefixes, lose them, go empty —
+#: and, the short ones, pass 256 distinct values on one page
+value_streams = st.one_of(
+    st.lists(st.sampled_from(
+        [b"", b"a", b"ab", b"abc", b"abd", b"b", b"shared/x", b"shared/y"]
+    ), max_size=80),
+    st.lists(st.binary(max_size=10), max_size=80),
+    st.lists(st.binary(min_size=1, max_size=2), max_size=700),
+)
+
+
+@st.composite
+def pieces(draw):
+    """One value stream cut at arbitrary points; each piece is fed by
+    ``extend`` (True) or value by value (False).  Empty pieces occur."""
+    values = draw(value_streams)
+    cuts = sorted(draw(st.lists(
+        st.integers(min_value=0, max_value=len(values)), max_size=8
+    )))
+    bounds = [0, *cuts, len(values)]
+    return [
+        (values[lo:hi], draw(st.booleans()))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
+def _observable(codec):
+    state = {"size": codec.size(), "count": codec.count}
+    for extra in ("distinct_on_page", "run_count"):
+        value = getattr(codec, extra, None)
+        if value is not None:
+            state[extra] = value() if callable(value) else value
+    return state
+
+
+def _feed(codec, reference, chunks):
+    """Feed ``chunks`` to ``codec`` as they say and to ``reference`` one
+    ``add`` at a time; every return and all observable state agree."""
+    for values, bulk in chunks:
+        expected = reference.size()
+        for value in values:
+            expected = reference.add(value)
+        if bulk:
+            assert codec.extend(values) == expected
+        else:
+            for value in values:
+                codec.add(value)
+        assert _observable(codec) == _observable(reference)
+
+
+class TestExtendContract:
+    @ALL_CODECS
+    @given(pieces())
+    def test_any_split_equals_adds(self, name, chunks):
+        _feed(CODEC_FACTORIES[name](), CODEC_FACTORIES[name](), chunks)
+
+    @ALL_CODECS
+    @given(pieces(), pieces())
+    def test_across_reset(self, name, first_page, second_page):
+        codec, reference = CODEC_FACTORIES[name](), CODEC_FACTORIES[name]()
+        _feed(codec, reference, first_page)
+        codec.reset()
+        reference.reset()
+        assert _observable(codec) == _observable(reference)
+        _feed(codec, reference, second_page)
+
+    @ALL_CODECS
+    @pytest.mark.parametrize("cut", [0, 200, 256, 257])
+    def test_pointer_switch_inside_a_chunk(self, name, cut):
+        # The 257th distinct value on the page (where on-page pointers
+        # widen to two bytes) lands in the middle of an extend.
+        distinct = [bytes([1 + i // 200, 1 + i % 200]) for i in range(300)]
+        values = distinct + distinct[:120]
+        _feed(
+            CODEC_FACTORIES[name](), CODEC_FACTORIES[name](),
+            [(values[:cut], True), (values[cut:], True), (values, True)],
+        )
+
+    @ALL_CODECS
+    def test_empty_extend_is_size(self, name):
+        codec = CODEC_FACTORIES[name]()
+        assert codec.extend([]) == codec.size() == 0
+        codec.extend([b"ab", b"ab", b"c"])
+        before = _observable(codec)
+        assert codec.extend([]) == before["size"]
+        assert _observable(codec) == before
+
+    @ALL_CODECS
+    @given(pieces())
+    def test_size_is_non_decreasing_in_rows(self, name, chunks):
+        # The property the page packer's exactness rests on: "close at
+        # the first row that overflows" is "largest prefix that fits"
+        # only if no row ever makes the page smaller.
+        codec = CODEC_FACTORIES[name]()
+        last = 0
+        for values, bulk in chunks:
+            if bulk:
+                size = codec.extend(values)
+                assert size >= last
+                last = size
+            else:
+                for value in values:
+                    size = codec.add(value)
+                    assert size >= last
+                    last = size

@@ -196,3 +196,190 @@ class TestPlannerAndExecution:
         for t in targets:
             assert node_key(t) in estimates
             assert estimates[node_key(t)].est_bytes > 0
+
+
+# ----------------------------------------------------------------------
+# The index-driven expand_node against the all-nodes scan it replaced
+# ----------------------------------------------------------------------
+def _reference_segment_partitions(columns, max_segments):
+    n = len(columns)
+    out = []
+
+    def rec(start, parts):
+        if start == n:
+            if len(parts) >= 2:
+                out.append(tuple(parts))
+            return
+        if len(parts) == max_segments:
+            return
+        for end in range(start + 1, n + 1):
+            parts.append(columns[start:end])
+            rec(end, parts)
+            parts.pop()
+
+    rec(0, [])
+    return out
+
+
+class SnapshotGraph(EstimationGraph):
+    """Keeps what pruning throws away: every node's deduction list and
+    the node order, as they stood when the planner finished."""
+
+    def prune_unused(self):
+        self.expanded = {
+            key: [(d.kind, d.parent, d.children) for d in deductions]
+            for key, deductions in self.deductions.items()
+        }
+        self.helpers = [
+            key for key, node in self.nodes.items()
+            if not (node.is_target or node.is_existing)
+        ]
+        super().prune_unused()
+
+
+class ReferenceGraph(SnapshotGraph):
+    """``expand_node`` as it stood before the ColSet index: a scan of
+    every node per lookup, one IndexDef per ColExt child per visit."""
+
+    def _child_index(self, parent, columns):
+        return IndexDef(
+            table=parent.table,
+            key_columns=columns,
+            kind=IndexKind.SECONDARY,
+            method=parent.method,
+        )
+
+    def expand_node(self, key):
+        from repro.sizeest.graph import DeductionNode
+
+        if key in self.deductions:
+            return self.deductions[key]
+        node = self.nodes[key]
+        out = []
+        table, tag, columns, method = key
+
+        if method.is_order_independent:
+            colset = frozenset(columns)
+            for other_key, other in list(self.nodes.items()):
+                if other_key == key:
+                    continue
+                o_table, o_tag, o_columns, o_method = other_key
+                if o_table != table or o_method is not method:
+                    continue
+                if tag == "base":
+                    if o_tag == "base":
+                        out.append(
+                            DeductionNode("colset", key, (other_key,))
+                        )
+                elif o_tag == "sec" and frozenset(o_columns) == colset:
+                    out.append(DeductionNode("colset", key, (other_key,)))
+
+        if tag == "sec" and len(columns) >= 2 and method.is_compressed:
+            for partition in _reference_segment_partitions(
+                columns, self.max_segments
+            ):
+                children = []
+                for segment in partition:
+                    child = self._child_index(node.index, segment)
+                    self.add_index(child)
+                    children.append(node_key(child))
+                out.append(DeductionNode("colext", key, tuple(children)))
+
+        self.deductions[key] = out
+        return out
+
+
+def _candidate_pool(database, workload):
+    """Every plain compressed index the advisor would ask sizes for:
+    per-query candidates under each package, plus the base structures'
+    compressed variants (the "base" ColSet class)."""
+    from repro.advisor.advisor import default_base_configuration
+    from repro.advisor.candidates import (
+        CandidateOptions,
+        candidate_indexes,
+        expand_compression_variants,
+    )
+
+    pool = list(default_base_configuration(database))
+    for ws in workload.queries:
+        pool.extend(candidate_indexes(
+            database, ws.statement, CandidateOptions()
+        ))
+    return [
+        index for index in dict.fromkeys(
+            expand_compression_variants(pool, True)
+        )
+        if index.method.is_compressed
+        and not (index.is_partial or index.is_mv_index)
+    ]
+
+
+def _plan_facts(result):
+    plan, graph = result.plan, result.plan.graph
+    return {
+        "expanded": graph.expanded,
+        "helpers": graph.helpers,
+        "nodes": [
+            (key, node.state, node.chosen_deduction and (
+                node.chosen_deduction.kind, node.chosen_deduction.children
+            ))
+            for key, node in graph.nodes.items()
+        ],
+        "total_cost": plan.total_cost,
+        "feasible": plan.feasible,
+        "target_probabilities": plan.target_probabilities,
+        "considered": result.considered,
+    }
+
+
+@pytest.mark.parametrize("dataset", ["sales", "tpch"])
+def test_indexed_graph_plans_like_the_scan(dataset, monkeypatch):
+    from repro import datasets
+    from repro.sampling.sample_manager import DEFAULT_FRACTIONS
+    from repro.sizeest import graph as graph_module, planner
+    from repro.stats import DatabaseStats
+
+    if dataset == "sales":
+        database = datasets.sales_database(scale=0.05, seed=1)
+        workload = datasets.sales_workload(database)
+    else:
+        database = datasets.tpch_database(scale=0.1, z=1.0, seed=1)
+        workload = datasets.tpch_workload(database)
+    targets = _candidate_pool(database, workload)
+    assert len(targets) > 100
+    manager = SampleManager(database)
+    sizer = AnalyticSizer(database, DatabaseStats(database), manager)
+
+    built = []
+
+    class CountingIndexDef(IndexDef):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    def plan_with(graph_cls, fractions):
+        with monkeypatch.context() as patch:
+            patch.setattr(planner, "EstimationGraph", graph_cls)
+            patch.setattr(graph_module, "IndexDef", CountingIndexDef)
+            del built[:]
+            return _plan_facts(choose_plan(
+                targets, [], DEFAULT_ERROR_MODEL, sizer, manager,
+                e=0.5, q=0.9, fractions=fractions,
+            ))
+
+    for fraction in DEFAULT_FRACTIONS:
+        reference = plan_with(ReferenceGraph, (fraction,))
+        indexed = plan_with(SnapshotGraph, (fraction,))
+        assert indexed == reference, fraction
+        assert any(
+            kind == "colset"
+            for deductions in indexed["expanded"].values()
+            for kind, _parent, _children in deductions
+        )
+        # One IndexDef per helper node, not one per ColExt child visit.
+        assert 0 < len(built) <= len(indexed["helpers"])
+
+    # All fractions at once: the same winner, the same ledger of costs.
+    indexed = plan_with(SnapshotGraph, DEFAULT_FRACTIONS)
+    assert indexed == plan_with(ReferenceGraph, DEFAULT_FRACTIONS)
+    assert len(indexed["considered"]) == len(DEFAULT_FRACTIONS)

@@ -162,3 +162,15 @@ class TestMVSamples:
         s_plain = manager.sample_for_index(plain, 0.2)
         s_partial = manager.sample_for_index(partial, 0.2)
         assert s_partial.table.num_rows < s_plain.table.num_rows
+        assert s_plain is manager.table_sample("fact", 0.2)
+
+    def test_sample_for_index_caches_the_mv_serialization(self, manager):
+        # One SerializedTable per MV sample: its stripped columns and
+        # sort orders are shared by every index SampleCF builds on it.
+        mv = mv_def()
+        on_mv = IndexDef(
+            mv.name, ("d_group",), kind=IndexKind.CLUSTERED, mv=mv
+        )
+        serialized = manager.sample_for_index(on_mv, 0.2)
+        assert serialized.table is manager.mv_sample(mv, 0.2).table
+        assert manager.sample_for_index(on_mv, 0.2) is serialized

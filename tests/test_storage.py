@@ -21,6 +21,8 @@ from repro.storage import (
     pack_fixed_width,
     stored_columns,
 )
+from repro.compression.base import strip_value
+from repro.storage import rowcache
 from repro.storage.rowcache import RID_COLUMN
 
 
@@ -135,6 +137,79 @@ class TestSerializedTable:
         s = SerializedTable(t)
         order = s.sort_order(("a",))
         assert t.column_values("a")[order[0]] is None
+
+    @staticmethod
+    def nullable_table(n=400, seed=9):
+        rng = random.Random(seed)
+        t = Table("n", [
+            Column("a", INT, nullable=True),
+            Column("b", char(6), nullable=True),
+            Column("c", INT),
+        ])
+        t.extend_rows([
+            (
+                rng.choice([None, rng.randrange(-5, 5)]),
+                rng.choice([None, "", "x", f"v{rng.randrange(4)}"]),
+                rng.randrange(7),
+            )
+            for _ in range(n)
+        ])
+        return t
+
+    @pytest.mark.parametrize(
+        "key", [("a",), ("c",), ("c", "a"), ("b", "c"), ("a", "b", "c")]
+    )
+    def test_sort_order_matches_per_row_tuple_keys(self, key):
+        # The order as it was computed before the keys were zipped (and
+        # NULL-free columns left unwrapped): one tuple of (is not NULL,
+        # value) pairs per row, built by a Python key function.
+        t = self.nullable_table()
+        col_keys = [
+            [((v is not None), v) for v in t.column_values(name)]
+            for name in key
+        ]
+        reference = sorted(
+            range(t.num_rows),
+            key=lambda i: tuple(ck[i] for ck in col_keys),
+        )
+        assert SerializedTable(t).sort_order(key) == reference
+
+    def test_stripped_matches_per_row_serialization(self):
+        for t in (self.nullable_table(), make_table(300)):
+            s = SerializedTable(t)
+            for col in t.columns:
+                assert s.stripped(col.name) == [
+                    strip_value(col.dtype.encode(v), col)
+                    for v in t.column_values(col.name)
+                ]
+
+    def test_ordered_is_the_gathered_column(self):
+        # What measure_structure used to gather per call, memoized; no
+        # key columns means row order, the stored list as is.
+        s = SerializedTable(make_table(500))
+        key = ("b", "c")
+        order = s.sort_order(key)
+        for name in ("a", "b", "c"):
+            source = s.stripped(name)
+            assert s.ordered(name, key) == [source[i] for i in order]
+            assert s.ordered(name, key) is s.ordered(name, list(key))
+            assert s.ordered(name, ()) is source
+        rid = s.rid_stripped()
+        assert s.ordered(RID_COLUMN.name, key) == [rid[i] for i in order]
+        assert s.ordered(RID_COLUMN.name, ()) is rid
+
+    def test_ordered_memo_is_bounded(self, monkeypatch):
+        # On a full table the memo starts over instead of growing past
+        # its budget; what it returns does not change.
+        monkeypatch.setattr(rowcache, "_ORDERED_MEMO_VALUES", 1000)
+        s = SerializedTable(make_table(300))
+        for key in (("a",), ("b",), ("c",), ("b", "c"), ("c", "b")):
+            for name in ("a", "b", "c"):
+                source = s.stripped(name)
+                assert s.ordered(name, key) == [
+                    source[i] for i in s.sort_order(key)
+                ]
+                assert len(s._ordered) * 300 <= 1000
 
 
 class TestMeasureStructure:
