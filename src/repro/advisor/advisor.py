@@ -79,7 +79,7 @@ class AdvisorOptions:
 
     ``delta_costing`` routes enumeration costing through the
     delta-aware :class:`~repro.optimizer.delta.DeltaWorkloadCoster`
-    (statement-level memoization, access-path probes, bound-based
+    (terms rebuilt from one per-run plan table, bound-based
     candidate pruning); recommendations are byte-identical with it on
     or off — off only costs time.
     ``cache_dir`` persists size estimates *and* what-if costs across
@@ -242,8 +242,9 @@ class TuningAdvisor:
         self._original_base_sizes = {
             ix.table: self._index_size(ix) for ix in self.base_config
         }
-        #: delta-aware workload coster (per-run state: its memo keys do
-        #: not embed sizes, so it must never outlive this estimator).
+        #: delta-aware workload coster (per-run state: its plan-table
+        #: keys do not embed sizes, so it must never outlive this
+        #: estimator).
         self.delta = (
             self.whatif.delta_coster(workload)
             if options.delta_costing else None

@@ -28,12 +28,12 @@ wiring, at any worker count.  Three design choices make that hold:
   signatures (see :class:`repro.parallel.cache.CostCache`), so a cost
   hit replays arithmetic that is identical by construction — a warm
   cost cache can skip costing entirely without moving any result.
-* The in-run delta memo
+* The in-run plan table
   (:class:`repro.optimizer.delta.DeltaWorkloadCoster`) follows the same
   fork-view discipline, taken to its limit: its keys deliberately do
   *not* embed size estimates, so each unit's :class:`TuningAdvisor`
   builds a fresh coster against its own seeded estimator — no unit can
-  ever observe a sibling's memoized terms, and delta-costed units stay
+  ever observe a sibling's plans, and delta-costed units stay
   byte-identical to full-recost units whether they execute in the
   parent or in a forked worker.
 
@@ -118,14 +118,14 @@ class SweepResult:
 #: delta-stats keys that are per-unit gauges (table sizes), not event
 #: counters — aggregated by max, never summed.
 _DELTA_GAUGES = frozenset({
-    "statements", "memo_entries", "probe_entries", "maintenance_entries",
+    "statements", "probe_entries", "maintenance_entries",
 })
 
 
 def _aggregate_delta_stats(per_run: Sequence[dict]) -> dict:
     """Combine per-unit delta-costing stats into sweep totals: event
-    counters sum, gauge-valued keys (statement count, memo/probe table
-    sizes) take the per-unit maximum (empty when no unit had delta
+    counters sum, gauge-valued keys (statement count, plan/maintenance
+    table sizes) take the per-unit maximum (empty when no unit had delta
     costing on)."""
     agg: dict = {}
     for stats in per_run:

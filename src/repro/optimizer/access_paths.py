@@ -22,7 +22,7 @@ from repro.storage.page import PAGE_SIZE
 from repro.workload.expr import Predicate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessPlan:
     """A costed way to produce a table's qualifying rows.
 
@@ -89,7 +89,7 @@ def _filter_subsumed(
     return False, predicates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessShape:
     """The discrete part of costing one structure against one predicate
     context — everything :func:`cost_access` decides before the float

@@ -5,46 +5,57 @@ The greedy search costs ``config ∪ {candidate}`` for every pool member at
 every step, yet adding one index only changes the plans of statements
 that touch its table (exactly what
 :meth:`WhatIfOptimizer._relevant_structures` computes).  This module
-exploits that three ways, without moving a single float:
+exploits that through one piece of costing state, without moving a
+single float:
 
-* **Statement-level memoization.**  Per-statement weighted cost terms
-  are memoized on the statement's *relevant-structure subset signature*
-  (the :func:`~repro.parallel.signature.index_identity` set of the
-  structures on its tables).  Costing a candidate configuration diffs it
-  against a *reference* configuration and re-evaluates only the
-  statements whose relevant set actually changed; every other
-  statement's term is reused untouched.  The workload total is the sum
-  of the per-statement terms in workload order — the identical
-  left-to-right accumulation :meth:`WhatIfOptimizer.workload_cost`
-  performs, so totals are bit-equal to the full-recost path.
+* **The plan table.**  ``(statement, table, structure, base) ->
+  AccessPlan | None``: the access plan of one structure for one
+  statement's predicate context on one table, against one base
+  structure (the base only enters through the non-covering lookup; its
+  own plan sits under its own identity).  An entry is evaluated once
+  per run, through the kernel's shape memo, by
+  :func:`~repro.optimizer.access_paths.plan_from_shape` with exactly
+  the inputs ``StatementCoster._structures_for`` would feed it — so it
+  *is* the plan the optimizer's search would see for that structure.
 
-* **Access-path probes, resolved sweep-major.**  For a SELECT
-  statement, adding one secondary index only changes the cost if the
-  new index's single-table access plan *beats* the plan the optimizer
-  chose without it (plan selection is a ``min`` over per-structure
-  plans, and every other term of the statement cost is unchanged when
-  the chosen plans are unchanged).  A greedy sweep asks that question
-  for every (candidate, statement) pair on every step, so the two
-  operands are held in sweep shape: a **probe row** per (candidate,
-  base structure) — the candidate's access-plan cost for every
-  statement on its table, valid for the whole run — and a **reference
-  vector** per table — the plan cost the reference configuration chose
-  for each of those statements, rebuilt after each :meth:`rebase`.
-  Costing ``reference ∪ {secondary}`` is one pass of ``probe > chosen``
-  comparisons; a statement whose probe *strictly loses* keeps its
-  reference term (the exact new term) without touching the memo or
-  allocating anything.  Strictness matters: on a tie the optimizer's
-  first-minimum tie-break could switch plans, so ties — like winners,
-  maintenance statements and statements with an MV in scope — go on to
-  the per-statement memo, where a tie recomputes the table's plan
-  search and a *strict win* (a unique strict minimum) rebuilds the
-  statement total from the reference's chosen plans with the winner
-  patched in, replaying ``_cost_select``'s exact accumulation — the
-  same floats in the same order — so even winning candidates skip the
-  all-tables x all-structures recost.  The same argument covers a
-  *removed* secondary the reference did not choose (a compression-
-  method swap removes one variant and adds another): the chosen plan
-  stays the first minimum over what remains.
+* **The chosen plan.**  ``best_access_plan`` keeps the first minimum of
+  the per-structure plans in
+  :meth:`~repro.physical.configuration.Configuration.structures_on`
+  order (base first, then
+  :func:`~repro.physical.configuration.structure_order_key`).  So a
+  table's chosen plan under *any* configuration is the first strict
+  minimum over the base's entry, then the configuration's secondaries'
+  entries in that same order — read from the plan table, with no plan
+  search.  A SELECT with no MV in scope then costs ``weight x
+  _select_total_from_plans(chosen plans)``, which replays
+  ``_cost_select``'s accumulation — the same floats in the same order —
+  and a maintenance statement costs the ``fsum`` of its per-structure
+  contributions (order-independent, each computed by the optimizer's
+  own ``structure_maintenance``) plus its find-plan, chosen the same
+  way.  The workload total is the sum of the per-statement terms in
+  workload order, the left-to-right accumulation
+  :meth:`WhatIfOptimizer.workload_cost` performs, so totals are
+  bit-equal to the full-recost path.
+
+* **Sweeps.**  Costing ``reference ∪ {secondary}`` — what a greedy
+  sweep asks for every pool member on every step — compares the
+  candidate's **probe row** (its plan cost for every statement on its
+  table, valid for the whole run) against the table's **reference
+  vector** (the plan cost the reference chose, rebuilt after each
+  :meth:`rebase`) in one pass of ``probe > chosen``.  A strict loser
+  keeps its reference term; a strict winner is the new first minimum
+  whatever its position, so its plan is patched into the reference's
+  chosen plans; a tie goes to whichever of the two the structure order
+  puts first.  Every other diff (swaps, removals, multi-adds, a rebase)
+  re-chooses only on the tables the diff touches and keeps the
+  reference's plans elsewhere.
+
+* **Full recosts.**  The first reference, statements with an MV in
+  scope (substitution is the optimizer's decision), statements on an
+  untracked table and statements whose table choice ever disagreed with
+  the plan costs the optimizer reported go through
+  :meth:`WhatIfOptimizer.cost_with_plans`, which owns the statement
+  cache and the persistent :class:`~repro.parallel.cache.CostCache`.
 
 * **Bound-based candidate pruning.**  Per statement the coster
   maintains a lower bound — the cheapest cost any enumerable
@@ -72,18 +83,18 @@ exploits that three ways, without moving a single float:
     best-oversized recovery channel stays decision-identical too.
 
 Determinism contract: recommendations with delta costing on are
-byte-identical to the full-recost path at any worker count.  Reuse only
-ever happens when the reused float is *provably the bit-identical value*
-the full path would compute; pruning only ever skips work whose outcome
-is provably invisible.
+byte-identical to the full-recost path at any worker count.  A term is
+only ever rebuilt from plans that are *provably the bit-identical
+plans* the full path would choose; pruning only ever skips work whose
+outcome is provably invisible.
 
-The coster is strictly per-run state: its memo keys do not embed size
+The coster is strictly per-run state: plan-table keys do not embed size
 estimates (unlike the persistent :class:`~repro.parallel.cache.CostCache`),
-so a memo must never outlive the estimator whose sizes it was built
-from.  Sweep orchestration honors that by construction — every (seed,
-budget) unit's :class:`TuningAdvisor` builds a fresh coster against its
-own seeded estimator, the delta-memo equivalent of handing each unit an
-*empty* fork view of the persistent caches — which keeps sharded and
+so a plan table must never outlive the estimator whose sizes it was
+built from.  Sweep orchestration honors that by construction — every
+(seed, budget) unit's :class:`TuningAdvisor` builds a fresh coster
+against its own seeded estimator, the equivalent of handing each unit
+an *empty* fork view of the persistent caches — which keeps sharded and
 sequential sweeps byte-identical.  :meth:`fork_view` offers the same
 isolation as an explicit API for embedders that hold a coster across
 runs.
@@ -96,14 +107,10 @@ import operator
 from collections import defaultdict
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from repro.optimizer.access_paths import (
-    best_access_plan,
-    cost_access,
-    plan_from_shape,
-)
+from repro.optimizer.access_paths import plan_from_shape
 from repro.optimizer.statement_cost import mv_matches_query
 from repro.parallel.signature import index_identity
-from repro.physical.configuration import Configuration
+from repro.physical.configuration import Configuration, structure_order_key
 from repro.physical.index_def import IndexDef
 from repro.stats.selectivity import conjunction_selectivity
 from repro.storage.index_build import IndexKind
@@ -156,13 +163,25 @@ def _sole_addition(added, removed) -> "IndexDef | None":
     return ix if ix.mv is None else None
 
 
+def _plan_tables(diff: Iterable[IndexDef]) -> set[str]:
+    """The tables whose plan search a diff changes: its non-MV
+    members' (an MV index only ever enters through substitution)."""
+    return {ix.table for ix in diff if ix.mv is None}
+
+
+def _mv_tables(config: Configuration) -> list[tuple[str, ...]]:
+    """The table set of every MV index in ``config`` — what decides
+    which statements have an MV in scope."""
+    return [ix.mv.tables for ix in config.mv_indexes()]
+
+
 class DeltaWorkloadCoster:
     """Incremental workload costing against a reference configuration.
 
     Args:
         whatif: the what-if optimizer providing full statement costings
             (with its in-memory and persistent caches) plus the sizes,
-            stats and cost constants the probes must match exactly.
+            stats and cost constants the plan table must match exactly.
         workload: the weighted workload being tuned; the statement order
             fixes the float accumulation order of every total.
     """
@@ -190,19 +209,6 @@ class DeltaWorkloadCoster:
         for si, stmt in enumerate(self._stmts):
             self._stmt_index.setdefault(stmt, si)
         db = whatif.database
-        #: per SELECT statement: table -> (predicates, needed columns),
-        #: the exact probe inputs ``StatementCoster._cost_select`` uses.
-        self._probe_info: list[dict | None] = [
-            {
-                t: (
-                    s.predicates_of_table(db, t),
-                    s.columns_of_table(db, t),
-                )
-                for t in s.tables
-            }
-            if isinstance(s, SelectQuery) else None
-            for s in self._stmts
-        ]
         #: per maintenance statement: (table, find-probe SELECT | None) —
         #: the probe is the exact SELECT ``_cost_update``/``_cost_delete``
         #: construct to find the affected rows (None for bulk INSERTs,
@@ -223,40 +229,41 @@ class DeltaWorkloadCoster:
                 )))
             else:
                 self._maint_info.append(None)
-        # Probe info for the find-probe SELECTs, so ``_table_plan`` can
-        # replay their plan search with the optimizer's own inputs.
-        for si, info in enumerate(self._maint_info):
-            if info is None or info[1] is None:
-                continue
-            table, probe = info
-            self._probe_info[si] = {
-                table: (
-                    probe.predicates_of_table(db, table),
-                    probe.columns_of_table(db, table),
+        #: per statement that chooses access plans — a SELECT, or the
+        #: find-probe of an UPDATE/DELETE: table -> (predicates, needed
+        #: columns), the exact plan-search inputs ``_cost_select`` uses,
+        #: in ``tables`` order.  None for bulk INSERTs.
+        self._probe_info: list[dict | None] = []
+        for s, info in zip(self._stmts, self._maint_info):
+            planned = s if info is None else info[1]
+            self._probe_info.append(None if planned is None else {
+                t: (
+                    planned.predicates_of_table(db, t),
+                    planned.columns_of_table(db, t),
                 )
-            }
+                for t in planned.tables
+            })
 
-        # Reference state: per-statement signatures / weighted terms /
-        # raw totals / chosen per-table plan costs / chosen plans for
-        # the reference configuration.
+        # Reference state: per-statement weighted terms / raw totals /
+        # chosen per-table plans under the reference configuration.
         self._ref_config: Configuration | None = None
-        self._ref_sigs: list[frozenset] = []
         self._ref_terms: list[float] = []
         self._ref_totals: list[float] = []
-        self._ref_plans: list[tuple[float, ...] | None] = []
-        self._ref_full_plans: list[tuple | None] = []
+        #: per SELECT, its chosen plans aligned with ``tables`` — None
+        #: where the optimizer reported none (an MV substitution) or
+        #: the plan table cannot reproduce them.
+        self._ref_plans: list[tuple | None] = []
         self._ref_total = 0.0
 
-        #: (si, relevant-subset signature) ->
-        #: (term, total, plan_costs, full AccessPlan tuple | None)
-        self._memo: dict = {}
-        #: (si, table, candidate identity, base identity) ->
-        #: AccessPlan (None = unusable plan).
+        #: the plan table: (si, table, structure identity, base
+        #: identity) -> AccessPlan (None = unusable plan).
         self._probes: dict = {}
-        #: (si, dimension table) -> conjunction selectivity (pure).
-        self._dim_sel: dict = {}
-        #: (si, table, table-local structure identities) -> AccessPlan.
-        self._table_plans: dict = {}
+        #: statements whose table choice disagreed with the plan costs
+        #: the optimizer reported: always fully recosted.
+        self._distrusted: set[int] = set()
+        #: si -> what a SELECT's total takes from the statement alone
+        #: (see _select_total_from_plans; pure).
+        self._select_shapes: dict[int, tuple] = {}
         #: (si, structure identity) -> (io, cpu) maintenance
         #: contribution (pure per run: sizes and stats are fixed).
         self._maint_terms: dict = {}
@@ -272,30 +279,27 @@ class DeltaWorkloadCoster:
         #: kernel probe batches use it to size whole lane groups
         #: without triggering estimation work.
         self._size_peek: Callable | None = None
-        #: (si, table, base identity) groups already batch-probed.
+        #: (table, base identity) groups already batch-probed.
         self._probe_filled: set = set()
 
         # Sweep state.  _ref_bases and _ref_vectors depend on the
         # reference configuration and are reset on every rebase;
-        # _probe_rows (like the probes they are read from) and _sig_mv
-        # (a pure property of a signature) persist for the run.
+        # _probe_rows (like the plans they are read from) persist for
+        # the run.
         #: table -> (base structure, base identity) under the reference.
         self._ref_bases: dict = {}
         #: table -> _RefVector under the reference.
         self._ref_vectors: dict = {}
-        #: (candidate identity, base identity) -> the candidate's probe
+        #: (candidate identity, base identity) -> the candidate's plan
         #: cost per statement of its table, aligned with ``_by_table``
         #: (inf = unusable plan, or not a SELECT).
         self._probe_rows: dict = {}
-        #: signature -> whether it contains an MV identity.
-        self._sig_mv: dict = {}
 
         # Instrumentation.
         self.reused_terms = 0
         self.patched_terms = 0
         self.patched_maintenance = 0
         self.full_recosts = 0
-        self.memo_hits = 0
         self.probe_evals = 0
         self.pruned_zero_delta = 0
         self.pruned_bound = 0
@@ -307,45 +311,31 @@ class DeltaWorkloadCoster:
         """Make ``config`` the reference and return its workload cost
         (bit-identical to :meth:`WhatIfOptimizer.workload_cost`).
 
-        Cheap when ``config`` was just costed: every changed statement's
-        term comes out of the memo."""
-        if self._ref_config is not None and config == self._ref_config:
+        The first reference is costed by the optimizer, statement by
+        statement; a later one re-chooses only on the tables its diff
+        against the previous reference touches."""
+        ref = self._ref_config
+        if ref is not None and config == ref:
             return self._ref_total
-        n = len(self._stmts)
-        if self._ref_config is None:
-            sigs, terms, totals, plans, full = [], [], [], [], []
-            for si in range(n):
-                sig = self._sig(si, config)
-                term, total, pc, fp = self._term_for(si, sig, config)
-                sigs.append(sig)
-                terms.append(term)
-                totals.append(total)
-                plans.append(pc)
-                full.append(fp)
+        if ref is None:
+            n = len(self._stmts)
+            terms, totals, plans = [0.0] * n, [0.0] * n, [None] * n
+            affected, touched = range(n), None
         else:
-            added = config.indexes - self._ref_config.indexes
-            removed = self._ref_config.indexes - config.indexes
-            sigs = list(self._ref_sigs)
             terms = list(self._ref_terms)
             totals = list(self._ref_totals)
             plans = list(self._ref_plans)
-            full = list(self._ref_full_plans)
-            for si in self._affected(added | removed):
-                sig = self._shifted_sig(si, added, removed)
-                term, total, pc, fp = self._term_for(
-                    si, sig, config, added=added, removed=removed
-                )
-                sigs[si] = sig
-                terms[si] = term
-                totals[si] = total
-                plans[si] = pc
-                full[si] = fp
+            diff = config.indexes ^ ref.indexes
+            affected, touched = self._affected(diff), _plan_tables(diff)
+        mv_tables = _mv_tables(config)
+        for si in affected:
+            terms[si], totals[si], plans[si] = self._recost(
+                si, config, mv_tables, touched
+            )
         self._ref_config = config
-        self._ref_sigs = sigs
         self._ref_terms = terms
         self._ref_totals = totals
         self._ref_plans = plans
-        self._ref_full_plans = full
         self._ref_total = sum(terms)
         self._ref_bases = {}
         self._ref_vectors = {}
@@ -356,10 +346,9 @@ class DeltaWorkloadCoster:
     # ------------------------------------------------------------------
     def workload_cost(self, config: Configuration) -> float:
         """Weighted workload cost of ``config``, re-evaluating only the
-        statements whose relevant-structure set differs from the
-        reference configuration's — and, for ``reference ∪ {one
-        secondary}``, only those the candidate's probe row does not
-        strictly lose on."""
+        statements on the tables its diff against the reference touches
+        — and, for ``reference ∪ {one secondary}``, only those the
+        candidate's probe row does not strictly lose on."""
         if self._ref_config is None:
             return self.rebase(config)
         ref = self._ref_config
@@ -369,25 +358,15 @@ class DeltaWorkloadCoster:
         removed = ref.indexes - config.indexes
         ix = _sole_addition(added, removed)
         if ix is not None and ix.kind is IndexKind.SECONDARY:
-            vector = self._ref_vector(ix.table)
-            affected = [
-                si for si, probe, chosen in zip(
-                    vector.stmts, self._probe_row(ix), vector.reusable
-                )
-                if not probe > chosen
-            ]
-            # Strict losers keep their reference term, bit for bit.
-            self.reused_terms += len(vector.stmts) - len(affected)
-        else:
-            affected = self._affected(added | removed)
+            return self._sole_add_cost(ix, config)
+        diff = added | removed
+        affected = self._affected(diff)
         if not affected:
             return self._ref_total
+        mv_tables, touched = _mv_tables(config), _plan_tables(diff)
         out = list(self._ref_terms)
         for si in affected:
-            out[si] = self._term_for(
-                si, self._shifted_sig(si, added, removed), config,
-                added, removed,
-            )[0]
+            out[si] = self._recost(si, config, mv_tables, touched)[0]
         return sum(out)
 
     def batch(self, configs: Sequence[Configuration]) -> list[float]:
@@ -396,21 +375,18 @@ class DeltaWorkloadCoster:
 
     def statement_cost(self, statement, config: Configuration) -> float:
         """One statement's (unweighted) optimizer cost under ``config``,
-        through the delta memo — the hook candidate selection uses."""
+        through the plan table — the hook candidate selection uses."""
         si = self._stmt_index.get(statement)
         if si is None or self._ref_config is None:
             return self.whatif.cost(statement, config).total
-        added = config.indexes - self._ref_config.indexes
-        removed = self._ref_config.indexes - config.indexes
-        if not any(self._relevant(si, ix) for ix in added) and \
-                not any(self._relevant(si, ix) for ix in removed):
+        diff = [
+            ix for ix in config.indexes ^ self._ref_config.indexes
+            if self._relevant(si, ix)
+        ]
+        if not diff:
             return self._ref_totals[si]
-        return self._term_for(
-            si,
-            self._shifted_sig(si, added, removed),
-            config,
-            added=added,
-            removed=removed,
+        return self._recost(
+            si, config, _mv_tables(config), _plan_tables(diff)
         )[1]
 
     # ------------------------------------------------------------------
@@ -576,19 +552,17 @@ class DeltaWorkloadCoster:
         """A fresh, isolated coster over the same workload skeleton.
 
         Like the persistent caches' :meth:`fork_view`, but the overlay
-        starts *empty*: delta memo keys do not embed size estimates, so
+        starts *empty*: plan-table keys do not embed size estimates, so
         entries are only valid under the estimator state that produced
         them.  Sweep units get this isolation implicitly (each unit's
         advisor constructs its own coster); the explicit method is for
         embedders that keep one coster across runs and need a sibling
-        that can never observe its terms."""
+        that can never observe its plans."""
         return type(self)(self.whatif, self.workload)
 
     def stats(self) -> dict:
         return {
             "statements": len(self._stmts),
-            "memo_entries": len(self._memo),
-            "memo_hits": self.memo_hits,
             "reused_terms": self.reused_terms,
             "patched_terms": self.patched_terms,
             "patched_maintenance": self.patched_maintenance,
@@ -608,38 +582,14 @@ class DeltaWorkloadCoster:
         (statement, index) pair."""
         mv = index.mv
         if mv is not None:
-            return bool(self._tables[si] & set(mv.tables))
+            return not self._tables[si].isdisjoint(mv.tables)
         return index.table in self._tables[si]
 
-    def _sig(self, si: int, config: Configuration) -> frozenset:
-        return frozenset(
-            index_identity(ix) for ix in config if self._relevant(si, ix)
-        )
-
-    def _shifted_sig(self, si: int, added, removed) -> frozenset:
-        """The relevant-subset signature after a diff, derived from the
-        reference signature without rescanning the configuration."""
-        sig = self._ref_sigs[si]
-        if removed:
-            sig = sig.difference(
-                index_identity(ix) for ix in removed
-                if self._relevant(si, ix)
-            )
-        if added:
-            sig = sig.union(
-                index_identity(ix) for ix in added
-                if self._relevant(si, ix)
-            )
-        return sig
-
-    def _sig_has_mv(self, sig: frozenset) -> bool:
-        """Whether a signature contains an MV identity — memoized, as
-        the same signatures are re-examined on every sweep."""
-        has = self._sig_mv.get(sig)
-        if has is None:
-            has = any(t[6] is not None for t in sig)
-            self._sig_mv[sig] = has
-        return has
+    def _mv_in_scope(self, si: int, mv_tables: list) -> bool:
+        """Whether any of the MVs (:func:`_mv_tables`) overlaps
+        statement ``si``'s tables, matching it or not."""
+        tables = self._tables[si]
+        return not all(map(tables.isdisjoint, mv_tables))
 
     def _affected(self, diff: Iterable[IndexDef]) -> list[int]:
         """Statement indices whose relevant set a diff touches, in
@@ -658,173 +608,121 @@ class DeltaWorkloadCoster:
         out: set[int] = set()
         for ix in diff:
             if ix.is_mv_index:
-                mv_tables = set(ix.mv.tables)
-                for si, tables in enumerate(self._tables):
-                    if tables & mv_tables:
+                for si in range(len(self._stmts)):
+                    if self._relevant(si, ix):
                         out.add(si)
             else:
                 out.update(self._by_table.get(ix.table, ()))
         return sorted(out)
 
-    def _term_for(
-        self,
-        si: int,
-        sig: frozenset,
-        config: Configuration,
-        added=None,
-        removed=None,
+    def _recost(
+        self, si: int, config: Configuration, mv_tables: list,
+        touched: "set[str] | None",
     ) -> tuple:
-        """(weighted term, raw total, chosen per-table plan costs,
-        chosen plans) of statement ``si`` under ``config`` — memoized,
-        probe-reused or plan-patched when provably exact, fully
-        recosted otherwise."""
-        entry = self._memo.get((si, sig))
-        if entry is not None:
-            self.memo_hits += 1
-            return entry
-        entry = None
-        if added is not None:
-            if self._is_select[si] and self._ref_plans[si] is not None:
-                entry = self._delta_entry(si, sig, config, added, removed)
-            elif self._maint_info[si] is not None:
-                entry = self._maintenance_entry(si, sig, config)
-        if entry is None:
-            breakdown, plan_costs = self.whatif.cost_with_plans(
-                self._stmts[si], config
-            )
-            term = self._weights[si] * breakdown.total
-            entry = (
-                term, breakdown.total, plan_costs,
-                breakdown.plans or None,
-            )
-            self.full_recosts += 1
-        self._memo[(si, sig)] = entry
-        return entry
-
-    def _delta_entry(
-        self, si: int, sig: frozenset, config: Configuration,
-        added, removed,
-    ) -> tuple | None:
-        """The exact memo entry for a SELECT under a diffed candidate,
-        when the plans decide it without a full recost:
-
-        * reference reuse when every change is invisible (non-matching
-          MVs, unusable plans, added plans that strictly lose, removed
-          secondaries the reference did not choose);
-        * a plan-patched rebuild otherwise — a purely-added winner's
-          probe plan (a strict unique minimum), or, for tables whose
-          structure set changed structurally (base swaps, a removed
-          chosen plan, ties), the table's plan recomputed by the *real*
-          ``_structures_for`` + :func:`best_access_plan`, so ordering
-          and tie-breaks are the optimizer's own.
-
-        None means only a full recost is exact (MV substitution in
-        scope, or no reference plans to patch)."""
-        stmt = self._stmts[si]
-        if self._sig_has_mv(sig):
-            return None  # MVs in scope: substitution needs a recost
-        full = self._ref_full_plans[si]
-        recompute: set[str] = set()
-        winners: dict[str, object] = {}
-        for ix in removed:
-            if not self._relevant(si, ix):
-                continue
-            if ix.is_mv_index:
-                # Non-matching MVs are invisible; matching ones change
-                # the substitution choice.
-                if mv_matches_query(ix.mv, stmt):
-                    return None
-                continue
-            if (
-                ix.kind is IndexKind.SECONDARY
-                and full is not None
-                and full[stmt.tables.index(ix.table)].index != ix
-            ):
-                # A secondary the reference did not choose: every
-                # structure ordered before the chosen plan still costs
-                # strictly more and none after it costs less, so the
-                # chosen plan stays the first minimum over what remains
-                # (the method-swap shape: its added variant is probed
-                # against that same chosen cost below).
-                continue
-            recompute.add(ix.table)
-        for ix in added:
-            if not self._relevant(si, ix):
-                continue
-            if ix.is_mv_index:
-                if mv_matches_query(ix.mv, stmt):
-                    return None  # MV substitution: full recost
-                continue  # non-matching MV: invisible to this SELECT
-            table = ix.table
-            if table in recompute:
-                continue
-            if ix.kind is not IndexKind.SECONDARY:
-                recompute.add(table)  # base add: whole plan set shifts
-                winners.pop(table, None)
-                continue
-            plan = self._probe_cached(si, ix)
-            if plan is None:
-                continue  # unusable plan: invisible
-            chosen = self._chosen_plan_cost(si, table)
-            if chosen is None:  # pragma: no cover - defensive
-                recompute.add(table)
-                winners.pop(table, None)
-                continue
-            if plan.cost > chosen:
-                continue  # strict loss: invisible
-            if plan.cost == chosen:
-                # Tie: the optimizer's first-minimum order decides.
-                recompute.add(table)
-                winners.pop(table, None)
-                continue
-            best = winners.get(table)
-            if best is None:
-                winners[table] = plan
-            elif plan.cost < best.cost:
-                winners[table] = plan
+        """(weighted term, raw total, chosen plans | None) of statement
+        ``si`` under ``config``.  ``touched`` names the tables whose
+        structures differ from the reference's, whose chosen plans
+        serve everywhere else; None (no reference yet) asks the
+        optimizer.  So do a statement with an MV in scope — the
+        substitution is the optimizer's to decide — one on an untracked
+        table, and a distrusted one."""
+        if touched is not None and si not in self._distrusted and not (
+            self._probe_info[si] is not None
+            and self._mv_in_scope(si, mv_tables)
+        ):
+            if not self._is_select[si]:
+                total = self._maintenance_total(si, config)
+                if total is not None:
+                    self.patched_maintenance += 1
+                    return self._weights[si] * total, total, None
             else:
-                if plan.cost == best.cost:
-                    recompute.add(table)  # tied winners: order decides
-                    winners.pop(table, None)
-        if not recompute and not winners:
-            # Every change invisible: the reference floats are the
-            # candidate's floats, bit for bit.
-            self.reused_terms += 1
-            return (
-                self._ref_terms[si],
-                self._ref_totals[si],
-                self._ref_plans[si],
-                full,
-            )
-        if full is None:
-            # Persistent replay: the reference carries plan costs but
-            # not the plans themselves — rebuild them with the real
-            # plan search (bit-identical by construction, and verified
-            # against the replayed costs before use).
-            full = self._reconstruct_ref_plans(si)
-            if full is None:
-                return None
-        patched = list(full)
-        for table, plan in winners.items():
-            patched[stmt.tables.index(table)] = plan
-        for table in recompute:
-            patched[stmt.tables.index(table)] = self._table_plan(
-                si, table, sig, config
-            )
-        total = self._select_total_from_plans(si, patched)
-        term = self._weights[si] * total
-        self.patched_terms += 1
+                plans = self._chosen_plans(si, config, touched)
+                if plans is not None:
+                    if plans == self._ref_plans[si]:
+                        # Every touched table chose as the reference
+                        # did: its floats are this term's, bit for bit.
+                        self.reused_terms += 1
+                        return (
+                            self._ref_terms[si], self._ref_totals[si],
+                            plans,
+                        )
+                    total = self._select_total_from_plans(si, plans)
+                    self.patched_terms += 1
+                    return self._weights[si] * total, total, plans
+        breakdown, plan_costs = self.whatif.cost_with_plans(
+            self._stmts[si], config
+        )
+        self.full_recosts += 1
+        plans = None
+        if plan_costs is not None and si not in self._distrusted:
+            # The optimizer reports plan costs (a persistent replay
+            # carries nothing else); the plans come from the table, and
+            # must cost exactly that — a mismatch (a changed cost model
+            # against a stale record, which the context fingerprint
+            # should preclude) retires the statement to full recosts
+            # rather than risk a wrong patch.
+            plans = self._chosen_plans(si, config, None)
+            if plans is not None and plan_costs != tuple(
+                plan.cost for plan in plans
+            ):
+                self._distrusted.add(si)
+                plans = None
         return (
-            term, total,
-            tuple(plan.cost for plan in patched),
-            tuple(patched),
+            self._weights[si] * breakdown.total, breakdown.total, plans
         )
 
-    def _maintenance_entry(
-        self, si: int, sig: frozenset, config: Configuration
-    ) -> tuple | None:
-        """The exact memo entry for a maintenance statement (INSERT /
-        UPDATE / DELETE) under any configuration, rebuilt from memoized
+    def _sole_add_cost(self, ix: IndexDef, config: Configuration) -> float:
+        """Workload cost of ``reference ∪ {ix}`` for a secondary ``ix``:
+        one ``probe > chosen`` pass over its table's statements."""
+        table = ix.table
+        vector = self._ref_vector(table)
+        contested = [
+            (si, probe, chosen) for si, probe, chosen in zip(
+                vector.stmts, self._probe_row(ix), vector.reusable
+            )
+            if not probe > chosen
+        ]
+        # Strict losers keep their reference term, bit for bit.
+        self.reused_terms += len(vector.stmts) - len(contested)
+        if not contested:
+            return self._ref_total
+        out = list(self._ref_terms)
+        plan_key = (table, index_identity(ix), self._ref_base(table)[1])
+        mv_tables = None
+        for si, probe, chosen in contested:
+            if chosen == _INF:
+                # Nothing to lose to: a maintenance statement, an MV in
+                # scope, no reference plans.
+                if mv_tables is None:
+                    mv_tables = _mv_tables(config)
+                out[si] = self._recost(si, config, mv_tables, {table})[0]
+                continue
+            self.patched_terms += 1
+            plans = self._ref_plans[si]
+            pos = self._stmts[si].tables.index(table)
+            if probe == chosen:
+                # A tie stays with whichever plan the structure order
+                # puts first — the base, else the smaller order key.
+                held = plans[pos].index
+                if held.kind is not IndexKind.SECONDARY or (
+                    structure_order_key(held) < structure_order_key(ix)
+                ):
+                    continue
+            # The candidate's plan is the table's new first minimum.
+            plans = (
+                *plans[:pos], self._probes[(si, *plan_key)],
+                *plans[pos + 1:],
+            )
+            out[si] = self._weights[si] * self._select_total_from_plans(
+                si, plans
+            )
+        return sum(out)
+
+    def _maintenance_total(
+        self, si: int, config: Configuration
+    ) -> float | None:
+        """The exact total of a maintenance statement (INSERT / UPDATE /
+        DELETE) under any configuration, rebuilt from memoized
         per-structure contributions.
 
         ``_maintenance_cost`` accumulates with :func:`math.fsum`, whose
@@ -832,13 +730,15 @@ class DeltaWorkloadCoster:
         summing the identical per-structure floats here (each computed
         by the *same* ``structure_maintenance`` code the full path runs)
         reproduces the full path's maintenance breakdown bit for bit.
-        UPDATE/DELETE find-probes replay ``_cost_select``'s single-table
-        arithmetic from the optimizer's own plan search (memoized per
-        table-local structure subset).  None falls back to a full recost
-        (an MV in scope could change the probe's substitution choice)."""
+        The UPDATE/DELETE find-plan is the table's chosen plan for the
+        find-probe; None (an untracked table) falls back to a full
+        recost."""
         table, probe = self._maint_info[si]
-        if probe is not None and self._sig_has_mv(sig):
-            return None  # MV in scope: the find-probe could substitute
+        find = None
+        if probe is not None:
+            find = self._choose(si, table, config)
+            if find is None:
+                return None
         coster = self.whatif.coster
         affected = self._affected_rows(si)
         io_terms: list[float] = []
@@ -851,18 +751,13 @@ class DeltaWorkloadCoster:
                 self._maint_terms[key] = contrib
             io_terms.append(contrib[0])
             cpu_terms.append(contrib[1])
-        io = math.fsum(io_terms)
-        cpu = math.fsum(cpu_terms)
-        total = io + cpu
-        if probe is not None:
+        total = math.fsum(io_terms) + math.fsum(cpu_terms)
+        if find is not None:
             # _cost_update/_cost_delete: total = find.total +
             # maintain.total, find.total = plan.io + plan.cpu (single
             # table, no joins/groups/sort on the probe).
-            plan = self._table_plan(si, table, sig, config)
-            total = (plan.io_cost + plan.cpu_cost) + total
-        term = self._weights[si] * total
-        self.patched_maintenance += 1
-        return (term, total, None, None)
+            total = (find.io_cost + find.cpu_cost) + total
+        return total
 
     def _affected_rows(self, si: int) -> float:
         """Affected row count of maintenance statement ``si`` — the
@@ -882,115 +777,92 @@ class DeltaWorkloadCoster:
             self._maint_affected[si] = affected
         return affected
 
-    def _reconstruct_ref_plans(self, si: int) -> tuple | None:
-        """Chosen per-table plans of the reference statement costing,
-        recomputed with the optimizer's own plan search when the
-        reference breakdown was a persistent replay (which persists the
-        plan costs, not the plans).  The recomputed costs must equal the
-        replayed ones bit-for-bit — a mismatch (changed cost model vs. a
-        stale record, which the context fingerprint should preclude)
-        falls back to full recosting rather than risk a wrong patch."""
-        plan_costs = self._ref_plans[si]
-        if plan_costs is None:
+    def _chosen_plans(
+        self, si: int, config: Configuration,
+        touched: "set[str] | None",
+    ) -> tuple | None:
+        """Statement ``si``'s chosen plan per table under ``config``,
+        aligned with its ``tables``: the reference's on tables outside
+        ``touched``, the plan table's choice elsewhere (None = every
+        table).  None when a table is untracked."""
+        held = None if touched is None else self._ref_plans[si]
+        plans = []
+        for pos, table in enumerate(self._probe_info[si]):
+            if held is not None and table not in touched:
+                plans.append(held[pos])
+                continue
+            plan = self._choose(si, table, config)
+            if plan is None:
+                return None
+            plans.append(plan)
+        return tuple(plans)
+
+    def _choose(self, si: int, table: str, config: Configuration):
+        """The plan ``best_access_plan`` picks for ``table`` under
+        ``config``: the first minimum of the plan-table entries in
+        :meth:`Configuration.structures_on` order.  None for an
+        untracked table (its synthesized heap is the optimizer's)."""
+        base = config.base_structure(table)
+        if base is None:
             return None
-        stmt = self._stmts[si]
-        sig = self._ref_sigs[si]
-        plans = tuple(
-            self._table_plan(si, table, sig, self._ref_config)
-            for table in stmt.tables
-        )
-        if tuple(plan.cost for plan in plans) != plan_costs:
-            return None  # pragma: no cover - defensive
-        self._ref_full_plans[si] = plans
-        return plans
+        base_id = index_identity(base)
+        best = None
+        for ix in config.structures_on(table):
+            plan = self._plan(si, table, ix, base, base_id)
+            if plan is not None and (
+                best is None or plan.cost < best.cost
+            ):
+                best = plan
+        return best
 
-    def _table_plan(self, si: int, table: str, sig: frozenset,
-                    config: Configuration):
-        """The optimizer's own chosen plan for one table under
-        ``config`` — the exact ``_cost_select`` plan search, structure
-        ordering and tie-breaking included; memoized on the table-local
-        identity subset (a plan only sees its own table's structures)."""
-        key = (
-            si, table,
-            frozenset(
-                t for t in sig if t[0] == table and t[6] is None
-            ),
-        )
-        plan = self._table_plans.get(key)
-        if plan is not None:
-            return plan
-        coster = self.whatif.coster
-        preds, needed = self._probe_info[si][table]
-        plan = best_access_plan(
-            self.whatif.database,
-            self.whatif.stats.table(table),
-            table,
-            coster._structures_for(table, config),
-            preds,
-            needed,
-            coster.constants,
-            coster.kernel,
-            shape_key=(si, table),
-        )
-        self._table_plans[key] = plan
-        return plan
-
-    def _select_total_from_plans(self, si: int, plans: list) -> float:
+    def _select_total_from_plans(self, si: int, plans: tuple) -> float:
         """``_cost_select``'s total rebuilt from already-chosen per-table
         plans: the identical arithmetic in the identical order, minus
         the per-structure plan search (only valid with no MV in scope).
         """
-        stmt = self._stmts[si]
+        shape = self._select_shapes.get(si)
+        if shape is None:
+            # What _cost_select derives from the statement alone.
+            stmt = self._stmts[si]
+            fact_pos = None
+            dim_sel_product = 1.0
+            for pos, (table, (preds, _needed)) in enumerate(
+                self._probe_info[si].items()
+            ):
+                if table == stmt.root_table:
+                    fact_pos = pos
+                else:
+                    dim_sel_product *= conjunction_selectivity(
+                        self.whatif.stats.table(table), preds
+                    )
+            shape = self._select_shapes[si] = (
+                fact_pos, dim_sel_product, len(stmt.joins),
+                bool(stmt.group_by or stmt.aggregates),
+                tuple(stmt.order_by),
+            )
+        fact_pos, dim_sel_product, n_joins, grouped, order_by = shape
         constants = self.whatif.coster.constants
         io = cpu = 0.0
-        fact = stmt.root_table
-        fact_rows_out = None
-        dim_sel_product = 1.0
-        for table, plan in zip(stmt.tables, plans):
+        for plan in plans:
             io += plan.io_cost
             cpu += plan.cpu_cost
-            if table == fact:
-                fact_rows_out = plan.rows_out
-            else:
-                dim_sel_product *= self._dim_selectivity(si, table)
-        if fact_rows_out is None:  # pragma: no cover - defensive
-            fact_rows_out = 0.0
+        fact_rows_out = 0.0 if fact_pos is None else plans[fact_pos].rows_out
         join_rows = fact_rows_out * dim_sel_product
-        if len(stmt.tables) > 1:
-            cpu += fact_rows_out * len(stmt.joins) * constants.cpu_join_probe
+        if len(plans) > 1:
+            cpu += fact_rows_out * n_joins * constants.cpu_join_probe
             for plan in plans[1:]:
                 cpu += plan.rows_out * constants.cpu_tuple
-        if stmt.group_by or stmt.aggregates:
+        if grouped:
             cpu += join_rows * constants.cpu_group
-        if stmt.order_by and not self._order_satisfied(stmt, plans[0]):
+        # Only a single-table plan whose key leads with the ordering
+        # skips the sort (``_order_satisfied``).
+        if order_by and (
+            len(plans) > 1
+            or plans[0].index.key_columns[:len(order_by)] != order_by
+        ):
             out_rows = max(2.0, join_rows)
             cpu += out_rows * math.log2(out_rows) * constants.cpu_sort_factor
         return io + cpu
-
-    @staticmethod
-    def _order_satisfied(stmt: SelectQuery, fact_plan) -> bool:
-        index = fact_plan.index
-        if index is None or len(stmt.tables) > 1:
-            return False
-        k = len(stmt.order_by)
-        return index.key_columns[:k] == tuple(stmt.order_by)
-
-    def _dim_selectivity(self, si: int, table: str) -> float:
-        sel = self._dim_sel.get((si, table))
-        if sel is None:
-            preds, _needed = self._probe_info[si][table]
-            sel = conjunction_selectivity(
-                self.whatif.stats.table(table), preds
-            )
-            self._dim_sel[(si, table)] = sel
-        return sel
-
-    def _chosen_plan_cost(self, si: int, table: str) -> float | None:
-        plans = self._ref_plans[si]
-        try:
-            return plans[self._stmts[si].tables.index(table)]
-        except (ValueError, IndexError):  # pragma: no cover - defensive
-            return None
 
     def _ref_base(self, table: str) -> tuple:
         """(base structure, base identity) of ``table`` under the
@@ -1008,16 +880,18 @@ class DeltaWorkloadCoster:
         vector = self._ref_vectors.get(table)
         if vector is None:
             stmts = self._by_table.get(table, [])
-            chosen = [
-                self._chosen_plan_cost(si, table)
-                if self._is_select[si] and self._ref_plans[si] is not None
-                else _INF
-                for si in stmts
-            ]
-            reusable = [
-                _INF if self._sig_has_mv(self._ref_sigs[si]) else cost
-                for si, cost in zip(stmts, chosen)
-            ]
+            mv_tables = _mv_tables(self._ref_config)
+            chosen, reusable = [], []
+            for si in stmts:
+                plans = self._ref_plans[si]
+                cost = (
+                    plans[self._stmts[si].tables.index(table)].cost
+                    if plans is not None else _INF
+                )
+                chosen.append(cost)
+                reusable.append(
+                    _INF if self._mv_in_scope(si, mv_tables) else cost
+                )
             vector = _RefVector(stmts, chosen, reusable)
             self._ref_vectors[table] = vector
         return vector
@@ -1026,59 +900,59 @@ class DeltaWorkloadCoster:
         """Secondary ``ix``'s access-plan cost for every statement on
         its table against the table's reference base, aligned with
         ``_by_table`` — inf where it has no usable plan and for
-        maintenance statements (which are never probed).  Read off the
-        per-pair probes on first demand and kept for the run: a probe
+        maintenance statements (whose terms are never reused).  Read
+        off the plan table on first demand and kept for the run: a plan
         depends on the base structure, not on the rest of the
         reference."""
-        key = (index_identity(ix), self._ref_base(ix.table)[1])
+        table = ix.table
+        base, base_id = self._ref_base(table)
+        key = (index_identity(ix), base_id)
         row = self._probe_rows.get(key)
         if row is None:
             row = []
-            for si in self._by_table.get(ix.table, ()):
+            if base is not None:
+                self._fill_probe_group(table, base, base_id)
+            for si in self._by_table.get(table, ()):
                 plan = (
-                    self._probe_cached(si, ix)
-                    if self._is_select[si] else None
+                    self._plan(si, table, ix, base, base_id)
+                    if base is not None and self._is_select[si] else None
                 )
                 row.append(_INF if plan is None else plan.cost)
             self._probe_rows[key] = row
         return row
 
-    def _probe_cached(self, si: int, ix: IndexDef):
-        """The candidate's access plan against the reference base of
-        its table (cached; None = unusable)."""
-        table = ix.table
-        base, base_id = self._ref_base(table)
-        if base is None:  # pragma: no cover - bases always tracked
-            return None
+    def _plan(
+        self, si: int, table: str, ix: IndexDef, base: IndexDef,
+        base_id: tuple,
+    ):
+        """The plan-table entry of ``ix`` for statement ``si`` on
+        ``table`` against ``base`` (evaluated on first demand; None =
+        unusable)."""
         key = (si, table, index_identity(ix), base_id)
         plan = self._probes.get(key, _UNPROBED)
         if plan is _UNPROBED:
-            self._fill_probe_group(table, base, base_id)
-            plan = self._probes.get(key, _UNPROBED)
-            if plan is _UNPROBED:
-                plan = self._probe(si, table, ix, base)
-                self._probes[key] = plan
+            plan = self._probes[key] = self._probe(si, table, ix, base)
         return plan
 
     def _fill_probe_group(
         self, table: str, base: IndexDef, base_id: tuple
     ) -> None:
-        """Batch the probes of every universe secondary on ``table``
-        whose size is already peekable, across **every** SELECT
-        statement touching the table, on the first probe miss against
-        this base.  Sweeps probe all affected statements for each
+        """Batch the plan-table entries of every universe secondary on
+        ``table`` whose size is already peekable, across **every**
+        SELECT statement touching the table, on the first sweep against
+        this base.  Sweeps read all affected statements for each
         candidate, so the whole group is demanded work — one lane
-        batch per group instead of one :meth:`_probe` per miss.
+        batch per group instead of one :meth:`_probe` per entry.
 
         Sizing is strictly peek-only (``size_if_known``): a lane is
         only filled when no new estimation work is needed, so the
         delta-on estimation order stays identical to the full-recost
         path — structures the peek cannot resolve fall back to the
         scalar :meth:`_probe` (sized via the optimizer's own lookup) at
-        the moment they are actually requested, exactly as before.
-        Each filled lane is the same :func:`cost_access` arithmetic
-        (shape + kernel evaluation) and lands in the same probe cache,
-        so probe decisions are bit-identical to the unbatched path."""
+        the moment they are actually requested.  Each filled lane is
+        the same :func:`plan_from_shape` arithmetic over the same
+        memoized shape and lands in the same table, so plans are
+        bit-identical to the unbatched path."""
         group = (table, base_id)
         if group in self._probe_filled:
             return
@@ -1099,10 +973,7 @@ class DeltaWorkloadCoster:
         for sj in self._by_table.get(table, ()):
             if not self._is_select[sj]:
                 continue
-            info = self._probe_info[sj]
-            if info is None or table not in info:
-                continue
-            preds, needed = info[table]
+            preds, needed = self._probe_info[sj][table]
             for cand, cand_id, size in secondaries:
                 if size is None:
                     continue
@@ -1138,18 +1009,19 @@ class DeltaWorkloadCoster:
             return not mv_matches_query(ix.mv, stmt)
         if ix.kind is not IndexKind.SECONDARY:
             return False  # base adds surface as removed+added upstream
-        plan = self._probe_cached(si, ix)
+        base, base_id = self._ref_base(ix.table)
+        if base is None:  # pragma: no cover - bases always tracked
+            return False
+        plan = self._plan(si, ix.table, ix, base, base_id)
         if plan is None:
             return True
-        chosen = self._chosen_plan_cost(si, ix.table)
-        if chosen is None:
-            return False
-        return plan.cost > chosen
+        chosen = self._ref_plans[si][stmt.tables.index(ix.table)]
+        return plan.cost > chosen.cost
 
     def _probe(self, si: int, table: str, ix: IndexDef, base: IndexDef):
-        """One :func:`cost_access` evaluation with exactly the inputs
-        ``StatementCoster._structures_for`` would feed it, through the
-        kernel's shape cache."""
+        """One plan evaluation with exactly the inputs
+        ``StatementCoster._structures_for`` would feed
+        ``best_access_plan``, through the kernel's shape memo."""
         self.probe_evals += 1
         preds, needed = self._probe_info[si][table]
         whatif = self.whatif
@@ -1200,18 +1072,22 @@ class DeltaWorkloadCoster:
         preds, needed = self._probe_info[si][table]
         stats = self.whatif.stats.table(table)
         constants = self.whatif.coster.constants
+        kernel = self.whatif.kernel
+        base_lookup = (floor_base, base_size[0])
         best_cost = None
         best_rows = None
         for ix in structures:
             size = self._universe_size(ix)
             if size is None:
                 return None
-            plan = cost_access(
-                ix, size[0], size[1], preds, needed, stats,
-                constants, base_lookup=(floor_base, base_size[0]),
+            shape = kernel.shape_for(
+                (si, table), ix, preds, needed, stats, constants
             )
-            if plan is None:
+            if shape is None:
                 continue
+            plan = plan_from_shape(
+                ix, size[0], size[1], shape, constants, base_lookup
+            )
             if best_cost is None or plan.cost < best_cost:
                 best_cost = plan.cost
             if best_rows is None or plan.rows_out < best_rows:

@@ -38,7 +38,7 @@ from repro.workload.query import (
 SizeLookup = Callable[[IndexDef], tuple[float, float]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostBreakdown:
     """Estimated cost of a statement under a configuration."""
 
@@ -81,25 +81,28 @@ class StatementCoster:
     # ------------------------------------------------------------------
     # SELECT
     # ------------------------------------------------------------------
-    def _structures_for(
-        self, table: str, config: Configuration
-    ) -> list[tuple[IndexDef, float, float]]:
-        """(index, bytes, rows) for every structure on ``table``; a plain
-        heap is synthesized if the configuration tracks no base."""
-        out = []
-        structures = list(config.indexes_on(table))
+    @staticmethod
+    def _table_structures(
+        table: str, config: Configuration
+    ) -> list[IndexDef]:
+        """The non-MV structures of ``table`` in plan-search order
+        (:meth:`Configuration.structures_on`: base first); a plain heap
+        is synthesized in front if the configuration tracks no base."""
+        structures = list(config.structures_on(table))
         if config.base_structure(table) is None:
             # Untracked table: scan happens over a plain heap.
             structures.insert(0, IndexDef(table, (), kind=IndexKind.HEAP))
-        for index in structures:
-            if index.is_mv_index:
-                continue
-            size_bytes, rows = self.sizes(index)
-            out.append((index, size_bytes, rows))
-        # Base first (best_access_plan relies on finding it for lookups).
-        out.sort(key=lambda t: t[0].kind is not IndexKind.HEAP
-                 and t[0].kind is not IndexKind.CLUSTERED)
-        return out
+        return structures
+
+    def _structures_for(
+        self, table: str, config: Configuration
+    ) -> list[tuple[IndexDef, float, float]]:
+        """(index, bytes, rows) for every structure on ``table``, base
+        first (best_access_plan relies on finding it for lookups)."""
+        return [
+            (index, *self.sizes(index))
+            for index in self._table_structures(table, config)
+        ]
 
     def _cost_select(self, query: SelectQuery,
                      config: Configuration) -> CostBreakdown:
@@ -165,9 +168,7 @@ class StatementCoster:
         best: CostBreakdown | None = None
         # Stable member order: the strict '<' tie-break below must not
         # depend on set iteration (PYTHONHASHSEED) for reproducibility.
-        for index in config.ordered():
-            if not index.is_mv_index:
-                continue
+        for index in config.mv_indexes():
             if not mv_matches_query(index.mv, query):
                 continue
             size_bytes, rows = self.sizes(index)
@@ -195,15 +196,11 @@ class StatementCoster:
     ) -> list[IndexDef]:
         """Every structure of ``config`` that stores rows of ``table``
         (base first, then secondaries, then MVs sourcing the table)."""
-        structures: list[IndexDef] = []
-        base = config.base_structure(table)
-        if base is None:
-            base = IndexDef(table, (), kind=IndexKind.HEAP)
-        structures.append(base)
-        structures.extend(config.secondary_indexes(table))
-        for index in config.ordered():
-            if index.is_mv_index and table in index.mv.tables:
-                structures.append(index)
+        structures = self._table_structures(table, config)
+        structures.extend(
+            index for index in config.mv_indexes()
+            if table in index.mv.tables
+        )
         return structures
 
     def structure_maintenance(

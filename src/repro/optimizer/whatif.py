@@ -186,8 +186,8 @@ class WhatIfOptimizer:
         """One statement's cost plus its chosen per-table access-plan
         costs (aligned with ``statement.tables``), or None when plans
         are unknown — an update statement, an MV substitution, or an
-        old-format persistent replay.  The delta coster's access-path
-        probes compare against these, so they survive persistent
+        old-format persistent replay.  The delta coster checks its
+        plan table's choice against these, so they survive persistent
         replays (the cost cache stores them alongside the totals)."""
         relevant = self._relevant_structures(statement, config)
         key = self._signature_of(statement, relevant)
@@ -224,8 +224,8 @@ class WhatIfOptimizer:
 
     def delta_coster(self, workload: Workload) -> "DeltaWorkloadCoster":
         """A :class:`~repro.optimizer.delta.DeltaWorkloadCoster` bound
-        to this optimizer and ``workload`` (fresh per call: the delta
-        memo is per-run state and must not outlive this optimizer's
+        to this optimizer and ``workload`` (fresh per call: its plan
+        table is per-run state and must not outlive this optimizer's
         size lookup)."""
         from repro.optimizer.delta import DeltaWorkloadCoster
 

@@ -15,12 +15,33 @@ from repro.physical.index_def import IndexDef
 from repro.storage.index_build import IndexKind
 
 
+def structure_order_key(index: IndexDef) -> tuple[str, str]:
+    """The total, content-determined sort key of a structure: its
+    display name, then its full signature.  The name alone is not
+    total — two partial indexes on the same keys with different filters
+    both render ``..._part`` — and the optimizer's first-minimum
+    tie-break follows this order, so it must not fall back to
+    ``frozenset`` iteration (PYTHONHASHSEED).  Cached on the (frozen)
+    index: every per-table sort of every configuration asks for it."""
+    key = index.__dict__.get("_order_key")
+    if key is None:
+        # Imported here: repro.parallel.signature imports this module.
+        from repro.parallel.signature import index_signature
+
+        key = (index.display_name(), index_signature(index))
+        object.__setattr__(index, "_order_key", key)
+    return key
+
+
 class Configuration:
     """An immutable set of :class:`IndexDef` (hashable, comparable)."""
 
     def __init__(self, indexes: Iterable[IndexDef] = ()) -> None:
         self._indexes = frozenset(indexes)
         self._ordered: tuple[IndexDef, ...] | None = None
+        self._mv_indexes: tuple[IndexDef, ...] | None = None
+        #: table -> :meth:`structures_on` (cached).
+        self._structures: dict[str, tuple[IndexDef, ...]] = {}
         base_tables: dict[str, IndexDef] = {}
         for ix in self._indexes:
             if ix.kind in (IndexKind.HEAP, IndexKind.CLUSTERED) and not ix.is_mv_index:
@@ -78,13 +99,45 @@ class Configuration:
             if ix.kind is IndexKind.SECONDARY
             and (table is None or ix.table == table)
         ]
-        return sorted(out, key=lambda ix: ix.display_name())
+        return sorted(out, key=structure_order_key)
 
     def indexes_on(self, table: str) -> list[IndexDef]:
         return sorted(
             (ix for ix in self._indexes if ix.table == table),
-            key=lambda ix: ix.display_name(),
+            key=structure_order_key,
         )
+
+    def structures_on(self, table: str) -> tuple[IndexDef, ...]:
+        """The non-MV structures storing rows of ``table`` in the
+        optimizer's plan-search order (cached): the base structure
+        first, when the table is tracked, then the secondaries by
+        :func:`structure_order_key`.  The plan search keeps the first
+        minimum in this order, so everything that must reproduce its
+        choice iterates this and nothing else."""
+        structures = self._structures.get(table)
+        if structures is None:
+            base = self._base.get(table)
+            rest = sorted(
+                (
+                    ix for ix in self._indexes
+                    if ix.table == table and ix.mv is None
+                    and ix is not base
+                ),
+                key=structure_order_key,
+            )
+            structures = tuple(rest) if base is None else (base, *rest)
+            self._structures[table] = structures
+        return structures
+
+    def mv_indexes(self) -> tuple[IndexDef, ...]:
+        """The MV-index members, in :meth:`ordered` order (cached;
+        sorts only the MV indexes, usually none)."""
+        if self._mv_indexes is None:
+            self._mv_indexes = tuple(sorted(
+                (ix for ix in self._indexes if ix.mv is not None),
+                key=repr,
+            ))
+        return self._mv_indexes
 
     # ------------------------------------------------------------------
     def add(self, index: IndexDef) -> "Configuration":

@@ -173,10 +173,18 @@ class TestIncrementalEqualsFull:
         assert whatif.cost(s07, swapped).plans[0].index == variant
         delta = whatif.delta_coster(wl)
         delta.rebase(ref)
-        searched = len(delta._table_plans)
-        assert delta.statement_cost(s07, swapped) == \
-            whatif.cost(s07, swapped).total
-        assert len(delta._table_plans) == searched
+        before = delta.stats()
+        lanes, calls = whatif.kernel.lanes_total, whatif.optimizer_calls
+        total = delta.statement_cost(s07, swapped)
+        after = delta.stats()
+        # Patched from plans: the variant's own plan is the one new
+        # evaluation — no plan search (kernel lanes), no optimizer call.
+        assert after["probe_evals"] - before["probe_evals"] == 1
+        assert after["patched_terms"] - before["patched_terms"] == 1
+        assert after["full_recosts"] == before["full_recosts"]
+        assert whatif.kernel.lanes_total == lanes
+        assert whatif.optimizer_calls == calls
+        assert total == whatif.cost(s07, swapped).total
         incremental = delta.workload_cost(swapped)
         whatif.clear_cache()
         assert incremental == whatif.workload_cost(wl, swapped)
@@ -187,13 +195,13 @@ class TestIncrementalEqualsFull:
         delta.rebase(base)
         delta.workload_cost(base.add(pool[0]))
         view = delta.fork_view()
-        assert view.stats()["memo_entries"] == 0
+        assert view.stats()["probe_entries"] == 0
+        assert view.stats()["probe_evals"] == 0
         assert view.workload_cost(base) == delta.rebase(base)
-        assert delta.stats()["memo_entries"] > 0
+        assert delta.stats()["probe_entries"] > 0
 
 
-@pytest.fixture(scope="module")
-def update_heavy_rig(delta_inputs):
+def update_heavy_workload(wl):
     """A workload dominated by UPDATE/DELETE/INSERT statements (plus a
     few SELECTs), for the maintenance-patching paths: fsum-accumulated
     maintenance costs let the delta layer rebuild INSERT/UPDATE/DELETE
@@ -201,7 +209,6 @@ def update_heavy_rig(delta_inputs):
     from repro.workload.parser import parse_statement
     from repro.workload.query import Workload
 
-    db, wl, budget = delta_inputs
     heavy = Workload()
     for ws in wl.queries[:6]:
         heavy.add(ws.statement, weight=1.0, name=ws.name)
@@ -217,6 +224,15 @@ def update_heavy_rig(delta_inputs):
         ("BULK_2", "INSERT INTO customers BULK 120", 5.0),
     ]:
         heavy.add(parse_statement(sql), weight=weight, name=name)
+    return heavy
+
+
+@pytest.fixture(scope="module")
+def update_heavy_rig(delta_inputs):
+    """The :func:`update_heavy_workload` rig: optimizer, base
+    configuration and a secondary pool on its two written tables."""
+    db, wl, budget = delta_inputs
+    heavy = update_heavy_workload(wl)
     stats = DatabaseStats(db)
     estimator = SizeEstimator(db, stats=stats)
     advisor = TuningAdvisor(
@@ -712,12 +728,12 @@ class TestSweepMajor:
             assert whatif.workload_cost(wl, ref) == ref_cost
 
     def test_a_repeated_sweep_does_no_new_work(self, sweep_rig):
-        """Costing a pool twice against one reference probes nothing
-        and memoizes nothing the second time; and the first sweep only
-        memoizes what it had to resolve — the pairs the candidate's
-        probe does not strictly lose (winners, ties) or cannot decide
-        (maintenance statements) — while every loser is a reused
-        reference term."""
+        """Costing a pool twice against one reference evaluates no
+        plan, no kernel lane and no optimizer call the second time; and
+        the first sweep only resolves what it had to — the pairs the
+        candidate's probe does not strictly lose (winners, ties) or
+        cannot decide (maintenance statements) — while every loser is
+        a reused reference term."""
         from repro.optimizer.access_paths import cost_access
         from repro.workload.query import SelectQuery
 
@@ -758,12 +774,18 @@ class TestSweepMajor:
                 resolved += 1
         assert losers > 0 and resolved > 0
         assert swept["reused_terms"] - before["reused_terms"] == losers
-        assert swept["memo_entries"] - before["memo_entries"] <= resolved
+        assert sum(
+            swept[key] - before[key] for key in
+            ("patched_terms", "patched_maintenance", "full_recosts")
+        ) == resolved
 
+        lanes, calls = whatif.kernel.lanes_total, whatif.optimizer_calls
         assert delta.batch(adds) == first
         again = delta.stats()
         assert again["probe_evals"] == swept["probe_evals"]
-        assert again["memo_entries"] == swept["memo_entries"]
+        assert again["probe_entries"] == swept["probe_entries"]
+        assert whatif.kernel.lanes_total == lanes
+        assert whatif.optimizer_calls == calls
 
     def test_improvement_cap_is_one_sum_per_table(self, sweep_rig):
         whatif, wl, base, pool, _db = sweep_rig

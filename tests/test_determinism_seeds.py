@@ -53,6 +53,38 @@ names = sorted(ix.display_name() for ix in result.configuration)
 print(repr((names, result.base_cost, result.final_cost, result.steps)))
 """
 
+_TIED_PARTIAL_INDEXES_SCRIPT = """
+from repro.datasets.sales import sales_database
+from repro.optimizer.whatif import WhatIfOptimizer
+from repro.physical.configuration import Configuration
+from repro.physical.index_def import IndexDef
+from repro.storage.index_build import IndexKind
+from repro.workload.parser import parse_statement
+
+db = sales_database(scale=0.03)
+query = parse_statement(
+    "SELECT sa_total FROM sales WHERE sa_promo = 'HOLIDAY' "
+    "AND sa_status = 'R' AND sa_quantity = 3 AND sa_discount = 5"
+)
+columns = ("sa_total", "sa_promo", "sa_status", "sa_quantity", "sa_discount")
+twins = [
+    IndexDef("sales", ("sa_channel",), included_columns=columns, filter=p)
+    for p in query.predicates_of_table(db, "sales")
+]
+assert len({ix.display_name() for ix in twins}) == 1 < len(twins)
+config = Configuration(
+    [IndexDef("sales", (), kind=IndexKind.HEAP), *twins]
+)
+whatif = WhatIfOptimizer(
+    db, sizes=lambda ix: (4e5 if ix.filter is not None else 4e6, 5000.0)
+)
+breakdown = whatif.cost(query, config)
+print(repr((
+    [repr(ix.filter) for ix in config.indexes_on("sales")],
+    repr(breakdown.plans[0].index.filter), breakdown.total,
+)))
+"""
+
 
 def _run_with_hashseed(script: str, hashseed: str) -> str:
     result = subprocess.run(
@@ -83,6 +115,18 @@ class TestHashseedIndependence:
         a = _run_with_hashseed(_DELTA_TUNE_DIGEST_SCRIPT, "3")
         b = _run_with_hashseed(_DELTA_TUNE_DIGEST_SCRIPT, "4242")
         assert a == b
+
+    def test_same_named_structures_order_by_content(self):
+        """Partial indexes on the same keys with different filters
+        share a display name; sized equal, their covering plans tie to
+        the bit, so the optimizer's first-minimum order decides which
+        one (and which row estimate) a statement gets.  That order must
+        come from their content, not from set iteration."""
+        runs = {
+            _run_with_hashseed(_TIED_PARTIAL_INDEXES_SCRIPT, seed)
+            for seed in ("3", "4", "4242")
+        }
+        assert len(runs) == 1
 
 
 class TestSeedEntryPoints:
