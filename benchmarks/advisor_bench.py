@@ -317,13 +317,14 @@ def run_cache_section(args) -> dict:
     budget = db.total_data_bytes() * args.budget
     cache_dir = args.cache_dir or tempfile.mkdtemp(prefix="repro-bench-cache-")
 
-    t0 = time.perf_counter()
-    cold = tune(db, wl, budget, variant=args.variant, cache_dir=cache_dir)
-    cold_wall = time.perf_counter() - t0
+    def timed_tune():
+        t0 = time.perf_counter()
+        result = Session(db, wl, variant=args.variant,
+                         cache_dir=cache_dir).tune(budget)
+        return result, time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    warm = tune(db, wl, budget, variant=args.variant, cache_dir=cache_dir)
-    warm_wall = time.perf_counter() - t0
+    cold, cold_wall = timed_tune()
+    warm, warm_wall = timed_tune()
 
     return {
         "cache_dir": cache_dir,

@@ -28,8 +28,8 @@ from repro.advisor.retune import (
     RetuneResult,
     TuningSession,
     configuration_diff,
-    retune_run,
     retune_sequence,
+    run_isolated,
 )
 from repro.advisor.sweep import SweepResult, SweepRun
 from repro.advisor.selection import (
@@ -54,7 +54,7 @@ __all__ = [
     "variants",
     "TuningSession",
     "RetuneResult",
-    "retune_run",
+    "run_isolated",
     "retune_sequence",
     "configuration_diff",
     "SweepResult",

@@ -31,7 +31,7 @@ from repro.compression.base import CompressionMethod
 from repro.errors import AdvisorError
 from repro.optimizer.constants import DEFAULT_COST_CONSTANTS, CostConstants
 from repro.optimizer.whatif import WhatIfOptimizer
-from repro.parallel.cache import CostCache, EstimationCache
+from repro.parallel.cache import CostCache
 from repro.physical.configuration import Configuration
 from repro.physical.index_def import IndexDef
 from repro.sizeest.estimator import SizeEstimator
@@ -82,8 +82,9 @@ class AdvisorOptions:
     (terms rebuilt from one per-run plan table, bound-based
     candidate pruning); recommendations are byte-identical with it on
     or off — off only costs time.
-    ``cache_dir`` persists size estimates *and* what-if costs across
-    runs (``estimates.json`` / ``costs.json`` in the same directory).
+    Persistent caches are not an option: the owner of a run (a
+    :class:`~repro.api.Session`, the service, a sweep) builds them and
+    hands them to :func:`repro.advisor.retune.run_isolated`.
     A run never forks: parallelism is :func:`repro.api.run_sweep`'s,
     whose shard unit is a whole run.
     """
@@ -107,7 +108,6 @@ class AdvisorOptions:
     skyline_cluster_max: int = 12
     e: float = 0.5
     q: float = 0.9
-    cache_dir: str | None = None
     delta_costing: bool = True
     #: selection strategy over the shared candidate pool, resolved
     #: through :func:`repro.advisor.algorithms.get` — the default is
@@ -215,23 +215,9 @@ class TuningAdvisor:
         self.stats = stats or DatabaseStats(database)
         self._constants = constants
         self.progress = progress
-        cache = (
-            EstimationCache(options.cache_dir)
-            if options.cache_dir is not None
-            else None
+        self.estimator = estimator or SizeEstimator(
+            database, stats=self.stats, e=options.e, q=options.q,
         )
-        if estimator is None:
-            estimator = SizeEstimator(
-                database, stats=self.stats, e=options.e, q=options.q,
-                cache=cache,
-            )
-        elif estimator.cache is None and cache is not None:
-            # Attach this run's cache to a shared estimator only where
-            # it has none, so explicit caller wiring wins.
-            estimator.cache = cache
-        self.estimator = estimator
-        if cost_cache is None and options.cache_dir is not None:
-            cost_cache = CostCache(options.cache_dir)
         self.cost_cache = cost_cache
         self.whatif = WhatIfOptimizer(
             database, self.stats, sizes=self._size_lookup,
@@ -608,7 +594,7 @@ def get_variant(name: str) -> VariantSpec:
     spelled out (the service maps this to a 400)."""
     try:
         return _VARIANT_REGISTRY[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable wire value
         raise AdvisorError(
             f"unknown variant {name!r}; choose from {variant_names()}"
         ) from None

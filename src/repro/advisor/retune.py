@@ -23,21 +23,21 @@ A retune is one advisor run whose search is replaced by
    polish, started from the pruned previous configuration rather than
    from scratch.
 
+:func:`run_isolated` is the one advisor invocation every entry point
+shares — cold when ``previous`` is None, the search above otherwise.  It
+builds the run's seeded estimator and the :class:`TuningAdvisor`; the
+caller decides isolation by which cache objects it hands in.
 :class:`TuningSession` is the session-state API around it: it owns the
 database, the workload, shared :class:`DatabaseStats` and persistent
 estimate/cost caches, and the previous configuration — the first
 feature where the advisor's output becomes its next input.
-:func:`retune_run` is the embeddable core (one retune with explicit
-wiring), which the tuning service calls with its own per-request
-estimator/cache discipline.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.advisor.advisor import (
     AdvisorOptions,
@@ -67,8 +67,8 @@ class _RetuneSearch(RelaxationAlgorithm, GreedyBacktrackAlgorithm):
     algorithm's budget relaxation + terminating drop iterations (usage/
     density-ordered victims, cost-checked acceptance) and the greedy
     algorithm's add loop + method polish.  Not registered — it needs a
-    previous configuration no registry name can carry; the advisor
-    receives it through ``TuningAdvisor(algorithm_cls=...)``.
+    previous configuration no registry name can carry;
+    :func:`run_isolated` hands it to the advisor as ``algorithm_cls``.
     """
 
     name = "retune"
@@ -261,37 +261,65 @@ def configuration_diff(
     return dropped, added, kept
 
 
-def retune_run(
+def seeded_estimator(
+    database: Database, options: AdvisorOptions, *, seed: int,
+    stats: DatabaseStats, estimates: EstimationCache | None = None,
+) -> SizeEstimator:
+    """The per-run estimator of :func:`run_isolated`: fresh sample state
+    drawn with ``seed``, warm estimates from the caller's cache."""
+    return SizeEstimator(
+        database, stats=stats, manager=SampleManager(database, seed=seed),
+        e=options.e, q=options.q, cache=estimates,
+    )
+
+
+def run_isolated(
     database: Database,
     workload: Workload,
-    previous: Configuration,
     options: AdvisorOptions,
     *,
-    estimator: SizeEstimator | None = None,
-    stats: DatabaseStats | None = None,
-    base_config: Configuration | None = None,
-    cost_cache: CostCache | None = None,
+    seed: int,
+    stats: DatabaseStats,
+    estimates: EstimationCache | None = None,
+    costs: CostCache | None = None,
+    previous: Configuration | None = None,
     progress: ProgressHook | None = None,
 ) -> AdvisorResult:
-    """One incremental retune with explicit wiring: a standard advisor
-    run whose search is the drop-then-refill :class:`_RetuneSearch`
-    seeded at ``previous``, and whose candidate pool is guaranteed to
-    contain every previous member (so re-fill can re-add a dropped
-    structure and the delta coster's pruning bounds stay sound over the
-    carried-over configuration)."""
-    advisor = TuningAdvisor(
+    """One advisor run — the single place a tuning run is wired.
+
+    Every run gets a fresh seeded estimator (and, in
+    :class:`TuningAdvisor`, a fresh delta coster, whose plan-table keys
+    do not embed sizes), so no run's in-memory sample, estimate or plan
+    state can steer another's: a result is a function of the arguments
+    and of the entries already in ``estimates``/``costs``.  The caller
+    picks the isolation by which cache objects it passes — a session its
+    live caches (runs warm each other), the service and the sweep a
+    :meth:`fork_view` each (a fixed snapshot, absorbed or saved by the
+    caller afterwards).
+
+    ``previous`` makes the run an incremental retune: the search is
+    :class:`_RetuneSearch` seeded there, and the candidate pool is
+    guaranteed to contain every previous member (so re-fill can re-add
+    a dropped structure and the delta coster's pruning bounds stay sound
+    over the carried-over configuration)."""
+    search: dict = {}
+    if previous is not None:
+        search = dict(
+            algorithm_cls=partial(_RetuneSearch, previous),
+            extra_candidates=previous.ordered(),
+        )
+    return TuningAdvisor(
         database,
         workload,
         options,
-        estimator=estimator,
+        estimator=seeded_estimator(
+            database, options, seed=seed, stats=stats, estimates=estimates
+        ),
         stats=stats,
-        base_config=base_config,
-        cost_cache=cost_cache,
+        cost_cache=costs,
         progress=progress,
-        algorithm_cls=partial(_RetuneSearch, previous),
-        extra_candidates=previous.ordered(),
-    )
-    return advisor.run()
+        **search,
+    ).run()
 
 
 @dataclass
@@ -309,6 +337,17 @@ class RetuneResult:
     added: list[IndexDef] = field(default_factory=list)
     kept: list[IndexDef] = field(default_factory=list)
 
+    @classmethod
+    def from_run(
+        cls, previous: Configuration, result: AdvisorResult, generation: int
+    ) -> "RetuneResult":
+        """The diff of ``result`` against the configuration it started
+        from (the untuned base for a cold first generation)."""
+        dropped, added, kept = configuration_diff(
+            previous, result.configuration
+        )
+        return cls(result, generation, previous, dropped, added, kept)
+
     @property
     def configuration(self) -> Configuration:
         return self.result.configuration
@@ -316,6 +355,25 @@ class RetuneResult:
     @property
     def config_changed(self) -> bool:
         return bool(self.dropped or self.added)
+
+    def events(self) -> Iterator[dict]:
+        """The retune's progress events, in stream order: ``dropped``
+        and ``added`` when non-empty, then always ``config_changed``."""
+        for event, indexes in (("dropped", self.dropped),
+                               ("added", self.added)):
+            if indexes:
+                yield {
+                    "event": event,
+                    "indexes": [ix.display_name() for ix in indexes],
+                }
+        yield {
+            "event": "config_changed",
+            "changed": self.config_changed,
+            "generation": self.generation,
+            "dropped": len(self.dropped),
+            "added": len(self.added),
+            "kept": len(self.kept),
+        }
 
     @property
     def improvement(self) -> float:
@@ -329,12 +387,13 @@ class TuningSession:
     The session owns what repeated runs can safely share — the
     :class:`DatabaseStats`, one :class:`EstimationCache` and one
     :class:`CostCache` (persistent under ``cache_dir``, in-memory
-    otherwise) — and hands every run a *fresh* seeded estimator over
-    them, the same per-run discipline the sweep orchestrator and the
-    tuning service use.  ``tune()`` runs cold; ``retune()`` runs the
-    incremental drop-then-refill search from the previous result and
-    returns the configuration diff.  Pass ``workload=`` to either call
-    to move the session onto a new drift phase.
+    otherwise) — and hands them *live* to :func:`run_isolated`, so
+    every run warms the next (the sweep orchestrator and the tuning
+    service hand it fork views instead).  ``tune()`` runs cold;
+    ``retune()`` runs the incremental drop-then-refill search from the
+    previous result and returns the configuration diff.  Pass
+    ``workload=`` to either call to move the session onto a new drift
+    phase.
     """
 
     def __init__(
@@ -401,18 +460,6 @@ class TuningSession:
             budget, **{**self.options_extra, **extra}
         )
 
-    def _fresh_estimator(self, options: AdvisorOptions) -> SizeEstimator:
-        """A per-run estimator over the session's shared cache — fresh
-        sample state seeded identically every run, warm estimates."""
-        return SizeEstimator(
-            self.database,
-            stats=self.stats,
-            manager=SampleManager(self.database, seed=self.seed),
-            e=options.e,
-            q=options.q,
-            cache=self.estimates,
-        )
-
     def _resolve_workload(self, workload: Workload | None) -> Workload:
         if workload is not None:
             self.workload = workload
@@ -422,9 +469,26 @@ class TuningSession:
             )
         return self.workload
 
-    def _emit(self, event: dict) -> None:
-        if self.progress is not None:
-            self.progress(event)
+    def _run(self, budget_bytes, budget_fraction, workload, extra,
+             previous: Configuration | None = None) -> AdvisorResult:
+        """One run over the session's live caches; its recommendation
+        becomes the session's configuration."""
+        workload = self._resolve_workload(workload)
+        budget = self._resolve_budget(budget_bytes, budget_fraction)
+        result = run_isolated(
+            self.database,
+            workload,
+            self._options(budget, extra),
+            seed=self.seed,
+            stats=self.stats,
+            estimates=self.estimates,
+            costs=self.costs,
+            previous=previous,
+            progress=self.progress,
+        )
+        self.configuration = result.configuration
+        self.generation += 1
+        return result
 
     # ------------------------------------------------------------------
     def tune(
@@ -438,22 +502,7 @@ class TuningSession:
         """One cold tuning run (no previous-configuration seeding);
         establishes the configuration later ``retune()`` calls carry
         forward."""
-        workload = self._resolve_workload(workload)
-        budget = self._resolve_budget(budget_bytes, budget_fraction)
-        options = self._options(budget, extra)
-        advisor = TuningAdvisor(
-            self.database,
-            workload,
-            options,
-            estimator=self._fresh_estimator(options),
-            stats=self.stats,
-            cost_cache=self.costs,
-            progress=self.progress,
-        )
-        result = advisor.run()
-        self.configuration = result.configuration
-        self.generation += 1
-        return result
+        return self._run(budget_bytes, budget_fraction, workload, extra)
 
     def retune(
         self,
@@ -466,58 +515,19 @@ class TuningSession:
         """One incremental retune from the session's previous
         configuration (drop decayed structures, greedy re-fill), under
         the current — typically drifted — workload."""
-        if self.configuration is None:
+        previous = self.configuration
+        if previous is None:
             raise AdvisorError(
                 "retune needs a previous configuration: run tune() "
                 "first, or seed the session with configuration=..."
             )
-        workload = self._resolve_workload(workload)
-        budget = self._resolve_budget(budget_bytes, budget_fraction)
-        options = self._options(budget, extra)
-        previous = self.configuration
-        start = time.perf_counter()
-        result = retune_run(
-            self.database,
-            workload,
-            previous,
-            options,
-            estimator=self._fresh_estimator(options),
-            stats=self.stats,
-            cost_cache=self.costs,
-            progress=self.progress,
+        result = self._run(
+            budget_bytes, budget_fraction, workload, extra, previous
         )
-        result.elapsed_seconds = time.perf_counter() - start
-        dropped, added, kept = configuration_diff(
-            previous, result.configuration
-        )
-        self.configuration = result.configuration
-        self.generation += 1
-        out = RetuneResult(
-            result=result,
-            generation=self.generation,
-            previous_configuration=previous,
-            dropped=dropped,
-            added=added,
-            kept=kept,
-        )
-        if dropped:
-            self._emit({
-                "event": "dropped",
-                "indexes": [ix.display_name() for ix in dropped],
-            })
-        if added:
-            self._emit({
-                "event": "added",
-                "indexes": [ix.display_name() for ix in added],
-            })
-        self._emit({
-            "event": "config_changed",
-            "changed": out.config_changed,
-            "generation": self.generation,
-            "dropped": len(dropped),
-            "added": len(added),
-            "kept": len(kept),
-        })
+        out = RetuneResult.from_run(previous, result, self.generation)
+        if self.progress is not None:
+            for event in out.events():
+                self.progress(event)
         return out
 
 

@@ -11,31 +11,24 @@ forked workers measurably pay (see README, "Parallelism").
 
 Determinism contract
 --------------------
-``run_sweep`` returns byte-identical :class:`AdvisorResult`\\ s to
-looping :func:`repro.api.tune` sequentially with the same per-run
-wiring, at any worker count.  Three design choices make that hold:
+``run_sweep`` returns byte-identical :class:`AdvisorResult`\\ s at any
+worker count, each equal to ``Session(db, wl, seed=seed).tune(budget)``
+on a fresh session, because every unit is one
+:func:`repro.advisor.retune.run_isolated` call (fresh seeded estimator,
+fresh plan table — see there).  What the sweep varies is the cache
+objects it hands the run:
 
-* Each run unit gets a **fresh** :class:`SizeEstimator` (its own
-  :class:`SampleManager` seeded with the unit's seed), so no run's
-  in-memory estimate state can steer another's deduction planning.
-* Each run unit gets a :meth:`fork_view` snapshot of the persistent
-  caches as they stood *before the sweep started* — whether the unit
-  executes in the parent (``workers=1``) or in a forked worker, it sees
-  the identical cache state; entries a sibling persists mid-sweep are
-  invisible.  Fresh entries still merge into the shared cache directory
-  on save, so the *next* sweep runs warm.
+* Each unit gets a :meth:`fork_view` snapshot of the persistent caches
+  as they stood *before the sweep started* — whether the unit executes
+  in the parent (``workers=1``) or in a forked worker, it sees the
+  identical cache state; entries a sibling persists mid-sweep are
+  invisible.  The sweep never absorbs a view: fresh entries merge into
+  the shared cache directory when the unit's run saves them, so the
+  *next* sweep runs warm.
 * What-if cost entries are keyed on the statement x sized-structure
   signatures (see :class:`repro.parallel.cache.CostCache`), so a cost
   hit replays arithmetic that is identical by construction — a warm
   cost cache can skip costing entirely without moving any result.
-* The in-run plan table
-  (:class:`repro.optimizer.delta.DeltaWorkloadCoster`) follows the same
-  fork-view discipline, taken to its limit: its keys deliberately do
-  *not* embed size estimates, so each unit's :class:`TuningAdvisor`
-  builds a fresh coster against its own seeded estimator — no unit can
-  ever observe a sibling's plans, and delta-costed units stay
-  byte-identical to full-recost units whether they execute in the
-  parent or in a forked worker.
 
 Shared state that is *safe* to share — the database, the workload, and
 :class:`DatabaseStats` (a pure function of the data) — is built once
@@ -49,17 +42,13 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.advisor import algorithms
-from repro.advisor.advisor import (
-    AdvisorResult,
-    TuningAdvisor,
-    get_variant,
-)
+from repro.advisor.advisor import AdvisorResult, get_variant
+from repro.advisor.retune import run_isolated
 from repro.catalog.schema import Database
 from repro.errors import AdvisorError
 from repro.parallel.cache import CostCache, EstimationCache
 from repro.parallel.engine import ParallelEngine
-from repro.sampling.sample_manager import DEFAULT_SAMPLE_SEED, SampleManager
-from repro.sizeest.estimator import SizeEstimator
+from repro.sampling.sample_manager import DEFAULT_SAMPLE_SEED
 from repro.stats.column_stats import DatabaseStats
 from repro.workload.query import Workload
 
@@ -189,33 +178,24 @@ class _SweepJob:
         ``progress`` (parent-side sequential execution only — workers
         never carry a hook) forwards the unit's advisor events."""
         seed, budget = self.units[index]
-        options = get_variant(self.variant).advisor_options(
-            budget, **self.options_extra
-        )
-        estimator = SizeEstimator(
+        return run_isolated(
             self.database,
+            self.workload,
+            get_variant(self.variant).advisor_options(
+                budget, **self.options_extra
+            ),
+            seed=seed,
             stats=self.stats,
-            manager=SampleManager(self.database, seed=seed),
-            e=options.e,
-            q=options.q,
-            cache=(
+            estimates=(
                 self.estimation_cache.fork_view()
                 if self.estimation_cache is not None else None
             ),
-        )
-        advisor = TuningAdvisor(
-            self.database,
-            self.workload,
-            options,
-            estimator=estimator,
-            stats=self.stats,
-            cost_cache=(
+            costs=(
                 self.cost_cache.fork_view()
                 if self.cost_cache is not None else None
             ),
             progress=progress,
         )
-        return advisor.run()
 
 
 def _run_unit_task(job: _SweepJob, index: int) -> AdvisorResult:
@@ -265,12 +245,11 @@ def _run_sweep(
     """
     get_variant(variant)
     algorithms.get(options_extra.get("algorithm", algorithms.DEFAULT_ALGORITHM))
-    for reserved in ("cache_dir", "budget_bytes"):
-        if reserved in options_extra:
-            raise AdvisorError(
-                f"pass {reserved!r} as a run_sweep argument, not via "
-                "advisor options — the sweep owns cache wiring"
-            )
+    if "budget_bytes" in options_extra:
+        raise AdvisorError(
+            "pass budgets as the run_sweep argument, not 'budget_bytes' "
+            "via advisor options"
+        )
     if not budgets:
         raise AdvisorError("run_sweep needs at least one budget")
     seeds = tuple(seeds) if seeds else (DEFAULT_SAMPLE_SEED,)

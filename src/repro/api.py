@@ -15,6 +15,13 @@ method:
   select-then-compress strawman (Example 1/2).
 * :meth:`Session.sweep` — sharded budget sweep / seed ablation.
 
+``tune``, ``retune`` and every ``sweep`` unit are the same advisor
+invocation, :func:`repro.advisor.retune.run_isolated` (a fresh estimator
+drawn with the session's ``seed``), and ``tune_decoupled`` borrows its
+estimator wiring; what the modes vary is the cache objects they hand it
+— the session's live caches, or for ``sweep`` a fork view per unit of
+the caches under the session's ``cache_dir``.
+
 For callers that genuinely want the one-shot functional form (explicit
 estimators — mostly tests and benchmarks), this module
 also exports it: ``repro.api.tune`` / ``tune_decoupled`` / ``run_sweep``.
@@ -34,8 +41,17 @@ Example::
 
 from __future__ import annotations
 
-from repro.advisor.advisor import AdvisorResult, _tune, _tune_decoupled
-from repro.advisor.retune import RetuneResult, TuningSession
+from repro.advisor.advisor import (
+    AdvisorResult,
+    _tune,
+    _tune_decoupled,
+    get_variant,
+)
+from repro.advisor.retune import (
+    RetuneResult,
+    TuningSession,
+    seeded_estimator,
+)
 from repro.advisor.sweep import SweepResult, _run_sweep
 from repro.compression.base import CompressionMethod
 from repro.workload.query import Workload
@@ -75,13 +91,21 @@ class Session(TuningSession):
         a comparison arm, not a deployable recommendation."""
         workload = self._resolve_workload(workload)
         budget = self._resolve_budget(budget_bytes, budget_fraction)
+        extra = {**self.options_extra, **extra}
         return _tune_decoupled(
             self.database,
             workload,
             budget,
+            estimator=seeded_estimator(
+                self.database,
+                get_variant("dta").advisor_options(budget, **extra),
+                seed=self.seed,
+                stats=self.stats,
+                estimates=self.estimates,
+            ),
             stats=self.stats,
             method=method,
-            **{**self.options_extra, **extra},
+            **extra,
         )
 
     def sweep(
@@ -94,16 +118,16 @@ class Session(TuningSession):
         **extra,
     ) -> SweepResult:
         """Sharded budget sweep / seed ablation over this session's
-        context (database, variant, stats, cache directory), ``workers``
-        advisor runs in flight at once.  Does not
-        advance the session's configuration — a sweep is many
-        hypothetical runs, not one deployment decision."""
+        context (database, variant, stats, cache directory; ``seeds``
+        defaults to the session's), ``workers`` advisor runs in flight
+        at once.  Does not advance the session's configuration — a
+        sweep is many hypothetical runs, not one deployment decision."""
         workload = self._resolve_workload(workload)
         return _run_sweep(
             self.database,
             workload,
             budgets,
-            seeds=seeds,
+            seeds=seeds or (self.seed,),
             variant=self.variant,
             workers=workers,
             cache_dir=self.cache_dir,

@@ -6,34 +6,35 @@ shared statistics, a estimator for the ``estimate_size`` endpoint, a
 what-if optimizer for ``whatif_cost``, and the request executors the
 :class:`~repro.service.service.AdvisorService` queue dispatches to.
 
-Determinism contract: ``tune``/``sweep`` requests are executed exactly
-like :mod:`repro.advisor.sweep` units — a fresh seeded
-:class:`SizeEstimator` per run plus :meth:`fork_view` snapshots of the
-persistent caches — so a service response is byte-identical to calling
-:meth:`TuningAdvisor.run` sequentially with the same wiring, no matter
-what ran before it or concurrently with it.
+Determinism contract: every ``tune``/``retune`` job (and every unit of
+a ``sweep``) is one :func:`repro.advisor.retune.run_isolated` call, so a
+served result is byte-identical to ``serialize_result(Session.tune())``
+no matter what ran before it or concurrently with it.  What the service
+varies is the cache objects it hands the run: a :meth:`fork_view` of
+the registration-time estimate snapshot (never absorbed — see
+``_tune_estimates``) and a :meth:`fork_view` of the live cost cache,
+absorbed back once the run is done.
 """
 
 from __future__ import annotations
 
 from repro.advisor import algorithms
 from repro.advisor.advisor import (
+    AdvisorOptions,
     AdvisorResult,
-    TuningAdvisor,
     default_base_configuration,
     get_variant,
     quantized_size_lookup,
-    variant_names,
 )
-from repro.advisor.retune import configuration_diff, retune_run
+from repro.advisor.retune import RetuneResult, run_isolated
 from repro.advisor.sweep import _run_sweep
 from repro.catalog.schema import Database
 from repro.compression.base import CompressionMethod
-from repro.errors import ServiceError
+from repro.errors import AdvisorError, ServiceError
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.parallel.cache import CostCache, EstimationCache
 from repro.physical.index_def import IndexDef
-from repro.sampling.sample_manager import DEFAULT_SAMPLE_SEED, SampleManager
+from repro.sampling.sample_manager import DEFAULT_SAMPLE_SEED
 from repro.sizeest.estimator import SizeEstimator
 from repro.stats.column_stats import DatabaseStats
 from repro.storage.index_build import IndexKind
@@ -41,8 +42,7 @@ from repro.storage.page import quantize_bytes
 from repro.workload.parser import parse_statement
 from repro.workload.query import Workload
 
-#: AdvisorOptions fields a request may override (wiring-level fields —
-#: cache_dir — belong to the service, not the request).
+#: AdvisorOptions fields a request may override.
 _REQUEST_OPTION_FIELDS = frozenset({
     "candidate_selection", "top_k", "strategy", "backtracking",
     "seed_fanout", "min_improvement", "enable_partial", "enable_mv",
@@ -232,50 +232,45 @@ class ServiceContext:
         variant = payload.get("variant", "dtac-both")
         try:
             get_variant(variant)
-        except Exception:
-            raise ServiceError(
-                f"unknown variant {variant!r}; choose from "
-                f"{variant_names()}"
-            ) from None
+        except AdvisorError as exc:
+            raise ServiceError(str(exc)) from None
         return variant
 
-    def run_tune(self, payload: dict, progress=None) -> dict:
-        """One advisor run, isolated exactly like a sweep unit: fresh
-        seeded estimator, fork views of the persistent caches.
-
-        ``progress`` threads the job layer's event hook into the
-        advisor (one event per greedy step)."""
+    def _resolve(self, payload: dict) -> "tuple[str, int, AdvisorOptions]":
+        """(variant, seed, options) of a tune/retune payload, validated
+        in that order: variant, then options, then budget."""
         variant = self._variant(payload)
         extra = self._advisor_extra(payload)
         seed = int(payload.get("seed", DEFAULT_SAMPLE_SEED))
         options = get_variant(variant).advisor_options(
             self._budget_bytes(payload), **extra
         )
-        estimator = SizeEstimator(
-            self.database,
-            stats=self.stats,
-            manager=SampleManager(self.database, seed=seed),
-            e=options.e,
-            q=options.q,
-            cache=(
-                self._tune_estimates.fork_view()
-                if self._tune_estimates is not None else None
-            ),
+        return variant, seed, options
+
+    def _run(self, resolved, workload: Workload, previous,
+             progress) -> "tuple[AdvisorResult, dict]":
+        """One isolated run of a :meth:`_resolve`\\ d payload over fork
+        views of the service's caches, and its serialized envelope."""
+        variant, seed, options = resolved
+        estimates = (
+            self._tune_estimates.fork_view()
+            if self._tune_estimates is not None else None
         )
         cost_view = (
             self.cost_cache.fork_view()
             if self.cost_cache is not None else None
         )
-        advisor = TuningAdvisor(
+        result = run_isolated(
             self.database,
-            self.workload,
+            workload,
             options,
-            estimator=estimator,
+            seed=seed,
             stats=self.stats,
-            cost_cache=cost_view,
+            estimates=estimates,
+            costs=cost_view,
+            previous=previous,
             progress=progress,
         )
-        result = advisor.run()
         if cost_view is not None:
             # Cost entries replay identical arithmetic by construction
             # (sized keys), so warming later requests is result-neutral.
@@ -284,7 +279,16 @@ class ServiceContext:
         out["context"] = self.name
         out["variant"] = variant
         out["seed"] = seed
-        return out
+        return result, out
+
+    def run_tune(self, payload: dict, progress=None) -> dict:
+        """One advisor run (see the module's determinism contract).
+
+        ``progress`` threads the job layer's event hook into the
+        advisor (one event per greedy step)."""
+        return self._run(
+            self._resolve(payload), self.workload, None, progress
+        )[1]
 
     # ------------------------------------------------------------------
     # continuous tuning (the recurring retune job kind)
@@ -341,11 +345,9 @@ class ServiceContext:
         ``carried`` is the job tier's latest completed configuration
         for this context as ``(index_specs, generation)``; it seeds
         ``from_config`` when the submission did not pin one itself.
-        Bad budgets, variants, options, index specs, and drift specs
+        Bad variants, options, budgets, index specs, and drift specs
         all fail here (HTTP 400), never out of a running lane."""
-        self._budget_bytes(payload)
-        self._variant(payload)
-        self._advisor_extra(payload)
+        self._resolve(payload)
         self._drift_workload(payload)
         if payload.get("from_config"):
             self._previous_configuration(payload)
@@ -361,97 +363,29 @@ class ServiceContext:
 
     def run_retune(self, payload: dict, progress=None) -> dict:
         """One incremental retune, isolated exactly like
-        :meth:`run_tune`: fresh seeded estimator, fork views of the
-        persistent caches.  The previous configuration comes from the
-        payload (``from_config``, resolved at submission), the search
-        seeds the delta reference there, proposes drops of decayed
-        structures, then greedy re-fills; the result carries a
-        ``retune`` section (generation, diff, drift) and the event
-        stream gets ``dropped``/``added``/``config_changed`` events."""
-        budget = self._budget_bytes(payload)
-        variant = self._variant(payload)
-        seed = int(payload.get("seed", DEFAULT_SAMPLE_SEED))
-        options = get_variant(variant).advisor_options(
-            budget, **self._advisor_extra(payload)
-        )
+        :meth:`run_tune`.  The previous configuration comes from the
+        payload (``from_config``, resolved at submission); without one
+        this is the cold first generation, diffed against the untuned
+        base.  The result carries a ``retune`` section (generation,
+        diff, drift) and the event stream gets the
+        :meth:`RetuneResult.events`."""
+        resolved = self._resolve(payload)
         workload, drift_info = self._drift_workload(payload)
         previous = self._previous_configuration(payload)
-        estimator = SizeEstimator(
-            self.database,
-            stats=self.stats,
-            manager=SampleManager(self.database, seed=seed),
-            e=options.e,
-            q=options.q,
-            cache=(
-                self._tune_estimates.fork_view()
-                if self._tune_estimates is not None else None
-            ),
+        result, out = self._run(resolved, workload, previous, progress)
+        delta = RetuneResult.from_run(
+            previous or self.base_config, result,
+            payload.get("generation", 1),
         )
-        cost_view = (
-            self.cost_cache.fork_view()
-            if self.cost_cache is not None else None
-        )
-        if previous is None:
-            # Cold first generation: a plain advisor run (nothing to
-            # drop from yet), identical to run_tune's wiring.
-            advisor = TuningAdvisor(
-                self.database,
-                workload,
-                options,
-                estimator=estimator,
-                stats=self.stats,
-                cost_cache=cost_view,
-                progress=progress,
-            )
-            result = advisor.run()
-            diff_base = self.base_config
-        else:
-            result = retune_run(
-                self.database,
-                workload,
-                previous,
-                options,
-                estimator=estimator,
-                stats=self.stats,
-                cost_cache=cost_view,
-                progress=progress,
-            )
-            diff_base = previous
-        if cost_view is not None:
-            self.cost_cache.absorb(cost_view)
-        dropped, added, kept = configuration_diff(
-            diff_base, result.configuration
-        )
-        generation = payload.get("generation", 1)
         if progress is not None:
-            if dropped:
-                progress({
-                    "event": "dropped",
-                    "indexes": [ix.display_name() for ix in dropped],
-                })
-            if added:
-                progress({
-                    "event": "added",
-                    "indexes": [ix.display_name() for ix in added],
-                })
-            progress({
-                "event": "config_changed",
-                "changed": bool(dropped or added),
-                "generation": generation,
-                "dropped": len(dropped),
-                "added": len(added),
-                "kept": len(kept),
-            })
-        out = serialize_result(result)
-        out["context"] = self.name
-        out["variant"] = variant
-        out["seed"] = seed
+            for event in delta.events():
+                progress(event)
         out["retune"] = {
-            "generation": generation,
-            "config_changed": bool(dropped or added),
-            "dropped": [ix.display_name() for ix in dropped],
-            "added": [ix.display_name() for ix in added],
-            "kept": [ix.display_name() for ix in kept],
+            "generation": delta.generation,
+            "config_changed": delta.config_changed,
+            "dropped": [ix.display_name() for ix in delta.dropped],
+            "added": [ix.display_name() for ix in delta.added],
+            "kept": [ix.display_name() for ix in delta.kept],
         }
         if drift_info is not None:
             out["retune"]["drift"] = drift_info

@@ -1,8 +1,12 @@
 """Shared fixtures: a small deterministic database used across tests,
 plus the ``--update-golden`` refresh flag for the golden-recommendation
-regression canaries."""
+regression canaries, and the subprocess helper of the PYTHONHASHSEED
+identity tests."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,27 @@ def pytest_addoption(parser):
              "output instead of asserting against it (commit the diff "
              "deliberately — it documents a behavior change)",
     )
+
+
+@pytest.fixture(scope="session")
+def run_with_hashseed():
+    """``run(script, hashseed) -> stdout``: the script in a fresh
+    interpreter under that ``PYTHONHASHSEED``, with ``src/`` and the
+    repo root importable and nothing else inherited."""
+    root = Path(__file__).resolve().parent.parent
+
+    def run(script: str, hashseed: str) -> str:
+        return subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": f"{root / 'src'}:{root}",
+                 "PYTHONHASHSEED": hashseed, "PATH": "/usr/bin:/bin"},
+            check=True,
+            timeout=300,
+        ).stdout.strip()
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ from repro.advisor import AdvisorOptions
 from repro.api import Session, tune
 from repro.datasets.sales import sales_database, sales_workload
 from repro.errors import AdvisorError
+from repro.sampling.sample_manager import DEFAULT_SAMPLE_SEED, SampleManager
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +76,32 @@ class TestSession:
         assert staged.configuration is not None
         assert session.configuration is None
         assert session.generation == 0
+
+    def test_every_mode_samples_with_the_session_seed(
+        self, inputs, monkeypatch
+    ):
+        """tune, retune, tune_decoupled and sweep on one seeded session
+        all draw their samples with that seed."""
+        drawn = []
+        init = SampleManager.__init__
+
+        def spy(self, database, seed=DEFAULT_SAMPLE_SEED, **kwargs):
+            drawn.append(seed)
+            init(self, database, seed=seed, **kwargs)
+
+        monkeypatch.setattr(SampleManager, "__init__", spy)
+        db, wl = inputs
+        session = Session(db, wl, budget_fraction=0.15,
+                          variant="dtac-none", seed=7)
+        by_mode = {}
+        for mode, call in (
+            ("tune", session.tune),
+            ("retune", session.retune),
+            ("decoupled", session.tune_decoupled),
+            ("sweep", lambda: session.sweep(
+                [db.total_data_bytes() * 0.15])),
+        ):
+            drawn.clear()
+            call()
+            by_mode[mode] = list(drawn)
+        assert by_mode == {mode: [7] for mode in by_mode}

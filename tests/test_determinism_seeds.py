@@ -9,16 +9,12 @@ comparing digests across subprocesses with *different* hash seeds.
 """
 
 import hashlib
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.datasets.zipf import ZipfSampler
 from repro.errors import ReproError
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 _SAMPLE_DIGEST_SCRIPT = """
 import hashlib
@@ -86,44 +82,37 @@ print(repr((
 """
 
 
-def _run_with_hashseed(script: str, hashseed: str) -> str:
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": SRC, "PYTHONHASHSEED": hashseed, "PATH": "/usr/bin:/bin"},
-        check=True,
-    )
-    return result.stdout.strip()
-
-
 class TestHashseedIndependence:
-    def test_samples_stable_across_hashseeds(self):
-        a = _run_with_hashseed(_SAMPLE_DIGEST_SCRIPT, "1")
-        b = _run_with_hashseed(_SAMPLE_DIGEST_SCRIPT, "31337")
+    def test_samples_stable_across_hashseeds(self, run_with_hashseed):
+        a = run_with_hashseed(_SAMPLE_DIGEST_SCRIPT, "1")
+        b = run_with_hashseed(_SAMPLE_DIGEST_SCRIPT, "31337")
         assert a == b
 
-    def test_zipf_stable_across_hashseeds(self):
-        a = _run_with_hashseed(_ZIPF_DIGEST_SCRIPT, "2")
-        b = _run_with_hashseed(_ZIPF_DIGEST_SCRIPT, "777")
+    def test_zipf_stable_across_hashseeds(self, run_with_hashseed):
+        a = run_with_hashseed(_ZIPF_DIGEST_SCRIPT, "2")
+        b = run_with_hashseed(_ZIPF_DIGEST_SCRIPT, "777")
         assert a == b
 
-    def test_delta_costed_tune_stable_across_hashseeds(self):
+    def test_delta_costed_tune_stable_across_hashseeds(
+        self, run_with_hashseed
+    ):
         """The delta coster's diff/probe/patch machinery walks sets of
         index identities; none of it may leak hash-order into the
         recommendation, the costs or the step log."""
-        a = _run_with_hashseed(_DELTA_TUNE_DIGEST_SCRIPT, "3")
-        b = _run_with_hashseed(_DELTA_TUNE_DIGEST_SCRIPT, "4242")
+        a = run_with_hashseed(_DELTA_TUNE_DIGEST_SCRIPT, "3")
+        b = run_with_hashseed(_DELTA_TUNE_DIGEST_SCRIPT, "4242")
         assert a == b
 
-    def test_same_named_structures_order_by_content(self):
+    def test_same_named_structures_order_by_content(
+        self, run_with_hashseed
+    ):
         """Partial indexes on the same keys with different filters
         share a display name; sized equal, their covering plans tie to
         the bit, so the optimizer's first-minimum order decides which
         one (and which row estimate) a statement gets.  That order must
         come from their content, not from set iteration."""
         runs = {
-            _run_with_hashseed(_TIED_PARTIAL_INDEXES_SCRIPT, seed)
+            run_with_hashseed(_TIED_PARTIAL_INDEXES_SCRIPT, seed)
             for seed in ("3", "4", "4242")
         }
         assert len(runs) == 1

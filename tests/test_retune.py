@@ -10,8 +10,6 @@ configuration matches a cold tune at the final phase on quality.
 """
 
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -27,7 +25,6 @@ from repro.errors import AdvisorError
 from repro.service.context import serialize_result
 from repro.workload.drift import DriftSpec, DriftingWorkload, drift_phase
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 GOLDEN = (Path(__file__).parent / "golden" / "retune"
           / "retune_drift_sales.json")
 
@@ -149,7 +146,7 @@ class TestRetuneIdentity:
         off = _fingerprint(_sequence(db, drifting, delta_costing=False))
         assert on == off
 
-    def test_hashseed_independent(self):
+    def test_hashseed_independent(self, run_with_hashseed):
         script = f"""
 import json
 from repro.api import Session
@@ -164,18 +161,8 @@ session = Session(db, budget_fraction={BUDGET!r}, variant={VARIANT!r})
 results = retune_sequence(session, drifting.phases({PHASES!r}))
 print(json.dumps(_fingerprint(results), sort_keys=True))
 """
-        root = str(Path(__file__).resolve().parent.parent)
-
-        def run(hashseed):
-            return subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True, text=True, check=True,
-                env={"PYTHONPATH": f"{SRC}:{root}",
-                     "PYTHONHASHSEED": hashseed,
-                     "PATH": "/usr/bin:/bin"},
-            ).stdout.strip()
-
-        assert run("1") == run("31337")
+        assert run_with_hashseed(script, "1") == \
+            run_with_hashseed(script, "31337")
 
     def test_golden_fixture(self, drift_inputs, request):
         """The pinned record of the 2-phase drift scenario: cold tune,

@@ -9,10 +9,6 @@ data does not change, however many runs fingerprint it.
 """
 
 import copy
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -21,8 +17,6 @@ from repro.catalog import Column, Database, INT, Table, char
 from repro.datasets.sales import sales_database, sales_workload
 from repro.parallel import sample_fingerprint
 from repro.sampling import SampleManager
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def make_table(name="t", columns=("a", "b"), rows=((1, "x"), (2, "y"))):
@@ -148,7 +142,7 @@ class TestSensitivity:
         assert fingerprint(make_table(), seed=1, min_sample_rows=10) == base
 
 
-def test_equal_across_processes_and_hash_seeds():
+def test_equal_across_processes_and_hash_seeds(run_with_hashseed):
     script = (
         "from repro.datasets.sales import sales_database\n"
         "from repro.parallel import sample_fingerprint\n"
@@ -156,15 +150,7 @@ def test_equal_across_processes_and_hash_seeds():
         "db = sales_database(scale=0.02, seed=3)\n"
         "print(sample_fingerprint(SampleManager(db, seed=7)))\n"
     )
-    seen = set()
-    for hash_seed in ("0", "4242"):
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-               "PYTHONPATH": str(SRC)}
-        out = subprocess.run(
-            [sys.executable, "-c", script], env=env, check=True,
-            capture_output=True, text=True, timeout=120,
-        )
-        seen.add(out.stdout.strip())
+    seen = {run_with_hashseed(script, seed) for seed in ("0", "4242")}
     here = sample_fingerprint(
         SampleManager(sales_database(scale=0.02, seed=3), seed=7)
     )

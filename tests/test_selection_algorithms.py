@@ -10,9 +10,6 @@ the default search, extended to the whole registry.
 """
 
 import asyncio
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -27,12 +24,11 @@ from repro.advisor.algorithms import (
     GreedyBacktrackAlgorithm,
     SelectionAlgorithm,
 )
-from repro.api import run_sweep, tune
+from repro.api import Session, run_sweep, tune
 from repro.datasets.sales import sales_database, sales_workload
 from repro.errors import AdvisorError, JobCancelled, ServiceError
 from repro.service import AdvisorService, describe_algorithms
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 ALL_ALGORITHMS = algorithms.names()
 
@@ -125,10 +121,11 @@ class TestDeterminismAndBudget:
     ):
         db, wl, budget = inputs
         cache_dir = str(tmp_path / algorithm)
-        cold = tune(db, wl, budget, variant="dtac-none",
-                    algorithm=algorithm, cache_dir=cache_dir)
-        warm = tune(db, wl, budget, variant="dtac-none",
-                    algorithm=algorithm, cache_dir=cache_dir)
+        cold, warm = (
+            Session(db, wl, variant="dtac-none", algorithm=algorithm,
+                    cache_dir=cache_dir).tune(budget)
+            for _ in range(2)
+        )
         assert _digest(cold) == _digest(warm)
         # The second run actually hit the persistent cost cache.
         assert warm.cost_cache_stats.get("hits", 0) > 0
@@ -143,7 +140,7 @@ class TestDeterminismAndBudget:
         assert _digest(on) == _digest(off)
 
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
-    def test_stable_across_hashseeds(self, algorithm):
+    def test_stable_across_hashseeds(self, algorithm, run_with_hashseed):
         """Recommendations must not leak set/dict iteration order:
         identical stdout digests from subprocesses with different
         PYTHONHASHSEED values."""
@@ -160,8 +157,8 @@ names = sorted(ix.display_name() for ix in result.configuration)
 print(repr((names, result.base_cost, result.final_cost,
             result.consumed_bytes, result.steps)))
 """
-        a = _run_with_hashseed(script, "5")
-        b = _run_with_hashseed(script, "54321")
+        a = run_with_hashseed(script, "5")
+        b = run_with_hashseed(script, "54321")
         assert a == b
 
     def test_explicit_default_equals_implicit_default(self, inputs):
@@ -199,18 +196,6 @@ class TestVariantRegistry:
         assert options.budget_bytes == 123.0
         assert options.backtracking is False
         assert options.algorithm == "ibm"
-
-
-def _run_with_hashseed(script: str, hashseed: str) -> str:
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": SRC, "PYTHONHASHSEED": hashseed,
-             "PATH": "/usr/bin:/bin"},
-        check=True,
-    )
-    return result.stdout.strip()
 
 
 # ----------------------------------------------------------------------

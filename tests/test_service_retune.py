@@ -120,12 +120,30 @@ class TestRetuneJobs:
                         service.submit_job("retune", "sales", payload)
                     except (ServiceError, ReproError) as exc:
                         failures.append(str(exc))
-                return failures
+                # An unknown variant *and* no budget: every job kind
+                # names the variant — a retune at submission, a tune or
+                # sweep out of its lane.
+                named = {}
+                for kind in ("tune", "retune", "sweep"):
+                    try:
+                        record = service.submit_job(
+                            kind, "sales", {"variant": "nope"})
+                    except ServiceError as exc:
+                        named[kind] = ("submission", str(exc))
+                        continue
+                    async for _ in service.job_events(record.id):
+                        pass
+                    named[kind] = ("lane", record.snapshot()["error"])
+                return failures, named
             finally:
                 await service.stop()
 
-        failures = run(scenario())
+        failures, named = run(scenario())
         assert len(failures) == 5
+        assert [where for where, _ in named.values()] == \
+            ["lane", "submission", "lane"]
+        for _where, message in named.values():
+            assert "unknown variant 'nope'" in message
 
     def test_retune_is_not_a_request_kind(self, service_inputs):
         """Retune is stateful and must never coalesce with identical
