@@ -1,22 +1,32 @@
 """Job-based serving: durable tuning jobs with streaming progress.
 
-PR 4's endpoints answer only on completion — fine for a size estimate,
-hostile for a multi-minute tuning sweep.  This module turns ``tune``
-and ``sweep`` requests into **jobs**: durable records a client submits,
-polls, streams, and cancels::
+``tune``, ``sweep`` and ``retune`` requests run as **jobs**: records a
+client submits, polls, streams and cancels.  A job is one
+:class:`JobRecord` — the journal's :class:`~repro.service.journal.
+JobImage` (every durable field, declared there once) plus the handles
+only a serving process has — and its state is whatever
+:meth:`JobJournal.apply <repro.service.journal.JobJournal.apply>` folds
+out of the records written about it::
 
-    queued ──────► running ──────► done
-       │              │
-       │              ├─────────► failed
-       └──────────────┴─────────► cancelled
+    queued ──► running ──► done | failed | cancelled      (one attempt)
+    running | failed attempt ──► queued @ attempt + 1      (retry requeue)
 
-* **Submit** (:meth:`JobManager.submit`) creates the record and hands
-  it to the per-context scheduler lane; same-context jobs at the same
-  priority and tenant execute strictly in submission order (the
-  determinism contract), jobs on different contexts overlap.
+Nothing here assigns a job's state.  Every transition is a *write*:
+the functions below (:func:`start`, :func:`emit`, :func:`finish`,
+:func:`requeue`, …) turn a transition into journal records and hand them
+to the caller's ``write(kind, *fields)`` sink, which appends each
+record and folds it.  :func:`run_attempt` is the one place that decides
+how an attempt ended; the in-process :class:`JobManager` and the
+out-of-process :class:`~repro.service.worker.JobWorker` both call it,
+each with its own cancel predicate and sink.
+
+* **Submit** (:meth:`JobManager.submit`) writes the ``submit`` record
+  and hands the job to the per-context scheduler lane; same-context
+  jobs at the same priority and tenant execute strictly in submission
+  order (the determinism contract), jobs on different contexts overlap.
 * **Progress** rides the advisor's progress hook: every phase
   transition and every accepted greedy step lands in the job's ordered
-  event list (``seq``-numbered), appended loop-side via
+  event log (``seq``-numbered), written loop-side via
   ``call_soon_threadsafe`` so lane threads never touch asyncio state.
   :meth:`JobManager.stream` is the tail -f view: an async iterator
   that yields events as they arrive and ends when the job reaches a
@@ -26,21 +36,16 @@ polls, streams, and cancels::
   checks, so the run unwinds (:class:`~repro.errors.JobCancelled`) at
   the next event — cancellation latency is bounded by one greedy step.
   A cancelled or failed run releases its scheduler lane.
-
-Since PR 7 the job tier is **durable and multi-tenant**:
-
-* **Write-through journal.**  With a ``cache_dir``, every submission,
-  state transition, progress event and result is appended to the
-  :class:`~repro.service.journal.JobJournal` before clients can
-  observe it.  :meth:`JobManager.recover` replays the journal at boot:
-  terminal jobs come back poll-able with their full event logs
-  (``GET /v1/jobs/<id>/events?after=N`` survives restarts), ``queued``
-  jobs re-enqueue and run, and interrupted ``running`` jobs are marked
-  ``failed`` with a ``recovered`` marker — unless a live worker lease
-  shows another process still executing them.  Restored event ``seq``
-  numbers are kept, and new events continue the series, so logs stay
-  gap-free across the restart boundary.
-
+* **Write-through journal.**  With a ``cache_dir``, every record is
+  appended to the :class:`~repro.service.journal.JobJournal` before
+  clients can observe it.  :meth:`JobManager.recover` replays the
+  journal at boot: terminal jobs come back poll-able with their full
+  event logs (``GET /v1/jobs/<id>/events?after=N`` survives restarts),
+  ``queued`` jobs re-enqueue and run, and interrupted ``running`` jobs
+  are finished ``failed`` with a ``recovered`` marker — unless a live
+  worker lease shows another process still executing them.  New events
+  continue the restored ``seq`` series, so logs stay gap-free across
+  the restart boundary.
 * **Priority lanes + tenant fairness.**  Submissions carry a
   ``priority`` (``high``/``normal``/``low``) and a ``tenant`` tag.
   Inside each context, the next job to run is picked high-first, and
@@ -49,21 +54,19 @@ Since PR 7 the job tier is **durable and multi-tenant**:
   Per-tenant admission quotas bound how many non-terminal jobs a
   tenant may hold (:class:`~repro.errors.QuotaExceededError` → HTTP
   429), separate from the global queue bound (503).
-
 * **Worker scale-out.**  With ``execute_jobs=False`` the manager only
   journals and tracks; separate ``repro serve --worker`` processes
   claim queued jobs through journal leases and execute them
-  (:mod:`repro.service.worker`).  :meth:`apply_external` — fed by the
-  service's poll task — folds the workers' journaled state
-  transitions, events and results back into the in-memory records, so
-  polling and streaming clients never see the difference.
+  (:mod:`repro.service.worker`).  :meth:`JobManager.apply_external` —
+  fed by the service's poll task — folds the workers' records into the
+  same in-memory records, so polling and streaming clients never see
+  the difference.
 
-Since PR 8 the tier carries **runtime guardrails** (chaos-tested via
-:mod:`repro.service.faults`):
+Runtime guardrails (chaos-tested via :mod:`repro.service.faults`):
 
 * **Deadlines.**  ``deadline_s`` on submit bounds a job's wall time
   from submission across all attempts; enforced through the same
-  progress-hook path as cancel (one-greedy-step latency), journaled
+  progress-hook guard as cancel (one-greedy-step latency), journaled
   terminal ``failed`` with a ``timeout`` marker, never retried.
 * **Retries.**  ``retries``/``retry_backoff`` give transient failures
   a budget: a failed attempt re-enqueues attempt-stamped behind a
@@ -91,6 +94,7 @@ from __future__ import annotations
 
 import asyncio
 import errno
+import functools
 import threading
 import time
 import zlib
@@ -102,15 +106,17 @@ from repro.errors import (
     JobError,
     QuotaExceededError,
 )
+from repro.service.journal import (
+    DEFAULT_RETRY_BACKOFF,
+    JOB_STATES,
+    RECORDS,
+    TERMINAL_STATES,
+    JobImage,
+    JobJournal,
+)
 from repro.service.scheduler import PRIORITIES, FairQueue
 
 JOB_KINDS = ("tune", "sweep", "retune")
-JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
-TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
-
-#: retry backoff base (seconds) when a submission asks for retries
-#: without naming one.
-DEFAULT_RETRY_BACKOFF = 0.5
 
 #: write errors that flip the tier into degraded mode instead of
 #: failing the operation: disk pressure and transient device errors.
@@ -124,6 +130,9 @@ DEGRADED_BUFFER_LIMIT = 10_000
 
 #: lease breaks charged to one worker before the watchdog benches it.
 QUARANTINE_THRESHOLD = 3
+
+#: the error of a job cancelled before it ever ran, whoever resolves it.
+CANCELLED_QUEUED = "cancelled while queued"
 
 
 def retry_delay(job_id: str, attempt: int, backoff: float) -> float:
@@ -147,61 +156,153 @@ def deadline_expired(created: float, deadline_s: float | None,
     return (now if now is not None else time.time()) - created > deadline_s
 
 
-class JobRecord:
-    """One submitted job: identity, routing (tenant/priority), state
-    machine, ordered event log, and (on completion) the response
-    payload or error text."""
+# ----------------------------------------------------------------------
+# transitions: each turns one step of the state machine into journal
+# records and hands them to ``write(kind, *fields, **marks)`` — the
+# caller's sink, which appends the record, folds it into ``image`` and
+# returns it.  They run wherever the image is owned (the manager's
+# event loop, a worker's main thread).
+# ----------------------------------------------------------------------
+def emit(write, image: JobImage, event: dict) -> None:
+    """Append one event to the job's log under the next free seq."""
+    event["seq"] = image.max_seq + 1
+    write("event", image.id, event)
 
-    def __init__(self, job_id: str, kind: str, context: str,
-                 payload: dict, tenant: str = "default",
-                 priority: str = "normal",
-                 deadline_s: float | None = None, retries: int = 0,
-                 retry_backoff: float | None = None) -> None:
-        self.id = job_id
-        self.kind = kind
-        self.context = context
-        self.payload = dict(payload)
-        self.tenant = tenant
-        self.priority = priority
-        #: guardrails: wall-clock budget from submission (None = no
-        #: deadline) and the transient-failure retry allowance.
-        self.deadline_s = deadline_s
-        self.retries = retries
-        self.retry_backoff = (
-            DEFAULT_RETRY_BACKOFF if retry_backoff is None
-            else retry_backoff
-        )
-        #: current attempt (0 = first run), True when the terminal
-        #: failure was a deadline expiry, earliest-start for a
-        #: backoff-parked retry.
-        self.attempt = 0
-        self.timeout = False
-        self.not_before: float | None = None
-        self.state = "queued"
-        self.created = time.time()
-        self.started: float | None = None
-        self.finished: float | None = None
-        self.events: list[dict] = []
-        self.result: dict | None = None
-        self.error: str | None = None
-        #: True when this record was restored from the journal as an
-        #: interrupted ``running`` job (its failure is a restart, not a
-        #: tuning error).
-        self.recovered = False
+
+def announce(write, image: JobImage, state: str, **marks) -> None:
+    """The ``state`` event that tells the log's readers a transition
+    happened."""
+    emit(write, image, {"event": "state", "state": state,
+                        "job": image.id, **marks})
+
+
+def transition(write, image: JobImage, state: str, **marks) -> None:
+    """One state record, then its ``state`` event carrying the marks
+    the record kept."""
+    raw = write("state", image.id, state, time.time(), **marks)
+    announce(write, image, state, **{
+        mark: raw[mark]
+        for mark in ("error", "timeout", "recovered", "attempt")
+        if mark in raw
+    })
+
+
+def start(write, image: JobImage) -> None:
+    """The current attempt begins to run."""
+    if not image.terminal:  # cancelled in the submission race window
+        transition(write, image, "running", attempt=image.attempt)
+
+
+def finish(write, image: JobImage, state: str,
+           result: dict | None = None, **marks) -> None:
+    """The one finish path: the result (when there is one), the
+    terminal state record, its event.  ``marks`` are ``error``,
+    ``timeout``, ``recovered``.  A job already terminal stays as it
+    is."""
+    if image.terminal:
+        return
+    if result is not None:
+        write("result", image.id, result)
+    transition(write, image, state, attempt=image.attempt, **marks)
+
+
+def requeue(write, image: JobImage, error: str) -> None:
+    """The one requeue — a transiently failed attempt, or a running
+    job orphaned by its worker: an attempt-stamped ``queued`` record
+    (so the fold supersedes the failed run) parked behind the jittered
+    exponential backoff, announced by a ``retry`` event.  Never a
+    terminal state — a retried job was never failed."""
+    attempt = image.attempt + 1
+    now = time.time()
+    not_before = now + retry_delay(image.id, attempt, image.retry_backoff)
+    write("state", image.id, "queued", now, attempt=attempt,
+          not_before=not_before)
+    emit(write, image, {
+        "event": "retry", "job": image.id, "attempt": attempt,
+        "error": error, "not_before": not_before,
+    })
+
+
+def retryable(image: JobImage, cancelled) -> bool:
+    """Whether a just-failed attempt has retry budget left and
+    retrying still makes sense: not cancelled, not past deadline."""
+    return (
+        image.attempt < image.retries
+        and not cancelled()
+        and not deadline_expired(image.created, image.deadline_s)
+    )
+
+
+def run_attempt(image: JobImage, execute, cancelled, may_retry,
+                apply) -> str:
+    """One attempt of one job, from the pre-run guard to its outcome —
+    the only place that decides done / cancelled / failed+timeout /
+    retry / failed.  Touches nothing but its arguments:
+
+    * ``execute(progress)`` runs the job and returns its result;
+    * ``cancelled()`` is the caller's cancel predicate (a thread flag
+      in-process, a marker file across processes);
+    * ``may_retry()`` is asked once, after a transient failure;
+    * ``apply(step, *args, **marks)`` is the caller's record sink: it
+      runs ``step(write, image, *args, **marks)`` — one of the
+      transitions above — wherever the image is owned.
+
+    Returns ``"done"``, ``"cancelled"``, ``"failed"`` or
+    ``"retried"``."""
+
+    def guard(why: str) -> None:
+        # Deadlines ride the same hook as cancel, so either unwinds
+        # the run within one greedy step.
+        if cancelled():
+            raise JobCancelled(why)
+        if deadline_expired(image.created, image.deadline_s):
+            raise JobDeadlineExceeded(
+                f"job {image.id} exceeded deadline_s={image.deadline_s}"
+            )
+
+    def progress(event: dict) -> None:
+        guard("cancel requested")
+        apply(emit, dict(event))
+
+    try:
+        # A cancel or an expiry that landed while the job waited its
+        # turn resolves here, before any tuning work.
+        guard(CANCELLED_QUEUED)
+        apply(start)
+        result = execute(progress)
+    except JobDeadlineExceeded as exc:
+        # Never retried: the deadline budgets *all* attempts.
+        apply(finish, "failed", error=str(exc), timeout=True)
+    except JobCancelled as exc:
+        apply(finish, "cancelled", error=str(exc))
+        return "cancelled"
+    except Exception as exc:  # noqa: BLE001 - recorded on the job
+        if may_retry():
+            apply(requeue, str(exc))
+            return "retried"
+        apply(finish, "failed", error=str(exc))
+    else:
+        apply(finish, "done", result=result)
+        return "done"
+    return "failed"
+
+
+class JobRecord(JobImage):
+    """A :class:`JobImage` as one process serves it: the journal's
+    durable fields plus the handles only this process has."""
+
+    def __init__(self, job_id: str) -> None:
+        super().__init__(job_id)
         #: True when a worker process (not this manager) executes it.
         self.external = False
         #: cross-thread cancel flag (the lane thread's progress hook
         #: polls it; the loop side sets it).
         self.cancel = threading.Event()
-        #: pulsed (loop-side) on every event append / state change so
-        #: streamers wake without polling.
+        #: pulsed (loop-side) on every fold so streamers wake without
+        #: polling.
         self.changed = asyncio.Event()
         #: turnstile future while parked behind same-context jobs.
         self._turn: asyncio.Future | None = None
-
-    @property
-    def terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
 
     def snapshot(self, include_result: bool = True) -> dict:
         """The JSON wire form of this job right now."""
@@ -250,7 +351,7 @@ class JobManager:
         service: the owning :class:`AdvisorService`.
         max_history: retained-job bound (terminal jobs evict beyond).
         journal: write-through :class:`JobJournal` (None = in-memory
-            only, the pre-PR-7 behavior).
+            only: same records, folded but never appended).
         tenant_quota: per-tenant cap on non-terminal jobs (None = no
             per-tenant cap; the global ``max_pending`` bound always
             applies).
@@ -375,13 +476,24 @@ class JobManager:
             self.service.contexts[context].prepare_retune(
                 payload, self._carried_configuration(context),
             )
-        record = JobRecord(
-            f"job-{self._counter:06d}", kind, context, payload,
-            tenant=tenant, priority=priority, deadline_s=deadline_s,
-            retries=retries, retry_backoff=retry_backoff,
-        )
+        record = JobRecord(f"job-{self._counter:06d}")
         self._counter += 1
-        self._admit(record)
+        self.jobs[record.id] = record
+        self._order.append(record.id)
+        self.submitted[kind] += 1
+        self._write(
+            "submit", record.id, kind, context, dict(payload), tenant,
+            priority, time.time(), deadline_s=deadline_s,
+            retries=retries,
+            retry_backoff=(DEFAULT_RETRY_BACKOFF if retry_backoff is None
+                           else retry_backoff),
+        )
+        announce(self._write, record, "queued")
+        if self.execute_jobs:
+            self._start_task(record)
+        else:
+            record.external = True
+        self._evict()
         return record
 
     def _carried_configuration(self, context: str):
@@ -408,27 +520,6 @@ class JobManager:
             return list(specs), generation
         return None
 
-    def _admit(self, record: JobRecord) -> None:
-        """Track a new record, journal its submission, and (when this
-        manager executes) start its task."""
-        self.jobs[record.id] = record
-        self._order.append(record.id)
-        self.submitted[record.kind] += 1
-        self._journal(
-            "append_submit", record.id, record.kind, record.context,
-            dict(record.payload), record.tenant, record.priority,
-            record.created, deadline_s=record.deadline_s,
-            retries=record.retries, retry_backoff=record.retry_backoff,
-        )
-        self._append_event(record, {
-            "event": "state", "state": "queued", "job": record.id,
-        })
-        if self.execute_jobs:
-            self._start_task(record)
-        else:
-            record.external = True
-        self._evict()
-
     def _start_task(self, record: JobRecord) -> None:
         task = asyncio.get_running_loop().create_task(
             self._run_job(record)
@@ -439,25 +530,60 @@ class JobManager:
     # ------------------------------------------------------------------
     # journaling with disk-pressure degradation
     # ------------------------------------------------------------------
-    def _journal(self, op: str, *args, **kwargs) -> None:
+    def _journal(self, op: str, *args, **kwargs):
         """Every journal *write* goes through here: on ``ENOSPC``/
         ``EIO`` the tier flips to **degraded** — the op (and every one
         after it) buffers in memory, jobs keep running, and the poll
         task's :meth:`journal_probe` replays the buffer in order once
         the disk recovers.  Any other ``OSError`` is a real bug and
-        still raises."""
+        still raises.  Returns what the journal op returned — None
+        when there is no journal or the op was buffered."""
         if self.journal is None:
-            return
-        if self.degraded:
-            self._buffer_op(op, args, kwargs)
-            return
-        try:
-            getattr(self.journal, op)(*args, **kwargs)
-        except OSError as exc:
-            if exc.errno not in _DEGRADED_ERRNOS:
-                raise
-            self._enter_degraded(str(exc))
-            self._buffer_op(op, args, kwargs)
+            return None
+        if not self.degraded:
+            try:
+                return getattr(self.journal, op)(*args, **kwargs)
+            except OSError as exc:
+                if exc.errno not in _DEGRADED_ERRNOS:
+                    raise
+                self._enter_degraded(str(exc))
+        self._buffer_op(op, args, kwargs)
+        return None
+
+    def _write(self, kind: str, *fields, **marks) -> dict:
+        """The manager's record sink (loop-side only): append one
+        record — buffered while degraded — and fold the dict that went
+        to disk, or the one that will."""
+        raw = self._journal("append_" + kind, *fields, **marks) \
+            or RECORDS[kind](*fields, **marks)
+        self._fold(raw)
+        return raw
+
+    def _fold(self, raw: dict) -> None:
+        """Fold one record of a tracked job, whoever wrote it, then do
+        what the observed change implies: lifecycle counters, the
+        parked task of a job that just ended, waiting streamers."""
+        record = self.jobs[raw["job"]]
+        attempt, state = record.attempt, record.state
+        JobJournal.apply(self.jobs, raw)
+        if (record.attempt, record.state) != (attempt, state):
+            if state in TERMINAL_STATES:
+                # Revived by a later attempt, or an earlier terminal
+                # decision of the same attempt arrived late.
+                self.finished[state] -= 1
+            if record.terminal:
+                self.finished[record.state] += 1
+                self._resolve_parked(record)
+            elif record.state == "queued":
+                self.retried += 1  # only a requeue moves a job back
+        record.changed.set()
+
+    def _finish(self, record: JobRecord, state: str, **marks) -> None:
+        """:func:`finish` from the loop side, plus the cancel marker a
+        worker-run job may have left for its executor."""
+        if not record.terminal:
+            finish(self._write, record, state, **marks)
+            self._journal("clear_cancel", record.id)
 
     def _buffer_op(self, op: str, args: tuple, kwargs: dict) -> None:
         self._journal_buffer.append((op, args, kwargs))
@@ -532,33 +658,14 @@ class JobManager:
         """
         if self.journal is None:
             return {"restored": 0, "requeued": 0, "recovered": 0}
-        images = self.journal.replay()
+        restored = self.journal.replay(JobRecord)
         requeued = recovered = 0
         # Journal ids are zero-padded and coordinator-assigned, so
         # sorted order is submission order.
-        for job_id in sorted(images):
-            image = images[job_id]
-            if image.kind is None:
+        for job_id in sorted(restored):
+            record = restored[job_id]
+            if record.kind is None:
                 continue  # events for a job whose submit never landed
-            record = JobRecord(
-                job_id, image.kind, image.context or "",
-                image.payload, tenant=image.tenant,
-                priority=image.priority,
-                deadline_s=image.deadline_s, retries=image.retries,
-                retry_backoff=image.retry_backoff,
-            )
-            if image.created is not None:
-                record.created = image.created
-            record.started = image.started
-            record.finished = image.finished
-            record.events = image.events
-            record.state = image.state
-            record.error = image.error
-            record.recovered = image.recovered
-            record.result = image.result
-            record.attempt = image.attempt
-            record.timeout = image.timeout
-            record.not_before = image.not_before
             self.jobs[job_id] = record
             self._order.append(job_id)
             suffix = job_id.rsplit("-", 1)[-1]
@@ -570,26 +677,14 @@ class JobManager:
                 if self.journal.lease_live(job_id):
                     record.external = True  # a worker still has it
                     continue
-                record.state = "failed"
-                record.recovered = True
-                record.finished = time.time()
-                record.error = (
-                    "interrupted by service restart; resubmit to re-run"
+                self.journal.break_lease(job_id)
+                self._finish(
+                    record, "failed", recovered=True,
+                    error="interrupted by service restart; "
+                          "resubmit to re-run",
                 )
-                self.finished["failed"] += 1
                 self.recovered_jobs += 1
                 recovered += 1
-                self.journal.break_lease(job_id)
-                self._journal(
-                    "append_state", job_id, "failed", record.finished,
-                    error=record.error, recovered=True,
-                    attempt=record.attempt,
-                )
-                self._append_event(record, {
-                    "event": "state", "state": "failed",
-                    "job": job_id, "error": record.error,
-                    "recovered": True,
-                })
                 continue
             # queued: run it again (or leave it for the workers).
             requeued += 1
@@ -611,47 +706,12 @@ class JobManager:
     def apply_external(self, records: list[dict]) -> None:
         """Fold journaled records appended by *other* writers (workers)
         into the in-memory job records, so polling and streaming
-        clients observe worker-executed jobs exactly like local ones."""
+        clients observe worker-executed jobs exactly like local ones.
+        Records of jobs this manager does not track (evicted, or never
+        submitted here) are skipped."""
         for raw in records:
-            record = self.jobs.get(raw.get("job", ""))
-            if record is None:
-                continue
-            rec = raw.get("rec")
-            if rec == "event":
-                event = raw.get("event")
-                if isinstance(event, dict) and \
-                        event.get("seq") == len(record.events) + 1:
-                    record.events.append(event)
-                    record.changed.set()
-            elif rec == "state":
-                state = raw.get("state")
-                if record.terminal or state not in JOB_STATES:
-                    continue
-                attempt = int(raw.get("attempt", 0) or 0)
-                if state == "queued":
-                    # Only a worker's retry requeue moves an in-memory
-                    # record *back* to queued — and it always carries a
-                    # strictly higher attempt.
-                    if attempt <= record.attempt:
-                        continue
-                    record.attempt = attempt
-                    record.not_before = raw.get("not_before")
-                    record.started = None
-                    self.retried += 1
-                record.state = state
-                record.attempt = max(record.attempt, attempt)
-                if state == "running" and record.started is None:
-                    record.started = raw.get("ts")
-                if state in TERMINAL_STATES:
-                    record.finished = raw.get("ts")
-                    record.error = raw.get("error")
-                    record.timeout = bool(raw.get("timeout"))
-                    record.not_before = None
-                    self.finished[state] += 1
-                record.changed.set()
-            elif rec == "result":
-                record.result = raw.get("result")
-                record.changed.set()
+            if raw.get("job") in self.jobs:
+                self._fold(raw)
 
     def resolve_stale_cancels(self) -> None:
         """Safety net for the cancel/claim race: a cancel-marked
@@ -671,8 +731,7 @@ class JobManager:
                 and not self.journal.lease_live(record.id)
             ):
                 self.journal.break_lease(record.id)
-                self._finish(record, "cancelled",
-                             error="cancelled while queued")
+                self._finish(record, "cancelled", error=CANCELLED_QUEUED)
 
     # ------------------------------------------------------------------
     # watchdog (worker liveness + queued-job deadlines)
@@ -698,9 +757,7 @@ class JobManager:
                  "quarantined": 0, "deadline_expired": 0}
         self.watchdog["sweeps"] += 1
         if self.journal is not None:
-            for job_id, lease in self.journal.leases():
-                if self.journal._owner_live(lease):
-                    continue
+            for job_id, lease in self.journal.dead_leases():
                 writer = lease.get("writer") or "unknown"
                 self.journal.break_lease(job_id)
                 swept["lease_breaks"] += 1
@@ -721,14 +778,16 @@ class JobManager:
                     # breaking the lease alone re-exposes the still-
                     # queued job to the claim scan.
                     continue
+                error = f"worker {writer} died mid-run"
                 if self._retryable(record):
-                    self._requeue_orphan(record, writer)
+                    # Consumes retry budget: the dead worker may have
+                    # died *because* of the job.
+                    requeue(self._write, record, error)
+                    if self.execute_jobs and not record.external:
+                        self._start_task(record)
                     swept["requeued"] += 1
                 else:
-                    self._finish(
-                        record, "failed",
-                        error=f"worker {writer} died mid-run",
-                    )
+                    self._finish(record, "failed", error=error)
                     swept["failed"] += 1
         now = time.time()
         for record in list(self.jobs.values()):
@@ -746,35 +805,10 @@ class JobManager:
                       "before completion",
                 timeout=True,
             )
-            self._resolve_parked(record)
             swept["deadline_expired"] += 1
         for key, value in swept.items():
             self.watchdog[key] += value
         return swept
-
-    def _requeue_orphan(self, record: JobRecord, writer: str) -> None:
-        """Re-dispatch a running job whose worker died: attempt-stamped
-        requeue (consumes retry budget — the dead worker may have died
-        *because* of the job) behind the usual backoff."""
-        record.attempt += 1
-        record.state = "queued"
-        record.started = None
-        record.not_before = time.time() + retry_delay(
-            record.id, record.attempt, record.retry_backoff
-        )
-        self.retried += 1
-        self._journal(
-            "append_state", record.id, "queued", time.time(),
-            attempt=record.attempt, not_before=record.not_before,
-        )
-        self._append_event(record, {
-            "event": "retry", "job": record.id,
-            "attempt": record.attempt,
-            "error": f"worker {writer} died mid-run",
-            "not_before": record.not_before,
-        })
-        if self.execute_jobs and not record.external:
-            self._start_task(record)
 
     # ------------------------------------------------------------------
     # turn-taking (priority + tenant fairness per context)
@@ -854,39 +888,27 @@ class JobManager:
         lane = self.service.scheduler.lane_for(record.context)
         loop = asyncio.get_running_loop()
 
-        def work():
-            # Runs on the lane thread, strictly after every earlier
-            # same-lane submission.  A cancel that lands while the job
-            # waits its turn resolves here, before any tuning work —
-            # the lane is released untouched.
-            if record.cancel.is_set():
-                raise JobCancelled("cancelled while queued")
-            self._check_deadline(record)
-            loop.call_soon_threadsafe(self._mark_running, record)
+        def apply(step, *args, **marks) -> None:
+            # The attempt runs on the lane thread, strictly after every
+            # earlier same-lane submission; its transitions hop back so
+            # records are written and folded loop-side only.
+            loop.call_soon_threadsafe(functools.partial(
+                step, self._write, record, *args, **marks
+            ))
 
-            def progress(event: dict) -> None:
-                if record.cancel.is_set():
-                    raise JobCancelled("cancel requested")
-                # Deadlines ride the same hook as cancel, so expiry
-                # unwinds the run within one greedy step too.
-                self._check_deadline(record)
-                loop.call_soon_threadsafe(
-                    self._append_event, record, dict(event)
-                )
-
+        def execute(progress):
             return self.service._execute(
                 record.kind, record.context, dict(record.payload),
                 lane=lane, progress=progress,
             )
 
+        outcome = None
         try:
-            result = await loop.run_in_executor(lane.executor, work)
-        except JobDeadlineExceeded as exc:
-            # Never retried: the deadline budgets *all* attempts.
-            self._finish(record, "failed", error=str(exc),
-                         timeout=True)
-        except JobCancelled as exc:
-            self._finish(record, "cancelled", error=str(exc))
+            outcome = await loop.run_in_executor(
+                lane.executor, run_attempt, record, execute,
+                record.cancel.is_set, lambda: self._retryable(record),
+                apply,
+            )
         except asyncio.CancelledError:
             # Service loop torn down mid-await: the lane thread still
             # finishes (or cancels via the flag stop() sets); the
@@ -895,108 +917,20 @@ class JobManager:
             self._finish(record, "cancelled", error="service stopped")
             raise
         except Exception as exc:  # noqa: BLE001 - recorded on the job
-            if self._retryable(record):
-                self._schedule_retry(record, str(exc))
-            else:
-                self._finish(record, "failed", error=str(exc))
-        else:
-            self._finish(record, "done", result=result)
+            # The attempt never reached the lane (executor gone).
+            self._finish(record, "failed", error=str(exc))
         finally:
             self._release_turn(record)
-
-    @staticmethod
-    def _check_deadline(record: JobRecord) -> None:
-        if deadline_expired(record.created, record.deadline_s):
-            raise JobDeadlineExceeded(
-                f"job {record.id} exceeded deadline_s="
-                f"{record.deadline_s}"
-            )
+        if outcome == "retried":
+            self._start_task(record)
 
     def _retryable(self, record: JobRecord) -> bool:
-        """Whether a just-failed attempt has retry budget left (and
-        retrying still makes sense: not cancelled, not past deadline,
-        service not shutting down)."""
+        """:func:`retryable`, while the service is still running."""
         return (
-            record.attempt < record.retries
-            and not record.cancel.is_set()
-            and not deadline_expired(record.created, record.deadline_s)
+            retryable(record, record.cancel.is_set)
             and self.service.started
             and not self.service._closing
         )
-
-    def _schedule_retry(self, record: JobRecord, error: str) -> None:
-        """Re-enqueue a transiently-failed job: bump the attempt,
-        journal the requeue (attempt-stamped so the fold outranks the
-        failed run), park it behind a jittered exponential backoff,
-        and start a fresh task.  Never journals a terminal state — a
-        retried job was never failed."""
-        record.attempt += 1
-        record.state = "queued"
-        record.started = None
-        record.not_before = time.time() + retry_delay(
-            record.id, record.attempt, record.retry_backoff
-        )
-        self.retried += 1
-        self._journal(
-            "append_state", record.id, "queued", time.time(),
-            attempt=record.attempt, not_before=record.not_before,
-        )
-        self._append_event(record, {
-            "event": "retry", "job": record.id,
-            "attempt": record.attempt, "error": error,
-            "not_before": record.not_before,
-        })
-        self._start_task(record)
-
-    # ------------------------------------------------------------------
-    # loop-side state transitions
-    # ------------------------------------------------------------------
-    def _mark_running(self, record: JobRecord) -> None:
-        if record.terminal:  # cancelled in the submission race window
-            return
-        record.state = "running"
-        record.started = time.time()
-        record.not_before = None
-        self._journal("append_state", record.id, "running",
-                      record.started, attempt=record.attempt)
-        event = {
-            "event": "state", "state": "running", "job": record.id,
-        }
-        if record.attempt:
-            event["attempt"] = record.attempt
-        self._append_event(record, event)
-
-    def _finish(self, record: JobRecord, state: str,
-                result: dict | None = None,
-                error: str | None = None,
-                timeout: bool = False) -> None:
-        if record.terminal:
-            return
-        record.state = state
-        record.finished = time.time()
-        record.result = result
-        record.error = error
-        record.timeout = timeout
-        record.not_before = None
-        self.finished[state] += 1
-        if result is not None:
-            self._journal("append_result", record.id, result)
-        self._journal("append_state", record.id, state,
-                      record.finished, error=error,
-                      attempt=record.attempt, timeout=timeout)
-        self._journal("clear_cancel", record.id)
-        event = {"event": "state", "state": state, "job": record.id}
-        if error is not None:
-            event["error"] = error
-        if timeout:
-            event["timeout"] = True
-        self._append_event(record, event)
-
-    def _append_event(self, record: JobRecord, event: dict) -> None:
-        event["seq"] = len(record.events) + 1
-        record.events.append(event)
-        self._journal("append_event", record.id, event)
-        record.changed.set()
 
     def _evict(self) -> None:
         while len(self._order) > self.max_history:
@@ -1046,15 +980,12 @@ class JobManager:
             # restored terminal record may legitimately have an empty
             # event log (its submit line survived a crash, its event
             # lines did not), and must not park forever.
-            if record.terminal and (
-                not record.events
-                or record.events[-1]["seq"] <= after
-            ):
+            if record.terminal and len(record.events) <= after:
                 return
             record.changed.clear()
             # Re-check before parking: an event appended between the
             # snapshot above and this point re-set the flag.
-            if record.events and record.events[-1]["seq"] > after:
+            if len(record.events) > after:
                 continue
             await record.changed.wait()
 
@@ -1075,11 +1006,9 @@ class JobManager:
             record.external and self.journal is not None
             and self.journal.lease_info(record.id) is not None
         ):
-            # Resolve eagerly so polls see it now; the lane-side check
+            # Resolve eagerly so polls see it now; the lane-side guard
             # keeps the skipped execution honest.
-            self._finish(record, "cancelled",
-                         error="cancelled while queued")
-            self._resolve_parked(record)
+            self._finish(record, "cancelled", error=CANCELLED_QUEUED)
         return record
 
     def cancel_all(self) -> None:
@@ -1091,7 +1020,6 @@ class JobManager:
                 if record.state == "queued":
                     self._finish(record, "cancelled",
                                  error="service stopped")
-                    self._resolve_parked(record)
 
     async def drain(self) -> None:
         """Wait until every submitted job's task has completed."""

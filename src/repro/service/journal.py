@@ -1,12 +1,36 @@
-"""Append-only job journal: the durable half of the job tier.
+"""Append-only job journal: the durable half of the job tier, and the
+one place a job's state is decided.
 
-PR 5's :class:`~repro.service.jobs.JobManager` keeps every record and
-event log in memory — a restart loses all queued and running work.
-This module is the persistence layer underneath it: an append-only
-JSONL journal in ``<cache_dir>/jobs-journal/`` that records every
-submission, state transition, seq-numbered progress event, and result,
-so the job tier survives a ``kill -9`` exactly like the persistent
-``EstimationCache``/``CostCache`` next to it.
+A job is one :class:`JobImage` — the durable fields, declared once —
+and everything that ever happens to it is a **journal record**: a
+``submit``, a ``state`` transition, a seq-numbered ``event``, a
+``result``.  Each record kind is built by exactly one constructor
+(:func:`submit_record`, :func:`state_record`, :func:`event_record`,
+:func:`result_record`), appended through the matching
+``JobJournal.append_*``, and folded into an image by
+:meth:`JobJournal.apply` — the only code in the service that assigns a
+job's durable fields.  A coordinator's own transitions, a worker's, a
+boot-time :meth:`JobJournal.replay` and the live tail of other
+writers' segments (:meth:`JobJournal.refresh`) all go through that one
+fold, so a live view and a restart over the same records cannot
+disagree.  The fold is commutative and idempotent — any delivery
+order, any number of re-deliveries, same image (one bound: two writers
+contesting the *same* event ``seq`` resolve first-delivered-wins, see
+:meth:`JobJournal.apply`)::
+
+    queued ──► running ──► done | failed | cancelled      (one attempt)
+    running | failed attempt ──► queued @ attempt + 1      (retry requeue)
+
+    attempt:  a record of a higher attempt supersedes everything the
+              earlier attempt wrote; a lower attempt's record is stale
+    rank:     within an attempt   terminal > running > queued
+    tie:      same attempt and rank: the earliest ``ts`` wins
+
+Who writes what: the coordinator writes ``submit`` and every record of
+a job it executes itself; a worker writes the ``state``/``event``/
+``result`` records of a job *while it holds that job's lease*; the
+coordinator's watchdog and cancel paths write for a worker-run job only
+once its lease is gone or dead.
 
 Layout::
 
@@ -31,7 +55,8 @@ Layout::
   carrying their pid and a heartbeat timestamp.  A lease is *live*
   while its owner process exists or its heartbeat is fresher than the
   TTL; :meth:`JobJournal.lease_live` is how recovery tells "a worker is
-  still running this" apart from "this job died with its process".
+  still running this" apart from "this job died with its process", and
+  :meth:`JobJournal.dead_leases` is the watchdog's sweep input.
 
 * **Cancel markers.**  Cancellation must reach a job running in a
   *different process*: :meth:`request_cancel` drops a marker file the
@@ -78,50 +103,127 @@ _FORMAT_VERSION = 1
 #: demonstrably alive.
 DEFAULT_LEASE_TTL = 30.0
 
+#: every job state with its rank in the fold's precedence rule.
+STATE_RANK = {"queued": 0, "running": 1,
+              "done": 2, "failed": 2, "cancelled": 2}
+JOB_STATES = tuple(STATE_RANK)
+TERMINAL_STATES = frozenset(
+    state for state, rank in STATE_RANK.items() if rank == 2
+)
+
+#: retry backoff base (seconds) when a submission asks for retries
+#: without naming one.
+DEFAULT_RETRY_BACKOFF = 0.5
+
 
 class JobImage:
-    """The merged, replayed picture of one job across all segments."""
+    """One job's durable fields — everything the journal records about
+    it.  Only :meth:`JobJournal.apply` assigns them."""
 
     def __init__(self, job_id: str) -> None:
-        self.job_id = job_id
+        self.id = job_id
+        #: submit fields (first ``submit`` record wins; ``kind`` stays
+        #: None while only later records of the job have been seen).
         self.kind: str | None = None
         self.context: str | None = None
         self.payload: dict = {}
         self.tenant: str = "default"
         self.priority: str = "normal"
         self.created: float | None = None
-        self.started: float | None = None
-        self.finished: float | None = None
-        self.state: str = "queued"
-        self.error: str | None = None
-        self.recovered: bool = False
-        self.result: dict | None = None
-        #: guardrail routing (submit-time): per-job deadline and retry
-        #: budget, carried so workers enforce/consume them too.
+        #: guardrail routing: wall-clock budget from submission across
+        #: all attempts (None = no deadline) and the transient-failure
+        #: retry allowance, carried so workers enforce/consume them too.
         self.deadline_s: float | None = None
         self.retries: int = 0
-        self.retry_backoff: float = 0.5
-        #: retry progress: highest attempt seen (0 = first run), True
-        #: when the terminal failure was a deadline expiry, and the
-        #: earliest claim time of a backoff-parked requeue.
+        self.retry_backoff: float = DEFAULT_RETRY_BACKOFF
+        #: the state machine: current attempt (0 = first run), its
+        #: state, when that attempt started running and when it ended.
+        self.state: str = "queued"
         self.attempt: int = 0
+        self.started: float | None = None
+        self.finished: float | None = None
+        self.error: str | None = None
+        #: the terminal failure was a deadline expiry / an interrupted
+        #: run found at restart (a restart, not a tuning error).
         self.timeout: bool = False
+        self.recovered: bool = False
+        #: earliest start of a backoff-parked retry.
         self.not_before: float | None = None
-        #: seq -> event dict (dedup across segments; sorted on read).
-        self._events: dict[int, dict] = {}
+        self.result: dict | None = None
+        #: the visible event log: the gapless prefix ``seq`` 1..N, so
+        #: ``events[after:]`` is everything past ``seq == after``.
+        self.events: list[dict] = []
+        #: seq -> event that arrived ahead of a gap, held until it fills.
+        self._early: dict[int, dict] = {}
+        #: order key of the state record currently deciding ``state``.
+        self._won: tuple = (0, 0, float("-inf"), "")
 
     @property
-    def events(self) -> list[dict]:
-        return [self._events[seq] for seq in sorted(self._events)]
+    def terminal(self) -> bool:
+        return self.state in TERMINAL_STATES
 
     @property
     def max_seq(self) -> int:
-        return max(self._events, default=0)
+        """Highest event seq seen, visible or held — a writer's next
+        event is ``max_seq + 1``."""
+        return max(self._early, default=len(self.events))
 
     def seq_gapless(self) -> bool:
-        """Whether the replayed event log is 1..N with no holes — the
-        crash-recovery acceptance criterion."""
-        return sorted(self._events) == list(range(1, len(self._events) + 1))
+        """Whether every event seen is visible (the log is 1..N with no
+        holes) — the crash-recovery acceptance criterion."""
+        return not self._early
+
+
+def submit_record(job_id: str, kind: str, context: str, payload: dict,
+                  tenant: str, priority: str, created: float,
+                  deadline_s: float | None = None, retries: int = 0,
+                  retry_backoff: float | None = None) -> dict:
+    record = {
+        "rec": "submit", "job": job_id, "kind": kind,
+        "context": context, "payload": payload, "tenant": tenant,
+        "priority": priority, "created": created,
+    }
+    if deadline_s is not None:
+        record["deadline_s"] = deadline_s
+    if retries:
+        record["retries"] = retries
+    if retry_backoff is not None:
+        record["retry_backoff"] = retry_backoff
+    return record
+
+
+def state_record(job_id: str, state: str, ts: float,
+                 error: str | None = None, recovered: bool = False,
+                 attempt: int = 0, timeout: bool = False,
+                 not_before: float | None = None) -> dict:
+    record = {"rec": "state", "job": job_id, "state": state, "ts": ts}
+    if error is not None:
+        record["error"] = error
+    if recovered:
+        record["recovered"] = True
+    if attempt:
+        record["attempt"] = attempt
+    if timeout:
+        record["timeout"] = True
+    if not_before is not None:
+        record["not_before"] = not_before
+    return record
+
+
+def event_record(job_id: str, event: dict) -> dict:
+    """One seq-numbered progress event (the event carries its own
+    ``seq``; the fold dedups and orders on it)."""
+    return {"rec": "event", "job": job_id, "event": event}
+
+
+def result_record(job_id: str, result: dict) -> dict:
+    return {"rec": "result", "job": job_id, "result": result}
+
+
+#: record kind -> its one constructor (``JobJournal.append_<kind>``
+#: takes the same arguments).
+RECORDS = {"submit": submit_record, "state": state_record,
+           "event": event_record, "result": result_record}
 
 
 class JournalError(ServiceError):
@@ -190,7 +292,9 @@ class JobJournal:
     # ------------------------------------------------------------------
     # appending (this writer's segment)
     # ------------------------------------------------------------------
-    def _append(self, record: dict) -> None:
+    def _append(self, record: dict) -> dict:
+        """Write one record to this writer's segment; returns it, so
+        the caller folds the very dict that went to disk."""
         record["v"] = _FORMAT_VERSION
         line = json.dumps(record, sort_keys=True,
                           separators=(",", ":")) + "\n"
@@ -227,6 +331,7 @@ class JobJournal:
             fire("journal.fsync", writer=self.writer_id)
             os.fsync(self._segment.fileno())
         self.appended += 1
+        return record
 
     def _rotate(self) -> None:
         """Seal the current segment under a rotated name (readers keep
@@ -245,50 +350,25 @@ class JobJournal:
         os.replace(self._segment_path, target)
         self.rotations = n
 
-    def append_submit(self, job_id: str, kind: str, context: str,
-                      payload: dict, tenant: str, priority: str,
-                      created: float, deadline_s: float | None = None,
-                      retries: int = 0,
-                      retry_backoff: float | None = None) -> None:
-        record = {
-            "rec": "submit", "job": job_id, "kind": kind,
-            "context": context, "payload": payload, "tenant": tenant,
-            "priority": priority, "created": created,
-        }
-        if deadline_s is not None:
-            record["deadline_s"] = deadline_s
-        if retries:
-            record["retries"] = retries
-        if retry_backoff is not None:
-            record["retry_backoff"] = retry_backoff
-        self._append(record)
+    def append_submit(self, *fields, **marks) -> dict:
+        """Append one ``submit`` record; arguments as
+        :func:`submit_record`."""
+        return self._append(submit_record(*fields, **marks))
 
-    def append_state(self, job_id: str, state: str, ts: float,
-                     error: str | None = None,
-                     recovered: bool = False, attempt: int = 0,
-                     timeout: bool = False,
-                     not_before: float | None = None) -> None:
-        record = {"rec": "state", "job": job_id, "state": state,
-                  "ts": ts}
-        if error is not None:
-            record["error"] = error
-        if recovered:
-            record["recovered"] = True
-        if attempt:
-            record["attempt"] = attempt
-        if timeout:
-            record["timeout"] = True
-        if not_before is not None:
-            record["not_before"] = not_before
-        self._append(record)
+    def append_state(self, *fields, **marks) -> dict:
+        """Append one ``state`` record; arguments as
+        :func:`state_record`."""
+        return self._append(state_record(*fields, **marks))
 
-    def append_event(self, job_id: str, event: dict) -> None:
-        """One seq-numbered progress event (the event carries its own
-        ``seq``; replay dedups and orders on it)."""
-        self._append({"rec": "event", "job": job_id, "event": event})
+    def append_event(self, *fields) -> dict:
+        """Append one ``event`` record; arguments as
+        :func:`event_record`."""
+        return self._append(event_record(*fields))
 
-    def append_result(self, job_id: str, result: dict) -> None:
-        self._append({"rec": "result", "job": job_id, "result": result})
+    def append_result(self, *fields) -> dict:
+        """Append one ``result`` record; arguments as
+        :func:`result_record`."""
+        return self._append(result_record(*fields))
 
     def append_mode(self, mode: str, ts: float,
                     reason: str | None = None) -> None:
@@ -367,17 +447,17 @@ class JobJournal:
             offset += len(raw) + 1
         return records, offset, clean
 
-    def replay(self) -> dict[str, JobImage]:
+    def replay(self, new=JobImage) -> dict:
         """Merge every segment into per-job images (boot-time full
-        read).  Ordering inside one job: submit fields win first-write,
-        states apply in precedence (terminal > running > queued) so the
-        merge is independent of cross-segment file order, events dedup
-        by seq."""
-        images: dict[str, JobImage] = {}
+        read) — :meth:`apply` over every record; the fold does not
+        depend on the order segments are read in.  ``new`` builds the
+        image of a job first seen (the coordinator restores its
+        ``JobRecord`` subclass straight from here)."""
+        images: dict = {}
         for path in self._segment_paths():
             records, _, _ = self._read_lines(path)
             for record in records:
-                self.apply(images, record)
+                self.apply(images, record, new)
         return images
 
     def refresh(self) -> list[dict]:
@@ -390,15 +470,14 @@ class JobJournal:
         now shorter than the offset, or it regrew and the offset lands
         mid-line so the first terminated read fails to parse.  Both
         reset the offset to 0 and re-read the whole segment; re-applied
-        records are harmless because :meth:`apply` folds are monotone
-        (submit first-write-wins, state precedence, events seq-dedup).
+        records are harmless because :meth:`apply` is idempotent.
         """
         out: list[dict] = []
         for path in self._segment_paths():
             # Skip every segment this writer owns — the live one AND
             # its rotated predecessors (rotation renames the live file,
             # and re-tailing our own appends as "foreign" would be
-            # wasted monotone re-folds at best).
+            # wasted re-folds at best).
             if os.path.basename(path).startswith(self._own_prefix):
                 continue
             start = self._offsets.get(path, 0)
@@ -418,16 +497,41 @@ class JobJournal:
         return out
 
     @staticmethod
-    def apply(images: dict[str, JobImage], record: dict) -> None:
-        """Fold one journal record into a per-job image map (the unit
-        :meth:`replay` is built from; workers use it to fold
-        :meth:`refresh` tails into their own view)."""
+    def apply(images: dict, record: dict, new=JobImage) -> None:
+        """Fold one journal record into a per-job image map — the one
+        fold behind a boot-time :meth:`replay`, a worker's and the
+        coordinator's :meth:`refresh` tails, and every writer's own
+        transitions.  Commutative and idempotent: the image depends on
+        the *set* of records folded, not on their order or repetition.
+
+        * ``submit``: first write wins.
+        * ``state``: a record of a higher ``attempt`` opens that
+          attempt and supersedes the earlier one; a lower attempt's
+          record is stale and ignored.  Within the current attempt the
+          deciding record is the highest-ranked (terminal > running >
+          queued), the earliest ``ts`` among equals (then state name) —
+          so of **two terminal records of one attempt the earlier
+          decision wins**, whichever segment it sits in.  ``error``,
+          ``timeout``, ``recovered`` and ``not_before`` are the
+          deciding record's; ``finished`` is its ``ts`` when terminal
+          and **None on a job a later attempt has revived**;
+          ``started`` is when the **current attempt** started running
+          (its earliest ``running`` record; None until it runs).
+        * ``event``: the first write of a seq wins — a streamer may
+          already have been sent it, so this is the one rule that sees
+          delivery order, and only when two writers stamp the same seq
+          (a takeover of a stalled, not dead, worker); an event ahead
+          of a gap is held and becomes visible once the gap fills, so
+          ``image.events`` is always 1..N.
+        * ``result``: last write (an attempt that completes writes the
+          same bytes as any other, by the determinism contract).
+        """
         job_id = record.get("job")
         if not isinstance(job_id, str):
             return
         image = images.get(job_id)
         if image is None:
-            image = images[job_id] = JobImage(job_id)
+            image = images[job_id] = new(job_id)
         rec = record.get("rec")
         if rec == "submit" and image.kind is None:
             image.kind = record.get("kind")
@@ -438,37 +542,41 @@ class JobJournal:
             image.created = record.get("created")
             image.deadline_s = record.get("deadline_s")
             image.retries = int(record.get("retries", 0))
-            image.retry_backoff = float(record.get("retry_backoff", 0.5))
+            image.retry_backoff = float(
+                record.get("retry_backoff", DEFAULT_RETRY_BACKOFF)
+            )
         elif rec == "state":
             state = record.get("state")
-            rank = {"queued": 0, "running": 1}
-            attempt = int(record.get("attempt", 0))
-            # Precedence is per-attempt lexicographic: within an
-            # attempt terminal > running > queued (last terminal
-            # writer wins, as before), while a *higher-attempt* record
-            # — a retry requeue after a failed run — out-ranks anything
-            # the earlier attempt wrote.  Pre-retry journals carry no
-            # attempt field (= 0), so their fold is unchanged.
-            if (attempt, rank.get(state, 2)) >= \
-                    (image.attempt, rank.get(image.state, 2)):
+            attempt = int(record.get("attempt") or 0)
+            if state not in STATE_RANK or attempt < image.attempt:
+                return
+            if attempt > image.attempt:
+                image.attempt, image.started = attempt, None
+            ts = record.get("ts")
+            if state == "running" and ts is not None and (
+                    image.started is None or ts < image.started):
+                image.started = ts
+            won = (attempt, STATE_RANK[state], -(ts or 0.0), state)
+            if won > image._won:
+                image._won = won
                 image.state = state
                 image.error = record.get("error")
                 image.recovered = bool(record.get("recovered"))
                 image.timeout = bool(record.get("timeout"))
-                image.attempt = max(image.attempt, attempt)
                 image.not_before = (
                     record.get("not_before") if state == "queued"
                     else None
                 )
-            if state == "running" and image.started is None:
-                image.started = record.get("ts")
-            if state not in rank:
-                image.finished = record.get("ts")
+                image.finished = ts if state in TERMINAL_STATES else None
         elif rec == "event":
             event = record.get("event")
-            if isinstance(event, dict) and isinstance(
-                    event.get("seq"), int):
-                image._events.setdefault(event["seq"], event)
+            seq = event.get("seq") if isinstance(event, dict) else None
+            if isinstance(seq, int) and seq > len(image.events):
+                image._early.setdefault(seq, event)
+                while len(image.events) + 1 in image._early:
+                    image.events.append(
+                        image._early.pop(len(image.events) + 1)
+                    )
         elif rec == "result":
             image.result = record.get("result")
 
@@ -551,15 +659,18 @@ class JobJournal:
         return True
 
     def live_leases(self) -> list[dict]:
-        out = []
-        for job_id, info in self.leases():
-            if self.lease_live(job_id):
-                out.append(info)
-        return out
+        return [info for _, info in self.leases()
+                if self._owner_live(info)]
+
+    def dead_leases(self) -> list[tuple[str, dict]]:
+        """``(job_id, info)`` of every lease whose owner is gone — the
+        watchdog's sweep input (the claim path refuses takeover, so
+        somebody must break these)."""
+        return [(job_id, info) for job_id, info in self.leases()
+                if not self._owner_live(info)]
 
     def leases(self) -> list[tuple[str, dict]]:
-        """Every lease on disk, live or dead, as ``(job_id, info)`` —
-        the watchdog's sweep input (it tells live from dead itself)."""
+        """Every lease on disk, live or dead, as ``(job_id, info)``."""
         out = []
         try:
             names = sorted(os.listdir(self.leases_dir))

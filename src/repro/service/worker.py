@@ -7,8 +7,19 @@ the same ``--cache-dir``, claim queued jobs through journal **leases**
 (atomic ``O_EXCL`` create — exactly one winner per job), execute them
 in their own process, and journal seq-numbered progress
 events, results and terminal states.  The coordinator's poll task
-folds those records back into its in-memory job records, so HTTP
+folds those records into its in-memory job records, so HTTP
 clients poll and stream worker-executed jobs exactly like local ones.
+
+A worker owns no state machine of its own.  Its view of the tier is a
+map of :class:`~repro.service.journal.JobImage` objects kept by the
+one fold (:meth:`JobJournal.apply`), it may write a job's records only
+while it holds that job's lease, and what it writes comes from the
+same functions the in-process manager uses:
+:func:`~repro.service.jobs.run_attempt` decides how the attempt ended,
+:func:`~repro.service.jobs.finish` / :func:`~repro.service.jobs.
+requeue` turn that into records.  The worker supplies only its cancel
+predicate (the marker file) and its record sink (append to its own
+segment, fold into its own view, heartbeat the lease).
 
 The claim protocol:
 
@@ -25,17 +36,18 @@ The claim protocol:
    resolved *by this worker* (terminal ``cancelled`` state journaled
    before the lease is released), because the coordinator's
    eager-cancel path defers to whoever holds the lease;
-4. journal ``running``, execute through the exact
-   :meth:`AdvisorService._execute` path (same per-run isolation, so
-   the result is byte-identical to a sequential ``tune()``), heartbeat
-   the lease from the progress hook, honor cancel markers
-   (:class:`~repro.errors.JobCancelled` at the next event);
-5. journal the result + terminal state, release the lease.
+4. run the attempt through the exact :meth:`AdvisorService._execute`
+   path (same per-run isolation, so the result is byte-identical to a
+   sequential ``tune()``): ``running``, seq-continued events, then
+   result + terminal state, or — on a transient failure with retry
+   budget left — an attempt-stamped requeue any worker may re-claim
+   once its backoff passes;
+5. release the lease.
 
 A worker killed mid-run leaves a lease whose pid is dead: the
-coordinator's boot-time recovery (:meth:`JobManager.recover`) breaks
-it and marks the job ``failed``/``recovered``, exactly like one of its
-own interrupted runs.
+coordinator's watchdog (or, across a restart, its boot-time
+:meth:`JobManager.recover`) breaks it and re-dispatches or fails the
+job, exactly like one of its own interrupted runs.
 
 The persistent ``EstimationCache``/``CostCache`` in the shared
 ``--cache-dir`` are the fleet's shared state: workers warm them for
@@ -47,13 +59,14 @@ from __future__ import annotations
 
 import time
 
-from repro.errors import JobCancelled, JobDeadlineExceeded
 from repro.service.faults import InjectedFault, fire
 from repro.service.jobs import (
+    CANCELLED_QUEUED,
     JOB_KINDS,
     TERMINAL_STATES,
-    deadline_expired,
-    retry_delay,
+    finish,
+    retryable,
+    run_attempt,
 )
 from repro.service.journal import JobImage
 from repro.service.scheduler import FairQueue
@@ -115,6 +128,13 @@ class JobWorker:
     def _refresh(self) -> None:
         self._fold(self.journal.refresh())
 
+    def _write(self, kind: str, *fields, **marks) -> dict:
+        """The worker's record sink: append one record to our segment
+        and fold the dict that went to disk into our view."""
+        raw = getattr(self.journal, "append_" + kind)(*fields, **marks)
+        self._fold([raw])
+        return raw
+
     def _claimable(self):
         """Queued, known-context, unleased, uncancelled job ids in the
         coordinator's dispatch order: strict priority, then weighted
@@ -149,7 +169,7 @@ class JobWorker:
             image = self._fair.pick()
             if image is None:
                 return
-            yield image.job_id
+            yield image.id
 
     # ------------------------------------------------------------------
     def run_once(self) -> str | None:
@@ -228,78 +248,24 @@ class JobWorker:
         scan will keep skipping it — unless someone journals a terminal
         state it would stay ``queued`` (and count against its tenant's
         quota) forever."""
-        job_id = image.job_id
-        journal = self.journal
-        ts = time.time()
-        error = "cancelled while queued"
-        journal.append_state(job_id, "cancelled", ts, error=error,
-                             attempt=image.attempt)
-        journal.apply(self._images, {
-            "rec": "state", "job": job_id, "state": "cancelled",
-            "ts": ts, "error": error,
-            **({"attempt": image.attempt} if image.attempt else {}),
-        })
-        event = {"event": "state", "state": "cancelled",
-                 "job": job_id, "error": error,
-                 "seq": image.max_seq + 1}
-        journal.append_event(job_id, event)
-        journal.apply(self._images, {
-            "rec": "event", "job": job_id, "event": event,
-        })
+        finish(self._write, image, "cancelled", error=CANCELLED_QUEUED)
         self.executed["cancelled"] += 1
-        journal.clear_cancel(job_id)
-        journal.release(job_id)
+        self.journal.clear_cancel(image.id)
+        self.journal.release(image.id)
 
     # ------------------------------------------------------------------
     def _execute(self, image: JobImage) -> None:
-        """Run one claimed job, journaling the same record sequence the
-        in-process manager would: running state, seq-continued events,
-        result, terminal state."""
-        job_id = image.job_id
+        """Run one attempt of a claimed job, journaling the same record
+        sequence the in-process manager would."""
         journal = self.journal
-        seq = image.max_seq
+        job_id = image.id
         last_beat = time.time()
 
-        def emit(event: dict) -> None:
-            nonlocal seq
-            seq += 1
-            event = dict(event)
-            event["seq"] = seq
-            journal.append_event(job_id, event)
-            journal.apply(self._images, {
-                "rec": "event", "job": job_id, "event": event,
-            })
+        def cancelled() -> bool:
+            return journal.cancel_requested(job_id)
 
-        def transition(state: str, ts: float,
-                       error: str | None = None,
-                       timeout: bool = False) -> None:
-            journal.append_state(job_id, state, ts, error=error,
-                                 attempt=image.attempt,
-                                 timeout=timeout)
-            journal.apply(self._images, {
-                "rec": "state", "job": job_id, "state": state,
-                "ts": ts,
-                **({"error": error} if error else {}),
-                **({"attempt": image.attempt} if image.attempt
-                   else {}),
-                **({"timeout": True} if timeout else {}),
-            })
-            event = {"event": "state", "state": state, "job": job_id}
-            if error is not None:
-                event["error"] = error
-            if timeout:
-                event["timeout"] = True
-            emit(event)
-
-        def progress(event: dict) -> None:
+        def apply(step, *args, **marks) -> None:
             nonlocal last_beat
-            if journal.cancel_requested(job_id):
-                raise JobCancelled("cancel requested")
-            if deadline_expired(image.created, image.deadline_s):
-                raise JobDeadlineExceeded(
-                    f"job {job_id} exceeded deadline_s="
-                    f"{image.deadline_s}"
-                )
             now = time.time()
             if now - last_beat >= self.heartbeat_interval:
                 try:
@@ -313,81 +279,25 @@ class JobWorker:
                 except InjectedFault:
                     pass  # beat skipped
                 last_beat = now
-            emit(dict(event))
+            step(self._write, image, *args, **marks)
 
-        if deadline_expired(image.created, image.deadline_s):
-            # Claimed a job already past its budget (e.g. it sat queued
-            # through its whole deadline): fail it without running.
-            self.executed["failed"] += 1
-            transition(
-                "failed", time.time(),
-                error=f"deadline_s={image.deadline_s} exceeded "
-                      "before completion",
-                timeout=True,
-            )
-            journal.clear_cancel(job_id)
-            journal.release(job_id)
-            return
-
-        transition("running", time.time())
-        try:
-            result = self.service._execute(
+        def execute(progress):
+            return self.service._execute(
                 image.kind, image.context, dict(image.payload),
                 lane=None, progress=progress,
             )
-        except JobDeadlineExceeded as exc:
-            # Terminal, never retried: the deadline budgets every
-            # attempt.
-            self.executed["failed"] += 1
-            transition("failed", time.time(), error=str(exc),
-                       timeout=True)
-        except JobCancelled as exc:
-            self.executed["cancelled"] += 1
-            transition("cancelled", time.time(), error=str(exc))
-        except Exception as exc:  # noqa: BLE001 - recorded on the job
-            if image.attempt < image.retries and \
-                    not deadline_expired(image.created,
-                                         image.deadline_s) and \
-                    not journal.cancel_requested(job_id):
-                self._requeue_retry(image, str(exc), emit)
-            else:
-                self.executed["failed"] += 1
-                transition("failed", time.time(), error=str(exc))
-        else:
-            self.executed["done"] += 1
-            journal.append_result(job_id, result)
-            journal.apply(self._images, {
-                "rec": "result", "job": job_id, "result": result,
-            })
-            transition("done", time.time())
+
+        try:
+            outcome = run_attempt(
+                image, execute, cancelled,
+                lambda: retryable(image, cancelled), apply,
+            )
+            self.executed[outcome] += 1
         finally:
             journal.clear_cancel(job_id)
             journal.release(job_id)
             # Persist what this run warmed for the rest of the fleet.
             self.service.save_caches()
-
-    def _requeue_retry(self, image: JobImage, error: str,
-                       emit) -> None:
-        """Re-enqueue a transiently-failed attempt (mirror of the
-        coordinator's ``_schedule_retry``): journal an attempt-stamped
-        ``queued`` behind the deterministic jittered backoff and emit a
-        ``retry`` event.  Never journals a terminal state — any worker
-        (including this one) re-claims once the backoff passes."""
-        job_id = image.job_id
-        attempt = image.attempt + 1
-        ts = time.time()
-        not_before = ts + retry_delay(job_id, attempt,
-                                      image.retry_backoff)
-        self.journal.append_state(job_id, "queued", ts,
-                                  attempt=attempt,
-                                  not_before=not_before)
-        self.journal.apply(self._images, {
-            "rec": "state", "job": job_id, "state": "queued",
-            "ts": ts, "attempt": attempt, "not_before": not_before,
-        })
-        emit({"event": "retry", "job": job_id, "attempt": attempt,
-              "error": error, "not_before": not_before})
-        self.executed["retried"] += 1
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

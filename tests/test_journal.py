@@ -67,6 +67,25 @@ def event_logs(manager):
     return {i: list(manager.jobs[i].events) for i in manager._order}
 
 
+#: every field :meth:`JobJournal.apply` decides.
+DURABLE = ("kind", "context", "payload", "tenant", "priority", "created",
+           "deadline_s", "retries", "retry_backoff", "state", "attempt",
+           "started", "finished", "error", "timeout", "recovered",
+           "not_before", "result", "events")
+
+
+def durable(image):
+    return {field: getattr(image, field) for field in DURABLE}
+
+
+def dispatch_only(tmp_path, **submit_kwargs):
+    """A dispatch-only coordinator tracking one submitted job."""
+    service = StubService(journal=JobJournal(str(tmp_path), "coordinator"),
+                          execute_jobs=False)
+    return service, service.jobs.submit("tune", "alpha", {},
+                                        **submit_kwargs)
+
+
 class TestSegments:
     def test_append_replay_round_trip(self, tmp_path):
         journal = JobJournal(str(tmp_path), "coordinator")
@@ -639,7 +658,7 @@ class TestStreamTermination:
             service = StubService()
             try:
                 from repro.service.jobs import JobRecord
-                record = JobRecord("job-000001", "tune", "alpha", {})
+                record = JobRecord("job-000001")
                 record.state = "done"
                 service.jobs.jobs[record.id] = record
                 service.jobs._order.append(record.id)
@@ -703,6 +722,30 @@ class TestSegmentRotation:
         worker.close()
         reader.close()
 
+    def test_stale_running_redelivered_after_requeue_is_ignored(
+            self, tmp_path):
+        """The three-record case: ``running`` @0, a retry requeue @1,
+        then the @0 ``running`` again — what ``refresh()`` re-reads
+        once the worker's segment rotates.  The live view must not
+        move the parked job back to ``running``."""
+        service, record = dispatch_only(tmp_path, retries=1)
+        try:
+            worker = JobJournal(str(tmp_path), "worker-a")
+            worker.append_state(record.id, "running", 10.0)
+            worker.append_state(record.id, "queued", 11.0, attempt=1,
+                                not_before=11.5)
+            tail = service.jobs.journal.refresh()
+            service.jobs.apply_external(tail)
+            service.jobs.apply_external(tail[:1])  # the stale running
+            assert (record.state, record.attempt) == ("queued", 1)
+            assert record.not_before == 11.5
+            assert service.jobs.stats()["retried"] == 1
+            assert durable(record) == durable(
+                service.jobs.journal.replay()[record.id])
+            worker.close()
+        finally:
+            service.shutdown()
+
     def test_compaction_merges_rotated_segments(self, tmp_path):
         journal = JobJournal(str(tmp_path), "coordinator",
                              max_segment_bytes=256)
@@ -731,6 +774,8 @@ class TestSegmentRotation:
         assert image.state == "queued"
         assert image.attempt == 1
         assert image.not_before == 2.6
+        # ...and revives the job: a queued job has not finished.
+        assert image.finished is None
         # A terminal timeout stamp folds with the attempt it ended on.
         journal.append_state("job-000001", "failed", 40.0,
                              error="deadline", attempt=1, timeout=True)
@@ -738,3 +783,178 @@ class TestSegmentRotation:
         assert image.state == "failed"
         assert image.timeout is True
         journal.close()
+
+
+class TestLiveViewEqualsReplay:
+    """One fold: the coordinator's live view of worker records
+    (``apply_external``) and a restart's ``replay()`` of the same
+    directory agree on every durable field, whatever order the records
+    arrive in — including the three places the two former folds
+    disagreed (decisions pinned in ``JobJournal.apply``'s docstring)."""
+
+    def live_and_replayed(self, tmp_path, write, reverse=False):
+        """``write(job_id, worker_a, worker_b)`` appends the scenario;
+        the coordinator folds the tail (optionally back to front)."""
+        service, record = dispatch_only(tmp_path, retries=2)
+        a = JobJournal(str(tmp_path), "worker-a")
+        b = JobJournal(str(tmp_path), "worker-b")
+        try:
+            write(record.id, a, b)
+            tail = service.jobs.journal.refresh()
+            service.jobs.apply_external(tail[::-1] if reverse else tail)
+            replayed = JobJournal(str(tmp_path), "reader").replay()
+            return record, replayed[record.id]
+        finally:
+            a.close()
+            b.close()
+            service.shutdown()
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_two_terminals_of_one_attempt_earliest_wins(
+            self, tmp_path, reverse):
+        """(a) Not first-delivered, not last-segment-by-filename: the
+        earlier decision, wherever it sits."""
+
+        def write(job_id, a, b):
+            a.append_state(job_id, "running", 3.0)
+            a.append_state(job_id, "done", 5.0)
+            b.append_state(job_id, "failed", 4.0,
+                           error="worker worker-a died mid-run")
+
+        live, replayed = self.live_and_replayed(tmp_path, write, reverse)
+        assert (live.state, live.finished) == ("failed", 4.0)
+        assert live.error == "worker worker-a died mid-run"
+        assert durable(live) == durable(replayed)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_started_is_the_current_attempts(self, tmp_path, reverse):
+        """(b) ``started`` of a retried job is when the attempt that
+        decides its state started running, live and after a restart."""
+
+        def write(job_id, a, b):
+            a.append_state(job_id, "running", 10.0)
+            a.append_state(job_id, "queued", 11.0, attempt=1,
+                           not_before=11.5)
+            b.append_state(job_id, "running", 20.0, attempt=1)
+            b.append_state(job_id, "done", 21.0, attempt=1)
+
+        live, replayed = self.live_and_replayed(tmp_path, write, reverse)
+        assert (live.state, live.attempt) == ("done", 1)
+        assert (live.started, live.finished) == (20.0, 21.0)
+        assert durable(live) == durable(replayed)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_a_revived_job_has_not_finished(self, tmp_path, reverse):
+        """(c) A higher-attempt ``queued`` revives a failed job — live
+        too — and clears ``finished``/``error`` with it."""
+
+        def write(job_id, a, b):
+            a.append_state(job_id, "failed", 2.0, error="boom")
+            b.append_state(job_id, "queued", 2.1, attempt=1,
+                           not_before=2.6)
+
+        live, replayed = self.live_and_replayed(tmp_path, write, reverse)
+        assert (live.state, live.attempt) == ("queued", 1)
+        assert (live.finished, live.error) == (None, None)
+        assert live.snapshot()["finished"] is None
+        assert durable(live) == durable(replayed)
+
+    def test_events_arriving_2_1_3_are_held_not_dropped(self, tmp_path):
+        """An event ahead of a gap is held until the gap fills;
+        streamers only ever see the gapless prefix; a duplicate seq
+        keeps the first write; a writer continues from the highest seq
+        seen, held or not."""
+        service, record = dispatch_only(tmp_path)
+        try:
+            assert [e["seq"] for e in record.events] == [1]  # queued
+            worker = JobJournal(str(tmp_path), "worker-a")
+            for seq in (2, 3, 4):
+                worker.append_event(record.id, {"event": "phase",
+                                                "n": seq, "seq": seq})
+            second, third, fourth = service.jobs.journal.refresh()
+            service.jobs.apply_external([third])
+            assert [e["seq"] for e in record.events] == [1]
+            assert record.max_seq == 3 and not record.seq_gapless()
+            service.jobs.apply_external([second])
+            assert [e["seq"] for e in record.events] == [1, 2, 3]
+            service.jobs.apply_external([fourth])
+            worker.append_event(record.id, {"event": "late", "seq": 3})
+            service.jobs.apply_external(service.jobs.journal.refresh())
+            assert [e["seq"] for e in record.events] == [1, 2, 3, 4]
+            assert record.events[2]["n"] == 3  # first write kept
+            assert record.seq_gapless()
+            assert service.jobs.events_after(record.id, 2) == \
+                record.events[2:]
+            assert durable(record) == durable(
+                service.jobs.journal.replay()[record.id])
+            worker.close()
+        finally:
+            service.shutdown()
+
+
+class TestFormatHolds:
+    #: one job's life as the parent commit wrote it, byte for byte
+    #: (sorted keys, compact separators, ``v`` 1; ``append_state``
+    #: omits falsy ``attempt``/``timeout``/``recovered``).
+    PARENT_LINES = [
+        '{"context":"alpha","created":100.0,"deadline_s":30.0,'
+        '"job":"job-000001","kind":"tune","payload":{"b":0.1},'
+        '"priority":"high","rec":"submit","retries":2,'
+        '"retry_backoff":0.25,"tenant":"t1","v":1}',
+        '{"event":{"event":"state","job":"job-000001","seq":1,'
+        '"state":"queued"},"job":"job-000001","rec":"event","v":1}',
+        '{"job":"job-000001","rec":"state","state":"running",'
+        '"ts":101.0,"v":1}',
+        '{"attempt":1,"job":"job-000001","not_before":102.5,'
+        '"rec":"state","state":"queued","ts":102.0,"v":1}',
+        '{"attempt":1,"job":"job-000001","rec":"state",'
+        '"state":"running","ts":103.0,"v":1}',
+        '{"job":"job-000001","rec":"result","result":{"ok":true},"v":1}',
+        '{"attempt":1,"job":"job-000001","rec":"state","state":"done",'
+        '"ts":104.0,"v":1}',
+        '{"error":"deadline","job":"job-000002","rec":"state",'
+        '"recovered":true,"state":"failed","timeout":true,"ts":9.0,'
+        '"v":1}',
+    ]
+
+    def test_parent_written_journal_replays_and_bytes_are_unchanged(
+            self, tmp_path):
+        """A journal directory written by the parent replays on this
+        code, and this code writes the same bytes for the same calls —
+        no record gained or lost a key."""
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "segment-coordinator.jsonl").write_text(
+            "\n".join(self.PARENT_LINES) + "\n", encoding="utf-8")
+        image = JobJournal(str(old), "reader").replay()["job-000001"]
+        assert (image.kind, image.context, image.payload) == \
+            ("tune", "alpha", {"b": 0.1})
+        assert (image.tenant, image.priority) == ("t1", "high")
+        assert (image.deadline_s, image.retries, image.retry_backoff) \
+            == (30.0, 2, 0.25)
+        assert (image.state, image.attempt) == ("done", 1)
+        assert (image.created, image.started, image.finished) == \
+            (100.0, 103.0, 104.0)
+        assert image.result == {"ok": True}
+        assert [e["seq"] for e in image.events] == [1]
+
+        journal = JobJournal(str(tmp_path / "new"), "coordinator")
+        journal.append_submit("job-000001", "tune", "alpha", {"b": 0.1},
+                              "t1", "high", 100.0, deadline_s=30.0,
+                              retries=2, retry_backoff=0.25)
+        journal.append_event("job-000001", {
+            "event": "state", "state": "queued", "job": "job-000001",
+            "seq": 1})
+        journal.append_state("job-000001", "running", 101.0)
+        journal.append_state("job-000001", "queued", 102.0, attempt=1,
+                             not_before=102.5)
+        journal.append_state("job-000001", "running", 103.0, attempt=1)
+        journal.append_result("job-000001", {"ok": True})
+        journal.append_state("job-000001", "done", 104.0, attempt=1)
+        journal.append_state("job-000002", "failed", 9.0,
+                             error="deadline", recovered=True,
+                             timeout=True)
+        journal.close()
+        written = (tmp_path / "new" / "segment-coordinator.jsonl") \
+            .read_text(encoding="utf-8").splitlines()
+        assert written == self.PARENT_LINES
