@@ -55,7 +55,3 @@ class GlobalDictionaryCodec(ColumnCodec):
 
     def size(self) -> int:
         return self.count * self._ptr
-
-    @property
-    def ptr_width(self) -> int:
-        return self._ptr

@@ -92,15 +92,6 @@ class Configuration:
         """The heap/clustered structure of ``table`` (None if untracked)."""
         return self._base.get(table)
 
-    def secondary_indexes(self, table: str | None = None) -> list[IndexDef]:
-        out = [
-            ix
-            for ix in self._indexes
-            if ix.kind is IndexKind.SECONDARY
-            and (table is None or ix.table == table)
-        ]
-        return sorted(out, key=structure_order_key)
-
     def indexes_on(self, table: str) -> list[IndexDef]:
         return sorted(
             (ix for ix in self._indexes if ix.table == table),

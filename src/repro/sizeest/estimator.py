@@ -271,8 +271,3 @@ class SizeEstimator:
             self.database, mv, synopsis, synopsis.num_rows, 1.0
         )
         return SerializedTable(sample.table)
-
-    def reset_instrumentation(self) -> None:
-        self.timings.clear()
-        self.runner.reset_timings()
-        self.manager.reset_timings()

@@ -90,9 +90,6 @@ def plan_optimal(
     best_choice: dict[NodeKey, tuple] | None = None
     choice: dict[NodeKey, tuple] = {}
 
-    def cost_of(sample_set: frozenset[NodeKey]) -> float:
-        return sum(evaluator.sampling_cost(k) for k in sample_set)
-
     def rec(i: int, sampled: frozenset[NodeKey], cost: float) -> None:
         nonlocal best_cost, best_choice
         if cost >= best_cost:

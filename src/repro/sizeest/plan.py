@@ -124,22 +124,6 @@ class EstimationPlan:
     feasible: bool
     target_probabilities: dict[NodeKey, float] = field(default_factory=dict)
 
-    @property
-    def sampled_keys(self) -> list[NodeKey]:
-        return [
-            k
-            for k, n in self.graph.nodes.items()
-            if n.state is NodeState.SAMPLED and not n.is_existing
-        ]
-
-    @property
-    def deduced_keys(self) -> list[NodeKey]:
-        return [
-            k
-            for k, n in self.graph.nodes.items()
-            if n.state is NodeState.DEDUCED
-        ]
-
 
 def finalize_plan(
     evaluator: PlanEvaluator,

@@ -118,12 +118,6 @@ class SampleCFRunner:
             )
             self.run_count += 1
 
-    def measure_cf(self, index: IndexDef, fraction: float) -> float:
-        """Measured compression fraction (estimated full compressed size
-        over analytic uncompressed size)."""
-        est = self.run(index, fraction)
-        return est.compression_fraction
-
     def _rid_correction(self, index: IndexDef, sample_rows: int,
                         full_rows: float) -> float:
         """Secondary-index row locators on a sample are drawn from a much

@@ -51,10 +51,6 @@ class PackResult:
         """Size as the storage layer accounts it: whole pages + extras."""
         return self.pages * PAGE_SIZE + self.extra_bytes
 
-    @property
-    def avg_rows_per_page(self) -> float:
-        return self.rows / self.pages if self.pages else 0.0
-
 
 def quantize_bytes(size: float) -> float:
     """Round a byte estimate up to whole pages (minimum one page), as
