@@ -3,9 +3,11 @@
 Unit tests pin individual components; these pin the *whole pipeline*:
 for fixed datasets, seeds and budgets, the advisor's recommendation —
 configuration, sizes, costs, step log — must be byte-identical to the
-JSON committed under ``tests/golden/``.  Any refactor of costing,
-enumeration, estimation or caching that moves a single float (or
-reorders a tie-break) fails here even if every unit test still passes.
+JSON committed under ``tests/golden/``, and the run's progress stream
+— every event the search emits, in order — to the NDJSON beside it under
+``tests/golden/streams/``.  Any refactor of costing, enumeration,
+estimation or caching that moves a single float (or reorders a
+tie-break, or an event) fails here even if every unit test still passes.
 
 When a change is *deliberate* (e.g. a cost-model fix), regenerate with::
 
@@ -34,6 +36,7 @@ from repro.sizeest.estimator import SizeEstimator
 from repro.stats.column_stats import DatabaseStats
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+STREAM_DIR = GOLDEN_DIR / "streams"
 
 
 def _sales(scale):
@@ -64,16 +67,32 @@ CASES = [
     GoldenCase("sales_dtac_none_b10", _sales, 0.04, "dtac-none", 0.10),
     GoldenCase("tpch_dtac_both_b20", _tpch, 0.05, "dtac-both", 0.20),
     GoldenCase("tpch_dta_b20", _tpch, 0.05, "dta", 0.20),
+    # One per registered search besides the default; the second anytime
+    # case runs under dtac-both, whose backtracking=True it ignores.
+    GoldenCase("sales_ibm_b15", _sales, 0.04, "dtac-both", 0.15,
+               options={"algorithm": "ibm"}),
+    GoldenCase("sales_relaxation_b15", _sales, 0.04, "dtac-both", 0.15,
+               options={"algorithm": "relaxation"}),
+    GoldenCase("sales_anytime_density_b10", _sales, 0.04, "dtac-none",
+               0.10, options={"algorithm": "anytime",
+                              "strategy": "density"}),
+    GoldenCase("sales_anytime_dtac_both_b15", _sales, 0.04, "dtac-both",
+               0.15, options={"algorithm": "anytime"}),
+    GoldenCase("sales_density_b10", _sales, 0.04, "dtac-none", 0.10,
+               options={"strategy": "density"}),
 ]
 
 
-def run_case(case: GoldenCase) -> str:
+def run_case(case: GoldenCase) -> tuple[str, str]:
     """One advisor run at the case's fixed parameters, rendered as the
-    canonical golden JSON (sorted keys, trailing newline)."""
+    canonical golden JSON (sorted keys, trailing newline) and its
+    progress stream (one sorted-key JSON event per line)."""
     db, wl = case.build(case.scale)
     budget = db.total_data_bytes() * case.budget_fraction
+    events: list[dict] = []
     if case.seed is None:
-        result = tune(db, wl, budget, variant=case.variant, **case.options)
+        result = tune(db, wl, budget, variant=case.variant,
+                      progress=events.append, **case.options)
     else:
         stats = DatabaseStats(db)
         options = get_variant(case.variant).advisor_options(
@@ -85,7 +104,8 @@ def run_case(case: GoldenCase) -> str:
             e=options.e, q=options.q,
         )
         result = TuningAdvisor(
-            db, wl, options, estimator=estimator, stats=stats
+            db, wl, options, estimator=estimator, stats=stats,
+            progress=events.append,
         ).run()
     payload = {
         "case": {
@@ -97,26 +117,36 @@ def run_case(case: GoldenCase) -> str:
         },
         **serialize_result(result)["result"],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    stream = "".join(
+        json.dumps(event, sort_keys=True) + "\n" for event in events
+    )
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n", stream
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])
 def test_golden_recommendation(case, request):
     golden_file = GOLDEN_DIR / f"{case.name}.json"
-    fresh = run_case(case)
+    stream_file = STREAM_DIR / f"{case.name}.ndjson"
+    fresh, fresh_stream = run_case(case)
     if request.config.getoption("--update-golden"):
-        GOLDEN_DIR.mkdir(exist_ok=True)
+        STREAM_DIR.mkdir(parents=True, exist_ok=True)
         golden_file.write_text(fresh)
+        stream_file.write_text(fresh_stream)
         pytest.skip(f"updated {golden_file.name}")
-    assert golden_file.exists(), (
-        f"{golden_file} missing — generate it with "
-        "pytest tests/test_golden_recommendations.py --update-golden"
-    )
-    committed = golden_file.read_text()
+    for path in (golden_file, stream_file):
+        assert path.exists(), (
+            f"{path} missing — generate it with "
+            "pytest tests/test_golden_recommendations.py --update-golden"
+        )
     # Byte-identical, not approximately equal: every float, every index
     # name, every greedy step in the committed order.
-    assert fresh == committed, (
+    assert fresh == golden_file.read_text(), (
         f"advisor output drifted from {golden_file.name}; if this "
+        "change is deliberate, regenerate with --update-golden and "
+        "commit the diff"
+    )
+    assert fresh_stream == stream_file.read_text(), (
+        f"progress stream drifted from {stream_file.name}; if this "
         "change is deliberate, regenerate with --update-golden and "
         "commit the diff"
     )
@@ -125,9 +155,9 @@ def test_golden_recommendation(case, request):
 def test_goldens_have_no_strays():
     """Every committed golden file corresponds to a case (catches
     renamed cases leaving stale canaries behind)."""
-    known = {f"{case.name}.json" for case in CASES}
-    on_disk = {p.name for p in GOLDEN_DIR.glob("*.json")}
-    assert on_disk == known
+    known = {case.name for case in CASES}
+    assert {p.stem for p in GOLDEN_DIR.glob("*.json")} == known
+    assert {p.stem for p in STREAM_DIR.glob("*")} == known
 
 
 def test_golden_runs_are_self_consistent():

@@ -27,6 +27,7 @@ from repro.workload.drift import DriftSpec, DriftingWorkload, drift_phase
 
 GOLDEN = (Path(__file__).parent / "golden" / "retune"
           / "retune_drift_sales.json")
+GOLDEN_STREAM = GOLDEN.with_name("retune_drift_sales_stream.ndjson")
 
 #: the pinned 2-phase drift scenario: phase 0 and phase 2 pick disjoint
 #: hot sets, and the weights are extreme enough that the phase shift
@@ -176,3 +177,29 @@ print(json.dumps(_fingerprint(results), sort_keys=True))
         assert GOLDEN.exists(), "run pytest --update-golden to create"
         want = json.loads(GOLDEN.read_text())
         assert json.loads(json.dumps(got, sort_keys=True)) == want
+
+    def test_golden_stream(self, drift_inputs, request):
+        """The pinned progress stream — every event, in order — of the
+        drift scenario (cold tune, retune) and of two retunes onto a
+        shrunken budget, where the carried configuration starts over
+        budget: budget relaxation then a backtracking re-fill
+        (dtac-both), and cost-checked drop iterations (dta)."""
+        db, drifting = drift_inputs
+        events = []
+        session = Session(db, budget_fraction=BUDGET, variant=VARIANT,
+                          progress=events.append)
+        retune_sequence(session, drifting.phases(PHASES))
+        for variant, wide, narrow in (("dtac-both", 1.0, 0.1),
+                                      ("dta", 0.6, 0.05)):
+            session = Session(db, variant=variant, progress=events.append)
+            session.tune(budget_fraction=wide, workload=drifting.phase(0))
+            session.retune(budget_fraction=narrow,
+                           workload=drifting.phase(2))
+        got = "".join(
+            json.dumps(event, sort_keys=True) + "\n" for event in events
+        )
+        if request.config.getoption("--update-golden"):
+            GOLDEN_STREAM.write_text(got)
+            pytest.skip("golden stream regenerated")
+        assert GOLDEN_STREAM.exists(), "run pytest --update-golden to create"
+        assert got == GOLDEN_STREAM.read_text()
