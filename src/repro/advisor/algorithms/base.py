@@ -221,14 +221,20 @@ class SelectionAlgorithm:
         if self.progress is not None:
             self.progress({"event": event, **fields})
 
-    def _emit_step(self, kind: str, step: str, cost: float) -> None:
+    def _emit_step(self, kind: str, step: str,
+                   cost: "float | None" = None, **measures) -> None:
         """One accepted search step (greedy add, backtrack recovery,
         polish swap, or a seeded start).  ``step_seq`` counts accepted
         steps across every seeded start (the job layer's ``seq`` is the
         event-log position, a different series), so the stream carries
-        at least one event per greedy step of the winning start."""
+        at least one event per greedy step of the winning start.
+        ``cost`` is the workload cost after the step, or absent when
+        the step was not costed; what such a step does know travels
+        under its own name (``consumed_bytes=``, ``benefit=``)."""
         self._step_seq += 1
-        self._emit("greedy_step", kind=kind, step=step, cost=cost,
+        if cost is not None:
+            measures = {"cost": cost, **measures}
+        self._emit("greedy_step", kind=kind, step=step, **measures,
                    step_seq=self._step_seq)
 
     def _score(self, delta_cost: float, delta_size: float) -> float:

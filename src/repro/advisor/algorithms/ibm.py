@@ -169,7 +169,7 @@ class IBMKnapsackAlgorithm(SelectionAlgorithm):
                 f"knapsack add {entry.index.display_name()} "
                 f"(benefit {entry.benefit:.1f})"
             )
-            self._emit_step("knapsack", steps[-1], entry.benefit)
+            self._emit_step("knapsack", steps[-1], benefit=entry.benefit)
         return config
 
     # ------------------------------------------------------------------

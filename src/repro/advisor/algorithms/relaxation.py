@@ -121,7 +121,8 @@ class RelaxationAlgorithm(SelectionAlgorithm):
             f"saturate: {len(list(config))} structures, "
             f"{self.consumed(config):.0f} bytes"
         )
-        self._emit_step("saturate", steps[-1], self.consumed(config))
+        self._emit_step("saturate", steps[-1],
+                        consumed_bytes=self.consumed(config))
         return config
 
     def _droppable(
@@ -144,7 +145,7 @@ class RelaxationAlgorithm(SelectionAlgorithm):
         recosting every round."""
         while not self.fits(config):
             self._emit("sweep", candidates=len(list(config)),
-                       cost=self.consumed(config))
+                       consumed_bytes=self.consumed(config))
             candidates = [
                 ix for ix in self._droppable(config, base_config)
                 if ix.kind is IndexKind.SECONDARY or ix.is_mv_index
@@ -159,7 +160,8 @@ class RelaxationAlgorithm(SelectionAlgorithm):
             victim = min(candidates, key=drop_rank)
             config = config.remove(victim)
             steps.append(f"drop {victim.display_name()}")
-            self._emit_step("drop", steps[-1], self.consumed(config))
+            self._emit_step("drop", steps[-1],
+                            consumed_bytes=self.consumed(config))
         return config
 
     def _drop_iterations(

@@ -19,7 +19,7 @@ from repro.advisor import (
     variant_names,
     variants,
 )
-from repro.advisor.advisor import AdvisorOptions
+from repro.advisor.advisor import AdvisorOptions, TuningAdvisor
 from repro.advisor.algorithms import (
     GreedyBacktrackAlgorithm,
     SelectionAlgorithm,
@@ -170,6 +170,33 @@ print(repr((names, result.base_cost, result.final_cost,
         explicit = tune(db, wl, budget, variant="dtac-both",
                         algorithm="greedy-backtrack")
         assert _digest(implicit) == _digest(explicit)
+
+
+# ----------------------------------------------------------------------
+class TestEventUnits:
+    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
+    def test_event_cost_is_a_workload_cost(
+        self, inputs, algorithm, monkeypatch
+    ):
+        """``cost`` on a progress event is a value the workload coster
+        returned during the run — never a byte count (those travel as
+        ``consumed_bytes``) or an attributed benefit (``benefit``)."""
+        db, wl, budget = inputs
+        costed = set()
+        for hook in ("_workload_cost", "_batch_workload_cost"):
+            def recording(advisor, arg,
+                          _costs=getattr(TuningAdvisor, hook)):
+                out = _costs(advisor, arg)
+                costed.update([out] if isinstance(out, float) else out)
+                return out
+            monkeypatch.setattr(TuningAdvisor, hook, recording)
+        events = []
+        tune(db, wl, budget, variant="dtac-both", algorithm=algorithm,
+             progress=events.append)
+        carrying = [e for e in events if "cost" in e]
+        assert {e["event"] for e in carrying} >= {"sweep", "greedy_step"}
+        strays = [e for e in carrying if e["cost"] not in costed]
+        assert not strays, strays
 
 
 # ----------------------------------------------------------------------
