@@ -1,6 +1,6 @@
-"""The selection-algorithm contract: one abstract base every search
-strategy implements, plus the registry ``AdvisorOptions.algorithm``
-resolves through.
+"""The selection-algorithm contract and the search toolkit: one base
+class every search strategy extends, plus the registry
+``AdvisorOptions.algorithm`` resolves through.
 
 A :class:`SelectionAlgorithm` is handed the advisor's prepared state —
 the candidate pool, the base configuration, a workload-cost callable
@@ -18,7 +18,23 @@ base class owns everything the strategies share:
   bound-based pruning gated per algorithm (only decision-identical
   under pure-greedy acceptance);
 * per-statement benefit attribution (``_attributed_benefits``), shared
-  by the knapsack and relaxation strategies.
+  by the knapsack and relaxation strategies;
+* the **moves** — each written once; a strategy's ``run`` is an ordering
+  of them, passing the step ``kind`` it reports under and, optionally,
+  an ``on_accept(config, cost, label)`` hook called per accepted step:
+
+  - ``_add_moves`` / ``_score_adds`` — enumerate one add sweep; score it
+    into its two channels (every feasible move; the best move *including
+    oversized ones*, recovered by ``_backtrack``, the Figure 8
+    compression backtrack);
+  - ``_fill`` — greedy add to a fixpoint (Section 6.2);
+  - ``_polish`` — per-structure method hill-climb;
+  - ``_drop_ranking`` / ``_relax_to_budget`` / ``_drop_iterations`` —
+    usage/density-ordered drops until the budget fits, then cost-checked
+    single removals;
+  - ``_floor_at_base`` — never return worse than doing nothing;
+  - ``_accept`` / ``_accept_threshold`` / ``_prune_threshold`` /
+    ``_result`` — the step record, the two thresholds, the result.
 
 Concrete strategies register with :func:`register` and are resolved by
 name through :func:`get`; ``names()`` lists the valid set.
@@ -30,6 +46,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
+from repro.compression.base import CompressionMethod
 from repro.errors import AdvisorError
 from repro.physical.configuration import Configuration
 from repro.physical.index_def import IndexDef
@@ -55,6 +72,13 @@ QueryCostBatch = Callable[
 #: differences are quantization noise, not signal.
 DENSITY_FLOOR_BYTES = 8192.0
 
+#: Hard cap on the iterations of one greedy fill.
+MAX_FILL_STEPS = 60
+
+#: Accepted-step hook of the moves: ``(configuration, cost, step label)``.
+#: Observational, like the progress hook it usually feeds.
+StepHook = Callable[[Configuration, float, str], None]
+
 
 @dataclass(frozen=True)
 class EnumerationOptions:
@@ -64,7 +88,6 @@ class EnumerationOptions:
         budget_bytes: storage budget for additional structures.
         strategy: 'greedy' or 'density'.
         backtracking: enable the oversized-choice recovery phase.
-        max_steps: hard cap on greedy iterations.
         min_improvement: stop when the relative cost drop falls below it.
         seed_fanout: number of distinct first choices to grow a full
             greedy run from; the best final configuration wins.
@@ -76,7 +99,6 @@ class EnumerationOptions:
     budget_bytes: float
     strategy: str = "greedy"
     backtracking: bool = False
-    max_steps: int = 60
     min_improvement: float = 1e-4
     seed_fanout: int = 3
     allow_compression: bool = True
@@ -282,16 +304,9 @@ class SelectionAlgorithm:
         that is the knapsack/relaxation approximation), deterministic
         in pool order, and batched per statement through the delta-
         aware query-cost hook when the advisor wired one."""
-        members: list[IndexDef] = []
-        singletons: list[Configuration] = []
-        for ix in pool:
-            if ix in base_config:
-                continue
-            candidate = base_config.add(ix)
-            if candidate == base_config:
-                continue
-            members.append(ix)
-            singletons.append(candidate)
+        moves = self._add_moves(pool, base_config)
+        members = [ix for ix, _candidate in moves]
+        singletons = [candidate for _ix, candidate in moves]
         benefits = [0.0] * len(members)
         uses = [0] * len(members)
         if self.query_cost_batch is not None:
@@ -341,6 +356,439 @@ class SelectionAlgorithm:
                 return config
             return config.replace(member, original)
         return config.remove(member)
+
+    # -- moves: the step record, the thresholds, the result ------------
+    def _result(self, config: Configuration, cost: float,
+                steps: "list[str]") -> EnumerationResult:
+        return EnumerationResult(
+            configuration=config,
+            cost=cost,
+            consumed_bytes=self.consumed(config),
+            steps=steps,
+        )
+
+    def _accept_threshold(self, cost: float) -> float:
+        """Smallest cost drop from ``cost`` a step must achieve."""
+        return self.options.min_improvement * max(cost, 1e-9)
+
+    def _prune_threshold(self, cost: float) -> "float | None":
+        """Bound-pruning cut-off for a sweep from ``cost`` (None when
+        bound pruning is off for this algorithm): half the acceptance
+        threshold.  The slack covers float accumulation differences
+        between the optimistic bound and the full path's total, so a
+        pruned move could at most be chosen-and-rejected below
+        min_improvement."""
+        if not self._prune_bounds:
+            return None
+        return 0.5 * self._accept_threshold(cost)
+
+    def _accept(self, kind: str, label: str, config: Configuration,
+                cost: float, steps: "list[str]",
+                on_accept: "StepHook | None" = None) -> None:
+        """Record one accepted, costed step: log it, report it, move
+        the delta reference onto it, then tell the caller's hook."""
+        steps.append(label)
+        self._emit_step(kind, label, cost)
+        self._rebase(config)
+        if on_accept is not None:
+            on_accept(config, cost, label)
+
+    def _floor_at_base(
+        self, config: Configuration, cost: float,
+        base_config: Configuration, base_cost: float, steps: "list[str]",
+    ) -> "tuple[Configuration, float]":
+        """A search that starts away from the base (saturated, or
+        carried over from a drifted workload) can bottom out worse than
+        doing nothing; never return worse than the untuned base."""
+        if cost > base_cost and self.fits(base_config):
+            steps.append(f"{self.name} floor: keep base {base_cost:.1f}")
+            return base_config, base_cost
+        return config, cost
+
+    # -- moves: add sweeps, the Figure 8 backtrack, greedy fill --------
+    def _add_moves(
+        self, pool: Sequence[IndexDef], config: Configuration
+    ) -> "list[tuple[IndexDef, Configuration]]":
+        """Every pool member whose addition changes ``config``, with
+        the configuration it leads to, in pool order."""
+        moves = []
+        for ix in pool:
+            if ix in config:
+                continue
+            candidate = config.add(ix)
+            if candidate == config:
+                continue
+            moves.append((ix, candidate))
+        return moves
+
+    def _score_adds(
+        self,
+        moves: "list[tuple[IndexDef, Configuration]]",
+        costs: "Sequence[float | None]",
+        current: Configuration,
+        current_cost: float,
+        backtrack: bool,
+    ) -> "tuple[list[tuple], tuple[float, Configuration] | None]":
+        """Score one costed add sweep into its two channels.  Feasible:
+        every improving move that fits the budget, as ``(score, cost,
+        config, index)`` in pool order.  Best-any (``backtrack`` only):
+        the largest cost drop *including oversized moves*; when that
+        pick is oversized, Figure 8 compresses members until it fits,
+        and it is offered as ``(cost, config)`` if it still improves."""
+        feasible = []
+        best_any = None  # (delta_cost, config)
+        current_consumed = self.consumed(current)
+        for (ix, candidate), cost in zip(moves, costs):
+            if cost is None:
+                continue
+            delta_cost = current_cost - cost
+            if delta_cost <= 0:
+                continue
+            consumed = self.consumed(candidate)
+            if self._within_budget(consumed):
+                score = self._score(delta_cost, consumed - current_consumed)
+                feasible.append((score, cost, candidate, ix))
+            if best_any is None or delta_cost > best_any[0]:
+                best_any = (delta_cost, candidate)
+        if backtrack and best_any is not None and not self.fits(best_any[1]):
+            recovered = self._backtrack(best_any[1])
+            if recovered is not None:
+                cost = self.workload_cost(recovered)
+                if cost < current_cost:
+                    return feasible, (cost, recovered)
+        return feasible, None
+
+    def _fill(
+        self,
+        pool: "list[IndexDef]",
+        current: Configuration,
+        current_cost: float,
+        steps: "list[str]",
+        *,
+        kind: str = "greedy",
+        backtrack: bool = False,
+        on_accept: "StepHook | None" = None,
+    ) -> "tuple[Configuration, float]":
+        """Greedy fill to a fixpoint (Section 6.2): per sweep, accept
+        the best-scoring feasible add — or, with ``backtrack``, the
+        recovered oversized pick when that is cheaper — until nothing
+        clears the acceptance threshold."""
+        for _step in range(MAX_FILL_STEPS):
+            moves = self._add_moves(pool, current)
+            # A cancellation point even when no step gets accepted:
+            # every candidate sweep reports in before costing.
+            self._emit("sweep", candidates=len(moves), cost=current_cost)
+            candidates = [candidate for _ix, candidate in moves]
+            if self._prune_bounds and backtrack:
+                costs = self._rescue_candidate_costs(candidates, current_cost)
+            else:
+                costs = self._candidate_costs(
+                    candidates, self._prune_threshold(current_cost)
+                )
+            feasible, recovered = self._score_adds(
+                moves, costs, current, current_cost, backtrack
+            )
+            chosen = None  # (cost, config, label)
+            if feasible:
+                # First maximum: pool order decides ties.
+                _score, cost, config, ix = max(
+                    feasible, key=lambda entry: entry[0]
+                )
+                chosen = (cost, config, f"add {ix.display_name()}")
+            if recovered is not None and (
+                chosen is None or recovered[0] < chosen[0]
+            ):
+                chosen = (*recovered, "backtrack-recover")
+            if chosen is None:
+                break
+            new_cost, new_config, label = chosen
+            if current_cost - new_cost < self._accept_threshold(
+                current_cost
+            ):
+                break
+            self._accept(
+                kind, f"{label}: {current_cost:.1f} -> {new_cost:.1f}",
+                new_config, new_cost, steps, on_accept,
+            )
+            current, current_cost = new_config, new_cost
+        return current, current_cost
+
+    def _rescue_candidate_costs(
+        self, candidates: list, current_cost: float
+    ) -> list:
+        """Bound pruning for the *backtracking* sweep (the PR 3 open
+        question): costs in candidate order, None for provably
+        invisible candidates.
+
+        Backtracking consumes a sweep through two channels — the best
+        feasible pick and the best pick *including oversized ones*,
+        whose Figure-8 recovery compresses current members and can
+        therefore unlock improvements beyond the candidate's own delta.
+        A cap below the acceptance threshold is no longer a safe prune
+        by itself: the pruned candidate could have been the channel
+        maximum.  So the sweep defers low-cap candidates, costs the
+        rest, and then *rescues* (costs after all) every deferred
+        candidate whose cap does not lose **strictly** to a costed
+        survivor in each channel it can enter:
+
+        * best-any channel: rescued unless some survivor's delta
+          strictly exceeds the cap (ties rescue — pool order decides
+          ties, and the candidate could be earlier);
+        * best-feasible channel (fitting candidates only): same test
+          against the best *fitting* survivor delta.
+
+        A candidate left pruned has ``delta <= cap <`` both channel
+        maxima, so under greedy scoring (score == delta) it can win
+        neither selection — the sweep's outcome, tie-breaks included,
+        is decision-identical to costing everything.  Rescued deltas
+        are bounded by their caps, which lose to the precomputed
+        maxima, so rescue can never shift the maxima and one pass
+        suffices."""
+        delta = self.delta
+        threshold = self._prune_threshold(current_cost)
+        costs: list = [None] * len(candidates)
+        deferred: list[int] = []
+        to_cost: list[int] = []
+        caps: dict[int, float] = {}
+        for i, candidate in enumerate(candidates):
+            if not delta.improvement_possible(candidate, None):
+                continue  # zero-delta certificate: exact per strategy
+            cap = delta.improvement_cap(candidate)
+            if cap is not None and cap < threshold:
+                caps[i] = cap
+                deferred.append(i)
+            else:
+                to_cost.append(i)
+        for i, cost in zip(
+            to_cost, self.batch_cost([candidates[i] for i in to_cost])
+        ):
+            costs[i] = cost
+        if not deferred:
+            return costs
+        max_any = None
+        max_fit = None
+        for i in to_cost:
+            gain = current_cost - costs[i]
+            if gain <= 0:
+                continue
+            if max_any is None or gain > max_any:
+                max_any = gain
+            if self.fits(candidates[i]) and (
+                max_fit is None or gain > max_fit
+            ):
+                max_fit = gain
+        rescued: list[int] = []
+        for i in deferred:
+            cap = caps[i]
+            if max_any is None or cap >= max_any:
+                rescued.append(i)
+            elif self.fits(candidates[i]) and (
+                max_fit is None or cap >= max_fit
+            ):
+                rescued.append(i)
+        for i, cost in zip(
+            rescued, self.batch_cost([candidates[i] for i in rescued])
+        ):
+            costs[i] = cost
+        pruned = len(deferred) - len(rescued)
+        if pruned:
+            delta.note_bound_pruned(pruned)
+        return costs
+
+    def _backtrack(self, oversized: Configuration) -> Configuration | None:
+        """Figure 8: repeatedly swap members to compressed variants,
+        choosing at each round the swap that performs fastest while
+        shrinking, until the configuration fits (or no swap helps)."""
+        config = oversized
+        for _round in range(len(list(config)) + 1):
+            config_consumed = self.consumed(config)
+            if self._within_budget(config_consumed):
+                return config
+            best = None  # (cost, config)
+            swaps = []
+            for ix in config.ordered():
+                if ix.is_compressed:
+                    continue
+                if ix.kind not in (IndexKind.SECONDARY, IndexKind.CLUSTERED,
+                                   IndexKind.HEAP):
+                    continue
+                for method in (CompressionMethod.ROW, CompressionMethod.PAGE):
+                    variant = ix.with_method(method)
+                    swapped = config.replace(ix, variant)
+                    if self.consumed(swapped) >= config_consumed:
+                        continue
+                    swaps.append(swapped)
+            swap_costs = self.batch_cost(swaps)
+            for swapped, swap_cost in zip(swaps, swap_costs):
+                if best is None or swap_cost < best[0]:
+                    best = (swap_cost, swapped)
+            if best is None:
+                return None
+            config = best[1]
+        return config if self.fits(config) else None
+
+    # -- moves: method polish ------------------------------------------
+    def _polish(
+        self,
+        config: Configuration,
+        cost: float,
+        steps: "list[str]",
+        *,
+        kind: str = "polish",
+        sweep_events: bool = False,
+        on_accept: "StepHook | None" = None,
+    ) -> "tuple[Configuration, float]":
+        """Final hill-climb over per-structure compression methods.
+
+        Generalizes the backtracking swap of Figure 8 to the finished
+        configuration and to *both* directions: compress a structure when
+        the I/O savings beat the CPU overhead, decompress one when they
+        do not.  Accepts any single method swap that lowers the workload
+        cost while staying within budget, to a fixpoint.  Because the
+        what-if cost is (near-)additive per structure, this reaches the
+        per-structure best method without an exponential search.
+        ``sweep_events`` adds a cancellation point before each round's
+        costing, for strategies whose clients cancel mid-run.
+        """
+        self._rebase(config)
+        if self.options.allow_compression:
+            methods = (CompressionMethod.NONE, CompressionMethod.ROW,
+                       CompressionMethod.PAGE)
+        else:
+            methods = (CompressionMethod.NONE,)
+        for _round in range(len(list(config)) * len(methods) + 1):
+            best_swap = None  # (cost, config, label)
+            swaps = []
+            for ix in config.ordered():
+                for method in methods:
+                    if method is ix.method:
+                        continue
+                    swapped = config.replace(ix, ix.with_method(method))
+                    if not self.fits(swapped):
+                        continue
+                    swaps.append((ix, method, swapped))
+            if sweep_events:
+                self._emit("sweep", candidates=len(swaps), cost=cost)
+            swap_costs = self.batch_cost(
+                [swapped for _ix, _m, swapped in swaps]
+            )
+            for (ix, method, swapped), swap_cost in zip(swaps, swap_costs):
+                if swap_cost < cost - 1e-9 and (
+                    best_swap is None or swap_cost < best_swap[0]
+                ):
+                    best_swap = (
+                        swap_cost,
+                        swapped,
+                        f"polish {ix.display_name()} -> {method.name}",
+                    )
+            if best_swap is None:
+                break
+            cost, config = best_swap[0], best_swap[1]
+            self._accept(kind, f"{best_swap[2]}: -> {cost:.1f}",
+                         config, cost, steps, on_accept)
+        return config, cost
+
+    # -- moves: drops --------------------------------------------------
+    def _droppable(
+        self, config: Configuration, base_config: Configuration
+    ) -> "list[IndexDef]":
+        """Structures eligible for removal, in the stable member order:
+        everything that is not part of the original base."""
+        return [ix for ix in config.ordered() if ix not in base_config]
+
+    def _drop_ranking(
+        self, members: Sequence[IndexDef], base_config: Configuration
+    ) -> "Callable[[IndexDef], tuple]":
+        """The one drop ordering, as a sort key: ``members`` get fresh
+        benefit attribution under the current workload and rank fewest
+        uses first, then lowest benefit density (the usage/size
+        drop-candidate idiom), display-name tie-break; a structure
+        without attributed benefit ranks before all of them."""
+        benefits = {
+            entry.index: entry
+            for entry in self._attributed_benefits(members, base_config)
+        }
+
+        def drop_rank(ix: IndexDef) -> tuple:
+            entry = benefits.get(ix)
+            if entry is None:
+                return (0, 0.0, ix.display_name())
+            return (entry.uses, entry.density(), ix.display_name())
+
+        return drop_rank
+
+    def _relax_to_budget(
+        self,
+        config: Configuration,
+        base_config: Configuration,
+        drop_rank: "Callable[[IndexDef], tuple]",
+        steps: "list[str]",
+    ) -> Configuration:
+        """Cheap relaxation: while over budget, drop the secondary/MV
+        structure that ranks first under ``drop_rank``, without
+        recosting every round.  Base-structure swaps are never dropped
+        here: reverting a compressed heap *grows* consumption."""
+        while not self.fits(config):
+            self._emit("sweep", candidates=len(list(config)),
+                       consumed_bytes=self.consumed(config))
+            candidates = [
+                ix for ix in self._droppable(config, base_config)
+                if ix.kind is IndexKind.SECONDARY or ix.is_mv_index
+            ]
+            if not candidates:
+                break
+            victim = min(candidates, key=drop_rank)
+            config = config.remove(victim)
+            steps.append(f"drop {victim.display_name()}")
+            self._emit_step("drop", steps[-1],
+                            consumed_bytes=self.consumed(config))
+        return config
+
+    def _drop_iterations(
+        self,
+        config: Configuration,
+        cost: float,
+        base_config: Configuration,
+        steps: "list[str]",
+    ) -> "tuple[Configuration, float]":
+        """Terminating drop iterations: accept the single removal with
+        the best true workload cost each round; stop when no removal
+        lowers the cost (unless still over budget, where the cheapest
+        space-freeing removal is accepted regardless).  Each round
+        removes one structure, so termination is structural."""
+        for _round in range(len(list(config)) + 1):
+            droppable = self._droppable(config, base_config)
+            if not droppable:
+                break
+            self._emit("sweep", candidates=len(droppable), cost=cost)
+            removals = [
+                self._revert_member(config, ix, base_config)
+                for ix in droppable
+            ]
+            kept = [
+                (ix, removed)
+                for ix, removed in zip(droppable, removals)
+                if removed != config
+            ]
+            costs = self.batch_cost([removed for _ix, removed in kept])
+            best = None        # (cost, -freed, name) — comparable key
+            best_config = None
+            for (ix, removed), removed_cost in zip(kept, costs):
+                freed = self.consumed(config) - self.consumed(removed)
+                key = (removed_cost, -freed, ix.display_name())
+                if best is None or key < best:
+                    best, best_config = key, removed
+            if best is None:
+                break
+            over_budget = not self.fits(config)
+            improves = best[0] < cost - 1e-9
+            frees = -best[1] > 0
+            if not improves and not (over_budget and frees):
+                break
+            cost, config = best[0], best_config
+            self._accept("drop", f"relax {best[2]}: -> {cost:.1f}",
+                         config, cost, steps)
+        return config, cost
 
     # ------------------------------------------------------------------
     def run(self, pool: "list[IndexDef]",

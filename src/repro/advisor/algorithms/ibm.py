@@ -56,17 +56,6 @@ class IBMKnapsackAlgorithm(SelectionAlgorithm):
     #: derive only from it and the deterministic member order.
     variation_seed = 20110829
 
-    @classmethod
-    def options_schema(cls) -> dict:
-        return {
-            **super().options_schema(),
-            "variation_iterations": {
-                "type": "integer", "default": cls.variation_iterations,
-                "description": "random-swap refinement iterations "
-                               "(class attribute; wall-clock-free)",
-            },
-        }
-
     def run(self, pool: list[IndexDef],
             base_config: Configuration) -> EnumerationResult:
         self._rebase(base_config)
@@ -78,12 +67,7 @@ class IBMKnapsackAlgorithm(SelectionAlgorithm):
         steps: list[str] = []
         config = self._knapsack_fill(order, base_config, steps)
         if config == base_config:
-            return EnumerationResult(
-                configuration=base_config,
-                cost=base_cost,
-                consumed_bytes=self.consumed(base_config),
-                steps=steps,
-            )
+            return self._result(base_config, base_cost, steps)
         self._rebase(config)
         cost = self.batch_cost([config])[0]
         if cost >= base_cost:
@@ -96,12 +80,7 @@ class IBMKnapsackAlgorithm(SelectionAlgorithm):
         config, cost = self._try_variations(
             order, config, cost, base_config, steps
         )
-        return EnumerationResult(
-            configuration=config,
-            cost=cost,
-            consumed_bytes=self.consumed(config),
-            steps=steps,
-        )
+        return self._result(config, cost, steps)
 
     # ------------------------------------------------------------------
     def _combine_subsumed(
@@ -186,10 +165,7 @@ class IBMKnapsackAlgorithm(SelectionAlgorithm):
         the variation only when the true workload cost improves."""
         rng = random.Random(self.variation_seed)
         for _it in range(self.variation_iterations):
-            removable = [
-                ix for ix in best_config.ordered()
-                if ix not in base_config
-            ]
+            removable = self._droppable(best_config, base_config)
             if not removable:
                 break
             # A cancellation point per variation, like a greedy sweep.
@@ -215,9 +191,8 @@ class IBMKnapsackAlgorithm(SelectionAlgorithm):
             cost = self.batch_cost([work])[0]
             if cost < best_cost - 1e-9:
                 best_config, best_cost = work, cost
-                self._rebase(best_config)
-                steps.append(f"variation: -> {best_cost:.1f}")
-                self._emit_step("variation", steps[-1], best_cost)
+                self._accept("variation", f"variation: -> {best_cost:.1f}",
+                             best_config, best_cost, steps)
         return best_config, best_cost
 
 

@@ -17,9 +17,9 @@ A retune is one advisor run whose search is replaced by
    Previous members get fresh benefit attribution under the *current*
    workload; while over budget, the lowest (uses, benefit-density)
    member is dropped, then terminating cost-checked drop iterations
-   (both reused verbatim from the relaxation algorithm) evict any
+   (the drop moves the relaxation algorithm is built from) evict any
    member whose removal now lowers the true workload cost.
-3. **Greedy re-fill** — the standard greedy loop plus the final method
+3. **Greedy re-fill** — the shared greedy fill plus the final method
    polish, started from the pruned previous configuration rather than
    from scratch.
 
@@ -46,9 +46,7 @@ from repro.advisor.advisor import (
     TuningAdvisor,
     get_variant,
 )
-from repro.advisor.algorithms.base import EnumerationResult
-from repro.advisor.algorithms.greedy_backtrack import GreedyBacktrackAlgorithm
-from repro.advisor.algorithms.relaxation import RelaxationAlgorithm
+from repro.advisor.algorithms.base import EnumerationResult, SelectionAlgorithm
 from repro.catalog.schema import Database
 from repro.errors import AdvisorError
 from repro.parallel.cache import CostCache, EstimationCache
@@ -60,22 +58,19 @@ from repro.stats.column_stats import DatabaseStats
 from repro.workload.query import Workload
 
 
-class _RetuneSearch(RelaxationAlgorithm, GreedyBacktrackAlgorithm):
+class _RetuneSearch(SelectionAlgorithm):
     """Drop-then-refill search seeded at the previous configuration.
 
-    Composes the two registered strategies it rides on: the relaxation
-    algorithm's budget relaxation + terminating drop iterations (usage/
-    density-ordered victims, cost-checked acceptance) and the greedy
-    algorithm's add loop + method polish.  Not registered — it needs a
-    previous configuration no registry name can carry;
+    An ordering of the shared moves — drop (budget relaxation, then
+    cost-checked drop iterations), evict, fill, swap trials, polish,
+    floor — around the two steps only a carried-over configuration
+    needs: decay eviction and eviction-swap trials.  Not registered —
+    it needs a previous configuration no registry name can carry;
     :func:`run_isolated` hands it to the advisor as ``algorithm_cls``.
     """
 
+    #: labels the floor step; no registry key.
     name = "retune"
-    summary = (
-        "Seed at the previous configuration, drop decayed structures, "
-        "then greedy re-fill (continuous tuning; not registry-resolvable)"
-    )
 
     #: total eviction-swap trials (each is one greedy re-fill, so this
     #: caps the incremental run's wall time).
@@ -85,9 +80,14 @@ class _RetuneSearch(RelaxationAlgorithm, GreedyBacktrackAlgorithm):
         super().__init__(*args, **kwargs)
         self.previous = previous
 
+    def _bound_pruning_safe(self) -> bool:
+        # The re-fill is the default algorithm's fill: same verdict.
+        return self.options.strategy == "greedy"
+
     def run(self, pool: list[IndexDef],
             base_config: Configuration) -> EnumerationResult:
         previous = self.previous
+        backtrack = self.options.backtracking
         steps: list[str] = []
         self._rebase(previous)
         prev_cost = self.batch_cost([previous])[0]
@@ -97,17 +97,14 @@ class _RetuneSearch(RelaxationAlgorithm, GreedyBacktrackAlgorithm):
         )
         self._emit_step("retune-seed", steps[-1], prev_cost)
 
-        # Fresh benefit attribution for the carried-over members under
-        # the *current* workload — the decay signal the drop ordering
-        # ranks on (fewest uses first, then benefit density).
-        prev_members = [
-            ix for ix in previous.ordered() if ix not in base_config
-        ]
-        benefits = {
-            entry.index: entry
-            for entry in self._attributed_benefits(prev_members, base_config)
-        }
-        config = self._relax_to_budget(previous, base_config, benefits, steps)
+        # Drop: the carried-over members get fresh attribution under
+        # the *current* workload — the decay signal the ranking reads.
+        drop_rank = self._drop_ranking(
+            self._droppable(previous, base_config), base_config
+        )
+        config = self._relax_to_budget(
+            previous, base_config, drop_rank, steps
+        )
         if config != previous:
             self._rebase(config)
             cost = self.batch_cost([config])[0]
@@ -131,7 +128,7 @@ class _RetuneSearch(RelaxationAlgorithm, GreedyBacktrackAlgorithm):
             ]
             reverted = [(ix, r) for ix, r in reverted if r != config]
             costs = self.batch_cost([r for _ix, r in reverted])
-            threshold = self.options.min_improvement * max(cost, 1e-9)
+            threshold = self._accept_threshold(cost)
             decayed = [
                 ix for (ix, _r), rcost in zip(reverted, costs)
                 if rcost - cost < threshold
@@ -141,44 +138,36 @@ class _RetuneSearch(RelaxationAlgorithm, GreedyBacktrackAlgorithm):
                     config = self._revert_member(config, ix, base_config)
                 self._rebase(config)
                 cost = self.batch_cost([config])[0]
-                steps.append(
+                self._accept(
+                    "drop",
                     "decay evict "
                     + ", ".join(ix.display_name() for ix in decayed)
-                    + f": -> {cost:.1f}"
+                    + f": -> {cost:.1f}",
+                    config, cost, steps,
                 )
-                self._emit_step("drop", steps[-1], cost)
 
         # Greedy re-fill from the pruned previous configuration.
         self._rebase(config)
-        filled = self._greedy_loop(pool, config, cost, steps)
-        config, cost = filled.configuration, filled.cost
+        config, cost = self._fill(
+            pool, config, cost, steps, backtrack=backtrack
+        )
 
         # Eviction swaps: a carried member can be worth keeping in
         # isolation yet *dominated* — its budget would buy a better
         # structure under the drifted workload, which greedy re-fill
         # cannot see because the member is already in place.  Evict the
-        # most suspect members (fewest uses, lowest benefit density —
-        # the drop ordering again) one at a time and re-fill; accept the
-        # first eviction whose re-fill beats the current cost.  A
-        # wrongly-evicted member is simply re-added by its own trial (it
-        # stays in the pool).  The total trial count is bounded — this
-        # is the incremental path, not a second cold search.
+        # most suspect members (the drop ranking again) one at a time
+        # and re-fill; accept the first eviction whose re-fill beats
+        # the current cost.  A wrongly-evicted member is simply
+        # re-added by its own trial (it stays in the pool).  The total
+        # trial count is bounded — this is the incremental path, not a
+        # second cold search.
         trials_left = self.SWAP_TRIALS
         improved = True
         while improved and trials_left > 0:
             improved = False
             members = self._droppable(config, base_config)
-            ranked = {
-                entry.index: entry
-                for entry in self._attributed_benefits(members, base_config)
-            }
-
-            def swap_rank(ix: IndexDef):
-                entry = ranked.get(ix)
-                if entry is None:
-                    return (0, 0.0, ix.display_name())
-                return (entry.uses, entry.density(), ix.display_name())
-
+            drop_rank = self._drop_ranking(members, base_config)
             consumed = self.consumed(config)
             candidates = []
             for victim in members:
@@ -190,7 +179,7 @@ class _RetuneSearch(RelaxationAlgorithm, GreedyBacktrackAlgorithm):
                         self.consumed(reduced) >= consumed:
                     continue
                 candidates.append((victim, reduced))
-            candidates.sort(key=lambda vr: swap_rank(vr[0]))
+            candidates.sort(key=lambda vr: drop_rank(vr[0]))
             for victim, reduced in candidates:
                 if trials_left == 0:
                     break
@@ -198,47 +187,28 @@ class _RetuneSearch(RelaxationAlgorithm, GreedyBacktrackAlgorithm):
                 self._rebase(reduced)
                 reduced_cost = self.batch_cost([reduced])[0]
                 trial_steps: list[str] = []
-                trial = self._greedy_loop(
-                    pool, reduced, reduced_cost, trial_steps
+                trial, trial_cost = self._fill(
+                    pool, reduced, reduced_cost, trial_steps,
+                    backtrack=backtrack,
                 )
-                if trial.cost < cost - self.options.min_improvement * max(
-                    cost, 1e-9
-                ):
-                    config, cost = trial.configuration, trial.cost
-                    steps.append(
-                        f"swap evict {victim.display_name()}: "
-                        f"-> {cost:.1f}"
+                if trial_cost < cost - self._accept_threshold(cost):
+                    config, cost = trial, trial_cost
+                    self._accept(
+                        "swap",
+                        f"swap evict {victim.display_name()}: -> {cost:.1f}",
+                        config, cost, steps,
                     )
-                    self._emit_step("swap", steps[-1], cost)
                     steps.extend(trial_steps)
                     improved = True
                     break
 
-        # The standard final method polish.
-        self._rebase(config)
-        result = self._polish(
-            EnumerationResult(
-                configuration=config,
-                cost=cost,
-                consumed_bytes=self.consumed(config),
-                steps=steps,
-            )
+        config, cost = self._polish(config, cost, steps)
+        # A drifted workload can strand the whole carried-over
+        # configuration; the floor returns the untuned base instead.
+        config, cost = self._floor_at_base(
+            config, cost, base_config, self.workload_cost(base_config), steps
         )
-
-        # Floor: a drifted workload can strand the whole carried-over
-        # configuration; never return worse than the untuned base.
-        base_cost = self.workload_cost(base_config)
-        if result.cost > base_cost and self.fits(base_config):
-            result.steps.append(
-                f"retune floor: keep base {base_cost:.1f}"
-            )
-            return EnumerationResult(
-                configuration=base_config,
-                cost=base_cost,
-                consumed_bytes=self.consumed(base_config),
-                steps=result.steps,
-            )
-        return result
+        return self._result(config, cost, steps)
 
 
 def configuration_diff(

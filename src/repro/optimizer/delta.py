@@ -79,7 +79,7 @@ single float:
     which leaves the search state exactly where pruning does.  Under
     backtracking the enumerator instead combines
     :meth:`~DeltaWorkloadCoster.improvement_cap` with a rescue sweep
-    (see ``GreedyBacktrackAlgorithm._rescue_candidate_costs``) so the
+    (see ``SelectionAlgorithm._rescue_candidate_costs``) so the
     best-oversized recovery channel stays decision-identical too.
 
 Determinism contract: recommendations with delta costing on are

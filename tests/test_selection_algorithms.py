@@ -10,6 +10,7 @@ the default search, extended to the whole registry.
 """
 
 import asyncio
+from dataclasses import fields
 
 import pytest
 
@@ -25,9 +26,11 @@ from repro.advisor.algorithms import (
     SelectionAlgorithm,
 )
 from repro.api import Session, run_sweep, tune
+from repro.datasets import tpch_database, tpch_workload
 from repro.datasets.sales import sales_database, sales_workload
 from repro.errors import AdvisorError, JobCancelled, ServiceError
 from repro.service import AdvisorService, describe_algorithms
+from repro.service.context import _REQUEST_OPTION_FIELDS
 
 
 ALL_ALGORITHMS = algorithms.names()
@@ -93,11 +96,16 @@ class TestRegistry:
         )
 
     def test_every_algorithm_has_metadata(self):
+        option_fields = {f.name for f in fields(AdvisorOptions)}
         for name, cls in algorithms.registered().items():
             assert cls.name == name
             assert cls.summary
             schema = cls.options_schema()
             assert "budget_bytes" in schema
+            # What GET /v1/algorithms advertises, a request can set.
+            advertised = set(schema) - {"budget_bytes"}
+            assert advertised <= option_fields
+            assert advertised <= _REQUEST_OPTION_FIELDS
 
 
 # ----------------------------------------------------------------------
@@ -260,6 +268,32 @@ class TestAnytimeContract:
         assert all(b < a for a, b in zip(costs, costs[1:]))
         seqs = [e["improvement_seq"] for e in best]
         assert seqs == list(range(1, len(best) + 1))
+
+    @pytest.mark.parametrize("dataset,variant,budget_fraction", [
+        ("sales", "dtac-both", 0.20),
+        ("sales", "dtac-skyline", 0.05),
+        ("tpch", "dta", 0.05),
+    ])
+    def test_publish_hook_is_observational(
+        self, dataset, variant, budget_fraction
+    ):
+        """``anytime`` is the default search's single-start,
+        no-backtrack ordering plus a publish hook, and a hook must never
+        change a result: same configuration, cost and step log."""
+        if dataset == "sales":
+            db = sales_database(scale=0.1)
+            wl = sales_workload(db)
+        else:
+            db = tpch_database(scale=0.2, z=1.0)
+            wl = tpch_workload(db, select_weight=1, insert_weight=10)
+        budget = db.total_data_bytes() * budget_fraction
+        anytime = tune(db, wl, budget, variant=variant,
+                       algorithm="anytime")
+        plain = tune(db, wl, budget, variant=variant,
+                     algorithm="greedy-backtrack", seed_fanout=1,
+                     backtracking=False)
+        assert _digest(anytime) == _digest(plain)
+        assert anytime.steps
 
     def test_cancel_early_keeps_best_so_far_prefix(self, inputs):
         """Cancelling after the k-th best_so_far event: the run unwinds
