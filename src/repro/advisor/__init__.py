@@ -4,10 +4,12 @@ from repro.advisor import algorithms
 from repro.advisor.advisor import (
     AdvisorOptions,
     AdvisorResult,
+    PreparedStage,
     TuningAdvisor,
     VariantSpec,
     get_variant,
     register_variant,
+    stage_key,
     variant_names,
     variants,
 )
@@ -25,6 +27,7 @@ from repro.advisor.candidates import (
 )
 from repro.advisor.merging import generate_merged_candidates, merge_pair
 from repro.advisor.retune import (
+    HeldStage,
     RetuneResult,
     TuningSession,
     configuration_diff,
@@ -45,6 +48,9 @@ __all__ = [
     "AdvisorOptions",
     "AdvisorResult",
     "TuningAdvisor",
+    "PreparedStage",
+    "HeldStage",
+    "stage_key",
     "VariantSpec",
     "algorithms",
     "SelectionAlgorithm",

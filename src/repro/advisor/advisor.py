@@ -8,7 +8,8 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 from repro.advisor import algorithms
 from repro.advisor.algorithms import EnumerationOptions
 from repro.advisor.candidates import (
@@ -39,6 +40,9 @@ from repro.stats.column_stats import DatabaseStats
 from repro.storage.index_build import IndexKind
 from repro.storage.page import quantize_bytes
 from repro.workload.query import SelectQuery, Workload
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.optimizer.delta import PlanTables
 
 
 def default_base_configuration(database: Database) -> Configuration:
@@ -79,7 +83,7 @@ class AdvisorOptions:
 
     ``delta_costing`` routes enumeration costing through the
     delta-aware :class:`~repro.optimizer.delta.DeltaWorkloadCoster`
-    (terms rebuilt from one per-run plan table, bound-based
+    (terms rebuilt from the prepared stage's plan table, bound-based
     candidate pruning); recommendations are byte-identical with it on
     or off — off only costs time.
     Persistent caches are not an option: the owner of a run (a
@@ -178,8 +182,93 @@ class AdvisorResult:
 ProgressHook = Callable[[dict], None]
 
 
+#: Every :class:`AdvisorOptions` field, by what it can change.  The
+#: pool-shaping ones decide which candidates exist, which are sized and
+#: how their plans are costed — everything :meth:`TuningAdvisor.prepare`
+#: builds — and are part of :func:`stage_key`.  The search-only ones are
+#: read by :meth:`TuningAdvisor.search` alone, so runs that differ only
+#: there (or only in statement weights) share one prepared stage.  A new
+#: field must be added to exactly one of the two
+#: (``tests/test_run_identity.py`` fails otherwise).
+POOL_SHAPING_OPTIONS = frozenset({
+    "enable_compression", "candidate_selection", "top_k",
+    "enable_partial", "enable_mv", "enable_merging",
+    "compression_aware_merging", "max_key_columns",
+    "skyline_cluster_max", "e", "q", "delta_costing",
+})
+SEARCH_ONLY_OPTIONS = frozenset({
+    "budget_bytes", "algorithm", "strategy", "backtracking",
+    "min_improvement", "seed_fanout",
+})
+_KEYED_OPTIONS = tuple(sorted(POOL_SHAPING_OPTIONS))
+
+
+def stage_key(workload: Workload, options: AdvisorOptions,
+              seed: int) -> tuple:
+    """What a prepared stage is a function of: the statement sequence
+    (not the weights), the sampling seed, the pool-shaping options."""
+    return (
+        tuple(ws.statement for ws in workload),
+        seed,
+        tuple(getattr(options, name) for name in _KEYED_OPTIONS),
+    )
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class PreparedStage:
+    """What :meth:`TuningAdvisor.prepare` leaves behind, and every run
+    with the same :func:`stage_key` can search again: the seeded
+    estimator with every candidate sized, the what-if optimizer
+    (statement cache, kernel shape memo) over its size lookup, the
+    candidate pool, and the delta coster's weight-free tables.
+
+    One lifetime for all of it — a plan table must never outlive the
+    estimator whose sizes it was built from, and here neither outlives
+    the stage.  The stage holds the cache objects it was prepared with
+    and no progress hook.
+    """
+
+    key: tuple
+    estimator: SizeEstimator
+    #: over ``estimator``'s size lookup; carries the database, the
+    #: statistics and the cost constants the stage was built with.
+    whatif: WhatIfOptimizer
+    base_config: Configuration
+    pool: tuple
+    candidate_count: int
+    #: None when delta costing is off.
+    tables: "PlanTables | None"
+
+
+def _cost_context(estimator: SizeEstimator, e: float, q: float,
+                  constants: CostConstants) -> str:
+    """Fingerprint of every run-level input a persisted what-if cost
+    depends on beyond the (statement, sized structures) key: the
+    sampled data behind the size estimates, the accuracy constraint
+    that shaped them, and the cost constants.  Resolved lazily on
+    the first persistent cost lookup: the sample fingerprint scans
+    every value of a table the first time that table object is
+    fingerprinted and is a few digest re-hashes on later runs over
+    the same database (see ``Table.content_digest``)."""
+    material = (
+        f"fp={estimator.sample_fingerprint};"
+        f"opts_e={e!r};opts_q={q!r};"
+        f"est_e={estimator.e!r};est_q={estimator.q!r};"
+        f"deduction={estimator.use_deduction};"
+        f"default_fraction={estimator.default_fraction!r};"
+        f"fractions={estimator.fractions!r};"
+        f"constants={constants!r}"
+    )
+    return hashlib.sha256(material.encode()).hexdigest()
+
+
 class TuningAdvisor:
-    """Runs one tuning session over a database + weighted workload."""
+    """One tuning run over a database + weighted workload:
+    :meth:`prepare` (candidates, sizes, per-query selection, merging —
+    budget- and weight-free) then :meth:`search` (enumeration under
+    this run's budget, algorithm and weights).  Pass the ``stage`` an
+    earlier advisor prepared under the same :func:`stage_key` and
+    :meth:`run` goes straight to the search."""
 
     def __init__(
         self,
@@ -194,6 +283,7 @@ class TuningAdvisor:
         progress: ProgressHook | None = None,
         algorithm_cls: "Callable[..., object] | None" = None,
         extra_candidates: "Iterable[IndexDef] | None" = None,
+        stage: PreparedStage | None = None,
     ) -> None:
         self.database = database
         self.workload = workload
@@ -212,27 +302,57 @@ class TuningAdvisor:
         #: members so drops can be re-added and pruning bounds stay
         #: sound over the carried-over configuration.
         self._extra_candidates = list(extra_candidates or ())
-        self.stats = stats or DatabaseStats(database)
-        self._constants = constants
         self.progress = progress
-        self.estimator = estimator or SizeEstimator(
-            database, stats=self.stats, e=options.e, q=options.q,
-        )
-        self.cost_cache = cost_cache
-        self.whatif = WhatIfOptimizer(
-            database, self.stats, sizes=self._size_lookup,
-            constants=constants, cost_cache=cost_cache,
-            cost_context=self._cost_context,
-        )
-        self.base_config = base_config or self.default_base_configuration()
+        #: the prepared stage: the one handed in, else None until
+        #: :meth:`prepare` completes (an aborted prepare leaves None).
+        self.stage = stage
+        if stage is not None:
+            # Everything preparation built, and what it was built over
+            # (``estimator``/``stats``/``constants``/``base_config``/
+            # ``cost_cache`` arguments are the stage's).
+            if stage.whatif.database is not database \
+                    or stage.key != stage_key(
+                        workload, options, stage.estimator.manager.seed
+                    ):
+                raise AdvisorError(
+                    "prepared stage was built for another database, "
+                    "other statements, another seed or other "
+                    "pool-shaping options"
+                )
+            self.estimator = stage.estimator
+            self.whatif = stage.whatif
+            self.stats = stage.whatif.stats
+            self.base_config = stage.base_config
+        else:
+            self.stats = stats or DatabaseStats(database)
+            self.estimator = estimator or SizeEstimator(
+                database, stats=self.stats, e=options.e, q=options.q,
+            )
+            self.whatif = WhatIfOptimizer(
+                database, self.stats,
+                sizes=partial(quantized_size_lookup, self.estimator),
+                constants=constants, cost_cache=cost_cache,
+                cost_context=partial(
+                    _cost_context, self.estimator, options.e, options.q,
+                    constants,
+                ),
+            )
+            self.base_config = (
+                base_config or self.default_base_configuration()
+            )
+        self.cost_cache = self.whatif.cost_cache
         self._original_base_sizes = {
             ix.table: self._index_size(ix) for ix in self.base_config
         }
-        #: delta-aware workload coster (per-run state: its plan-table
-        #: keys do not embed sizes, so it must never outlive this
-        #: estimator).
+        #: this run's delta-aware workload coster: its weights,
+        #: reference, floors and counters are per run; its plan tables
+        #: are the stage's (fresh ones until there is a stage), whose
+        #: keys do not embed sizes — they live and die with the
+        #: estimator.
         self.delta = (
-            self.whatif.delta_coster(workload)
+            self.whatif.delta_coster(
+                workload, stage.tables if stage is not None else None
+            )
             if options.delta_costing else None
         )
 
@@ -253,9 +373,6 @@ class TuningAdvisor:
         # MV for MV indexes (extra estimation work this path never did).
         return quantize_bytes(self.estimator.estimate(index).est_bytes)
 
-    def _size_lookup(self, index: IndexDef) -> tuple[float, float]:
-        return quantized_size_lookup(self.estimator, index)
-
     def _candidate_universe(self, pool: list[IndexDef]) -> list[IndexDef]:
         """Every structure enumeration could ever place in a
         configuration: the pool, the base structures, and the method
@@ -272,27 +389,6 @@ class TuningAdvisor:
             ix.with_method(method)
             for ix in members for method in methods
         ))
-
-    def _cost_context(self) -> str:
-        """Fingerprint of every run-level input a persisted what-if cost
-        depends on beyond the (statement, sized structures) key: the
-        sampled data behind the size estimates, the accuracy constraint
-        that shaped them, and the cost constants.  Resolved lazily on
-        the first persistent cost lookup: the sample fingerprint scans
-        every value of a table the first time that table object is
-        fingerprinted and is a few digest re-hashes on later runs over
-        the same database (see ``Table.content_digest``)."""
-        est = self.estimator
-        material = (
-            f"fp={est.sample_fingerprint};"
-            f"opts_e={self.options.e!r};opts_q={self.options.q!r};"
-            f"est_e={est.e!r};est_q={est.q!r};"
-            f"deduction={est.use_deduction};"
-            f"default_fraction={est.default_fraction!r};"
-            f"fractions={est.fractions!r};"
-            f"constants={self._constants!r}"
-        )
-        return hashlib.sha256(material.encode()).hexdigest()
 
     def _workload_cost(self, config: Configuration) -> float:
         if self.delta is not None:
@@ -326,10 +422,10 @@ class TuningAdvisor:
         )
 
     def _size_if_known(self, index: IndexDef) -> "tuple[float, float] | None":
-        """(bytes, rows) exactly as :meth:`_size_lookup` would report —
-        but only when answering requires no new estimation work, so the
-        delta coster's lower bounds can never reorder estimation between
-        the delta-on and delta-off paths."""
+        """(bytes, rows) exactly as the optimizer's size lookup would
+        report — but only when answering requires no new estimation
+        work, so the delta coster's lower bounds can never reorder
+        estimation between the delta-on and delta-off paths."""
         est = self.estimator.peek(index)
         if est is None:
             return None
@@ -338,14 +434,44 @@ class TuningAdvisor:
             self.estimator.sizer.estimated_rows(index),
         )
 
+    def _work_counters(self) -> dict:
+        """The clock and the cumulative counters of the objects a stage
+        shares between runs, read at the start of a run so its result
+        can report the time and work of that run alone."""
+        cache = self.estimator.cache
+        return {
+            "start": time.perf_counter(),
+            "optimizer_calls": self.whatif.optimizer_calls,
+            "kernel": self.whatif.kernel.stats(),
+            "estimates": cache.stats() if cache is not None else {},
+            "costs": (
+                self.cost_cache.stats()
+                if self.cost_cache is not None else {}
+            ),
+        }
+
     # ------------------------------------------------------------------
     def run(self) -> AdvisorResult:
-        """Run one full tuning session: candidate generation, batch size
-        estimation, per-query selection, merging, and enumeration."""
-        start = time.perf_counter()
+        """One full tuning run: :meth:`prepare` — skipped, bar its two
+        phase events, over a handed-in stage — then :meth:`search`."""
+        before = self._work_counters()
+        self.prepare()
+        return self.search(before)
+
+    def prepare(self) -> PreparedStage:
+        """Candidate generation, batch size estimation, per-query
+        selection and merging: the pool, with every member sized and
+        its plans in the tables.  Reads neither the budget, the search
+        options nor a statement weight.  Sets :attr:`stage` only on
+        completion, so a progress hook that aborts it leaves nothing
+        half-built to reuse."""
         options = self.options
         self._emit("phase", phase="candidates",
                    queries=len(self.workload.queries))
+        if self.stage is not None:
+            self._emit("phase", phase="selection",
+                       candidates=self.stage.candidate_count)
+            return self.stage
         cand_options = CandidateOptions(
             enable_compression=options.enable_compression,
             enable_partial=options.enable_partial,
@@ -459,12 +585,40 @@ class TuningAdvisor:
             self.estimator.estimate_many(base_variants, options.e, options.q)
             pool.extend(v for v in base_variants if v not in pool)
 
+        self.stage = PreparedStage(
+            key=stage_key(
+                self.workload, options, self.estimator.manager.seed
+            ),
+            estimator=self.estimator,
+            whatif=self.whatif,
+            base_config=self.base_config,
+            pool=tuple(pool),
+            candidate_count=len(unique_candidates),
+            tables=self.delta.tables if self.delta is not None else None,
+        )
+        return self.stage
+
+    def search(self, before: dict | None = None) -> AdvisorResult:
+        """Enumeration (Section 6.2) over the prepared pool, under this
+        run's budget, algorithm, weights and progress hook.  ``before``
+        (:meth:`run` passes its own) marks where the time and work this
+        result reports began; by default here."""
+        before = before or self._work_counters()
+        stage = self.stage
+        if stage is None:
+            raise AdvisorError("search() needs a prepared stage")
+        options = self.options
+        pool = list(stage.pool)
+
         # 3.6 Caller-seeded structures (retunes inject the previous
-        #     configuration's members): candidate generation is
-        #     weight-driven, so a structure chosen for an earlier phase
-        #     may no longer surface on its own — but the search must
-        #     still be able to keep or re-add it, and the delta coster's
-        #     universe must cover it for its pruning floors to be sound.
+        #     configuration's members).  Candidate generation is
+        #     weight-free, so over the same statements every previous
+        #     pool member surfaces again — but not the method variants
+        #     backtracking and polish introduced, nor anything chosen
+        #     for an earlier, different statement set.  The search must
+        #     still be able to keep or re-add those, and the delta
+        #     coster's universe must cover them for its pruning floors
+        #     to be sound.  They join this run's copy of the pool only.
         if self._extra_candidates:
             seeded = [
                 ix for ix in dict.fromkeys(self._extra_candidates)
@@ -491,6 +645,10 @@ class TuningAdvisor:
             allow_compression=options.enable_compression,
         )
         if self.delta is not None:
+            # Every search starts from the base reference (already in
+            # place after this advisor's own prepare; weighted from the
+            # tables' first reference over a handed-in stage).
+            self.delta.rebase(self.base_config)
             self.delta.register_universe(
                 self._candidate_universe(pool), self._size_if_known
             )
@@ -523,24 +681,26 @@ class TuningAdvisor:
             final_cost=result.cost,
             consumed_bytes=result.consumed_bytes,
             budget_bytes=options.budget_bytes,
-            elapsed_seconds=time.perf_counter() - start,
-            candidate_count=len(unique_candidates),
+            elapsed_seconds=time.perf_counter() - before["start"],
+            candidate_count=stage.candidate_count,
             pool_size=len(pool),
             sizes=sizes,
             steps=result.steps,
             cache_stats=(
-                self.estimator.cache.stats()
+                self.estimator.cache.stats(before["estimates"])
                 if self.estimator.cache is not None else {}
             ),
             cost_cache_stats=(
-                self.cost_cache.stats()
+                self.cost_cache.stats(before["costs"])
                 if self.cost_cache is not None else {}
             ),
-            kernel_stats=self.whatif.kernel.stats(),
+            kernel_stats=self.whatif.kernel.stats(before["kernel"]),
             delta_stats=(
                 self.delta.stats() if self.delta is not None else {}
             ),
-            optimizer_calls=self.whatif.optimizer_calls,
+            optimizer_calls=(
+                self.whatif.optimizer_calls - before["optimizer_calls"]
+            ),
         )
 
 

@@ -25,12 +25,15 @@ A retune is one advisor run whose search is replaced by
 
 :func:`run_isolated` is the one advisor invocation every entry point
 shares — cold when ``previous`` is None, the search above otherwise.  It
-builds the run's seeded estimator and the :class:`TuningAdvisor`; the
-caller decides isolation by which cache objects it hands in.
+builds the seeded estimator and the :class:`TuningAdvisor` — or hands
+the advisor the prepared stage the caller holds; the caller decides
+isolation by which cache objects, and whether a :class:`HeldStage`, it
+hands in.
 :class:`TuningSession` is the session-state API around it: it owns the
 database, the workload, shared :class:`DatabaseStats` and persistent
-estimate/cost caches, and the previous configuration — the first
-feature where the advisor's output becomes its next input.
+estimate/cost caches, the latest prepared stage, and the previous
+configuration — the first feature where the advisor's output becomes
+its next input.
 """
 
 from __future__ import annotations
@@ -42,9 +45,11 @@ from typing import Iterator, Sequence
 from repro.advisor.advisor import (
     AdvisorOptions,
     AdvisorResult,
+    PreparedStage,
     ProgressHook,
     TuningAdvisor,
     get_variant,
+    stage_key,
 )
 from repro.advisor.algorithms.base import EnumerationResult, SelectionAlgorithm
 from repro.catalog.schema import Database
@@ -235,12 +240,23 @@ def seeded_estimator(
     database: Database, options: AdvisorOptions, *, seed: int,
     stats: DatabaseStats, estimates: EstimationCache | None = None,
 ) -> SizeEstimator:
-    """The per-run estimator of :func:`run_isolated`: fresh sample state
-    drawn with ``seed``, warm estimates from the caller's cache."""
+    """The estimator :func:`run_isolated` prepares a stage over: fresh
+    sample state drawn with ``seed``, warm estimates from the caller's
+    cache."""
     return SizeEstimator(
         database, stats=stats, manager=SampleManager(database, seed=seed),
         e=options.e, q=options.q, cache=estimates,
     )
+
+
+@dataclass
+class HeldStage:
+    """Where the owner of repeated runs (a session; a sweep, per seed)
+    keeps the one prepared stage :func:`run_isolated` may reuse.  One
+    stage, replaced when a run's :func:`stage_key` differs — there is
+    nothing to evict and nothing to configure."""
+
+    stage: PreparedStage | None = None
 
 
 def run_isolated(
@@ -254,42 +270,66 @@ def run_isolated(
     costs: CostCache | None = None,
     previous: Configuration | None = None,
     progress: ProgressHook | None = None,
+    held: HeldStage | None = None,
 ) -> AdvisorResult:
     """One advisor run — the single place a tuning run is wired.
 
-    Every run gets a fresh seeded estimator (and, in
-    :class:`TuningAdvisor`, a fresh delta coster, whose plan-table keys
-    do not embed sizes), so no run's in-memory sample, estimate or plan
-    state can steer another's: a result is a function of the arguments
-    and of the entries already in ``estimates``/``costs``.  The caller
-    picks the isolation by which cache objects it passes — a session its
-    live caches (runs warm each other), the service and the sweep a
-    :meth:`fork_view` each (a fixed snapshot, absorbed or saved by the
-    caller afterwards).
+    A run is :meth:`TuningAdvisor.prepare` + :meth:`~TuningAdvisor.
+    search`.  Preparation builds a fresh seeded estimator and, over it,
+    the optimizer and the plan tables (whose keys do not embed sizes):
+    one :class:`PreparedStage`, one lifetime — **stage lifetime ==
+    estimator lifetime**, so no plan can outlive the sizes it was
+    costed with.  Without ``held`` that lifetime is this call, and a
+    result is a function of the arguments and of the entries already in
+    ``estimates``/``costs``.  The caller picks the isolation by which
+    cache objects it passes — a session its live caches (runs warm each
+    other), the service and the sweep fork views (a fixed snapshot,
+    absorbed or saved by the caller afterwards).
+
+    With ``held``, the stage outlives the call: a later run whose
+    :func:`stage_key` matches (same statements, seed and pool-shaping
+    options; any budget, algorithm, search options, weights, hook,
+    ``previous``) searches it again instead of preparing — the same
+    result, event stream included, because preparation reads none of
+    those and a search changes nothing a later one can see but memo
+    entries that are pure functions of their keys.  Such a run keeps
+    the cache objects the stage was prepared with (``estimates`` and
+    ``costs`` are read only when preparing).  ``held.stage`` is left
+    None by a run aborted while preparing, and kept by one aborted
+    while searching.
 
     ``previous`` makes the run an incremental retune: the search is
-    :class:`_RetuneSearch` seeded there, and the candidate pool is
-    guaranteed to contain every previous member (so re-fill can re-add
-    a dropped structure and the delta coster's pruning bounds stay sound
-    over the carried-over configuration)."""
+    :class:`_RetuneSearch` seeded there, and its copy of the candidate
+    pool is guaranteed to contain every previous member (so re-fill can
+    re-add a dropped structure and the delta coster's pruning bounds
+    stay sound over the carried-over configuration)."""
     search: dict = {}
     if previous is not None:
         search = dict(
             algorithm_cls=partial(_RetuneSearch, previous),
             extra_candidates=previous.ordered(),
         )
-    return TuningAdvisor(
+    stage = held.stage if held is not None else None
+    if stage is not None and stage.key != stage_key(workload, options, seed):
+        stage = held.stage = None
+    advisor = TuningAdvisor(
         database,
         workload,
         options,
-        estimator=seeded_estimator(
+        estimator=None if stage is not None else seeded_estimator(
             database, options, seed=seed, stats=stats, estimates=estimates
         ),
         stats=stats,
         cost_cache=costs,
         progress=progress,
+        stage=stage,
         **search,
-    ).run()
+    )
+    try:
+        return advisor.run()
+    finally:
+        if held is not None:
+            held.stage = advisor.stage
 
 
 @dataclass
@@ -357,9 +397,14 @@ class TuningSession:
     The session owns what repeated runs can safely share — the
     :class:`DatabaseStats`, one :class:`EstimationCache` and one
     :class:`CostCache` (persistent under ``cache_dir``, in-memory
-    otherwise) — and hands them *live* to :func:`run_isolated`, so
-    every run warms the next (the sweep orchestrator and the tuning
-    service hand it fork views instead).  ``tune()`` runs cold;
+    otherwise), handed *live* to :func:`run_isolated` so every run
+    warms the next (the sweep orchestrator and the tuning service hand
+    it fork views instead) — and the latest prepared stage: ``tune()``
+    again, at another budget or with another algorithm, and a
+    ``retune()`` onto a drifted phase (same statements, other weights)
+    search the pool, sizes and plan table the first run prepared; a
+    run with other statements, another variant or other pool-shaping
+    options prepares anew and replaces it.  ``tune()`` runs cold;
     ``retune()`` runs the incremental drop-then-refill search from the
     previous result and returns the configuration diff.  Pass
     ``workload=`` to either call to move the session onto a new drift
@@ -400,6 +445,8 @@ class TuningSession:
         self.generation = 0
         self.estimates = EstimationCache(cache_dir)
         self.costs = CostCache(cache_dir)
+        #: the latest run's prepared stage (see :func:`run_isolated`).
+        self.held = HeldStage()
 
     # ------------------------------------------------------------------
     def _resolve_budget(
@@ -441,8 +488,8 @@ class TuningSession:
 
     def _run(self, budget_bytes, budget_fraction, workload, extra,
              previous: Configuration | None = None) -> AdvisorResult:
-        """One run over the session's live caches; its recommendation
-        becomes the session's configuration."""
+        """One run over the session's live caches and held stage; its
+        recommendation becomes the session's configuration."""
         workload = self._resolve_workload(workload)
         budget = self._resolve_budget(budget_bytes, budget_fraction)
         result = run_isolated(
@@ -455,6 +502,7 @@ class TuningSession:
             costs=self.costs,
             previous=previous,
             progress=self.progress,
+            held=self.held,
         )
         self.configuration = result.configuration
         self.generation += 1

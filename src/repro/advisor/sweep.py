@@ -14,16 +14,24 @@ Determinism contract
 ``run_sweep`` returns byte-identical :class:`AdvisorResult`\\ s at any
 worker count, each equal to ``Session(db, wl, seed=seed).tune(budget)``
 on a fresh session, because every unit is one
-:func:`repro.advisor.retune.run_isolated` call (fresh seeded estimator,
-fresh plan table — see there).  What the sweep varies is the cache
-objects it hands the run:
+:func:`repro.advisor.retune.run_isolated` call — see there for why a
+run that searches an already prepared stage equals one that prepares
+its own.  What the sweep decides is the stages and the cache objects:
 
-* Each unit gets a :meth:`fork_view` snapshot of the persistent caches
-  as they stood *before the sweep started* — whether the unit executes
-  in the parent (``workers=1``) or in a forked worker, it sees the
+* **One prepared stage per seed per process.**  A sweep's units differ
+  in seed and budget only, and a budget shapes nothing preparation
+  builds, so the first unit of a seed a process runs prepares
+  (estimator, pool, plan table) and the seed's later units in that
+  process search the same stage.  A sequential sweep prepares once per
+  seed; a forked worker prepares once per seed it is handed, never more
+  often than a run-per-unit sweep would.  Stage lifetime == estimator
+  lifetime == the sweep job's.
+* Each stage gets a :meth:`fork_view` snapshot of the persistent caches
+  as they stood *before the sweep started* — whether it is prepared in
+  the parent (``workers=1``) or in a forked worker, it sees the
   identical cache state; entries a sibling persists mid-sweep are
   invisible.  The sweep never absorbs a view: fresh entries merge into
-  the shared cache directory when the unit's run saves them, so the
+  the shared cache directory when a unit's run saves them, so the
   *next* sweep runs warm.
 * What-if cost entries are keyed on the statement x sized-structure
   signatures (see :class:`repro.parallel.cache.CostCache`), so a cost
@@ -43,7 +51,7 @@ from typing import Sequence
 
 from repro.advisor import algorithms
 from repro.advisor.advisor import AdvisorResult, get_variant
-from repro.advisor.retune import run_isolated
+from repro.advisor.retune import HeldStage, run_isolated
 from repro.catalog.schema import Database
 from repro.errors import AdvisorError
 from repro.parallel.cache import CostCache, EstimationCache
@@ -69,8 +77,9 @@ class SweepResult:
 
     ``runs`` is ordered seeds-outer, budgets-inner — the same order a
     sequential ``for seed: for budget: tune(...)`` loop would produce.
-    Cache stats are aggregated across every unit (sums of hits/misses/
-    stores, recomputed hit rate).
+    Cache stats are aggregated across every unit (sums of each unit's
+    own hits/misses/stores — a lookup counts once, in the unit that
+    made it, however many units share its stage — recomputed hit rate).
     """
 
     runs: list[SweepRun] = field(default_factory=list)
@@ -170,14 +179,29 @@ class _SweepJob:
         self.stats = stats
         self.estimation_cache = estimation_cache
         self.cost_cache = cost_cache
+        #: seed -> (held stage, estimate-cache view, cost-cache view),
+        #: per process: a forked worker starts from the parent's (empty,
+        #: when the sweep shards) and fills its own.
+        self._held: dict[int, tuple] = {}
 
     def run_unit(self, index: int, progress=None) -> AdvisorResult:
-        """Run one (seed, budget) unit against a snapshot view of the
-        pre-sweep cache state; identical in parent and worker.
+        """Run one (seed, budget) unit over its seed's held stage —
+        prepared by this process's first unit of that seed against a
+        snapshot view of the pre-sweep cache state; identical in parent
+        and worker.
 
         ``progress`` (parent-side sequential execution only — workers
         never carry a hook) forwards the unit's advisor events."""
         seed, budget = self.units[index]
+        if seed not in self._held:
+            self._held[seed] = (
+                HeldStage(),
+                self.estimation_cache.fork_view()
+                if self.estimation_cache is not None else None,
+                self.cost_cache.fork_view()
+                if self.cost_cache is not None else None,
+            )
+        held, estimates, costs = self._held[seed]
         return run_isolated(
             self.database,
             self.workload,
@@ -186,15 +210,10 @@ class _SweepJob:
             ),
             seed=seed,
             stats=self.stats,
-            estimates=(
-                self.estimation_cache.fork_view()
-                if self.estimation_cache is not None else None
-            ),
-            costs=(
-                self.cost_cache.fork_view()
-                if self.cost_cache is not None else None
-            ),
+            estimates=estimates,
+            costs=costs,
             progress=progress,
+            held=held,
         )
 
 

@@ -16,11 +16,14 @@ method:
 * :meth:`Session.sweep` — sharded budget sweep / seed ablation.
 
 ``tune``, ``retune`` and every ``sweep`` unit are the same advisor
-invocation, :func:`repro.advisor.retune.run_isolated` (a fresh estimator
-drawn with the session's ``seed``), and ``tune_decoupled`` borrows its
-estimator wiring; what the modes vary is the cache objects they hand it
-— the session's live caches, or for ``sweep`` a fork view per unit of
-the caches under the session's ``cache_dir``.
+invocation, :func:`repro.advisor.retune.run_isolated` (prepare — over an
+estimator drawn with the session's ``seed`` — then search), and
+``tune_decoupled`` borrows its estimator wiring; what the modes vary is
+the cache objects and the held stage they hand it — the session's live
+caches and its latest prepared stage (so ``tune`` again, at another
+budget, or a ``retune`` onto reweighted statements only searches), or
+for ``sweep`` one stage per seed over a fork view of the caches under
+the session's ``cache_dir``.
 
 For callers that genuinely want the one-shot functional form (explicit
 estimators — mostly tests and benchmarks), this module

@@ -5,13 +5,25 @@ as fractions of the raw database size) and reports the paper's
 improvement metric per (budget, variant).  One SizeEstimator is shared
 across every run: estimated sizes do not depend on the advisor variant,
 and sharing reproduces how DTA amortizes its sample infrastructure.
+One prepared stage (pool, sizes, plan table) is held per distinct
+:func:`~repro.advisor.advisor.stage_key` and searched at every budget:
+variants that differ only in ``backtracking`` share one.  Budgets stay
+the outer loop, so stages are prepared — and sizes estimated — in the
+order a run-per-cell loop would.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.advisor.advisor import AdvisorOptions, TuningAdvisor, get_variant, variant_names
+from repro.advisor.advisor import (
+    AdvisorOptions,
+    PreparedStage,
+    TuningAdvisor,
+    get_variant,
+    stage_key,
+    variant_names,
+)
 from repro.catalog.schema import Database
 from repro.errors import AdvisorError
 from repro.experiments.common import ExperimentResult
@@ -49,6 +61,7 @@ def sweep(
         name=name,
         headers=("Budget%",) + tuple(variants),
     )
+    stages: dict[tuple, PreparedStage] = {}
     for fraction in budget_fractions:
         budget = total * fraction
         row: list = [100.0 * fraction]
@@ -59,11 +72,13 @@ def sweep(
                 enable_mv=enable_mv,
                 **dict(get_variant(variant).options),
             )
+            key = stage_key(workload, options, estimator.manager.seed)
             advisor = TuningAdvisor(
                 database, workload, options,
-                estimator=estimator, stats=stats,
+                estimator=estimator, stats=stats, stage=stages.get(key),
             )
             outcome = advisor.run()
+            stages[key] = advisor.stage
             row.append(outcome.improvement_pct)
         result.rows.append(tuple(row))
     result.notes.append(

@@ -13,7 +13,7 @@ single float:
   statement's predicate context on one table, against one base
   structure (the base only enters through the non-covering lookup; its
   own plan sits under its own identity).  An entry is evaluated once
-  per run, through the kernel's shape memo, by
+  per :class:`PlanTables`, through the kernel's shape memo, by
   :func:`~repro.optimizer.access_paths.plan_from_shape` with exactly
   the inputs ``StatementCoster._structures_for`` would feed it — so it
   *is* the plan the optimizer's search would see for that structure.
@@ -40,9 +40,9 @@ single float:
 * **Sweeps.**  Costing ``reference ∪ {secondary}`` — what a greedy
   sweep asks for every pool member on every step — compares the
   candidate's **probe row** (its plan cost for every statement on its
-  table, valid for the whole run) against the table's **reference
-  vector** (the plan cost the reference chose, rebuilt after each
-  :meth:`rebase`) in one pass of ``probe > chosen``.  A strict loser
+  table, valid as long as the tables are) against the table's
+  **reference vector** (the plan cost the reference chose, rebuilt
+  after each :meth:`rebase`) in one pass of ``probe > chosen``.  A strict loser
   keeps its reference term; a strict winner is the new first minimum
   whatever its position, so its plan is patched into the reference's
   chosen plans; a tie goes to whichever of the two the structure order
@@ -50,10 +50,11 @@ single float:
   re-chooses only on the tables the diff touches and keeps the
   reference's plans elsewhere.
 
-* **Full recosts.**  The first reference, statements with an MV in
-  scope (substitution is the optimizer's decision), statements on an
-  untracked table and statements whose table choice ever disagreed with
-  the plan costs the optimizer reported go through
+* **Full recosts.**  The first reference costed over a set of tables
+  (later costers over them weight the totals it left), statements with
+  an MV in scope (substitution is the optimizer's decision), statements
+  on an untracked table and statements whose table choice ever
+  disagreed with the plan costs the optimizer reported go through
   :meth:`WhatIfOptimizer.cost_with_plans`, which owns the statement
   cache and the persistent :class:`~repro.parallel.cache.CostCache`.
 
@@ -88,16 +89,25 @@ only ever rebuilt from plans that are *provably the bit-identical
 plans* the full path would choose; pruning only ever skips work whose
 outcome is provably invisible.
 
-The coster is strictly per-run state: plan-table keys do not embed size
-estimates (unlike the persistent :class:`~repro.parallel.cache.CostCache`),
-so a plan table must never outlive the estimator whose sizes it was
-built from.  Sweep orchestration honors that by construction — every
-(seed, budget) unit's :class:`TuningAdvisor` builds a fresh coster
-against its own seeded estimator, the equivalent of handing each unit
-an *empty* fork view of the persistent caches — which keeps sharded and
-sequential sweeps byte-identical.  :meth:`fork_view` offers the same
-isolation as an explicit API for embedders that hold a coster across
-runs.
+State comes in two lifetimes.  A **coster** is per-run state: its
+weights, reference, floors, caps and counters belong to one search and
+are never shared.  The :class:`PlanTables` under it are weight-,
+budget- and reference-free — every entry a pure function of its key
+under one optimizer's sizes and statistics — so any number of costers
+over the same statement sequence (a rerun, another budget or algorithm,
+a drifted phase's weights) may read and fill one set of tables, one
+after another.  The one rule that bounds that sharing: plan-table keys
+do not embed size estimates (unlike the persistent
+:class:`~repro.parallel.cache.CostCache`), so **a plan table must never
+outlive the estimator whose sizes it was built from**.  The advisor
+keeps the rule by giving both one owner and one lifetime — the
+:class:`~repro.advisor.advisor.PreparedStage` holds the estimator, the
+optimizer over its size lookup and the tables, and is used or dropped
+as a whole; stage lifetime == estimator lifetime.  A sweep holds one
+stage per seed per process, each prepared against a fork view of the
+pre-sweep caches, which keeps sharded and sequential sweeps
+byte-identical.  :meth:`DeltaWorkloadCoster.fork_view` is the explicit
+way out: a sibling coster with empty tables of its own.
 """
 
 from __future__ import annotations
@@ -175,6 +185,99 @@ def _mv_tables(config: Configuration) -> list[tuple[str, ...]]:
     return [ix.mv.tables for ix in config.mv_indexes()]
 
 
+class PlanTables:
+    """The weight-free half of delta costing, shareable by every coster
+    over one optimizer and one statement sequence.
+
+    Holds the statement skeleton and the tables whose entries are pure
+    functions of (statement position, structures, the optimizer's sizes
+    and statistics): the plan table, the probe rows read off it, the
+    per-SELECT shapes, the maintenance contributions, and the first
+    (base) reference's unweighted totals and plans.  Nothing here
+    depends on statement weights, a budget or a reference
+    configuration, so costers built over reweighted copies of the same
+    statements (a rerun, another budget, a drifted phase) read and fill
+    the same entries.  Keys do not embed sizes: the tables share the
+    lifetime of the optimizer — and the estimator behind its size
+    lookup — they were built against, never a longer one.
+    """
+
+    def __init__(self, database, statements: Sequence) -> None:
+        stmts = self.stmts = list(statements)
+        self.is_select = [isinstance(s, SelectQuery) for s in stmts]
+        self.tables: list[set[str]] = [
+            set(s.tables) if isinstance(s, SelectQuery) else {s.table}
+            for s in stmts
+        ]
+        self.by_table: dict[str, list[int]] = defaultdict(list)
+        for si, tables in enumerate(self.tables):
+            for table in tables:
+                self.by_table[table].append(si)
+        #: first statement index per distinct statement (for the
+        #: single-statement API used by candidate selection).
+        self.stmt_index: dict = {}
+        for si, stmt in enumerate(stmts):
+            self.stmt_index.setdefault(stmt, si)
+        #: per maintenance statement: (table, find-probe SELECT | None) —
+        #: the probe is the exact SELECT ``_cost_update``/``_cost_delete``
+        #: construct to find the affected rows (None for bulk INSERTs,
+        #: which have no find phase).
+        self.maint_info: list[tuple | None] = []
+        for s in stmts:
+            if isinstance(s, InsertQuery):
+                self.maint_info.append((s.table, None))
+            elif isinstance(s, UpdateQuery):
+                self.maint_info.append((s.table, SelectQuery(
+                    tables=(s.table,),
+                    select_columns=tuple(s.set_columns),
+                    predicates=s.predicates,
+                )))
+            elif isinstance(s, DeleteQuery):
+                self.maint_info.append((s.table, SelectQuery(
+                    tables=(s.table,), predicates=s.predicates,
+                )))
+            else:
+                self.maint_info.append(None)
+        #: per statement that chooses access plans — a SELECT, or the
+        #: find-probe of an UPDATE/DELETE: table -> (predicates, needed
+        #: columns), the exact plan-search inputs ``_cost_select`` uses,
+        #: in ``tables`` order.  None for bulk INSERTs.
+        self.probe_info: list[dict | None] = []
+        for s, info in zip(stmts, self.maint_info):
+            planned = s if info is None else info[1]
+            self.probe_info.append(None if planned is None else {
+                t: (
+                    planned.predicates_of_table(database, t),
+                    planned.columns_of_table(database, t),
+                )
+                for t in planned.tables
+            })
+
+        #: the plan table: (si, table, structure identity, base
+        #: identity) -> AccessPlan (None = unusable plan).
+        self.probes: dict = {}
+        #: statements whose table choice disagreed with the plan costs
+        #: the optimizer reported: always fully recosted.
+        self.distrusted: set[int] = set()
+        #: si -> what a SELECT's total takes from the statement alone
+        #: (see _select_total_from_plans; pure).
+        self.select_shapes: dict[int, tuple] = {}
+        #: (si, structure identity) -> (io, cpu) maintenance
+        #: contribution (pure: sizes and stats are fixed).
+        self.maint_terms: dict = {}
+        #: si -> affected row count of the maintenance statement (pure).
+        self.maint_affected: dict[int, float] = {}
+        #: (candidate identity, base identity) -> the candidate's plan
+        #: cost per statement of its table, aligned with ``by_table``
+        #: (inf = unusable plan, or not a SELECT).
+        self.probe_rows: dict = {}
+        #: (configuration, unweighted totals, chosen plans) of the first
+        #: reference costed over these tables — the one reference every
+        #: coster starts from, so a later coster weights it instead of
+        #: asking the optimizer again.
+        self.first_reference: tuple | None = None
+
+
 class DeltaWorkloadCoster:
     """Incremental workload costing against a reference configuration.
 
@@ -184,65 +287,43 @@ class DeltaWorkloadCoster:
             stats and cost constants the plan table must match exactly.
         workload: the weighted workload being tuned; the statement order
             fixes the float accumulation order of every total.
+        tables: the :class:`PlanTables` of an earlier coster over the
+            same optimizer and statement sequence (weights may differ);
+            None builds empty ones.  Weights, the reference, floors,
+            caps and counters are always this coster's own.
     """
 
-    def __init__(self, whatif: "WhatIfOptimizer", workload: Workload) -> None:
+    def __init__(
+        self, whatif: "WhatIfOptimizer", workload: Workload,
+        tables: "PlanTables | None" = None,
+    ) -> None:
         self.whatif = whatif
         self.workload = workload
         statements = list(workload)
-        self._stmts = [ws.statement for ws in statements]
+        stmts = [ws.statement for ws in statements]
+        if tables is None:
+            tables = PlanTables(whatif.database, stmts)
+        elif tables.stmts != stmts:
+            raise ValueError(
+                "plan tables were built for another statement sequence"
+            )
+        self.tables = tables
         self._weights = [ws.weight for ws in statements]
-        self._is_select = [
-            isinstance(s, SelectQuery) for s in self._stmts
-        ]
-        self._tables: list[set[str]] = [
-            set(s.tables) if isinstance(s, SelectQuery) else {s.table}
-            for s in self._stmts
-        ]
-        self._by_table: dict[str, list[int]] = defaultdict(list)
-        for si, tables in enumerate(self._tables):
-            for table in tables:
-                self._by_table[table].append(si)
-        #: first statement index per distinct statement (for the
-        #: single-statement API used by candidate selection).
-        self._stmt_index: dict = {}
-        for si, stmt in enumerate(self._stmts):
-            self._stmt_index.setdefault(stmt, si)
-        db = whatif.database
-        #: per maintenance statement: (table, find-probe SELECT | None) —
-        #: the probe is the exact SELECT ``_cost_update``/``_cost_delete``
-        #: construct to find the affected rows (None for bulk INSERTs,
-        #: which have no find phase).
-        self._maint_info: list[tuple | None] = []
-        for s in self._stmts:
-            if isinstance(s, InsertQuery):
-                self._maint_info.append((s.table, None))
-            elif isinstance(s, UpdateQuery):
-                self._maint_info.append((s.table, SelectQuery(
-                    tables=(s.table,),
-                    select_columns=tuple(s.set_columns),
-                    predicates=s.predicates,
-                )))
-            elif isinstance(s, DeleteQuery):
-                self._maint_info.append((s.table, SelectQuery(
-                    tables=(s.table,), predicates=s.predicates,
-                )))
-            else:
-                self._maint_info.append(None)
-        #: per statement that chooses access plans — a SELECT, or the
-        #: find-probe of an UPDATE/DELETE: table -> (predicates, needed
-        #: columns), the exact plan-search inputs ``_cost_select`` uses,
-        #: in ``tables`` order.  None for bulk INSERTs.
-        self._probe_info: list[dict | None] = []
-        for s, info in zip(self._stmts, self._maint_info):
-            planned = s if info is None else info[1]
-            self._probe_info.append(None if planned is None else {
-                t: (
-                    planned.predicates_of_table(db, t),
-                    planned.columns_of_table(db, t),
-                )
-                for t in planned.tables
-            })
+        # The shared containers under the names the costing code reads
+        # (filled in place, never rebound).
+        self._stmts = tables.stmts
+        self._is_select = tables.is_select
+        self._tables = tables.tables
+        self._by_table = tables.by_table
+        self._stmt_index = tables.stmt_index
+        self._maint_info = tables.maint_info
+        self._probe_info = tables.probe_info
+        self._probes = tables.probes
+        self._distrusted = tables.distrusted
+        self._select_shapes = tables.select_shapes
+        self._maint_terms = tables.maint_terms
+        self._maint_affected = tables.maint_affected
+        self._probe_rows = tables.probe_rows
 
         # Reference state: per-statement weighted terms / raw totals /
         # chosen per-table plans under the reference configuration.
@@ -254,21 +335,6 @@ class DeltaWorkloadCoster:
         #: the plan table cannot reproduce them.
         self._ref_plans: list[tuple | None] = []
         self._ref_total = 0.0
-
-        #: the plan table: (si, table, structure identity, base
-        #: identity) -> AccessPlan (None = unusable plan).
-        self._probes: dict = {}
-        #: statements whose table choice disagreed with the plan costs
-        #: the optimizer reported: always fully recosted.
-        self._distrusted: set[int] = set()
-        #: si -> what a SELECT's total takes from the statement alone
-        #: (see _select_total_from_plans; pure).
-        self._select_shapes: dict[int, tuple] = {}
-        #: (si, structure identity) -> (io, cpu) maintenance
-        #: contribution (pure per run: sizes and stats are fixed).
-        self._maint_terms: dict = {}
-        #: si -> affected row count of the maintenance statement (pure).
-        self._maint_affected: dict[int, float] = {}
 
         # Bound state (populated by register_universe).
         self._universe: list[IndexDef] | None = None
@@ -282,18 +348,13 @@ class DeltaWorkloadCoster:
         #: (table, base identity) groups already batch-probed.
         self._probe_filled: set = set()
 
-        # Sweep state.  _ref_bases and _ref_vectors depend on the
-        # reference configuration and are reset on every rebase;
-        # _probe_rows (like the plans they are read from) persist for
-        # the run.
+        # Sweep state: depends on the reference configuration, reset on
+        # every rebase (the probe rows they are compared with live in
+        # the tables, like the plans they are read from).
         #: table -> (base structure, base identity) under the reference.
         self._ref_bases: dict = {}
         #: table -> _RefVector under the reference.
         self._ref_vectors: dict = {}
-        #: (candidate identity, base identity) -> the candidate's plan
-        #: cost per statement of its table, aligned with ``_by_table``
-        #: (inf = unusable plan, or not a SELECT).
-        self._probe_rows: dict = {}
 
         # Instrumentation.
         self.reused_terms = 0
@@ -312,12 +373,20 @@ class DeltaWorkloadCoster:
         (bit-identical to :meth:`WhatIfOptimizer.workload_cost`).
 
         The first reference is costed by the optimizer, statement by
-        statement; a later one re-chooses only on the tables its diff
-        against the previous reference touches."""
+        statement — once per :class:`PlanTables`: a later coster over
+        the same tables weights the totals that costing left there (the
+        product ``_recost`` would form, without the optimizer).  A later
+        reference re-chooses only on the tables its diff against the
+        previous one touches."""
         ref = self._ref_config
         if ref is not None and config == ref:
             return self._ref_total
-        if ref is None:
+        first = self.tables.first_reference if ref is None else None
+        if first is not None and first[0] == config:
+            totals, plans = list(first[1]), list(first[2])
+            terms = list(map(operator.mul, self._weights, totals))
+            affected, touched = (), None
+        elif ref is None:
             n = len(self._stmts)
             terms, totals, plans = [0.0] * n, [0.0] * n, [None] * n
             affected, touched = range(n), None
@@ -331,6 +400,10 @@ class DeltaWorkloadCoster:
         for si in affected:
             terms[si], totals[si], plans[si] = self._recost(
                 si, config, mv_tables, touched
+            )
+        if ref is None and self.tables.first_reference is None:
+            self.tables.first_reference = (
+                config, tuple(totals), tuple(plans)
             )
         self._ref_config = config
         self._ref_terms = terms
@@ -549,15 +622,13 @@ class DeltaWorkloadCoster:
     # views & stats
     # ------------------------------------------------------------------
     def fork_view(self) -> "DeltaWorkloadCoster":
-        """A fresh, isolated coster over the same workload skeleton.
+        """A fresh, isolated coster over the same workload.
 
         Like the persistent caches' :meth:`fork_view`, but the overlay
-        starts *empty*: plan-table keys do not embed size estimates, so
-        entries are only valid under the estimator state that produced
-        them.  Sweep units get this isolation implicitly (each unit's
-        advisor constructs its own coster); the explicit method is for
-        embedders that keep one coster across runs and need a sibling
-        that can never observe its plans."""
+        starts *empty* — its own :class:`PlanTables`, not these: keys
+        do not embed size estimates, so entries are only valid under
+        the estimator state that produced them.  For embedders that
+        need a sibling which can never observe this coster's plans."""
         return type(self)(self.whatif, self.workload)
 
     def stats(self) -> dict:

@@ -48,10 +48,14 @@ class CostKernel:
         #: every sweep of the run.
         self._shapes: dict = {}
 
-    def stats(self) -> dict:
+    def stats(self, since: "dict | None" = None) -> dict:
+        """Lane/batch counters — those made after ``since`` (an earlier
+        :meth:`stats`) when given — and the shape memo's size now."""
+        since = since or {}
         return {
-            "lanes_total": self.lanes_total,
-            "batches_scalar": self.batches_scalar,
+            "lanes_total": self.lanes_total - since.get("lanes_total", 0),
+            "batches_scalar":
+                self.batches_scalar - since.get("batches_scalar", 0),
             "shape_entries": len(self._shapes),
         }
 

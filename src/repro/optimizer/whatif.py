@@ -33,7 +33,7 @@ from repro.workload.query import Workload
 FAULT_HOOK = None
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with delta
-    from repro.optimizer.delta import DeltaWorkloadCoster
+    from repro.optimizer.delta import DeltaWorkloadCoster, PlanTables
 
 
 class WhatIfOptimizer:
@@ -222,14 +222,18 @@ class WhatIfOptimizer:
             return tuple(plan.cost for plan in breakdown.plans)
         return self._plan_costs.get(key)
 
-    def delta_coster(self, workload: Workload) -> "DeltaWorkloadCoster":
+    def delta_coster(
+        self, workload: Workload, tables: "PlanTables | None" = None,
+    ) -> "DeltaWorkloadCoster":
         """A :class:`~repro.optimizer.delta.DeltaWorkloadCoster` bound
-        to this optimizer and ``workload`` (fresh per call: its plan
-        table is per-run state and must not outlive this optimizer's
-        size lookup)."""
+        to this optimizer and ``workload``.  Its weights, reference and
+        counters are its own; its :class:`~repro.optimizer.delta.
+        PlanTables` are fresh unless ``tables`` hands in those of an
+        earlier coster over this optimizer and the same statements —
+        they must never outlive this optimizer's size lookup."""
         from repro.optimizer.delta import DeltaWorkloadCoster
 
-        return DeltaWorkloadCoster(self, workload)
+        return DeltaWorkloadCoster(self, workload, tables)
 
     # ------------------------------------------------------------------
     def cost_batch(

@@ -284,13 +284,19 @@ class _PersistentJsonCache:
         """Fraction of lookups served from the cache (0 when unused)."""
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def stats(self) -> dict:
+    def stats(self, since: "dict | None" = None) -> dict:
+        """Counters and gauges of this cache; with ``since`` (an earlier
+        :meth:`stats` of the same object) the lookups and stores made
+        after it, the gauges as they stand now."""
+        since = since or {}
+        hits = self.hits - since.get("hits", 0)
+        misses = self.misses - since.get("misses", 0)
         return {
             "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "hit_rate": self.hit_rate,
+            "hits": hits,
+            "misses": misses,
+            "stores": self.stores - since.get("stores", 0),
+            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
             "degraded": self.degraded,
             "save_errors": self.save_errors,
         }

@@ -80,8 +80,10 @@ class TestSession:
     def test_every_mode_samples_with_the_session_seed(
         self, inputs, monkeypatch
     ):
-        """tune, retune, tune_decoupled and sweep on one seeded session
-        all draw their samples with that seed."""
+        """tune, tune_decoupled and sweep on one seeded session all
+        draw their samples with that seed; a retune over the same
+        statements draws none — it searches the stage tune prepared,
+        the seed-7 estimator included."""
         drawn = []
         init = SampleManager.__init__
 
@@ -104,4 +106,6 @@ class TestSession:
             drawn.clear()
             call()
             by_mode[mode] = list(drawn)
+        assert by_mode.pop("retune") == []
+        assert session.held.stage.estimator.manager.seed == 7
         assert by_mode == {mode: [7] for mode in by_mode}
