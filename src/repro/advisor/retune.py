@@ -251,12 +251,22 @@ def seeded_estimator(
 
 @dataclass
 class HeldStage:
-    """Where the owner of repeated runs (a session; a sweep, per seed)
-    keeps the one prepared stage :func:`run_isolated` may reuse.  One
-    stage, replaced when a run's :func:`stage_key` differs — there is
-    nothing to evict and nothing to configure."""
+    """Where the owner of repeated runs (a session; a sweep, per seed;
+    a service context) keeps the one prepared stage :func:`run_isolated`
+    may reuse.  One stage, replaced when a run's :func:`stage_key`
+    differs — there is nothing to evict and nothing to configure."""
 
     stage: PreparedStage | None = None
+
+    def reusable(self, workload: Workload, options: AdvisorOptions,
+                 seed: int) -> PreparedStage | None:
+        """The held stage if a run over these inputs would search it;
+        else None, and the stage is dropped now — before the run
+        prepares its replacement, so two never live side by side."""
+        if self.stage is not None \
+                and self.stage.key != stage_key(workload, options, seed):
+            self.stage = None
+        return self.stage
 
 
 def run_isolated(
@@ -294,8 +304,9 @@ def run_isolated(
     those and a search changes nothing a later one can see but memo
     entries that are pure functions of their keys.  Such a run keeps
     the cache objects the stage was prepared with (``estimates`` and
-    ``costs`` are read only when preparing).  ``held.stage`` is left
-    None by a run aborted while preparing, and kept by one aborted
+    ``costs`` are read only when preparing — :meth:`HeldStage.reusable`
+    tells a caller beforehand whether they will be).  ``held.stage`` is
+    left None by a run aborted while preparing, and kept by one aborted
     while searching.
 
     ``previous`` makes the run an incremental retune: the search is
@@ -309,9 +320,9 @@ def run_isolated(
             algorithm_cls=partial(_RetuneSearch, previous),
             extra_candidates=previous.ordered(),
         )
-    stage = held.stage if held is not None else None
-    if stage is not None and stage.key != stage_key(workload, options, seed):
-        stage = held.stage = None
+    stage = (
+        held.reusable(workload, options, seed) if held is not None else None
+    )
     advisor = TuningAdvisor(
         database,
         workload,

@@ -103,8 +103,9 @@ outlive the estimator whose sizes it was built from**.  The advisor
 keeps the rule by giving both one owner and one lifetime — the
 :class:`~repro.advisor.advisor.PreparedStage` holds the estimator, the
 optimizer over its size lookup and the tables, and is used or dropped
-as a whole; stage lifetime == estimator lifetime.  A sweep holds one
-stage per seed per process, each prepared against a fork view of the
+as a whole; stage lifetime == estimator lifetime.  A session and a
+service context each hold their latest stage; a sweep holds one stage
+per seed per process, each prepared against a fork view of the
 pre-sweep caches, which keeps sharded and sequential sweeps
 byte-identical.  :meth:`DeltaWorkloadCoster.fork_view` is the explicit
 way out: a sibling coster with empty tables of its own.

@@ -10,10 +10,19 @@ Determinism contract: every ``tune``/``retune`` job (and every unit of
 a ``sweep``) is one :func:`repro.advisor.retune.run_isolated` call, so a
 served result is byte-identical to ``serialize_result(Session.tune())``
 no matter what ran before it or concurrently with it.  What the service
-varies is the cache objects it hands the run: a :meth:`fork_view` of
-the registration-time estimate snapshot (never absorbed — see
-``_tune_estimates``) and a :meth:`fork_view` of the live cost cache,
-absorbed back once the run is done.
+varies is what a run reuses.  Each context holds the prepared stage of
+its latest tune/retune job (a :class:`~repro.advisor.retune.HeldStage`,
+as a session does): a job with the same statements, seed and
+pool-shaping options — the same job again, another budget, a retune
+onto a drifted phase — searches that stage; any other job prepares over
+a :meth:`fork_view` of the registration-time estimate snapshot (never
+absorbed — see ``_tune_estimates``) and a :meth:`fork_view` of the live
+cost cache, and replaces it.  The cost view a run costed through is
+absorbed back once the run is done.  A context runs on one lane (a
+single thread) and each ``--worker`` process has contexts of its own,
+so only one thread ever touches a stage; a cancel, deadline or fault
+unwinds at a progress event or a batch entry, leaving either no stage
+(while preparing) or a complete one.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from repro.advisor.advisor import (
     get_variant,
     quantized_size_lookup,
 )
-from repro.advisor.retune import RetuneResult, run_isolated
+from repro.advisor.retune import HeldStage, RetuneResult, run_isolated
 from repro.advisor.sweep import _run_sweep
 from repro.catalog.schema import Database
 from repro.compression.base import CompressionMethod
@@ -176,6 +185,9 @@ class ServiceContext:
             database, self.stats, sizes=self._size_lookup,
         )
         self.base_config = default_base_configuration(database)
+        #: the latest tune/retune job's prepared stage (see the module's
+        #: determinism contract).
+        self.held = HeldStage()
 
     # ------------------------------------------------------------------
     def _size_lookup(self, index: IndexDef) -> tuple[float, float]:
@@ -249,17 +261,17 @@ class ServiceContext:
 
     def _run(self, resolved, workload: Workload, previous,
              progress) -> "tuple[AdvisorResult, dict]":
-        """One isolated run of a :meth:`_resolve`\\ d payload over fork
-        views of the service's caches, and its serialized envelope."""
+        """One isolated run of a :meth:`_resolve`\\ d payload over the
+        context's held stage — or, when the run prepares, over fresh
+        fork views of the service's caches — and its serialized
+        envelope."""
         variant, seed, options = resolved
-        estimates = (
-            self._tune_estimates.fork_view()
-            if self._tune_estimates is not None else None
-        )
-        cost_view = (
-            self.cost_cache.fork_view()
-            if self.cost_cache is not None else None
-        )
+        estimates = cost_view = None
+        if self.held.reusable(workload, options, seed) is None:
+            if self._tune_estimates is not None:
+                estimates = self._tune_estimates.fork_view()
+            if self.cost_cache is not None:
+                cost_view = self.cost_cache.fork_view()
         result = run_isolated(
             self.database,
             workload,
@@ -270,11 +282,15 @@ class ServiceContext:
             costs=cost_view,
             previous=previous,
             progress=progress,
+            held=self.held,
         )
-        if cost_view is not None:
-            # Cost entries replay identical arithmetic by construction
-            # (sized keys), so warming later requests is result-neutral.
-            self.cost_cache.absorb(cost_view)
+        if self.cost_cache is not None:
+            # The view this run costed through: its own, or the one the
+            # held stage was prepared with.  Cost entries replay
+            # identical arithmetic by construction (sized keys), so
+            # warming later runs is result-neutral, and absorbing a
+            # view twice only re-offers keys already there.
+            self.cost_cache.absorb(self.held.stage.whatif.cost_cache)
         out = serialize_result(result)
         out["context"] = self.name
         out["variant"] = variant
@@ -459,7 +475,11 @@ class ServiceContext:
         """What-if cost one statement under a hypothetical configuration
         (the base heaps plus the payload's indexes)."""
         if "statement_index" in payload:
-            si = int(payload["statement_index"])
+            si = payload["statement_index"]
+            if not isinstance(si, int) or isinstance(si, bool):
+                raise ServiceError(
+                    f"statement_index must be an integer, got {si!r}"
+                )
             if not 0 <= si < len(self.workload):
                 raise ServiceError(
                     f"statement_index {si} out of range "
@@ -468,8 +488,7 @@ class ServiceContext:
             statement = self.workload.statements[si].statement
         elif "sql" in payload:
             statement = parse_statement(payload["sql"])
-            if statement.is_select:
-                statement.validate(self.database)
+            statement.validate(self.database)
         else:
             raise ServiceError(
                 "whatif_cost payload needs 'statement_index' or 'sql'"

@@ -123,6 +123,15 @@ class InsertQuery:
     def is_select(self) -> bool:
         return False
 
+    def validate(self, database: Database) -> None:
+        """Check the table against the catalog and the row count."""
+        _check_columns(database, self.table, ())
+        if self.n_rows < 0:
+            raise WorkloadError(
+                f"INSERT INTO {self.table} needs a non-negative row "
+                f"count, got {self.n_rows}"
+            )
+
 
 @dataclass(frozen=True)
 class UpdateQuery:
@@ -136,6 +145,14 @@ class UpdateQuery:
     def is_select(self) -> bool:
         return False
 
+    def validate(self, database: Database) -> None:
+        """Check the table, SET and predicate columns against the
+        catalog."""
+        _check_columns(database, self.table, (
+            *self.set_columns,
+            *(c for p in self.predicates for c in p.columns()),
+        ))
+
 
 @dataclass(frozen=True)
 class DeleteQuery:
@@ -147,6 +164,27 @@ class DeleteQuery:
     @property
     def is_select(self) -> bool:
         return False
+
+    def validate(self, database: Database) -> None:
+        """Check the table and predicate columns against the catalog."""
+        _check_columns(
+            database, self.table,
+            tuple(c for p in self.predicates for c in p.columns()),
+        )
+
+
+def _check_columns(database: Database, table: str,
+                   columns: tuple[str, ...]) -> None:
+    """An update statement names one table; every column it references
+    must be one of that table's."""
+    if not database.has_table(table):
+        raise WorkloadError(f"statement references unknown table {table!r}")
+    tbl = database.table(table)
+    missing = [c for c in dict.fromkeys(columns) if not tbl.has_column(c)]
+    if missing:
+        raise WorkloadError(
+            f"statement references columns {missing} not in table {table!r}"
+        )
 
 
 Statement = SelectQuery | InsertQuery | UpdateQuery | DeleteQuery

@@ -7,15 +7,18 @@ same bytes, with or without a persistent cache directory; and a retune
 is the same retune (diff *and* event stream) whether the library or the
 service runs it.
 
-A run is prepare + search, and a session or sweep that holds the
-prepared stage searches it again: the second half of this module holds
-every such reuse — same request, another budget, another algorithm, a
-retune chain, an N-budget sweep, a run after an aborted one — to the
-result *and* event stream of a run that prepared its own, and counts
-the work the reuse did not repeat.
+A run is prepare + search, and a session, a sweep or a service context
+that holds the prepared stage searches it again: the second half of
+this module holds every such reuse — same request, another budget,
+another algorithm, a retune chain, an N-budget sweep, a run after an
+aborted one, served jobs through one context — to the result *and*
+event stream of a run that prepared its own, and counts the work the
+reuse did not repeat.
 """
 
+import gc
 import json
+import weakref
 from dataclasses import fields
 
 import pytest
@@ -56,11 +59,11 @@ def inputs():
     return db, sales_workload(db), DatabaseStats(db)
 
 
-def _context(inputs, cache_dir=None) -> ServiceContext:
+def _context(inputs, cache_dir=None, workload=None) -> ServiceContext:
     db, wl, stats = inputs
     cached = cache_dir is not None
     return ServiceContext(
-        "sales", db, wl, stats=stats, cache_dir=cache_dir,
+        "sales", db, workload or wl, stats=stats, cache_dir=cache_dir,
         estimation_cache=EstimationCache(cache_dir) if cached else None,
         cost_cache=CostCache(cache_dir) if cached else None,
     )
@@ -421,6 +424,95 @@ def test_run_after_an_aborted_run_equals_a_fresh_session(inputs, delta):
         if kept is not None:
             assert session.held.stage is kept
             assert result.cache_stats["misses"] == 0
+
+
+class _Served:
+    """A service context whose jobs are recorded: ``run(kind, **fields)``
+    returns the canonical envelope (everything but ``meta``), the
+    progress events of that job alone, and the envelope."""
+
+    def __init__(self, inputs, cache_dir=None, *, delta: bool) -> None:
+        self.delta = delta
+        self.context = _context(inputs, cache_dir, _workload(inputs, delta))
+
+    def run(self, kind: str, **fields):
+        payload = {
+            "variant": VARIANT if self.delta else FULL_RECOST_VARIANT,
+            "seed": SEED, "options": {"delta_costing": self.delta},
+            **fields,
+        }
+        events: list = []
+        out = getattr(self.context, f"run_{kind}")(
+            payload, progress=events.append
+        )
+        canon = json.dumps(
+            {key: value for key, value in out.items() if key != "meta"},
+            sort_keys=True,
+        )
+        return canon, events, out
+
+
+def _assert_served_from_the_stage(out: dict) -> None:
+    """What a job over a held stage did not repeat, as the counts its
+    ``meta`` carries: no full recost, no estimate lookup, and with delta
+    costing no cost lookup either."""
+    meta = out["meta"]
+    if meta["delta_stats"]:
+        assert meta["delta_stats"]["full_recosts"] == 0
+    for stats in (meta["cache_stats"],
+                  meta["cost_cache_stats"] if meta["delta_stats"] else {}):
+        if stats:
+            assert stats["hits"] + stats["misses"] == 0
+
+
+SERVED_SEQUENCES = ("same", "budget", "retune", "seed")
+
+
+@LEGS
+@DELTA
+@pytest.mark.parametrize("sequence", SERVED_SEQUENCES)
+def test_served_jobs_over_a_held_stage_equal_fresh_contexts(
+    inputs, tmp_path, sequence, delta, cached
+):
+    """Two jobs through one context — the same tune twice; a tune, then
+    the same tune at another budget; a tune, then a retune onto drift
+    phase 2; a tune at one seed, then at another — and the second
+    against a fresh context's: envelope bytes and event stream.  The
+    first three search the stage the first job prepared; the last
+    replaces it, and the old stage is not kept beside the new one."""
+    cache_dir = str(tmp_path) if cached else None
+    b1, b2 = _budgets(inputs)
+    served = _Served(inputs, cache_dir, delta=delta)
+    first = served.run("tune", budget_bytes=b1)
+    stage = served.context.held.stage
+    assert stage is not None
+    second_kind, second_fields = {
+        "same": ("tune", dict(budget_bytes=b1)),
+        "budget": ("tune", dict(budget_bytes=b2)),
+        "retune": ("retune", dict(
+            budget_bytes=b1, drift={"phase": 2, **DRIFT},
+            from_config=first[2]["result"]["indexes"], generation=2,
+        )),
+        "seed": ("tune", dict(budget_bytes=b1, seed=SEED + 1)),
+    }[sequence]
+    second = served.run(second_kind, **second_fields)
+    fresh = _Served(inputs, cache_dir, delta=delta).run(
+        second_kind, **second_fields
+    )
+    assert second[:2] == fresh[:2]
+    held = served.context.held.stage
+    if sequence == "seed":
+        assert held is not stage
+        assert held.estimator.manager.seed == SEED + 1
+        replaced = weakref.ref(stage)
+        del stage
+        gc.collect()
+        assert replaced() is None
+    else:
+        assert held is stage
+        _assert_served_from_the_stage(second[2])
+    if sequence == "same":
+        assert second[:2] == first[:2]
 
 
 # ----------------------------------------------------------------------

@@ -463,32 +463,42 @@ class TestCacheSharing:
     def test_cost_cache_warms_across_requests(self, service_inputs,
                                               tmp_path):
         """A second identical tune (after the first completed, so no
-        coalescing) replays what-if costs from the absorbed cache — and
-        still answers byte-identically."""
+        coalescing) searches the stage the first prepared and recosts
+        nothing; a service that prepares afresh over the same cache
+        directory replays the absorbed, persisted what-if costs — and
+        every answer is byte-identical."""
         db, wl = service_inputs
 
-        async def scenario():
+        async def scenario(requests):
             service = await _make_service(
                 db, wl, cache_dir=str(tmp_path)
             )
             try:
-                first = await service.tune("sales", **TUNE_A)
-                absorbed = len(service.cost_cache)
-                second = await service.tune("sales", **TUNE_A)
-                return first, second, absorbed, service.stats()
+                answers = []
+                for _ in range(requests):
+                    answers.append(await service.tune("sales", **TUNE_A))
+                return answers, len(service.cost_cache), service.stats()
             finally:
                 await service.stop()
 
-        first, second, absorbed, stats = run(scenario())
+        (first, second), absorbed, stats = run(scenario(2))
         assert second["result"] == first["result"]
         # The first run's cost entries were absorbed into the parent...
         assert absorbed > 0
-        # ...so the second run's fork view replays instead of recosting.
         assert first["meta"]["cost_cache_stats"]["hits"] == 0
-        assert second["meta"]["cost_cache_stats"]["hits"] > 0
+        # ...and the second run, over the held stage, looked nothing up.
+        costs = second["meta"]["cost_cache_stats"]
+        assert costs["hits"] + costs["misses"] == 0
+        assert second["meta"]["delta_stats"]["full_recosts"] == 0
+        assert second["meta"]["delta_stats"]["probe_evals"] == 0
         assert stats["coalesced"]["tune"] == 0
-        # The caches were persisted on stop.
+        # The caches were persisted on stop...
         assert (tmp_path / "costs.json").exists()
+        # ...so a new service's first run, which prepares, replays them.
+        (warm,), _absorbed, _stats = run(scenario(1))
+        assert warm["result"] == first["result"]
+        assert warm["meta"]["cost_cache_stats"]["hits"] > 0
+        assert warm["meta"]["cost_cache_stats"]["misses"] == 0
 
     def test_cached_tune_identical_to_uncached(self, service_inputs,
                                                tmp_path):

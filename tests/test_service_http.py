@@ -211,6 +211,39 @@ class TestErrorMapping:
         assert no_context[0] == 400
         assert "context" in no_context[1]["error"]
 
+    @pytest.mark.parametrize("payload, named", [
+        ({"sql": "DELETE FROM sales WHERE nosuchcol = 3"}, "nosuchcol"),
+        ({"sql": "UPDATE sales SET sa_date = 1 WHERE nosuch = 3"},
+         "nosuch"),
+        ({"sql": "UPDATE sales SET nosuch = 1 WHERE sa_date = 3"},
+         "nosuch"),
+        ({"sql": "INSERT INTO sales BULK -5"}, "-5"),
+        ({"sql": "INSERT INTO nosuch BULK 5"}, "nosuch"),
+        ({"statement_index": True}, "statement_index"),
+        ({"statement_index": 1.0}, "statement_index"),
+    ], ids=["delete-column", "update-where-column", "update-set-column",
+            "insert-negative-rows", "insert-table", "index-bool",
+            "index-float"])
+    def test_whatif_cost_rejects_bad_statements(self, http_inputs,
+                                                payload, named):
+        """Every statement kind is checked against the catalog before
+        costing: a 400 that names the problem, never a 500 from inside
+        the coster or a silently costed answer."""
+        db, wl = http_inputs
+
+        async def scenario():
+            _service, server, client = await _boot(db, wl)
+            try:
+                with pytest.raises(ServiceHTTPError) as err:
+                    await client.whatif_cost("sales", **payload)
+                return err.value
+            finally:
+                await server.stop()
+
+        error = run(scenario())
+        assert error.status == 400
+        assert named in error.message
+
     def test_retryable_flag(self):
         assert ServiceHTTPError(503, "full").retryable
         assert not ServiceHTTPError(400, "nope").retryable

@@ -15,10 +15,11 @@ import threading
 
 import pytest
 
-from repro.api import tune
+from repro.api import Session, tune
 from repro.datasets.sales import sales_database, sales_workload
 from repro.errors import BackpressureError, JobError
-from repro.service import AdvisorService, serialize_result
+from repro.service import AdvisorService, JobWorker, faults, serialize_result
+from repro.service.faults import FaultPlan
 from repro.service.jobs import TERMINAL_STATES
 
 
@@ -311,6 +312,175 @@ class TestJobCancellation:
 
         snapshot = run(scenario())
         assert snapshot["state"] in ("cancelled", "done")
+
+
+def _advisor_events(events: list) -> list:
+    """A job's advisor events without their job-log ``seq``."""
+    return [
+        {key: value for key, value in event.items() if key != "seq"}
+        for event in events if event["event"] != "state"
+    ]
+
+
+class TestHeldStageAcrossJobs:
+    """Each context holds its latest tune/retune job's prepared stage.
+    Whatever ended the job before — a cancel mid-search, a deadline
+    while preparing, an injected fault retried — the next job on the
+    context (or the retried attempt) is byte-identical to sequential
+    ``tune()``, and reuses the stage only when one was completed."""
+
+    @staticmethod
+    def _direct(job_inputs, fraction=0.12):
+        (db, wl), _ = job_inputs
+        events: list = []
+        result = Session(db, wl, variant="dtac-none", progress=events.append,
+                         budget_fraction=fraction).tune()
+        return serialize_result(result)["result"], events
+
+    @staticmethod
+    async def _finish(service, record) -> list:
+        return [event async for event in service.job_events(record.id)]
+
+    def _abort_then_rerun(self, job_inputs, abort_after, *,
+                          submit=lambda s: s.submit_job("tune", "sales",
+                                                        TUNE)):
+        """One job whose progress hook calls ``abort_after(event,
+        victim, service)`` after each event it forwards, then the same
+        job again.  Returns both snapshots, the stage the first left
+        behind, and the second job's events."""
+
+        async def scenario():
+            service = await _make_service(job_inputs)
+            context = service.contexts["sales"]
+            original = context.run_tune
+            victim = None
+
+            def run_tune(payload, progress=None):
+                def hook(event):
+                    progress(event)
+                    abort_after(event, victim, service)
+                return original(payload, progress=hook)
+
+            context.run_tune = run_tune
+            try:
+                victim = submit(service)
+                await self._finish(service, victim)
+                context.run_tune = original
+                left = context.held.stage
+                record = service.submit_job("tune", "sales", TUNE)
+                events = await self._finish(service, record)
+                return (victim.snapshot(), left, context.held.stage,
+                        record.snapshot(), events)
+            finally:
+                context.run_tune = original
+                await service.stop()
+
+        return run(scenario())
+
+    def test_job_after_a_cancel_mid_search(self, job_inputs):
+        def cancel_at_enumeration(event, victim, service):
+            if event.get("phase") == "enumeration":
+                service.cancel_job(victim.id)
+
+        victim, left, held, snapshot, events = self._abort_then_rerun(
+            job_inputs, cancel_at_enumeration
+        )
+        assert victim["state"] == "cancelled"
+        # Cancelled while searching: the stage was complete and is kept.
+        assert left is not None and held is left
+        expected, library_events = self._direct(job_inputs)
+        assert snapshot["result"]["result"] == expected
+        assert _advisor_events(events) == library_events
+        assert snapshot["result"]["meta"]["delta_stats"]["full_recosts"] == 0
+
+    def test_job_after_a_deadline_while_preparing(self, job_inputs):
+        def expire_after_candidates(event, victim, service):
+            if event.get("phase") == "candidates":
+                victim.created -= 1000.0  # the deadline passes mid-prepare
+
+        victim, left, held, snapshot, events = self._abort_then_rerun(
+            job_inputs, expire_after_candidates,
+            submit=lambda s: s.submit_job("tune", "sales", TUNE,
+                                          deadline_s=60.0),
+        )
+        assert victim["state"] == "failed" and victim["timeout"] is True
+        # Failed while preparing: nothing half-built is left to reuse.
+        assert left is None and held is not None
+        expected, library_events = self._direct(job_inputs)
+        assert snapshot["result"]["result"] == expected
+        assert _advisor_events(events) == library_events
+
+    def test_retried_attempt_after_an_injected_cost_fault(self, job_inputs):
+        """``coster.batch:error@2x1``: the third cost batch — inside the
+        search — fails the first attempt; the retry searches the stage
+        that attempt prepared."""
+
+        async def scenario():
+            service = await _make_service(job_inputs)
+            faults.install(FaultPlan.parse("coster.batch:error@2x1"))
+            try:
+                record = service.submit_job("tune", "sales", TUNE,
+                                            retries=1, retry_backoff=0.0)
+                events = await self._finish(service, record)
+                return record.snapshot(), events, faults.describe_active()
+            finally:
+                faults.clear()
+                await service.stop()
+
+        snapshot, events, schedule = run(scenario())
+        assert schedule[0]["fired"] == 1
+        assert snapshot["state"] == "done" and snapshot["attempt"] == 1
+        expected, library_events = self._direct(job_inputs)
+        assert snapshot["result"]["result"] == expected
+        retry = next(i for i, e in enumerate(events) if e["event"] == "retry")
+        assert _advisor_events(events[retry + 1:]) == library_events
+        assert snapshot["result"]["meta"]["delta_stats"]["full_recosts"] == 0
+
+    def test_worker_runs_same_key_jobs_over_its_stage(self, job_inputs,
+                                                       tmp_path):
+        """A ``--worker`` process holds the stages of its own contexts:
+        two jobs that differ only in budget, claimed by one worker,
+        return the bytes a coordinator's own execution would."""
+        (db, wl), _ = job_inputs
+        fractions = (0.12, 0.2)
+
+        async def scenario():
+            coordinator = AdvisorService(
+                cache_dir=str(tmp_path), execute_jobs=False,
+                poll_interval=0.05,
+            )
+            coordinator.register("sales", db, wl)
+            await coordinator.start()
+            worker_service = AdvisorService(
+                cache_dir=str(tmp_path), journal_writer="worker-a",
+            )
+            worker_service.register("sales", db, wl)
+            worker = JobWorker(worker_service, poll_interval=0.05)
+            try:
+                records = [
+                    coordinator.submit_job("tune", "sales", dict(
+                        TUNE, budget_fraction=fraction))
+                    for fraction in fractions
+                ]
+                loop = asyncio.get_running_loop()
+                for record in records:
+                    assert await loop.run_in_executor(
+                        None, worker.run_once) == record.id
+                    await self._finish(coordinator, record)
+                return [record.snapshot() for record in records]
+            finally:
+                worker_service.scheduler.shutdown()
+                worker_service.journal.close()
+                await coordinator.stop()
+
+        snapshots = run(scenario())
+        for fraction, snapshot in zip(fractions, snapshots):
+            assert snapshot["state"] == "done"
+            assert snapshot["result"]["result"] == \
+                self._direct(job_inputs, fraction)[0]
+        # The second job searched the stage the first prepared.
+        assert snapshots[1]["result"]["meta"]["delta_stats"][
+            "full_recosts"] == 0
 
 
 class TestInterleavingInvariants:
