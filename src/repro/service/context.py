@@ -27,6 +27,9 @@ unwinds at a progress event or a batch entry, leaving either no stage
 
 from __future__ import annotations
 
+import math
+import typing
+
 from repro.advisor import algorithms
 from repro.advisor.advisor import (
     AdvisorOptions,
@@ -59,25 +62,107 @@ _REQUEST_OPTION_FIELDS = frozenset({
     "skyline_cluster_max", "e", "q", "delta_costing", "algorithm",
 })
 
+#: AdvisorOptions field -> the Python type its wire value must have.
+_OPTION_TYPES = {
+    name: kind for name, kind in typing.get_type_hints(AdvisorOptions).items()
+    if name in _REQUEST_OPTION_FIELDS
+}
+
+
+def _is_int(value) -> bool:
+    """A JSON integer (a bool is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _as_finite(value) -> "float | None":
+    """A JSON number as a finite float, or None: a bool, a string, NaN,
+    an infinity (JSON text may carry both) or an int past float range
+    is not one."""
+    if not (_is_int(value) or isinstance(value, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
+def _check_budget(name: str, value) -> float:
+    budget = _as_finite(value)
+    if budget is None or budget < 0:
+        raise ServiceError(
+            f"{name} must be a finite non-negative number, got {value!r}"
+        )
+    return budget
+
+
+def _check_seed(name: str, value) -> int:
+    if not _is_int(value):
+        raise ServiceError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _check_option(name: str, value) -> None:
+    expected = _OPTION_TYPES[name]
+    if expected is float:
+        ok = _as_finite(value) is not None
+    elif expected is int:
+        ok = _is_int(value)
+    else:  # bool, str
+        ok = isinstance(value, expected)
+    if not ok:
+        raise ServiceError(
+            f"option {name!r} must be a {expected.__name__}, got {value!r}"
+        )
+
+
+def _column_list(spec: dict, field: str) -> tuple[str, ...]:
+    columns = spec.get(field, [])
+    if not isinstance(columns, list) or \
+            not all(isinstance(c, str) for c in columns):
+        raise ServiceError(
+            f"index spec {field!r} must be a list of column names, "
+            f"got {columns!r}"
+        )
+    return tuple(columns)
+
+
 def parse_index_spec(database: Database, spec: dict) -> IndexDef:
     """An :class:`IndexDef` from its JSON wire form::
 
         {"table": "sales", "key_columns": ["sa_date"],
          "included_columns": [], "kind": "secondary", "method": "page"}
+
+    A heap is unordered and stores every column, so a heap spec naming
+    key or included columns is rejected rather than quietly sized as
+    something else.
     """
     if not isinstance(spec, dict) or "table" not in spec:
         raise ServiceError(f"index spec needs a 'table': {spec!r}")
     table = spec["table"]
-    database.table(table)  # raises CatalogError for unknown tables
+    if not isinstance(table, str):
+        raise ServiceError(
+            f"index spec 'table' must be a string, got {table!r}"
+        )
+    key_columns = _column_list(spec, "key_columns")
+    included_columns = _column_list(spec, "included_columns")
+    schema = database.table(table)  # CatalogError for unknown tables
+    for column in key_columns + included_columns:
+        schema.column(column)  # CatalogError for unknown columns
     try:
         kind = IndexKind(spec.get("kind", "secondary"))
         method = CompressionMethod(spec.get("method", "none"))
     except ValueError as exc:
         raise ServiceError(str(exc)) from exc
+    if kind is IndexKind.HEAP and (key_columns or included_columns):
+        raise ServiceError(
+            "a heap index spec takes no 'key_columns' or "
+            "'included_columns'"
+        )
     return IndexDef(
         table,
-        tuple(spec.get("key_columns", ())),
-        included_columns=tuple(spec.get("included_columns", ())),
+        key_columns,
+        included_columns=included_columns,
         kind=kind,
         method=method,
     )
@@ -211,29 +296,62 @@ class ServiceContext:
     # ------------------------------------------------------------------
     def _budget_bytes(self, payload: dict) -> float:
         if "budget_bytes" in payload:
-            return float(payload["budget_bytes"])
+            return _check_budget("budget_bytes", payload["budget_bytes"])
         if "budget_fraction" in payload:
-            return (
-                self.database.total_data_bytes()
-                * float(payload["budget_fraction"])
+            return self.database.total_data_bytes() * _check_budget(
+                "budget_fraction", payload["budget_fraction"]
             )
         raise ServiceError(
-            "tune/sweep payload needs 'budget_bytes' or 'budget_fraction'"
+            "tune payload needs 'budget_bytes' or 'budget_fraction'"
         )
 
+    def _sweep_budgets(self, payload: dict) -> list[float]:
+        """Every budget of a sweep payload in bytes, each checked like a
+        tune's."""
+        if "budget_bytes" in payload:
+            field, scale = "budget_bytes", 1.0
+        elif "budget_fractions" in payload:
+            field, scale = "budget_fractions", \
+                self.database.total_data_bytes()
+        else:
+            raise ServiceError(
+                "sweep payload needs 'budget_bytes' or 'budget_fractions'"
+            )
+        values = payload[field]
+        if not isinstance(values, list) or not values:
+            raise ServiceError(
+                f"sweep {field!r} must be a non-empty list, got {values!r}"
+            )
+        return [scale * _check_budget(f"{field}[{i}]", value)
+                for i, value in enumerate(values)]
+
+    def _sweep_seeds(self, payload: dict) -> "list[int] | None":
+        seeds = payload.get("seeds")
+        if seeds is None:
+            return None
+        if not isinstance(seeds, list):
+            raise ServiceError(f"'seeds' must be a list, got {seeds!r}")
+        return [_check_seed(f"seeds[{i}]", seed)
+                for i, seed in enumerate(seeds)] or None
+
     def _advisor_extra(self, payload: dict) -> dict:
-        extra = dict(payload.get("options", {}))
+        extra = payload.get("options", {})
+        if not isinstance(extra, dict):
+            raise ServiceError(f"'options' must be an object, got {extra!r}")
+        extra = dict(extra)
         unknown = set(extra) - _REQUEST_OPTION_FIELDS
         if unknown:
             raise ServiceError(
                 f"unknown advisor options {sorted(unknown)}; allowed: "
                 f"{sorted(_REQUEST_OPTION_FIELDS)}"
             )
+        for name, value in extra.items():
+            _check_option(name, value)
         if "algorithm" in extra:
             # Validate at submission time: an unknown algorithm must
             # 400 with the valid set, not 500 out of a running lane.
             name = extra["algorithm"]
-            if not isinstance(name, str) or name not in algorithms.names():
+            if name not in algorithms.names():
                 raise ServiceError(
                     f"unknown algorithm {name!r}; choose from "
                     f"{algorithms.names()}"
@@ -250,10 +368,12 @@ class ServiceContext:
 
     def _resolve(self, payload: dict) -> "tuple[str, int, AdvisorOptions]":
         """(variant, seed, options) of a tune/retune payload, validated
-        in that order: variant, then options, then budget."""
+        in that order: variant, options, seed, then budget.  The one
+        validation path of a tuning payload: a bad one fails here with a
+        :class:`ServiceError`, at submission for a job."""
         variant = self._variant(payload)
         extra = self._advisor_extra(payload)
-        seed = int(payload.get("seed", DEFAULT_SAMPLE_SEED))
+        seed = _check_seed("seed", payload.get("seed", DEFAULT_SAMPLE_SEED))
         options = get_variant(variant).advisor_options(
             self._budget_bytes(payload), **extra
         )
@@ -351,18 +471,28 @@ class ServiceContext:
             previous = previous.add(parse_index_spec(self.database, spec))
         return previous
 
-    def prepare_retune(self, payload: dict,
-                       carried: "tuple[list, int] | None" = None) -> None:
-        """Submission-time validation + carry-forward resolution for a
-        retune job (mutates ``payload`` in place, **before** it is
-        journaled — a recovered or worker-claimed re-run must see the
-        exact previous configuration this submission resolved).
+    def prepare_job(self, kind: str, payload: dict,
+                    carried: "tuple[list, int] | None" = None) -> None:
+        """Submission-time validation of a job payload, plus the
+        carry-forward resolution of a retune (mutates ``payload`` in
+        place, **before** it is journaled — a recovered or
+        worker-claimed re-run must see the exact previous configuration
+        this submission resolved).
 
         ``carried`` is the job tier's latest completed configuration
-        for this context as ``(index_specs, generation)``; it seeds
-        ``from_config`` when the submission did not pin one itself.
-        Bad variants, options, budgets, index specs, and drift specs
-        all fail here (HTTP 400), never out of a running lane."""
+        for this context as ``(index_specs, generation)``; it seeds a
+        retune's ``from_config`` when the submission did not pin one
+        itself.  Bad variants, options, seeds, budgets, index specs and
+        drift specs all fail here (HTTP 400), never out of a running
+        lane.  Unknown kinds pass: the job tier names them."""
+        if kind == "tune":
+            self._resolve(payload)
+        elif kind == "sweep":
+            self._resolve_sweep(payload)
+        elif kind == "retune":
+            self._prepare_retune(payload, carried)
+
+    def _prepare_retune(self, payload: dict, carried) -> None:
         self._resolve(payload)
         self._drift_workload(payload)
         if payload.get("from_config"):
@@ -407,33 +537,33 @@ class ServiceContext:
             out["retune"]["drift"] = drift_info
         return out
 
+    def _resolve_sweep(self, payload: dict):
+        """(variant, budgets, seeds, options) of a sweep payload, each
+        checked as :meth:`_resolve` checks a tune's."""
+        return (
+            self._variant(payload),
+            self._sweep_budgets(payload),
+            self._sweep_seeds(payload),
+            self._advisor_extra(payload),
+        )
+
     def run_sweep(self, payload: dict, workers: int = 1,
                   progress=None) -> dict:
         """A whole budget sweep / seed ablation as one unit (the sweep
         module owns per-unit isolation), ``workers`` advisor runs in
         flight at once."""
-        variant = self._variant(payload)
-        total = self.database.total_data_bytes()
-        if "budget_bytes" in payload:
-            budgets = [float(b) for b in payload["budget_bytes"]]
-        elif "budget_fractions" in payload:
-            budgets = [total * float(f) for f in payload["budget_fractions"]]
-        else:
-            raise ServiceError(
-                "sweep payload needs 'budget_bytes' or 'budget_fractions'"
-            )
-        seeds = payload.get("seeds")
+        variant, budgets, seeds, extra = self._resolve_sweep(payload)
         sweep = _run_sweep(
             self.database,
             self.workload,
             budgets,
-            seeds=[int(s) for s in seeds] if seeds else None,
+            seeds=seeds,
             variant=variant,
             stats=self.stats,
             workers=workers,
             cache_dir=self.cache_dir,
             progress=progress,
-            **self._advisor_extra(payload),
+            **extra,
         )
         runs = []
         for run in sweep.runs:
@@ -487,14 +617,22 @@ class ServiceContext:
                 )
             statement = self.workload.statements[si].statement
         elif "sql" in payload:
-            statement = parse_statement(payload["sql"])
+            sql = payload["sql"]
+            if not isinstance(sql, str):
+                raise ServiceError(f"'sql' must be a string, got {sql!r}")
+            statement = parse_statement(sql)
             statement.validate(self.database)
         else:
             raise ServiceError(
                 "whatif_cost payload needs 'statement_index' or 'sql'"
             )
+        specs = payload.get("indexes", [])
+        if not isinstance(specs, list):
+            raise ServiceError(
+                f"'indexes' must be a list of index specs, got {specs!r}"
+            )
         config = self.base_config
-        for spec in payload.get("indexes", ()):
+        for spec in specs:
             config = config.add(parse_index_spec(self.database, spec))
         # Cost through the stateless coster, not WhatIfOptimizer.cost:
         # clients control both the statement (ad-hoc SQL) and the

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 from urllib.parse import parse_qs
 
 from repro.advisor import algorithms
@@ -60,6 +61,19 @@ from repro.service.service import AdvisorService
 
 #: maximum accepted request body (tuning payloads are tiny).
 MAX_BODY_BYTES = 1 << 20
+
+#: the interpreter's thread switch interval while :func:`serve` runs.
+#: A question beside a running job crosses threads two or three times
+#: (loop -> its context's lane -> loop) while the job's lane thread
+#: holds the GIL, and at CPython's 5 ms default each crossing waited
+#: up to a full interval: ~6 ms at p50 against 0.23 ms of what-if work.
+#: Chosen from a sweep on the ledger's ``serve-mixed`` workload (25 s
+#: runs, seeds 1-5 (1-3 at 2 ms), 2-CPU Linux host, CPython 3.11): median
+#: ``interactive_p50_ms`` 6.02 at 5 ms; 3.07 at 2 ms; 2.21 at 1 ms;
+#: 1.72 at 0.5 ms; 1.43 at 0.25 ms.  Cold, rerun, retune and set-up
+#: walls stayed within 3.1 % of 5 ms at every value.  0.25 ms is the
+#: only value within 10 % of the best p50.
+SWITCH_INTERVAL_S = 0.00025
 
 
 def describe_algorithms() -> dict:
@@ -373,19 +387,27 @@ async def serve(
     service: AdvisorService, host: str = "127.0.0.1", port: int = 8765,
     ready_message: bool = True,
 ) -> None:
-    """Serve until cancelled (the ``repro serve`` entry point)."""
-    server = ServiceHTTPServer(service, host, port)
-    await server.start()
-    if ready_message:
-        contexts = ", ".join(sorted(service.contexts)) or "(none)"
-        print(
-            f"advisor service: contexts [{contexts}] on "
-            f"http://{server.host}:{server.port}",
-            flush=True,
-        )
+    """Serve until cancelled (the ``repro serve`` entry point).
+
+    Runs the interpreter at :data:`SWITCH_INTERVAL_S` while it serves
+    and restores the previous switch interval on the way out."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(SWITCH_INTERVAL_S)
     try:
-        await server.serve_forever()
-    except asyncio.CancelledError:
-        pass
+        server = ServiceHTTPServer(service, host, port)
+        await server.start()
+        if ready_message:
+            contexts = ", ".join(sorted(service.contexts)) or "(none)"
+            print(
+                f"advisor service: contexts [{contexts}] on "
+                f"http://{server.host}:{server.port}",
+                flush=True,
+            )
+        try:
+            await server.serve_forever()
+        except asyncio.CancelledError:
+            pass
+        finally:
+            await server.stop(drain=False)
     finally:
-        await server.stop(drain=False)
+        sys.setswitchinterval(previous)

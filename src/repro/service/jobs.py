@@ -407,7 +407,9 @@ class JobManager:
                tenant: str = "default", priority: str = "normal",
                deadline_s: float | None = None, retries: int = 0,
                retry_backoff: float | None = None) -> JobRecord:
-        """Create a job and schedule it on its context's lane."""
+        """Create a job and schedule it on its context's lane.  The
+        payload is journaled as given: :meth:`AdvisorService.submit_job`
+        validates and resolves it first."""
         if deadline_s is not None:
             try:
                 deadline_s = float(deadline_s)
@@ -467,15 +469,6 @@ class JobManager:
                     f"tenant {tenant!r} at quota "
                     f"({self.tenant_quota} active jobs); retry later"
                 )
-        if kind == "retune":
-            # Resolve the previous configuration INTO the payload now so
-            # the journaled record is self-contained: a crash-recovery
-            # re-run (or a worker re-dispatch) replays the exact same
-            # retune, regardless of what other jobs finished since.
-            payload = dict(payload)
-            self.service.contexts[context].prepare_retune(
-                payload, self._carried_configuration(context),
-            )
         record = JobRecord(f"job-{self._counter:06d}")
         self._counter += 1
         self.jobs[record.id] = record
@@ -496,7 +489,7 @@ class JobManager:
         self._evict()
         return record
 
-    def _carried_configuration(self, context: str):
+    def carried_configuration(self, context: str):
         """``(index_specs, generation)`` from the most recent completed
         tune/retune job in ``context``, or ``None`` for a cold start."""
         for job_id in reversed(self._order):
@@ -904,10 +897,9 @@ class JobManager:
 
         outcome = None
         try:
-            outcome = await loop.run_in_executor(
-                lane.executor, run_attempt, record, execute,
-                record.cancel.is_set, lambda: self._retryable(record),
-                apply,
+            outcome = await lane.run(
+                run_attempt, record, execute, record.cancel.is_set,
+                lambda: self._retryable(record), apply,
             )
         except asyncio.CancelledError:
             # Service loop torn down mid-await: the lane thread still

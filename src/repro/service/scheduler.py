@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import asyncio
 import bisect
+import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
@@ -111,12 +112,37 @@ class ContextLane:
         self.contexts: list[str] = []
         #: requests + jobs executed on this lane.
         self.executed = 0
+        #: pick-up wait: from :meth:`run` handing a call to the executor
+        #: to the lane thread starting it.  Written by the lane thread
+        #: only.
+        self.pickups = 0
+        self.pickup_ms_total = 0.0
+        self.pickup_ms_max = 0.0
+
+    def run(self, fn, *args) -> asyncio.Future:
+        """``fn(*args)`` on the lane thread, awaitable from the loop
+        (``run_in_executor`` with the pick-up wait recorded)."""
+        return asyncio.get_running_loop().run_in_executor(
+            self.executor, self._picked_up, time.perf_counter(), fn, args
+        )
+
+    def _picked_up(self, submitted: float, fn, args: tuple):
+        wait_ms = 1000 * (time.perf_counter() - submitted)
+        self.pickups += 1
+        self.pickup_ms_total += wait_ms
+        self.pickup_ms_max = max(self.pickup_ms_max, wait_ms)
+        return fn(*args)
 
     def stats(self) -> dict:
         return {
             "index": self.index,
             "contexts": list(self.contexts),
             "executed": self.executed,
+            "pickup_wait": {
+                "count": self.pickups,
+                "total_ms": self.pickup_ms_total,
+                "max_ms": self.pickup_ms_max,
+            },
         }
 
 

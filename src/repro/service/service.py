@@ -49,6 +49,7 @@ import copy
 import json
 import logging
 import os
+import sys
 
 from repro.catalog.schema import Database
 from repro.errors import BackpressureError, ServiceError
@@ -491,9 +492,8 @@ class AdvisorService:
         try:
             async with lane.request_lock:
                 release_slot()
-                result = await asyncio.get_running_loop().run_in_executor(
-                    lane.executor, self._execute, kind, context, payload,
-                    lane,
+                result = await lane.run(
+                    self._execute, kind, context, payload, lane
                 )
         except asyncio.CancelledError:
             # Service stopped mid-request (stop(drain=False) under
@@ -563,8 +563,21 @@ class AdvisorService:
         # Same closed schema as POST /v1/jobs, minus the envelope: a
         # payload smuggling routing fields would skew journaled
         # re-runs, so it fails at submission.
-        validate_job_payload(kind, dict(payload or {}))
-        return self.jobs.submit(kind, context, dict(payload or {}),
+        payload = dict(payload or {})
+        validate_job_payload(kind, payload)
+        target = self.contexts.get(context)
+        if target is not None:
+            # Validate the payload and resolve a retune's previous
+            # configuration INTO it now, so a bad job is never
+            # journaled and a journaled retune is self-contained: a
+            # crash-recovery re-run (or a worker re-dispatch) replays
+            # the exact same run, whatever finished since.
+            target.prepare_job(
+                kind, payload,
+                self.jobs.carried_configuration(context)
+                if kind == "retune" else None,
+            )
+        return self.jobs.submit(kind, context, payload,
                                 tenant=tenant, priority=priority,
                                 deadline_s=deadline_s, retries=retries,
                                 retry_backoff=retry_backoff)
@@ -594,10 +607,13 @@ class AdvisorService:
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Service counters: queue state, per-kind request/coalescing/
-        completion counts, scheduler lanes, jobs and cache stats."""
+        completion counts, scheduler lanes, jobs and cache stats, plus
+        the interpreter's thread switch interval (what every lane
+        handoff can wait, see :data:`repro.service.http.SWITCH_INTERVAL_S`)."""
         return {
             "contexts": sorted(self.contexts),
             "running": self.started,
+            "switch_interval_s": sys.getswitchinterval(),
             "max_pending": self.max_pending,
             "queue_depth": self._waiting,
             "in_flight": len(self._inflight),

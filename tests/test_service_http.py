@@ -4,6 +4,7 @@ event streaming, cancel)."""
 
 import asyncio
 import json
+import sys
 import threading
 
 import pytest
@@ -14,7 +15,9 @@ from repro.service import (
     AdvisorService,
     ServiceHTTPError,
     ServiceHTTPServer,
+    serve,
 )
+from repro.service.http import SWITCH_INTERVAL_S
 
 
 @pytest.fixture(scope="module")
@@ -244,9 +247,192 @@ class TestErrorMapping:
         assert error.status == 400
         assert named in error.message
 
+    @pytest.mark.parametrize("kind, payload, named", [
+        ("estimate_size", {"index": {"table": ["sales"],
+                                     "key_columns": ["sa_date"]}},
+         "'table'"),
+        ("estimate_size", {"index": {"table": "sales",
+                                     "key_columns": "sa_date"}},
+         "key_columns"),
+        ("estimate_size", {"index": {"table": "sales",
+                                     "key_columns": ["sa_date", 3]}},
+         "key_columns"),
+        ("estimate_size", {"index": {"table": "sales",
+                                     "key_columns": ["sa_date"],
+                                     "included_columns": "sa_qty"}},
+         "included_columns"),
+        ("estimate_size", {"index": {"table": "sales", "kind": "heap",
+                                     "key_columns": ["sa_date"]}},
+         "heap"),
+        ("whatif_cost", {"sql": 5}, "'sql'"),
+        ("whatif_cost", {"statement_index": 0, "indexes": 5}, "indexes"),
+        ("whatif_cost", {"statement_index": 0,
+                         "indexes": [{"table": ["sales"],
+                                      "key_columns": ["sa_date"]}]},
+         "'table'"),
+        ("whatif_cost", {"statement_index": 0,
+                         "indexes": [{"table": "sales",
+                                      "key_columns": "sa_date"}]},
+         "key_columns"),
+    ], ids=["table-list", "key-columns-string", "key-columns-int",
+            "included-string", "heap-with-keys", "sql-int", "indexes-int",
+            "whatif-table-list", "whatif-key-columns-string"])
+    def test_index_specs_and_sql_fail_at_the_boundary(self, http_inputs,
+                                                      kind, payload, named):
+        """A malformed index spec or ad-hoc statement is a 400 naming
+        the field — never a 500 from inside sizing or costing, nor a
+        string key split into one-letter columns."""
+        db, wl = http_inputs
+
+        async def scenario():
+            _service, server, client = await _boot(db, wl)
+            try:
+                with pytest.raises(ServiceHTTPError) as err:
+                    await getattr(client, kind)("sales", **payload)
+                return err.value
+            finally:
+                await server.stop()
+
+        error = run(scenario())
+        assert error.status == 400
+        assert named in error.message
+
+    def test_heap_spec_without_columns_is_sized(self, http_inputs):
+        """The heap decision's other side: a bare heap spec is a valid
+        structure and is sized."""
+        db, wl = http_inputs
+
+        async def scenario():
+            _service, server, client = await _boot(db, wl)
+            try:
+                return await client.estimate_size(
+                    "sales", index={"table": "sales", "kind": "heap",
+                                    "method": "page"},
+                )
+            finally:
+                await server.stop()
+
+        answer = run(scenario())
+        assert answer["est_bytes"] > 0
+        assert answer["index"]["kind"] == "heap"
+        assert answer["index"]["key_columns"] == []
+
     def test_retryable_flag(self):
         assert ServiceHTTPError(503, "full").retryable
         assert not ServiceHTTPError(400, "nope").retryable
+
+
+#: tune/retune payload fields a bad value is tried in, and the name the
+#: 400 must carry.
+_BAD_TUNING = [
+    ({"budget_fraction": "x"}, "budget_fraction"),
+    ({"budget_fraction": -0.5}, "budget_fraction"),
+    ({"budget_fraction": True}, "budget_fraction"),
+    ({"budget_bytes": float("inf")}, "budget_bytes"),
+    ({"budget_bytes": 10 ** 400}, "budget_bytes"),
+    ({"budget_fraction": 0.1, "seed": "abc"}, "seed"),
+    ({"budget_fraction": 0.1, "seed": 1.5}, "seed"),
+    ({"budget_fraction": 0.1, "seed": True}, "seed"),
+    ({"budget_fraction": 0.1, "options": [1]}, "options"),
+    ({"budget_fraction": 0.1, "options": {"top_k": "x"}}, "top_k"),
+    ({"budget_fraction": 0.1, "options": {"backtracking": 1}},
+     "backtracking"),
+    ({"budget_fraction": 0.1, "options": {"min_improvement": "0.1"}},
+     "min_improvement"),
+]
+_BAD_TUNING_IDS = [
+    "budget-string", "budget-negative", "budget-bool", "budget-inf",
+    "budget-past-float-range", "seed-string", "seed-float", "seed-bool", "options-list",
+    "option-int-as-string", "option-bool-as-int", "option-float-as-string",
+]
+
+#: the same checks on a sweep's budget and seed lists.
+_BAD_SWEEP = [
+    ({"budget_fractions": "x"}, "budget_fractions"),
+    ({"budget_fractions": []}, "budget_fractions"),
+    ({"budget_fractions": [0.1, "x"]}, "budget_fractions[1]"),
+    ({"budget_fractions": [-0.1]}, "budget_fractions[0]"),
+    ({"budget_bytes": [float("nan")]}, "budget_bytes[0]"),
+    ({"budget_fractions": [0.1], "seeds": 3}, "seeds"),
+    ({"budget_fractions": [0.1], "seeds": [1, "a"]}, "seeds[1]"),
+    ({"budget_fractions": [0.1], "seeds": [True]}, "seeds[0]"),
+    ({"budget_fractions": [0.1], "options": {"top_k": "x"}}, "top_k"),
+]
+_BAD_SWEEP_IDS = [
+    "budgets-string", "budgets-empty", "budget-string", "budget-negative",
+    "budget-nan", "seeds-int", "seed-string", "seed-bool",
+    "option-int-as-string",
+]
+
+
+class TestTuningPayloadValidation:
+    """A bad tuning payload is a 400 naming its field on every surface
+    that takes one, and a rejected job is never journaled."""
+
+    @staticmethod
+    async def _rejections(db, wl, tmp_path, attempts):
+        """Run each ``(label, make_coro)`` against one journaled server
+        and collect ``{label: (status, message)}``, plus what reached
+        the job tier and its journal."""
+        service, server, client = await _boot(db, wl,
+                                              cache_dir=str(tmp_path))
+        out = {}
+        try:
+            for label, make in attempts(client):
+                try:
+                    await make()
+                except ServiceHTTPError as exc:
+                    out[label] = (exc.status, exc.message)
+                else:
+                    out[label] = (200, "accepted")
+            return out, dict(service.jobs.submitted), \
+                service.journal.appended
+        finally:
+            await server.stop(drain=False)
+
+    @pytest.mark.parametrize("payload, named", _BAD_TUNING,
+                             ids=_BAD_TUNING_IDS)
+    def test_tune_and_retune(self, http_inputs, tmp_path, payload, named):
+        db, wl = http_inputs
+
+        def attempts(client):
+            return [
+                ("tune", lambda: client.tune("sales", **payload)),
+                ("tune job", lambda: client.submit_job(
+                    "sales", kind="tune", **payload)),
+                ("retune job", lambda: client.submit_job(
+                    "sales", kind="retune", **payload)),
+            ]
+
+        out, submitted, appended = run(
+            self._rejections(db, wl, tmp_path, attempts)
+        )
+        for label, (status, message) in out.items():
+            assert status == 400, (label, message)
+            assert named in message, (label, message)
+        assert sum(submitted.values()) == 0
+        assert appended == 0
+
+    @pytest.mark.parametrize("payload, named", _BAD_SWEEP,
+                             ids=_BAD_SWEEP_IDS)
+    def test_sweep(self, http_inputs, tmp_path, payload, named):
+        db, wl = http_inputs
+
+        def attempts(client):
+            return [
+                ("sweep", lambda: client.sweep("sales", **payload)),
+                ("sweep job", lambda: client.submit_job(
+                    "sales", kind="sweep", **payload)),
+            ]
+
+        out, submitted, appended = run(
+            self._rejections(db, wl, tmp_path, attempts)
+        )
+        for label, (status, message) in out.items():
+            assert status == 400, (label, message)
+            assert named in message, (label, message)
+        assert sum(submitted.values()) == 0
+        assert appended == 0
 
 
 class TestJobsHTTP:
@@ -480,3 +666,107 @@ class TestHTTPBackpressure:
         assert err.retryable
         assert len(answers) == 2
         assert again["total"] > 0
+
+
+@pytest.fixture
+def marked_interval():
+    """A switch interval that is neither CPython's default nor the
+    serving constant, so a restore cannot pass by accident."""
+    original = sys.getswitchinterval()
+    sys.setswitchinterval(0.004)
+    try:
+        yield sys.getswitchinterval()
+    finally:
+        sys.setswitchinterval(original)
+
+
+class TestSwitchInterval:
+    """``serve()`` runs the interpreter at ``SWITCH_INTERVAL_S`` and
+    hands the previous value back on the way out; nothing else touches
+    it.  (No latency is asserted: shared runners make that flaky.)"""
+
+    def test_held_while_serving_restored_on_return(
+            self, http_inputs, marked_interval, monkeypatch):
+        db, wl = http_inputs
+        seen = []
+
+        async def returning_serve_forever(self):
+            seen.append(sys.getswitchinterval())
+
+        monkeypatch.setattr(ServiceHTTPServer, "serve_forever",
+                            returning_serve_forever)
+
+        async def scenario():
+            service = AdvisorService()
+            service.register("sales", db, wl)
+            await serve(service, port=0, ready_message=False)
+            return service.started
+
+        started = run(asyncio.wait_for(scenario(), 60))
+        assert seen == [pytest.approx(SWITCH_INTERVAL_S, abs=1e-6)]
+        assert sys.getswitchinterval() == marked_interval
+        assert started is False
+
+    def test_stats_while_serving_restored_on_cancel(
+            self, http_inputs, marked_interval, monkeypatch):
+        """Through a real ``serve()``: ``/v1/stats`` reports the
+        constant and every lane hand-off in ``pickup_wait``; cancelling
+        the serving task restores the caller's value."""
+        db, wl = http_inputs
+        servers = []
+        start = ServiceHTTPServer.start
+
+        async def recording_start(self):
+            servers.append(self)
+            await start(self)
+
+        monkeypatch.setattr(ServiceHTTPServer, "start", recording_start)
+
+        async def scenario():
+            service = AdvisorService()
+            service.register("sales", db, wl)
+            task = asyncio.create_task(
+                serve(service, port=0, ready_message=False)
+            )
+            while not servers or servers[0]._server is None:
+                await asyncio.sleep(0.01)
+            client = AdvisorClient(port=servers[0].port, retries=0)
+            first = await client.whatif_cost("sales", statement_index=0)
+            again = await client.whatif_cost("sales", statement_index=0)
+            stats = await client.stats()
+            task.cancel()
+            await asyncio.gather(task, return_exceptions=True)
+            return first, again, stats
+
+        first, again, stats = run(asyncio.wait_for(scenario(), 60))
+        assert first == again
+        assert stats["switch_interval_s"] == \
+            pytest.approx(SWITCH_INTERVAL_S, abs=1e-6)
+        (lane,) = stats["scheduler"]["lanes"]
+        wait = lane["pickup_wait"]
+        assert wait["count"] == lane["executed"] == 2
+        assert 0 <= wait["max_ms"] <= wait["total_ms"]
+        assert sys.getswitchinterval() == marked_interval
+
+    def test_service_without_serve_leaves_it_alone(
+            self, http_inputs, marked_interval):
+        db, wl = http_inputs
+
+        async def scenario():
+            service, server, client = await _boot(db, wl)
+            try:
+                await client.whatif_cost("sales", statement_index=0)
+                job = await client.submit_job(
+                    "sales", kind="tune", budget_fraction=0.12,
+                    variant="dtac-none",
+                )
+                await client.wait_job(job["id"])
+                return await client.stats()
+            finally:
+                await server.stop()
+
+        stats = run(asyncio.wait_for(scenario(), 120))
+        assert stats["switch_interval_s"] == marked_interval
+        assert sys.getswitchinterval() == marked_interval
+        (lane,) = stats["scheduler"]["lanes"]
+        assert lane["pickup_wait"]["count"] == lane["executed"] == 2

@@ -17,7 +17,7 @@ import pytest
 
 from repro.api import Session, tune
 from repro.datasets.sales import sales_database, sales_workload
-from repro.errors import BackpressureError, JobError
+from repro.errors import BackpressureError, JobError, ServiceError
 from repro.service import AdvisorService, JobWorker, faults, serialize_result
 from repro.service.faults import FaultPlan
 from repro.service.jobs import TERMINAL_STATES
@@ -152,18 +152,15 @@ class TestJobLifecycle:
                     service.submit_job("tune", "nope", TUNE)
                 with pytest.raises(JobError, match="no such job"):
                     service.job("job-424242")
-                # A failing payload lands in `failed`, not an exception.
-                record = service.submit_job("tune", "sales",
-                                            {"variant": "bogus"})
-                async for _ in service.job_events(record.id):
-                    pass
-                return record.snapshot()
+                # A bad payload fails at submission and leaves no job.
+                with pytest.raises(ServiceError, match="unknown variant"):
+                    service.submit_job("tune", "sales",
+                                       {"variant": "bogus"})
+                return service.jobs.list_jobs()
             finally:
                 await service.stop()
 
-        snapshot = run(scenario())
-        assert snapshot["state"] == "failed"
-        assert "unknown variant" in snapshot["error"]
+        assert run(scenario()) == []
 
     def test_submit_rejected_when_not_running(self, job_inputs):
         async def scenario():

@@ -121,8 +121,7 @@ class TestRetuneJobs:
                     except (ServiceError, ReproError) as exc:
                         failures.append(str(exc))
                 # An unknown variant *and* no budget: every job kind
-                # names the variant — a retune at submission, a tune or
-                # sweep out of its lane.
+                # names the variant, at submission.
                 named = {}
                 for kind in ("tune", "retune", "sweep"):
                     try:
@@ -141,7 +140,7 @@ class TestRetuneJobs:
         failures, named = run(scenario())
         assert len(failures) == 5
         assert [where for where, _ in named.values()] == \
-            ["lane", "submission", "lane"]
+            ["submission", "submission", "submission"]
         for _where, message in named.values():
             assert "unknown variant 'nope'" in message
 
