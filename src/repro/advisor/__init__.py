@@ -27,12 +27,10 @@ from repro.advisor.candidates import (
 )
 from repro.advisor.merging import generate_merged_candidates, merge_pair
 from repro.advisor.retune import (
-    HeldStage,
     RetuneResult,
     TuningSession,
     configuration_diff,
     retune_sequence,
-    run_isolated,
 )
 from repro.advisor.sweep import SweepResult, SweepRun
 from repro.advisor.selection import (
@@ -49,7 +47,6 @@ __all__ = [
     "AdvisorResult",
     "TuningAdvisor",
     "PreparedStage",
-    "HeldStage",
     "stage_key",
     "VariantSpec",
     "algorithms",
@@ -60,7 +57,6 @@ __all__ = [
     "variants",
     "TuningSession",
     "RetuneResult",
-    "run_isolated",
     "retune_sequence",
     "configuration_diff",
     "SweepResult",

@@ -86,9 +86,9 @@ class AdvisorOptions:
     (terms rebuilt from the prepared stage's plan table, bound-based
     candidate pruning); recommendations are byte-identical with it on
     or off — off only costs time.
-    Persistent caches are not an option: the owner of a run (a
-    :class:`~repro.api.Session`, the service, a sweep) builds them and
-    hands them to :func:`repro.advisor.retune.run_isolated`.
+    Persistent caches are not an option: every run belongs to a
+    :class:`~repro.api.Session`, whose holder (the library, a service
+    context, a sweep) picks the caches its runs fork.
     A run never forks: parallelism is :func:`repro.api.run_sweep`'s,
     whose shard unit is a whole run.
     """

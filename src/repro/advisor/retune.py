@@ -1,5 +1,6 @@
-"""Continuous tuning: incremental retunes from the previous
-configuration, for long-lived workloads that drift.
+"""The tuning session — the one way to run the advisor — and continuous
+tuning: incremental retunes from the previous configuration, for
+long-lived workloads that drift.
 
 The paper tunes a static workload once.  A serving advisor instead sees
 a *sequence* of workloads, and cold-tuning each one throws away the two
@@ -23,24 +24,21 @@ A retune is one advisor run whose search is replaced by
    polish, started from the pruned previous configuration rather than
    from scratch.
 
-:func:`run_isolated` is the one advisor invocation every entry point
-shares — cold when ``previous`` is None, the search above otherwise.  It
-builds the seeded estimator and the :class:`TuningAdvisor` — or hands
-the advisor the prepared stage the caller holds; the caller decides
-isolation by which cache objects, and whether a :class:`HeldStage`, it
-hands in.
-:class:`TuningSession` is the session-state API around it: it owns the
-database, the workload, shared :class:`DatabaseStats` and persistent
-estimate/cost caches, the latest prepared stage, and the previous
-configuration — the first feature where the advisor's output becomes
-its next input.
+:class:`TuningSession` (also :class:`repro.api.Session`) wires every
+run, cold or retune: it owns the database, the workload, shared
+:class:`DatabaseStats`, the estimate/cost caches its runs fork, the
+latest prepared stage, and the previous configuration — the first
+feature where the advisor's output becomes its next input.  Its
+docstring is the determinism contract of every entry point.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.advisor.advisor import (
     AdvisorOptions,
@@ -48,11 +46,13 @@ from repro.advisor.advisor import (
     PreparedStage,
     ProgressHook,
     TuningAdvisor,
+    _tune_decoupled,
     get_variant,
     stage_key,
 )
 from repro.advisor.algorithms.base import EnumerationResult, SelectionAlgorithm
 from repro.catalog.schema import Database
+from repro.compression.base import CompressionMethod
 from repro.errors import AdvisorError
 from repro.parallel.cache import CostCache, EstimationCache
 from repro.physical.configuration import Configuration
@@ -61,6 +61,9 @@ from repro.sampling.sample_manager import DEFAULT_SAMPLE_SEED, SampleManager
 from repro.sizeest.estimator import SizeEstimator
 from repro.stats.column_stats import DatabaseStats
 from repro.workload.query import Workload
+
+if TYPE_CHECKING:  # pragma: no cover - sweep imports this module
+    from repro.advisor.sweep import SweepResult
 
 
 class _RetuneSearch(SelectionAlgorithm):
@@ -71,7 +74,8 @@ class _RetuneSearch(SelectionAlgorithm):
     floor — around the two steps only a carried-over configuration
     needs: decay eviction and eviction-swap trials.  Not registered —
     it needs a previous configuration no registry name can carry;
-    :func:`run_isolated` hands it to the advisor as ``algorithm_cls``.
+    :meth:`TuningSession.retune` hands it to the advisor as
+    ``algorithm_cls``.
     """
 
     #: labels the floor step; no registry key.
@@ -236,113 +240,6 @@ def configuration_diff(
     return dropped, added, kept
 
 
-def seeded_estimator(
-    database: Database, options: AdvisorOptions, *, seed: int,
-    stats: DatabaseStats, estimates: EstimationCache | None = None,
-) -> SizeEstimator:
-    """The estimator :func:`run_isolated` prepares a stage over: fresh
-    sample state drawn with ``seed``, warm estimates from the caller's
-    cache."""
-    return SizeEstimator(
-        database, stats=stats, manager=SampleManager(database, seed=seed),
-        e=options.e, q=options.q, cache=estimates,
-    )
-
-
-@dataclass
-class HeldStage:
-    """Where the owner of repeated runs (a session; a sweep, per seed;
-    a service context) keeps the one prepared stage :func:`run_isolated`
-    may reuse.  One stage, replaced when a run's :func:`stage_key`
-    differs — there is nothing to evict and nothing to configure."""
-
-    stage: PreparedStage | None = None
-
-    def reusable(self, workload: Workload, options: AdvisorOptions,
-                 seed: int) -> PreparedStage | None:
-        """The held stage if a run over these inputs would search it;
-        else None, and the stage is dropped now — before the run
-        prepares its replacement, so two never live side by side."""
-        if self.stage is not None \
-                and self.stage.key != stage_key(workload, options, seed):
-            self.stage = None
-        return self.stage
-
-
-def run_isolated(
-    database: Database,
-    workload: Workload,
-    options: AdvisorOptions,
-    *,
-    seed: int,
-    stats: DatabaseStats,
-    estimates: EstimationCache | None = None,
-    costs: CostCache | None = None,
-    previous: Configuration | None = None,
-    progress: ProgressHook | None = None,
-    held: HeldStage | None = None,
-) -> AdvisorResult:
-    """One advisor run — the single place a tuning run is wired.
-
-    A run is :meth:`TuningAdvisor.prepare` + :meth:`~TuningAdvisor.
-    search`.  Preparation builds a fresh seeded estimator and, over it,
-    the optimizer and the plan tables (whose keys do not embed sizes):
-    one :class:`PreparedStage`, one lifetime — **stage lifetime ==
-    estimator lifetime**, so no plan can outlive the sizes it was
-    costed with.  Without ``held`` that lifetime is this call, and a
-    result is a function of the arguments and of the entries already in
-    ``estimates``/``costs``.  The caller picks the isolation by which
-    cache objects it passes — a session its live caches (runs warm each
-    other), the service and the sweep fork views (a fixed snapshot,
-    absorbed or saved by the caller afterwards).
-
-    With ``held``, the stage outlives the call: a later run whose
-    :func:`stage_key` matches (same statements, seed and pool-shaping
-    options; any budget, algorithm, search options, weights, hook,
-    ``previous``) searches it again instead of preparing — the same
-    result, event stream included, because preparation reads none of
-    those and a search changes nothing a later one can see but memo
-    entries that are pure functions of their keys.  Such a run keeps
-    the cache objects the stage was prepared with (``estimates`` and
-    ``costs`` are read only when preparing — :meth:`HeldStage.reusable`
-    tells a caller beforehand whether they will be).  ``held.stage`` is
-    left None by a run aborted while preparing, and kept by one aborted
-    while searching.
-
-    ``previous`` makes the run an incremental retune: the search is
-    :class:`_RetuneSearch` seeded there, and its copy of the candidate
-    pool is guaranteed to contain every previous member (so re-fill can
-    re-add a dropped structure and the delta coster's pruning bounds
-    stay sound over the carried-over configuration)."""
-    search: dict = {}
-    if previous is not None:
-        search = dict(
-            algorithm_cls=partial(_RetuneSearch, previous),
-            extra_candidates=previous.ordered(),
-        )
-    stage = (
-        held.reusable(workload, options, seed) if held is not None else None
-    )
-    advisor = TuningAdvisor(
-        database,
-        workload,
-        options,
-        estimator=None if stage is not None else seeded_estimator(
-            database, options, seed=seed, stats=stats, estimates=estimates
-        ),
-        stats=stats,
-        cost_cache=costs,
-        progress=progress,
-        stage=stage,
-        **search,
-    )
-    try:
-        return advisor.run()
-    finally:
-        if held is not None:
-            held.stage = advisor.stage
-
-
 @dataclass
 class RetuneResult:
     """Outcome of one incremental retune.
@@ -401,25 +298,74 @@ class RetuneResult:
         return self.result.improvement
 
 
-class TuningSession:
-    """Session state for continuous tuning: one database + workload
-    whose recommendation is carried forward run over run.
+def check_budget(name: str, value) -> float:
+    """``value`` as a storage budget — a real number (a bool is not
+    one), finite and non-negative — or :class:`AdvisorError` naming
+    ``name``.  The one rule for a budget in bytes or as a fraction: the
+    session, :func:`repro.api.run_sweep` and the service apply it."""
+    budget = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            budget = float(value)
+        except OverflowError:  # an int past float range
+            pass
+    if not 0 <= budget < math.inf:
+        raise AdvisorError(
+            f"{name} must be a finite non-negative number, got {value!r}"
+        )
+    return budget
 
-    The session owns what repeated runs can safely share — the
-    :class:`DatabaseStats`, one :class:`EstimationCache` and one
-    :class:`CostCache` (persistent under ``cache_dir``, in-memory
-    otherwise), handed *live* to :func:`run_isolated` so every run
-    warms the next (the sweep orchestrator and the tuning service hand
-    it fork views instead) — and the latest prepared stage: ``tune()``
-    again, at another budget or with another algorithm, and a
-    ``retune()`` onto a drifted phase (same statements, other weights)
-    search the pool, sizes and plan table the first run prepared; a
-    run with other statements, another variant or other pool-shaping
-    options prepares anew and replaces it.  ``tune()`` runs cold;
+
+def _fork(cache):
+    return cache.fork_view() if cache is not None else None
+
+
+class TuningSession:
+    """The one way to run the advisor: a database + workload whose
+    recommendation is carried forward run over run.
+
+    :class:`repro.api.Session` is this class, and every tuning entry
+    point runs through one: the library, each service context (one
+    session, set to each job's variant, seed and hook), and a sweep (one
+    session per seed per process).  ``tune()`` is a cold run;
     ``retune()`` runs the incremental drop-then-refill search from the
-    previous result and returns the configuration diff.  Pass
-    ``workload=`` to either call to move the session onto a new drift
-    phase.
+    previous configuration and returns the diff; ``tune_decoupled()``
+    is the paper's staged strawman; ``sweep()`` is a sharded budget
+    sweep / seed ablation.  Pass ``workload=`` to any of them to move
+    the session onto a new drift phase.
+
+    Determinism contract.  A run is :meth:`TuningAdvisor.prepare` +
+    :meth:`~TuningAdvisor.search`.  Preparation draws a fresh estimator
+    with the session's ``seed`` and builds the optimizer and the plan
+    tables over it: one :class:`PreparedStage`, one lifetime — **stage
+    lifetime == estimator lifetime**, so no plan outlives the sizes it
+    was costed with.  The session keeps its latest stage in ``stage``.
+    A run whose :func:`stage_key` matches (same statements, seed and
+    pool-shaping options; any budget, algorithm, search options,
+    weights, hook or previous configuration) searches it instead of
+    preparing — the same result, event stream included, because
+    preparation reads none of those and a search leaves nothing a later
+    one can see but memo entries that are pure functions of their keys.
+    A run under another key drops the stage before preparing its
+    replacement, so two never live side by side; an abort while
+    preparing leaves no stage, one while searching a complete one.
+
+    A preparing run forks both caches.  Its estimator reads a
+    :meth:`fork_view` of ``estimates`` that is never absorbed (fresh
+    estimates reach only the cache directory): a partially warm
+    estimate cache can steer deduction planning, so every preparation
+    sees the estimates the session was given.  Its optimizer costs
+    through a :meth:`fork_view` of ``costs`` that is absorbed back after
+    every run: cost keys carry sized structures and the sample
+    fingerprint, so a hit replays identical arithmetic and warming later
+    runs is result-neutral.  A result is therefore a function of the
+    arguments and of what ``estimates`` holds — the same whatever ran
+    before it in this session.  A holder picks the caches by assigning
+    the two attributes: a library session owns them (persistent under
+    ``cache_dir``, in memory otherwise); a service context takes a
+    registration-time snapshot of the service's estimate cache and the
+    service's live cost cache; a sweep's sessions share the pre-sweep
+    caches.
     """
 
     def __init__(
@@ -454,10 +400,11 @@ class TuningSession:
         self.configuration = configuration
         #: completed runs (tune + retune) in this session.
         self.generation = 0
-        self.estimates = EstimationCache(cache_dir)
-        self.costs = CostCache(cache_dir)
-        #: the latest run's prepared stage (see :func:`run_isolated`).
-        self.held = HeldStage()
+        #: what a preparing run forks (None: no cache).
+        self.estimates: EstimationCache | None = EstimationCache(cache_dir)
+        self.costs: CostCache | None = CostCache(cache_dir)
+        #: the latest run's prepared stage.
+        self.stage: PreparedStage | None = None
 
     # ------------------------------------------------------------------
     def _resolve_budget(
@@ -471,9 +418,11 @@ class TuningSession:
                 "pass budget_bytes or budget_fraction, not both"
             )
         if budget_fraction is not None:
-            return self.database.total_data_bytes() * budget_fraction
+            return self.database.total_data_bytes() * check_budget(
+                "budget_fraction", budget_fraction
+            )
         if budget_bytes is not None:
-            return float(budget_bytes)
+            return check_budget("budget_bytes", budget_bytes)
         if not required:
             return None
         if self._default_budget is None:
@@ -482,11 +431,6 @@ class TuningSession:
                 "session or to the call"
             )
         return self._default_budget
-
-    def _options(self, budget: float, extra: dict) -> AdvisorOptions:
-        return get_variant(self.variant).advisor_options(
-            budget, **{**self.options_extra, **extra}
-        )
 
     def _resolve_workload(self, workload: Workload | None) -> Workload:
         if workload is not None:
@@ -497,24 +441,56 @@ class TuningSession:
             )
         return self.workload
 
+    def _estimator(self, options: AdvisorOptions) -> SizeEstimator:
+        """A fresh estimator drawn with the session's seed, over a fork
+        of ``estimates``."""
+        return SizeEstimator(
+            self.database, stats=self.stats,
+            manager=SampleManager(self.database, seed=self.seed),
+            e=options.e, q=options.q, cache=_fork(self.estimates),
+        )
+
     def _run(self, budget_bytes, budget_fraction, workload, extra,
              previous: Configuration | None = None) -> AdvisorResult:
-        """One run over the session's live caches and held stage; its
-        recommendation becomes the session's configuration."""
+        """One run (see the determinism contract); its recommendation
+        becomes the session's configuration.  ``previous`` makes it an
+        incremental retune: the search is :class:`_RetuneSearch` seeded
+        there, over a pool guaranteed to hold every previous member (so
+        re-fill can re-add a dropped structure and the delta coster's
+        pruning bounds stay sound over the carried configuration)."""
         workload = self._resolve_workload(workload)
-        budget = self._resolve_budget(budget_bytes, budget_fraction)
-        result = run_isolated(
+        options = get_variant(self.variant).advisor_options(
+            self._resolve_budget(budget_bytes, budget_fraction),
+            **{**self.options_extra, **extra},
+        )
+        if self.stage is not None and \
+                self.stage.key != stage_key(workload, options, self.seed):
+            self.stage = None  # dropped before its replacement is built
+
+        search: dict = {}
+        if previous is not None:
+            search = dict(
+                algorithm_cls=partial(_RetuneSearch, previous),
+                extra_candidates=previous.ordered(),
+            )
+        prepare = self.stage is None
+        advisor = TuningAdvisor(
             self.database,
             workload,
-            self._options(budget, extra),
-            seed=self.seed,
+            options,
+            estimator=self._estimator(options) if prepare else None,
             stats=self.stats,
-            estimates=self.estimates,
-            costs=self.costs,
-            previous=previous,
+            cost_cache=_fork(self.costs) if prepare else None,
             progress=self.progress,
-            held=self.held,
+            stage=self.stage,
+            **search,
         )
+        try:
+            result = advisor.run()
+        finally:
+            self.stage = advisor.stage
+        if self.costs is not None:
+            self.costs.absorb(self.stage.whatif.cost_cache)
         self.configuration = result.configuration
         self.generation += 1
         return result
@@ -558,6 +534,65 @@ class TuningSession:
             for event in out.events():
                 self.progress(event)
         return out
+
+    def tune_decoupled(
+        self,
+        budget_bytes: float | None = None,
+        *,
+        budget_fraction: float | None = None,
+        workload: Workload | None = None,
+        method: CompressionMethod = CompressionMethod.PAGE,
+        **extra,
+    ) -> AdvisorResult:
+        """The staged strawman of Example 1/2: select indexes without
+        considering compression, then blindly compress everything
+        selected.  Does not advance the session's configuration — it is
+        a comparison arm, not a deployable recommendation."""
+        workload = self._resolve_workload(workload)
+        budget = self._resolve_budget(budget_bytes, budget_fraction)
+        extra = {**self.options_extra, **extra}
+        return _tune_decoupled(
+            self.database,
+            workload,
+            budget,
+            estimator=self._estimator(
+                get_variant("dta").advisor_options(budget, **extra)
+            ),
+            stats=self.stats,
+            method=method,
+            **extra,
+        )
+
+    def sweep(
+        self,
+        budgets,
+        *,
+        seeds=None,
+        workers: int = 1,
+        workload: Workload | None = None,
+        **extra,
+    ) -> "SweepResult":
+        """Sharded budget sweep / seed ablation over this session's
+        context (database, variant, stats, cache directory; ``seeds``
+        defaults to the session's), ``workers`` advisor runs in flight
+        at once.  Does not advance the session's configuration — a
+        sweep is many hypothetical runs, not one deployment decision."""
+        # Looked up on repro.api per call: the name the ledger's
+        # advisor.sweep span wraps.
+        from repro import api
+
+        return api._run_sweep(
+            self.database,
+            self._resolve_workload(workload),
+            budgets,
+            seeds=seeds or (self.seed,),
+            variant=self.variant,
+            workers=workers,
+            cache_dir=self.cache_dir,
+            stats=self.stats,
+            progress=self.progress,
+            **{**self.options_extra, **extra},
+        )
 
 
 def retune_sequence(

@@ -9,34 +9,22 @@ unit is an **entire advisor run**, and one :class:`ParallelEngine`
 A run itself never forks — run granularity is the only grain at which
 forked workers measurably pay (see README, "Parallelism").
 
-Determinism contract
---------------------
 ``run_sweep`` returns byte-identical :class:`AdvisorResult`\\ s at any
 worker count, each equal to ``Session(db, wl, seed=seed).tune(budget)``
-on a fresh session, because every unit is one
-:func:`repro.advisor.retune.run_isolated` call — see there for why a
-run that searches an already prepared stage equals one that prepares
-its own.  What the sweep decides is the stages and the cache objects:
-
-* **One prepared stage per seed per process.**  A sweep's units differ
-  in seed and budget only, and a budget shapes nothing preparation
-  builds, so the first unit of a seed a process runs prepares
-  (estimator, pool, plan table) and the seed's later units in that
-  process search the same stage.  A sequential sweep prepares once per
-  seed; a forked worker prepares once per seed it is handed, never more
-  often than a run-per-unit sweep would.  Stage lifetime == estimator
-  lifetime == the sweep job's.
-* Each stage gets a :meth:`fork_view` snapshot of the persistent caches
-  as they stood *before the sweep started* — whether it is prepared in
-  the parent (``workers=1``) or in a forked worker, it sees the
-  identical cache state; entries a sibling persists mid-sweep are
-  invisible.  The sweep never absorbs a view: fresh entries merge into
-  the shared cache directory when a unit's run saves them, so the
-  *next* sweep runs warm.
-* What-if cost entries are keyed on the statement x sized-structure
-  signatures (see :class:`repro.parallel.cache.CostCache`), so a cost
-  hit replays arithmetic that is identical by construction — a warm
-  cost cache can skip costing entirely without moving any result.
+on a fresh session, because every unit *is* such a call: a process
+keeps one :class:`~repro.advisor.retune.TuningSession` per seed (see
+there for the determinism contract), built on first use over the caches
+as they stood *before the sweep started*.  A sweep's units differ in
+seed and budget only, and a budget shapes nothing preparation builds,
+so a seed's first unit in a process prepares and its later units there
+search the same stage — a forked worker prepares once per seed it is
+handed, never more often than a run-per-unit sweep would.  Whether a
+unit runs in the parent (``workers=1``) or in a forked worker, it forks
+the identical pre-sweep state (cost entries an earlier seed of the same
+process absorbed ride along, but carry that seed's sample fingerprint
+and never hit); entries a sibling persists mid-sweep are invisible, and
+fresh entries reach the cache directory when a unit's run saves them,
+so the *next* sweep runs warm.
 
 Shared state that is *safe* to share — the database, the workload, and
 :class:`DatabaseStats` (a pure function of the data) — is built once
@@ -51,7 +39,7 @@ from typing import Sequence
 
 from repro.advisor import algorithms
 from repro.advisor.advisor import AdvisorResult, get_variant
-from repro.advisor.retune import HeldStage, run_isolated
+from repro.advisor.retune import TuningSession, check_budget
 from repro.catalog.schema import Database
 from repro.errors import AdvisorError
 from repro.parallel.cache import CostCache, EstimationCache
@@ -179,42 +167,27 @@ class _SweepJob:
         self.stats = stats
         self.estimation_cache = estimation_cache
         self.cost_cache = cost_cache
-        #: seed -> (held stage, estimate-cache view, cost-cache view),
-        #: per process: a forked worker starts from the parent's (empty,
-        #: when the sweep shards) and fills its own.
-        self._held: dict[int, tuple] = {}
+        #: seed -> session, per process: a forked worker starts from the
+        #: parent's (empty, when the sweep shards) and fills its own.
+        self._sessions: dict[int, TuningSession] = {}
 
     def run_unit(self, index: int, progress=None) -> AdvisorResult:
-        """Run one (seed, budget) unit over its seed's held stage —
-        prepared by this process's first unit of that seed against a
-        snapshot view of the pre-sweep cache state; identical in parent
-        and worker.
+        """Run one (seed, budget) unit on this process's session for
+        its seed.
 
         ``progress`` (parent-side sequential execution only — workers
         never carry a hook) forwards the unit's advisor events."""
         seed, budget = self.units[index]
-        if seed not in self._held:
-            self._held[seed] = (
-                HeldStage(),
-                self.estimation_cache.fork_view()
-                if self.estimation_cache is not None else None,
-                self.cost_cache.fork_view()
-                if self.cost_cache is not None else None,
+        session = self._sessions.get(seed)
+        if session is None:
+            session = self._sessions[seed] = TuningSession(
+                self.database, self.workload, variant=self.variant,
+                seed=seed, stats=self.stats, **self.options_extra,
             )
-        held, estimates, costs = self._held[seed]
-        return run_isolated(
-            self.database,
-            self.workload,
-            get_variant(self.variant).advisor_options(
-                budget, **self.options_extra
-            ),
-            seed=seed,
-            stats=self.stats,
-            estimates=estimates,
-            costs=costs,
-            progress=progress,
-            held=held,
-        )
+            session.estimates = self.estimation_cache
+            session.costs = self.cost_cache
+        session.progress = progress
+        return session.tune(budget)
 
 
 def _run_unit_task(job: _SweepJob, index: int) -> AdvisorResult:
@@ -271,8 +244,10 @@ def _run_sweep(
         )
     if not budgets:
         raise AdvisorError("run_sweep needs at least one budget")
+    budgets = [check_budget(f"budgets[{i}]", budget)
+               for i, budget in enumerate(budgets)]
     seeds = tuple(seeds) if seeds else (DEFAULT_SAMPLE_SEED,)
-    units = [(seed, float(budget)) for seed in seeds for budget in budgets]
+    units = [(seed, budget) for seed in seeds for budget in budgets]
 
     start = time.perf_counter()
     stats = stats or DatabaseStats(database)

@@ -1,28 +1,22 @@
 """Tuning-service contexts: one registered schema + workload pair.
 
 A :class:`ServiceContext` is everything the service needs to answer
-requests against one database: the catalog, the weighted workload,
-shared statistics, a estimator for the ``estimate_size`` endpoint, a
+requests against one database: the catalog, the weighted workload, one
+:class:`~repro.advisor.retune.TuningSession` its tune, retune and sweep
+jobs run through, an estimator for the ``estimate_size`` endpoint, a
 what-if optimizer for ``whatif_cost``, and the request executors the
 :class:`~repro.service.service.AdvisorService` queue dispatches to.
 
-Determinism contract: every ``tune``/``retune`` job (and every unit of
-a ``sweep``) is one :func:`repro.advisor.retune.run_isolated` call, so a
-served result is byte-identical to ``serialize_result(Session.tune())``
-no matter what ran before it or concurrently with it.  What the service
-varies is what a run reuses.  Each context holds the prepared stage of
-its latest tune/retune job (a :class:`~repro.advisor.retune.HeldStage`,
-as a session does): a job with the same statements, seed and
-pool-shaping options — the same job again, another budget, a retune
-onto a drifted phase — searches that stage; any other job prepares over
-a :meth:`fork_view` of the registration-time estimate snapshot (never
-absorbed — see ``_tune_estimates``) and a :meth:`fork_view` of the live
-cost cache, and replaces it.  The cost view a run costed through is
-absorbed back once the run is done.  A context runs on one lane (a
-single thread) and each ``--worker`` process has contexts of its own,
-so only one thread ever touches a stage; a cancel, deadline or fault
-unwinds at a progress event or a batch entry, leaving either no stage
-(while preparing) or a complete one.
+A job is payload validation, one call on the context's session, and
+:func:`serialize_result`; the session's determinism contract is the
+service's, so a served result is byte-identical to
+``serialize_result(Session.tune())`` no matter what ran before it or
+concurrently with it.  The session forks the registration-time snapshot
+of the service's estimate cache and the service's live cost cache.  A
+context runs on one lane (a single thread) and each ``--worker`` process
+has contexts of its own, so only one thread ever touches a session; a
+cancel, deadline or fault unwinds at a progress event or a batch entry,
+leaving either no stage (while preparing) or a complete one.
 """
 
 from __future__ import annotations
@@ -38,8 +32,7 @@ from repro.advisor.advisor import (
     get_variant,
     quantized_size_lookup,
 )
-from repro.advisor.retune import HeldStage, RetuneResult, run_isolated
-from repro.advisor.sweep import _run_sweep
+from repro.advisor.retune import RetuneResult, TuningSession, check_budget
 from repro.catalog.schema import Database
 from repro.compression.base import CompressionMethod
 from repro.errors import AdvisorError, ServiceError
@@ -85,15 +78,6 @@ def _as_finite(value) -> "float | None":
     except OverflowError:
         return None
     return number if math.isfinite(number) else None
-
-
-def _check_budget(name: str, value) -> float:
-    budget = _as_finite(value)
-    if budget is None or budget < 0:
-        raise ServiceError(
-            f"{name} must be a finite non-negative number, got {value!r}"
-        )
-    return budget
 
 
 def _check_seed(name: str, value) -> int:
@@ -225,8 +209,9 @@ class ServiceContext:
         database / workload: what to tune.
         stats: shared statistics (built once when omitted).
         estimation_cache / cost_cache: the service's persistent caches
-            (tune/sweep runs read fork views of them; the shared
-            estimator behind ``estimate_size`` reads them directly).
+            (the session's runs fork them; the shared estimator behind
+            ``estimate_size`` reads them directly).
+        cache_dir: the service's cache directory (a sweep reloads it).
         e, q: accuracy constraint of the shared estimator.
     """
 
@@ -246,20 +231,18 @@ class ServiceContext:
         self.name = name
         self.database = database
         self.workload = workload
-        self.stats = stats or DatabaseStats(database)
-        self.estimation_cache = estimation_cache
-        self.cost_cache = cost_cache
-        self.cache_dir = cache_dir
-        #: frozen registration-time snapshot the tune runs fork from.
-        #: The live ``estimation_cache`` keeps growing as the estimate
-        #: endpoint serves requests, and a *partially* warm estimate
-        #: cache can steer deduction planning — so tune runs must all
-        #: see the same estimate state no matter when they execute, or
-        #: concurrent-vs-sequential byte-identity would break.
-        self._tune_estimates = (
+        self.session = TuningSession(database, workload, stats=stats)
+        self.session.cache_dir = cache_dir
+        #: a frozen registration-time snapshot: the live
+        #: ``estimation_cache`` keeps growing as the estimate endpoint
+        #: serves requests, and every job must see the same estimates
+        #: no matter when it executes.
+        self.session.estimates = (
             estimation_cache.fork_view()
             if estimation_cache is not None else None
         )
+        self.session.costs = cost_cache
+        self.stats = self.session.stats
         #: shared estimator for the estimate/cost endpoints (default
         #: sampling seed — the same estimator wiring a plain
         #: ``TuningAdvisor`` would build).
@@ -270,9 +253,6 @@ class ServiceContext:
             database, self.stats, sizes=self._size_lookup,
         )
         self.base_config = default_base_configuration(database)
-        #: the latest tune/retune job's prepared stage (see the module's
-        #: determinism contract).
-        self.held = HeldStage()
 
     # ------------------------------------------------------------------
     def _size_lookup(self, index: IndexDef) -> tuple[float, float]:
@@ -294,17 +274,6 @@ class ServiceContext:
     # ------------------------------------------------------------------
     # request executors (synchronous; run on the service executor)
     # ------------------------------------------------------------------
-    def _budget_bytes(self, payload: dict) -> float:
-        if "budget_bytes" in payload:
-            return _check_budget("budget_bytes", payload["budget_bytes"])
-        if "budget_fraction" in payload:
-            return self.database.total_data_bytes() * _check_budget(
-                "budget_fraction", payload["budget_fraction"]
-            )
-        raise ServiceError(
-            "tune payload needs 'budget_bytes' or 'budget_fraction'"
-        )
-
     def _sweep_budgets(self, payload: dict) -> list[float]:
         """Every budget of a sweep payload in bytes, each checked like a
         tune's."""
@@ -322,7 +291,7 @@ class ServiceContext:
             raise ServiceError(
                 f"sweep {field!r} must be a non-empty list, got {values!r}"
             )
-        return [scale * _check_budget(f"{field}[{i}]", value)
+        return [scale * check_budget(f"{field}[{i}]", value)
                 for i, value in enumerate(values)]
 
     def _sweep_seeds(self, payload: dict) -> "list[int] | None":
@@ -366,65 +335,46 @@ class ServiceContext:
             raise ServiceError(str(exc)) from None
         return variant
 
-    def _resolve(self, payload: dict) -> "tuple[str, int, AdvisorOptions]":
-        """(variant, seed, options) of a tune/retune payload, validated
-        in that order: variant, options, seed, then budget.  The one
-        validation path of a tuning payload: a bad one fails here with a
-        :class:`ServiceError`, at submission for a job."""
+    def _resolve(self, payload: dict) -> "tuple[str, int, dict]":
+        """(variant, seed, the session call's budget and option
+        keywords) of a tune/retune payload, validated in that order:
+        variant, options, seed, then budget.  The one validation path
+        of a tuning payload: a bad one fails here, at submission for a
+        job."""
         variant = self._variant(payload)
         extra = self._advisor_extra(payload)
         seed = _check_seed("seed", payload.get("seed", DEFAULT_SAMPLE_SEED))
-        options = get_variant(variant).advisor_options(
-            self._budget_bytes(payload), **extra
+        for field in ("budget_bytes", "budget_fraction"):
+            if field in payload:
+                extra[field] = check_budget(field, payload[field])
+                return variant, seed, extra
+        raise ServiceError(
+            "tune payload needs 'budget_bytes' or 'budget_fraction'"
         )
-        return variant, seed, options
 
-    def _run(self, resolved, workload: Workload, previous,
-             progress) -> "tuple[AdvisorResult, dict]":
-        """One isolated run of a :meth:`_resolve`\\ d payload over the
-        context's held stage — or, when the run prepares, over fresh
-        fork views of the service's caches — and its serialized
-        envelope."""
-        variant, seed, options = resolved
-        estimates = cost_view = None
-        if self.held.reusable(workload, options, seed) is None:
-            if self._tune_estimates is not None:
-                estimates = self._tune_estimates.fork_view()
-            if self.cost_cache is not None:
-                cost_view = self.cost_cache.fork_view()
-        result = run_isolated(
-            self.database,
-            workload,
-            options,
-            seed=seed,
-            stats=self.stats,
-            estimates=estimates,
-            costs=cost_view,
-            previous=previous,
-            progress=progress,
-            held=self.held,
-        )
-        if self.cost_cache is not None:
-            # The view this run costed through: its own, or the one the
-            # held stage was prepared with.  Cost entries replay
-            # identical arithmetic by construction (sized keys), so
-            # warming later runs is result-neutral, and absorbing a
-            # view twice only re-offers keys already there.
-            self.cost_cache.absorb(self.held.stage.whatif.cost_cache)
+    def _session(self, variant: str, seed: int, progress) -> TuningSession:
+        """The context's session, set to one job's variant, seed and
+        hook (on the context's lane)."""
+        session = self.session
+        session.variant, session.seed, session.progress = \
+            variant, seed, progress
+        return session
+
+    def _envelope(self, result: AdvisorResult) -> dict:
         out = serialize_result(result)
         out["context"] = self.name
-        out["variant"] = variant
-        out["seed"] = seed
-        return result, out
+        out["variant"] = self.session.variant
+        out["seed"] = self.session.seed
+        return out
 
     def run_tune(self, payload: dict, progress=None) -> dict:
-        """One advisor run (see the module's determinism contract).
+        """One advisor run on the context's session.
 
         ``progress`` threads the job layer's event hook into the
         advisor (one event per greedy step)."""
-        return self._run(
-            self._resolve(payload), self.workload, None, progress
-        )[1]
+        variant, seed, call = self._resolve(payload)
+        session = self._session(variant, seed, progress)
+        return self._envelope(session.tune(workload=self.workload, **call))
 
     # ------------------------------------------------------------------
     # continuous tuning (the recurring retune job kind)
@@ -508,24 +458,31 @@ class ServiceContext:
             payload["generation"] = 1
 
     def run_retune(self, payload: dict, progress=None) -> dict:
-        """One incremental retune, isolated exactly like
-        :meth:`run_tune`.  The previous configuration comes from the
-        payload (``from_config``, resolved at submission); without one
-        this is the cold first generation, diffed against the untuned
-        base.  The result carries a ``retune`` section (generation,
-        diff, drift) and the event stream gets the
+        """One incremental retune on the context's session, from the
+        payload's previous configuration (``from_config`` and
+        ``generation``, resolved at submission and journaled — never the
+        session's own, which a worker or a restarted service does not
+        have).  Without one this is the cold first generation, diffed
+        against the untuned base.  The result carries a ``retune``
+        section (generation, diff, drift) and the event stream gets the
         :meth:`RetuneResult.events`."""
-        resolved = self._resolve(payload)
+        variant, seed, call = self._resolve(payload)
         workload, drift_info = self._drift_workload(payload)
         previous = self._previous_configuration(payload)
-        result, out = self._run(resolved, workload, previous, progress)
-        delta = RetuneResult.from_run(
-            previous or self.base_config, result,
-            payload.get("generation", 1),
-        )
-        if progress is not None:
-            for event in delta.events():
-                progress(event)
+        session = self._session(variant, seed, progress)
+        session.configuration = previous
+        session.generation = payload.get("generation", 1) - 1
+        if previous is not None:
+            delta = session.retune(workload=workload, **call)
+        else:
+            delta = RetuneResult.from_run(
+                self.base_config, session.tune(workload=workload, **call),
+                session.generation,
+            )
+            if progress is not None:
+                for event in delta.events():
+                    progress(event)
+        out = self._envelope(delta.result)
         out["retune"] = {
             "generation": delta.generation,
             "config_changed": delta.config_changed,
@@ -549,20 +506,11 @@ class ServiceContext:
 
     def run_sweep(self, payload: dict, workers: int = 1,
                   progress=None) -> dict:
-        """A whole budget sweep / seed ablation as one unit (the sweep
-        module owns per-unit isolation), ``workers`` advisor runs in
-        flight at once."""
+        """A whole budget sweep / seed ablation as one unit, ``workers``
+        advisor runs in flight at once."""
         variant, budgets, seeds, extra = self._resolve_sweep(payload)
-        sweep = _run_sweep(
-            self.database,
-            self.workload,
-            budgets,
-            seeds=seeds,
-            variant=variant,
-            stats=self.stats,
-            workers=workers,
-            cache_dir=self.cache_dir,
-            progress=progress,
+        sweep = self._session(variant, DEFAULT_SAMPLE_SEED, progress).sweep(
+            budgets, seeds=seeds, workers=workers, workload=self.workload,
             **extra,
         )
         runs = []

@@ -12,8 +12,8 @@ Three properties the stress tests pin down:
 
 * **Determinism.**  Requests execute strictly one at a time *per
   context* (each context's scheduler lane is a single worker thread),
-  and every tuning run is one ``run_isolated`` call over the context's
-  held stage or, when it prepares, cache fork views (see
+  and every tuning run is one call on the context's
+  :class:`~repro.advisor.retune.TuningSession` (see
   :mod:`repro.service.context`), so responses are byte-identical to
   sequential :meth:`TuningAdvisor.run` calls at any concurrency
   level — the answer a client gets can never depend on what other

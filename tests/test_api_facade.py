@@ -3,6 +3,9 @@
 functional one-shot ``repro.api.tune``.
 """
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from repro.advisor import AdvisorOptions
@@ -53,6 +56,21 @@ class TestSession:
             Session(db, wl, variant="dtac-none").tune()
         with pytest.raises(AdvisorError, match="no workload"):
             Session(db, budget_fraction=0.1).tune()
+        # The service's rule: a real number (not a bool), finite and
+        # non-negative — at construction and per call alike.
+        for field, value in (("budget_fraction", math.nan),
+                             ("budget_fraction", math.inf),
+                             ("budget_bytes", -5.0),
+                             ("budget_bytes", "10"),
+                             ("budget_bytes", True),
+                             ("budget_bytes", 10 ** 400)):
+            with pytest.raises(AdvisorError, match=field):
+                Session(db, wl, **{field: value})
+            with pytest.raises(AdvisorError, match=field):
+                Session(db, wl).tune(**{field: value})
+        # ...and any other real number passes (as numpy scalars do).
+        Session(db, wl, budget_bytes=Fraction(1, 4))
+        Session(db, wl, budget_fraction=0)
 
     def test_workers_is_not_a_tuning_option(self, inputs):
         """Parallelism belongs to ``sweep(workers=)`` alone: a tune
@@ -107,5 +125,5 @@ class TestSession:
             call()
             by_mode[mode] = list(drawn)
         assert by_mode.pop("retune") == []
-        assert session.held.stage.estimator.manager.seed == 7
+        assert session.stage.estimator.manager.seed == 7
         assert by_mode == {mode: [7] for mode in by_mode}

@@ -2,7 +2,7 @@
 
 Every way of asking for a recommendation — ``Session.tune``, a served
 ``tune`` job, a one-unit sweep, a cold served ``retune`` — is the same
-:func:`repro.advisor.retune.run_isolated` call and must serialize to the
+:meth:`repro.advisor.retune.TuningSession._run` call and must serialize to the
 same bytes, with or without a persistent cache directory; and a retune
 is the same retune (diff *and* event stream) whether the library or the
 service runs it.
@@ -187,7 +187,7 @@ class _Recorded:
 
     @property
     def stage(self):
-        return self.session.held.stage
+        return self.session.stage
 
     def samplecf_runs(self) -> int:
         return self.stage.estimator.runner.run_count
@@ -412,8 +412,8 @@ def test_run_after_an_aborted_run_equals_a_fresh_session(inputs, delta):
         assert session.configuration is None and session.generation == 0
         # Events 1 and 2 arrive while preparing; from "enumeration" on
         # the stage is complete.
-        assert (session.held.stage is None) == (n <= 2), n
-        kept = session.held.stage
+        assert (session.stage is None) == (n <= 2), n
+        kept = session.stage
         # The next run gets its own hook: a stage holds none.
         hook.events = None
         events: list = []
@@ -422,7 +422,7 @@ def test_run_after_an_aborted_run_equals_a_fresh_session(inputs, delta):
         assert _canon(serialize_result(result)) == expected[0], n
         assert events == stream, n
         if kept is not None:
-            assert session.held.stage is kept
+            assert session.stage is kept
             assert result.cache_stats["misses"] == 0
 
 
@@ -484,7 +484,7 @@ def test_served_jobs_over_a_held_stage_equal_fresh_contexts(
     b1, b2 = _budgets(inputs)
     served = _Served(inputs, cache_dir, delta=delta)
     first = served.run("tune", budget_bytes=b1)
-    stage = served.context.held.stage
+    stage = served.context.session.stage
     assert stage is not None
     second_kind, second_fields = {
         "same": ("tune", dict(budget_bytes=b1)),
@@ -500,7 +500,7 @@ def test_served_jobs_over_a_held_stage_equal_fresh_contexts(
         second_kind, **second_fields
     )
     assert second[:2] == fresh[:2]
-    held = served.context.held.stage
+    held = served.context.session.stage
     if sequence == "seed":
         assert held is not stage
         assert held.estimator.manager.seed == SEED + 1

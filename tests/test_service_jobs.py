@@ -363,10 +363,10 @@ class TestHeldStageAcrossJobs:
                 victim = submit(service)
                 await self._finish(service, victim)
                 context.run_tune = original
-                left = context.held.stage
+                left = context.session.stage
                 record = service.submit_job("tune", "sales", TUNE)
                 events = await self._finish(service, record)
-                return (victim.snapshot(), left, context.held.stage,
+                return (victim.snapshot(), left, context.session.stage,
                         record.snapshot(), events)
             finally:
                 context.run_tune = original

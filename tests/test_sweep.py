@@ -132,6 +132,9 @@ class TestSweepEquivalence:
             run_sweep(db, wl, budgets, variant=VARIANT, budget_bytes=1.0)
         with pytest.raises(AdvisorError, match="at least one budget"):
             run_sweep(db, wl, [], variant=VARIANT)
+        for bad in (float("nan"), -5.0, float("inf"), "10", True):
+            with pytest.raises(AdvisorError, match=r"budgets\[1\]"):
+                run_sweep(db, wl, [budgets[0], bad], variant=VARIANT)
 
 
 class TestSweepCaches:
