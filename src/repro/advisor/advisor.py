@@ -83,9 +83,9 @@ class AdvisorOptions:
 
     ``delta_costing`` routes enumeration costing through the
     delta-aware :class:`~repro.optimizer.delta.DeltaWorkloadCoster`
-    (terms rebuilt from the prepared stage's plan table, bound-based
-    candidate pruning); recommendations are byte-identical with it on
-    or off — off only costs time.
+    (terms rebuilt from the prepared stage's plan table, zero-delta
+    certificates); recommendations are byte-identical with it on or
+    off — off only costs time.
     Persistent caches are not an option: every run belongs to a
     :class:`~repro.api.Session`, whose holder (the library, a service
     context, a sweep) picks the caches its runs fork.
@@ -100,9 +100,7 @@ class AdvisorOptions:
     strategy: str = "greedy"  # 'greedy' | 'density'
     backtracking: bool = False
     seed_fanout: int = 3
-    #: greedy acceptance threshold (relative cost drop); also the scale
-    #: of the delta coster's bound pruning — coarser values prune more
-    #: candidates before they are ever costed.
+    #: greedy acceptance threshold (relative cost drop).
     min_improvement: float = 1e-4
     enable_partial: bool = False
     enable_mv: bool = False
@@ -296,11 +294,9 @@ class TuningAdvisor:
         self._algorithm_cls = algorithms.get(options.algorithm)
         if algorithm_cls is not None:
             self._algorithm_cls = algorithm_cls
-        #: structures injected into the enumeration pool (and therefore
-        #: the delta coster's registered universe) beyond what candidate
-        #: generation finds — retunes pass the previous configuration's
-        #: members so drops can be re-added and pruning bounds stay
-        #: sound over the carried-over configuration.
+        #: structures injected into the enumeration pool beyond what
+        #: candidate generation finds — retunes pass the previous
+        #: configuration's members so drops can be re-added.
         self._extra_candidates = list(extra_candidates or ())
         self.progress = progress
         #: the prepared stage: the one handed in, else None until
@@ -345,7 +341,7 @@ class TuningAdvisor:
             ix.table: self._index_size(ix) for ix in self.base_config
         }
         #: this run's delta-aware workload coster: its weights,
-        #: reference, floors and counters are per run; its plan tables
+        #: reference and counters are per run; its plan tables
         #: are the stage's (fresh ones until there is a stage), whose
         #: keys do not embed sizes — they live and die with the
         #: estimator.
@@ -377,8 +373,8 @@ class TuningAdvisor:
         """Every structure enumeration could ever place in a
         configuration: the pool, the base structures, and the method
         variants the polish/backtracking phases may introduce — the
-        closure the delta coster's lower bounds must cover to stay
-        sound."""
+        secondaries the delta coster batches into one kernel call per
+        table and base."""
         methods = [CompressionMethod.NONE]
         if self.options.enable_compression or self.options.backtracking:
             methods += [CompressionMethod.ROW, CompressionMethod.PAGE]
@@ -424,7 +420,7 @@ class TuningAdvisor:
     def _size_if_known(self, index: IndexDef) -> "tuple[float, float] | None":
         """(bytes, rows) exactly as the optimizer's size lookup would
         report — but only when answering requires no new estimation
-        work, so the delta coster's lower bounds can never reorder
+        work, so the delta coster's probe batches can never reorder
         estimation between the delta-on and delta-off paths."""
         est = self.estimator.peek(index)
         if est is None:
@@ -616,9 +612,8 @@ class TuningAdvisor:
         #     pool member surfaces again — but not the method variants
         #     backtracking and polish introduced, nor anything chosen
         #     for an earlier, different statement set.  The search must
-        #     still be able to keep or re-add those, and the delta
-        #     coster's universe must cover them for its pruning floors
-        #     to be sound.  They join this run's copy of the pool only.
+        #     still be able to keep or re-add those.  They join this
+        #     run's copy of the pool only.
         if self._extra_candidates:
             seeded = [
                 ix for ix in dict.fromkeys(self._extra_candidates)

@@ -50,11 +50,6 @@ class AnytimeGreedyAlgorithm(SelectionAlgorithm):
             },
         }
 
-    def _bound_pruning_safe(self) -> bool:
-        # Same argument as the default algorithm's pure-greedy path:
-        # acceptance is best-feasible-above-threshold, no backtracking.
-        return self.options.strategy == "greedy"
-
     def run(self, pool: list[IndexDef],
             base_config: Configuration) -> EnumerationResult:
         self._rebase(base_config)

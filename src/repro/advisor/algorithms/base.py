@@ -14,9 +14,8 @@ base class owns everything the strategies share:
   (Appendix D.2);
 * progress events (``_emit`` / ``_emit_step``) — the tuning service's
   cancellation path rides these hooks;
-* delta-coster integration (``_rebase`` / ``_candidate_costs``) with
-  bound-based pruning gated per algorithm (only decision-identical
-  under pure-greedy acceptance);
+* delta-coster integration (``_rebase`` / ``_candidate_costs``, which
+  skips the candidates a zero-delta certificate proves unchanged);
 * per-statement benefit attribution (``_attributed_benefits``), shared
   by the knapsack and relaxation strategies;
 * the **moves** — each written once; a strategy's ``run`` is an ordering
@@ -33,8 +32,8 @@ base class owns everything the strategies share:
     usage/density-ordered drops until the budget fits, then cost-checked
     single removals;
   - ``_floor_at_base`` — never return worse than doing nothing;
-  - ``_accept`` / ``_accept_threshold`` / ``_prune_threshold`` /
-    ``_result`` — the step record, the two thresholds, the result.
+  - ``_accept`` / ``_accept_threshold`` / ``_result`` — the step
+    record, the acceptance threshold, the result.
 
 Concrete strategies register with :func:`register` and are resolved by
 name through :func:`get`; ``names()`` lists the valid set.
@@ -135,11 +134,8 @@ class IndexBenefit:
 class SelectionAlgorithm:
     """Abstract search strategy over the advisor's candidate pool.
 
-    Subclasses set :attr:`name` / :attr:`summary`, implement
-    :meth:`run`, and may override :meth:`_bound_pruning_safe` when their
-    acceptance rule makes the delta coster's bound pruning
-    decision-identical (pure-greedy only; zero-delta certificates are
-    exact under every strategy and always apply).
+    Subclasses set :attr:`name` / :attr:`summary` and implement
+    :meth:`run`.
     """
 
     #: registry key (``AdvisorOptions.algorithm``); None = abstract.
@@ -175,16 +171,9 @@ class SelectionAlgorithm:
             lambda configs: [self.workload_cost(c) for c in configs]
         )
         self.query_cost_batch = query_cost_batch
-        #: optional DeltaWorkloadCoster: candidate pruning + reference
-        #: rebasing.  Bound-based pruning is only decision-identical to
-        #: the full path under pure-greedy acceptance (a pruned
-        #: candidate can then only ever be chosen-and-rejected below
-        #: min_improvement, which leaves the same search state);
-        #: zero-delta certificates are exact under every strategy.
+        #: optional DeltaWorkloadCoster: zero-delta certificates +
+        #: reference rebasing.
         self.delta = delta
-        self._prune_bounds = (
-            delta is not None and self._bound_pruning_safe()
-        )
 
     # -- registry metadata ---------------------------------------------
     @classmethod
@@ -203,12 +192,6 @@ class SelectionAlgorithm:
                 "description": "relative cost-drop acceptance threshold",
             },
         }
-
-    def _bound_pruning_safe(self) -> bool:
-        """Whether the delta coster's bound pruning is decision-
-        identical for this algorithm's acceptance rule.  Conservative
-        default: no (zero-delta certificates still apply)."""
-        return False
 
     # ------------------------------------------------------------------
     def consumed(self, config: Configuration) -> float:
@@ -269,19 +252,16 @@ class SelectionAlgorithm:
             self.delta.rebase(config)
 
     def _candidate_costs(
-        self,
-        candidates: Sequence[Configuration],
-        threshold: float | None,
+        self, candidates: Sequence[Configuration]
     ) -> "list[float | None]":
-        """Costs of a candidate sweep, with None for candidates the
-        delta coster proves cannot improve on the reference — the full
-        path would compute ``delta_cost <= 0`` (zero-delta certificate)
-        or an improvement below the acceptance threshold (bound prune),
-        and skip them identically."""
+        """Costs of a candidate sweep, with None for candidates a
+        zero-delta certificate proves cost exactly the reference — the
+        full path would compute ``delta_cost == 0`` and skip them
+        identically.  The survivors are costed in one batch."""
         if self.delta is None:
             return list(self.batch_cost(candidates))
         decisions = [
-            self.delta.improvement_possible(candidate, threshold)
+            self.delta.improvement_possible(candidate)
             for candidate in candidates
         ]
         survivors = [
@@ -370,17 +350,6 @@ class SelectionAlgorithm:
     def _accept_threshold(self, cost: float) -> float:
         """Smallest cost drop from ``cost`` a step must achieve."""
         return self.options.min_improvement * max(cost, 1e-9)
-
-    def _prune_threshold(self, cost: float) -> "float | None":
-        """Bound-pruning cut-off for a sweep from ``cost`` (None when
-        bound pruning is off for this algorithm): half the acceptance
-        threshold.  The slack covers float accumulation differences
-        between the optimistic bound and the full path's total, so a
-        pruned move could at most be chosen-and-rejected below
-        min_improvement."""
-        if not self._prune_bounds:
-            return None
-        return 0.5 * self._accept_threshold(cost)
 
     def _accept(self, kind: str, label: str, config: Configuration,
                 cost: float, steps: "list[str]",
@@ -478,13 +447,9 @@ class SelectionAlgorithm:
             # A cancellation point even when no step gets accepted:
             # every candidate sweep reports in before costing.
             self._emit("sweep", candidates=len(moves), cost=current_cost)
-            candidates = [candidate for _ix, candidate in moves]
-            if self._prune_bounds and backtrack:
-                costs = self._rescue_candidate_costs(candidates, current_cost)
-            else:
-                costs = self._candidate_costs(
-                    candidates, self._prune_threshold(current_cost)
-                )
+            costs = self._candidate_costs(
+                [candidate for _ix, candidate in moves]
+            )
             feasible, recovered = self._score_adds(
                 moves, costs, current, current_cost, backtrack
             )
@@ -512,88 +477,6 @@ class SelectionAlgorithm:
             )
             current, current_cost = new_config, new_cost
         return current, current_cost
-
-    def _rescue_candidate_costs(
-        self, candidates: list, current_cost: float
-    ) -> list:
-        """Bound pruning for the *backtracking* sweep (the PR 3 open
-        question): costs in candidate order, None for provably
-        invisible candidates.
-
-        Backtracking consumes a sweep through two channels — the best
-        feasible pick and the best pick *including oversized ones*,
-        whose Figure-8 recovery compresses current members and can
-        therefore unlock improvements beyond the candidate's own delta.
-        A cap below the acceptance threshold is no longer a safe prune
-        by itself: the pruned candidate could have been the channel
-        maximum.  So the sweep defers low-cap candidates, costs the
-        rest, and then *rescues* (costs after all) every deferred
-        candidate whose cap does not lose **strictly** to a costed
-        survivor in each channel it can enter:
-
-        * best-any channel: rescued unless some survivor's delta
-          strictly exceeds the cap (ties rescue — pool order decides
-          ties, and the candidate could be earlier);
-        * best-feasible channel (fitting candidates only): same test
-          against the best *fitting* survivor delta.
-
-        A candidate left pruned has ``delta <= cap <`` both channel
-        maxima, so under greedy scoring (score == delta) it can win
-        neither selection — the sweep's outcome, tie-breaks included,
-        is decision-identical to costing everything.  Rescued deltas
-        are bounded by their caps, which lose to the precomputed
-        maxima, so rescue can never shift the maxima and one pass
-        suffices."""
-        delta = self.delta
-        threshold = self._prune_threshold(current_cost)
-        costs: list = [None] * len(candidates)
-        deferred: list[int] = []
-        to_cost: list[int] = []
-        caps: dict[int, float] = {}
-        for i, candidate in enumerate(candidates):
-            if not delta.improvement_possible(candidate, None):
-                continue  # zero-delta certificate: exact per strategy
-            cap = delta.improvement_cap(candidate)
-            if cap is not None and cap < threshold:
-                caps[i] = cap
-                deferred.append(i)
-            else:
-                to_cost.append(i)
-        for i, cost in zip(
-            to_cost, self.batch_cost([candidates[i] for i in to_cost])
-        ):
-            costs[i] = cost
-        if not deferred:
-            return costs
-        max_any = None
-        max_fit = None
-        for i in to_cost:
-            gain = current_cost - costs[i]
-            if gain <= 0:
-                continue
-            if max_any is None or gain > max_any:
-                max_any = gain
-            if self.fits(candidates[i]) and (
-                max_fit is None or gain > max_fit
-            ):
-                max_fit = gain
-        rescued: list[int] = []
-        for i in deferred:
-            cap = caps[i]
-            if max_any is None or cap >= max_any:
-                rescued.append(i)
-            elif self.fits(candidates[i]) and (
-                max_fit is None or cap >= max_fit
-            ):
-                rescued.append(i)
-        for i, cost in zip(
-            rescued, self.batch_cost([candidates[i] for i in rescued])
-        ):
-            costs[i] = cost
-        pruned = len(deferred) - len(rescued)
-        if pruned:
-            delta.note_bound_pruned(pruned)
-        return costs
 
     def _backtrack(self, oversized: Configuration) -> Configuration | None:
         """Figure 8: repeatedly swap members to compressed variants,

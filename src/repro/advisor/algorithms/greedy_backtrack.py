@@ -64,18 +64,6 @@ class GreedyBacktrackAlgorithm(SelectionAlgorithm):
             },
         }
 
-    def _bound_pruning_safe(self) -> bool:
-        # Greedy scoring only: score == delta_cost, so a candidate whose
-        # optimistic cap is strictly below a costed survivor's delta can
-        # win neither selection channel.  Without backtracking that
-        # yields the plain threshold prune; with backtracking the sweep
-        # routes through the rescue prune (see
-        # ``_rescue_candidate_costs``), which additionally protects the
-        # best-oversized channel.  Density scoring stays unpruned: its
-        # score is delta/size, so a tiny-delta candidate can outrank
-        # arbitrarily large deltas.
-        return self.options.strategy == "greedy"
-
     def run(self, pool: list[IndexDef],
             base_config: Configuration) -> EnumerationResult:
         """Search for the best configuration reachable from
@@ -111,20 +99,14 @@ class GreedyBacktrackAlgorithm(SelectionAlgorithm):
         """Top ``seed_fanout`` feasible first moves (by score), plus a
         backtrack-recovery of the best oversized move when enabled."""
         moves = self._add_moves(pool, base)
-        # Zero-delta certificates only: bound pruning could drop a
-        # tiny-improvement move that the full path would still seed a
-        # greedy start from when fewer than ``seed_fanout`` moves score.
-        costs = self._candidate_costs(
-            [candidate for _ix, candidate in moves], None
-        )
+        costs = self._candidate_costs([candidate for _ix, candidate in moves])
         feasible, recovered = self._score_adds(
             moves, costs, base, base_cost, self.options.backtracking
         )
         feasible.sort(key=lambda entry: -entry[0])
-        fanout = max(1, self.options.seed_fanout)
         starts = [
             (cost, config, f"add {ix.display_name()}")
-            for _score, cost, config, ix in feasible[:fanout]
+            for _score, cost, config, ix in feasible[:self.options.seed_fanout]
         ]
         if recovered is not None:
             starts.append((*recovered, "backtrack-recover"))

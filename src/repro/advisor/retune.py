@@ -38,7 +38,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from repro.advisor.advisor import (
     AdvisorOptions,
@@ -88,10 +88,6 @@ class _RetuneSearch(SelectionAlgorithm):
     def __init__(self, previous: Configuration, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.previous = previous
-
-    def _bound_pruning_safe(self) -> bool:
-        # The re-fill is the default algorithm's fill: same verdict.
-        return self.options.strategy == "greedy"
 
     def run(self, pool: list[IndexDef],
             base_config: Configuration) -> EnumerationResult:
@@ -316,6 +312,30 @@ def check_budget(name: str, value) -> float:
     return budget
 
 
+def check_options(options: Mapping) -> None:
+    """The one rule for advisor option values that type-check but mean
+    nothing, over whichever of them ``options`` names: ``strategy`` is
+    ``"greedy"`` or ``"density"``; ``top_k``, ``max_key_columns`` and
+    ``seed_fanout`` are integers >= 1 (a bool is not one);
+    ``min_improvement`` is a budget-like number (:func:`check_budget`).
+    :class:`AdvisorError` names the first bad field.  The session,
+    :func:`repro.api.run_sweep` and the service apply it."""
+    if options.get("strategy", "greedy") not in ("greedy", "density"):
+        raise AdvisorError(
+            f"strategy must be 'greedy' or 'density', "
+            f"got {options['strategy']!r}"
+        )
+    for name in ("top_k", "max_key_columns", "seed_fanout"):
+        value = options.get(name, 1)
+        if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral
+        ) or value < 1:
+            raise AdvisorError(f"{name} must be an integer >= 1, "
+                               f"got {value!r}")
+    if "min_improvement" in options:
+        check_budget("min_improvement", options["min_improvement"])
+
+
 def _fork(cache):
     return cache.fork_view() if cache is not None else None
 
@@ -391,6 +411,7 @@ class TuningSession:
         self.stats = stats or DatabaseStats(database)
         self.progress = progress
         self.options_extra = dict(options_extra)
+        check_options(self.options_extra)
         self._default_budget = self._resolve_budget(
             budget_bytes, budget_fraction, required=False
         )
@@ -456,13 +477,12 @@ class TuningSession:
         becomes the session's configuration.  ``previous`` makes it an
         incremental retune: the search is :class:`_RetuneSearch` seeded
         there, over a pool guaranteed to hold every previous member (so
-        re-fill can re-add a dropped structure and the delta coster's
-        pruning bounds stay sound over the carried configuration)."""
+        re-fill can re-add a dropped structure)."""
         workload = self._resolve_workload(workload)
-        options = get_variant(self.variant).advisor_options(
-            self._resolve_budget(budget_bytes, budget_fraction),
-            **{**self.options_extra, **extra},
-        )
+        budget = self._resolve_budget(budget_bytes, budget_fraction)
+        extra = {**self.options_extra, **extra}
+        check_options(extra)
+        options = get_variant(self.variant).advisor_options(budget, **extra)
         if self.stage is not None and \
                 self.stage.key != stage_key(workload, options, self.seed):
             self.stage = None  # dropped before its replacement is built
@@ -551,6 +571,7 @@ class TuningSession:
         workload = self._resolve_workload(workload)
         budget = self._resolve_budget(budget_bytes, budget_fraction)
         extra = {**self.options_extra, **extra}
+        check_options(extra)
         return _tune_decoupled(
             self.database,
             workload,

@@ -39,7 +39,7 @@ from typing import Sequence
 
 from repro.advisor import algorithms
 from repro.advisor.advisor import AdvisorResult, get_variant
-from repro.advisor.retune import TuningSession, check_budget
+from repro.advisor.retune import TuningSession, check_budget, check_options
 from repro.catalog.schema import Database
 from repro.errors import AdvisorError
 from repro.parallel.cache import CostCache, EstimationCache
@@ -237,6 +237,7 @@ def _run_sweep(
     """
     get_variant(variant)
     algorithms.get(options_extra.get("algorithm", algorithms.DEFAULT_ALGORITHM))
+    check_options(options_extra)
     if "budget_bytes" in options_extra:
         raise AdvisorError(
             "pass budgets as the run_sweep argument, not 'budget_bytes' "

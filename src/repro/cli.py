@@ -80,15 +80,11 @@ def cmd_tune(args) -> int:
               f"{ks.get('shape_entries', 0)} memoized shapes")
     ds = result.delta_stats
     if ds:
-        # .get guards: full-recost runs and older stats payloads carry
-        # no pruning counters, and the summary line must never crash
-        # the CLI over a missing key.
-        pruned = (ds.get("pruned_zero_delta", 0)
-                  + ds.get("pruned_bound", 0))
-        print(f"delta costing: {ds.get('reused_terms', 0)} terms reused, "
-              f"{ds.get('patched_terms', 0)} plan-patched, "
-              f"{ds.get('full_recosts', 0)} full recosts, "
-              f"{pruned} candidates pruned")
+        print(f"delta costing: {ds['reused_terms']} terms reused, "
+              f"{ds['patched_terms']} plan-patched, "
+              f"{ds['full_recosts']} full recosts, "
+              f"{ds['pruned_zero_delta']} candidates pruned by "
+              "zero-delta certificates")
     else:
         print(f"full recost: {result.optimizer_calls} optimizer calls "
               "(delta costing off)")

@@ -58,40 +58,22 @@ single float:
   :meth:`WhatIfOptimizer.cost_with_plans`, which owns the statement
   cache and the persistent :class:`~repro.parallel.cache.CostCache`.
 
-* **Bound-based candidate pruning.**  Per statement the coster
-  maintains a lower bound — the cheapest cost any enumerable
-  configuration could achieve, derived from the cost model over the
-  registered candidate universe (every structure's best access plan
-  under every possible base, optimistic join/group terms, matching MV
-  substitutions; the classic AutoAdmin "atomic configuration" trick).
-  ``improvement_possible`` lets the enumerator skip candidates whose
-  optimistic total already loses to the current cost without costing
-  them at all.  Two prune classes, both decision-identical to the full
-  path by construction:
-
-  - *zero-delta certificates* (always on): every affected statement is
-    a SELECT whose probes all strictly lose — the candidate's total is
-    bit-identical to the current cost, so the full path would compute
-    ``delta_cost == 0`` and skip it anyway.
-  - *bound pruning* (enabled by the enumerator only where provably
-    safe: greedy scoring): the candidate's optimistic improvement is
-    below half the enumerator's ``min_improvement`` acceptance
-    threshold, so even if costed it could only be chosen-and-rejected,
-    which leaves the search state exactly where pruning does.  Under
-    backtracking the enumerator instead combines
-    :meth:`~DeltaWorkloadCoster.improvement_cap` with a rescue sweep
-    (see ``SelectionAlgorithm._rescue_candidate_costs``) so the
-    best-oversized recovery channel stays decision-identical too.
+* **Zero-delta certificates.**  :meth:`improvement_possible` lets the
+  enumerator skip a pure add without costing it when every affected
+  statement is a SELECT whose probes all strictly lose: the
+  candidate's total is bit-identical to the current cost, so the full
+  path would compute ``delta_cost == 0`` and skip it anyway.  Exact
+  under every search strategy.
 
 Determinism contract: recommendations with delta costing on are
 byte-identical to the full-recost path at any worker count.  A term is
 only ever rebuilt from plans that are *provably the bit-identical
-plans* the full path would choose; pruning only ever skips work whose
-outcome is provably invisible.
+plans* the full path would choose; a certificate only ever skips work
+whose outcome is provably invisible.
 
 State comes in two lifetimes.  A **coster** is per-run state: its
-weights, reference, floors, caps and counters belong to one search and
-are never shared.  The :class:`PlanTables` under it are weight-,
+weights, reference and counters belong to one search and are never
+shared.  The :class:`PlanTables` under it are weight-,
 budget- and reference-free — every entry a pure function of its key
 under one optimizer's sizes and statistics — so any number of costers
 over the same statement sequence (a rerun, another budget or algorithm,
@@ -125,7 +107,6 @@ from repro.physical.configuration import Configuration, structure_order_key
 from repro.physical.index_def import IndexDef
 from repro.stats.selectivity import conjunction_selectivity
 from repro.storage.index_build import IndexKind
-from repro.storage.page import PAGE_SIZE
 from repro.workload.query import (
     DeleteQuery,
     InsertQuery,
@@ -138,7 +119,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with whatif
     from repro.optimizer.whatif import WhatIfOptimizer
 
 #: sentinel distinguishing "not yet computed" from a computed None
-#: (an unusable plan, an unavailable cap).
+#: (an unusable plan).
 _UNPROBED = object()
 
 _INF = math.inf
@@ -153,16 +134,14 @@ class _RefVector:
     table — inf where there is none to lose to (a maintenance
     statement, an MV substitution).  ``reusable`` is ``chosen`` with
     inf also where an MV is in the statement's scope: reuse needs a
-    recost there, the zero-delta certificate does not.  ``cap`` is the
-    table's ``Σ reference term − floor``, summed on first demand."""
+    recost there, the zero-delta certificate does not."""
 
-    __slots__ = ("stmts", "chosen", "reusable", "cap")
+    __slots__ = ("stmts", "chosen", "reusable")
 
     def __init__(self, stmts, chosen, reusable) -> None:
         self.stmts = stmts
         self.chosen = chosen
         self.reusable = reusable
-        self.cap = _UNPROBED
 
 
 def _sole_addition(added, removed) -> "IndexDef | None":
@@ -290,8 +269,8 @@ class DeltaWorkloadCoster:
             fixes the float accumulation order of every total.
         tables: the :class:`PlanTables` of an earlier coster over the
             same optimizer and statement sequence (weights may differ);
-            None builds empty ones.  Weights, the reference, floors,
-            caps and counters are always this coster's own.
+            None builds empty ones.  Weights, the reference and
+            counters are always this coster's own.
     """
 
     def __init__(
@@ -337,14 +316,11 @@ class DeltaWorkloadCoster:
         self._ref_plans: list[tuple | None] = []
         self._ref_total = 0.0
 
-        # Bound state (populated by register_universe).
-        self._universe: list[IndexDef] | None = None
+        # Probe-batch state (populated by register_universe): the
+        # universe's secondaries by table, and the peek-only size
+        # resolver that sizes whole lane groups without triggering
+        # estimation work.
         self._universe_by_table: dict[str, list[IndexDef]] = {}
-        self._universe_sizes: dict | None = None
-        self._floors: dict[int, float | None] = {}
-        #: live peek-only size resolver (see register_universe) — the
-        #: kernel probe batches use it to size whole lane groups
-        #: without triggering estimation work.
         self._size_peek: Callable | None = None
         #: (table, base identity) groups already batch-probed.
         self._probe_filled: set = set()
@@ -364,7 +340,6 @@ class DeltaWorkloadCoster:
         self.full_recosts = 0
         self.probe_evals = 0
         self.pruned_zero_delta = 0
-        self.pruned_bound = 0
 
     # ------------------------------------------------------------------
     # reference management
@@ -464,7 +439,7 @@ class DeltaWorkloadCoster:
         )[1]
 
     # ------------------------------------------------------------------
-    # pruning
+    # universe & certificates
     # ------------------------------------------------------------------
     def register_universe(
         self,
@@ -472,71 +447,43 @@ class DeltaWorkloadCoster:
         size_if_known: Callable[[IndexDef], "tuple[float, float] | None"],
     ) -> None:
         """Declare every structure an enumeration could ever place in a
-        configuration, enabling per-statement lower bounds.
+        configuration, so the first sweep against a table's base fills
+        the plan-table entries of its whole secondary group in one
+        kernel batch (see :meth:`_fill_probe_group`).
 
         Args:
             universe: candidate pool plus base structures plus every
                 method variant the search phases may introduce.
             size_if_known: resolves an index to ``(est_bytes, est_rows)``
-                **only when no new estimation work is needed** — bounds
-                must never trigger size estimation, or the delta-on and
-                delta-off estimation orders (and therefore their
-                deduction plans) could diverge.  Tables with any
-                unresolvable universe member get no bound.
+                **only when no new estimation work is needed**, agreeing
+                with the optimizer's own size lookup whenever it
+                resolves — a probe batch must never trigger size
+                estimation, or the delta-on and delta-off estimation
+                orders (and therefore their deduction plans) could
+                diverge.
         """
         seen: dict = {}
         for ix in universe:
             seen.setdefault(index_identity(ix), ix)
-        self._universe = list(seen.values())
         self._universe_by_table = defaultdict(list)
-        self._universe_sizes = {}
-        for ix in self._universe:
-            if not ix.is_mv_index:
+        for ix in seen.values():
+            if ix.kind is IndexKind.SECONDARY and not ix.is_mv_index:
                 self._universe_by_table[ix.table].append(ix)
-            size = size_if_known(ix)
-            if size is not None:
-                self._universe_sizes[index_identity(ix)] = size
-        # Keep the live resolver too: probe batches fill lanes for
-        # *currently* peekable structures (the snapshot above stays the
-        # floors' source so bounds are stable across a run).  The
-        # resolver must agree with the optimizer's own size lookup
-        # whenever it resolves — the same contract the floors already
-        # rely on for soundness.
         self._size_peek = size_if_known
-        self._floors = {}
         self._probe_filled = set()
-        self._ref_vectors = {}  # their caps were sums over the old floors
 
-    def lower_bound(self, si: int) -> float | None:
-        """Weighted lower bound on statement ``si``'s term over every
-        enumerable configuration (None = no sound bound available)."""
-        if self._universe is None:
-            return None
-        if si not in self._floors:
-            self._floors[si] = self._compute_floor(si)
-        return self._floors[si]
-
-    def improvement_possible(
-        self,
-        config: Configuration,
-        prune_threshold: float | None = None,
-    ) -> bool:
+    def improvement_possible(self, config: Configuration) -> bool:
         """Whether costing ``config`` could possibly change the search.
 
-        False means the enumerator may skip the candidate entirely:
-        either its total is provably bit-identical to the reference cost
-        (zero-delta certificate), or — when the enumerator passes a
-        ``prune_threshold`` because its strategy makes it safe — the
-        candidate's optimistic improvement over the reference is below
-        that threshold."""
+        False (a zero-delta certificate) means its total is provably
+        bit-identical to the reference cost, so the enumerator may skip
+        it entirely."""
         ref = self._ref_config
         if ref is None:
             return True
         added = config.indexes - ref.indexes
-        removed = ref.indexes - config.indexes
-        if removed:
+        if ref.indexes - config.indexes:
             return True  # swaps/base replacements: never certified
-        affected = self._affected(added)
         ix = _sole_addition(added, ())
         if ix is not None and ix.kind is IndexKind.SECONDARY:
             # The sweep shape: every statement on the table must have a
@@ -553,71 +500,16 @@ class DeltaWorkloadCoster:
                     self._probe_loses(si, ix)
                     for ix in added if self._relevant(si, ix)
                 )
-                for si in affected
+                for si in self._affected(added)
             )
         if certified:
             self.pruned_zero_delta += 1
-            return False
+        return not certified
 
-        if prune_threshold is not None:
-            cap = 0.0
-            for si in affected:
-                floor = self.lower_bound(si)
-                if floor is None:
-                    return True
-                cap += self._ref_terms[si] - floor
-                if cap >= prune_threshold:
-                    return True
-            self.pruned_bound += 1
-            return False
-        return True
-
-    def improvement_cap(self, config: Configuration) -> float | None:
-        """Optimistic upper bound on how much ``config`` can improve on
-        the reference total (None = no sound cap: no reference or
-        universe yet, removals in the diff, or an affected statement
-        without a floor).
-
-        The enumerator-side counterpart of the ``prune_threshold`` arm
-        of :meth:`improvement_possible`, for strategies that cannot
-        prune on the cap alone — the backtracking rescue sweep in
-        ``greedy-backtrack`` compares caps across the whole candidate
-        sweep before deciding which low-cap candidates were provably
-        invisible (and then records them via :meth:`note_bound_pruned`).
-        The cap is a property of the affected statements, so a sweep's
-        candidates on one table share one sum per reference.
-        """
-        ref = self._ref_config
-        if ref is None or self._universe is None:
-            return None
-        added = config.indexes - ref.indexes
-        removed = ref.indexes - config.indexes
-        if removed:
-            return None  # swaps/base replacements: no cap
-        ix = _sole_addition(added, ())
-        if ix is None:
-            return self._cap_over(self._affected(added))
-        vector = self._ref_vector(ix.table)
-        if vector.cap is _UNPROBED:
-            vector.cap = self._cap_over(vector.stmts)
-        return vector.cap
-
-    def _cap_over(self, affected: list[int]) -> float | None:
-        """``Σ reference term − floor`` over ``affected``, in workload
-        order (None when a statement has no floor)."""
-        cap = 0.0
-        for si in affected:
-            floor = self.lower_bound(si)
-            if floor is None:
-                return None
-            cap += self._ref_terms[si] - floor
-        return cap
-
-    def note_bound_pruned(self, n: int = 1) -> None:
-        """Record ``n`` candidates skipped by enumerator-side bound
-        pruning (caps obtained via :meth:`improvement_cap` rather than
-        decided inside :meth:`improvement_possible`)."""
-        self.pruned_bound += n
+    def improvement_cap(self, config: Configuration) -> None:
+        """Always None; nothing calls it.  Kept because
+        ``benchmarks/ledger/layers.py`` wraps this name."""
+        return None
 
     # ------------------------------------------------------------------
     # views & stats
@@ -643,7 +535,6 @@ class DeltaWorkloadCoster:
             "probe_entries": len(self._probes),
             "maintenance_entries": len(self._maint_terms),
             "pruned_zero_delta": self.pruned_zero_delta,
-            "pruned_bound": self.pruned_bound,
         }
 
     # ------------------------------------------------------------------
@@ -1029,7 +920,7 @@ class DeltaWorkloadCoster:
         if group in self._probe_filled:
             return
         self._probe_filled.add(group)
-        if self._universe is None or self._size_peek is None:
+        if self._size_peek is None:
             return
         whatif = self.whatif
         kernel = whatif.kernel
@@ -1038,7 +929,6 @@ class DeltaWorkloadCoster:
         secondaries = [
             (cand, index_identity(cand), self._size_peek(cand))
             for cand in self._universe_by_table.get(table, [])
-            if cand.kind is IndexKind.SECONDARY
         ]
         lanes: list = []
         keys: list = []
@@ -1109,192 +999,3 @@ class DeltaWorkloadCoster:
         return plan_from_shape(
             ix, ix_bytes, ix_rows, shape, constants, (base, base_bytes),
         )
-
-    # ------------------------------------------------------------------
-    # lower bounds (the atomic-configuration floor)
-    # ------------------------------------------------------------------
-    def _universe_size(self, ix: IndexDef) -> "tuple[float, float] | None":
-        return self._universe_sizes.get(index_identity(ix))
-
-    def _table_plan_floor(
-        self, si: int, table: str
-    ) -> "tuple[float, float] | None":
-        """(min plan cost, min rows_out) over every structure x base
-        pairing the universe allows on ``table`` — None when any
-        universe member's size is unknown (an unsound bound otherwise).
-
-        The base structure only enters a plan through the non-covering
-        lookup's decompression term, which is zero for an uncompressed
-        base and nonnegative otherwise — so costing every structure once
-        against an uncompressed base lower-bounds every real pairing
-        without enumerating them."""
-        structures = self._universe_by_table.get(table, [])
-        bases = [
-            ix for ix in structures
-            if ix.kind in (IndexKind.HEAP, IndexKind.CLUSTERED)
-        ]
-        floor_base = next(
-            (ix for ix in bases if not ix.method.is_compressed), None
-        )
-        if floor_base is None:
-            return None
-        base_size = self._universe_size(floor_base)
-        if base_size is None:
-            return None
-        preds, needed = self._probe_info[si][table]
-        stats = self.whatif.stats.table(table)
-        constants = self.whatif.coster.constants
-        kernel = self.whatif.kernel
-        base_lookup = (floor_base, base_size[0])
-        best_cost = None
-        best_rows = None
-        for ix in structures:
-            size = self._universe_size(ix)
-            if size is None:
-                return None
-            shape = kernel.shape_for(
-                (si, table), ix, preds, needed, stats, constants
-            )
-            if shape is None:
-                continue
-            plan = plan_from_shape(
-                ix, size[0], size[1], shape, constants, base_lookup
-            )
-            if best_cost is None or plan.cost < best_cost:
-                best_cost = plan.cost
-            if best_rows is None or plan.rows_out < best_rows:
-                best_rows = plan.rows_out
-        if best_cost is None:
-            return None
-        return best_cost, best_rows
-
-    def _select_floor(self, si: int, stmt: SelectQuery) -> float | None:
-        """Lower bound on a SELECT's total over every enumerable
-        configuration: per-table minimum access plans, optimistic
-        join/group terms, zero sort, best matching MV."""
-        constants = self.whatif.coster.constants
-        total = 0.0
-        fact_rows = None
-        dim_rows_terms = 0.0
-        dim_sel_product = 1.0
-        for table in stmt.tables:
-            floor = self._table_plan_floor(si, table)
-            if floor is None:
-                return None
-            total += floor[0]
-            if table == stmt.root_table:
-                fact_rows = floor[1]
-            else:
-                preds, _needed = self._probe_info[si][table]
-                dim_sel_product *= conjunction_selectivity(
-                    self.whatif.stats.table(table), preds
-                )
-                dim_rows_terms += floor[1] * constants.cpu_tuple
-        if fact_rows is None:  # pragma: no cover - defensive
-            fact_rows = 0.0
-        if len(stmt.tables) > 1:
-            total += fact_rows * len(stmt.joins) * constants.cpu_join_probe
-            total += dim_rows_terms
-        if stmt.group_by or stmt.aggregates:
-            total += fact_rows * dim_sel_product * constants.cpu_group
-        if stmt.order_by and not self._order_satisfiable(stmt):
-            # No enumerable plan can satisfy the ordering, so every
-            # configuration pays the sort.  join_rows >= the floor's
-            # fact_rows * dim_sel_product and x·log2(x) over max(2, x)
-            # is nondecreasing, so this term lower-bounds the real one.
-            out_rows = max(2.0, fact_rows * dim_sel_product)
-            total += out_rows * math.log2(out_rows) * constants.cpu_sort_factor
-        mv_floor = self._mv_floor(stmt)
-        if mv_floor is not None and mv_floor < total:
-            total = mv_floor
-        return total
-
-    def _order_satisfiable(self, stmt: SelectQuery) -> bool:
-        """Whether *any* enumerable plan could satisfy the statement's
-        ORDER BY (mirrors ``_order_satisfied`` quantified over the
-        registered universe).  Multi-table plans never satisfy it; a
-        single-table plan needs a universe structure whose key prefix
-        is exactly the ordering."""
-        if len(stmt.tables) > 1:
-            return False
-        k = len(stmt.order_by)
-        order = tuple(stmt.order_by)
-        return any(
-            ix.key_columns[:k] == order
-            for ix in self._universe_by_table.get(stmt.tables[0], [])
-        )
-
-    def _mv_floor(self, stmt: SelectQuery) -> float | None:
-        """Cheapest matching MV substitution available in the universe
-        (exact per-MV arithmetic, mirroring ``_try_mv_plan``)."""
-        constants = self.whatif.coster.constants
-        best = None
-        for ix in self._universe or ():
-            if not ix.is_mv_index or not mv_matches_query(ix.mv, stmt):
-                continue
-            size = self._universe_size(ix)
-            if size is None:
-                return 0.0  # unknown MV size: only zero stays sound
-            size_bytes, rows = size
-            pages = max(1.0, size_bytes / PAGE_SIZE)
-            cost = pages * constants.io_seq_page + rows * constants.cpu_tuple
-            if ix.method.is_compressed:
-                n_cols = max(
-                    1, len(ix.mv.group_by) + len(ix.mv.aggregates)
-                )
-                cost += constants.decompress_cpu(ix.method, rows, n_cols)
-            if best is None or cost < best:
-                best = cost
-        return best
-
-    def _maintenance_floor(self, table: str, affected: float) -> float | None:
-        """Lower bound on maintenance cost: the cheapest possible base
-        structure alone (secondary/MV terms are nonnegative)."""
-        constants = self.whatif.coster.constants
-        bases = [
-            ix for ix in self._universe_by_table.get(table, [])
-            if ix.kind in (IndexKind.HEAP, IndexKind.CLUSTERED)
-        ]
-        if not bases:
-            return None
-        best = None
-        for base in bases:
-            size = self._universe_size(base)
-            if size is None:
-                return None
-            size_bytes, rows = size
-            rows_total = max(rows, 1.0)
-            io = (
-                affected * (size_bytes / rows_total) / PAGE_SIZE
-                * constants.io_seq_page
-            )
-            cpu = affected * constants.cpu_insert_per_index
-            cpu += constants.compress_cpu(base.method, affected)
-            if best is None or io + cpu < best:
-                best = io + cpu
-        return best
-
-    def _compute_floor(self, si: int) -> float | None:
-        stmt = self._stmts[si]
-        weight = self._weights[si]
-        if isinstance(stmt, SelectQuery):
-            floor = self._select_floor(si, stmt)
-            return None if floor is None else weight * floor
-        stats = self.whatif.stats.table(stmt.table)
-        if isinstance(stmt, InsertQuery):
-            find = 0.0
-            affected = float(stmt.n_rows)
-        elif isinstance(stmt, (UpdateQuery, DeleteQuery)):
-            # The find part is a SELECT probe on the same table; its
-            # floor needs per-table probe info this statement does not
-            # carry, so stay conservative: zero find cost.
-            find = 0.0
-            affected = stats.n_rows * conjunction_selectivity(
-                stats, stmt.predicates
-            )
-        else:  # pragma: no cover - unknown statement kinds
-            return None
-        maintain = self._maintenance_floor(stmt.table, affected)
-        if maintain is None:
-            return None
-        return weight * (find + maintain)

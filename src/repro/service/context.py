@@ -32,7 +32,12 @@ from repro.advisor.advisor import (
     get_variant,
     quantized_size_lookup,
 )
-from repro.advisor.retune import RetuneResult, TuningSession, check_budget
+from repro.advisor.retune import (
+    RetuneResult,
+    TuningSession,
+    check_budget,
+    check_options,
+)
 from repro.catalog.schema import Database
 from repro.compression.base import CompressionMethod
 from repro.errors import AdvisorError, ServiceError
@@ -316,6 +321,7 @@ class ServiceContext:
             )
         for name, value in extra.items():
             _check_option(name, value)
+        check_options(extra)
         if "algorithm" in extra:
             # Validate at submission time: an unknown algorithm must
             # 400 with the valid set, not 500 out of a running lane.

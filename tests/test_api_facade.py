@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from repro.advisor import AdvisorOptions
-from repro.api import Session, tune
+from repro.api import Session, run_sweep, tune
 from repro.datasets.sales import sales_database, sales_workload
 from repro.errors import AdvisorError
 from repro.sampling.sample_manager import DEFAULT_SAMPLE_SEED, SampleManager
@@ -71,6 +71,26 @@ class TestSession:
         # ...and any other real number passes (as numpy scalars do).
         Session(db, wl, budget_bytes=Fraction(1, 4))
         Session(db, wl, budget_fraction=0)
+
+    def test_option_validation(self, inputs):
+        """Option values that type-check but mean nothing fail naming
+        the field — at construction, per call and in a sweep — before
+        any tuning work."""
+        db, wl = inputs
+        for field, value in (("top_k", -1), ("top_k", 0), ("top_k", True),
+                             ("max_key_columns", -1),
+                             ("strategy", "Greedy"),
+                             ("min_improvement", -1.0),
+                             ("min_improvement", math.nan),
+                             ("seed_fanout", 0), ("seed_fanout", -3)):
+            with pytest.raises(AdvisorError, match=field):
+                Session(db, wl, **{field: value})
+            with pytest.raises(AdvisorError, match=field):
+                Session(db, wl, budget_fraction=0.1).tune(**{field: value})
+            with pytest.raises(AdvisorError, match=field):
+                run_sweep(db, wl, [1.0], **{field: value})
+        Session(db, wl, strategy="density", top_k=1, seed_fanout=1,
+                min_improvement=0)
 
     def test_workers_is_not_a_tuning_option(self, inputs):
         """Parallelism belongs to ``sweep(workers=)`` alone: a tune

@@ -465,39 +465,6 @@ class TestAdvisorIdentity:
 
 
 class TestPruning:
-    def test_lower_bounds_are_sound(self, costing_rig):
-        """floor(si) <= the statement's weighted term under randomized
-        configurations drawn from the registered universe."""
-        whatif, wl, base, pool = costing_rig
-        delta = whatif.delta_coster(wl)
-        delta.rebase(base)
-        sizes = {}
-
-        def size_if_known(ix):
-            if ix not in sizes:
-                sizes[ix] = whatif._sizes(ix)
-            return sizes[ix]
-
-        universe = list(pool) + list(base.ordered())
-        delta.register_universe(universe, size_if_known)
-        rng = random.Random(99)
-        statements = list(wl)
-        for _ in range(30):
-            members = rng.sample(pool, rng.randrange(1, len(pool)))
-            config = base
-            for ix in members:
-                config = config.add(ix)
-            for si, ws in enumerate(statements):
-                floor = delta.lower_bound(si)
-                if floor is None:
-                    continue
-                term = ws.weight * whatif.cost(ws.statement, config).total
-                # Mathematically floor <= term; the computed values can
-                # disagree by accumulation-order ulps, which is why the
-                # enumerator prunes with half its min_improvement as
-                # slack (a ~1e-4 relative margin vs ~1e-15 noise).
-                assert floor <= term * (1 + 1e-9) + 1e-9
-
     def test_zero_delta_certificates_fire(self, costing_rig):
         """A table whose best pool index is already in the reference:
         the weaker candidates on it all probe-lose, so they are
@@ -518,93 +485,32 @@ class TestPruning:
         for d in certified:
             assert delta.workload_cost(ref.add(d)) == ref_cost
 
-    def test_bound_pruning_prunes_below_threshold(self, costing_rig):
-        """Bound pruning: a candidate whose optimistic improvement cap
-        (reference terms minus lower bounds over its affected
-        statements) sits below the enumerator's threshold is skipped
-        and counted; above it, it is costed."""
-        whatif, wl, base, pool = costing_rig
-        delta = whatif.delta_coster(wl)
-        delta.rebase(base)
-        delta.register_universe(
-            list(pool) + list(base.ordered()),
-            lambda ix: whatif._sizes(ix),
-        )
-        # A sales candidate: the bulk inserts defeat the zero-delta
-        # certificate, so the decision falls to the bounds.
-        cand_ix = next(ix for ix in pool if ix.table == "sales")
-        candidate = base.add(cand_ix)
-        affected = delta._affected(candidate.indexes - base.indexes)
-        floors = [delta.lower_bound(si) for si in affected]
-        assert all(floor is not None for floor in floors)
-        cap = sum(
-            delta._ref_terms[si] - floor
-            for si, floor in zip(affected, floors)
-        )
-        assert cap > 0  # the base config is far from the floors
-        assert delta.improvement_possible(
-            candidate, prune_threshold=cap * 0.5
-        )
-        assert delta.pruned_bound == 0
-        assert not delta.improvement_possible(
-            candidate, prune_threshold=cap * 2.0
-        )
-        assert delta.pruned_bound == 1
-
     def test_coarse_min_improvement_identical_with_delta(
         self, delta_inputs
     ):
-        """The bound-pruning configuration users actually reach for — a
-        coarse min_improvement — must stay byte-identical with delta
-        costing on: on a pure-greedy run, and under backtracking at a
-        point where the rescue pass really prunes on bounds (48 today;
-        at the smaller fixture it prunes nothing)."""
-        def identical_run(variant, db, wl, budget):
-            kwargs = dict(variant=variant, min_improvement=0.05)
-            off = tune(db, wl, budget, delta_costing=False, **kwargs)
-            on = tune(db, wl, budget, delta_costing=True, **kwargs)
-            assert on.configuration == off.configuration
-            assert on.final_cost == off.final_cost
-            assert on.steps == off.steps
-            return on
-
-        identical_run("dtac-none", *delta_inputs)
+        """A coarse ``min_improvement`` stays byte-identical with delta
+        costing on: a pure-greedy run and a backtracking run at scale
+        0.1."""
+        _identical_coarse_run("dtac-none", *delta_inputs)
         big = sales_database(scale=0.1)
-        on = identical_run("dtac-both", big, sales_workload(big),
-                           big.total_data_bytes() * 0.2)
-        assert on.delta_stats["pruned_bound"] > 0
+        _identical_coarse_run("dtac-both", big, sales_workload(big),
+                              big.total_data_bytes() * 0.2)
 
     def test_bound_pruning_fires_through_full_tune(self):
-        """End-to-end ``pruned_bound``: why the ledger's
-        ``optimizer.pruned_bound`` reads 0 on every stock workload, and
-        a workload where it provably fires.
-
-        On the stock sales workload every table's candidate universe
-        contains eventual high-benefit winners, which keeps the
-        universe-wide floors loose: each candidate's optimistic
-        improvement cap (reference terms minus floors over its affected
-        statements) stays far above the greedy threshold — measured
-        >= 8x even with a coarse ``min_improvement=0.05`` at smoke
-        scales — so the ledger's ``optimizer.pruned_bound`` 0 is the
-        bound being honest, not a dead code path.  Starving one table's
-        statements down to marginal weight tightens its floors until
-        the cap drops below the threshold; the pruned run must still
-        match the unpruned one bit for bit.
-        """
+        """A workload whose customers statements are worth almost
+        nothing (so every customers candidate's improvement sits under
+        the greedy threshold) beside an UPDATE that no zero-delta
+        certificate can skip.  Delta costing no longer prunes on
+        bounds: each such candidate is costed, the run matches the
+        full-recost one bit for bit, and ``delta_stats`` carries no
+        ``pruned_bound`` counter."""
         from repro.workload.parser import parse_statement
         from repro.workload.query import Workload
 
         db = sales_database(scale=0.03)
-        base = sales_workload(db)
         wl = Workload()
-        # A few high-cost sales statements keep greedy finding real
-        # winners (the threshold stays meaningful)...
-        for ws in base.queries[:4]:
+        for ws in sales_workload(db).queries[:4]:
             wl.add(ws.statement, weight=ws.weight, name=ws.name)
-        # ...while the customers statements are worth almost nothing,
-        # so every customers candidate's cap sits under the threshold.
-        # The UPDATE defeats the zero-delta certificate (no candidate
-        # is probe-lose-certified), forcing the decision to the bounds.
         wl.add(parse_statement(
             "SELECT cu_name FROM customers "
             "WHERE cu_segment = 'SMALLBIZ'"),
@@ -613,14 +519,22 @@ class TestPruning:
             "UPDATE customers SET cu_segment = 'X' "
             "WHERE cu_segment = 'SMALLBIZ'"),
             weight=0.01, name="CUST_UPD")
-        budget = db.total_data_bytes() * 0.2
-        kwargs = dict(variant="dtac-none", min_improvement=0.05)
-        on = tune(db, wl, budget, **kwargs)
-        assert on.delta_stats["pruned_bound"] > 0
-        off = tune(db, wl, budget, delta_costing=False, **kwargs)
-        assert on.configuration == off.configuration
-        assert on.final_cost == off.final_cost
-        assert on.steps == off.steps
+        on = _identical_coarse_run(
+            "dtac-none", db, wl, db.total_data_bytes() * 0.2
+        )
+        assert "pruned_bound" not in on.delta_stats
+
+
+def _identical_coarse_run(variant, db, wl, budget):
+    """Tune with ``min_improvement=0.05`` with delta costing off and on,
+    assert the two runs agree, and return the delta-costed result."""
+    kwargs = dict(variant=variant, min_improvement=0.05)
+    off = tune(db, wl, budget, delta_costing=False, **kwargs)
+    on = tune(db, wl, budget, delta_costing=True, **kwargs)
+    assert on.configuration == off.configuration
+    assert on.final_cost == off.final_cost
+    assert on.steps == off.steps
+    return on
 
 
 # ----------------------------------------------------------------------
@@ -799,24 +713,3 @@ class TestSweepMajor:
         assert again["probe_entries"] == swept["probe_entries"]
         assert whatif.kernel.lanes_total == lanes
         assert whatif.optimizer_calls == calls
-
-    def test_improvement_cap_is_one_sum_per_table(self, sweep_rig):
-        whatif, wl, base, pool, _db = sweep_rig
-        delta = whatif.delta_coster(wl)
-        ref = base.add(pool[0])
-        delta.rebase(ref)
-        delta.register_universe(
-            [*pool, *base.ordered()], lambda ix: whatif._sizes(ix)
-        )
-        by_table = {}
-        for ix in pool:
-            if ix not in ref:
-                by_table.setdefault(ix.table, []).append(ix)
-        shared = [ixs for ixs in by_table.values() if len(ixs) > 1]
-        assert shared
-        for ixs in shared:
-            expected = 0.0  # the per-candidate loop, in workload order
-            for si in delta._affected([ixs[0]]):
-                expected += delta._ref_terms[si] - delta.lower_bound(si)
-            for ix in ixs:
-                assert delta.improvement_cap(ref.add(ix)) == expected

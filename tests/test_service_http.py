@@ -339,11 +339,23 @@ _BAD_TUNING = [
      "backtracking"),
     ({"budget_fraction": 0.1, "options": {"min_improvement": "0.1"}},
      "min_improvement"),
+    ({"budget_fraction": 0.1, "options": {"top_k": -1}}, "top_k"),
+    ({"budget_fraction": 0.1, "options": {"max_key_columns": 0}},
+     "max_key_columns"),
+    ({"budget_fraction": 0.1, "options": {"strategy": "Greedy"}},
+     "strategy"),
+    ({"budget_fraction": 0.1, "options": {"min_improvement": -1.0}},
+     "min_improvement"),
+    ({"budget_fraction": 0.1, "options": {"seed_fanout": 0}},
+     "seed_fanout"),
 ]
 _BAD_TUNING_IDS = [
     "budget-string", "budget-negative", "budget-bool", "budget-inf",
     "budget-past-float-range", "seed-string", "seed-float", "seed-bool", "options-list",
     "option-int-as-string", "option-bool-as-int", "option-float-as-string",
+    "option-top-k-negative", "option-key-columns-zero",
+    "option-strategy-unknown", "option-min-improvement-negative",
+    "option-seed-fanout-zero",
 ]
 
 #: the same checks on a sweep's budget and seed lists.
@@ -357,11 +369,13 @@ _BAD_SWEEP = [
     ({"budget_fractions": [0.1], "seeds": [1, "a"]}, "seeds[1]"),
     ({"budget_fractions": [0.1], "seeds": [True]}, "seeds[0]"),
     ({"budget_fractions": [0.1], "options": {"top_k": "x"}}, "top_k"),
+    ({"budget_fractions": [0.1], "options": {"seed_fanout": -3}},
+     "seed_fanout"),
 ]
 _BAD_SWEEP_IDS = [
     "budgets-string", "budgets-empty", "budget-string", "budget-negative",
     "budget-nan", "seeds-int", "seed-string", "seed-bool",
-    "option-int-as-string",
+    "option-int-as-string", "option-seed-fanout-negative",
 ]
 
 

@@ -5,14 +5,17 @@
 ``repro.advisor.retune.TuningSession.retune``, by name.  Its smoke test
 catches a wrapped name that no longer exists; these catch one that
 still exists but is no longer called — by the library or by the
-service.
+service.  The one wrapped name that must stay uncalled is
+``DeltaWorkloadCoster.improvement_cap``, a stub kept for the wrap list.
 """
 
 import pytest
 
 from repro import api
 from repro.advisor.retune import TuningSession
+from repro.advisor import algorithms
 from repro.datasets.sales import sales_database, sales_workload
+from repro.optimizer.delta import DeltaWorkloadCoster
 from repro.parallel.engine import fork_available
 from repro.service.context import ServiceContext
 
@@ -87,3 +90,16 @@ def test_library_and_served_retunes_call_session_retune(inputs, monkeypatch):
     assert served["result"]["configuration"] == sorted(
         ix.display_name() for ix in library.configuration
     )
+
+
+def test_no_search_calls_the_improvement_cap_stub(inputs, monkeypatch):
+    """Every registered algorithm and the retune search, with
+    backtracking on (the ``dtac-both`` variant), over delta costing."""
+    db, wl = inputs
+    calls = _spy(monkeypatch, DeltaWorkloadCoster, "improvement_cap")
+    session = api.Session(db, wl, variant="dtac-both",
+                          budget_fraction=FRACTION)
+    for name in algorithms.names():
+        session.tune(algorithm=name)
+        session.retune(algorithm=name)
+    assert calls == []
