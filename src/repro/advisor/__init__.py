@@ -15,7 +15,6 @@ from repro.advisor.advisor import (
 )
 from repro.advisor.algorithms import SelectionAlgorithm
 from repro.advisor.algorithms.base import (
-    BatchCost,
     EnumerationOptions,
     EnumerationResult,
 )
@@ -75,5 +74,4 @@ __all__ = [
     "generate_merged_candidates",
     "EnumerationOptions",
     "EnumerationResult",
-    "BatchCost",
 ]

@@ -396,27 +396,6 @@ class TuningAdvisor:
             return self.delta.statement_cost(query, config)
         return self.whatif.cost(query, config).total
 
-    def _query_cost_batch(self, query: SelectQuery, configs) -> list[float]:
-        """One query's costs under many small configurations: through
-        the delta coster when enabled, the (cache-aware) what-if batch
-        API otherwise — identical floats either way."""
-        if self.delta is not None:
-            return [
-                self.delta.statement_cost(query, config)
-                for config in configs
-            ]
-        return [
-            breakdown.total
-            for breakdown in self.whatif.cost_batch(query, configs)
-        ]
-
-    def _batch_workload_cost(self, configs) -> list[float]:
-        """Workload costs of a candidate sweep, through the what-if
-        optimizer's (cache-aware, delta-aware) batch API."""
-        return self.whatif.workload_cost_batch(
-            self.workload, configs, delta=self.delta
-        )
-
     def _size_if_known(self, index: IndexDef) -> "tuple[float, float] | None":
         """(bytes, rows) exactly as the optimizer's size lookup would
         report — but only when answering requires no new estimation
@@ -507,7 +486,6 @@ class TuningAdvisor:
             self.base_config,
             self._query_cost,
             self._index_size,
-            query_cost_batch=self._query_cost_batch,
         )
         pool: list[IndexDef] = []
         for qi, ws in enumerate(self.workload.queries):
@@ -653,10 +631,9 @@ class TuningAdvisor:
             self._index_size,
             self._original_base_sizes,
             enum_options,
-            batch_cost=self._batch_workload_cost,
             delta=self.delta,
             progress=self.progress,
-            query_cost_batch=self._query_cost_batch,
+            query_cost=self._query_cost,
         )
         base_cost = self._workload_cost(self.base_config)
         result = search.run(pool, self.base_config)

@@ -2,8 +2,8 @@
 
 ``AdvisorOptions.algorithm`` names a strategy registered here; the
 advisor resolves it through :func:`get` and hands it the shared
-machinery (candidate pool, delta-aware batched costing, progress
-hooks).  Importing this package registers the built-ins:
+machinery (candidate pool, a workload coster and a per-statement
+coster, the delta coster's certificates, progress hooks).  Importing this package registers the built-ins:
 
 ========================  ============================================
 ``greedy-backtrack``      the paper's DTA/DTAc search (default)
@@ -18,11 +18,9 @@ Third-party strategies subclass :class:`SelectionAlgorithm` and call
 
 from repro.advisor.algorithms.base import (
     DEFAULT_ALGORITHM,
-    BatchCost,
     EnumerationOptions,
     EnumerationResult,
     IndexBenefit,
-    QueryCostBatch,
     SelectionAlgorithm,
     get,
     names,
@@ -36,11 +34,9 @@ from repro.advisor.algorithms.relaxation import RelaxationAlgorithm
 
 __all__ = [
     "DEFAULT_ALGORITHM",
-    "BatchCost",
     "EnumerationOptions",
     "EnumerationResult",
     "IndexBenefit",
-    "QueryCostBatch",
     "SelectionAlgorithm",
     "AnytimeGreedyAlgorithm",
     "GreedyBacktrackAlgorithm",

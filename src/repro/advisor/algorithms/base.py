@@ -4,9 +4,10 @@ class every search strategy extends, plus the registry
 
 A :class:`SelectionAlgorithm` is handed the advisor's prepared state —
 the candidate pool, the base configuration, a workload-cost callable
-(optionally batched, optionally delta-aware)
-and a size callable — and returns an :class:`EnumerationResult`.  The
-base class owns everything the strategies share:
+and a per-statement cost callable (each costing one configuration per
+call), the optional delta coster and a size callable — and returns an
+:class:`EnumerationResult`.  The base class owns everything the
+strategies share:
 
 * storage accounting (``consumed`` / ``fits``): secondary/MV indexes
   consume their full size; a base structure consumes the *difference*
@@ -14,8 +15,10 @@ base class owns everything the strategies share:
   (Appendix D.2);
 * progress events (``_emit`` / ``_emit_step``) — the tuning service's
   cancellation path rides these hooks;
-* delta-coster integration (``_rebase`` / ``_candidate_costs``, which
-  skips the candidates a zero-delta certificate proves unchanged);
+* costing: ``_costs`` is the one multi-configuration entry (and the
+  ``coster.batch`` fault site); ``_rebase`` / ``_candidate_costs`` add
+  the delta coster, skipping the candidates a zero-delta certificate
+  proves unchanged;
 * per-statement benefit attribution (``_attributed_benefits``), shared
   by the knapsack and relaxation strategies;
 * the **moves** — each written once; a strategy's ``run`` is an ordering
@@ -50,22 +53,12 @@ from repro.errors import AdvisorError
 from repro.physical.configuration import Configuration
 from repro.physical.index_def import IndexDef
 from repro.storage.index_build import IndexKind
-from repro.workload.query import SelectQuery, Workload
+from repro.workload.query import Statement, Workload
 
-#: Batched costing hook: all of one sweep's candidate configurations at
-#: once, returning their workload costs in input order.  The advisor
-#: wires the what-if optimizer's batch API in here; the default
-#: recomputes through the per-configuration callable, so both paths see
-#: identical floats.
-BatchCost = Callable[[Sequence[Configuration]], "list[float]"]
-
-#: Per-statement costing hook: one query's costs under many (small)
-#: configurations — the advisor's delta-aware/cache-aware batch API.
-#: Strategies that attribute benefit per statement (knapsack,
-#: relaxation) consume this; greedy strategies never touch it.
-QueryCostBatch = Callable[
-    [SelectQuery, Sequence[Configuration]], "list[float]"
-]
+#: fault-injection hook (see :mod:`repro.service.faults`): rebound to
+#: that module's ``fire`` when a plan is installed, None otherwise —
+#: declared here so the search never imports the service package.
+FAULT_HOOK = None
 
 #: Byte floor for benefit-per-byte densities: below one page, size
 #: differences are quantization noise, not signal.
@@ -150,10 +143,9 @@ class SelectionAlgorithm:
         index_size: Callable[[IndexDef], float],
         original_base_sizes: Mapping[str, float],
         options: EnumerationOptions,
-        batch_cost: BatchCost | None = None,
         delta: "object | None" = None,
         progress: "Callable[[dict], None] | None" = None,
-        query_cost_batch: QueryCostBatch | None = None,
+        query_cost: "Callable[[Statement, Configuration], float] | None" = None,
     ) -> None:
         self.workload = workload
         self.workload_cost = workload_cost
@@ -167,10 +159,9 @@ class SelectionAlgorithm:
         #: change a result.
         self.progress = progress
         self._step_seq = 0
-        self.batch_cost = batch_cost or (
-            lambda configs: [self.workload_cost(c) for c in configs]
-        )
-        self.query_cost_batch = query_cost_batch
+        #: one statement's unweighted cost under one configuration, for
+        #: per-statement benefit attribution (knapsack, relaxation).
+        self.query_cost = query_cost
         #: optional DeltaWorkloadCoster: zero-delta certificates +
         #: reference rebasing.
         self.delta = delta
@@ -251,15 +242,22 @@ class SelectionAlgorithm:
         if self.delta is not None:
             self.delta.rebase(config)
 
+    def _costs(self, configs: Sequence[Configuration]) -> "list[float]":
+        """Workload costs of several configurations, in input order —
+        the ``coster.batch`` fault site, once per costing step."""
+        if FAULT_HOOK is not None:
+            FAULT_HOOK("coster.batch", configs=len(configs))
+        return [self.workload_cost(config) for config in configs]
+
     def _candidate_costs(
         self, candidates: Sequence[Configuration]
     ) -> "list[float | None]":
         """Costs of a candidate sweep, with None for candidates a
         zero-delta certificate proves cost exactly the reference — the
         full path would compute ``delta_cost == 0`` and skip them
-        identically.  The survivors are costed in one batch."""
+        identically."""
         if self.delta is None:
-            return list(self.batch_cost(candidates))
+            return self._costs(candidates)
         decisions = [
             self.delta.improvement_possible(candidate)
             for candidate in candidates
@@ -268,7 +266,7 @@ class SelectionAlgorithm:
             candidate
             for candidate, keep in zip(candidates, decisions) if keep
         ]
-        costs = iter(self.batch_cost(survivors))
+        costs = iter(self._costs(survivors))
         return [next(costs) if keep else None for keep in decisions]
 
     # ------------------------------------------------------------------
@@ -281,33 +279,24 @@ class SelectionAlgorithm:
         weighted sum over SELECT statements of the cost reduction it
         achieves *alone* on top of the base configuration.  Additive by
         construction (interactions between candidates are ignored —
-        that is the knapsack/relaxation approximation), deterministic
-        in pool order, and batched per statement through the delta-
-        aware query-cost hook when the advisor wired one."""
+        that is the knapsack/relaxation approximation) and
+        deterministic in pool order."""
+        if self.query_cost is None:
+            raise AdvisorError(
+                f"{self.name} attributes benefit per statement: "
+                "construct it with a query_cost"
+            )
         moves = self._add_moves(pool, base_config)
         members = [ix for ix, _candidate in moves]
         singletons = [candidate for _ix, candidate in moves]
         benefits = [0.0] * len(members)
         uses = [0] * len(members)
-        if self.query_cost_batch is not None:
-            for ws in self.workload.queries:
-                costs = self.query_cost_batch(
-                    ws.statement, [base_config, *singletons]
-                )
-                base_cost = costs[0]
-                for i, cost in enumerate(costs[1:]):
-                    gain = base_cost - cost
-                    if gain > 0:
-                        benefits[i] += ws.weight * gain
-                        uses[i] += 1
-        else:
-            # No per-statement hook (direct construction): fall back to
-            # whole-workload costs — coarser but the same shape.
-            base_cost = self.workload_cost(base_config)
-            for i, cost in enumerate(self.batch_cost(singletons)):
-                gain = base_cost - cost
+        for ws in self.workload.queries:
+            base_cost = self.query_cost(ws.statement, base_config)
+            for i, singleton in enumerate(singletons):
+                gain = base_cost - self.query_cost(ws.statement, singleton)
                 if gain > 0:
-                    benefits[i] += gain
+                    benefits[i] += ws.weight * gain
                     uses[i] += 1
         base_consumed = self.consumed(base_config)
         return [
@@ -501,7 +490,7 @@ class SelectionAlgorithm:
                     if self.consumed(swapped) >= config_consumed:
                         continue
                     swaps.append(swapped)
-            swap_costs = self.batch_cost(swaps)
+            swap_costs = self._costs(swaps)
             for swapped, swap_cost in zip(swaps, swap_costs):
                 if best is None or swap_cost < best[0]:
                     best = (swap_cost, swapped)
@@ -552,9 +541,7 @@ class SelectionAlgorithm:
                     swaps.append((ix, method, swapped))
             if sweep_events:
                 self._emit("sweep", candidates=len(swaps), cost=cost)
-            swap_costs = self.batch_cost(
-                [swapped for _ix, _m, swapped in swaps]
-            )
+            swap_costs = self._costs([swapped for _ix, _m, swapped in swaps])
             for (ix, method, swapped), swap_cost in zip(swaps, swap_costs):
                 if swap_cost < cost - 1e-9 and (
                     best_swap is None or swap_cost < best_swap[0]
@@ -653,7 +640,7 @@ class SelectionAlgorithm:
                 for ix, removed in zip(droppable, removals)
                 if removed != config
             ]
-            costs = self.batch_cost([removed for _ix, removed in kept])
+            costs = self._costs([removed for _ix, removed in kept])
             best = None        # (cost, -freed, name) — comparable key
             best_config = None
             for (ix, removed), removed_cost in zip(kept, costs):

@@ -5,11 +5,11 @@ Three phases over the shared candidate pool:
 
 1. **Attribution** — every candidate's benefit is the weighted sum of
    the per-statement cost reductions it achieves *alone* on top of the
-   base configuration (batched through the advisor's delta-aware
-   query-cost hook).  Candidates whose key prefix and column set are
-   covered by a wider same-method candidate are folded into it
-   (*subsumption combining*), so the knapsack does not spend budget on
-   redundant prefixes.
+   base configuration (one ``query_cost`` call per statement and
+   configuration, through the delta coster when the advisor has one).
+   Candidates whose key prefix and column set are covered by a wider
+   same-method candidate are folded into it (*subsumption combining*),
+   so the knapsack does not spend budget on redundant prefixes.
 2. **Knapsack fill** — candidates are taken in benefit/size-ratio order
    while they fit the budget.  Base-structure swaps with a negative
    size delta (compressing a heap *frees* budget) rank first: they
@@ -69,7 +69,7 @@ class IBMKnapsackAlgorithm(SelectionAlgorithm):
         if config == base_config:
             return self._result(base_config, base_cost, steps)
         self._rebase(config)
-        cost = self.batch_cost([config])[0]
+        cost = self._costs([config])[0]
         if cost >= base_cost:
             # Additive attribution over-promised (interactions, update
             # penalties): fall back to the base and let the variation
@@ -188,7 +188,7 @@ class IBMKnapsackAlgorithm(SelectionAlgorithm):
                     work = candidate
             if work == best_config:
                 continue
-            cost = self.batch_cost([work])[0]
+            cost = self._costs([work])[0]
             if cost < best_cost - 1e-9:
                 best_config, best_cost = work, cost
                 self._accept("variation", f"variation: -> {best_cost:.1f}",

@@ -20,7 +20,7 @@ Phases:
    Base-structure swaps are never dropped here: reverting a compressed
    heap *grows* consumption.
 3. **Terminating drop iterations** — while over-budget or improving:
-   batch-cost every single-structure removal and accept the one with
+   cost every single-structure removal and accept the one with
    the best true cost; stop at the first round where no removal lowers
    the cost (or, when still over budget, frees space at a cost increase
    below the acceptance threshold).  Each round removes one structure,
@@ -64,7 +64,7 @@ class RelaxationAlgorithm(SelectionAlgorithm):
         self._rebase(config)
         config = self._relax_to_budget(config, base_config, drop_rank, steps)
         self._rebase(config)
-        cost = self.batch_cost([config])[0]
+        cost = self._costs([config])[0]
         config, cost = self._drop_iterations(
             config, cost, base_config, steps
         )

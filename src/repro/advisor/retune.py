@@ -95,7 +95,7 @@ class _RetuneSearch(SelectionAlgorithm):
         backtrack = self.options.backtracking
         steps: list[str] = []
         self._rebase(previous)
-        prev_cost = self.batch_cost([previous])[0]
+        prev_cost = self._costs([previous])[0]
         steps.append(
             f"retune seed: {len(list(previous))} structures, "
             f"cost {prev_cost:.1f}, {self.consumed(previous):.0f} bytes"
@@ -112,7 +112,7 @@ class _RetuneSearch(SelectionAlgorithm):
         )
         if config != previous:
             self._rebase(config)
-            cost = self.batch_cost([config])[0]
+            cost = self._costs([config])[0]
         else:
             cost = prev_cost
         config, cost = self._drop_iterations(config, cost, base_config, steps)
@@ -132,7 +132,7 @@ class _RetuneSearch(SelectionAlgorithm):
                 for ix in members
             ]
             reverted = [(ix, r) for ix, r in reverted if r != config]
-            costs = self.batch_cost([r for _ix, r in reverted])
+            costs = self._costs([r for _ix, r in reverted])
             threshold = self._accept_threshold(cost)
             decayed = [
                 ix for (ix, _r), rcost in zip(reverted, costs)
@@ -142,7 +142,7 @@ class _RetuneSearch(SelectionAlgorithm):
                 for ix in decayed:
                     config = self._revert_member(config, ix, base_config)
                 self._rebase(config)
-                cost = self.batch_cost([config])[0]
+                cost = self._costs([config])[0]
                 self._accept(
                     "drop",
                     "decay evict "
@@ -190,7 +190,7 @@ class _RetuneSearch(SelectionAlgorithm):
                     break
                 trials_left -= 1
                 self._rebase(reduced)
-                reduced_cost = self.batch_cost([reduced])[0]
+                reduced_cost = self._costs([reduced])[0]
                 trial_steps: list[str] = []
                 trial, trial_cost = self._fill(
                     pool, reduced, reduced_cost, trial_steps,

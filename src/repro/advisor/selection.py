@@ -17,15 +17,6 @@ from repro.physical.configuration import Configuration
 from repro.physical.index_def import IndexDef
 from repro.workload.query import SelectQuery
 
-#: Batched per-query costing hook: one query's cost under many small
-#: candidate configurations, in input order.  The advisor wires the
-#: delta-aware (or cache-aware) batch API in here; the default loops
-#: the per-configuration callable, so both paths see identical floats.
-QueryCostBatch = Callable[
-    [SelectQuery, Sequence[Configuration]], "list[float]"
-]
-
-
 @dataclass(frozen=True)
 class CandidateConfiguration:
     """A small per-query configuration with its cost and extra size."""
@@ -50,28 +41,19 @@ def evaluate_candidates(
     query_cost: Callable[[SelectQuery, Configuration], float],
     index_size: Callable[[IndexDef], float],
     max_pairs: int = 10,
-    query_cost_batch: QueryCostBatch | None = None,
 ) -> list[CandidateConfiguration]:
-    """Cost the empty, singleton and (a few) pair configurations.
-
-    ``query_cost_batch`` routes each sweep (all singletons, then all
-    pairs) through one batched call — the hook the advisor points at
-    the delta-aware coster, which then re-evaluates only what each
-    added index can actually change.  Costs are identical floats to the
-    per-configuration ``query_cost`` loop in the same order.
-    """
-    if query_cost_batch is None:
-        def query_cost_batch(q, configs):
-            return [query_cost(q, config) for config in configs]
-    base_cost = query_cost_batch(query, [base_config])[0]
+    """Cost the empty, singleton and (a few) pair configurations.  Each
+    sweep is costed before any of its sizes are read, so size requests
+    reach the estimator in one fixed order."""
     out: list[CandidateConfiguration] = [
         CandidateConfiguration(
-            indexes=frozenset(), cost=base_cost, size=0.0,
+            indexes=frozenset(), cost=query_cost(query, base_config),
+            size=0.0,
         )
     ]
-    single_costs = query_cost_batch(
-        query, [base_config.add(ix) for ix in candidates]
-    )
+    single_costs = [
+        query_cost(query, base_config.add(ix)) for ix in candidates
+    ]
     singles: list[tuple[float, IndexDef]] = []
     for ix, cost in zip(candidates, single_costs):
         out.append(
@@ -93,9 +75,9 @@ def evaluate_candidates(
             if a.table == b.table and a.column_set == b.column_set:
                 continue
             pairs.append((a, b))
-    pair_costs = query_cost_batch(
-        query, [base_config.add(a).add(b) for a, b in pairs]
-    )
+    pair_costs = [
+        query_cost(query, base_config.add(a).add(b)) for a, b in pairs
+    ]
     for (a, b), cost in zip(pairs, pair_costs):
         out.append(
             CandidateConfiguration(
@@ -114,7 +96,6 @@ def evaluate_candidates_batch(
     query_cost: Callable[[SelectQuery, Configuration], float],
     index_size: Callable[[IndexDef], float],
     max_pairs: int = 10,
-    query_cost_batch: QueryCostBatch | None = None,
 ) -> list[list[CandidateConfiguration]]:
     """Evaluate per-query candidate *sets* for many queries at once.
 
@@ -129,7 +110,7 @@ def evaluate_candidates_batch(
     return [
         evaluate_candidates(
             query, candidates, base_config, query_cost, index_size,
-            max_pairs=max_pairs, query_cost_batch=query_cost_batch,
+            max_pairs=max_pairs,
         )
         for query, candidates in zip(queries, candidates_per_query)
     ]

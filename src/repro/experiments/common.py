@@ -9,7 +9,6 @@ them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -21,6 +20,10 @@ from repro.datasets import (
     tpch_database,
 )
 from repro.physical.index_def import IndexDef
+from repro.sizeest.calibration import (  # re-exported for the experiments
+    error_stats as error_stats,
+    fit_through_origin as fit_through_origin,
+)
 from repro.storage.index_build import IndexKind
 
 #: Default dataset scale for experiments: small enough that full-data
@@ -97,25 +100,6 @@ def _fmt(cell) -> str:
             return f"{cell:.2f}"
         return f"{cell:.4f}"
     return str(cell)
-
-
-# ----------------------------------------------------------------------
-def fit_through_origin(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Least-squares slope of y = m*x (the paper fits errors through the
-    origin: zero error at f=1 / a=0)."""
-    sxy = sum(x * y for x, y in zip(xs, ys))
-    sxx = sum(x * x for x in xs)
-    return sxy / sxx if sxx else 0.0
-
-
-def error_stats(errors: Sequence[float]) -> tuple[float, float]:
-    """(bias, stddev) of ratio errors given as est/true - 1."""
-    n = len(errors)
-    if n == 0:
-        return 0.0, 0.0
-    mean = sum(errors) / n
-    var = sum((e - mean) ** 2 for e in errors) / max(1, n - 1)
-    return mean, math.sqrt(var)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.catalog.schema import Database
 from repro.errors import OptimizerError
 from repro.optimizer.constants import CostConstants
 from repro.physical.index_def import IndexDef
@@ -258,7 +257,6 @@ def cost_access(
 
 
 def best_access_plan(
-    database: Database,
     stats: TableStats,
     table: str,
     structures: list[tuple[IndexDef, float, float]],

@@ -26,16 +26,19 @@ single float:
   table's chosen plan under *any* configuration is the first strict
   minimum over the base's entry, then the configuration's secondaries'
   entries in that same order — read from the plan table, with no plan
-  search.  A SELECT with no MV in scope then costs ``weight x
-  _select_total_from_plans(chosen plans)``, which replays
-  ``_cost_select``'s accumulation — the same floats in the same order —
-  and a maintenance statement costs the ``fsum`` of its per-structure
-  contributions (order-independent, each computed by the optimizer's
-  own ``structure_maintenance``) plus its find-plan, chosen the same
-  way.  The workload total is the sum of the per-statement terms in
-  workload order, the left-to-right accumulation
-  :meth:`WhatIfOptimizer.workload_cost` performs, so totals are
-  bit-equal to the full-recost path.
+  search.
+
+* **The totals are the optimizer's.**  A SELECT with no MV in scope
+  costs ``weight x`` :meth:`StatementCoster.select_total` over its
+  chosen plans and its :class:`~repro.optimizer.statement_cost.
+  SelectShape` — the function ``_cost_select`` itself ends in.  A
+  maintenance statement costs the ``fsum`` of its per-structure
+  contributions (order-independent, each the optimizer's own
+  ``structure_maintenance`` over its ``affected_rows``) plus its find
+  plan's ``select_total``.  The workload total is the sum of the
+  per-statement terms in workload order, the left-to-right
+  accumulation :meth:`WhatIfOptimizer.workload_cost` performs, so
+  totals equal the full-recost path's by construction.
 
 * **Sweeps.**  Costing ``reference ∪ {secondary}`` — what a greedy
   sweep asks for every pool member on every step — compares the
@@ -101,19 +104,17 @@ from collections import defaultdict
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.optimizer.access_paths import plan_from_shape
-from repro.optimizer.statement_cost import mv_matches_query
+from repro.optimizer.statement_cost import (
+    SelectShape,
+    StatementCoster,
+    find_probe,
+    mv_matches_query,
+)
 from repro.parallel.signature import index_identity
 from repro.physical.configuration import Configuration, structure_order_key
 from repro.physical.index_def import IndexDef
-from repro.stats.selectivity import conjunction_selectivity
 from repro.storage.index_build import IndexKind
-from repro.workload.query import (
-    DeleteQuery,
-    InsertQuery,
-    SelectQuery,
-    UpdateQuery,
-    Workload,
-)
+from repro.workload.query import SelectQuery, Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with whatif
     from repro.optimizer.whatif import WhatIfOptimizer
@@ -182,7 +183,8 @@ class PlanTables:
     lookup — they were built against, never a longer one.
     """
 
-    def __init__(self, database, statements: Sequence) -> None:
+    def __init__(self, coster: StatementCoster,
+                 statements: Sequence) -> None:
         stmts = self.stmts = list(statements)
         self.is_select = [isinstance(s, SelectQuery) for s in stmts]
         self.tables: list[set[str]] = [
@@ -198,40 +200,17 @@ class PlanTables:
         self.stmt_index: dict = {}
         for si, stmt in enumerate(stmts):
             self.stmt_index.setdefault(stmt, si)
-        #: per maintenance statement: (table, find-probe SELECT | None) —
-        #: the probe is the exact SELECT ``_cost_update``/``_cost_delete``
-        #: construct to find the affected rows (None for bulk INSERTs,
-        #: which have no find phase).
-        self.maint_info: list[tuple | None] = []
-        for s in stmts:
-            if isinstance(s, InsertQuery):
-                self.maint_info.append((s.table, None))
-            elif isinstance(s, UpdateQuery):
-                self.maint_info.append((s.table, SelectQuery(
-                    tables=(s.table,),
-                    select_columns=tuple(s.set_columns),
-                    predicates=s.predicates,
-                )))
-            elif isinstance(s, DeleteQuery):
-                self.maint_info.append((s.table, SelectQuery(
-                    tables=(s.table,), predicates=s.predicates,
-                )))
-            else:
-                self.maint_info.append(None)
         #: per statement that chooses access plans — a SELECT, or the
-        #: find-probe of an UPDATE/DELETE: table -> (predicates, needed
-        #: columns), the exact plan-search inputs ``_cost_select`` uses,
-        #: in ``tables`` order.  None for bulk INSERTs.
-        self.probe_info: list[dict | None] = []
-        for s, info in zip(stmts, self.maint_info):
-            planned = s if info is None else info[1]
-            self.probe_info.append(None if planned is None else {
-                t: (
-                    planned.predicates_of_table(database, t),
-                    planned.columns_of_table(database, t),
-                )
-                for t in planned.tables
-            })
+        #: find probe of an UPDATE/DELETE — its
+        #: :class:`~repro.optimizer.statement_cost.SelectShape`, whose
+        #: ``inputs`` are the exact plan-search inputs the optimizer
+        #: uses.  None for bulk INSERTs, which have no find phase.
+        self.shapes: list[SelectShape | None] = []
+        for s in stmts:
+            planned = s if isinstance(s, SelectQuery) else find_probe(s)
+            self.shapes.append(
+                None if planned is None else coster.select_shape(planned)
+            )
 
         #: the plan table: (si, table, structure identity, base
         #: identity) -> AccessPlan (None = unusable plan).
@@ -239,14 +218,9 @@ class PlanTables:
         #: statements whose table choice disagreed with the plan costs
         #: the optimizer reported: always fully recosted.
         self.distrusted: set[int] = set()
-        #: si -> what a SELECT's total takes from the statement alone
-        #: (see _select_total_from_plans; pure).
-        self.select_shapes: dict[int, tuple] = {}
         #: (si, structure identity) -> (io, cpu) maintenance
         #: contribution (pure: sizes and stats are fixed).
         self.maint_terms: dict = {}
-        #: si -> affected row count of the maintenance statement (pure).
-        self.maint_affected: dict[int, float] = {}
         #: (candidate identity, base identity) -> the candidate's plan
         #: cost per statement of its table, aligned with ``by_table``
         #: (inf = unusable plan, or not a SELECT).
@@ -282,7 +256,7 @@ class DeltaWorkloadCoster:
         statements = list(workload)
         stmts = [ws.statement for ws in statements]
         if tables is None:
-            tables = PlanTables(whatif.database, stmts)
+            tables = PlanTables(whatif.coster, stmts)
         elif tables.stmts != stmts:
             raise ValueError(
                 "plan tables were built for another statement sequence"
@@ -296,13 +270,10 @@ class DeltaWorkloadCoster:
         self._tables = tables.tables
         self._by_table = tables.by_table
         self._stmt_index = tables.stmt_index
-        self._maint_info = tables.maint_info
-        self._probe_info = tables.probe_info
+        self._shapes = tables.shapes
         self._probes = tables.probes
         self._distrusted = tables.distrusted
-        self._select_shapes = tables.select_shapes
         self._maint_terms = tables.maint_terms
-        self._maint_affected = tables.maint_affected
         self._probe_rows = tables.probe_rows
 
         # Reference state: per-statement weighted terms / raw totals /
@@ -590,7 +561,7 @@ class DeltaWorkloadCoster:
         substitution is the optimizer's to decide — one on an untracked
         table, and a distrusted one."""
         if touched is not None and si not in self._distrusted and not (
-            self._probe_info[si] is not None
+            self._shapes[si] is not None
             and self._mv_in_scope(si, mv_tables)
         ):
             if not self._is_select[si]:
@@ -609,7 +580,7 @@ class DeltaWorkloadCoster:
                             self._ref_terms[si], self._ref_totals[si],
                             plans,
                         )
-                    total = self._select_total_from_plans(si, plans)
+                    total = self._select_total(si, plans)
                     self.patched_terms += 1
                     return self._weights[si] * total, total, plans
         breakdown, plan_costs = self.whatif.cost_with_plans(
@@ -676,9 +647,7 @@ class DeltaWorkloadCoster:
                 *plans[:pos], self._probes[(si, *plan_key)],
                 *plans[pos + 1:],
             )
-            out[si] = self._weights[si] * self._select_total_from_plans(
-                si, plans
-            )
+            out[si] = self._weights[si] * self._select_total(si, plans)
         return sum(out)
 
     def _maintenance_total(
@@ -691,54 +660,35 @@ class DeltaWorkloadCoster:
         ``_maintenance_cost`` accumulates with :func:`math.fsum`, whose
         exactly-rounded total is independent of structure order — so
         summing the identical per-structure floats here (each computed
-        by the *same* ``structure_maintenance`` code the full path runs)
-        reproduces the full path's maintenance breakdown bit for bit.
-        The UPDATE/DELETE find-plan is the table's chosen plan for the
-        find-probe; None (an untracked table) falls back to a full
-        recost."""
-        table, probe = self._maint_info[si]
+        by the optimizer's own ``structure_maintenance``) reproduces the
+        full path's maintenance breakdown bit for bit.  The
+        UPDATE/DELETE find plan is the table's chosen plan for the find
+        probe, costed by ``select_total``; None (an untracked table)
+        falls back to a full recost."""
+        stmt = self._stmts[si]
+        table = stmt.table
         find = None
-        if probe is not None:
+        if self._shapes[si] is not None:
             find = self._choose(si, table, config)
             if find is None:
                 return None
         coster = self.whatif.coster
-        affected = self._affected_rows(si)
         io_terms: list[float] = []
         cpu_terms: list[float] = []
         for ix in coster.maintenance_structures(table, config):
             key = (si, index_identity(ix))
             contrib = self._maint_terms.get(key)
             if contrib is None:
+                affected = coster.affected_rows(stmt)
                 contrib = coster.structure_maintenance(table, affected, ix)
                 self._maint_terms[key] = contrib
             io_terms.append(contrib[0])
             cpu_terms.append(contrib[1])
         total = math.fsum(io_terms) + math.fsum(cpu_terms)
         if find is not None:
-            # _cost_update/_cost_delete: total = find.total +
-            # maintain.total, find.total = plan.io + plan.cpu (single
-            # table, no joins/groups/sort on the probe).
-            total = (find.io_cost + find.cpu_cost) + total
+            # _cost_maintenance: total = find.total + maintain.total.
+            total = self._select_total(si, (find,)) + total
         return total
-
-    def _affected_rows(self, si: int) -> float:
-        """Affected row count of maintenance statement ``si`` — the
-        identical expression ``_cost_insert``/``_cost_update``/
-        ``_cost_delete`` evaluate, memoized (it is a pure function of
-        the statement and the table statistics)."""
-        affected = self._maint_affected.get(si)
-        if affected is None:
-            stmt = self._stmts[si]
-            if isinstance(stmt, InsertQuery):
-                affected = float(stmt.n_rows)
-            else:
-                stats = self.whatif.stats.table(stmt.table)
-                affected = stats.n_rows * conjunction_selectivity(
-                    stats, stmt.predicates
-                )
-            self._maint_affected[si] = affected
-        return affected
 
     def _chosen_plans(
         self, si: int, config: Configuration,
@@ -750,7 +700,7 @@ class DeltaWorkloadCoster:
         table).  None when a table is untracked."""
         held = None if touched is None else self._ref_plans[si]
         plans = []
-        for pos, table in enumerate(self._probe_info[si]):
+        for pos, table in enumerate(self._shapes[si].inputs):
             if held is not None and table not in touched:
                 plans.append(held[pos])
                 continue
@@ -778,53 +728,11 @@ class DeltaWorkloadCoster:
                 best = plan
         return best
 
-    def _select_total_from_plans(self, si: int, plans: tuple) -> float:
-        """``_cost_select``'s total rebuilt from already-chosen per-table
-        plans: the identical arithmetic in the identical order, minus
-        the per-structure plan search (only valid with no MV in scope).
-        """
-        shape = self._select_shapes.get(si)
-        if shape is None:
-            # What _cost_select derives from the statement alone.
-            stmt = self._stmts[si]
-            fact_pos = None
-            dim_sel_product = 1.0
-            for pos, (table, (preds, _needed)) in enumerate(
-                self._probe_info[si].items()
-            ):
-                if table == stmt.root_table:
-                    fact_pos = pos
-                else:
-                    dim_sel_product *= conjunction_selectivity(
-                        self.whatif.stats.table(table), preds
-                    )
-            shape = self._select_shapes[si] = (
-                fact_pos, dim_sel_product, len(stmt.joins),
-                bool(stmt.group_by or stmt.aggregates),
-                tuple(stmt.order_by),
-            )
-        fact_pos, dim_sel_product, n_joins, grouped, order_by = shape
-        constants = self.whatif.coster.constants
-        io = cpu = 0.0
-        for plan in plans:
-            io += plan.io_cost
-            cpu += plan.cpu_cost
-        fact_rows_out = 0.0 if fact_pos is None else plans[fact_pos].rows_out
-        join_rows = fact_rows_out * dim_sel_product
-        if len(plans) > 1:
-            cpu += fact_rows_out * n_joins * constants.cpu_join_probe
-            for plan in plans[1:]:
-                cpu += plan.rows_out * constants.cpu_tuple
-        if grouped:
-            cpu += join_rows * constants.cpu_group
-        # Only a single-table plan whose key leads with the ordering
-        # skips the sort (``_order_satisfied``).
-        if order_by and (
-            len(plans) > 1
-            or plans[0].index.key_columns[:len(order_by)] != order_by
-        ):
-            out_rows = max(2.0, join_rows)
-            cpu += out_rows * math.log2(out_rows) * constants.cpu_sort_factor
+    def _select_total(self, si: int, plans: tuple) -> float:
+        """The optimizer's SELECT total of statement ``si`` (or its find
+        probe) over already-chosen per-table plans — ``_cost_select``
+        minus the plan search (only valid with no MV in scope)."""
+        io, cpu = self.whatif.coster.select_total(self._shapes[si], plans)
         return io + cpu
 
     def _ref_base(self, table: str) -> tuple:
@@ -935,7 +843,7 @@ class DeltaWorkloadCoster:
         for sj in self._by_table.get(table, ()):
             if not self._is_select[sj]:
                 continue
-            preds, needed = self._probe_info[sj][table]
+            preds, needed = self._shapes[sj].inputs[table]
             for cand, cand_id, size in secondaries:
                 if size is None:
                     continue
@@ -985,7 +893,7 @@ class DeltaWorkloadCoster:
         ``StatementCoster._structures_for`` would feed
         ``best_access_plan``, through the kernel's shape memo."""
         self.probe_evals += 1
-        preds, needed = self._probe_info[si][table]
+        preds, needed = self._shapes[si].inputs[table]
         whatif = self.whatif
         ix_bytes, ix_rows = whatif._sizes(ix)
         base_bytes, _base_rows = whatif._sizes(base)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 from repro.catalog.schema import Database
 from repro.errors import OptimizerError
@@ -49,6 +49,22 @@ class CostBreakdown:
     used_mv: bool = False
 
 
+class SelectShape(NamedTuple):
+    """What a SELECT's cost takes from the statement alone, whatever
+    the configuration: the plan-search inputs, and the terms that
+    combine the chosen plans into a total."""
+
+    #: table -> (predicates, needed columns), in ``query.tables`` order.
+    inputs: dict
+    #: position of the fact (root) table among ``inputs``.
+    fact_pos: int | None
+    #: product of the dimension tables' predicate selectivities.
+    dim_selectivity: float
+    n_joins: int
+    grouped: bool
+    order_by: tuple[str, ...]
+
+
 class StatementCoster:
     """Costs statements against configurations (the optimizer core)."""
 
@@ -70,12 +86,8 @@ class StatementCoster:
     def cost(self, statement: Statement, config: Configuration) -> CostBreakdown:
         if isinstance(statement, SelectQuery):
             return self._cost_select(statement, config)
-        if isinstance(statement, InsertQuery):
-            return self._cost_insert(statement, config)
-        if isinstance(statement, UpdateQuery):
-            return self._cost_update(statement, config)
-        if isinstance(statement, DeleteQuery):
-            return self._cost_delete(statement, config)
+        if isinstance(statement, (InsertQuery, UpdateQuery, DeleteQuery)):
+            return self._cost_maintenance(statement, config)
         raise OptimizerError(f"cannot cost {type(statement).__name__}")
 
     # ------------------------------------------------------------------
@@ -104,61 +116,78 @@ class StatementCoster:
             for index in self._table_structures(table, config)
         ]
 
+    def select_shape(self, query: SelectQuery) -> SelectShape:
+        """What a SELECT's cost takes from the statement alone (see
+        :class:`SelectShape`)."""
+        inputs = {}
+        fact_pos = None
+        dim_selectivity = 1.0
+        for pos, table in enumerate(query.tables):
+            preds = query.predicates_of_table(self.database, table)
+            inputs[table] = (
+                preds, query.columns_of_table(self.database, table)
+            )
+            if table == query.root_table:
+                fact_pos = pos
+            else:
+                dim_selectivity *= conjunction_selectivity(
+                    self.stats.table(table), preds
+                )
+        return SelectShape(
+            inputs, fact_pos, dim_selectivity, len(query.joins),
+            bool(query.group_by or query.aggregates), tuple(query.order_by),
+        )
+
+    def select_total(
+        self, shape: SelectShape, plans: Sequence[AccessPlan]
+    ) -> tuple[float, float]:
+        """(io, cpu) of a SELECT from its shape and its chosen plans,
+        aligned with ``shape.inputs``: the plans' own costs, then join,
+        group and sort CPU.  FK joins preserve fact cardinality;
+        dimension predicates thin it."""
+        constants = self.constants
+        io = cpu = 0.0
+        for plan in plans:
+            io += plan.io_cost
+            cpu += plan.cpu_cost
+        fact_rows_out = (
+            0.0 if shape.fact_pos is None else plans[shape.fact_pos].rows_out
+        )
+        join_rows = fact_rows_out * shape.dim_selectivity
+        if len(plans) > 1:
+            cpu += fact_rows_out * shape.n_joins * constants.cpu_join_probe
+            for plan in plans[1:]:
+                cpu += plan.rows_out * constants.cpu_tuple
+        if shape.grouped:
+            cpu += join_rows * constants.cpu_group
+        # Only a single-table plan whose key leads with the ordering
+        # skips the sort.
+        order_by = shape.order_by
+        if order_by and (
+            len(plans) > 1
+            or plans[0].index.key_columns[:len(order_by)] != order_by
+        ):
+            out_rows = max(2.0, join_rows)
+            cpu += out_rows * math.log2(out_rows) * constants.cpu_sort_factor
+        return io, cpu
+
     def _cost_select(self, query: SelectQuery,
                      config: Configuration) -> CostBreakdown:
         mv_plan = self._try_mv_plan(query, config)
-
-        constants = self.constants
-        io = cpu = 0.0
-        plans: list[AccessPlan] = []
-        fact = query.root_table
-        fact_rows_out = None
-        dim_sel_product = 1.0
-        for table in query.tables:
-            stats = self.stats.table(table)
-            preds = query.predicates_of_table(self.database, table)
-            needed = query.columns_of_table(self.database, table)
-            structures = self._structures_for(table, config)
-            plan = best_access_plan(
-                self.database, stats, table, structures, preds, needed,
-                constants, self.kernel, shape_key=(query, table),
+        shape = self.select_shape(query)
+        plans = tuple(
+            best_access_plan(
+                self.stats.table(table), table,
+                self._structures_for(table, config), preds, needed,
+                self.constants, self.kernel, shape_key=(query, table),
             )
-            plans.append(plan)
-            io += plan.io_cost
-            cpu += plan.cpu_cost
-            if table == fact:
-                fact_rows_out = plan.rows_out
-            else:
-                dim_sel_product *= conjunction_selectivity(stats, preds)
-
-        if fact_rows_out is None:  # pragma: no cover - defensive
-            fact_rows_out = 0.0
-        # FK joins preserve fact cardinality; dimension predicates thin it.
-        join_rows = fact_rows_out * dim_sel_product
-        if len(query.tables) > 1:
-            cpu += fact_rows_out * len(query.joins) * constants.cpu_join_probe
-            for plan in plans[1:]:
-                cpu += plan.rows_out * constants.cpu_tuple
-
-        if query.group_by or query.aggregates:
-            cpu += join_rows * constants.cpu_group
-        if query.order_by and not self._order_satisfied(query, plans[0]):
-            out_rows = max(2.0, join_rows)
-            cpu += out_rows * math.log2(out_rows) * constants.cpu_sort_factor
-
-        base = CostBreakdown(
-            total=io + cpu, io=io, cpu=cpu, plans=tuple(plans)
+            for table, (preds, needed) in shape.inputs.items()
         )
+        io, cpu = self.select_total(shape, plans)
+        base = CostBreakdown(total=io + cpu, io=io, cpu=cpu, plans=plans)
         if mv_plan is not None and mv_plan.total < base.total:
             return mv_plan
         return base
-
-    def _order_satisfied(self, query: SelectQuery, fact_plan: AccessPlan) -> bool:
-        index = fact_plan.index
-        if index is None or len(query.tables) > 1:
-            return False
-        k = len(query.order_by)
-        return index.key_columns[:k] == tuple(query.order_by)
 
     # ------------------------------------------------------------------
     # MV substitution
@@ -251,42 +280,45 @@ class StatementCoster:
         cpu = math.fsum(c[1] for c in contributions)
         return CostBreakdown(total=io + cpu, io=io, cpu=cpu)
 
-    def _cost_insert(self, stmt: InsertQuery,
-                     config: Configuration) -> CostBreakdown:
-        return self._maintenance_cost(stmt.table, float(stmt.n_rows), config)
-
-    def _cost_update(self, stmt: UpdateQuery,
-                     config: Configuration) -> CostBreakdown:
+    def affected_rows(self, stmt: Statement) -> float:
+        """Rows a maintenance statement writes: a bulk INSERT's count,
+        else the table's rows its predicates select."""
+        if isinstance(stmt, InsertQuery):
+            return float(stmt.n_rows)
         stats = self.stats.table(stmt.table)
-        sel = conjunction_selectivity(stats, stmt.predicates)
-        affected = stats.n_rows * sel
-        # Find the rows (as a SELECT of the key columns) + maintain.
-        probe = SelectQuery(
+        return stats.n_rows * conjunction_selectivity(stats, stmt.predicates)
+
+    def _cost_maintenance(self, stmt: Statement,
+                          config: Configuration) -> CostBreakdown:
+        """Find the rows (UPDATE/DELETE, see :func:`find_probe`), then
+        maintain every structure that stores them."""
+        probe = find_probe(stmt)
+        find = None if probe is None else self._cost_select(probe, config)
+        maintain = self._maintenance_cost(
+            stmt.table, self.affected_rows(stmt), config
+        )
+        if find is None:
+            return maintain
+        return CostBreakdown(
+            total=find.total + maintain.total,
+            io=find.io + maintain.io,
+            cpu=find.cpu + maintain.cpu,
+        )
+
+
+def find_probe(stmt: Statement) -> SelectQuery | None:
+    """The SELECT an UPDATE or DELETE runs to find its rows (an UPDATE
+    reads the columns it sets); None for a bulk INSERT, which has no
+    find phase."""
+    if isinstance(stmt, UpdateQuery):
+        return SelectQuery(
             tables=(stmt.table,),
             select_columns=tuple(stmt.set_columns),
             predicates=stmt.predicates,
         )
-        find = self._cost_select(probe, config)
-        maintain = self._maintenance_cost(stmt.table, affected, config)
-        return CostBreakdown(
-            total=find.total + maintain.total,
-            io=find.io + maintain.io,
-            cpu=find.cpu + maintain.cpu,
-        )
-
-    def _cost_delete(self, stmt: DeleteQuery,
-                     config: Configuration) -> CostBreakdown:
-        stats = self.stats.table(stmt.table)
-        sel = conjunction_selectivity(stats, stmt.predicates)
-        affected = stats.n_rows * sel
-        probe = SelectQuery(tables=(stmt.table,), predicates=stmt.predicates)
-        find = self._cost_select(probe, config)
-        maintain = self._maintenance_cost(stmt.table, affected, config)
-        return CostBreakdown(
-            total=find.total + maintain.total,
-            io=find.io + maintain.io,
-            cpu=find.cpu + maintain.cpu,
-        )
+    if isinstance(stmt, DeleteQuery):
+        return SelectQuery(tables=(stmt.table,), predicates=stmt.predicates)
+    return None
 
 
 def mv_matches_query(mv: MVDefinition, query: SelectQuery) -> bool:

@@ -27,11 +27,6 @@ from repro.stats.column_stats import DatabaseStats
 from repro.workload.query import SelectQuery, Statement
 from repro.workload.query import Workload
 
-#: fault-injection hook (see :mod:`repro.service.faults`): rebound to
-#: that module's ``fire`` when a plan is installed, None otherwise —
-#: declared here so the optimizer never imports the service package.
-FAULT_HOOK = None
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle with delta
     from repro.optimizer.delta import DeltaWorkloadCoster, PlanTables
 
@@ -235,17 +230,6 @@ class WhatIfOptimizer:
 
         return DeltaWorkloadCoster(self, workload, tables)
 
-    # ------------------------------------------------------------------
-    def cost_batch(
-        self,
-        statement: Statement,
-        configs: Sequence[Configuration],
-    ) -> list[CostBreakdown]:
-        """Costs of one statement under a *set* of candidate
-        configurations, in input order (in-memory and persistent
-        cost-cache aware)."""
-        return [self.cost(statement, config) for config in configs]
-
     def workload_cost(self, workload: Workload,
                       config: Configuration) -> float:
         """Weighted total workload cost (the advisor's objective)."""
@@ -253,27 +237,6 @@ class WhatIfOptimizer:
             ws.weight * self.cost(ws.statement, config).total
             for ws in workload
         )
-
-    def workload_cost_batch(
-        self,
-        workload: Workload,
-        configs: Sequence[Configuration],
-        delta: "DeltaWorkloadCoster | None" = None,
-    ) -> list[float]:
-        """Weighted workload cost of each candidate configuration, in
-        input order.  This is the unit the advisor fans out per worker:
-        one task = one configuration's full workload cost, so the
-        per-configuration float is identical arithmetic either way.
-
-        ``delta`` routes the batch through a
-        :class:`~repro.optimizer.delta.DeltaWorkloadCoster` bound to the
-        same workload: only statements whose relevant-structure set
-        changed get re-evaluated, with bit-identical totals."""
-        if FAULT_HOOK is not None:
-            FAULT_HOOK("coster.batch", configs=len(configs))
-        if delta is not None and delta.workload is workload:
-            return delta.batch(configs)
-        return [self.workload_cost(workload, config) for config in configs]
 
     @property
     def cache_entries(self) -> int:

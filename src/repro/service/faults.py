@@ -30,8 +30,8 @@ Plan grammar (specs joined by ``;``)::
     estimator.estimate:delay=0.05   every estimation batch sleeps 50ms
     worker.heartbeat:stall      heartbeats are skipped (lease goes stale)
 
-Hot paths outside the service package (the coster, the size estimator,
-the persistent caches) must not import this module at module scope —
+Hot paths outside the service package (the search's costing step, the
+size estimator, the persistent caches) must not import this module at module scope —
 that would drag the whole service package into every tune.  They
 declare a module-level ``FAULT_HOOK = None`` instead;
 :func:`install` rebinds it to :func:`fire` (and :func:`clear` back to
@@ -62,7 +62,7 @@ SITES = {
     "cache.save": "_PersistentJsonCache.save, before the atomic replace",
     "worker.heartbeat": "JobWorker progress hook, before a lease beat",
     "worker.claim": "JobWorker.run_once, after a successful claim",
-    "coster.batch": "WhatIfOptimizer.workload_cost_batch entry",
+    "coster.batch": "SelectionAlgorithm._costs entry",
     "estimator.estimate": "SizeEstimator.estimate_many entry",
     "scheduler.lane": "ContextScheduler.lane_for entry",
     "service.execute": "AdvisorService._execute entry",
@@ -74,7 +74,7 @@ KINDS = ("enospc", "eio", "error", "stall", "delay")
 #: modules outside repro.service that expose a FAULT_HOOK attribute
 #: (lazy-bound so inactive plans never import the service package).
 _HOOK_MODULES = (
-    "repro.optimizer.whatif",
+    "repro.advisor.algorithms.base",
     "repro.sizeest.estimator",
     "repro.parallel.cache",
 )

@@ -31,13 +31,16 @@ from repro.storage.index_build import IndexKind
 CALIBRATION_FRACTIONS = (0.01, 0.025, 0.05, 0.10)
 
 
-def _fit_through_origin(xs: Sequence[float], ys: Sequence[float]) -> float:
+def fit_through_origin(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Least-squares slope of y = m*x (the paper fits errors through the
+    origin: zero error at f=1 / a=0)."""
     sxy = sum(x * y for x, y in zip(xs, ys))
     sxx = sum(x * x for x in xs)
     return sxy / sxx if sxx else 0.0
 
 
-def _stats(errors: Sequence[float]) -> tuple[float, float]:
+def error_stats(errors: Sequence[float]) -> tuple[float, float]:
+    """(bias, stddev) of ratio errors given as est/true - 1."""
     n = len(errors)
     if n == 0:
         return 0.0, 0.0
@@ -145,12 +148,12 @@ def calibrate_error_model(
         xs, bias_ys, std_ys = [], [], []
         for f in fractions:
             errors = samplecf.get((cls, f), [])
-            bias, std = _stats(errors)
+            bias, std = error_stats(errors)
             xs.append(-math.log(f))
             bias_ys.append(bias)
             std_ys.append(std)
-        samplecf_bias[cls] = _fit_through_origin(xs, bias_ys)
-        samplecf_std[cls] = max(1e-4, _fit_through_origin(xs, std_ys))
+        samplecf_bias[cls] = fit_through_origin(xs, bias_ys)
+        samplecf_std[cls] = max(1e-4, fit_through_origin(xs, std_ys))
 
     # Fit ColExt coefficients: statistic = c * a.
     colext_bias: dict[str, float] = {}
@@ -160,14 +163,14 @@ def calibrate_error_model(
         for (c, a), errors in sorted(colext.items()):
             if c != cls:
                 continue
-            bias, std = _stats(errors)
+            bias, std = error_stats(errors)
             xs.append(float(a))
             bias_ys.append(bias)
             std_ys.append(std)
-        colext_bias[cls] = _fit_through_origin(xs, bias_ys)
-        colext_std[cls] = max(1e-4, _fit_through_origin(xs, std_ys))
+        colext_bias[cls] = fit_through_origin(xs, bias_ys)
+        colext_std[cls] = max(1e-4, fit_through_origin(xs, std_ys))
 
-    cs_bias, cs_std = _stats(colset)
+    cs_bias, cs_std = error_stats(colset)
     model = ErrorModel(
         samplecf_bias=samplecf_bias,
         samplecf_std=samplecf_std,

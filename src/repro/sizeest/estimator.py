@@ -132,8 +132,10 @@ class SizeEstimator:
         to compute at any time) and compressed indexes already in the
         in-memory cache.  Never consults the persistent cache and never
         plans a SampleCF batch, so calling it cannot change which
-        estimates later batches compute or how deduction plans them —
-        the property the advisor's pruning bounds rely on."""
+        estimates later batches compute or how deduction plans them.
+        That is what its readers rely on: the advisor's
+        ``_size_if_known``, which sizes the delta coster's probe-group
+        fill, and the benchmark ledger's ``_count_new_compressed``."""
         if not index.method.is_compressed:
             return self.estimate(index)
         return self._cache.get(index)

@@ -96,7 +96,7 @@ def _assert_method_swaps_match(whatif, wl, base, pool):
     incremental = delta.batch(swaps)
     assert delta.stats()["reused_terms"] > reused_before
     whatif.clear_cache()
-    assert incremental == whatif.workload_cost_batch(wl, swaps)
+    assert incremental == [whatif.workload_cost(wl, c) for c in swaps]
 
 
 class TestIncrementalEqualsFull:
@@ -110,7 +110,7 @@ class TestIncrementalEqualsFull:
         delta.rebase(base)
         incremental = delta.batch(configs)
         whatif.clear_cache()
-        full = whatif.workload_cost_batch(wl, configs)
+        full = [whatif.workload_cost(wl, c) for c in configs]
         assert incremental == full
         stats = delta.stats()
         assert stats["reused_terms"] + stats["patched_terms"] > 0
@@ -151,7 +151,7 @@ class TestIncrementalEqualsFull:
         )
         incremental = delta.batch(configs)
         whatif.clear_cache()
-        assert incremental == whatif.workload_cost_batch(wl, configs)
+        assert incremental == [whatif.workload_cost(wl, c) for c in configs]
         _assert_method_swaps_match(whatif, wl, base, pool)
 
     def test_method_swap_strict_win_is_patched(self, costing_rig):
@@ -264,7 +264,7 @@ class TestUpdateHeavyIncremental:
         delta.rebase(base)
         incremental = delta.batch(configs)
         whatif.clear_cache()
-        full = whatif.workload_cost_batch(wl, configs)
+        full = [whatif.workload_cost(wl, c) for c in configs]
         assert incremental == full
         assert delta.stats()["patched_maintenance"] > 0
 
@@ -289,7 +289,7 @@ class TestUpdateHeavyIncremental:
         )
         incremental = delta.batch(configs)
         whatif.clear_cache()
-        assert incremental == whatif.workload_cost_batch(wl, configs)
+        assert incremental == [whatif.workload_cost(wl, c) for c in configs]
         _assert_method_swaps_match(whatif, wl, base, pool)
 
     def test_statement_cost_matches_whatif(self, update_heavy_rig):
@@ -397,7 +397,7 @@ class TestColdAndWarmCostCache:
 
         # And the ground truth, uncached.
         bare_whatif, bare_base = rig(None)
-        assert bare_whatif.workload_cost_batch(wl, configs) == cold
+        assert [bare_whatif.workload_cost(wl, c) for c in configs] == cold
 
     def test_plan_costs_survive_persistence(self, delta_inputs, tmp_path):
         db, wl, budget = delta_inputs
@@ -651,7 +651,7 @@ class TestSweepMajor:
             batched = delta.batch(adds)
             assert [delta.workload_cost(c) for c in adds] == batched
             whatif.clear_cache()
-            assert whatif.workload_cost_batch(wl, adds) == batched
+            assert [whatif.workload_cost(wl, c) for c in adds] == batched
             assert whatif.workload_cost(wl, ref) == ref_cost
 
     def test_a_repeated_sweep_does_no_new_work(self, sweep_rig):

@@ -4,11 +4,13 @@ pool moves."""
 
 import pytest
 
+from repro.advisor import algorithms
 from repro.advisor.algorithms import (
     EnumerationOptions,
     GreedyBacktrackAlgorithm,
 )
 from repro.compression import CompressionMethod
+from repro.errors import AdvisorError
 from repro.physical.configuration import Configuration
 from repro.physical.index_def import IndexDef
 from repro.storage.index_build import IndexKind
@@ -190,3 +192,18 @@ class TestPolish:
         )
         result = enumerator.run([fake.s_page], Configuration([fake.heap]))
         assert fake.s in result.configuration
+
+
+class TestAttributionNeedsQueryCost:
+    @pytest.mark.parametrize("name", ["ibm", "relaxation"])
+    def test_direct_construction_without_query_cost_raises(self, name):
+        """Per-statement benefit attribution has no whole-workload
+        fallback: a knapsack or relaxation search built without a
+        ``query_cost`` fails with a named error."""
+        fake = TrapCost()
+        search = algorithms.get(name)(
+            Workload(), fake.cost, fake.size, {"t": 0.0},
+            EnumerationOptions(budget_bytes=10.0 * MB),
+        )
+        with pytest.raises(AdvisorError, match="query_cost"):
+            search.run(fake.pool(), fake.base())

@@ -28,7 +28,8 @@ import time
 
 import pytest
 
-from repro.api import tune
+from repro.advisor import algorithms
+from repro.api import Session, tune
 from repro.datasets.sales import sales_database, sales_workload
 from repro.errors import JobError
 from repro.service import (
@@ -186,18 +187,18 @@ class TestFaultPlanGrammar:
             FaultPlan.seeded(1).describe()
 
     def test_install_rebinds_out_of_package_hooks(self):
-        import repro.optimizer.whatif as whatif
+        import repro.advisor.algorithms.base as search
         import repro.parallel.cache as cache
         import repro.sizeest.estimator as estimator
 
         plan = faults.install(FaultPlan.parse("coster.batch:errorx1"))
-        assert whatif.FAULT_HOOK is faults.fire
+        assert search.FAULT_HOOK is faults.fire
         assert cache.FAULT_HOOK is faults.fire
         assert estimator.FAULT_HOOK is faults.fire
         assert faults.active() is plan
         assert faults.describe_active() == plan.describe()
         faults.clear()
-        assert whatif.FAULT_HOOK is None
+        assert search.FAULT_HOOK is None
         assert faults.active() is None
         assert faults.describe_active() is None
 
@@ -713,3 +714,26 @@ class TestEndToEndRetryByteIdentity:
                       variant="dtac-none")
         assert snapshot["result"]["result"] == \
             serialize_result(direct)["result"]
+
+
+class TestCostFaultSiteEveryStrategy:
+    """``coster.batch`` fires in the search's one multi-configuration
+    costing entry: no strategy, and not the retune search, costs a
+    sweep around it."""
+
+    @pytest.mark.parametrize("algorithm", algorithms.names())
+    def test_tune_raises_injected_fault(self, tuning_inputs, algorithm):
+        db, wl = tuning_inputs
+        session = Session(db, wl, budget_fraction=0.12,
+                          algorithm=algorithm)
+        faults.install(FaultPlan.parse("coster.batch:errorx1"))
+        with pytest.raises(InjectedFault):
+            session.tune()
+
+    def test_retune_raises_injected_fault(self, tuning_inputs):
+        db, wl = tuning_inputs
+        session = Session(db, wl, budget_fraction=0.12)
+        session.tune()
+        faults.install(FaultPlan.parse("coster.batch:errorx1"))
+        with pytest.raises(InjectedFault):
+            session.retune()

@@ -135,7 +135,7 @@ class TestAccessPaths:
              10 * 8192.0, 4000.0),
         ]
         plan = best_access_plan(
-            small_db, small_stats.table("fact"), "fact", structures,
+            small_stats.table("fact"), "fact", structures,
             predicates=(Comparison("f_cat", "=", "CAT_1"),),
             needed_columns=("f_cat", "f_price"),
             constants=DEFAULT_COST_CONSTANTS,

@@ -217,14 +217,14 @@ def _assert_choices_match(rig, delta, config: Configuration) -> None:
     structure included."""
     whatif = rig.whatif
     coster = whatif.coster
-    for si, info in enumerate(delta._probe_info):
-        for table, (preds, needed) in (info or {}).items():
+    for si, shape in enumerate(delta.tables.shapes):
+        for table, (preds, needed) in (shape.inputs if shape else {}).items():
             chosen = delta._choose(si, table, config)
             if config.base_structure(table) is None:
                 assert chosen is None
                 continue
             assert chosen == best_access_plan(
-                rig.db, whatif.stats.table(table), table,
+                whatif.stats.table(table), table,
                 coster._structures_for(table, config), preds, needed,
                 coster.constants, CostKernel(),
             )

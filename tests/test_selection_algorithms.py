@@ -191,13 +191,12 @@ class TestEventUnits:
         ``consumed_bytes``) or an attributed benefit (``benefit``)."""
         db, wl, budget = inputs
         costed = set()
-        for hook in ("_workload_cost", "_batch_workload_cost"):
-            def recording(advisor, arg,
-                          _costs=getattr(TuningAdvisor, hook)):
-                out = _costs(advisor, arg)
-                costed.update([out] if isinstance(out, float) else out)
-                return out
-            monkeypatch.setattr(TuningAdvisor, hook, recording)
+
+        def recording(advisor, config, _cost=TuningAdvisor._workload_cost):
+            out = _cost(advisor, config)
+            costed.add(out)
+            return out
+        monkeypatch.setattr(TuningAdvisor, "_workload_cost", recording)
         events = []
         tune(db, wl, budget, variant="dtac-both", algorithm=algorithm,
              progress=events.append)

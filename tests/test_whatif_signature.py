@@ -200,35 +200,3 @@ class TestPersistentLayerNeverAliases:
         warm.cost(query, config)
         assert warm.cost_cache.hits == 0
         assert warm.optimizer_calls == 1
-
-
-class TestBatchedAPIs:
-    def test_cost_batch_matches_singles(self, small_db, whatif, query):
-        base = _base(small_db)
-        configs = [
-            base,
-            base.add(IndexDef("fact", ("f_cat",),
-                              method=CompressionMethod.ROW)),
-            base.add(IndexDef("fact", ("f_cat",),
-                              method=CompressionMethod.PAGE)),
-        ]
-        batched = whatif.cost_batch(query, configs)
-        assert [b.total for b in batched] == [
-            whatif.cost(query, c).total for c in configs
-        ]
-
-    def test_workload_cost_batch_matches_singles(self, small_db, small_stats):
-        from repro.workload import Workload
-
-        wl = Workload()
-        wl.add(parse_query("SELECT f_qty FROM fact WHERE f_cat = 'CAT_1'"))
-        wl.add(parse_query("SELECT f_price FROM fact WHERE f_day > 100"))
-        whatif = WhatIfOptimizer(small_db, small_stats)
-        base = _base(small_db)
-        configs = [
-            base,
-            base.add(IndexDef("fact", ("f_day",),
-                              method=CompressionMethod.ROW)),
-        ]
-        batch = whatif.workload_cost_batch(wl, configs)
-        assert batch == [whatif.workload_cost(wl, c) for c in configs]
