@@ -34,17 +34,17 @@ from repro.datasets import (
 )
 
 
-def _make_dataset(args):
-    if args.dataset == "tpch":
+def _make_dataset(name: str, args):
+    if name == "tpch":
         db = tpch_database(scale=args.scale, z=args.zipf)
         wl = tpch_workload(db, select_weight=args.select_weight,
                            insert_weight=args.insert_weight)
-    elif args.dataset == "sales":
+    elif name == "sales":
         db = sales_database(scale=args.scale)
         wl = sales_workload(db, select_weight=args.select_weight,
                             insert_weight=args.insert_weight)
     else:
-        raise SystemExit(f"unknown dataset {args.dataset!r}")
+        raise SystemExit(f"unknown dataset {name!r}")
     return db, wl
 
 
@@ -63,7 +63,7 @@ def _make_session(args, db, wl) -> Session:
 
 
 def cmd_tune(args) -> int:
-    db, wl = _make_dataset(args)
+    db, wl = _make_dataset(args.dataset, args)
     budget = db.total_data_bytes() * args.budget
     result = _make_session(args, db, wl).tune(budget_bytes=budget)
     print(f"database {db.name}: {db.total_data_bytes() / 1024:.0f} KiB raw")
@@ -95,19 +95,12 @@ def cmd_tune(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    db, wl = _make_dataset(args)
+    db, wl = _make_dataset(args.dataset, args)
     total = db.total_data_bytes()
     budgets = [total * fraction for fraction in args.budgets]
-    session = Session(
-        db, wl,
-        variant=args.variant,
-        cache_dir=args.cache_dir,
-        algorithm=args.algorithm,
-        enable_partial=args.all_features,
-        enable_mv=args.all_features,
-        delta_costing=not args.full_recost,
+    result = _make_session(args, db, wl).sweep(
+        budgets, seeds=args.seeds, workers=args.workers
     )
-    result = session.sweep(budgets, seeds=args.seeds, workers=args.workers)
     print(f"database {db.name}: {total / 1024:.0f} KiB raw, "
           f"variant {args.variant}, {len(result.runs)} runs "
           f"({len(args.budgets)} budgets x "
@@ -178,7 +171,7 @@ def cmd_retune(args) -> int:
     configuration diff."""
     from repro.workload.drift import DriftingWorkload
 
-    db, wl = _make_dataset(args)
+    db, wl = _make_dataset(args.dataset, args)
     budget = db.total_data_bytes() * args.budget
     drift = DriftingWorkload(wl, _drift_spec(args))
     session = _make_session(args, db, drift.phase(0))
@@ -211,7 +204,7 @@ def cmd_estimate(args) -> int:
     from repro.physical import IndexDef
     from repro.sizeest import SizeEstimator
 
-    db, wl = _make_dataset(args)
+    db, wl = _make_dataset(args.dataset, args)
     estimator = SizeEstimator(
         db, e=args.error, q=args.confidence,
         cache=EstimationCache(args.cache_dir) if args.cache_dir else None,
@@ -272,7 +265,7 @@ def cmd_validate(args) -> int:
     from repro.sizeest import SizeEstimator
     from repro.stats import DatabaseStats
 
-    db, wl = _make_dataset(args)
+    db, wl = _make_dataset(args.dataset, args)
     stats = DatabaseStats(db)
     estimator = SizeEstimator(db, stats=stats)
     budget = db.total_data_bytes() * args.budget
@@ -342,15 +335,7 @@ def cmd_serve(args) -> int:
         ("sales", "tpch") if args.dataset == "both" else (args.dataset,)
     )
     for name in names:
-        if name == "tpch":
-            db = tpch_database(scale=args.scale, z=args.zipf)
-            wl = tpch_workload(db, select_weight=args.select_weight,
-                               insert_weight=args.insert_weight)
-        else:
-            db = sales_database(scale=args.scale)
-            wl = sales_workload(db, select_weight=args.select_weight,
-                                insert_weight=args.insert_weight)
-        service.register(name, db, wl)
+        service.register(name, *_make_dataset(name, args))
     if args.worker:
         worker = JobWorker(service, poll_interval=args.poll_interval)
         print(f"advisor worker {writer}: draining "
@@ -490,7 +475,7 @@ def cmd_jobs(args) -> int:
 def cmd_columnstore(args) -> int:
     from repro.columnstore import tune_columnstore
 
-    db, wl = _make_dataset(args)
+    db, wl = _make_dataset(args.dataset, args)
     budget = db.total_data_bytes() * args.budget
     result = tune_columnstore(
         db, wl, budget, compression_aware=not args.blind

@@ -36,35 +36,6 @@ def _agg_name(agg: Aggregate) -> str:
     return f"{agg.func.lower()}({inner})"
 
 
-def _agg_init(agg: Aggregate):
-    return 0 if agg.func in ("SUM", "COUNT", "AVG") else None
-
-
-def _agg_input(agg: Aggregate, row: dict):
-    if not agg.columns:
-        return 1
-    value = 1
-    for col in agg.columns:
-        v = row[col]
-        if v is None:
-            return None
-        value *= v
-    return value
-
-
-def _agg_step(agg: Aggregate, state, row: dict):
-    v = _agg_input(agg, row)
-    if agg.func == "COUNT":
-        return state + (1 if v is not None else 0)
-    if v is None:
-        return state
-    if agg.func in ("SUM", "AVG"):
-        return state + v
-    if agg.func == "MIN":
-        return v if state is None or v < state else state
-    return v if state is None or v > state else state
-
-
 def _agg_final(agg: Aggregate, state, count: int):
     if agg.func == "AVG":
         return state / count if count else None
@@ -156,12 +127,12 @@ class Executor:
                 key = tuple(r[c] for c in group_cols)
                 state = groups.get(key)
                 if state is None:
-                    state = [_agg_init(a) for a in query.aggregates]
+                    state = [a.initial_state() for a in query.aggregates]
                     groups[key] = state
                     counts[key] = 0
                 counts[key] += 1
                 for i, agg in enumerate(query.aggregates):
-                    state[i] = _agg_step(agg, state[i], r)
+                    state[i] = agg.step(state[i], r)
             result_rows = []
             extra_cols = [
                 c for c in query.select_columns if c not in group_cols

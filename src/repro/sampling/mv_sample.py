@@ -47,37 +47,6 @@ class MVSample:
     fraction: float
 
 
-def _agg_state_init(agg: Aggregate):
-    if agg.func in ("SUM", "AVG", "COUNT"):
-        return 0
-    return None  # MIN / MAX
-
-
-def _agg_value(agg: Aggregate, row: dict):
-    if not agg.columns:
-        return 1
-    value = 1
-    for col in agg.columns:
-        v = row[col]
-        if v is None:
-            return None
-        value *= v
-    return value
-
-
-def _agg_step(agg: Aggregate, state, row: dict):
-    v = _agg_value(agg, row)
-    if agg.func == "COUNT":
-        return state + (1 if v is not None else 0)
-    if v is None:
-        return state
-    if agg.func in ("SUM", "AVG"):
-        return state + v
-    if agg.func == "MIN":
-        return v if state is None or v < state else state
-    return v if state is None or v > state else state
-
-
 def _agg_final(agg: Aggregate, state, count: int):
     if agg.func == "AVG":
         return state // count if count else None
@@ -149,12 +118,12 @@ def build_mv_sample(
         key = tuple(row[c] for c in mv.group_by)
         state = groups.get(key)
         if state is None:
-            state = [_agg_state_init(a) for a in mv.aggregates]
+            state = [a.initial_state() for a in mv.aggregates]
             groups[key] = state
             counts[key] = 0
         counts[key] += 1
         for i, agg in enumerate(mv.aggregates):
-            state[i] = _agg_step(agg, state[i], row)
+            state[i] = agg.step(state[i], row)
 
     out_names = [c.name for c in out_columns]
     for key, state in groups.items():

@@ -83,12 +83,12 @@ class JobWorker:
             from this service's own configuration (pass the
             coordinator's ``--tenant-weight`` flags to workers too).
         poll_interval: idle sleep between journal tails.
-        heartbeat_interval: lease-refresh cadence while executing
-            (default: a third of the journal's lease TTL).
+
+    While executing, the worker refreshes its lease every third of the
+    journal's lease TTL.
     """
 
-    def __init__(self, service, *, poll_interval: float = 0.5,
-                 heartbeat_interval: float | None = None) -> None:
+    def __init__(self, service, *, poll_interval: float = 0.5) -> None:
         if service.journal is None:
             raise ValueError(
                 "worker mode needs a cache_dir-backed journal"
@@ -96,11 +96,7 @@ class JobWorker:
         self.service = service
         self.journal = service.journal
         self.poll_interval = poll_interval
-        self.heartbeat_interval = (
-            heartbeat_interval
-            if heartbeat_interval is not None
-            else self.journal.lease_ttl / 3.0
-        )
+        self.heartbeat_interval = self.journal.lease_ttl / 3.0
         #: merged journal view (every writer, incl. our own appends).
         self._images: dict[str, JobImage] = self.journal.replay()
         # Our own segment is excluded from refresh(); prime the offsets

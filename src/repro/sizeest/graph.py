@@ -89,17 +89,15 @@ class IndexNode:
 
 
 class EstimationGraph:
-    """Holds index nodes and their candidate deductions.
+    """Holds index nodes and their candidate deductions."""
 
-    Args:
-        max_segments: ColExt partitions split the column sequence into at
-            most this many contiguous segments.
-    """
+    #: ColExt partitions split the column sequence into at most this
+    #: many contiguous segments.
+    max_segments = 3
 
-    def __init__(self, max_segments: int = 3) -> None:
+    def __init__(self) -> None:
         self.nodes: dict[NodeKey, IndexNode] = {}
         self.deductions: dict[NodeKey, list[DeductionNode]] = {}
-        self.max_segments = max_segments
         #: node keys per ColSet class, in insertion order (the order
         #: ``nodes`` holds them in, which ties in the planners break on).
         self._colset_classes: dict[ColSetKey, list[NodeKey]] = {}

@@ -35,6 +35,34 @@ class Aggregate:
         inner = " * ".join(self.columns) if self.columns else "*"
         return f"{self.func}({inner})"
 
+    # The fold over input rows, shared by the executor and MV samples;
+    # each finishes AVG its own way (``state`` is the running sum).
+    def initial_state(self):
+        return 0 if self.func in ("SUM", "COUNT", "AVG") else None
+
+    def row_value(self, row: dict):
+        """The product of the referenced columns (1 for ``COUNT(*)``),
+        or ``None`` when any of them is NULL."""
+        value = 1
+        for col in self.columns:
+            v = row[col]
+            if v is None:
+                return None
+            value *= v
+        return value
+
+    def step(self, state, row: dict):
+        v = self.row_value(row)
+        if self.func == "COUNT":
+            return state + (1 if v is not None else 0)
+        if v is None:
+            return state
+        if self.func in ("SUM", "AVG"):
+            return state + v
+        if self.func == "MIN":
+            return v if state is None or v < state else state
+        return v if state is None or v > state else state
+
 
 @dataclass(frozen=True)
 class Join:

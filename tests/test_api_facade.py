@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from repro.advisor import AdvisorOptions
-from repro.api import Session, run_sweep, tune
+from repro.api import Session, run_sweep
 from repro.datasets.sales import sales_database, sales_workload
 from repro.errors import AdvisorError
 from repro.sampling.sample_manager import DEFAULT_SAMPLE_SEED, SampleManager
@@ -22,19 +22,6 @@ def inputs():
 
 
 class TestSession:
-    def test_session_tune_matches_functional_form(self, inputs):
-        """A fresh session's cold tune is byte-identical to the
-        functional entry point on the same inputs."""
-        db, wl = inputs
-        budget = db.total_data_bytes() * 0.15
-        via_session = Session(db, wl, variant="dtac-none").tune(budget)
-        direct = tune(db, wl, budget, variant="dtac-none")
-        assert sorted(ix.display_name()
-                      for ix in via_session.configuration) == \
-            sorted(ix.display_name() for ix in direct.configuration)
-        assert via_session.final_cost == direct.final_cost
-        assert via_session.steps == direct.steps
-
     def test_session_owns_budget_and_advances_generation(self, inputs):
         db, wl = inputs
         session = Session(db, wl, budget_fraction=0.15,

@@ -1,13 +1,14 @@
-"""Delta-aware workload costing: incremental totals must be bit-equal
-to full recosting, and pruning must never change a recommendation.
+"""Delta-aware workload costing at the coster: incremental totals must
+be bit-equal to full recosting, and pruning must never change a
+recommendation.
 
 The contract under test (see ``repro.optimizer.delta``): the
 ``DeltaWorkloadCoster`` only ever reuses a float it can prove is the
 bit-identical value the full-recost path would compute (probe-lose
 reuse, plan patching), and only ever skips a candidate whose costing
-provably cannot change the search (zero-delta certificates, bound
-pruning under pure-greedy scoring).  So every test here asserts *exact*
-equality — no tolerances.
+provably cannot change the search (zero-delta certificates).  So every
+test here asserts *exact* equality — no tolerances.  Whole advisor runs
+with delta costing on and off are cells of ``tests/test_run_identity.py``.
 """
 
 import random
@@ -15,7 +16,6 @@ import random
 import pytest
 
 from repro.advisor.advisor import AdvisorOptions, TuningAdvisor
-from repro.api import run_sweep, tune
 from repro.datasets.sales import sales_database, sales_workload
 from repro.parallel.cache import CostCache
 from repro.physical.configuration import Configuration
@@ -302,37 +302,6 @@ class TestUpdateHeavyIncremental:
                 assert delta.statement_cost(ws.statement, config) == \
                     whatif.cost(ws.statement, config).total
 
-    def test_tune_identical_with_delta_on_or_off(self, update_heavy_rig):
-        whatif, wl, base, pool, db, budget = update_heavy_rig
-        off = tune(db, wl, budget, variant="dtac-both",
-                   delta_costing=False)
-        on = tune(db, wl, budget, variant="dtac-both", delta_costing=True)
-        assert on.configuration == off.configuration
-        assert on.final_cost == off.final_cost
-        assert on.base_cost == off.base_cost
-        assert on.steps == off.steps
-        assert on.delta_stats["patched_maintenance"] > 0
-
-    def test_tune_identical_when_maintenance_comes_first(
-        self, update_heavy_rig
-    ):
-        """The same workload with its maintenance statements ahead of
-        the SELECTs: the first statement on ``sales`` and ``customers``
-        is then one no probe can certify, so every zero-delta sweep on
-        those tables meets it before any SELECT."""
-        from repro.workload.query import Workload
-
-        whatif, wl, base, pool, db, budget = update_heavy_rig
-        flipped = Workload([*wl.updates, *wl.queries])
-        assert not flipped.statements[0].statement.is_select
-        off = tune(db, flipped, budget, variant="dtac-both",
-                   delta_costing=False)
-        on = tune(db, flipped, budget, variant="dtac-both",
-                  delta_costing=True)
-        assert on.configuration == off.configuration
-        assert on.final_cost == off.final_cost
-        assert on.steps == off.steps
-
     def test_maintenance_total_is_order_independent(self, update_heavy_rig):
         """The fsum accumulation contract: per-structure contributions
         summed in any order reproduce ``_maintenance_cost``'s exact
@@ -429,41 +398,6 @@ class TestColdAndWarmCostCache:
         assert replayed_costs == plan_costs  # ...but their costs are
 
 
-class TestAdvisorIdentity:
-    @pytest.mark.parametrize("variant", ["dtac-both", "dtac-none", "dta"])
-    def test_tune_identical_with_delta_on_or_off(self, delta_inputs,
-                                                 variant):
-        db, wl, budget = delta_inputs
-        off = tune(db, wl, budget, variant=variant, delta_costing=False)
-        on = tune(db, wl, budget, variant=variant, delta_costing=True)
-        assert on.configuration == off.configuration
-        assert on.final_cost == off.final_cost
-        assert on.base_cost == off.base_cost
-        assert on.consumed_bytes == off.consumed_bytes
-        assert on.steps == off.steps
-        assert on.delta_stats["reused_terms"] > 0
-        assert off.delta_stats == {}
-        # What delta costing is for, without a clock: 48 optimizer
-        # calls against 3,652 (dta) to 30,164 (dtac-both) here.
-        assert on.optimizer_calls * 50 <= off.optimizer_calls
-
-    def test_sweep_identical_with_delta_on_or_off(self):
-        db = sales_database(scale=0.03)
-        wl = sales_workload(db)
-        total = db.total_data_bytes()
-        budgets = (total * 0.1, total * 0.2)
-        off = run_sweep(db, wl, budgets, variant="dtac-none",
-                        delta_costing=False)
-        on = run_sweep(db, wl, budgets, variant="dtac-none",
-                       delta_costing=True)
-        for a, b in zip(off.runs, on.runs):
-            assert a.result.configuration == b.result.configuration
-            assert a.result.final_cost == b.result.final_cost
-            assert a.result.steps == b.result.steps
-        assert on.delta_stats["reused_terms"] > 0
-        assert off.delta_stats == {}
-
-
 class TestPruning:
     def test_zero_delta_certificates_fire(self, costing_rig):
         """A table whose best pool index is already in the reference:
@@ -484,58 +418,6 @@ class TestPruning:
         assert delta.pruned_zero_delta == len(certified)
         for d in certified:
             assert delta.workload_cost(ref.add(d)) == ref_cost
-
-    def test_coarse_min_improvement_identical_with_delta(
-        self, delta_inputs
-    ):
-        """A coarse ``min_improvement`` stays byte-identical with delta
-        costing on: a pure-greedy run and a backtracking run at scale
-        0.1."""
-        _identical_coarse_run("dtac-none", *delta_inputs)
-        big = sales_database(scale=0.1)
-        _identical_coarse_run("dtac-both", big, sales_workload(big),
-                              big.total_data_bytes() * 0.2)
-
-    def test_bound_pruning_fires_through_full_tune(self):
-        """A workload whose customers statements are worth almost
-        nothing (so every customers candidate's improvement sits under
-        the greedy threshold) beside an UPDATE that no zero-delta
-        certificate can skip.  Delta costing no longer prunes on
-        bounds: each such candidate is costed, the run matches the
-        full-recost one bit for bit, and ``delta_stats`` carries no
-        ``pruned_bound`` counter."""
-        from repro.workload.parser import parse_statement
-        from repro.workload.query import Workload
-
-        db = sales_database(scale=0.03)
-        wl = Workload()
-        for ws in sales_workload(db).queries[:4]:
-            wl.add(ws.statement, weight=ws.weight, name=ws.name)
-        wl.add(parse_statement(
-            "SELECT cu_name FROM customers "
-            "WHERE cu_segment = 'SMALLBIZ'"),
-            weight=0.01, name="CUST_MARGINAL")
-        wl.add(parse_statement(
-            "UPDATE customers SET cu_segment = 'X' "
-            "WHERE cu_segment = 'SMALLBIZ'"),
-            weight=0.01, name="CUST_UPD")
-        on = _identical_coarse_run(
-            "dtac-none", db, wl, db.total_data_bytes() * 0.2
-        )
-        assert "pruned_bound" not in on.delta_stats
-
-
-def _identical_coarse_run(variant, db, wl, budget):
-    """Tune with ``min_improvement=0.05`` with delta costing off and on,
-    assert the two runs agree, and return the delta-costed result."""
-    kwargs = dict(variant=variant, min_improvement=0.05)
-    off = tune(db, wl, budget, delta_costing=False, **kwargs)
-    on = tune(db, wl, budget, delta_costing=True, **kwargs)
-    assert on.configuration == off.configuration
-    assert on.final_cost == off.final_cost
-    assert on.steps == off.steps
-    return on
-
 
 # ----------------------------------------------------------------------
 # the sweep shape: probe rows against per-table reference vectors

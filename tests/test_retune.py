@@ -1,12 +1,13 @@
 """Continuous tuning: drift generator determinism, the drop-then-refill
-retune search, and the retune identity matrix.
+retune search, and the retune golden records.
 
 The contract: a drift schedule is a pure function of (workload, spec,
-phase); a retune sequence over a 2-phase drift is byte-identical across
-PYTHONHASHSEED values and delta costing on/off, and is
-pinned as a golden fixture; after a phase shift that kills a
-structure's benefit, at least one drop fires; and the final retuned
-configuration matches a cold tune at the final phase on quality.
+phase); a retune sequence over a 2-phase drift is pinned as a golden
+fixture (its identity across PYTHONHASHSEED values and delta costing
+on/off is the ``drift`` case of ``tests/test_run_identity.py``); after a
+phase shift that kills a structure's benefit, at least one drop fires;
+and the final retuned configuration matches a cold tune at the final
+phase on quality.
 """
 
 import json
@@ -45,9 +46,8 @@ def drift_inputs():
     return db, DriftingWorkload(wl, DriftSpec(**SPEC))
 
 
-def _sequence(db, drifting, **session_extra):
-    session = Session(db, budget_fraction=BUDGET, variant=VARIANT,
-                      **session_extra)
+def _sequence(db, drifting):
+    session = Session(db, budget_fraction=BUDGET, variant=VARIANT)
     return retune_sequence(session, drifting.phases(PHASES))
 
 
@@ -139,31 +139,7 @@ class TestRetuneSequence:
 
 
 class TestRetuneIdentity:
-    """The identity matrix: one fingerprint, many execution shapes."""
-
-    def test_delta_on_off_identical(self, drift_inputs):
-        db, drifting = drift_inputs
-        on = _fingerprint(_sequence(db, drifting, delta_costing=True))
-        off = _fingerprint(_sequence(db, drifting, delta_costing=False))
-        assert on == off
-
-    def test_hashseed_independent(self, run_with_hashseed):
-        script = f"""
-import json
-from repro.api import Session
-from repro.advisor.retune import retune_sequence
-from repro.datasets.sales import sales_database, sales_workload
-from repro.workload.drift import DriftSpec, DriftingWorkload
-from tests.test_retune import _fingerprint
-
-db = sales_database(scale=0.02)
-drifting = DriftingWorkload(sales_workload(db), DriftSpec(**{SPEC!r}))
-session = Session(db, budget_fraction={BUDGET!r}, variant={VARIANT!r})
-results = retune_sequence(session, drifting.phases({PHASES!r}))
-print(json.dumps(_fingerprint(results), sort_keys=True))
-"""
-        assert run_with_hashseed(script, "1") == \
-            run_with_hashseed(script, "31337")
+    """The pinned fingerprint and progress stream."""
 
     def test_golden_fixture(self, drift_inputs, request):
         """The pinned record of the 2-phase drift scenario: cold tune,

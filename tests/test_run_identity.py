@@ -1,11 +1,20 @@
-"""One identity harness for the advisor's entry points.
+"""The one home of run-level identity: a recommendation is a pure
+function of its inputs.
 
-Every way of asking for a recommendation — ``Session.tune``, a served
-``tune`` job, a one-unit sweep, a cold served ``retune`` — is the same
-:meth:`repro.advisor.retune.TuningSession._run` call and must serialize to the
-same bytes, with or without a persistent cache directory; and a retune
-is the same retune (diff *and* event stream) whether the library or the
-service runs it.
+Every way of asking for a recommendation — ``Session.tune``,
+``api.tune``, a served ``tune`` job, a one-unit sweep, a cold served
+``retune`` — is the same :meth:`repro.advisor.retune.TuningSession._run`
+call and must serialize to the same bytes, with or without a persistent
+cache directory; and a retune is the same retune (diff *and* event
+stream) whether the library or the service runs it.
+
+The identity matrix: each case (dataset shape, variant, algorithm,
+options) has one reference — ``Session.tune`` with delta costing, in
+memory, in this process — and legs that must reproduce its bytes:
+``api.tune``, a repeat on the same session, delta costing off, a cold
+then a warm cache directory, sweep units at one and two workers, and
+one interpreter per ``PYTHONHASHSEED``.  A case runs only the legs some
+guarantee needs, not the full cross product.
 
 A run is prepare + search, and a session, a sweep or a service context
 that holds the prepared stage searches it again: the second half of
@@ -16,10 +25,14 @@ event stream of a run that prepared its own, and counts the work the
 reuse did not repeat.
 """
 
+import functools
 import gc
+import itertools
 import json
 import weakref
-from dataclasses import fields
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import pytest
 
@@ -32,16 +45,21 @@ from repro.advisor.advisor import (
     get_variant,
     stage_key,
 )
-from repro.api import Session, run_sweep
+from repro.advisor.retune import retune_sequence
+from repro.api import Session, run_sweep, tune
 from repro.datasets.sales import sales_database, sales_workload
 from repro.errors import AdvisorError, JobCancelled
 from repro.parallel.cache import CostCache, EstimationCache
 from repro.parallel.engine import fork_available
-from repro.sampling.sample_manager import DEFAULT_SAMPLE_SEED
+from repro.sampling.sample_manager import DEFAULT_SAMPLE_SEED, SampleManager
 from repro.service.context import ServiceContext, serialize_result
+from repro.sizeest import SizeEstimator
 from repro.stats import DatabaseStats
 from repro.workload.drift import DriftSpec, drift_phase
+from repro.workload.parser import parse_statement
 from repro.workload.query import Workload
+from tests.test_delta_costing import update_heavy_workload
+from tests.test_retune import _fingerprint
 
 #: (variant, budget fraction, sampling seed)
 CASES = [
@@ -53,10 +71,65 @@ CASES = [
 DRIFT = dict(seed=0, hot_fraction=0.2, hot_weight=20.0, cold_weight=0.01)
 
 
+def _marginal_weight_workload(db) -> Workload:
+    """Four sales SELECTs beside customers statements worth almost
+    nothing, so every customers candidate's improvement sits under a
+    coarse greedy threshold, next to an UPDATE no zero-delta certificate
+    can skip."""
+    wl = Workload()
+    for ws in sales_workload(db).queries[:4]:
+        wl.add(ws.statement, weight=ws.weight, name=ws.name)
+    wl.add(parse_statement(
+        "SELECT cu_name FROM customers WHERE cu_segment = 'SMALLBIZ'"),
+        weight=0.01, name="CUST_MARGINAL")
+    wl.add(parse_statement(
+        "UPDATE customers SET cu_segment = 'X' "
+        "WHERE cu_segment = 'SMALLBIZ'"),
+        weight=0.01, name="CUST_UPD")
+    return wl
+
+
+def _maintenance_first_workload(db) -> Workload:
+    """The update-heavy mix with its maintenance statements ahead of
+    the SELECTs: the first statement on ``sales`` and ``customers`` is
+    one no probe can certify, so every zero-delta sweep on those tables
+    meets it before any SELECT."""
+    wl = update_heavy_workload(sales_workload(db))
+    return Workload([*wl.updates, *wl.queries])
+
+
+#: dataset shape -> (sales scale, workload of that database)
+SHAPES = {
+    "sales@0.02": (0.02, sales_workload),
+    "sales@0.03": (0.03, sales_workload),
+    "sales@0.1": (0.1, sales_workload),
+    "update-heavy@0.03": (
+        0.03, lambda db: update_heavy_workload(sales_workload(db))
+    ),
+    "maintenance-first@0.03": (0.03, _maintenance_first_workload),
+    "marginal-weight@0.03": (0.03, _marginal_weight_workload),
+}
+
+
+class Shapes(dict):
+    """Dataset shape name -> ``(database, workload, stats)``, each built
+    on first use."""
+
+    def __missing__(self, name: str):
+        scale, workload = SHAPES[name]
+        db = sales_database(scale=scale)
+        self[name] = built = (db, workload(db), DatabaseStats(db))
+        return built
+
+
 @pytest.fixture(scope="module")
-def inputs():
-    db = sales_database(scale=0.02)
-    return db, sales_workload(db), DatabaseStats(db)
+def shapes():
+    return Shapes()
+
+
+@pytest.fixture(scope="module")
+def inputs(shapes):
+    return shapes["sales@0.02"]
 
 
 def _context(inputs, cache_dir=None, workload=None) -> ServiceContext:
@@ -87,6 +160,12 @@ def test_entry_points_serialize_identically(
     session = Session(db, wl, variant=variant, seed=seed, stats=stats,
                       cache_dir=cache_dir)
     got = {"Session.tune": _canon(serialize_result(session.tune(budget)))}
+    if not cached:  # api.tune takes no cache directory
+        estimator = SizeEstimator(db, stats=stats,
+                                  manager=SampleManager(db, seed=seed))
+        got["api.tune"] = _canon(serialize_result(
+            tune(db, wl, budget, variant=variant, estimator=estimator)
+        ))
     got["run_tune"] = _canon(_context(inputs, cache_dir).run_tune(payload))
     sweep = run_sweep(db, wl, [budget], seeds=[seed], variant=variant,
                       stats=stats, cache_dir=cache_dir)
@@ -140,6 +219,291 @@ def test_library_and_served_retune_agree(inputs, variant, fraction, seed):
         assert library.dropped
         assert [e["event"] for e in served_events[-3:]] == \
             ["dropped", "added", "config_changed"]
+
+
+# ----------------------------------------------------------------------
+# the identity matrix: one reference per case, and the legs that must
+# reproduce its bytes
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Case:
+    """A dataset shape (a key of ``SHAPES``), a variant, a budget
+    fraction, an algorithm, search options and a sampling seed.  A
+    ``drift`` case runs a tune onto drift phase 0, then a retune onto
+    phase 2, in place of one tune."""
+
+    shape: str
+    variant: str
+    fraction: float = 0.15
+    algorithm: str = algorithms.DEFAULT_ALGORITHM
+    options: tuple = ()
+    seed: int = DEFAULT_SAMPLE_SEED
+    drift: bool = False
+
+
+SWEEP_SEEDS = (DEFAULT_SAMPLE_SEED, 7)
+SWEEP_FRACTIONS = (0.1, 0.2)
+COARSE = (("min_improvement", 0.05),)
+
+MATRIX = {
+    **{name: Case("sales@0.03", "dtac-both", algorithm=name)
+       for name in algorithms.names()},
+    # again at sales 0.02, where a structure-order leak into the
+    # optimizer's float sums shows that sales 0.03 hides (hash-seed leg)
+    **{f"{name}@0.02": Case("sales@0.02", "dtac-both", algorithm=name)
+       for name in algorithms.names()},
+    "dtac-none@0.02": Case("sales@0.02", "dtac-none"),
+    "dta": Case("sales@0.03", "dta"),
+    "update-heavy": Case("update-heavy@0.03", "dtac-both"),
+    "maintenance-first": Case("maintenance-first@0.03", "dtac-both"),
+    "coarse": Case("sales@0.03", "dtac-none", options=COARSE),
+    "coarse-backtracking": Case("sales@0.1", "dtac-both", 0.2,
+                                options=COARSE),
+    "marginal-weight-unpruned": Case("marginal-weight@0.03", "dtac-none",
+                                     0.2, options=COARSE),
+    "drift": Case("sales@0.02", "dtac-none", drift=True),
+    # the units of the sweep legs (dtac-none's full-recost cells too)
+    **{f"sweep-{seed}-{fraction}": Case("sales@0.03", "dtac-none",
+                                        fraction, seed=seed)
+       for seed in SWEEP_SEEDS for fraction in SWEEP_FRACTIONS},
+}
+ALGORITHM_CASES = algorithms.names()
+FUNCTIONAL_CASES = [*ALGORITHM_CASES, "dtac-none@0.02"]
+SWEEP_CASES = [name for name in MATRIX if name.startswith("sweep-")]
+#: the sweep units' full-recost leg is a sweep.
+FULL_RECOST_CASES = [
+    *ALGORITHM_CASES, "greedy-backtrack@0.02", "dtac-none@0.02", "dta",
+    "update-heavy", "maintenance-first", "coarse", "coarse-backtracking",
+    "marginal-weight-unpruned", "drift",
+]
+#: where the full-recost leg also holds what delta costing is for: at
+#: most 1/50 of the optimizer calls (48 against 4,069 for dta to
+#: 25,480 for dtac-both here).
+FIFTY_FOLD = ("greedy-backtrack", "greedy-backtrack@0.02", "dtac-none@0.02",
+              "dta", *SWEEP_CASES)
+#: where most statements are maintenance, and plan patching carries them.
+WRITE_HEAVY = ("update-heavy", "maintenance-first")
+
+
+class Run(NamedTuple):
+    canon: str
+    results: list
+    session: Session
+
+
+def _run(shapes: Shapes, case: Case, session: Session | None = None,
+         **session_kwargs) -> Run:
+    """``case`` on ``session``, or on a fresh one built with
+    ``session_kwargs``."""
+    db, wl, stats = shapes[case.shape]
+    if session is None:
+        session = Session(db, wl, variant=case.variant, seed=case.seed,
+                          stats=stats, **session_kwargs)
+    budget = db.total_data_bytes() * case.fraction
+    if case.drift:
+        spec = DriftSpec(**DRIFT)
+        runs = retune_sequence(
+            session, [drift_phase(wl, spec, k) for k in (0, 2)],
+            budget_bytes=budget,
+        )
+        return Run(json.dumps(_fingerprint(runs), sort_keys=True),
+                   [getattr(run, "result", run) for run in runs], session)
+    result = session.tune(budget, algorithm=case.algorithm,
+                          **dict(case.options))
+    return Run(_canon(serialize_result(result)), [result], session)
+
+
+def digests() -> dict:
+    """Every case's bytes, as each hash-seed interpreter prints them."""
+    shapes = Shapes()
+    return {name: _run(shapes, case).canon for name, case in MATRIX.items()}
+
+
+@pytest.fixture(scope="module")
+def hashseed_digests(run_with_hashseed):
+    """``digests()`` from two interpreters under different
+    ``PYTHONHASHSEED`` values, run side by side."""
+    script = ("import json\nfrom tests.test_run_identity import digests\n"
+              "print(json.dumps(digests()))")
+    with ThreadPoolExecutor(2) as pool:
+        outs = pool.map(lambda seed: run_with_hashseed(script, seed),
+                        ("5", "54321"))
+        return [json.loads(out) for out in outs]
+
+
+@pytest.fixture(scope="module")
+def reference(shapes):
+    """``reference(name)``: the case's run on a fresh session, with delta
+    costing, in memory and in this process — made once per module."""
+    return functools.lru_cache(maxsize=None)(
+        lambda name: _run(shapes, MATRIX[name])
+    )
+
+
+@pytest.mark.parametrize("name", MATRIX)
+def test_reference_holds_the_budget(reference, name):
+    for result in reference(name).results:
+        assert result.consumed_bytes <= result.budget_bytes + 1e-6
+        assert result.final_cost <= result.base_cost
+
+
+@pytest.mark.parametrize("name", FUNCTIONAL_CASES)
+def test_functional_tune_equals_reference(shapes, reference, name):
+    """``api.tune``, the default algorithm left implicit."""
+    case = MATRIX[name]
+    db, wl, _stats = shapes[case.shape]
+    extra = dict(case.options)
+    if case.algorithm != algorithms.DEFAULT_ALGORITHM:
+        extra["algorithm"] = case.algorithm
+    result = tune(db, wl, db.total_data_bytes() * case.fraction,
+                  variant=case.variant, **extra)
+    assert _canon(serialize_result(result)) == reference(name).canon
+
+
+@pytest.mark.parametrize("name", ALGORITHM_CASES)
+def test_repeat_on_the_session_equals_reference(shapes, reference, name):
+    ref = reference(name)
+    assert _run(shapes, MATRIX[name], ref.session).canon == ref.canon
+
+
+@pytest.mark.parametrize("name", ALGORITHM_CASES)
+def test_cold_then_warm_cache_dir_equal_reference(
+    shapes, reference, tmp_path, name
+):
+    cold, warm = (_run(shapes, MATRIX[name], cache_dir=str(tmp_path))
+                  for _ in range(2))
+    assert cold.canon == warm.canon == reference(name).canon
+    # The second run actually hit the persistent cost cache.
+    assert warm.results[0].cost_cache_stats["hits"] > 0
+
+
+def _assert_delta_costing_did_its_work(name, on, off) -> None:
+    """Beside equal bytes: delta costing reused terms and pruned nothing
+    on bounds, and a full recost keeps no delta statistics."""
+    assert on.delta_stats["reused_terms"] > 0
+    assert "pruned_bound" not in on.delta_stats
+    assert off.delta_stats == {}
+    if name in FIFTY_FOLD:
+        assert on.optimizer_calls * 50 <= off.optimizer_calls
+    if name in WRITE_HEAVY:
+        assert on.delta_stats["patched_maintenance"] > 0
+
+
+@pytest.mark.parametrize("name", FULL_RECOST_CASES)
+def test_full_recost_equals_reference(shapes, reference, name):
+    ref = reference(name)
+    off = _run(shapes, MATRIX[name], delta_costing=False)
+    assert off.canon == ref.canon
+    for on_result, off_result in zip(ref.results, off.results):
+        _assert_delta_costing_did_its_work(name, on_result, off_result)
+    if name == "maintenance-first":
+        wl = shapes[MATRIX[name].shape][1]
+        assert not wl.statements[0].statement.is_select
+
+
+NEEDS_FORK = pytest.mark.skipif(not fork_available(), reason="needs fork")
+
+
+def _sweep(shapes, reference, seeds, workers, cache_dir=None, delta=True):
+    """A dtac-none sweep over ``seeds`` and ``SWEEP_FRACTIONS``: seeds
+    outer, budgets inner, and each unit is its case's reference."""
+    db, wl, stats = shapes["sales@0.03"]
+    units = list(itertools.product(seeds, SWEEP_FRACTIONS))
+    result = run_sweep(
+        db, wl, [db.total_data_bytes() * f for f in SWEEP_FRACTIONS],
+        seeds=seeds, variant="dtac-none", stats=stats, workers=workers,
+        cache_dir=cache_dir, delta_costing=delta,
+    )
+    assert [(run.seed, run.budget_bytes) for run in result.runs] == \
+        [(seed, db.total_data_bytes() * f) for seed, f in units]
+    for run, (seed, fraction) in zip(result.runs, units):
+        name = f"sweep-{seed}-{fraction}"
+        ref = reference(name)
+        assert _canon(serialize_result(run.result)) == ref.canon
+        if not delta:
+            _assert_delta_costing_did_its_work(name, ref.results[0],
+                                               run.result)
+    return result
+
+
+#: workers -> the seeds of the cold cache_dir sweep at that many workers
+CACHED_SWEEP_SEEDS = {1: SWEEP_SEEDS[:1], 2: SWEEP_SEEDS}
+
+
+@pytest.fixture(scope="module")
+def cold_cached_sweep(shapes, reference, tmp_path_factory):
+    """``cold_cached_sweep(workers)``: ``(sweep, cache_dir)`` for a cold
+    cache_dir sweep at ``workers`` into a directory of its own — run
+    once per module, on first call."""
+
+    @functools.lru_cache(maxsize=None)
+    def sweep(workers):
+        cache_dir = tmp_path_factory.mktemp(f"sweep-cache-{workers}")
+        return (_sweep(shapes, reference, CACHED_SWEEP_SEEDS[workers],
+                       workers, cache_dir=str(cache_dir)),
+                cache_dir)
+
+    return sweep
+
+
+@pytest.mark.parametrize("delta, cached, workers, seeds", [
+    (True, False, 1, SWEEP_SEEDS),
+    pytest.param(True, False, 2, SWEEP_SEEDS, marks=NEEDS_FORK),
+    (True, True, 1, CACHED_SWEEP_SEEDS[1]),
+    pytest.param(True, True, 2, CACHED_SWEEP_SEEDS[2], marks=NEEDS_FORK),
+    (False, False, 1, SWEEP_SEEDS[:1]),
+], ids=["delta-memory-1", "delta-memory-2", "delta-cache_dir-1",
+        "delta-cache_dir-2", "full-recost-memory-1"])
+def test_sweep_units_equal_references(
+    shapes, reference, cold_cached_sweep, two_cpus, delta, cached,
+    workers, seeds
+):
+    """A cache_dir sweep here is the cold one, into an empty
+    directory."""
+    if cached:
+        cold, cache_dir = cold_cached_sweep(workers)
+    else:
+        cold = _sweep(shapes, reference, seeds, workers, delta=delta)
+    # Sharded, the whole sweep is ONE engine map of run-level units.
+    assert cold.engine_stats["parallel_maps"] == (workers > 1)
+    if workers > 1:
+        assert cold.engine_stats["tasks_dispatched"] == len(cold.runs)
+    if delta:
+        assert cold.delta_stats["reused_terms"] > 0
+    else:
+        assert cold.delta_stats == {}
+    if cached:
+        # Cold units see the empty pre-sweep snapshot: no hits.
+        assert cold.cost_cache_stats["hits"] == 0
+        assert cold.cost_cache_stats["stores"] > 0
+        assert (cache_dir / "costs.json").exists()
+        assert (cache_dir / "estimates.json").exists()
+
+
+@pytest.mark.parametrize("workers", [
+    1, pytest.param(2, marks=NEEDS_FORK),
+])
+def test_warm_sweep_after_a_cold_one_equals_references(
+    shapes, reference, cold_cached_sweep, two_cpus, workers
+):
+    """A one-worker sweep over what the cold sweep at ``workers``
+    persisted reproduces every unit and costs nothing: every unit's
+    entries reached disk, and no save clobbered a sibling's."""
+    _cold, cache_dir = cold_cached_sweep(workers)
+    warm = _sweep(shapes, reference, CACHED_SWEEP_SEEDS[workers], 1,
+                  cache_dir=str(cache_dir))
+    assert warm.cost_cache_stats["hit_rate"] == 1.0
+    assert warm.estimation_cache_stats["hit_rate"] == 1.0
+
+
+@pytest.mark.parametrize("name", MATRIX)
+def test_digest_is_independent_of_the_hash_seed(
+    reference, hashseed_digests, name
+):
+    """Recommendations must not leak set/dict iteration order."""
+    first, second = (digest[name] for digest in hashseed_digests)
+    assert first == second
+    assert first == reference(name).canon
 
 
 # ----------------------------------------------------------------------
@@ -287,9 +651,6 @@ def test_retune_chain_over_one_stage_equals_seeded_sessions(
         _assert_nothing_repeated(retuned[2].result, entries)
     assert chain.stage is stage
     assert chain.samplecf_runs() == samplecf
-
-
-SWEEP_SEEDS = (DEFAULT_SAMPLE_SEED, 7)
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork")

@@ -1,12 +1,10 @@
 """The pluggable selection-algorithm framework: registry contract,
-cross-algorithm determinism, budget compliance, and the anytime
+event units, sweep and service integration, and the anytime
 algorithm's ``best_so_far`` cancel-early contract.
 
-Determinism is the load-bearing invariant: every registered algorithm
-must produce byte-identical recommendations run-to-run, across
-PYTHONHASHSEED values, and against cold vs warm
-persistent cost caches — the same contract the golden canaries pin for
-the default search, extended to the whole registry.
+Every registered algorithm's determinism and budget compliance — run
+to run, across PYTHONHASHSEED values, delta costing on and off, cold
+and warm persistent caches — are cells of ``tests/test_run_identity.py``.
 """
 
 import asyncio
@@ -25,7 +23,7 @@ from repro.advisor.algorithms import (
     GreedyBacktrackAlgorithm,
     SelectionAlgorithm,
 )
-from repro.api import Session, run_sweep, tune
+from repro.api import run_sweep, tune
 from repro.datasets import tpch_database, tpch_workload
 from repro.datasets.sales import sales_database, sales_workload
 from repro.errors import AdvisorError, JobCancelled, ServiceError
@@ -109,77 +107,6 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
-class TestDeterminismAndBudget:
-    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
-    def test_repeat_runs_identical_and_budget_respected(
-        self, inputs, algorithm
-    ):
-        db, wl, budget = inputs
-        first = tune(db, wl, budget, variant="dtac-both",
-                     algorithm=algorithm)
-        second = tune(db, wl, budget, variant="dtac-both",
-                      algorithm=algorithm)
-        assert _digest(first) == _digest(second)
-        assert first.consumed_bytes <= budget + 1e-6
-        assert first.final_cost <= first.base_cost
-
-    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
-    def test_cold_vs_warm_cost_cache_identical(
-        self, inputs, algorithm, tmp_path
-    ):
-        db, wl, budget = inputs
-        cache_dir = str(tmp_path / algorithm)
-        cold, warm = (
-            Session(db, wl, variant="dtac-none", algorithm=algorithm,
-                    cache_dir=cache_dir).tune(budget)
-            for _ in range(2)
-        )
-        assert _digest(cold) == _digest(warm)
-        # The second run actually hit the persistent cost cache.
-        assert warm.cost_cache_stats.get("hits", 0) > 0
-
-    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
-    def test_delta_costing_does_not_move_results(self, inputs, algorithm):
-        db, wl, budget = inputs
-        on = tune(db, wl, budget, variant="dtac-both",
-                  algorithm=algorithm, delta_costing=True)
-        off = tune(db, wl, budget, variant="dtac-both",
-                   algorithm=algorithm, delta_costing=False)
-        assert _digest(on) == _digest(off)
-
-    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
-    def test_stable_across_hashseeds(self, algorithm, run_with_hashseed):
-        """Recommendations must not leak set/dict iteration order:
-        identical stdout digests from subprocesses with different
-        PYTHONHASHSEED values."""
-        script = f"""
-from repro.api import tune
-from repro.datasets.sales import sales_database, sales_workload
-
-db = sales_database(scale=0.02)
-wl = sales_workload(db)
-budget = db.total_data_bytes() * 0.15
-result = tune(db, wl, budget, variant="dtac-both",
-              algorithm={algorithm!r})
-names = sorted(ix.display_name() for ix in result.configuration)
-print(repr((names, result.base_cost, result.final_cost,
-            result.consumed_bytes, result.steps)))
-"""
-        a = run_with_hashseed(script, "5")
-        b = run_with_hashseed(script, "54321")
-        assert a == b
-
-    def test_explicit_default_equals_implicit_default(self, inputs):
-        """`algorithm="greedy-backtrack"` is exactly the historical
-        path (the golden canaries pin the absolute bytes; this pins
-        the equivalence)."""
-        db, wl, budget = inputs
-        implicit = tune(db, wl, budget, variant="dtac-both")
-        explicit = tune(db, wl, budget, variant="dtac-both",
-                        algorithm="greedy-backtrack")
-        assert _digest(implicit) == _digest(explicit)
-
-
 # ----------------------------------------------------------------------
 class TestEventUnits:
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)

@@ -1,7 +1,8 @@
-"""Tests for sweep orchestration: byte-identical results against a
-sequential per-run ``tune()`` loop (at workers=1 and sharded), warm
-persistent caches reproducing the cold sweep with a >90% cost-cache hit
-rate, and cache snapshot isolation between sweep units."""
+"""Tests for sweep orchestration: two units shard over two workers, one
+CPU degrades to one worker, run lookup and argument checks, and cache
+snapshot isolation between sweep units.  A sweep's units against
+``tune()`` at workers 1 and 2, cold and warm, are cells of
+``tests/test_run_identity.py``."""
 
 import pytest
 
@@ -51,34 +52,6 @@ def sequential_baseline(sweep_inputs):
 
 
 class TestSweepEquivalence:
-    def test_workers_one_matches_tune_loop(
-        self, sweep_inputs, sequential_baseline
-    ):
-        db, wl, budgets = sweep_inputs
-        sweep = run_sweep(
-            db, wl, budgets, seeds=SEEDS, variant=VARIANT, workers=1
-        )
-        assert [
-            (run.seed, run.budget_bytes) for run in sweep.runs
-        ] == [(seed, budget) for seed in SEEDS for budget in budgets]
-        for run, expected in zip(sweep.runs, sequential_baseline):
-            _assert_same_result(run.result, expected)
-        assert sweep.engine_stats["parallel_maps"] == 0
-
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_sharded_matches_tune_loop(
-        self, sweep_inputs, sequential_baseline, two_cpus
-    ):
-        db, wl, budgets = sweep_inputs
-        sweep = run_sweep(
-            db, wl, budgets, seeds=SEEDS, variant=VARIANT, workers=2
-        )
-        for run, expected in zip(sweep.runs, sequential_baseline):
-            _assert_same_result(run.result, expected)
-        # The whole sweep ran as ONE engine map with run-level units.
-        assert sweep.engine_stats["parallel_maps"] == 1
-        assert sweep.engine_stats["tasks_dispatched"] == len(sweep.runs)
-
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_two_unit_sweep_shards(
         self, sweep_inputs, sequential_baseline, two_cpus
@@ -138,69 +111,6 @@ class TestSweepEquivalence:
 
 
 class TestSweepCaches:
-    def test_warm_sweep_reproduces_and_hits(self, sweep_inputs, tmp_path):
-        db, wl, budgets = sweep_inputs
-        cold = run_sweep(
-            db, wl, budgets, seeds=SEEDS[:1], variant=VARIANT,
-            cache_dir=tmp_path,
-        )
-        # Cold sweep units see the empty pre-sweep snapshot: no hits,
-        # so the cold sweep equals an uncached one by construction.
-        assert cold.cost_cache_stats["hits"] == 0
-        assert cold.cost_cache_stats["stores"] > 0
-        assert (tmp_path / "costs.json").exists()
-        assert (tmp_path / "estimates.json").exists()
-
-        warm = run_sweep(
-            db, wl, budgets, seeds=SEEDS[:1], variant=VARIANT,
-            cache_dir=tmp_path,
-        )
-        for cold_run, warm_run in zip(cold.runs, warm.runs):
-            _assert_same_result(cold_run.result, warm_run.result)
-        # The acceptance bar: a warm sweep skips costing almost entirely.
-        assert warm.cost_cache_stats["hit_rate"] > 0.9
-        assert warm.estimation_cache_stats["hit_rate"] > 0.9
-
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_sharded_cached_sweep_persists_and_reproduces(
-        self, sweep_inputs, tmp_path, two_cpus
-    ):
-        """The headline combination: run-level sharding *with* a cache
-        directory.  fork_view snapshots are taken inside forked workers
-        and multiple worker processes save concurrently through the
-        advisory lock — the warm sequential rerun must see everything
-        they persisted and reproduce the sharded results exactly."""
-        db, wl, budgets = sweep_inputs
-        cold = run_sweep(
-            db, wl, budgets, seeds=SEEDS, variant=VARIANT,
-            workers=2, cache_dir=tmp_path,
-        )
-        assert cold.engine_stats["parallel_maps"] == 1
-        assert (tmp_path / "costs.json").exists()
-
-        warm = run_sweep(
-            db, wl, budgets, seeds=SEEDS, variant=VARIANT,
-            workers=1, cache_dir=tmp_path,
-        )
-        for cold_run, warm_run in zip(cold.runs, warm.runs):
-            _assert_same_result(cold_run.result, warm_run.result)
-        # Every worker's entries reached disk: the warm rerun costs
-        # nothing — no run's save may have clobbered a sibling's.
-        assert warm.cost_cache_stats["hit_rate"] == 1.0
-        assert warm.estimation_cache_stats["hit_rate"] == 1.0
-
-    def test_cold_cached_sweep_matches_uncached(self, sweep_inputs, tmp_path):
-        db, wl, budgets = sweep_inputs
-        plain = run_sweep(
-            db, wl, budgets[:1], seeds=SEEDS[:1], variant=VARIANT
-        )
-        cached = run_sweep(
-            db, wl, budgets[:1], seeds=SEEDS[:1], variant=VARIANT,
-            cache_dir=tmp_path,
-        )
-        for a, b in zip(plain.runs, cached.runs):
-            _assert_same_result(a.result, b.result)
-
     def test_different_seeds_partition_cost_entries(
         self, sweep_inputs, tmp_path
     ):
