@@ -295,17 +295,9 @@ def cmd_validate(args) -> int:
 
 def cmd_serve(args) -> int:
     import asyncio
-    import os
 
-    from repro.service import AdvisorService, JobWorker, serve
+    from repro.service import AdvisorService, serve
 
-    if args.worker and args.cache_dir is None:
-        print("serve --worker needs --cache-dir (the shared journal)")
-        return 2
-    if args.dispatch_only and args.cache_dir is None:
-        print("serve --dispatch-only needs --cache-dir (the journal "
-              "workers drain)")
-        return 2
     tenant_weights = {}
     for spec in args.tenant_weight or ():
         name, _, weight = spec.partition("=")
@@ -314,9 +306,6 @@ def cmd_serve(args) -> int:
         except ValueError:
             print(f"bad --tenant-weight {spec!r}; expected NAME=INT")
             return 2
-    writer = args.worker_id or (
-        f"worker-{os.getpid()}" if args.worker else "coordinator"
-    )
     service = AdvisorService(
         workers=args.workers,
         cache_dir=args.cache_dir,
@@ -324,8 +313,6 @@ def cmd_serve(args) -> int:
         max_context_workers=args.max_context_workers,
         tenant_quota=args.tenant_quota,
         tenant_weights=tenant_weights,
-        execute_jobs=not args.dispatch_only,
-        journal_writer=writer,
         poll_interval=args.poll_interval,
         journal_max_segment_bytes=args.journal_max_segment_bytes
         or None,
@@ -336,22 +323,6 @@ def cmd_serve(args) -> int:
     )
     for name in names:
         service.register(name, *_make_dataset(name, args))
-    if args.worker:
-        worker = JobWorker(service, poll_interval=args.poll_interval)
-        print(f"advisor worker {writer}: draining "
-              f"{service.journal.root}", flush=True)
-        try:
-            done = worker.run_forever(
-                max_jobs=args.max_jobs or None,
-                idle_timeout=args.idle_timeout or None,
-            )
-        except KeyboardInterrupt:
-            done = sum(worker.executed.values())
-            print(f"advisor worker {writer}: interrupted", flush=True)
-        print(f"advisor worker {writer}: executed {done} job(s)",
-              flush=True)
-        service.save_caches()
-        return 0
     try:
         asyncio.run(serve(service, host=args.host, port=args.port))
     except KeyboardInterrupt:
@@ -687,31 +658,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="weighted round-robin weight for one "
                             "tenant inside each priority lane "
                             "(repeatable; default weight 1)")
-    p_srv.add_argument("--worker", action="store_true",
-                       help="run as a job worker instead of an HTTP "
-                            "server: claim queued jobs from the shared "
-                            "--cache-dir journal via leases and "
-                            "execute them")
-    p_srv.add_argument("--worker-id", default=None,
-                       help="journal segment/writer name (default: "
-                            "worker-<pid> with --worker, else "
-                            "'coordinator')")
-    p_srv.add_argument("--dispatch-only", action="store_true",
-                       help="coordinator accepts and journals jobs but "
-                            "leaves execution to --worker processes")
     p_srv.add_argument("--poll-interval", type=float, default=0.25,
-                       help="journal tail cadence in seconds "
-                            "(coordinator folding worker progress; "
-                            "worker claim scans)")
-    p_srv.add_argument("--max-jobs", type=int, default=0,
-                       help="worker mode: exit after this many "
-                            "executed jobs (0 = unlimited)")
-    p_srv.add_argument("--idle-timeout", type=float, default=0.0,
-                       help="worker mode: exit after this many "
-                            "consecutive idle seconds (0 = never)")
+                       help="housekeeping cadence in seconds, with "
+                            "--cache-dir: the degraded-journal probe "
+                            "and the queued-deadline sweep")
     p_srv.add_argument("--journal-max-segment-bytes", type=int,
                        default=0,
-                       help="rotate this process's journal segment "
+                       help="rotate the job journal's live segment "
                             "once it grows past this many bytes "
                             "(0 = never rotate)")
     p_srv.add_argument("--fault-plan", default=None,

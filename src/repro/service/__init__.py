@@ -4,16 +4,15 @@ See :class:`AdvisorService` (asyncio core, coalescing + backpressure),
 :class:`JobManager` (durable ``tune``/``sweep`` jobs with streamed
 progress, cancellation, priority lanes and tenant quotas),
 :class:`JobJournal` (the append-only journal that makes the job tier
-survive restarts), :class:`JobWorker` (``repro serve --worker``
-scale-out over journal leases), :class:`ContextScheduler` /
+survive restarts), :class:`ContextScheduler` /
 :class:`FairQueue` (per-context worker lanes and tenant-fair
 turn-taking), :class:`ServiceHTTPServer` /
 :func:`serve` (stdlib JSON-over-HTTP incl. ``/v1/jobs``), and
 :class:`AdvisorClient` (async client with retry/backoff and event
 streaming).  :mod:`repro.service.faults` adds a deterministic
 fault-injection layer (:class:`FaultPlan`) behind the tier's runtime
-guardrails: per-job deadlines, retry policies, disk-pressure degraded
-mode and the coordinator's worker watchdog.
+guardrails: per-job deadlines, retry policies and disk-pressure
+degraded mode.
 """
 
 from repro.service.client import AdvisorClient, ServiceHTTPError
@@ -49,7 +48,6 @@ from repro.service.scheduler import (
     FairQueue,
 )
 from repro.service.service import REQUEST_KINDS, AdvisorService
-from repro.service.worker import JobWorker
 
 __all__ = [
     "AdvisorService",
@@ -65,7 +63,6 @@ __all__ = [
     "JobJournal",
     "JobManager",
     "JobRecord",
-    "JobWorker",
     "JournalError",
     "JOB_KINDS",
     "JOB_STATES",

@@ -13,10 +13,10 @@ service's, so a served result is byte-identical to
 ``serialize_result(Session.tune())`` no matter what ran before it or
 concurrently with it.  The session forks the registration-time snapshot
 of the service's estimate cache and the service's live cost cache.  A
-context runs on one lane (a single thread) and each ``--worker`` process
-has contexts of its own, so only one thread ever touches a session; a
-cancel, deadline or fault unwinds at a progress event or a batch entry,
-leaving either no stage (while preparing) or a complete one.
+context runs on one lane (a single thread), so only one thread ever
+touches a session; a cancel, deadline or fault unwinds at a progress
+event or a batch entry, leaving either no stage (while preparing) or a
+complete one.
 """
 
 from __future__ import annotations
@@ -431,9 +431,9 @@ class ServiceContext:
                     carried: "tuple[list, int] | None" = None) -> None:
         """Submission-time validation of a job payload, plus the
         carry-forward resolution of a retune (mutates ``payload`` in
-        place, **before** it is journaled — a recovered or
-        worker-claimed re-run must see the exact previous configuration
-        this submission resolved).
+        place, **before** it is journaled — a re-run after a restart
+        must see the exact previous configuration this submission
+        resolved).
 
         ``carried`` is the job tier's latest completed configuration
         for this context as ``(index_specs, generation)``; it seeds a
@@ -467,9 +467,9 @@ class ServiceContext:
         """One incremental retune on the context's session, from the
         payload's previous configuration (``from_config`` and
         ``generation``, resolved at submission and journaled — never the
-        session's own, which a worker or a restarted service does not
-        have).  Without one this is the cold first generation, diffed
-        against the untuned base.  The result carries a ``retune``
+        session's own, which a restarted service does not have).
+        Without one this is the cold first generation, diffed against
+        the untuned base.  The result carries a ``retune``
         section (generation, diff, drift) and the event stream gets the
         :meth:`RetuneResult.events`."""
         variant, seed, call = self._resolve(payload)

@@ -1,15 +1,15 @@
 """Deterministic fault injection for the job tier's chaos tests.
 
 Production failures — disk pressure, transient I/O errors, hung
-estimator batches, silently-dead workers — are timing-dependent and
-unreproducible by nature.  This module makes them *scheduled*: a
+estimator batches — are timing-dependent and unreproducible by
+nature.  This module makes them *scheduled*: a
 :class:`FaultPlan` is an enumerable list of :class:`FaultSpec` entries,
 each naming a registered injection **site** (see :data:`SITES`), what
-to inject (``enospc``/``eio`` → :class:`OSError`, ``error``/``stall``
-→ :class:`InjectedFault`, ``delay=S`` → a sleep) and *when* (skip the
+to inject (``enospc``/``eio`` → :class:`OSError`, ``error`` →
+:class:`InjectedFault`, ``delay=S`` → a sleep) and *when* (skip the
 first ``@N`` matching calls, fire at most ``xM`` times).  The same
 plan replays the exact same failure schedule on every run, so a chaos
-test's assertions — every job terminal, no leaked leases, byte-
+test's assertions — every job terminal, gapless streams, byte-
 identical retry results — are deterministic.
 
 Activation:
@@ -28,7 +28,6 @@ Plan grammar (specs joined by ``;``)::
     journal.append:enospc@5x3   calls 6..8 to journal.append fail ENOSPC
     coster.batch:error@2x1      the 3rd cost batch raises InjectedFault
     estimator.estimate:delay=0.05   every estimation batch sleeps 50ms
-    worker.heartbeat:stall      heartbeats are skipped (lease goes stale)
 
 Hot paths outside the service package (the search's costing step, the
 size estimator, the persistent caches) must not import this module at module scope —
@@ -60,8 +59,6 @@ SITES = {
     "journal.fsync": "JobJournal._append, before the per-line fsync",
     "journal.rotate": "JobJournal segment rotation, before the rename",
     "cache.save": "_PersistentJsonCache.save, before the atomic replace",
-    "worker.heartbeat": "JobWorker progress hook, before a lease beat",
-    "worker.claim": "JobWorker.run_once, after a successful claim",
     "coster.batch": "SelectionAlgorithm._costs entry",
     "estimator.estimate": "SizeEstimator.estimate_many entry",
     "scheduler.lane": "ContextScheduler.lane_for entry",
@@ -69,7 +66,7 @@ SITES = {
 }
 
 #: fault kinds a spec may inject (``delay`` carries a seconds arg).
-KINDS = ("enospc", "eio", "error", "stall", "delay")
+KINDS = ("enospc", "eio", "error", "delay")
 
 #: modules outside repro.service that expose a FAULT_HOOK attribute
 #: (lazy-bound so inactive plans never import the service package).
@@ -84,12 +81,9 @@ ENV_VAR = "REPRO_FAULTS"
 
 
 class InjectedFault(ReproError):
-    """A scheduled failure from an active :class:`FaultPlan`.
-
-    ``error`` specs raise it to model an operation blowing up (the
-    retry path treats it like any transient exception); ``stall``
-    specs raise it at sites that *catch* it to model an operation
-    silently not happening (a skipped heartbeat, a hung claim)."""
+    """A scheduled failure from an active :class:`FaultPlan`: ``error``
+    specs raise it to model an operation blowing up (the retry path
+    treats it like any transient exception)."""
 
 
 class FaultPlanError(ReproError):
@@ -259,7 +253,7 @@ class FaultPlan:
                 raise OSError(
                     errno.EIO, f"input/output error (injected at {site})"
                 )
-            else:  # error / stall
+            else:  # error
                 raise InjectedFault(
                     f"injected {spec.kind} at {site}"
                 )

@@ -16,9 +16,8 @@ the functions below (:func:`start`, :func:`emit`, :func:`finish`,
 :func:`requeue`, …) turn a transition into journal records and hand them
 to the caller's ``write(kind, *fields)`` sink, which appends each
 record and folds it.  :func:`run_attempt` is the one place that decides
-how an attempt ended; the in-process :class:`JobManager` and the
-out-of-process :class:`~repro.service.worker.JobWorker` both call it,
-each with its own cancel predicate and sink.
+how an attempt ended.  The serving process is the only place jobs
+execute and the journal's only writer.
 
 * **Submit** (:meth:`JobManager.submit`) writes the ``submit`` record
   and hands the job to the per-context scheduler lane; same-context
@@ -35,15 +34,14 @@ each with its own cancel predicate and sink.
   immediately; running jobs carry a cancel flag the progress hook
   checks, so the run unwinds (:class:`~repro.errors.JobCancelled`) at
   the next event — cancellation latency is bounded by one greedy step.
-  A cancelled or failed run releases its scheduler lane.
+  A cancelled or failed run gives its scheduler lane back.
 * **Write-through journal.**  With a ``cache_dir``, every record is
   appended to the :class:`~repro.service.journal.JobJournal` before
   clients can observe it.  :meth:`JobManager.recover` replays the
   journal at boot: terminal jobs come back poll-able with their full
   event logs (``GET /v1/jobs/<id>/events?after=N`` survives restarts),
   ``queued`` jobs re-enqueue and run, and interrupted ``running`` jobs
-  are finished ``failed`` with a ``recovered`` marker — unless a live
-  worker lease shows another process still executing them.  New events
+  are finished ``failed`` with a ``recovered`` marker.  New events
   continue the restored ``seq`` series, so logs stay gap-free across
   the restart boundary.
 * **Priority lanes + tenant fairness.**  Submissions carry a
@@ -54,13 +52,6 @@ each with its own cancel predicate and sink.
   Per-tenant admission quotas bound how many non-terminal jobs a
   tenant may hold (:class:`~repro.errors.QuotaExceededError` → HTTP
   429), separate from the global queue bound (503).
-* **Worker scale-out.**  With ``execute_jobs=False`` the manager only
-  journals and tracks; separate ``repro serve --worker`` processes
-  claim queued jobs through journal leases and execute them
-  (:mod:`repro.service.worker`).  :meth:`JobManager.apply_external` —
-  fed by the service's poll task — folds the workers' records into the
-  same in-memory records, so polling and streaming clients never see
-  the difference.
 
 Runtime guardrails (chaos-tested via :mod:`repro.service.faults`):
 
@@ -79,10 +70,8 @@ Runtime guardrails (chaos-tested via :mod:`repro.service.faults`):
   memory (bounded), jobs keep running, ``/healthz`` reports it, and
   :meth:`JobManager.journal_probe` (poll task) replays the buffer and
   clears the flag once the disk recovers.
-* **Worker watchdog.**  :meth:`JobManager.watchdog_sweep` (poll task)
-  breaks dead leases, re-dispatches orphaned running jobs (or fails
-  them when out of retry budget), quarantines workers after repeated
-  breaks, and expires queued jobs past their deadline.
+* **Queued-deadline sweep.**  :meth:`JobManager.watchdog_sweep` (poll
+  task) fails queued jobs past their deadline without running them.
 
 Results are byte-identical to the synchronous endpoints: a job executes
 through exactly the same :meth:`ServiceContext.run_tune`/``run_sweep``
@@ -99,7 +88,9 @@ import threading
 import time
 import zlib
 
+from repro.advisor.retune import check_budget
 from repro.errors import (
+    AdvisorError,
     BackpressureError,
     JobCancelled,
     JobDeadlineExceeded,
@@ -128,10 +119,7 @@ _DEGRADED_ERRNOS = frozenset({errno.ENOSPC, errno.EIO})
 #: disk that never recovers is its own outage.
 DEGRADED_BUFFER_LIMIT = 10_000
 
-#: lease breaks charged to one worker before the watchdog benches it.
-QUARANTINE_THRESHOLD = 3
-
-#: the error of a job cancelled before it ever ran, whoever resolves it.
+#: the error of a job cancelled before it ever ran.
 CANCELLED_QUEUED = "cancelled while queued"
 
 
@@ -156,12 +144,26 @@ def deadline_expired(created: float, deadline_s: float | None,
     return (now if now is not None else time.time()) - created > deadline_s
 
 
+def check_routing_number(name: str, value, positive: bool) -> float:
+    """``value`` as a job routing number — :func:`check_budget`'s rule
+    (a real number, not a bool, finite), and > 0 when ``positive``,
+    else >= 0 — or :class:`JobError` naming ``name``.  NaN and the
+    infinities would otherwise be journaled and served as non-standard
+    JSON."""
+    try:
+        number = check_budget(name, value)
+    except AdvisorError as exc:
+        raise JobError(str(exc)) from None
+    if positive and number == 0:
+        raise JobError(f"{name} must be > 0, got {value!r}")
+    return number
+
+
 # ----------------------------------------------------------------------
 # transitions: each turns one step of the state machine into journal
 # records and hands them to ``write(kind, *fields, **marks)`` — the
 # caller's sink, which appends the record, folds it into ``image`` and
-# returns it.  They run wherever the image is owned (the manager's
-# event loop, a worker's main thread).
+# returns it.  They run on the manager's event loop.
 # ----------------------------------------------------------------------
 def emit(write, image: JobImage, event: dict) -> None:
     """Append one event to the job's log under the next free seq."""
@@ -207,8 +209,8 @@ def finish(write, image: JobImage, state: str,
 
 
 def requeue(write, image: JobImage, error: str) -> None:
-    """The one requeue — a transiently failed attempt, or a running
-    job orphaned by its worker: an attempt-stamped ``queued`` record
+    """The one requeue of a transiently failed attempt: an
+    attempt-stamped ``queued`` record
     (so the fold supersedes the failed run) parked behind the jittered
     exponential backoff, announced by a ``retry`` event.  Never a
     terminal state — a retried job was never failed."""
@@ -223,16 +225,6 @@ def requeue(write, image: JobImage, error: str) -> None:
     })
 
 
-def retryable(image: JobImage, cancelled) -> bool:
-    """Whether a just-failed attempt has retry budget left and
-    retrying still makes sense: not cancelled, not past deadline."""
-    return (
-        image.attempt < image.retries
-        and not cancelled()
-        and not deadline_expired(image.created, image.deadline_s)
-    )
-
-
 def run_attempt(image: JobImage, execute, cancelled, may_retry,
                 apply) -> str:
     """One attempt of one job, from the pre-run guard to its outcome —
@@ -240,12 +232,11 @@ def run_attempt(image: JobImage, execute, cancelled, may_retry,
     retry / failed.  Touches nothing but its arguments:
 
     * ``execute(progress)`` runs the job and returns its result;
-    * ``cancelled()`` is the caller's cancel predicate (a thread flag
-      in-process, a marker file across processes);
+    * ``cancelled()`` is the caller's cancel predicate;
     * ``may_retry()`` is asked once, after a transient failure;
     * ``apply(step, *args, **marks)`` is the caller's record sink: it
       runs ``step(write, image, *args, **marks)`` — one of the
-      transitions above — wherever the image is owned.
+      transitions above — on the event loop that owns the image.
 
     Returns ``"done"``, ``"cancelled"``, ``"failed"`` or
     ``"retried"``."""
@@ -293,8 +284,6 @@ class JobRecord(JobImage):
 
     def __init__(self, job_id: str) -> None:
         super().__init__(job_id)
-        #: True when a worker process (not this manager) executes it.
-        self.external = False
         #: cross-thread cancel flag (the lane thread's progress hook
         #: polls it; the loop side sets it).
         self.cancel = threading.Event()
@@ -358,20 +347,16 @@ class JobManager:
         tenant_weights: tenant -> weighted-round-robin weight (default
             1); heavier tenants get proportionally more turns inside
             each priority lane.
-        execute_jobs: False makes this a dispatch-only coordinator:
-            submissions journal and queue, worker processes execute.
     """
 
     def __init__(self, service, max_history: int = 256,
                  journal=None, tenant_quota: int | None = None,
-                 tenant_weights: dict | None = None,
-                 execute_jobs: bool = True) -> None:
+                 tenant_weights: dict | None = None) -> None:
         self.service = service
         self.max_history = max_history
         self.journal = journal
         self.tenant_quota = tenant_quota
         self.tenant_weights = dict(tenant_weights or {})
-        self.execute_jobs = execute_jobs
         self.jobs: dict[str, JobRecord] = {}
         self._order: list[str] = []
         self._counter = 1
@@ -392,13 +377,8 @@ class JobManager:
         self._journal_buffer: list[tuple] = []
         self.degraded_events = 0
         self.degraded_dropped = 0
-        #: watchdog bookkeeping: broken-lease tallies per worker and
-        #: cumulative sweep counters (surfaced in :meth:`stats`).
-        self.lease_breaks: dict[str, int] = {}
-        self.watchdog = {
-            "sweeps": 0, "lease_breaks": 0, "requeued": 0,
-            "failed": 0, "quarantined": 0, "deadline_expired": 0,
-        }
+        #: cumulative queued-deadline sweep counters.
+        self.watchdog = {"sweeps": 0, "deadline_expired": 0}
 
     # ------------------------------------------------------------------
     # submission
@@ -411,29 +391,17 @@ class JobManager:
         payload is journaled as given: :meth:`AdvisorService.submit_job`
         validates and resolves it first."""
         if deadline_s is not None:
-            try:
-                deadline_s = float(deadline_s)
-            except (TypeError, ValueError):
-                raise JobError(
-                    f"deadline_s must be a number, got {deadline_s!r}"
-                ) from None
-            if deadline_s <= 0:
-                raise JobError("deadline_s must be > 0")
+            deadline_s = check_routing_number("deadline_s", deadline_s,
+                                              positive=True)
         if not isinstance(retries, int) or isinstance(retries, bool) \
                 or retries < 0:
             raise JobError(
                 f"retries must be a non-negative integer, got {retries!r}"
             )
         if retry_backoff is not None:
-            try:
-                retry_backoff = float(retry_backoff)
-            except (TypeError, ValueError):
-                raise JobError(
-                    "retry_backoff must be a number, got "
-                    f"{retry_backoff!r}"
-                ) from None
-            if retry_backoff < 0:
-                raise JobError("retry_backoff must be >= 0")
+            retry_backoff = check_routing_number(
+                "retry_backoff", retry_backoff, positive=False
+            )
         if kind not in JOB_KINDS:
             raise JobError(
                 f"unknown job kind {kind!r}; one of {JOB_KINDS}"
@@ -482,10 +450,7 @@ class JobManager:
                            else retry_backoff),
         )
         announce(self._write, record, "queued")
-        if self.execute_jobs:
-            self._start_task(record)
-        else:
-            record.external = True
+        self._start_task(record)
         self._evict()
         return record
 
@@ -553,9 +518,9 @@ class JobManager:
         return raw
 
     def _fold(self, raw: dict) -> None:
-        """Fold one record of a tracked job, whoever wrote it, then do
-        what the observed change implies: lifecycle counters, the
-        parked task of a job that just ended, waiting streamers."""
+        """Fold one record of a tracked job, then do what the observed
+        change implies: lifecycle counters, the parked task of a job
+        that just ended, waiting streamers."""
         record = self.jobs[raw["job"]]
         attempt, state = record.attempt, record.state
         JobJournal.apply(self.jobs, raw)
@@ -570,13 +535,6 @@ class JobManager:
             elif record.state == "queued":
                 self.retried += 1  # only a requeue moves a job back
         record.changed.set()
-
-    def _finish(self, record: JobRecord, state: str, **marks) -> None:
-        """:func:`finish` from the loop side, plus the cancel marker a
-        worker-run job may have left for its executor."""
-        if not record.terminal:
-            finish(self._write, record, state, **marks)
-            self._journal("clear_cancel", record.id)
 
     def _buffer_op(self, op: str, args: tuple, kwargs: dict) -> None:
         self._journal_buffer.append((op, args, kwargs))
@@ -639,12 +597,10 @@ class JobManager:
         * terminal jobs: restored with their full event logs;
         * ``queued`` jobs: re-enqueued (bypassing backpressure/quota —
           they were already admitted once) and re-run;
-        * ``running`` jobs: a live worker lease means another process
-          is still executing — keep tracking it; otherwise the run died
-          with its process, so the job is marked ``failed`` with a
-          ``recovered`` marker (clients resubmit; a re-run is
-          byte-identical to the cold submission by the determinism
-          contract).
+        * ``running`` jobs: the run died with its process, so the job
+          is marked ``failed`` with a ``recovered`` marker (clients
+          resubmit; a re-run is byte-identical to the cold submission
+          by the determinism contract).
 
         Afterwards the journal is compacted to exactly the retained
         set, so on-disk history matches the in-memory eviction bound.
@@ -653,7 +609,7 @@ class JobManager:
             return {"restored": 0, "requeued": 0, "recovered": 0}
         restored = self.journal.replay(JobRecord)
         requeued = recovered = 0
-        # Journal ids are zero-padded and coordinator-assigned, so
+        # Journal ids are zero-padded and assigned at submission, so
         # sorted order is submission order.
         for job_id in sorted(restored):
             record = restored[job_id]
@@ -667,24 +623,16 @@ class JobManager:
             if record.terminal:
                 continue
             if record.state == "running":
-                if self.journal.lease_live(job_id):
-                    record.external = True  # a worker still has it
-                    continue
-                self.journal.break_lease(job_id)
-                self._finish(
-                    record, "failed", recovered=True,
+                finish(
+                    self._write, record, "failed", recovered=True,
                     error="interrupted by service restart; "
                           "resubmit to re-run",
                 )
                 self.recovered_jobs += 1
                 recovered += 1
                 continue
-            # queued: run it again (or leave it for the workers).
-            requeued += 1
-            if self.execute_jobs:
-                self._start_task(record)
-            else:
-                record.external = True
+            requeued += 1  # queued: run it again
+            self._start_task(record)
         self._evict()
         self.journal.compact(frozenset(self._order))
         return {
@@ -694,114 +642,29 @@ class JobManager:
         }
 
     # ------------------------------------------------------------------
-    # external execution (worker processes via the journal)
-    # ------------------------------------------------------------------
-    def apply_external(self, records: list[dict]) -> None:
-        """Fold journaled records appended by *other* writers (workers)
-        into the in-memory job records, so polling and streaming
-        clients observe worker-executed jobs exactly like local ones.
-        Records of jobs this manager does not track (evicted, or never
-        submitted here) are skipped."""
-        for raw in records:
-            if raw.get("job") in self.jobs:
-                self._fold(raw)
-
-    def resolve_stale_cancels(self) -> None:
-        """Safety net for the cancel/claim race: a cancel-marked
-        ``queued`` external job whose lease is gone or dead has nobody
-        left to resolve it — the claim scan skips cancel-marked jobs,
-        and the worker that abandoned (or died holding) the claim may
-        never have journaled a terminal state.  Called from the
-        coordinator's poll task, *after* folding worker records, so a
-        worker-journaled resolution wins when one exists."""
-        if self.journal is None:
-            return
-        for record in self.jobs.values():
-            if (
-                record.external
-                and record.state == "queued"
-                and self.journal.cancel_requested(record.id)
-                and not self.journal.lease_live(record.id)
-            ):
-                self.journal.break_lease(record.id)
-                self._finish(record, "cancelled", error=CANCELLED_QUEUED)
-
-    # ------------------------------------------------------------------
-    # watchdog (worker liveness + queued-job deadlines)
+    # queued-job deadlines
     # ------------------------------------------------------------------
     def watchdog_sweep(self) -> dict:
-        """Coordinator-side liveness sweep, called from the poll task:
-
-        * **dead leases** break (the claim path refuses takeover, so
-          somebody must), and their jobs either re-dispatch (retry
-          budget left, deadline not blown) or fail terminally with the
-          worker named in the error;
-        * **repeat offenders** quarantine: a worker charged
-          :data:`QUARANTINE_THRESHOLD` broken leases gets a persistent
-          quarantine marker its claim loop honors — a crash-looping
-          worker binary stops eating jobs;
-        * **queued jobs past deadline** fail ``timeout`` without ever
-          running (running jobs enforce their own deadline through the
-          progress hook).
-
-        Returns per-sweep counts (cumulative totals live in
+        """Fail every queued job past its deadline without running it
+        (running jobs enforce their own deadline through the progress
+        hook); called from the service's poll task.  Returns this
+        sweep's count (cumulative totals live in
         ``stats()['watchdog']``)."""
-        swept = {"lease_breaks": 0, "requeued": 0, "failed": 0,
-                 "quarantined": 0, "deadline_expired": 0}
         self.watchdog["sweeps"] += 1
-        if self.journal is not None:
-            for job_id, lease in self.journal.dead_leases():
-                writer = lease.get("writer") or "unknown"
-                self.journal.break_lease(job_id)
-                swept["lease_breaks"] += 1
-                count = self.lease_breaks.get(writer, 0) + 1
-                self.lease_breaks[writer] = count
-                if count >= QUARANTINE_THRESHOLD and \
-                        not self.journal.writer_quarantined(writer):
-                    self.journal.quarantine_writer(
-                        writer,
-                        reason=f"{count} leases broken by watchdog",
-                    )
-                    swept["quarantined"] += 1
-                record = self.jobs.get(job_id)
-                if record is None or record.terminal:
-                    continue
-                if record.state != "running":
-                    # Died mid-claim (lease taken, no running record):
-                    # breaking the lease alone re-exposes the still-
-                    # queued job to the claim scan.
-                    continue
-                error = f"worker {writer} died mid-run"
-                if self._retryable(record):
-                    # Consumes retry budget: the dead worker may have
-                    # died *because* of the job.
-                    requeue(self._write, record, error)
-                    if self.execute_jobs and not record.external:
-                        self._start_task(record)
-                    swept["requeued"] += 1
-                else:
-                    self._finish(record, "failed", error=error)
-                    swept["failed"] += 1
+        expired = 0
         now = time.time()
         for record in list(self.jobs.values()):
-            if record.terminal or record.state != "queued":
-                continue
-            if not deadline_expired(record.created, record.deadline_s,
-                                    now):
-                continue
-            if record.external and self.journal is not None and \
-                    self.journal.lease_live(record.id):
-                continue  # claimed: that worker's hook enforces it
-            self._finish(
-                record, "failed",
-                error=f"deadline_s={record.deadline_s} exceeded "
-                      "before completion",
-                timeout=True,
-            )
-            swept["deadline_expired"] += 1
-        for key, value in swept.items():
-            self.watchdog[key] += value
-        return swept
+            if record.state == "queued" and deadline_expired(
+                    record.created, record.deadline_s, now):
+                finish(
+                    self._write, record, "failed",
+                    error=f"deadline_s={record.deadline_s} exceeded "
+                          "before completion",
+                    timeout=True,
+                )
+                expired += 1
+        self.watchdog["deadline_expired"] += expired
+        return {"deadline_expired": expired}
 
     # ------------------------------------------------------------------
     # turn-taking (priority + tenant fairness per context)
@@ -835,7 +698,7 @@ class JobManager:
         finally:
             record._turn = None
 
-    def _release_turn(self, record: JobRecord) -> None:
+    def _pass_turn(self, record: JobRecord) -> None:
         """Give the context's turn to the next parked record (priority
         order, tenant-fair)."""
         queue = self._queues.get(record.context)
@@ -876,7 +739,7 @@ class JobManager:
         granted = await self._acquire_turn(record)
         if record.terminal:  # cancelled while parked / in the gap
             if granted:
-                self._release_turn(record)
+                self._pass_turn(record)
             return
         lane = self.service.scheduler.lane_for(record.context)
         loop = asyncio.get_running_loop()
@@ -906,20 +769,25 @@ class JobManager:
             # finishes (or cancels via the flag stop() sets); the
             # record must not stay non-terminal forever.
             record.cancel.set()
-            self._finish(record, "cancelled", error="service stopped")
+            finish(self._write, record, "cancelled",
+                   error="service stopped")
             raise
         except Exception as exc:  # noqa: BLE001 - recorded on the job
             # The attempt never reached the lane (executor gone).
-            self._finish(record, "failed", error=str(exc))
+            finish(self._write, record, "failed", error=str(exc))
         finally:
-            self._release_turn(record)
+            self._pass_turn(record)
         if outcome == "retried":
             self._start_task(record)
 
     def _retryable(self, record: JobRecord) -> bool:
-        """:func:`retryable`, while the service is still running."""
+        """Whether a just-failed attempt has retry budget left and
+        retrying still makes sense: not cancelled, not past deadline,
+        the service still running."""
         return (
-            retryable(record, record.cancel.is_set)
+            record.attempt < record.retries
+            and not record.cancel.is_set()
+            and not deadline_expired(record.created, record.deadline_s)
             and self.service.started
             and not self.service._closing
         )
@@ -989,29 +857,22 @@ class JobManager:
         if record.terminal:
             return record
         record.cancel.set()
-        if self.journal is not None and record.external:
-            # The executing process is elsewhere: leave a marker its
-            # progress hook polls.  An unclaimed queued job can still
-            # resolve eagerly below.
-            self._journal("request_cancel", record.id)
-        if record.state == "queued" and not (
-            record.external and self.journal is not None
-            and self.journal.lease_info(record.id) is not None
-        ):
+        if record.state == "queued":
             # Resolve eagerly so polls see it now; the lane-side guard
             # keeps the skipped execution honest.
-            self._finish(record, "cancelled", error=CANCELLED_QUEUED)
+            finish(self._write, record, "cancelled",
+                   error=CANCELLED_QUEUED)
         return record
 
     def cancel_all(self) -> None:
         """Flag every non-terminal job for cancellation (service
         shutdown): running jobs unwind at their next progress event."""
         for record in self.jobs.values():
-            if not record.terminal and not record.external:
+            if not record.terminal:
                 record.cancel.set()
                 if record.state == "queued":
-                    self._finish(record, "cancelled",
-                                 error="service stopped")
+                    finish(self._write, record, "cancelled",
+                           error="service stopped")
 
     async def drain(self) -> None:
         """Wait until every submitted job's task has completed."""
@@ -1045,10 +906,7 @@ class JobManager:
                 "events": self.degraded_events,
                 "dropped": self.degraded_dropped,
             },
-            "watchdog": {
-                **self.watchdog,
-                "lease_breaks_by_writer": dict(self.lease_breaks),
-            },
+            "watchdog": dict(self.watchdog),
         }
         if self.journal is not None:
             out["journal"] = self.journal.stats()

@@ -9,14 +9,11 @@ and everything that ever happens to it is a **journal record**: a
 :func:`result_record`), appended through the matching
 ``JobJournal.append_*``, and folded into an image by
 :meth:`JobJournal.apply` — the only code in the service that assigns a
-job's durable fields.  A coordinator's own transitions, a worker's, a
-boot-time :meth:`JobJournal.replay` and the live tail of other
-writers' segments (:meth:`JobJournal.refresh`) all go through that one
-fold, so a live view and a restart over the same records cannot
-disagree.  The fold is commutative and idempotent — any delivery
-order, any number of re-deliveries, same image (one bound: two writers
-contesting the *same* event ``seq`` resolve first-delivered-wins, see
-:meth:`JobJournal.apply`)::
+job's durable fields.  The serving process's own transitions and a
+boot-time :meth:`JobJournal.replay` go through that one fold, so a live
+view and a restart over the same records cannot disagree.  The fold is
+commutative and idempotent — any delivery order, any number of
+re-deliveries, same image::
 
     queued ──► running ──► done | failed | cancelled      (one attempt)
     running | failed attempt ──► queued @ attempt + 1      (retry requeue)
@@ -26,82 +23,38 @@ contesting the *same* event ``seq`` resolve first-delivered-wins, see
     rank:     within an attempt   terminal > running > queued
     tie:      same attempt and rank: the earliest ``ts`` wins
 
-Who writes what: the coordinator writes ``submit`` and every record of
-a job it executes itself; a worker writes the ``state``/``event``/
-``result`` records of a job *while it holds that job's lease*; the
-coordinator's watchdog and cancel paths write for a worker-run job only
-once its lease is gone or dead.
-
-Layout::
+The serving process is the journal's only writer.  Layout::
 
     <cache_dir>/jobs-journal/
-        segment-<writer>.jsonl        one append-only file per writer
-        segment-<writer>.rNNNN.jsonl  rotated (sealed) segments
-        writers/<writer>.json         writer presence (pid + heartbeat)
-        leases/<job_id>.json          claim records (O_EXCL create)
-        cancel/<job_id>               cancel-request markers
-        quarantine/<writer>           watchdog-benched workers
+        segment-coordinator.jsonl        the live, append-only segment
+        segment-coordinator.rNNNN.jsonl  rotated (sealed) segments
 
-* **Segments.**  Every process that writes the journal — the
-  coordinator and each ``repro serve --worker`` — appends to its *own*
-  segment file, so concurrent writers never interleave partial lines.
-  A reader merges all segments: :meth:`JobJournal.replay` rebuilds the
-  full per-job picture at boot, :meth:`JobJournal.refresh` tails the
-  *other* writers' segments incrementally (offset-tracked, complete
-  lines only) so a live coordinator sees worker progress.
-
-* **Leases.**  Workers claim a queued job by atomically creating
-  ``leases/<job_id>.json`` (``O_CREAT | O_EXCL`` — exactly one winner)
-  carrying their pid and a heartbeat timestamp.  A lease is *live*
-  while its owner process exists or its heartbeat is fresher than the
-  TTL; :meth:`JobJournal.lease_live` is how recovery tells "a worker is
-  still running this" apart from "this job died with its process", and
-  :meth:`JobJournal.dead_leases` is the watchdog's sweep input.
-
-* **Cancel markers.**  Cancellation must reach a job running in a
-  *different process*: :meth:`request_cancel` drops a marker file the
-  executing side polls from its progress hook (the same one-greedy-step
-  latency bound as in-process cancel).
-
-* **Writer presence.**  A lease only exists while a worker *executes* a
-  job, so it cannot tell "worker alive but idle" from "no worker".
-  Every writer therefore keeps a ``writers/<writer>.json`` presence
-  file (pid + heartbeat, same liveness rule as leases) — announced on
-  first append or explicitly via :meth:`announce_writer`, refreshed by
-  :meth:`heartbeat_writer`, removed by :meth:`close`.
-
-* **Compaction.**  :meth:`compact` rewrites the journal keeping only a
-  retained job set — called at coordinator boot, after replay applies
-  the bounded-history eviction rule, and only when no *other live
-  writer* exists (presence file or live lease): a live worker appends
-  to its open segment file and tails ours by byte offset, so a rewrite
-  under it would lose its appends to an unlinked inode and wedge its
-  read offsets.  Readers additionally self-heal (:meth:`refresh`
-  resets an offset that no longer lands on a record boundary) and
-  writers reopen their segment if its inode changed, so even a
-  mis-timed compaction degrades to a re-read, not silent loss.
+* **Replay** merges every ``segment-*.jsonl`` in the directory, so a
+  journal written by an older version — whose worker processes each
+  kept a ``segment-<worker>.jsonl`` beside directories of claim,
+  cancel-marker and presence files — still boots; nothing but the
+  segments is ever read.
+* **Compaction** (:meth:`JobJournal.compact`) rewrites the journal at
+  boot, keeping only the retained job set, into one segment.
 
 Durability model: every appended line is flushed to the OS immediately,
 so a ``kill -9`` of the process loses nothing already appended (the
 page cache survives process death); ``fsync=True`` additionally forces
-each line to stable storage for machine-crash durability.
+each line to stable storage for machine-crash durability.  A line torn
+by a crash mid-append ends its segment's replay, and the boot-time
+compaction drops it before anything is appended after it.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 
 from repro.errors import ServiceError
 from repro.service.faults import fire
 
 #: journal format version, embedded in every line for forward safety.
 _FORMAT_VERSION = 1
-
-#: lease heartbeats older than this are stale unless the owner pid is
-#: demonstrably alive.
-DEFAULT_LEASE_TTL = 30.0
 
 #: every job state with its rank in the fold's precedence rule.
 STATE_RANK = {"queued": 0, "running": 1,
@@ -132,7 +85,7 @@ class JobImage:
         self.created: float | None = None
         #: guardrail routing: wall-clock budget from submission across
         #: all attempts (None = no deadline) and the transient-failure
-        #: retry allowance, carried so workers enforce/consume them too.
+        #: retry allowance.
         self.deadline_s: float | None = None
         self.retries: int = 0
         self.retry_backoff: float = DEFAULT_RETRY_BACKOFF
@@ -227,96 +180,58 @@ RECORDS = {"submit": submit_record, "state": state_record,
 
 
 class JournalError(ServiceError):
-    """Journal directory, segment, or lease problem."""
+    """Journal directory or segment problem."""
+
+
+#: the live segment's file name (rotated segments insert ``.rNNNN``).
+SEGMENT = "segment-coordinator.jsonl"
 
 
 class JobJournal:
-    """One process's handle on the shared job journal.
+    """The serving process's handle on its job journal.
 
     Args:
         root: the journal directory (created if missing).
-        writer_id: this process's segment name — ``coordinator`` for
-            the serving process, a unique ``worker-*`` per worker.
         fsync: force every appended line to stable storage (machine-
             crash durability); off by default — process-crash
             durability only needs the flush.
-        lease_ttl: heartbeat age beyond which a lease whose owner pid
-            is gone counts as dead.
-        max_segment_bytes: rotate this writer's segment once it grows
-            past this size (None = never): the full segment is renamed
-            to ``segment-<writer>.rNNNN.jsonl`` — still matched by
-            every reader's segment glob, still merged by compaction —
-            and appends continue in a fresh file, so a long-lived
-            coordinator never rewrites one ever-growing file.
+        max_segment_bytes: rotate the live segment once it grows past
+            this size (None = never): the full segment is renamed to
+            ``segment-coordinator.rNNNN.jsonl`` — still merged by replay
+            and compaction — and appends continue in a fresh file, so a
+            long-lived server never rewrites one ever-growing file.
     """
 
-    def __init__(self, root: str, writer_id: str = "coordinator",
-                 *, fsync: bool = False,
-                 lease_ttl: float = DEFAULT_LEASE_TTL,
+    def __init__(self, root: str, *, fsync: bool = False,
                  max_segment_bytes: int | None = None) -> None:
-        if not writer_id or any(c in writer_id for c in "/\\. "):
-            raise JournalError(
-                f"writer_id must be a simple name, got {writer_id!r}"
-            )
         if max_segment_bytes is not None and max_segment_bytes < 1:
             raise JournalError(
                 f"max_segment_bytes must be >= 1, got {max_segment_bytes}"
             )
         self.root = root
-        self.writer_id = writer_id
         self.fsync = fsync
-        self.lease_ttl = lease_ttl
         self.max_segment_bytes = max_segment_bytes
-        self.leases_dir = os.path.join(root, "leases")
-        self.cancel_dir = os.path.join(root, "cancel")
-        self.writers_dir = os.path.join(root, "writers")
-        self.quarantine_dir = os.path.join(root, "quarantine")
-        for path in (root, self.leases_dir, self.cancel_dir,
-                     self.writers_dir, self.quarantine_dir):
-            os.makedirs(path, exist_ok=True)
-        self._segment_path = os.path.join(
-            root, f"segment-{writer_id}.jsonl"
-        )
-        #: basename prefix of every segment this writer owns (live and
-        #: rotated) — refresh() must never tail its own appends.
-        self._own_prefix = f"segment-{writer_id}."
+        os.makedirs(root, exist_ok=True)
+        self._segment_path = os.path.join(root, SEGMENT)
         self._segment = None
-        self._announced = False
-        #: per-foreign-segment read offsets (refresh() tail state).
-        self._offsets: dict[str, int] = {}
         #: appended-line counters (stats/tests).
         self.appended = 0
         #: completed segment rotations (also the rotated-name cursor).
         self.rotations = 0
 
     # ------------------------------------------------------------------
-    # appending (this writer's segment)
+    # appending
     # ------------------------------------------------------------------
     def _append(self, record: dict) -> dict:
-        """Write one record to this writer's segment; returns it, so
-        the caller folds the very dict that went to disk."""
+        """Write one record to the live segment; returns it, so the
+        caller folds the very dict that went to disk."""
         record["v"] = _FORMAT_VERSION
         line = json.dumps(record, sort_keys=True,
                           separators=(",", ":")) + "\n"
         # Injection point *before* any byte is written: a journaling
         # layer that failed here has durably recorded nothing, which is
         # exactly what the manager's degraded-mode buffer assumes.
-        fire("journal.append", writer=self.writer_id,
-             job=record.get("job"))
-        if not self._announced:
-            self.announce_writer()
-        if self._segment is not None:
-            # A compaction (ours or a mis-timed foreign one) replaces
-            # the segment file; appending to the old inode would write
-            # into the void, so reopen by path when it changed.
-            try:
-                same = os.stat(self._segment_path).st_ino == \
-                    os.fstat(self._segment.fileno()).st_ino
-            except OSError:
-                same = False
-            if not same:
-                self._segment.close()
-                self._segment = None
+        fire("journal.append", job=record.get("job"))
         if self._segment is None:
             self._segment = open(self._segment_path, "a",
                                  encoding="utf-8")
@@ -328,25 +243,25 @@ class JobJournal:
         self._segment.write(line)
         self._segment.flush()
         if self.fsync:
-            fire("journal.fsync", writer=self.writer_id)
+            fire("journal.fsync")
             os.fsync(self._segment.fileno())
         self.appended += 1
         return record
 
     def _rotate(self) -> None:
-        """Seal the current segment under a rotated name (readers keep
-        matching it; compaction keeps merging it) and leave the live
-        path free for a fresh file."""
-        self._close_segment()
+        """Seal the live segment under a rotated name (replay and
+        compaction keep merging it) and leave the live path free for a
+        fresh file."""
+        self.close()
         n = self.rotations + 1
         while True:
             target = os.path.join(
-                self.root, f"segment-{self.writer_id}.r{n:04d}.jsonl"
+                self.root, SEGMENT.replace(".jsonl", f".r{n:04d}.jsonl")
             )
             if not os.path.exists(target):
                 break
             n += 1  # pragma: no cover - survivor from a prior process
-        fire("journal.rotate", writer=self.writer_id)
+        fire("journal.rotate")
         os.replace(self._segment_path, target)
         self.rotations = n
 
@@ -375,26 +290,18 @@ class JobJournal:
         """Journal a tier-mode transition (``degraded``/``healthy``) so
         the degradation window is visible in the durable history.  Mode
         records carry no ``job`` key, so :meth:`apply` ignores them."""
-        record = {"rec": "mode", "mode": mode, "ts": ts,
-                  "writer": self.writer_id}
+        record = {"rec": "mode", "mode": mode, "ts": ts}
         if reason:
             record["reason"] = reason
         self._append(record)
 
-    def _close_segment(self) -> None:
+    def close(self) -> None:
         if self._segment is not None:
             self._segment.close()
             self._segment = None
 
-    def close(self) -> None:
-        """Clean shutdown of this writer: close the segment and retire
-        the presence file, so compaction elsewhere no longer waits on
-        us."""
-        self._close_segment()
-        self.retire_writer()
-
     # ------------------------------------------------------------------
-    # reading (all segments)
+    # reading
     # ------------------------------------------------------------------
     def _segment_paths(self) -> list[str]:
         try:
@@ -407,102 +314,48 @@ class JobJournal:
         ]
 
     @staticmethod
-    def _read_lines(
-        path: str, start: int = 0
-    ) -> tuple[list[dict], int, bool]:
-        """Complete newline-terminated JSON lines from ``start``; the
-        returned offset stops before any partial trailing line, so an
-        in-progress append from another process is re-read whole on the
-        next call.  The third element is False when a *terminated* line
-        failed to parse — either a torn write, or ``start`` no longer
-        lands on a record boundary (the file was rewritten under us)."""
-        try:
-            with open(path, "rb") as fh:
-                fh.seek(start)
-                blob = fh.read()
-        except FileNotFoundError:
-            return [], start, True
+    def _read_records(path: str) -> list[dict]:
+        """One segment's complete newline-terminated JSON records, up
+        to the first torn line: the writer died mid-append, and appends
+        are sequential, so nothing after it is complete."""
+        with open(path, "rb") as fh:
+            blob = fh.read()
         records = []
-        offset = start
-        clean = True
-        lines = blob.split(b"\n")
         # split()'s last element is the unterminated tail (b"" when the
         # blob ends on a newline) — never a committed record.
-        for raw in lines[:-1]:
+        for raw in blob.split(b"\n")[:-1]:
             if not raw.strip():
-                offset += len(raw) + 1
                 continue
             try:
                 obj = json.loads(raw)
             except ValueError:
-                obj = None
-            if not isinstance(obj, dict):
-                # A torn line means the writer died mid-append; appends
-                # are sequential, so nothing after it is complete.  (A
-                # parsed non-dict is a line fragment that happened to
-                # be valid JSON — same misalignment case.)
-                clean = False
                 break
+            if not isinstance(obj, dict):
+                break  # a line fragment that happens to be valid JSON
             records.append(obj)
-            offset += len(raw) + 1
-        return records, offset, clean
+        return records
 
     def replay(self, new=JobImage) -> dict:
         """Merge every segment into per-job images (boot-time full
         read) — :meth:`apply` over every record; the fold does not
         depend on the order segments are read in.  ``new`` builds the
-        image of a job first seen (the coordinator restores its
+        image of a job first seen (the manager restores its
         ``JobRecord`` subclass straight from here)."""
         images: dict = {}
         for path in self._segment_paths():
-            records, _, _ = self._read_lines(path)
-            for record in records:
+            for record in self._read_records(path):
                 self.apply(images, record, new)
         return images
-
-    def refresh(self) -> list[dict]:
-        """New complete records appended to *other* writers' segments
-        since the last call (the coordinator's live tail of worker
-        progress).
-
-        Self-healing: a segment rewritten under us (compaction racing
-        this reader) invalidates our byte offset — either the file is
-        now shorter than the offset, or it regrew and the offset lands
-        mid-line so the first terminated read fails to parse.  Both
-        reset the offset to 0 and re-read the whole segment; re-applied
-        records are harmless because :meth:`apply` is idempotent.
-        """
-        out: list[dict] = []
-        for path in self._segment_paths():
-            # Skip every segment this writer owns — the live one AND
-            # its rotated predecessors (rotation renames the live file,
-            # and re-tailing our own appends as "foreign" would be
-            # wasted re-folds at best).
-            if os.path.basename(path).startswith(self._own_prefix):
-                continue
-            start = self._offsets.get(path, 0)
-            if start:
-                try:
-                    if os.path.getsize(path) < start:
-                        start = 0
-                except OSError:
-                    start = 0
-            records, offset, clean = self._read_lines(path, start)
-            if start and not clean and not records:
-                # Parse failure at a previously-valid offset: the file
-                # was rewritten, not torn — restart from the top.
-                records, offset, clean = self._read_lines(path, 0)
-            self._offsets[path] = offset
-            out.extend(records)
-        return out
 
     @staticmethod
     def apply(images: dict, record: dict, new=JobImage) -> None:
         """Fold one journal record into a per-job image map — the one
-        fold behind a boot-time :meth:`replay`, a worker's and the
-        coordinator's :meth:`refresh` tails, and every writer's own
-        transitions.  Commutative and idempotent: the image depends on
-        the *set* of records folded, not on their order or repetition.
+        fold behind a boot-time :meth:`replay` and the serving
+        process's own transitions.  Commutative and idempotent: the
+        image depends on the *set* of records folded, not on their
+        order or repetition (replay reads rotated segments out of write
+        order, and a journal written by an older multi-writer version
+        merges several segments).
 
         * ``submit``: first write wins.
         * ``state``: a record of a higher ``attempt`` opens that
@@ -519,9 +372,9 @@ class JobJournal:
           (its earliest ``running`` record; None until it runs).
         * ``event``: the first write of a seq wins — a streamer may
           already have been sent it, so this is the one rule that sees
-          delivery order, and only when two writers stamp the same seq
-          (a takeover of a stalled, not dead, worker); an event ahead
-          of a gap is held and becomes visible once the gap fills, so
+          delivery order, and only when two records carry the same seq
+          (one writer never stamps a seq twice); an event ahead of a
+          gap is held and becomes visible once the gap fills, so
           ``image.events`` is always 1..N.
         * ``result``: last write (an attempt that completes writes the
           same bytes as any other, by the determinism contract).
@@ -580,255 +433,23 @@ class JobJournal:
         elif rec == "result":
             image.result = record.get("result")
 
-    # ------------------------------------------------------------------
-    # leases
-    # ------------------------------------------------------------------
-    def _lease_path(self, job_id: str) -> str:
-        return os.path.join(self.leases_dir, f"{job_id}.json")
-
-    def claim(self, job_id: str) -> bool:
-        """Atomically claim a job for this writer; False if any lease
-        exists (live or stale — takeover goes through
-        :meth:`break_lease` so it stays an explicit decision)."""
-        payload = json.dumps({
-            "job": job_id, "writer": self.writer_id,
-            "pid": os.getpid(), "heartbeat": time.time(),
-        }, sort_keys=True)
-        try:
-            fd = os.open(self._lease_path(job_id),
-                         os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-        except FileExistsError:
-            return False
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        return True
-
-    def heartbeat(self, job_id: str) -> None:
-        """Refresh this writer's lease timestamp (atomic replace)."""
-        path = self._lease_path(job_id)
-        tmp = f"{path}.{self.writer_id}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({
-                "job": job_id, "writer": self.writer_id,
-                "pid": os.getpid(), "heartbeat": time.time(),
-            }, sort_keys=True))
-        os.replace(tmp, path)
-
-    def release(self, job_id: str) -> None:
-        try:
-            os.remove(self._lease_path(job_id))
-        except FileNotFoundError:
-            pass
-
-    def lease_info(self, job_id: str) -> dict | None:
-        try:
-            with open(self._lease_path(job_id),
-                      encoding="utf-8") as fh:
-                return json.load(fh)
-        except (FileNotFoundError, ValueError):
-            return None
-
-    def _owner_live(self, info: dict) -> bool:
-        """Shared liveness rule for leases and writer presence: the
-        owning pid is alive, or — when pid liveness cannot decide (pid
-        reuse, remote filesystems) — the heartbeat is fresher than the
-        TTL."""
-        pid = info.get("pid")
-        if isinstance(pid, int):
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                return False
-            except PermissionError:  # pragma: no cover - exists, not ours
-                return True
-            else:
-                return True
-        heartbeat = info.get("heartbeat", 0.0)
-        return (time.time() - heartbeat) < self.lease_ttl
-
-    def lease_live(self, job_id: str) -> bool:
-        """Whether a lease exists whose owner is still working."""
-        info = self.lease_info(job_id)
-        return info is not None and self._owner_live(info)
-
-    def break_lease(self, job_id: str) -> bool:
-        """Remove a dead lease (owner gone); False if it is live."""
-        if self.lease_live(job_id):
-            return False
-        self.release(job_id)
-        return True
-
-    def live_leases(self) -> list[dict]:
-        return [info for _, info in self.leases()
-                if self._owner_live(info)]
-
-    def dead_leases(self) -> list[tuple[str, dict]]:
-        """``(job_id, info)`` of every lease whose owner is gone — the
-        watchdog's sweep input (the claim path refuses takeover, so
-        somebody must break these)."""
-        return [(job_id, info) for job_id, info in self.leases()
-                if not self._owner_live(info)]
-
-    def leases(self) -> list[tuple[str, dict]]:
-        """Every lease on disk, live or dead, as ``(job_id, info)``."""
-        out = []
-        try:
-            names = sorted(os.listdir(self.leases_dir))
-        except FileNotFoundError:
-            return out
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            job_id = name[:-len(".json")]
-            info = self.lease_info(job_id)
-            if info is not None:
-                out.append((job_id, info))
-        return out
-
-    # ------------------------------------------------------------------
-    # cancel markers
-    # ------------------------------------------------------------------
-    def request_cancel(self, job_id: str) -> None:
-        path = os.path.join(self.cancel_dir, job_id)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(str(time.time()))
-
-    def cancel_requested(self, job_id: str) -> bool:
-        return os.path.exists(os.path.join(self.cancel_dir, job_id))
-
-    def clear_cancel(self, job_id: str) -> None:
-        try:
-            os.remove(os.path.join(self.cancel_dir, job_id))
-        except FileNotFoundError:
-            pass
-
-    # ------------------------------------------------------------------
-    # worker quarantine
-    # ------------------------------------------------------------------
-    def _quarantine_path(self, writer_id: str) -> str:
-        return os.path.join(self.quarantine_dir, writer_id)
-
-    def quarantine_writer(self, writer_id: str,
-                          reason: str = "") -> None:
-        """Mark a writer as untrusted: its claim loop must stop taking
-        jobs.  Dropped by the coordinator's watchdog after repeated
-        lease breaks; persists across restarts until explicitly
-        cleared (a crash-looping worker binary stays benched)."""
-        with open(self._quarantine_path(writer_id), "w",
-                  encoding="utf-8") as fh:
-            fh.write(json.dumps({
-                "writer": writer_id, "reason": reason,
-                "ts": time.time(),
-            }, sort_keys=True))
-
-    def writer_quarantined(self, writer_id: str) -> bool:
-        return os.path.exists(self._quarantine_path(writer_id))
-
-    def clear_quarantine(self, writer_id: str) -> None:
-        try:
-            os.remove(self._quarantine_path(writer_id))
-        except FileNotFoundError:
-            pass
-
-    def quarantined_writers(self) -> list[str]:
-        try:
-            return sorted(os.listdir(self.quarantine_dir))
-        except FileNotFoundError:
-            return []
-
-    # ------------------------------------------------------------------
-    # writer presence
-    # ------------------------------------------------------------------
-    def _writer_path(self, writer_id: str) -> str:
-        return os.path.join(self.writers_dir, f"{writer_id}.json")
-
-    def announce_writer(self) -> None:
-        """Register this process as a live writer (atomic replace).
-        Called implicitly on first append; workers call it eagerly at
-        startup so compaction elsewhere sees them even while idle —
-        leases only exist while a job executes, so without presence an
-        alive-but-idle worker would be invisible."""
-        path = self._writer_path(self.writer_id)
-        tmp = f"{path}.{os.getpid()}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({
-                "writer": self.writer_id, "pid": os.getpid(),
-                "heartbeat": time.time(),
-            }, sort_keys=True))
-        os.replace(tmp, path)
-        self._announced = True
-
-    def heartbeat_writer(self) -> None:
-        """Refresh this writer's presence timestamp."""
-        self.announce_writer()
-
-    def retire_writer(self) -> None:
-        try:
-            os.remove(self._writer_path(self.writer_id))
-        except FileNotFoundError:
-            pass
-        self._announced = False
-
-    def writer_info(self, writer_id: str) -> dict | None:
-        try:
-            with open(self._writer_path(writer_id),
-                      encoding="utf-8") as fh:
-                return json.load(fh)
-        except (FileNotFoundError, ValueError):
-            return None
-
-    def writer_live(self, writer_id: str) -> bool:
-        """Same liveness rule as :meth:`lease_live`."""
-        info = self.writer_info(writer_id)
-        return info is not None and self._owner_live(info)
-
-    def live_writers(self) -> list[dict]:
-        out = []
-        try:
-            names = sorted(os.listdir(self.writers_dir))
-        except FileNotFoundError:
-            return out
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            writer_id = name[:-len(".json")]
-            if self.writer_live(writer_id):
-                info = self.writer_info(writer_id)
-                if info is not None:
-                    out.append(info)
-        return out
 
     # ------------------------------------------------------------------
     # compaction
     # ------------------------------------------------------------------
-    def compact(self, keep_ids: "set[str] | frozenset[str]") -> bool:
+    def compact(self, keep_ids: "set[str] | frozenset[str]") -> None:
         """Rewrite the journal so only ``keep_ids`` survive, merging
-        every segment into this writer's own.
-
-        Boot-time only: refuses (returns False) while any other *live
-        writer* exists — a presence file with a live owner, or a live
-        lease (belt and braces for writers that never announced).  A
-        live worker appends to its open segment file and tails ours by
-        byte offset; rewriting either under it would lose appends to an
-        unlinked inode and wedge its offsets.  Dead writers' presence
-        files are swept instead.  The caller re-derives ``keep_ids``
-        from the same replay it restores state from, which keeps
-        on-disk history exactly consistent with the in-memory
-        bounded-history eviction."""
-        for info in self.live_writers():
-            if info.get("writer") != self.writer_id:
-                return False
-        for info in self.live_leases():
-            if info.get("writer") != self.writer_id:
-                return False
-        kept: list[dict] = []
-        for path in self._segment_paths():
-            records, _, _ = self._read_lines(path)
-            kept.extend(
-                record for record in records
-                if record.get("job") in keep_ids
-            )
-        self._close_segment()
+        every segment into the live one.  Boot-time only: the caller
+        re-derives ``keep_ids`` from the same replay it restores state
+        from, which keeps on-disk history exactly consistent with the
+        in-memory bounded-history eviction."""
+        kept = [
+            record
+            for path in self._segment_paths()
+            for record in self._read_records(path)
+            if record.get("job") in keep_ids
+        ]
+        self.close()
         tmp = self._segment_path + ".compact"
         with open(tmp, "w", encoding="utf-8") as fh:
             for record in kept:
@@ -840,40 +461,12 @@ class JobJournal:
         for path in self._segment_paths():
             if path != self._segment_path:
                 os.remove(path)
-                self._offsets.pop(path, None)
-        # Stale leases and cancel markers of dropped jobs go with them.
-        for directory in (self.leases_dir, self.cancel_dir):
-            for name in os.listdir(directory):
-                job_id = name[:-len(".json")] \
-                    if name.endswith(".json") else name
-                if job_id not in keep_ids:
-                    try:
-                        os.remove(os.path.join(directory, name))
-                    except FileNotFoundError:  # pragma: no cover
-                        pass
-        # Dead writers' presence files: their segments were just merged
-        # away, so retire the corpses too.
-        for name in os.listdir(self.writers_dir):
-            if not name.endswith(".json"):
-                continue
-            writer_id = name[:-len(".json")]
-            if writer_id != self.writer_id and \
-                    not self.writer_live(writer_id):
-                try:
-                    os.remove(os.path.join(self.writers_dir, name))
-                except FileNotFoundError:  # pragma: no cover
-                    pass
-        return True
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         return {
             "root": self.root,
-            "writer": self.writer_id,
             "appended": self.appended,
             "segments": len(self._segment_paths()),
             "rotations": self.rotations,
-            "live_leases": len(self.live_leases()),
-            "live_writers": len(self.live_writers()),
-            "quarantined": self.quarantined_writers(),
         }

@@ -190,7 +190,7 @@ class ContextScheduler:
 
     # ------------------------------------------------------------------
     def shutdown(self, wait: bool = True) -> None:
-        """Release every lane: waits for in-flight lane work (no run is
+        """Shut every lane down: waits for in-flight lane work (no run is
         abandoned halfway through shared cache state)."""
         for lane in self._lanes:
             lane.executor.shutdown(wait=wait)

@@ -102,18 +102,13 @@ class AdvisorService:
             :class:`~repro.errors.QuotaExceededError` (HTTP 429).
         tenant_weights: tenant -> round-robin weight inside each
             priority lane (default weight 1).
-        execute_jobs: False = dispatch-only coordinator — jobs journal
-            and queue but only ``repro serve --worker`` processes
-            execute them.
-        journal_writer: this process's journal segment name.
-        poll_interval: seconds between journal tails for worker
-            progress (only with a ``cache_dir``); the same tick runs
-            the worker watchdog sweep and the degraded-mode journal
-            probe.
-        journal_max_segment_bytes: rotate this writer's journal
-            segment past this size (None = never) — long-lived
-            coordinators cap their live segment, compaction still
-            merges the rotated ones.
+        poll_interval: seconds between housekeeping ticks (only with a
+            ``cache_dir``): the degraded-mode journal probe and the
+            queued-deadline sweep.
+        journal_max_segment_bytes: rotate the journal's live segment
+            past this size (None = never) — a long-lived server caps
+            its live segment, compaction still merges the rotated
+            ones.
         fault_plan: a :mod:`repro.service.faults` plan string to
             install at construction (chaos tests / ``repro serve
             --fault-plan``); the ``REPRO_FAULTS`` environment variable
@@ -129,8 +124,6 @@ class AdvisorService:
         max_context_workers: int = 4,
         tenant_quota: int | None = None,
         tenant_weights: dict | None = None,
-        execute_jobs: bool = True,
-        journal_writer: str = "coordinator",
         poll_interval: float = 0.25,
         journal_max_segment_bytes: int | None = None,
         fault_plan: str | None = None,
@@ -165,7 +158,6 @@ class AdvisorService:
             install(FaultPlan.parse(fault_plan))
         self.journal = (
             JobJournal(os.path.join(cache_dir, "jobs-journal"),
-                       journal_writer,
                        max_segment_bytes=journal_max_segment_bytes)
             if cache_dir is not None else None
         )
@@ -173,7 +165,7 @@ class AdvisorService:
         self._poll_task: asyncio.Task | None = None
         self.jobs = JobManager(
             self, journal=self.journal, tenant_quota=tenant_quota,
-            tenant_weights=tenant_weights, execute_jobs=execute_jobs,
+            tenant_weights=tenant_weights,
         )
 
         self._inflight: dict[tuple, asyncio.Future] = {}
@@ -244,8 +236,8 @@ class AdvisorService:
             self._scheduler_spent = False
         self._running = True
         # Durable job tier: restore journaled jobs (re-enqueue queued,
-        # mark interrupted runs recovered) and start tailing worker
-        # segments so externally-executed jobs stay observable.
+        # mark interrupted runs recovered) and start the housekeeping
+        # tick.
         self.jobs.recover()
         if self.journal is not None and self._poll_task is None:
             self._poll_task = asyncio.get_running_loop().create_task(
@@ -253,22 +245,13 @@ class AdvisorService:
             )
 
     async def _poll_journal(self) -> None:
-        """Fold worker-appended journal records into the in-memory job
-        records on a fixed cadence (the coordinator's view of worker
-        progress), then run the guardrail housekeeping that needs a
-        steady heartbeat: the worker watchdog sweep (dead leases,
-        orphaned jobs, queued-past-deadline) and the degraded-mode
-        journal probe.  Transient failures (e.g. an OSError from a
-        shared filesystem) must not kill the task — it is the only
-        thing keeping externally-executed jobs observable — so each
-        tick is guarded and the next one retries."""
+        """The housekeeping that needs a steady heartbeat, on a fixed
+        cadence: the queued-deadline sweep and the degraded-mode
+        journal probe.  A transient failure must not kill the task, so
+        each tick is guarded and the next one retries."""
         while True:
             await asyncio.sleep(self.poll_interval)
             try:
-                records = self.journal.refresh()
-                if records:
-                    self.jobs.apply_external(records)
-                self.jobs.resolve_stale_cancels()
                 self.jobs.watchdog_sweep()
                 self.jobs.journal_probe()
             except asyncio.CancelledError:
@@ -279,7 +262,7 @@ class AdvisorService:
 
     async def stop(self, drain: bool = True) -> None:
         """Stop the service: optionally drain admitted requests and
-        jobs, then release every scheduler lane (executor threads) and
+        jobs, then shut down every scheduler lane (executor threads) and
         persist the caches.  With ``drain=False``,
         admitted-but-unexecuted requests fail with
         :class:`ServiceError` and running jobs are flagged for
@@ -371,7 +354,7 @@ class AdvisorService:
         self._waiting += 1
         return True
 
-    def _release_slot(self) -> None:
+    def _free_slot(self) -> None:
         """Free one admission slot and wake the next parked caller."""
         self._waiting -= 1
         for gate in self._gate_waiters:
@@ -483,15 +466,15 @@ class AdvisorService:
         lane = self.scheduler.lane_for(context)
         slot_held = True
 
-        def release_slot() -> None:
+        def free_slot() -> None:
             nonlocal slot_held
             if slot_held:
                 slot_held = False
-                self._release_slot()
+                self._free_slot()
 
         try:
             async with lane.request_lock:
-                release_slot()
+                free_slot()
                 result = await lane.run(
                     self._execute, kind, context, payload, lane
                 )
@@ -500,13 +483,13 @@ class AdvisorService:
             # load): the lane thread finishes the work on its own, but
             # the caller must not hang on a future nobody will ever
             # resolve.
-            release_slot()
+            free_slot()
             if future is not None and not future.done():
                 future.set_exception(ServiceError("service stopped"))
             self._inflight.pop(key, None)
             raise
         except Exception as exc:  # noqa: BLE001 - forwarded to caller
-            release_slot()
+            free_slot()
             self.failed[kind] += 1
             if future is not None and not future.done():
                 future.set_exception(exc)
@@ -570,8 +553,8 @@ class AdvisorService:
             # Validate the payload and resolve a retune's previous
             # configuration INTO it now, so a bad job is never
             # journaled and a journaled retune is self-contained: a
-            # crash-recovery re-run (or a worker re-dispatch) replays
-            # the exact same run, whatever finished since.
+            # re-run after a restart, or a retried attempt, replays the
+            # exact same run, whatever finished since.
             target.prepare_job(
                 kind, payload,
                 self.jobs.carried_configuration(context)

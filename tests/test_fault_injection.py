@@ -2,10 +2,9 @@
 faults (see ``repro.service.faults``).
 
 The contract under test: whatever a :class:`FaultPlan` throws at the
-tier — journal ``ENOSPC``, a worker dying mid-claim or mid-run, an
-exploding cost batch, a blown deadline — every submitted job reaches a
-journaled terminal state, event streams terminate, no lease outlives
-its owner, and a job that succeeds on a retry returns a result
+tier — journal ``ENOSPC``, an exploding cost batch, a blown deadline —
+every submitted job reaches a journaled terminal state, event streams
+terminate, and a job that succeeds on a retry returns a result
 byte-identical to a sequential ``tune()``.
 
 Fast scenarios run against a stub service (instant executions, the
@@ -23,6 +22,7 @@ must converge to all-terminal.
 import asyncio
 import errno
 import json
+import math
 import os
 import time
 
@@ -32,11 +32,7 @@ from repro.advisor import algorithms
 from repro.api import Session, tune
 from repro.datasets.sales import sales_database, sales_workload
 from repro.errors import JobError
-from repro.service import (
-    AdvisorService,
-    JobWorker,
-    serialize_result,
-)
+from repro.service import AdvisorService, serialize_result
 from repro.service import faults
 from repro.service.faults import (
     FaultPlan,
@@ -66,7 +62,7 @@ def run(coro, timeout=30):
 
 
 class StubService:
-    """Quacks like AdvisorService as far as JobManager/JobWorker care,
+    """Quacks like AdvisorService as far as JobManager cares,
     with fault-site emulation: ``_execute`` fires the same injection
     sites the real service's execution path does, so seeded plans
     exercise the retry machinery without real tuning runs."""
@@ -108,26 +104,13 @@ class StubService:
             self.journal.close()
 
 
-def doctor_lease_dead(journal, job_id):
-    """Rewrite a lease as an unreachable owner: no pid (liveness falls
-    back to the heartbeat) and a heartbeat far past the TTL — how a
-    died-with-its-host worker looks from the coordinator."""
-    path = journal._lease_path(job_id)
-    with open(path, encoding="utf-8") as fh:
-        info = json.load(fh)
-    info["pid"] = None
-    info["heartbeat"] = 0.0
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(info, fh)
-
-
 class TestFaultPlanGrammar:
     def test_parse_full_grammar(self):
         plan = FaultPlan.parse(
             "journal.append:enospc@5x3;"
             "coster.batch:errorx1@2;"
             "estimator.estimate:delay=0.05;"
-            "worker.heartbeat:stall~job-000007"
+            "service.execute:error~job-000007"
         )
         a, b, c, d = plan.specs
         assert (a.site, a.kind, a.after, a.times) == \
@@ -136,7 +119,7 @@ class TestFaultPlanGrammar:
         assert (b.site, b.kind, b.after, b.times) == \
             ("coster.batch", "error", 2, 1)
         assert (c.kind, c.delay, c.times) == ("delay", 0.05, None)
-        assert (d.kind, d.match) == ("stall", "job-000007")
+        assert (d.kind, d.match) == ("error", "job-000007")
 
     def test_parse_rejects_unknowns(self):
         with pytest.raises(FaultPlanError):
@@ -229,15 +212,21 @@ class TestRetryPolicy:
             for bad in (dict(deadline_s=0), dict(deadline_s="soon"),
                         dict(retries=-1), dict(retries=True),
                         dict(retries=1.5), dict(retry_backoff=-0.1),
-                        dict(retry_backoff="fast")):
-                with pytest.raises(JobError):
+                        dict(retry_backoff="fast"), dict(deadline_s=True),
+                        dict(deadline_s=math.nan),
+                        dict(deadline_s=math.inf),
+                        dict(retry_backoff=math.inf),
+                        dict(retry_backoff=math.nan)):
+                with pytest.raises(JobError) as caught:
                     service.jobs.submit("tune", "alpha", {}, **bad)
+                # The error names the field it rejects.
+                assert next(iter(bad)) in str(caught.value)
         finally:
             service.shutdown()
 
     def test_transient_failure_retries_then_succeeds(self, tmp_path):
         async def scenario():
-            journal = JobJournal(str(tmp_path), "coordinator")
+            journal = JobJournal(str(tmp_path))
             service = StubService(journal=journal, fail_times=1)
             try:
                 record = service.jobs.submit(
@@ -271,7 +260,7 @@ class TestRetryPolicy:
 
     def test_exhausted_retry_budget_fails_terminally(self, tmp_path):
         async def scenario():
-            journal = JobJournal(str(tmp_path), "coordinator")
+            journal = JobJournal(str(tmp_path))
             service = StubService(journal=journal, fail_times=10)
             try:
                 record = service.jobs.submit(
@@ -298,7 +287,7 @@ class TestRetryPolicy:
         async def scenario():
             faults.install(FaultPlan.parse("coster.batch:errorx1"))
             service = StubService(
-                journal=JobJournal(str(tmp_path), "coordinator"))
+                journal=JobJournal(str(tmp_path)))
             try:
                 record = service.jobs.submit(
                     "tune", "alpha", {"job": "j"},
@@ -389,26 +378,34 @@ class TestDeadlines:
             list(range(1, len(events) + 1))
 
     def test_queued_deadline_swept_by_watchdog(self, tmp_path):
-        journal = JobJournal(str(tmp_path), "coordinator")
-        service = StubService(journal=journal, execute_jobs=False)
-        try:
-            record = service.jobs.submit(
-                "tune", "alpha", {"job": "j"}, deadline_s=0.01)
-            time.sleep(0.03)
-            swept = service.jobs.watchdog_sweep()
-            assert swept["deadline_expired"] == 1
-            assert record.state == "failed"
-            assert record.timeout is True
-            assert journal.replay()[record.id].state == "failed"
-        finally:
-            service.shutdown()
+        async def scenario():
+            journal = JobJournal(str(tmp_path))
+            service = StubService(journal=journal)
+            try:
+                # No await between submit and sweep: the job's task has
+                # not run yet, so the job is still queued when swept.
+                record = service.jobs.submit(
+                    "tune", "alpha", {"job": "j"}, deadline_s=0.01)
+                time.sleep(0.03)
+                swept = service.jobs.watchdog_sweep()
+                await service.jobs.drain()
+                return swept, record, service.executed, journal.replay()
+            finally:
+                service.shutdown()
+
+        swept, record, executed, images = run(scenario())
+        assert swept["deadline_expired"] == 1
+        assert record.state == "failed"
+        assert record.timeout is True
+        assert executed == []  # never ran
+        assert images[record.id].state == "failed"
 
 
 class TestDiskPressureDegradation:
     def test_enospc_flips_degraded_and_probe_recovers(self, tmp_path):
         async def scenario():
             faults.install(FaultPlan.parse("journal.append:enospcx2"))
-            journal = JobJournal(str(tmp_path), "coordinator")
+            journal = JobJournal(str(tmp_path))
             service = StubService(journal=journal)
             try:
                 # The submit's own journal write hits ENOSPC: the tier
@@ -453,7 +450,7 @@ class TestDiskPressureDegradation:
     def test_non_disk_oserror_still_raises(self, tmp_path):
         async def scenario():
             faults.install(FaultPlan.parse("journal.append:errorx1"))
-            journal = JobJournal(str(tmp_path), "coordinator")
+            journal = JobJournal(str(tmp_path))
             service = StubService(journal=journal)
             try:
                 with pytest.raises(InjectedFault):
@@ -480,132 +477,35 @@ class TestDiskPressureDegradation:
             ._lookup("k") == {"v": 1}
 
 
-class TestWorkerWatchdog:
-    def make_tier(self, tmp_path, **submit_kwargs):
-        coordinator = StubService(
-            journal=JobJournal(str(tmp_path), "coordinator"),
-            execute_jobs=False,
-        )
-        record = coordinator.jobs.submit("tune", "alpha", {"job": "j"},
-                                         **submit_kwargs)
-        return coordinator, record
+class TestPollTask:
+    def test_poll_task_survives_transient_errors(self, tmp_path):
+        """A transient error in one housekeeping tick must not kill the
+        poll task — it is what probes a degraded journal back to
+        health and sweeps queued jobs past their deadline."""
 
-    def make_worker(self, tmp_path, writer):
-        service = StubService(
-            journal=JobJournal(str(tmp_path), writer),
-            execute_jobs=False,
-        )
-        return service, JobWorker(service, poll_interval=0.01)
-
-    def test_death_mid_claim_is_swept_and_redispatched(self, tmp_path):
-        coordinator, record = self.make_tier(tmp_path)
-        wsvc, worker = self.make_worker(tmp_path, "worker-a")
-        try:
-            faults.install(FaultPlan.parse("worker.claim:errorx1"))
-            with pytest.raises(InjectedFault):
-                worker.run_once()         # dies with the lease held
-            assert coordinator.journal.lease_info(record.id) is not None
-            assert record.state == "queued"
-            doctor_lease_dead(coordinator.journal, record.id)
-            swept = coordinator.jobs.watchdog_sweep()
-            assert swept["lease_breaks"] == 1
-            assert coordinator.journal.lease_info(record.id) is None
-            # Still queued: breaking the lease re-exposed it.
-            assert worker.run_once() == record.id
-            coordinator.jobs.apply_external(
-                coordinator.journal.refresh())
-            assert record.state == "done"
-            assert coordinator.journal.lease_info(record.id) is None
-        finally:
-            coordinator.shutdown()
-            wsvc.shutdown()
-
-    def test_death_mid_run_requeues_with_retry_budget(self, tmp_path):
-        coordinator, record = self.make_tier(
-            tmp_path, retries=1, retry_backoff=0.0)
-        dead = JobJournal(str(tmp_path), "worker-dead")
-        wsvc, worker = self.make_worker(tmp_path, "worker-a")
-        try:
-            assert dead.claim(record.id)
-            dead.append_state(record.id, "running", time.time())
-            coordinator.jobs.apply_external(
-                coordinator.journal.refresh())
-            assert record.state == "running"
-            doctor_lease_dead(coordinator.journal, record.id)
-            swept = coordinator.jobs.watchdog_sweep()
-            assert swept == {"lease_breaks": 1, "requeued": 1,
-                             "failed": 0, "quarantined": 0,
-                             "deadline_expired": 0}
-            assert record.state == "queued"
-            assert record.attempt == 1
-            retry = [e for e in record.events if e["event"] == "retry"]
-            assert retry and "worker-dead" in retry[0]["error"]
-            # A healthy worker picks the orphan up and finishes it.
-            assert worker.run_once() == record.id
-            coordinator.jobs.apply_external(
-                coordinator.journal.refresh())
-            assert record.state == "done"
-            assert coordinator.journal.replay()[record.id].attempt == 1
-        finally:
-            dead.close()
-            coordinator.shutdown()
-            wsvc.shutdown()
-
-    def test_death_mid_run_without_budget_fails_the_job(self, tmp_path):
-        coordinator, record = self.make_tier(tmp_path)
-        dead = JobJournal(str(tmp_path), "worker-dead")
-        try:
-            assert dead.claim(record.id)
-            dead.append_state(record.id, "running", time.time())
-            coordinator.jobs.apply_external(
-                coordinator.journal.refresh())
-            doctor_lease_dead(coordinator.journal, record.id)
-            swept = coordinator.jobs.watchdog_sweep()
-            assert swept["failed"] == 1
-            assert record.state == "failed"
-            assert "worker-dead died mid-run" in record.error
-            assert coordinator.journal.replay()[record.id].state == \
-                "failed"
-        finally:
-            dead.close()
-            coordinator.shutdown()
-
-    def test_repeat_offender_is_quarantined(self, tmp_path):
-        coordinator = StubService(
-            journal=JobJournal(str(tmp_path), "coordinator"),
-            execute_jobs=False,
-        )
-        evil = JobJournal(str(tmp_path), "worker-evil")
-        try:
-            for i in range(3):
-                record = coordinator.jobs.submit(
-                    "tune", "alpha", {"job": f"j{i}"})
-                assert evil.claim(record.id)
-                doctor_lease_dead(coordinator.journal, record.id)
-                coordinator.jobs.watchdog_sweep()
-            stats = coordinator.jobs.stats()["watchdog"]
-            assert stats["lease_breaks"] == 3
-            assert stats["lease_breaks_by_writer"]["worker-evil"] == 3
-            assert stats["quarantined"] == 1
-            assert coordinator.journal.writer_quarantined("worker-evil")
-            assert coordinator.journal.quarantined_writers() == \
-                ["worker-evil"]
-            # The benched worker's claim loop refuses work even with
-            # claimable jobs queued.
-            wsvc, worker = self.make_worker(tmp_path, "worker-evil")
+        async def scenario():
+            service = AdvisorService(cache_dir=str(tmp_path / "cache"),
+                                     poll_interval=0.01)
+            await service.start()
             try:
-                assert worker.run_once() is None
+                calls = {"n": 0}
+                real = service.jobs.watchdog_sweep
+
+                def flaky():
+                    calls["n"] += 1
+                    if calls["n"] == 1:
+                        raise OSError("transient hiccup")
+                    return real()
+
+                service.jobs.watchdog_sweep = flaky
+                await asyncio.sleep(0.2)
+                return calls["n"], service._poll_task.done()
             finally:
-                wsvc.shutdown()
-            # A healthy worker is unaffected.
-            wsvc2, healthy = self.make_worker(tmp_path, "worker-good")
-            try:
-                assert healthy.run_once() is not None
-            finally:
-                wsvc2.shutdown()
-        finally:
-            evil.close()
-            coordinator.shutdown()
+                await service.stop()
+
+        calls, poll_dead = run(scenario())
+        assert calls >= 2  # kept ticking past the failure
+        assert poll_dead is False
 
 
 class TestSeededChaos:
@@ -613,7 +513,7 @@ class TestSeededChaos:
         """The CI matrix scenario: a seeded fault schedule over the
         execution-path sites, a batch of retrying jobs, and the
         invariant that everything reaches a journaled terminal state
-        with gapless, terminating streams and no leases left behind."""
+        with gapless, terminating streams."""
         seed = CHAOS_SEED
 
         async def scenario():
@@ -621,7 +521,7 @@ class TestSeededChaos:
                 "service.execute", "coster.batch",
                 "estimator.estimate",
             ]))
-            journal = JobJournal(str(tmp_path), "coordinator")
+            journal = JobJournal(str(tmp_path))
             service = StubService(journal=journal)
             try:
                 records = [
@@ -639,14 +539,12 @@ class TestSeededChaos:
                         events.append(event)
                     streams.append(events)
                 return ([r.snapshot() for r in records], streams,
-                        journal.leases(), journal.replay(),
-                        faults.describe_active())
+                        journal.replay(), faults.describe_active())
             finally:
                 service.shutdown()
 
-        snapshots, streams, leases, images, schedule = \
+        snapshots, streams, images, schedule = \
             run(scenario(), timeout=60)
-        assert leases == []
         fired = sum(spec["fired"] for spec in schedule)
         failed = sum(1 for s in snapshots if s["state"] == "failed")
         for snapshot, events in zip(snapshots, streams):

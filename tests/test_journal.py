@@ -1,15 +1,14 @@
 """Durable job tier, persistence half: append/replay round-trips,
-torn-line tolerance, leases, cancel markers, crash recovery semantics,
-replay idempotency under random interleavings, and compaction's
-consistency with the bounded-history eviction rule.
+torn-line tolerance, crash recovery semantics, replay idempotency under
+random interleavings, compaction's consistency with the bounded-history
+eviction rule, and a journal directory written by the parent version.
 
 The contract under test (see ``repro.service.journal``): every record
 the :class:`JobManager` exposes to clients is re-derivable from the
 journal alone — a manager rebuilt over the same directory restores
 byte-identical snapshots and event logs, re-enqueues ``queued`` work,
-marks interrupted ``running`` work ``failed``/``recovered`` (unless a
-live lease says a worker still has it), and keeps event ``seq``
-numbers gapless across the restart boundary.
+marks interrupted ``running`` work ``failed``/``recovered``, and keeps
+event ``seq`` numbers gapless across the restart boundary.
 
 These tests run against a stub service (instant executions), so they
 exercise the durability machinery, not the advisor; the real-tuning
@@ -21,12 +20,17 @@ import asyncio
 import json
 import os
 import random
+import shutil
+from pathlib import Path
 
 import pytest
 
-from repro.service.jobs import JobManager
-from repro.service.journal import JobJournal, JournalError
+from repro.service.jobs import JobManager, JobRecord
+from repro.service.journal import JobJournal
 from repro.service.scheduler import ContextScheduler
+
+#: a journal directory the parent version wrote (see TestFormatHolds).
+GOLDEN = Path(__file__).parent / "golden" / "journal"
 
 
 class StubService:
@@ -78,17 +82,9 @@ def durable(image):
     return {field: getattr(image, field) for field in DURABLE}
 
 
-def dispatch_only(tmp_path, **submit_kwargs):
-    """A dispatch-only coordinator tracking one submitted job."""
-    service = StubService(journal=JobJournal(str(tmp_path), "coordinator"),
-                          execute_jobs=False)
-    return service, service.jobs.submit("tune", "alpha", {},
-                                        **submit_kwargs)
-
-
 class TestSegments:
     def test_append_replay_round_trip(self, tmp_path):
-        journal = JobJournal(str(tmp_path), "coordinator")
+        journal = JobJournal(str(tmp_path))
         journal.append_submit("job-000001", "tune", "alpha", {"b": 0.1},
                               "t1", "high", 100.0)
         journal.append_event("job-000001", {"event": "state",
@@ -100,7 +96,7 @@ class TestSegments:
         journal.append_state("job-000001", "done", 102.0)
         journal.close()
 
-        images = JobJournal(str(tmp_path), "coordinator").replay()
+        images = JobJournal(str(tmp_path)).replay()
         image = images["job-000001"]
         assert image.kind == "tune"
         assert image.context == "alpha"
@@ -115,7 +111,7 @@ class TestSegments:
     def test_terminal_state_outranks_transient(self, tmp_path):
         """Cross-segment merge order must not matter: a terminal state
         read before a stale ``running`` line still wins."""
-        journal = JobJournal(str(tmp_path), "coordinator")
+        journal = JobJournal(str(tmp_path))
         images = {}
         journal.apply(images, {"rec": "submit", "job": "j", "kind": "tune",
                                "context": "alpha", "payload": {}})
@@ -129,87 +125,38 @@ class TestSegments:
     def test_torn_trailing_line_is_ignored_then_reread(self, tmp_path):
         """A partial append (writer killed mid-line) must not poison the
         replay, and the completed line must surface on the next read."""
-        journal = JobJournal(str(tmp_path), "writer1")
+        journal = JobJournal(str(tmp_path))
         journal.append_submit("job-000001", "tune", "alpha", {}, "t", "normal",
                               1.0)
         journal.close()
-        path = os.path.join(str(tmp_path), "segment-writer1.jsonl")
+        path = os.path.join(str(tmp_path), "segment-coordinator.jsonl")
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"rec":"state","job":"job-000001","sta')  # torn
-
-        reader = JobJournal(str(tmp_path), "coordinator")
-        records = reader.refresh()
-        assert [r["rec"] for r in records] == ["submit"]
-        # Writer finishes the line: only the completed record shows up.
+        image = journal.replay()["job-000001"]
+        assert (image.kind, image.state, image.started) == \
+            ("tune", "queued", None)
+        # The line completes: the next replay reads it.
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('te":"running","ts":2.0,"v":1}\n')
-        records = reader.refresh()
-        assert [r["rec"] for r in records] == ["state"]
-        assert records[0]["state"] == "running"
-        assert reader.refresh() == []  # fully consumed
+        image = journal.replay()["job-000001"]
+        assert (image.state, image.started) == ("running", 2.0)
 
-    def test_refresh_skips_own_segment(self, tmp_path):
-        a = JobJournal(str(tmp_path), "a")
-        b = JobJournal(str(tmp_path), "b")
-        a.append_submit("job-000001", "tune", "alpha", {}, "t", "normal", 1.0)
-        b.append_state("job-000001", "running", 2.0)
-        assert [r["rec"] for r in a.refresh()] == ["state"]
-        assert [r["rec"] for r in b.refresh()] == ["submit"]
-        a.close()
-        b.close()
-
-    def test_writer_id_must_be_a_simple_name(self, tmp_path):
-        with pytest.raises(JournalError, match="simple name"):
-            JobJournal(str(tmp_path), "../evil")
-
-
-class TestLeasesAndCancelMarkers:
-    def test_claim_is_exclusive(self, tmp_path):
-        w1 = JobJournal(str(tmp_path), "w1")
-        w2 = JobJournal(str(tmp_path), "w2")
-        assert w1.claim("job-000001") is True
-        assert w2.claim("job-000001") is False
-        assert w1.lease_info("job-000001")["writer"] == "w1"
-        w1.release("job-000001")
-        assert w2.claim("job-000001") is True
-
-    def test_lease_live_by_owner_pid(self, tmp_path):
-        journal = JobJournal(str(tmp_path), "w1")
-        journal.claim("job-000001")  # our own pid: alive
-        assert journal.lease_live("job-000001") is True
-        assert journal.break_lease("job-000001") is False  # refuses
-
-    def test_dead_pid_lease_is_breakable(self, tmp_path):
-        journal = JobJournal(str(tmp_path), "w1", lease_ttl=0.01)
-        path = os.path.join(str(tmp_path), "leases", "job-000001.json")
-        # A pid that cannot exist, with an ancient heartbeat.
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"job": "job-000001", "writer": "gone",
-                       "pid": 2 ** 22 + 1, "heartbeat": 0.0}, fh)
-        assert journal.lease_live("job-000001") is False
-        assert journal.break_lease("job-000001") is True
-        assert journal.lease_info("job-000001") is None
-
-    def test_heartbeat_keeps_pidless_lease_live(self, tmp_path):
-        """When pid liveness cannot decide, heartbeat freshness does."""
-        journal = JobJournal(str(tmp_path), "w1", lease_ttl=30.0)
-        journal.claim("job-000001")
-        journal.heartbeat("job-000001")
-        info = journal.lease_info("job-000001")
-        del info["pid"]
-        with open(os.path.join(str(tmp_path), "leases",
-                               "job-000001.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(info, fh)
-        assert journal.lease_live("job-000001") is True
-
-    def test_cancel_marker_round_trip(self, tmp_path):
-        journal = JobJournal(str(tmp_path), "coordinator")
-        assert journal.cancel_requested("job-000001") is False
-        journal.request_cancel("job-000001")
-        assert journal.cancel_requested("job-000001") is True
-        journal.clear_cancel("job-000001")
-        assert journal.cancel_requested("job-000001") is False
+    def test_boot_compaction_drops_a_torn_tail(self, tmp_path):
+        """A line torn mid-append ends its segment's replay; the boot
+        compaction rewrites the segment without it, so what the next
+        life appends is read, not hidden behind the torn bytes."""
+        journal = JobJournal(str(tmp_path))
+        journal.append_submit("job-000001", "tune", "alpha", {}, "t",
+                              "normal", 1.0)
+        journal.close()
+        path = os.path.join(str(tmp_path), "segment-coordinator.jsonl")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"rec":"state","job":"job-000001","sta')  # torn
+        journal = JobJournal(str(tmp_path))
+        journal.compact(frozenset({"job-000001"}))
+        journal.append_state("job-000001", "running", 2.0)
+        journal.close()
+        assert journal.replay()["job-000001"].state == "running"
 
 
 class TestRecovery:
@@ -219,8 +166,7 @@ class TestRecovery:
         restart."""
 
         async def first_life():
-            service = StubService(journal=JobJournal(str(tmp_path),
-                                                     "coordinator"))
+            service = StubService(journal=JobJournal(str(tmp_path)))
             try:
                 service.jobs.submit("tune", "alpha", {"x": 1}, tenant="t1")
                 service.jobs.submit("sweep", "beta", {"y": 2},
@@ -231,8 +177,7 @@ class TestRecovery:
                 service.shutdown()
 
         async def second_life():
-            service = StubService(journal=JobJournal(str(tmp_path),
-                                                     "coordinator"))
+            service = StubService(journal=JobJournal(str(tmp_path)))
             try:
                 report = service.jobs.recover()
                 return report, snapshots(service.jobs), \
@@ -255,8 +200,7 @@ class TestRecovery:
         state — replay + compaction is a fixed point."""
 
         async def life(expect=None):
-            service = StubService(journal=JobJournal(str(tmp_path),
-                                                     "coordinator"))
+            service = StubService(journal=JobJournal(str(tmp_path)))
             try:
                 if expect is None:
                     service.jobs.submit("tune", "alpha", {"x": 1})
@@ -274,10 +218,10 @@ class TestRecovery:
         assert twice == once
 
     def test_interrupted_running_job_marked_recovered(self, tmp_path):
-        """A ``running`` job whose writer died (no live lease) fails
+        """A ``running`` job whose process died fails
         with the ``recovered`` marker, and the failure event continues
         the seq series gap-free."""
-        dead = JobJournal(str(tmp_path), "coordinator")
+        dead = JobJournal(str(tmp_path))
         dead.append_submit("job-000007", "tune", "alpha", {"b": 0.1},
                            "t1", "normal", 50.0)
         dead.append_event("job-000007", {"event": "state",
@@ -292,8 +236,7 @@ class TestRecovery:
         dead.close()
 
         async def scenario():
-            service = StubService(journal=JobJournal(str(tmp_path),
-                                                     "coordinator"))
+            service = StubService(journal=JobJournal(str(tmp_path)))
             try:
                 report = service.jobs.recover()
                 record = service.jobs.get("job-000007")
@@ -316,7 +259,7 @@ class TestRecovery:
         """A ``queued`` job from the previous life re-runs to ``done``,
         its events continuing seq-gapless past the restored queued
         event."""
-        dead = JobJournal(str(tmp_path), "coordinator")
+        dead = JobJournal(str(tmp_path))
         dead.append_submit("job-000003", "tune", "alpha", {"b": 0.2},
                            "t1", "normal", 60.0)
         dead.append_event("job-000003", {"event": "state",
@@ -325,8 +268,7 @@ class TestRecovery:
         dead.close()
 
         async def scenario():
-            service = StubService(journal=JobJournal(str(tmp_path),
-                                                     "coordinator"))
+            service = StubService(journal=JobJournal(str(tmp_path)))
             try:
                 report = service.jobs.recover()
                 await service.jobs.drain()
@@ -348,32 +290,6 @@ class TestRecovery:
         # The id counter resumes past the restored ids: no reuse.
         assert next_id == "job-000004"
 
-    def test_running_job_with_live_lease_stays_external(self, tmp_path):
-        """A live worker lease means the job is *not* dead: recovery
-        keeps it running/external instead of failing it."""
-        worker = JobJournal(str(tmp_path), "worker-x")
-        worker.append_submit("job-000009", "tune", "alpha", {}, "t",
-                             "normal", 70.0)
-        worker.append_state("job-000009", "running", 71.0)
-        worker.claim("job-000009")  # our own live pid
-        worker.close()
-
-        async def scenario():
-            service = StubService(journal=JobJournal(str(tmp_path),
-                                                     "coordinator"))
-            try:
-                report = service.jobs.recover()
-                record = service.jobs.get("job-000009")
-                return report, record.state, record.external
-            finally:
-                service.shutdown()
-
-        report, state, external = run(scenario())
-        assert report["recovered"] == 0
-        assert state == "running"
-        assert external is True
-
-
 class TestReplayIdempotencyProperty:
     """Randomized submit/cancel/crash interleavings: whatever the
     journal ends up holding, a fresh manager reconstructs exactly the
@@ -387,7 +303,7 @@ class TestReplayIdempotencyProperty:
 
         async def first_life():
             service = StubService(
-                journal=JobJournal(str(tmp_path), "coordinator"))
+                journal=JobJournal(str(tmp_path)))
             try:
                 records = []
                 for step in range(rng.randrange(4, 10)):
@@ -414,7 +330,7 @@ class TestReplayIdempotencyProperty:
 
         async def second_life():
             service = StubService(
-                journal=JobJournal(str(tmp_path), "coordinator"))
+                journal=JobJournal(str(tmp_path)))
             try:
                 service.jobs.recover()
                 await service.jobs.drain()
@@ -442,7 +358,7 @@ class TestCompaction:
 
         async def first_life():
             service = StubService(
-                journal=JobJournal(str(tmp_path), "coordinator"))
+                journal=JobJournal(str(tmp_path)))
             try:
                 for i in range(6):
                     service.jobs.submit("tune", "alpha", {"i": i})
@@ -452,7 +368,7 @@ class TestCompaction:
 
         async def second_life():
             service = StubService(
-                journal=JobJournal(str(tmp_path), "coordinator"),
+                journal=JobJournal(str(tmp_path)),
                 max_history=3)
             try:
                 service.jobs.recover()
@@ -463,189 +379,12 @@ class TestCompaction:
         run(first_life())
         retained = run(second_life())
         assert retained == ["job-%06d" % i for i in (4, 5, 6)]
-        images = JobJournal(str(tmp_path), "coordinator").replay()
+        images = JobJournal(str(tmp_path)).replay()
         assert sorted(images) == retained
         # One merged segment remains after compaction.
         segments = [n for n in os.listdir(str(tmp_path))
                     if n.startswith("segment-")]
         assert segments == ["segment-coordinator.jsonl"]
-
-    def test_compact_refuses_under_live_foreign_lease(self, tmp_path):
-        """A live worker's open segment must never be rewritten under
-        it: compaction bails out and leaves every record in place."""
-        coordinator = JobJournal(str(tmp_path), "coordinator")
-        coordinator.append_submit("job-000001", "tune", "alpha", {},
-                                  "t", "normal", 1.0)
-        worker = JobJournal(str(tmp_path), "worker-1")
-        worker.append_state("job-000001", "running", 2.0)
-        worker.claim("job-000001")  # live: our own pid
-        assert coordinator.compact(frozenset()) is False
-        assert sorted(coordinator.replay()) == ["job-000001"]
-        # Once the worker lets go, compaction proceeds.
-        worker.release("job-000001")
-        worker.close()
-        assert coordinator.compact(frozenset()) is True
-        assert coordinator.replay() == {}
-        coordinator.close()
-
-    def test_compact_prunes_markers_of_dropped_jobs(self, tmp_path):
-        journal = JobJournal(str(tmp_path), "coordinator")
-        journal.append_submit("job-000001", "tune", "alpha", {}, "t",
-                              "normal", 1.0)
-        journal.append_submit("job-000002", "tune", "alpha", {}, "t",
-                              "normal", 2.0)
-        journal.request_cancel("job-000001")
-        journal.request_cancel("job-000002")
-        assert journal.compact(frozenset({"job-000002"})) is True
-        assert journal.cancel_requested("job-000001") is False
-        assert journal.cancel_requested("job-000002") is True
-        assert sorted(journal.replay()) == ["job-000002"]
-        journal.close()
-
-    def test_compact_refuses_while_idle_foreign_writer_announced(
-            self, tmp_path):
-        """A worker between jobs holds no lease, but it still appends
-        to its segment and tails ours by byte offset: its *presence*
-        file alone must block compaction (the original bug deleted idle
-        workers' open segments on coordinator restart)."""
-        coordinator = JobJournal(str(tmp_path), "coordinator")
-        coordinator.append_submit("job-000001", "tune", "alpha", {},
-                                  "t", "normal", 1.0)
-        worker = JobJournal(str(tmp_path), "worker-1")
-        worker.announce_writer()  # alive, idle: no lease anywhere
-        assert coordinator.compact(frozenset()) is False
-        assert sorted(coordinator.replay()) == ["job-000001"]
-        # A clean worker shutdown retires the presence file.
-        worker.close()
-        assert coordinator.compact(frozenset()) is True
-        coordinator.close()
-
-    def test_compact_sweeps_dead_writer_presence(self, tmp_path):
-        """A crashed worker's presence file (dead pid) must not block
-        compaction forever — it is swept with the merged segments."""
-        coordinator = JobJournal(str(tmp_path), "coordinator")
-        coordinator.append_submit("job-000001", "tune", "alpha", {},
-                                  "t", "normal", 1.0)
-        with open(coordinator._writer_path("worker-dead"), "w",
-                  encoding="utf-8") as fh:
-            json.dump({"writer": "worker-dead", "pid": 2 ** 22 + 7,
-                       "heartbeat": 0.0}, fh)
-        assert coordinator.compact(frozenset({"job-000001"})) is True
-        assert coordinator.writer_info("worker-dead") is None
-        coordinator.close()
-
-    def test_refresh_self_heals_across_foreign_compaction(
-            self, tmp_path):
-        """A reader whose byte offsets predate a compaction must not
-        wedge: a shrunken segment resets the offset, and a regrown
-        segment whose old offset lands mid-line re-reads from the top
-        (re-applied records are harmless — apply() is monotone)."""
-        coordinator = JobJournal(str(tmp_path), "coordinator")
-        for i in range(1, 4):
-            coordinator.append_submit(f"job-{i:06d}", "tune", "alpha",
-                                      {}, "t", "normal", float(i))
-        reader = JobJournal(str(tmp_path), "worker-1")
-        assert len(reader.refresh()) == 3  # offsets now at EOF
-        # Coordinator compacts down to one job: the segment shrinks
-        # below the reader's offset, which must reset and re-read.
-        assert coordinator.compact(frozenset({"job-000003"})) is True
-        records = reader.refresh()
-        assert [r["job"] for r in records] == ["job-000003"]
-        # Regrown segment whose old offset lands mid-line: the parse
-        # failure at a previously-valid offset resets to 0 too (the
-        # original bug left the offset stuck and the reader blind).
-        reader2 = JobJournal(str(tmp_path), "worker-2")
-        reader2.refresh()  # offsets at current EOF
-        path = coordinator._segment_path
-        offset = os.path.getsize(path)
-        coordinator.close()
-        big = json.dumps({"rec": "submit", "job": "job-000004",
-                          "kind": "tune", "context": "alpha",
-                          "payload": {"pad": "x" * (2 * offset + 64)},
-                          "tenant": "t", "priority": "normal",
-                          "created": 4.0, "v": 1})
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(big + "\n")
-        records = reader2.refresh()
-        assert [r["job"] for r in records] == ["job-000004"]
-        assert reader2.refresh() == []  # healed: tailing resumes
-        reader.close()
-        reader2.close()
-
-    def test_writer_reopens_segment_when_inode_changes(self, tmp_path):
-        """An append after the segment file was replaced on disk (a
-        compaction elsewhere) must land in the *current* file, not the
-        unlinked inode."""
-        journal = JobJournal(str(tmp_path), "coordinator")
-        journal.append_submit("job-000001", "tune", "alpha", {}, "t",
-                              "normal", 1.0)
-        path = journal._segment_path
-        os.remove(path)
-        with open(path, "w", encoding="utf-8"):
-            pass  # fresh empty inode, as compaction would leave
-        journal.append_state("job-000001", "running", 2.0)
-        with open(path, encoding="utf-8") as fh:
-            lines = [line for line in fh if line.strip()]
-        assert len(lines) == 1
-        assert json.loads(lines[0])["rec"] == "state"
-        journal.close()
-
-
-class TestStaleCancelSafetyNet:
-    def test_queued_external_cancel_with_dead_lease_resolves(
-            self, tmp_path):
-        """The cancel/claim race can leave a cancel-marked ``queued``
-        job with no live lease and nobody committed to resolving it;
-        the coordinator's poll-side net journals the terminal state."""
-
-        async def scenario():
-            journal = JobJournal(str(tmp_path), "coordinator")
-            service = StubService(journal=journal, execute_jobs=False)
-            try:
-                record = service.jobs.submit("tune", "alpha", {})
-                # A worker claimed, then died before journaling
-                # anything; the coordinator's cancel saw the lease and
-                # only dropped a marker.
-                with open(journal._lease_path(record.id), "w",
-                          encoding="utf-8") as fh:
-                    json.dump({"job": record.id, "writer": "worker-x",
-                               "pid": 2 ** 22 + 7, "heartbeat": 0.0},
-                              fh)
-                service.jobs.cancel(record.id)
-                assert record.state == "queued"  # lease deferred it
-                service.jobs.resolve_stale_cancels()
-                return (record.state,
-                        journal.cancel_requested(record.id),
-                        journal.lease_info(record.id),
-                        [e["seq"] for e in record.events])
-            finally:
-                service.shutdown()
-
-        state, marker, lease, seqs = run(scenario())
-        assert state == "cancelled"
-        assert marker is False
-        assert lease is None
-        assert seqs == list(range(1, len(seqs) + 1))
-
-    def test_live_lease_defers_to_the_worker(self, tmp_path):
-        async def scenario():
-            journal = JobJournal(str(tmp_path), "coordinator")
-            service = StubService(journal=journal, execute_jobs=False)
-            try:
-                record = service.jobs.submit("tune", "alpha", {})
-                other = JobJournal(str(tmp_path), "worker-y")
-                other.claim(record.id)  # live: our own pid
-                service.jobs.cancel(record.id)
-                service.jobs.resolve_stale_cancels()
-                state = record.state
-                other.release(record.id)
-                other.close()
-                return state
-            finally:
-                service.shutdown()
-
-        # Still queued: the live claim holder resolves it, not us.
-        assert run(scenario()) == "queued"
 
 
 class TestStreamTermination:
@@ -657,7 +396,6 @@ class TestStreamTermination:
         async def scenario():
             service = StubService()
             try:
-                from repro.service.jobs import JobRecord
                 record = JobRecord("job-000001")
                 record.state = "done"
                 service.jobs.jobs[record.id] = record
@@ -672,10 +410,23 @@ class TestStreamTermination:
         assert run(asyncio.wait_for(scenario(), timeout=5)) == []
 
 
+
+
+def fold_live(service, records):
+    """The serving process's live view: ``records`` folded through the
+    manager's own sink, in the order given, into a tracked record."""
+    job_id = records[0]["job"]
+    record = service.jobs.jobs.setdefault(job_id, JobRecord(job_id))
+    for raw in records:
+        service.jobs._fold(raw)
+    return record
+
+
 class TestSegmentRotation:
     """``max_segment_bytes`` seals the live segment under a rotated
-    name; readers keep matching it, compaction keeps merging it, and a
-    foreign tailer's monotone folds absorb the rename harmlessly."""
+    name; replay keeps merging it (reading the live segment *before*
+    the rotated ones, out of write order), and compaction merges it
+    back into one segment."""
 
     def fill(self, journal, jobs=8):
         for i in range(1, jobs + 1):
@@ -688,8 +439,7 @@ class TestSegmentRotation:
         return ["job-%06d" % i for i in range(1, jobs + 1)]
 
     def test_rotation_seals_segments_and_replay_merges(self, tmp_path):
-        journal = JobJournal(str(tmp_path), "coordinator",
-                             max_segment_bytes=256)
+        journal = JobJournal(str(tmp_path), max_segment_bytes=256)
         ids = self.fill(journal)
         rotated = [n for n in os.listdir(str(tmp_path))
                    if n.startswith("segment-coordinator.r")]
@@ -701,56 +451,33 @@ class TestSegmentRotation:
         assert journal.stats()["rotations"] == journal.rotations
         journal.close()
 
-    def test_foreign_tailer_survives_rotation(self, tmp_path):
-        """A coordinator tailing a worker's segment across a rotation
-        sees every record exactly once in effect: the renamed file is
-        re-read from offset 0, and the monotone folds dedup it."""
-        worker = JobJournal(str(tmp_path), "worker-a",
-                            max_segment_bytes=256)
-        reader = JobJournal(str(tmp_path), "coordinator")
-        images = {}
-        for record in reader.refresh():
-            reader.apply(images, record)
-        ids = self.fill(worker)
-        for record in reader.refresh():
-            reader.apply(images, record)
-        assert sorted(images) == ids
-        for job_id in ids:
-            image = images[job_id]
-            assert image.state == "done"
-            assert [e["seq"] for e in image.events] == [1]  # deduped
-        worker.close()
-        reader.close()
-
     def test_stale_running_redelivered_after_requeue_is_ignored(
             self, tmp_path):
         """The three-record case: ``running`` @0, a retry requeue @1,
-        then the @0 ``running`` again — what ``refresh()`` re-reads
-        once the worker's segment rotates.  The live view must not
-        move the parked job back to ``running``."""
-        service, record = dispatch_only(tmp_path, retries=1)
+        then the @0 ``running`` again.  Replay meets it whenever a
+        rotation seals the ``running`` line (a sealed segment sorts
+        after the live one); the live view meets it on re-delivery.
+        Neither may move the parked job back to ``running``."""
+        journal = JobJournal(str(tmp_path), max_segment_bytes=1)
+        service = StubService(journal=journal)
         try:
-            worker = JobJournal(str(tmp_path), "worker-a")
-            worker.append_state(record.id, "running", 10.0)
-            worker.append_state(record.id, "queued", 11.0, attempt=1,
-                                not_before=11.5)
-            tail = service.jobs.journal.refresh()
-            service.jobs.apply_external(tail)
-            service.jobs.apply_external(tail[:1])  # the stale running
+            running = journal.append_state("job-000001", "running", 10.0)
+            requeue = journal.append_state("job-000001", "queued", 11.0,
+                                           attempt=1, not_before=11.5)
+            assert journal.rotations == 1
+            record = fold_live(service, [running, requeue, running])
             assert (record.state, record.attempt) == ("queued", 1)
             assert record.not_before == 11.5
             assert service.jobs.stats()["retried"] == 1
             assert durable(record) == durable(
-                service.jobs.journal.replay()[record.id])
-            worker.close()
+                journal.replay()["job-000001"])
         finally:
             service.shutdown()
 
     def test_compaction_merges_rotated_segments(self, tmp_path):
-        journal = JobJournal(str(tmp_path), "coordinator",
-                             max_segment_bytes=256)
+        journal = JobJournal(str(tmp_path), max_segment_bytes=256)
         ids = self.fill(journal)
-        assert journal.compact(frozenset(ids[-2:])) is True
+        journal.compact(frozenset(ids[-2:]))
         segments = [n for n in os.listdir(str(tmp_path))
                     if n.startswith("segment-")]
         assert segments == ["segment-coordinator.jsonl"]
@@ -758,7 +485,7 @@ class TestSegmentRotation:
         journal.close()
 
     def test_guardrail_fields_round_trip(self, tmp_path):
-        journal = JobJournal(str(tmp_path), "coordinator")
+        journal = JobJournal(str(tmp_path))
         journal.append_submit("job-000001", "tune", "alpha", {},
                               "t", "normal", 1.0, deadline_s=30.0,
                               retries=2, retry_backoff=0.1)
@@ -786,40 +513,46 @@ class TestSegmentRotation:
 
 
 class TestLiveViewEqualsReplay:
-    """One fold: the coordinator's live view of worker records
-    (``apply_external``) and a restart's ``replay()`` of the same
-    directory agree on every durable field, whatever order the records
-    arrive in — including the three places the two former folds
-    disagreed (decisions pinned in ``JobJournal.apply``'s docstring)."""
+    """One fold: the live view (the manager folding records as they are
+    written) and a restart's ``replay()`` of the same directory agree
+    on every durable field, whatever order the records arrive in —
+    including the three places two earlier folds disagreed (decisions
+    pinned in ``JobJournal.apply``'s docstring)."""
 
     def live_and_replayed(self, tmp_path, write, reverse=False):
-        """``write(job_id, worker_a, worker_b)`` appends the scenario;
-        the coordinator folds the tail (optionally back to front)."""
-        service, record = dispatch_only(tmp_path, retries=2)
-        a = JobJournal(str(tmp_path), "worker-a")
-        b = JobJournal(str(tmp_path), "worker-b")
+        """``write(append, job_id)`` appends the scenario through
+        ``append(kind, *fields, **marks)``; the live view folds the
+        records in write order, or back to front."""
+        journal = JobJournal(str(tmp_path))
+        service = StubService(journal=journal)
+        written = [journal.append_submit("job-000001", "tune", "alpha",
+                                         {}, "t", "normal", 1.0,
+                                         retries=2)]
+
+        def append(kind, *fields, **marks):
+            written.append(
+                getattr(journal, "append_" + kind)(*fields, **marks))
+
         try:
-            write(record.id, a, b)
-            tail = service.jobs.journal.refresh()
-            service.jobs.apply_external(tail[::-1] if reverse else tail)
-            replayed = JobJournal(str(tmp_path), "reader").replay()
-            return record, replayed[record.id]
+            write(append, "job-000001")
+            live = fold_live(service,
+                             written[::-1] if reverse else written)
+            return live, journal.replay()["job-000001"]
         finally:
-            a.close()
-            b.close()
             service.shutdown()
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_two_terminals_of_one_attempt_earliest_wins(
             self, tmp_path, reverse):
-        """(a) Not first-delivered, not last-segment-by-filename: the
-        earlier decision, wherever it sits."""
+        """(a) Not first-delivered, not last-written: the earlier
+        decision, wherever it sits.  (A journal from the multi-writer
+        version can hold two: a worker's and its coordinator's.)"""
 
-        def write(job_id, a, b):
-            a.append_state(job_id, "running", 3.0)
-            a.append_state(job_id, "done", 5.0)
-            b.append_state(job_id, "failed", 4.0,
-                           error="worker worker-a died mid-run")
+        def write(append, job_id):
+            append("state", job_id, "running", 3.0)
+            append("state", job_id, "done", 5.0)
+            append("state", job_id, "failed", 4.0,
+                   error="worker worker-a died mid-run")
 
         live, replayed = self.live_and_replayed(tmp_path, write, reverse)
         assert (live.state, live.finished) == ("failed", 4.0)
@@ -831,12 +564,12 @@ class TestLiveViewEqualsReplay:
         """(b) ``started`` of a retried job is when the attempt that
         decides its state started running, live and after a restart."""
 
-        def write(job_id, a, b):
-            a.append_state(job_id, "running", 10.0)
-            a.append_state(job_id, "queued", 11.0, attempt=1,
-                           not_before=11.5)
-            b.append_state(job_id, "running", 20.0, attempt=1)
-            b.append_state(job_id, "done", 21.0, attempt=1)
+        def write(append, job_id):
+            append("state", job_id, "running", 10.0)
+            append("state", job_id, "queued", 11.0, attempt=1,
+                   not_before=11.5)
+            append("state", job_id, "running", 20.0, attempt=1)
+            append("state", job_id, "done", 21.0, attempt=1)
 
         live, replayed = self.live_and_replayed(tmp_path, write, reverse)
         assert (live.state, live.attempt) == ("done", 1)
@@ -848,10 +581,10 @@ class TestLiveViewEqualsReplay:
         """(c) A higher-attempt ``queued`` revives a failed job — live
         too — and clears ``finished``/``error`` with it."""
 
-        def write(job_id, a, b):
-            a.append_state(job_id, "failed", 2.0, error="boom")
-            b.append_state(job_id, "queued", 2.1, attempt=1,
-                           not_before=2.6)
+        def write(append, job_id):
+            append("state", job_id, "failed", 2.0, error="boom")
+            append("state", job_id, "queued", 2.1, attempt=1,
+                   not_before=2.6)
 
         live, replayed = self.live_and_replayed(tmp_path, write, reverse)
         assert (live.state, live.attempt) == ("queued", 1)
@@ -864,30 +597,29 @@ class TestLiveViewEqualsReplay:
         streamers only ever see the gapless prefix; a duplicate seq
         keeps the first write; a writer continues from the highest seq
         seen, held or not."""
-        service, record = dispatch_only(tmp_path)
+        journal = JobJournal(str(tmp_path))
+        service = StubService(journal=journal)
         try:
-            assert [e["seq"] for e in record.events] == [1]  # queued
-            worker = JobJournal(str(tmp_path), "worker-a")
-            for seq in (2, 3, 4):
-                worker.append_event(record.id, {"event": "phase",
-                                                "n": seq, "seq": seq})
-            second, third, fourth = service.jobs.journal.refresh()
-            service.jobs.apply_external([third])
+            first, second, third, fourth = (
+                journal.append_event("job-000001", {
+                    "event": "phase", "n": seq, "seq": seq})
+                for seq in (1, 2, 3, 4)
+            )
+            record = fold_live(service, [first, third])
             assert [e["seq"] for e in record.events] == [1]
             assert record.max_seq == 3 and not record.seq_gapless()
-            service.jobs.apply_external([second])
+            fold_live(service, [second])
             assert [e["seq"] for e in record.events] == [1, 2, 3]
-            service.jobs.apply_external([fourth])
-            worker.append_event(record.id, {"event": "late", "seq": 3})
-            service.jobs.apply_external(service.jobs.journal.refresh())
+            late = journal.append_event("job-000001",
+                                        {"event": "late", "seq": 3})
+            fold_live(service, [fourth, late])
             assert [e["seq"] for e in record.events] == [1, 2, 3, 4]
             assert record.events[2]["n"] == 3  # first write kept
             assert record.seq_gapless()
             assert service.jobs.events_after(record.id, 2) == \
                 record.events[2:]
             assert durable(record) == durable(
-                service.jobs.journal.replay()[record.id])
-            worker.close()
+                journal.replay()[record.id])
         finally:
             service.shutdown()
 
@@ -926,7 +658,7 @@ class TestFormatHolds:
         old.mkdir()
         (old / "segment-coordinator.jsonl").write_text(
             "\n".join(self.PARENT_LINES) + "\n", encoding="utf-8")
-        image = JobJournal(str(old), "reader").replay()["job-000001"]
+        image = JobJournal(str(old)).replay()["job-000001"]
         assert (image.kind, image.context, image.payload) == \
             ("tune", "alpha", {"b": 0.1})
         assert (image.tenant, image.priority) == ("t1", "high")
@@ -938,7 +670,7 @@ class TestFormatHolds:
         assert image.result == {"ok": True}
         assert [e["seq"] for e in image.events] == [1]
 
-        journal = JobJournal(str(tmp_path / "new"), "coordinator")
+        journal = JobJournal(str(tmp_path / "new"))
         journal.append_submit("job-000001", "tune", "alpha", {"b": 0.1},
                               "t1", "high", 100.0, deadline_s=30.0,
                               retries=2, retry_backoff=0.25)
@@ -958,3 +690,65 @@ class TestFormatHolds:
         written = (tmp_path / "new" / "segment-coordinator.jsonl") \
             .read_text(encoding="utf-8").splitlines()
         assert written == self.PARENT_LINES
+
+    def test_parent_journal_directory_recovers(self, tmp_path):
+        """``tests/golden/journal/jobs-journal`` was written by the
+        parent version's ``JobJournal``: a coordinator segment, two
+        rotated ones and a worker's segment, plus the ``leases/``,
+        ``cancel/``, ``writers/`` and ``quarantine/`` files that
+        version kept; ``parent_replay.json`` is what the parent's replay
+        restored from it.  Here it boots: the finished and the retried
+        job come back with the parent's snapshots and event logs, the
+        queued job runs, the running job — its old claim file still on
+        disk — fails ``recovered`` with its log gapless, and boot
+        compaction leaves one segment.  The leftover directories are
+        never read and are left as they were."""
+        root = tmp_path / "jobs-journal"
+        shutil.copytree(GOLDEN / "jobs-journal", root)
+        parent = json.loads((GOLDEN / "parent_replay.json").read_text(
+            encoding="utf-8"))
+        leftovers = {
+            path.relative_to(root): path.read_bytes()
+            for path in root.rglob("*")
+            if path.is_file() and not path.name.startswith("segment-")
+        }
+        assert {path.parts[0] for path in leftovers} == \
+            {"leases", "cancel", "writers", "quarantine"}
+
+        async def scenario():
+            service = StubService(journal=JobJournal(str(root)))
+            try:
+                report = service.jobs.recover()
+                segments = sorted(n for n in os.listdir(root)
+                                  if n.startswith("segment-"))
+                await service.jobs.drain()
+                return report, segments, {
+                    job_id: (record.snapshot(), list(record.events))
+                    for job_id, record in service.jobs.jobs.items()
+                }
+            finally:
+                service.shutdown()
+
+        report, segments, jobs = run(scenario())
+        assert report == {"restored": 4, "requeued": 1, "recovered": 1}
+        assert segments == ["segment-coordinator.jsonl"]
+        for job_id in ("job-000001", "job-000002"):  # finished, retried
+            assert jobs[job_id] == (parent[job_id]["snapshot"],
+                                    parent[job_id]["events"])
+        assert jobs["job-000002"][0]["attempt"] == 1
+        for job_id, state in (("job-000003", "done"),
+                              ("job-000004", "failed")):
+            snapshot, events = jobs[job_id]
+            assert snapshot["state"] == state
+            assert events[:len(parent[job_id]["events"])] == \
+                parent[job_id]["events"]
+            assert [e["seq"] for e in events] == \
+                list(range(1, len(events) + 1))
+        snapshot, events = jobs["job-000004"]
+        assert snapshot["recovered"] is True
+        assert events[-1]["recovered"] is True
+        assert {
+            path.relative_to(root): path.read_bytes()
+            for path in root.rglob("*")
+            if path.is_file() and not path.name.startswith("segment-")
+        } == leftovers

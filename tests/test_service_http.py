@@ -41,6 +41,22 @@ async def _boot(db, wl, **service_kwargs):
     return service, server, AdvisorClient(port=server.port, retries=0)
 
 
+async def _raw_post(port, path, body: bytes):
+    """``(status, payload)`` of one POST whose body is sent verbatim —
+    what a client that is not :class:`AdvisorClient` can send."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(
+        f"POST {path} HTTP/1.1\r\nHost: x\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+    )
+    await writer.drain()
+    raw = await reader.read()
+    writer.close()
+    status = int(raw.split(b" ", 2)[1])
+    payload = json.loads(raw.partition(b"\r\n\r\n")[2] or b"{}")
+    return status, payload
+
+
 class TestRoundTrips:
     def test_health_contexts_stats(self, http_inputs):
         db, wl = http_inputs
@@ -176,21 +192,7 @@ class TestErrorMapping:
 
     def test_malformed_bodies(self, http_inputs):
         db, wl = http_inputs
-
-        async def raw_post(port, path, body: bytes):
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", port
-            )
-            writer.write(
-                f"POST {path} HTTP/1.1\r\nHost: x\r\n"
-                f"Content-Length: {len(body)}\r\n\r\n".encode() + body
-            )
-            await writer.drain()
-            raw = await reader.read()
-            writer.close()
-            status = int(raw.split(b" ", 2)[1])
-            payload = json.loads(raw.partition(b"\r\n\r\n")[2] or b"{}")
-            return status, payload
+        raw_post = _raw_post
 
         async def scenario():
             service, server, client = await _boot(db, wl)
@@ -528,6 +530,32 @@ class TestJobsHTTP:
         assert snapshot["retry_backoff"] == 0.1
         assert snapshot["state"] == "done"
 
+    @pytest.mark.parametrize("field, literal", [
+        ("deadline_s", "NaN"), ("deadline_s", "Infinity"),
+        ("retry_backoff", "NaN"), ("retry_backoff", "-Infinity"),
+    ])
+    def test_non_finite_routing_literal_is_400(self, http_inputs, field,
+                                               literal):
+        """JSON text may carry bare ``NaN``/``Infinity`` literals; a job
+        routing number that is one answers 400 naming the field, and no
+        job is created (nothing non-standard is journaled or served)."""
+        db, wl = http_inputs
+        body = ('{"kind":"tune","context":"sales","budget_fraction":0.1,'
+                f'"{field}":{literal}}}').encode()
+
+        async def scenario():
+            service, server, client = await _boot(db, wl)
+            try:
+                answer = await _raw_post(server.port, "/v1/jobs", body)
+                return answer, await client.jobs()
+            finally:
+                await server.stop()
+
+        (status, payload), listing = run(scenario())
+        assert status == 400
+        assert field in payload["error"]
+        assert listing["jobs"] == []
+
     def test_stream_resumes_after_seq(self, http_inputs):
         db, wl = http_inputs
 
@@ -631,6 +659,37 @@ class TestJobsHTTP:
                 await server.stop()
 
         assert run(scenario()) == 404
+
+
+class TestStatsTheLedgerReads:
+    def test_stats_keys_of_a_served_job(self, http_inputs, tmp_path):
+        """``benchmarks/ledger/served.py`` reads these ``/v1/stats``
+        keys after its load: the journal's appended-line count, the
+        finished-job counts, the coalesced counts and the rejected
+        count.  Trimming the stats must not drop one silently."""
+        db, wl = http_inputs
+
+        async def scenario():
+            service, server, client = await _boot(
+                db, wl, cache_dir=str(tmp_path))
+            try:
+                job = await client.submit_job(
+                    "sales", kind="tune", budget_fraction=0.12,
+                    variant="dtac-none",
+                )
+                await client.wait_job(job["id"])
+                return await client.stats()
+            finally:
+                await server.stop()
+
+        stats = run(scenario())
+        jobs = stats["jobs"]
+        assert jobs["journal"]["appended"] > 0
+        assert jobs["finished"]["done"] == 1
+        assert jobs["finished"]["failed"] == 0
+        assert all(isinstance(n, int) for n in stats["coalesced"].values())
+        assert "tune" in stats["coalesced"]
+        assert stats["rejected"] == 0
 
 
 class TestHTTPBackpressure:

@@ -18,7 +18,7 @@ import pytest
 from repro.api import Session, tune
 from repro.datasets.sales import sales_database, sales_workload
 from repro.errors import BackpressureError, JobError, ServiceError
-from repro.service import AdvisorService, JobWorker, faults, serialize_result
+from repro.service import AdvisorService, faults, serialize_result
 from repro.service.faults import FaultPlan
 from repro.service.jobs import TERMINAL_STATES
 
@@ -432,52 +432,6 @@ class TestHeldStageAcrossJobs:
         retry = next(i for i, e in enumerate(events) if e["event"] == "retry")
         assert _advisor_events(events[retry + 1:]) == library_events
         assert snapshot["result"]["meta"]["delta_stats"]["full_recosts"] == 0
-
-    def test_worker_runs_same_key_jobs_over_its_stage(self, job_inputs,
-                                                       tmp_path):
-        """A ``--worker`` process holds the stages of its own contexts:
-        two jobs that differ only in budget, claimed by one worker,
-        return the bytes a coordinator's own execution would."""
-        (db, wl), _ = job_inputs
-        fractions = (0.12, 0.2)
-
-        async def scenario():
-            coordinator = AdvisorService(
-                cache_dir=str(tmp_path), execute_jobs=False,
-                poll_interval=0.05,
-            )
-            coordinator.register("sales", db, wl)
-            await coordinator.start()
-            worker_service = AdvisorService(
-                cache_dir=str(tmp_path), journal_writer="worker-a",
-            )
-            worker_service.register("sales", db, wl)
-            worker = JobWorker(worker_service, poll_interval=0.05)
-            try:
-                records = [
-                    coordinator.submit_job("tune", "sales", dict(
-                        TUNE, budget_fraction=fraction))
-                    for fraction in fractions
-                ]
-                loop = asyncio.get_running_loop()
-                for record in records:
-                    assert await loop.run_in_executor(
-                        None, worker.run_once) == record.id
-                    await self._finish(coordinator, record)
-                return [record.snapshot() for record in records]
-            finally:
-                worker_service.scheduler.shutdown()
-                worker_service.journal.close()
-                await coordinator.stop()
-
-        snapshots = run(scenario())
-        for fraction, snapshot in zip(fractions, snapshots):
-            assert snapshot["state"] == "done"
-            assert snapshot["result"]["result"] == \
-                self._direct(job_inputs, fraction)[0]
-        # The second job searched the stage the first prepared.
-        assert snapshots[1]["result"]["meta"]["delta_stats"][
-            "full_recosts"] == 0
 
 
 class TestInterleavingInvariants:
