@@ -56,10 +56,10 @@ class DataType:
 
 
 @dataclass(frozen=True)
-class IntType(DataType):
-    """Signed integer stored big-endian two's-complement."""
-
-    width: int = 8
+class IntegerBackedType(DataType):
+    """Base of the types stored as a big-endian two's-complement integer
+    (INT, DECIMAL, DATE): ``encode`` serializes ``int(value)``, and a
+    value out of range is a :class:`StorageError` naming the type."""
 
     def encode(self, value) -> bytes:
         if value is None:
@@ -72,13 +72,20 @@ class IntType(DataType):
     def decode(self, data: bytes):
         return int.from_bytes(data, "big", signed=True)
 
+
+@dataclass(frozen=True)
+class IntType(IntegerBackedType):
+    """Signed integer stored big-endian two's-complement."""
+
+    width: int = 8
+
     @property
     def name(self) -> str:
         return f"INT{self.width * 8}"
 
 
 @dataclass(frozen=True)
-class DecimalType(DataType):
+class DecimalType(IntegerBackedType):
     """Fixed-point decimal stored as a scaled big-endian integer.
 
     ``scale`` digits after the decimal point; values are Python ints of the
@@ -88,14 +95,6 @@ class DecimalType(DataType):
 
     width: int = 8
     scale: int = 2
-
-    def encode(self, value) -> bytes:
-        if value is None:
-            return b"\x00" * self.width
-        return int(value).to_bytes(self.width, "big", signed=True)
-
-    def decode(self, data: bytes):
-        return int.from_bytes(data, "big", signed=True)
 
     def to_float(self, scaled: int) -> float:
         """Convert a scaled integer back to a float for display."""
@@ -107,18 +106,10 @@ class DecimalType(DataType):
 
 
 @dataclass(frozen=True)
-class DateType(DataType):
+class DateType(IntegerBackedType):
     """Date stored as days-since-epoch in 4 big-endian bytes."""
 
     width: int = 4
-
-    def encode(self, value) -> bytes:
-        if value is None:
-            return b"\x00" * self.width
-        return int(value).to_bytes(self.width, "big", signed=True)
-
-    def decode(self, data: bytes):
-        return int.from_bytes(data, "big", signed=True)
 
     @property
     def name(self) -> str:

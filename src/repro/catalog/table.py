@@ -86,19 +86,29 @@ class Table:
 
     def append_row(self, values: Sequence) -> None:
         """Append one row given values in column order."""
-        if len(values) != len(self.columns):
-            raise CatalogError(
-                f"row of {len(values)} values for {len(self.columns)}-column "
-                f"table {self.name!r}"
-            )
+        self._check_arity(values)
         for col, value in zip(self.columns, values):
             self._data[col.name].append(value)
         self._digest = None
 
     def extend_rows(self, rows: Iterable[Sequence]) -> None:
-        """Append many rows (in column order)."""
+        """Append many rows (in column order), all or none: every row's
+        arity is checked before the first one lands."""
+        rows = list(rows)
         for row in rows:
-            self.append_row(row)
+            self._check_arity(row)
+        if not rows:
+            return
+        for col, values in zip(self.columns, zip(*rows)):
+            self._data[col.name].extend(values)
+        self._digest = None
+
+    def _check_arity(self, values: Sequence) -> None:
+        if len(values) != len(self.columns):
+            raise CatalogError(
+                f"row of {len(values)} values for {len(self.columns)}-column "
+                f"table {self.name!r}"
+            )
 
     def set_column_data(self, name: str, values: list) -> None:
         """Replace one column's data wholesale (generators use this)."""

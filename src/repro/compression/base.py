@@ -24,6 +24,7 @@ to value distributions the way the paper requires.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 from repro.catalog.column import Column
@@ -92,6 +93,54 @@ def strip_value(raw: bytes, column: Column) -> bytes:
     else:
         stripped = raw
     return stripped
+
+
+def stripped_length_total(
+    keys: Sequence, ends: Sequence[int], column: Column
+) -> int:
+    """Total :func:`strip_value` length over a column's non-NULL rows.
+
+    ``keys`` are the column's sorted distinct non-NULL values and
+    ``ends`` their running row counts (``ends[i]``: rows holding a value
+    ``<= keys[i]``).  Character values are serialized and stripped once
+    per distinct value.  An integer-backed value's stripped length
+    depends only on its byte band — 0 bytes for 0, k bytes for
+    ``2^(8k-8) <= v < 2^(8k)`` and for ``-2^(8k-1) <= v < -2^(8k-9)``
+    (its minimal two's complement) — so those columns bisect ``keys``
+    at the band edges and sum ``k`` times each band's row count, after
+    encoding only the minimum and the maximum: if any value overflows
+    the column's width, one of those two does, and ``encode`` raises.
+    """
+    encode = column.dtype.encode
+    if column.dtype.is_character:
+        total, prev = 0, 0
+        for value, end in zip(keys, ends):
+            total += (end - prev) * len(strip_value(encode(value), column))
+            prev = end
+        return total
+    if not keys:
+        return 0
+    encode(keys[0])
+    if len(keys) > 1:
+        encode(keys[-1])
+
+    def rows_before(i: int) -> int:
+        return ends[i - 1] if i else 0
+
+    # Edges are written for int(value) truncating toward zero, so a
+    # non-integral number (1.5, -128.5) lands in the band of its int().
+    total = 0
+    lo = bisect_left(keys, 1)
+    for k in range(1, column.dtype.width + 1):
+        hi = bisect_left(keys, 1 << (8 * k), lo)
+        total += k * (rows_before(hi) - rows_before(lo))
+        lo = hi
+    hi = bisect_right(keys, -1)
+    for k in range(1, column.dtype.width + 1):
+        lo = bisect_right(keys, -(1 << (8 * k - 1)) - 1, 0, hi)
+        total += k * (rows_before(hi) - rows_before(lo))
+        hi = lo
+    return total
 
 
 class ColumnCodec:

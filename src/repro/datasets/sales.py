@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from repro.catalog import Column, Database, IntType, Table, DATE, char, decimal
-from repro.datasets.zipf import ZipfSampler
+from repro.datasets.zipf import ZipfSampler, randbelow
 from repro.workload.parser import date_to_days, parse_statement
 from repro.workload.query import Workload
 
@@ -39,18 +39,30 @@ def sales_database(scale: float = 1.0, z: float = 0.5,
                    seed: int = 20090101) -> Database:
     """Generate the Sales star schema.
 
+    Column-wise, drawing from one RNG in a fixed order per row, like
+    :func:`repro.datasets.tpch.tpch_database`.
+
     Args:
         scale: 1.0 = 40k fact rows.
         z: Zipf skew of categorical choices (real sales data is skewed).
         seed: RNG seed.
     """
     rng = random.Random(seed)
+    below = randbelow(rng)
     db = Database(f"sales_s{scale}")
 
     n_stores = max(20, int(200 * scale))
     n_products = max(100, int(1500 * scale))
     n_customers = max(100, int(3000 * scale))
     n_sales = max(1000, int(40000 * scale))
+
+    def zipf(n: int, skew: float = z):
+        return ZipfSampler(n, skew, rng).sample
+
+    def load(table: Table, *columns: list) -> None:
+        for col, values in zip(table.columns, columns):
+            table.set_column_data(col.name, values)
+        db.add_table(table)
 
     stores = Table(
         "stores",
@@ -63,12 +75,11 @@ def sales_database(scale: float = 1.0, z: float = 0.5,
         ],
         primary_key=("st_storekey",),
     )
-    for i in range(n_stores):
-        state = STATES[i % len(STATES)]
-        stores.append_row(
-            (i, f"Store {i:05d}", f"City{i % 40:03d}", state, REGIONS[state])
-        )
-    db.add_table(stores)
+    st_state = [STATES[i % len(STATES)] for i in range(n_stores)]
+    load(stores, list(range(n_stores)),
+         [f"Store {i:05d}" for i in range(n_stores)],
+         [f"City{i % 40:03d}" for i in range(n_stores)],
+         st_state, [REGIONS[state] for state in st_state])
 
     products = Table(
         "products",
@@ -81,19 +92,16 @@ def sales_database(scale: float = 1.0, z: float = 0.5,
         ],
         primary_key=("pr_productkey",),
     )
-    cat_z = ZipfSampler(len(CATEGORIES), z, rng)
-    brand_z = ZipfSampler(len(BRANDS), z, rng)
-    for i in range(n_products):
-        products.append_row(
-            (
-                i,
-                f"Product {i:06d}",
-                CATEGORIES[cat_z.sample()],
-                BRANDS[brand_z.sample()],
-                500 + rng.randrange(50000),
-            )
-        )
-    db.add_table(products)
+    category = zipf(len(CATEGORIES))
+    brand = zipf(len(BRANDS))
+    pr_category, pr_brand, pr_price = [], [], []
+    for _ in range(n_products):
+        pr_category.append(CATEGORIES[category()])
+        pr_brand.append(BRANDS[brand()])
+        pr_price.append(500 + below(50000))
+    load(products, list(range(n_products)),
+         [f"Product {i:06d}" for i in range(n_products)],
+         pr_category, pr_brand, pr_price)
 
     customers = Table(
         "customers",
@@ -105,17 +113,14 @@ def sales_database(scale: float = 1.0, z: float = 0.5,
         ],
         primary_key=("cu_custkey",),
     )
-    seg_z = ZipfSampler(len(SEGMENTS), z, rng)
-    for i in range(n_customers):
-        customers.append_row(
-            (
-                i,
-                f"Customer {i:07d}",
-                SEGMENTS[seg_z.sample()],
-                STATES[rng.randrange(len(STATES))],
-            )
-        )
-    db.add_table(customers)
+    segment = zipf(len(SEGMENTS))
+    cu_segment, cu_state = [], []
+    for _ in range(n_customers):
+        cu_segment.append(SEGMENTS[segment()])
+        cu_state.append(STATES[below(len(STATES))])
+    load(customers, list(range(n_customers)),
+         [f"Customer {i:07d}" for i in range(n_customers)],
+         cu_segment, cu_state)
 
     sales = Table(
         "sales",
@@ -135,33 +140,34 @@ def sales_database(scale: float = 1.0, z: float = 0.5,
         ],
         primary_key=("sa_salekey",),
     )
-    store_z = ZipfSampler(n_stores, z, rng)
-    prod_z = ZipfSampler(n_products, z, rng)
-    cust_z = ZipfSampler(n_customers, z, rng)
-    date_z = ZipfSampler(DATE_HI - DATE_LO, z / 2.0, rng)
-    chan_z = ZipfSampler(len(CHANNELS), z, rng)
-    promo_z = ZipfSampler(len(PROMOS), z, rng)
+    store = zipf(n_stores)
+    product = zipf(n_products)
+    cust = zipf(n_customers)
+    day = zipf(DATE_HI - DATE_LO, z / 2.0)
+    channel = zipf(len(CHANNELS))
+    promo = zipf(len(PROMOS))
+    cols = [[] for _ in sales.columns]
+    (sa_salekey, sa_storekey, sa_productkey, sa_custkey, sa_date,
+     sa_quantity, sa_unitprice, sa_discount, sa_total, sa_promo,
+     sa_channel, sa_status) = (c.append for c in cols)
+    discounts = (0, 0, 0, 5, 10, 15, 20)
     for i in range(n_sales):
-        qty = 1 + rng.randrange(12)
-        price = 500 + rng.randrange(50000)
-        discount = rng.choice((0, 0, 0, 5, 10, 15, 20))
-        sales.append_row(
-            (
-                i,
-                store_z.sample(),
-                prod_z.sample(),
-                cust_z.sample(),
-                DATE_LO + date_z.sample(),
-                qty,
-                price,
-                discount,
-                qty * price * (100 - discount) // 100,
-                PROMOS[promo_z.sample()],
-                CHANNELS[chan_z.sample()],
-                rng.choice("CCCCR"),
-            )
-        )
-    db.add_table(sales)
+        qty = 1 + below(12)
+        price = 500 + below(50000)
+        discount = discounts[below(7)]
+        sa_salekey(i)
+        sa_storekey(store())
+        sa_productkey(product())
+        sa_custkey(cust())
+        sa_date(DATE_LO + day())
+        sa_quantity(qty)
+        sa_unitprice(price)
+        sa_discount(discount)
+        sa_total(qty * price * (100 - discount) // 100)
+        sa_promo(PROMOS[promo()])
+        sa_channel(CHANNELS[channel()])
+        sa_status("CCCCR"[below(5)])
+    load(sales, *cols)
 
     db.add_foreign_key("sales", "sa_storekey", "stores", "st_storekey")
     db.add_foreign_key("sales", "sa_productkey", "products", "pr_productkey")

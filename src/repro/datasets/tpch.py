@@ -26,7 +26,7 @@ from repro.catalog import (
     decimal,
     varchar,
 )
-from repro.datasets.zipf import ZipfSampler
+from repro.datasets.zipf import ZipfSampler, randbelow
 from repro.workload.parser import date_to_days, parse_statement
 from repro.workload.query import Workload
 
@@ -54,11 +54,20 @@ TYPES = [
 
 DATE_LO = date_to_days("1992-01-01")
 DATE_HI = date_to_days("1998-08-02")
+#: lineitems shipped after this day are still open (l_linestatus "O")
+LINESTATUS_OPEN_AFTER = date_to_days("1995-06-17")
 
 
 def tpch_database(scale: float = 1.0, z: float = 0.0,
                   seed: int = 19920101) -> Database:
     """Generate the TPC-H tables.
+
+    Column-wise: each table's values are drawn into one list per column
+    and handed over with :meth:`Table.set_column_data`.  One RNG is
+    threaded through every table, row by row, in a fixed order of draws
+    within a row; the loops below keep that order (every table's
+    :meth:`Table.content_digest` is pinned in
+    ``tests/test_dataset_digests.py``).
 
     Args:
         scale: 1.0 = lineitem 60k rows (1/100 of TPC-H SF1).
@@ -66,6 +75,8 @@ def tpch_database(scale: float = 1.0, z: float = 0.0,
         seed: RNG seed (generation is fully deterministic).
     """
     rng = random.Random(seed)
+    below = randbelow(rng)
+    uniform = rng.random
     db = Database(f"tpch_s{scale}_z{z}")
 
     n_supplier = max(10, int(100 * scale))
@@ -75,8 +86,13 @@ def tpch_database(scale: float = 1.0, z: float = 0.0,
     n_lineitem = max(800, int(60000 * scale))
     n_partsupp = max(100, int(8000 * scale))
 
-    def zipf(n: int) -> ZipfSampler:
-        return ZipfSampler(n, z, rng)
+    def zipf(n: int):
+        return ZipfSampler(n, z, rng).sample
+
+    def load(table: Table, *columns: list) -> None:
+        for col, values in zip(table.columns, columns):
+            table.set_column_data(col.name, values)
+        db.add_table(table)
 
     # region -----------------------------------------------------------
     region = Table(
@@ -84,9 +100,7 @@ def tpch_database(scale: float = 1.0, z: float = 0.0,
         [Column("r_regionkey", INT32), Column("r_name", char(12))],
         primary_key=("r_regionkey",),
     )
-    for i, name in enumerate(REGIONS):
-        region.append_row((i, name))
-    db.add_table(region)
+    load(region, list(range(len(REGIONS))), list(REGIONS))
 
     # nation -----------------------------------------------------------
     nation = Table(
@@ -98,9 +112,8 @@ def tpch_database(scale: float = 1.0, z: float = 0.0,
         ],
         primary_key=("n_nationkey",),
     )
-    for i, name in enumerate(NATIONS):
-        nation.append_row((i, name, i % len(REGIONS)))
-    db.add_table(nation)
+    load(nation, list(range(len(NATIONS))), list(NATIONS),
+         [i % len(REGIONS) for i in range(len(NATIONS))])
 
     # supplier ----------------------------------------------------------
     supplier = Table(
@@ -113,12 +126,13 @@ def tpch_database(scale: float = 1.0, z: float = 0.0,
         ],
         primary_key=("s_suppkey",),
     )
-    for i in range(n_supplier):
-        supplier.append_row(
-            (i, f"Supplier#{i:09d}", rng.randrange(len(NATIONS)),
-             rng.randrange(-99999, 999999))
-        )
-    db.add_table(supplier)
+    s_nationkey, s_acctbal = [], []
+    for _ in range(n_supplier):
+        s_nationkey.append(below(len(NATIONS)))
+        s_acctbal.append(below(1099998) - 99999)
+    load(supplier, list(range(n_supplier)),
+         [f"Supplier#{i:09d}" for i in range(n_supplier)],
+         s_nationkey, s_acctbal)
 
     # part ---------------------------------------------------------------
     part = Table(
@@ -133,20 +147,17 @@ def tpch_database(scale: float = 1.0, z: float = 0.0,
         ],
         primary_key=("p_partkey",),
     )
-    brand_z = zipf(len(BRANDS))
-    type_z = zipf(len(TYPES))
+    brand = zipf(len(BRANDS))
+    ptype = zipf(len(TYPES))
+    p_brand, p_type, p_size, p_retailprice = [], [], [], []
     for i in range(n_part):
-        part.append_row(
-            (
-                i,
-                f"part {i} colored",
-                BRANDS[brand_z.sample()],
-                TYPES[type_z.sample()],
-                1 + rng.randrange(50),
-                90000 + (i % 200) * 100 + rng.randrange(1000),
-            )
-        )
-    db.add_table(part)
+        p_brand.append(BRANDS[brand()])
+        p_type.append(TYPES[ptype()])
+        p_size.append(1 + below(50))
+        p_retailprice.append(90000 + (i % 200) * 100 + below(1000))
+    load(part, list(range(n_part)),
+         [f"part {i} colored" for i in range(n_part)],
+         p_brand, p_type, p_size, p_retailprice)
 
     # customer -----------------------------------------------------------
     customer = Table(
@@ -160,18 +171,15 @@ def tpch_database(scale: float = 1.0, z: float = 0.0,
         ],
         primary_key=("c_custkey",),
     )
-    seg_z = zipf(len(SEGMENTS))
-    for i in range(n_customer):
-        customer.append_row(
-            (
-                i,
-                f"Customer#{i:09d}",
-                rng.randrange(len(NATIONS)),
-                rng.randrange(-99999, 999999),
-                SEGMENTS[seg_z.sample()],
-            )
-        )
-    db.add_table(customer)
+    segment = zipf(len(SEGMENTS))
+    c_nationkey, c_acctbal, c_mktsegment = [], [], []
+    for _ in range(n_customer):
+        c_nationkey.append(below(len(NATIONS)))
+        c_acctbal.append(below(1099998) - 99999)
+        c_mktsegment.append(SEGMENTS[segment()])
+    load(customer, list(range(n_customer)),
+         [f"Customer#{i:09d}" for i in range(n_customer)],
+         c_nationkey, c_acctbal, c_mktsegment)
 
     # orders --------------------------------------------------------------
     orders = Table(
@@ -188,26 +196,22 @@ def tpch_database(scale: float = 1.0, z: float = 0.0,
         ],
         primary_key=("o_orderkey",),
     )
-    cust_z = zipf(n_customer)
-    date_z = zipf(DATE_HI - DATE_LO)
-    prio_z = zipf(len(PRIORITIES))
-    order_dates = []
-    for i in range(n_orders):
-        odate = DATE_LO + date_z.sample()
-        order_dates.append(odate)
-        orders.append_row(
-            (
-                i,
-                cust_z.sample(),
-                rng.choice("OFP"),
-                10000 + rng.randrange(40000000),
-                odate,
-                PRIORITIES[prio_z.sample()],
-                f"Clerk#{rng.randrange(max(10, n_orders // 15)):09d}",
-                0,
-            )
-        )
-    db.add_table(orders)
+    cust = zipf(n_customer)
+    odate_offset = zipf(DATE_HI - DATE_LO)
+    priority = zipf(len(PRIORITIES))
+    n_clerks = max(10, n_orders // 15)
+    o_custkey, o_orderstatus, o_totalprice = [], [], []
+    o_orderdate, o_orderpriority, clerks = [], [], []
+    for _ in range(n_orders):
+        o_orderdate.append(DATE_LO + odate_offset())
+        o_custkey.append(cust())
+        o_orderstatus.append("OFP"[below(3)])
+        o_totalprice.append(10000 + below(40000000))
+        o_orderpriority.append(PRIORITIES[priority()])
+        clerks.append(below(n_clerks))
+    load(orders, list(range(n_orders)), o_custkey, o_orderstatus,
+         o_totalprice, o_orderdate, o_orderpriority,
+         [f"Clerk#{c:09d}" for c in clerks], [0] * n_orders)
 
     # lineitem --------------------------------------------------------------
     lineitem = Table(
@@ -231,44 +235,44 @@ def tpch_database(scale: float = 1.0, z: float = 0.0,
         ],
         primary_key=("l_orderkey", "l_linenumber"),
     )
-    part_z = zipf(n_part)
-    supp_z = zipf(n_supplier)
-    mode_z = zipf(len(SHIPMODES))
+    partkey = zipf(n_part)
+    suppkey = zipf(n_supplier)
+    shipmode = zipf(len(SHIPMODES))
     line_per_order = max(1, n_lineitem // n_orders)
+    cols = [[] for _ in lineitem.columns]
+    (l_orderkey, l_partkey, l_suppkey, l_linenumber, l_quantity,
+     l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus,
+     l_shipdate, l_commitdate, l_receiptdate, l_shipinstruct,
+     l_shipmode) = (c.append for c in cols)
     produced = 0
-    for okey in range(n_orders):
+    for okey, odate in enumerate(o_orderdate):
         if produced >= n_lineitem:
             break
-        lines = 1 + rng.randrange(2 * line_per_order)
-        odate = order_dates[okey]
-        for ln in range(lines):
-            if produced >= n_lineitem:
-                break
-            ship = min(DATE_HI, odate + 1 + rng.randrange(120))
-            qty = 1 + rng.randrange(50)
-            price = qty * (90000 + rng.randrange(10000))
-            returned = "R" if rng.random() < 0.25 else "N"
-            lineitem.append_row(
-                (
-                    okey,
-                    part_z.sample(),
-                    supp_z.sample(),
-                    ln + 1,
-                    qty * 100,
-                    price,
-                    rng.randrange(11),
-                    rng.randrange(9),
-                    returned,
-                    "O" if ship > date_to_days("1995-06-17") else "F",
-                    ship,
-                    min(DATE_HI, ship + rng.randrange(30)),
-                    min(DATE_HI, ship + rng.randrange(30)),
-                    rng.choice(SHIPINSTRUCT),
-                    SHIPMODES[mode_z.sample()],
-                )
-            )
-            produced += 1
-    db.add_table(lineitem)
+        lines = min(1 + below(2 * line_per_order), n_lineitem - produced)
+        for ln in range(1, lines + 1):
+            ship = odate + 1 + below(120)
+            if ship > DATE_HI:
+                ship = DATE_HI
+            qty = 1 + below(50)
+            l_orderkey(okey)
+            l_linenumber(ln)
+            l_quantity(qty * 100)
+            l_extendedprice(qty * (90000 + below(10000)))
+            l_returnflag("R" if uniform() < 0.25 else "N")
+            l_partkey(partkey())
+            l_suppkey(suppkey())
+            l_discount(below(11))
+            l_tax(below(9))
+            l_linestatus("O" if ship > LINESTATUS_OPEN_AFTER else "F")
+            l_shipdate(ship)
+            commit = ship + below(30)
+            l_commitdate(commit if commit < DATE_HI else DATE_HI)
+            receipt = ship + below(30)
+            l_receiptdate(receipt if receipt < DATE_HI else DATE_HI)
+            l_shipinstruct(SHIPINSTRUCT[below(4)])
+            l_shipmode(SHIPMODES[shipmode()])
+        produced += lines
+    load(lineitem, *cols)
 
     # partsupp ---------------------------------------------------------------
     partsupp = Table(
@@ -281,16 +285,13 @@ def tpch_database(scale: float = 1.0, z: float = 0.0,
         ],
         primary_key=("ps_partkey", "ps_suppkey"),
     )
-    for i in range(n_partsupp):
-        partsupp.append_row(
-            (
-                i % n_part,
-                (i * 7) % n_supplier,
-                rng.randrange(10000),
-                100 + rng.randrange(100000),
-            )
-        )
-    db.add_table(partsupp)
+    ps_availqty, ps_supplycost = [], []
+    for _ in range(n_partsupp):
+        ps_availqty.append(below(10000))
+        ps_supplycost.append(100 + below(100000))
+    load(partsupp, [i % n_part for i in range(n_partsupp)],
+         [(i * 7) % n_supplier for i in range(n_partsupp)],
+         ps_availqty, ps_supplycost)
 
     # foreign keys -------------------------------------------------------
     db.add_foreign_key("nation", "n_regionkey", "region", "r_regionkey")

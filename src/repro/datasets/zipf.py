@@ -3,18 +3,45 @@
 The paper's Appendix C repeats its error analysis on skewed TPC-H
 variants (Z=0, Z=1, Z=3); this module provides the skew knob.  Z=0
 degenerates to uniform.
+
+:func:`randbelow` is the uniform draw the generators make per value:
+bound once to a ``random.Random``, it consumes the generator exactly as
+CPython's ``randrange(n)`` does (``getrandbits(n.bit_length())`` until
+the draw is below ``n``), minus two Python frames per call.  So
+``randrange(a, b)`` is ``a + below(b - a)`` and ``choice(seq)`` is
+``seq[below(len(seq))]``, draw for draw.
 """
 
 from __future__ import annotations
 
-import bisect
 import random
+from bisect import bisect_left
+from functools import partial
+from typing import Callable
 
 from repro.errors import ReproError
 
 
+def randbelow(rng: random.Random) -> Callable[[int], int]:
+    """``below(n)``: ``rng.randrange(n)``, same draws, same RNG state."""
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
 class ZipfSampler:
     """Samples ranks 0..n-1 with probability proportional to 1/(rank+1)^z.
+
+    ``sample()`` draws one rank (permuted when shuffling is on); it is
+    bound once at construction, so a generator can hoist it out of its
+    row loop.
 
     Args:
         n: domain size.
@@ -40,30 +67,25 @@ class ZipfSampler:
         self.z = z
         if rng is None:
             rng = random.Random(self.DEFAULT_SEED if seed is None else seed)
-        self._rng = rng
-        self._perm = list(range(n))
+        perm = list(range(n))
         if shuffle and z > 0:
-            self._rng.shuffle(self._perm)
+            rng.shuffle(perm)
+        self.sample: Callable[[], int]
         if z == 0:
-            self._cdf = None
-        else:
-            weights = [1.0 / (i + 1) ** z for i in range(n)]
-            total = sum(weights)
-            acc = 0.0
-            cdf = []
-            for w in weights:
-                acc += w / total
-                cdf.append(acc)
-            cdf[-1] = 1.0
-            self._cdf = cdf
-
-    def sample(self) -> int:
-        """One rank in 0..n-1 (permuted when shuffling is on)."""
-        if self._cdf is None:
-            return self._rng.randrange(self.n)
-        u = self._rng.random()
-        rank = bisect.bisect_left(self._cdf, u)
-        return self._perm[min(rank, self.n - 1)]
+            self.sample = partial(randbelow(rng), n)
+            return
+        weights = [1.0 / (i + 1) ** z for i in range(n)]
+        total = sum(weights)
+        acc = 0.0
+        cdf = []
+        for w in weights:
+            acc += w / total
+            cdf.append(acc)
+        cdf[-1] = 1.0
+        uniform = rng.random
+        # random() < 1.0 == cdf[-1], so the rank is always < n.
+        self.sample = lambda: perm[bisect_left(cdf, uniform())]
 
     def sample_many(self, count: int) -> list[int]:
-        return [self.sample() for _ in range(count)]
+        sample = self.sample
+        return [sample() for _ in range(count)]

@@ -6,10 +6,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping
 
 from repro.catalog.table import Table
-from repro.compression.base import strip_value
+from repro.compression.base import stripped_length_total
 from repro.errors import StatisticsError
 from repro.stats.histogram import EquiDepthHistogram
 
@@ -75,8 +76,16 @@ class TableStats:
     def build(cls, table: Table, histogram_buckets: int = 32) -> "TableStats":
         """Compute exact statistics from the table data.
 
-        One ``Counter`` pass per column; everything after it (stripped
-        lengths, bounds, histogram) is per distinct value.
+        One ``Counter`` pass per column; everything after it is per
+        distinct value.  The sorted distinct values and their running
+        row counts feed both the histogram and the average stripped
+        length.  A character column serializes and strips each distinct
+        value once; an integer-backed one sums its stripped lengths per
+        byte band — a handful of bisections over the sorted values,
+        weighted by the running counts — and encodes only its minimum
+        and maximum, which is enough to raise a
+        :class:`~repro.errors.StorageError` for a value that overflows
+        the column (see :func:`stripped_length_total`).
         """
         stats: dict[str, ColumnStats] = {}
         for col in table.columns:
@@ -90,13 +99,9 @@ class TableStats:
                     f"column {table.name}.{col.name}: values cannot be "
                     f"ordered ({exc})"
                 ) from exc
-            multiplicities = [counts[k] for k in keys]
+            ends = list(accumulate(map(counts.__getitem__, keys)))
             if keys:
-                encode = col.dtype.encode
-                total_stripped = sum(
-                    n * len(strip_value(encode(v), col))
-                    for v, n in zip(keys, multiplicities)
-                )
+                total_stripped = stripped_length_total(keys, ends, col)
                 avg_len = total_stripped / (len(values) - n_nulls)
                 mn, mx = keys[0], keys[-1]
             else:
@@ -109,8 +114,8 @@ class TableStats:
                 min_value=mn,
                 max_value=mx,
                 avg_stripped_len=avg_len,
-                histogram=EquiDepthHistogram.from_distinct(
-                    keys, multiplicities, histogram_buckets
+                histogram=EquiDepthHistogram.from_ends(
+                    keys, ends, histogram_buckets
                 ),
             )
         return cls(table, stats)

@@ -39,24 +39,24 @@ class EquiDepthHistogram:
         """Build from raw values (NULLs excluded by the caller)."""
         counts = Counter(values)
         keys = sorted(counts)
-        return cls.from_distinct(keys, [counts[k] for k in keys], n_buckets)
+        ends = list(accumulate(map(counts.__getitem__, keys)))
+        return cls.from_ends(keys, ends, n_buckets)
 
     @classmethod
-    def from_distinct(
-        cls, keys: Sequence, counts: Sequence[int], n_buckets: int = 32
+    def from_ends(
+        cls, keys: Sequence, ends: Sequence[int], n_buckets: int = 32
     ) -> "EquiDepthHistogram":
-        """Build from the sorted distinct values and their multiplicities.
+        """Build from the sorted distinct values and their running counts.
 
-        Bucket boundaries are row positions in the (never materialized)
-        sorted column; cumulative counts map a position back to its
-        distinct value by bisection, so the work is per distinct value
-        and per bucket, not per row.
+        ``ends[i]`` is the number of rows sorting at or before
+        ``keys[i]``, so the row at sorted position p holds
+        ``keys[bisect_right(ends, p)]``.  Bucket boundaries are row
+        positions in the (never materialized) sorted column, mapped back
+        to their distinct values by that bisection, so the work is per
+        distinct value and per bucket, not per row.
         """
         if n_buckets <= 0:
             raise StatisticsError("n_buckets must be positive")
-        # ends[i]: rows sorting at or before keys[i]; the row at sorted
-        # position p holds keys[bisect_right(ends, p)].
-        ends = list(accumulate(counts))
         total = ends[-1] if ends else 0
         if total == 0:
             return cls([], 0)

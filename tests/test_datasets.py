@@ -1,5 +1,6 @@
 """Tests for the bundled dataset generators."""
 
+import bisect
 import random
 
 import pytest
@@ -12,7 +13,40 @@ from repro.datasets import (
     tpch_database,
     tpch_workload,
 )
+from repro.datasets.zipf import randbelow
 from repro.errors import ReproError
+
+
+class PerCallZipfSampler:
+    """The sampler before its drawer was bound once, verbatim (argument
+    checks aside): the reference the bound drawer must reproduce."""
+
+    def __init__(self, n, z, rng, shuffle=True):
+        self.n = n
+        self.z = z
+        self._rng = rng
+        self._perm = list(range(n))
+        if shuffle and z > 0:
+            self._rng.shuffle(self._perm)
+        if z == 0:
+            self._cdf = None
+        else:
+            weights = [1.0 / (i + 1) ** z for i in range(n)]
+            total = sum(weights)
+            acc = 0.0
+            cdf = []
+            for w in weights:
+                acc += w / total
+                cdf.append(acc)
+            cdf[-1] = 1.0
+            self._cdf = cdf
+
+    def sample(self) -> int:
+        if self._cdf is None:
+            return self._rng.randrange(self.n)
+        u = self._rng.random()
+        rank = bisect.bisect_left(self._cdf, u)
+        return self._perm[min(rank, self.n - 1)]
 
 
 class TestZipf:
@@ -40,6 +74,35 @@ class TestZipf:
         assert len(set(mild.sample_many(2000))) > len(
             set(heavy.sample_many(2000))
         )
+
+    @pytest.mark.parametrize("z", [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("shuffle", [True, False])
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_bound_drawer_matches_per_call_sampler(self, z, shuffle, n):
+        """Same ranks, and the shared RNG left in the same state: the
+        generators thread one RNG through every table, so a sampler that
+        consumed one draw more or less would shift every later value."""
+        old_rng, new_rng = random.Random(17), random.Random(17)
+        old = PerCallZipfSampler(n, z, old_rng, shuffle=shuffle)
+        new = ZipfSampler(n, z, new_rng, shuffle=shuffle)
+        assert new.sample_many(10_000) == [
+            old.sample() for _ in range(10_000)
+        ]
+        assert new_rng.getstate() == old_rng.getstate()
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 4, 5, 7, 8, 9, 11, 120, 1000, 10000, 1099998]
+    )
+    def test_randbelow_matches_randrange_and_choice(self, n):
+        old_rng, new_rng = random.Random(n), random.Random(n)
+        below = randbelow(new_rng)
+        seq = list(range(n)) if n <= 10000 else None
+        for _ in range(2000):
+            assert below(n) == old_rng.randrange(n)
+            assert below(n + 5) - 99 == old_rng.randrange(-99, n - 94)
+            if seq is not None:
+                assert seq[below(len(seq))] == old_rng.choice(seq)
+        assert new_rng.getstate() == old_rng.getstate()
 
     def test_invalid_params(self):
         with pytest.raises(ReproError):

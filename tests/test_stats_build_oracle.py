@@ -3,19 +3,20 @@ per-row reference.
 
 The production builders work per *distinct value* (one ``Counter`` pass
 per column, bucket boundaries found by bisection over cumulative
-counts).  The per-row builders they replaced live on here, verbatim, as
-the oracle: every `ColumnStats` field and every `Bucket` must come out
-identical, so selectivities — and with them every recommendation — are
-unchanged.
+counts), and an integer-backed column's stripped lengths are summed per
+byte band rather than per value.  The per-row builders they replaced
+live on here, verbatim, as the oracle: every `ColumnStats` field and
+every `Bucket` must come out identical, so selectivities — and with
+them every recommendation — are unchanged.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.catalog import Column, INT, Table, char
+from repro.catalog import Column, DATE, INT, INT32, Table, char, decimal
 from repro.compression.base import strip_value
 from repro.datasets import sales_database, tpcds_lite_database, tpch_database
-from repro.errors import StatisticsError
+from repro.errors import StatisticsError, StorageError
 from repro.stats import EquiDepthHistogram, TableStats
 from repro.stats.histogram import Bucket
 
@@ -136,7 +137,24 @@ def test_datasets_match_reference(make_db):
 # ----------------------------------------------------------------------
 # Property: arbitrary columns, including the degenerate ones
 # ----------------------------------------------------------------------
-_INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+def _ints(dtype):
+    """Every value ``dtype`` can hold."""
+    half = 1 << (8 * dtype.width - 1)
+    return st.integers(min_value=-half, max_value=half - 1)
+
+
+def _band_edges(dtype):
+    """The integers on and beside every byte-band edge of the stripped
+    length (0, +-1, +-2^(8k-1), -2^(8k-1)-1, 2^(8k)) that ``dtype`` can
+    hold."""
+    edges = {0, 1, -1}
+    for k in range(1, dtype.width + 1):
+        half = 1 << (8 * k - 1)
+        edges |= {half, -half, -half - 1, 1 << (8 * k)}
+    top = 1 << (8 * dtype.width - 1)
+    return sorted(v for v in edges if -top <= v < top)
+
+
 #: a narrow domain, so a handful of values repeat often enough to span
 #: several equi-depth buckets (heavy hitters), negatives included
 _HEAVY_INTS = st.integers(min_value=-3, max_value=3)
@@ -150,10 +168,23 @@ def _column(values):
     return st.lists(st.one_of(st.none(), values), max_size=120)
 
 
+def _integer_columns(dtype):
+    edges = st.sampled_from(_band_edges(dtype))
+    return st.one_of(
+        st.tuples(st.just(dtype), _column(_ints(dtype))),
+        st.tuples(st.just(dtype), _column(_HEAVY_INTS)),
+        st.tuples(st.just(dtype), _column(edges)),
+        st.tuples(
+            st.just(dtype),
+            _column(st.one_of(_HEAVY_INTS, edges, _ints(dtype))),
+        ),
+    )
+
+
+_INTEGER_TYPES = (INT, INT32, decimal(), DATE)
+
 _COLUMNS = st.one_of(
-    st.tuples(st.just(INT), _column(_INT64)),
-    st.tuples(st.just(INT), _column(_HEAVY_INTS)),
-    st.tuples(st.just(INT), _column(st.one_of(_HEAVY_INTS, _INT64))),
+    *(_integer_columns(dtype) for dtype in _INTEGER_TYPES),
     st.tuples(st.just(char(16)), _column(_STRINGS)),
     st.tuples(st.just(char(16)), _column(_HEAVY_STRINGS)),
     st.tuples(st.just(INT), st.lists(st.none(), max_size=5)),
@@ -189,9 +220,34 @@ def test_degenerate_inputs_keep_their_results():
     ]
 
 
+@pytest.mark.parametrize("dtype", _INTEGER_TYPES, ids=lambda t: t.name)
+def test_every_band_edge_matches_reference(dtype):
+    """Each edge alone, and all of them in one column, with repeats."""
+    edges = _band_edges(dtype)
+    for value in edges:
+        table = one_column_table(dtype, [value, value, None])
+        assert built_column_stats(table) == reference_column_stats(table)
+    table = one_column_table(dtype, edges + edges[::3] + [None])
+    assert built_column_stats(table) == reference_column_stats(table)
+
+
 # ----------------------------------------------------------------------
 # Named error at the boundary
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("dtype", _INTEGER_TYPES, ids=lambda t: t.name)
+@pytest.mark.parametrize("where", ["above", "below"])
+def test_overflowing_column_raises_storage_error(dtype, where):
+    """Both builders name the overflow: a value past either end of the
+    type's range is a StorageError, not a bare OverflowError."""
+    half = 1 << (8 * dtype.width - 1)
+    bad = half if where == "above" else -half - 1
+    table = one_column_table(dtype, [0, bad, 5, None])
+    with pytest.raises(StorageError, match="overflows"):
+        reference_column_stats(table)
+    with pytest.raises(StorageError, match="overflows"):
+        TableStats.build(table)
+
+
 def test_unorderable_column_raises_named_error():
     table = Table("orders", [Column("o_key", INT), Column("o_note", char(8))])
     table.append_row((1, "a"))
@@ -219,6 +275,8 @@ class CountingType:
 
 
 def test_encode_called_at_most_once_per_distinct_value():
+    """Character columns serialize each distinct value once; the
+    integer-backed ones only their minimum and maximum."""
     source = sales_database(scale=0.05, seed=1).table("sales")
     counted = Table(
         source.name,
@@ -229,8 +287,13 @@ def test_encode_called_at_most_once_per_distinct_value():
         counted.set_column_data(name, source.column_values(name))
     built = TableStats.build(counted)
     repeated = 0
+    integer_backed = 0
     for col in counted.columns:
         cs = built.column(col.name)
         assert col.dtype.encode_calls <= cs.n_distinct, col.name
+        if not col.dtype.is_character:
+            integer_backed += 1
+            assert col.dtype.encode_calls <= 2, col.name
         repeated += cs.n_distinct < cs.n_rows - cs.n_nulls
     assert repeated  # the bound is only a bound if values repeat
+    assert integer_backed

@@ -43,6 +43,18 @@ class TestTable:
         with pytest.raises(CatalogError):
             t.append_row((1,))
 
+    def test_extend_rows_is_all_or_none(self):
+        t = make_table(2)
+        digest = t.content_digest()
+        with pytest.raises(CatalogError):
+            t.extend_rows([(2, "v2"), (3, "v3"), (4,), (5, "v5")])
+        assert t.num_rows == 2
+        assert t.rows() == [(0, "v0"), (1, "v1")]
+        assert t.content_digest() == digest
+        t.extend_rows(iter([(2, "v2"), (3, "v3")]))
+        assert t.rows()[2:] == [(2, "v2"), (3, "v3")]
+        assert t.content_digest() != digest
+
     def test_iter_rows_projection(self):
         t = make_table(3)
         assert list(t.iter_rows(["b"])) == [("v0",), ("v1",), ("v2",)]
