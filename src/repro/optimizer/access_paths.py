@@ -177,10 +177,17 @@ def plan_from_shape(
     rows_in_structure: float,
     shape: AccessShape,
     constants: CostConstants,
-    base_lookup: tuple[IndexDef, float] | None,
+    base_lookup: IndexDef | None,
 ) -> AccessPlan | None:
     """The flat numeric part of :func:`cost_access`: evaluate one
-    already-shaped structure."""
+    already-shaped structure.
+
+    ``base_lookup`` is the table's base structure, which a non-covering
+    structure's row lookups go through (None: no lookup, so a
+    non-covering structure has no plan).  The base contributes only
+    its compression method — a lookup costs one random page per
+    qualifying row whatever the base's size — so two bases with the
+    same method give the same plan."""
     pages = max(1.0, index_bytes / PAGE_SIZE)
     if shape.can_seek:
         pages_read = max(1.0, pages * shape.sel_prefix)
@@ -202,15 +209,14 @@ def plan_from_shape(
     if not shape.covering:
         if base_lookup is None:
             return None
-        base_index, _base_bytes = base_lookup
         # RID/key lookups into the base structure: one random page per
         # qualifying row (they are effectively random).
         lookups = rows_out
         lookup_io = lookups * constants.io_random_page
         lookup_cpu = lookups * constants.cpu_tuple
-        if base_index.method.is_compressed:
+        if base_lookup.method.is_compressed:
             lookup_cpu += constants.decompress_cpu(
-                base_index.method, lookups, shape.n_needed
+                base_lookup.method, lookups, shape.n_needed
             )
         io += lookup_io
         cpu += lookup_cpu
@@ -233,7 +239,7 @@ def cost_access(
     needed_columns: tuple[str, ...],
     stats: TableStats,
     constants: CostConstants,
-    base_lookup: tuple[IndexDef, float] | None = None,
+    base_lookup: IndexDef | None = None,
 ) -> AccessPlan | None:
     """Cost one candidate structure, or None if unusable.
 
@@ -245,7 +251,7 @@ def cost_access(
         needed_columns: columns the query needs from this table.
         stats: the table's statistics.
         constants: cost constants.
-        base_lookup: (base structure, its bytes) for non-covering seeks.
+        base_lookup: the base structure, for non-covering seeks.
     """
     shape = access_shape(index, predicates, needed_columns, stats, constants)
     if shape is None:
@@ -278,9 +284,9 @@ def best_access_plan(
             the kernel's per-run shape cache.
     """
     base = None
-    for index, size_bytes, _rows in structures:
+    for index, _bytes, _rows in structures:
         if index.kind in (IndexKind.HEAP, IndexKind.CLUSTERED):
-            base = (index, size_bytes)
+            base = index
             break
     lanes = []
     for index, size_bytes, rows in structures:

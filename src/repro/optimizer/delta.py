@@ -8,11 +8,14 @@ that touch its table (exactly what
 exploits that through one piece of costing state, without moving a
 single float:
 
-* **The plan table.**  ``(statement, table, structure, base) ->
-  AccessPlan | None``: the access plan of one structure for one
-  statement's predicate context on one table, against one base
-  structure (the base only enters through the non-covering lookup; its
-  own plan sits under its own identity).  An entry is evaluated once
+* **The plan table.**  ``(statement, table, structure, base method)
+  -> AccessPlan | None``: the access plan of one structure for one
+  statement's predicate context on one table, against a base structure
+  compressed with one method.  The base only enters through a
+  non-covering structure's row lookups, which the cost model charges by
+  the base's compression method alone, so every base with that method
+  (the heap and each clustered variant) shares the entry; the base's
+  own plan sits under its own identity.  An entry is evaluated once
   per :class:`PlanTables`, through the kernel's shape memo, by
   :func:`~repro.optimizer.access_paths.plan_from_shape` with exactly
   the inputs ``StatementCoster._structures_for`` would feed it — so it
@@ -213,7 +216,11 @@ class PlanTables:
             )
 
         #: the plan table: (si, table, structure identity, base
-        #: identity) -> AccessPlan (None = unusable plan).
+        #: method value) -> AccessPlan (None = unusable plan).  The
+        #: base contributes only its compression method (the
+        #: non-covering lookup's decompression term), as a str:
+        #: ``method.value`` hashes from a cached str hash, the enum
+        #: member through ``Enum.__hash__``.
         self.probes: dict = {}
         #: statements whose table choice disagreed with the plan costs
         #: the optimizer reported: always fully recosted.
@@ -221,9 +228,10 @@ class PlanTables:
         #: (si, structure identity) -> (io, cpu) maintenance
         #: contribution (pure: sizes and stats are fixed).
         self.maint_terms: dict = {}
-        #: (candidate identity, base identity) -> the candidate's plan
-        #: cost per statement of its table, aligned with ``by_table``
-        #: (inf = unusable plan, or not a SELECT).
+        #: (candidate identity, base method value) -> the candidate's
+        #: plan cost per statement of its table, aligned with
+        #: ``by_table`` (inf = unusable plan, or not a SELECT); the
+        #: base contributes only its method, as in ``probes``.
         self.probe_rows: dict = {}
         #: (configuration, unweighted totals, chosen plans) of the first
         #: reference costed over these tables — the one reference every
@@ -293,13 +301,14 @@ class DeltaWorkloadCoster:
         # estimation work.
         self._universe_by_table: dict[str, list[IndexDef]] = {}
         self._size_peek: Callable | None = None
-        #: (table, base identity) groups already batch-probed.
+        #: (table, base method value) groups already batch-probed.
         self._probe_filled: set = set()
 
         # Sweep state: depends on the reference configuration, reset on
         # every rebase (the probe rows they are compared with live in
         # the tables, like the plans they are read from).
-        #: table -> (base structure, base identity) under the reference.
+        #: table -> (base structure, its method value) under the
+        #: reference.
         self._ref_bases: dict = {}
         #: table -> _RefVector under the reference.
         self._ref_vectors: dict = {}
@@ -718,10 +727,10 @@ class DeltaWorkloadCoster:
         base = config.base_structure(table)
         if base is None:
             return None
-        base_id = index_identity(base)
+        method = base.method.value
         best = None
         for ix in config.structures_on(table):
-            plan = self._plan(si, table, ix, base, base_id)
+            plan = self._plan(si, table, ix, base, method)
             if plan is not None and (
                 best is None or plan.cost < best.cost
             ):
@@ -736,12 +745,12 @@ class DeltaWorkloadCoster:
         return io + cpu
 
     def _ref_base(self, table: str) -> tuple:
-        """(base structure, base identity) of ``table`` under the
+        """(base structure, its method's value) of ``table`` under the
         reference — (None, None) for an untracked table."""
         cached = self._ref_bases.get(table)
         if cached is None:
             base = self._ref_config.base_structure(table)
-            cached = (base, None if base is None else index_identity(base))
+            cached = (base, None if base is None else base.method.value)
             self._ref_bases[table] = cached
         return cached
 
@@ -773,19 +782,19 @@ class DeltaWorkloadCoster:
         ``_by_table`` — inf where it has no usable plan and for
         maintenance statements (whose terms are never reused).  Read
         off the plan table on first demand and kept for the run: a plan
-        depends on the base structure, not on the rest of the
-        reference."""
+        depends on the base's compression method, not on the rest of
+        the reference."""
         table = ix.table
-        base, base_id = self._ref_base(table)
-        key = (index_identity(ix), base_id)
+        base, method = self._ref_base(table)
+        key = (index_identity(ix), method)
         row = self._probe_rows.get(key)
         if row is None:
             row = []
             if base is not None:
-                self._fill_probe_group(table, base, base_id)
+                self._fill_probe_group(table, base, method)
             for si in self._by_table.get(table, ()):
                 plan = (
-                    self._plan(si, table, ix, base, base_id)
+                    self._plan(si, table, ix, base, method)
                     if base is not None and self._is_select[si] else None
                 )
                 row.append(_INF if plan is None else plan.cost)
@@ -794,26 +803,27 @@ class DeltaWorkloadCoster:
 
     def _plan(
         self, si: int, table: str, ix: IndexDef, base: IndexDef,
-        base_id: tuple,
+        method: str,
     ):
         """The plan-table entry of ``ix`` for statement ``si`` on
-        ``table`` against ``base`` (evaluated on first demand; None =
-        unusable)."""
-        key = (si, table, index_identity(ix), base_id)
+        ``table`` against ``base``, whose ``method.value`` is
+        ``method`` (evaluated on first demand; None = unusable)."""
+        key = (si, table, index_identity(ix), method)
         plan = self._probes.get(key, _UNPROBED)
         if plan is _UNPROBED:
             plan = self._probes[key] = self._probe(si, table, ix, base)
         return plan
 
     def _fill_probe_group(
-        self, table: str, base: IndexDef, base_id: tuple
+        self, table: str, base: IndexDef, method: str
     ) -> None:
         """Batch the plan-table entries of every universe secondary on
         ``table`` whose size is already peekable, across **every**
         SELECT statement touching the table, on the first sweep against
-        this base.  Sweeps read all affected statements for each
-        candidate, so the whole group is demanded work — one lane
-        batch per group instead of one :meth:`_probe` per entry.
+        a base with this compression method.  Sweeps read all affected
+        statements for each candidate, so the whole group is demanded
+        work — one lane batch per group instead of one :meth:`_probe`
+        per entry.
 
         Sizing is strictly peek-only (``size_if_known``): a lane is
         only filled when no new estimation work is needed, so the
@@ -824,7 +834,7 @@ class DeltaWorkloadCoster:
         the same :func:`plan_from_shape` arithmetic over the same
         memoized shape and lands in the same table, so plans are
         bit-identical to the unbatched path."""
-        group = (table, base_id)
+        group = (table, method)
         if group in self._probe_filled:
             return
         self._probe_filled.add(group)
@@ -847,7 +857,7 @@ class DeltaWorkloadCoster:
             for cand, cand_id, size in secondaries:
                 if size is None:
                     continue
-                ckey = (sj, table, cand_id, base_id)
+                ckey = (sj, table, cand_id, method)
                 if ckey in self._probes:
                     continue
                 self.probe_evals += 1
@@ -861,10 +871,7 @@ class DeltaWorkloadCoster:
                 keys.append(ckey)
         if not lanes:
             return
-        base_bytes, _base_rows = whatif._sizes(base)
-        plans = kernel.batch_access_plans(
-            lanes, constants, (base, base_bytes)
-        )
+        plans = kernel.batch_access_plans(lanes, constants, base)
         for ckey, plan in zip(keys, plans):
             self._probes[ckey] = plan
 
@@ -879,10 +886,10 @@ class DeltaWorkloadCoster:
             return not mv_matches_query(ix.mv, stmt)
         if ix.kind is not IndexKind.SECONDARY:
             return False  # base adds surface as removed+added upstream
-        base, base_id = self._ref_base(ix.table)
+        base, method = self._ref_base(ix.table)
         if base is None:  # pragma: no cover - bases always tracked
             return False
-        plan = self._plan(si, ix.table, ix, base, base_id)
+        plan = self._plan(si, ix.table, ix, base, method)
         if plan is None:
             return True
         chosen = self._ref_plans[si][stmt.tables.index(ix.table)]
@@ -896,7 +903,6 @@ class DeltaWorkloadCoster:
         preds, needed = self._shapes[si].inputs[table]
         whatif = self.whatif
         ix_bytes, ix_rows = whatif._sizes(ix)
-        base_bytes, _base_rows = whatif._sizes(base)
         constants = whatif.coster.constants
         shape = whatif.kernel.shape_for(
             (si, table), ix, preds, needed,
@@ -904,6 +910,4 @@ class DeltaWorkloadCoster:
         )
         if shape is None:
             return None
-        return plan_from_shape(
-            ix, ix_bytes, ix_rows, shape, constants, (base, base_bytes),
-        )
+        return plan_from_shape(ix, ix_bytes, ix_rows, shape, constants, base)

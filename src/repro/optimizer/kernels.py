@@ -81,7 +81,10 @@ class CostKernel:
         return shape
 
     def batch_access_plans(self, lanes: list, constants, base_lookup) -> list:
-        """Evaluate every lane; aligned list of AccessPlan | None."""
+        """Evaluate every lane against the table's base structure
+        ``base_lookup`` (see
+        :func:`~repro.optimizer.access_paths.plan_from_shape`); aligned
+        list of AccessPlan | None."""
         self.lanes_total += len(lanes)
         self.batches_scalar += 1
         return [

@@ -33,24 +33,51 @@ def structure_order_key(index: IndexDef) -> tuple[str, str]:
     return key
 
 
+def _is_base(index: IndexDef) -> bool:
+    """Whether ``index`` is its table's base structure (heap or
+    clustered, not on an MV)."""
+    return (
+        index.kind in (IndexKind.HEAP, IndexKind.CLUSTERED)
+        and index.mv is None
+    )
+
+
 class Configuration:
     """An immutable set of :class:`IndexDef` (hashable, comparable)."""
 
     def __init__(self, indexes: Iterable[IndexDef] = ()) -> None:
-        self._indexes = frozenset(indexes)
-        self._ordered: tuple[IndexDef, ...] | None = None
-        self._mv_indexes: tuple[IndexDef, ...] | None = None
-        #: table -> :meth:`structures_on` (cached).
-        self._structures: dict[str, tuple[IndexDef, ...]] = {}
+        members = frozenset(indexes)
         base_tables: dict[str, IndexDef] = {}
-        for ix in self._indexes:
-            if ix.kind in (IndexKind.HEAP, IndexKind.CLUSTERED) and not ix.is_mv_index:
+        for ix in members:
+            if _is_base(ix):
                 if ix.table in base_tables:
                     raise AdvisorError(
                         f"two base structures for table {ix.table!r}"
                     )
                 base_tables[ix.table] = ix
-        self._base = base_tables
+        self._set(members, base_tables)
+
+    def _set(
+        self, indexes: frozenset[IndexDef], base: dict[str, IndexDef]
+    ) -> None:
+        self._indexes = indexes
+        #: table -> its base structure; never mutated (derived
+        #: configurations share it or build a new one).
+        self._base = base
+        self._ordered: tuple[IndexDef, ...] | None = None
+        self._mv_indexes: tuple[IndexDef, ...] | None = None
+        #: table -> :meth:`structures_on` (cached).
+        self._structures: dict[str, tuple[IndexDef, ...]] = {}
+
+    @classmethod
+    def _derived(
+        cls, indexes: frozenset[IndexDef], base: dict[str, IndexDef]
+    ) -> "Configuration":
+        """A configuration whose base map its caller already knows
+        (:meth:`add` and :meth:`remove` keep one base per table)."""
+        config = cls.__new__(cls)
+        config._set(indexes, base)
+        return config
 
     # ------------------------------------------------------------------
     @property
@@ -134,18 +161,29 @@ class Configuration:
     def add(self, index: IndexDef) -> "Configuration":
         """A new configuration with ``index`` added; adding a base
         structure replaces the table's existing base structure."""
-        items = set(self._indexes)
-        if index.kind in (IndexKind.HEAP, IndexKind.CLUSTERED) and not index.is_mv_index:
-            existing = self._base.get(index.table)
-            if existing is not None:
-                items.discard(existing)
-        items.add(index)
-        return Configuration(items)
+        if not _is_base(index):
+            return self._derived(self._indexes.union((index,)), self._base)
+        existing = self._base.get(index.table)
+        if existing == index:
+            return self
+        base = dict(self._base)
+        base[index.table] = index
+        if existing is None:
+            return self._derived(self._indexes.union((index,)), base)
+        # Neither is the other, and only ``existing`` is a member: one
+        # symmetric difference drops it and adds ``index``.
+        return self._derived(
+            self._indexes.symmetric_difference((existing, index)), base
+        )
 
     def remove(self, index: IndexDef) -> "Configuration":
         if index not in self._indexes:
             raise AdvisorError(f"{index} not in configuration")
-        return Configuration(self._indexes - {index})
+        base = self._base
+        if _is_base(index):
+            base = dict(base)
+            del base[index.table]
+        return self._derived(self._indexes.difference((index,)), base)
 
     def replace(self, old: IndexDef, new: IndexDef) -> "Configuration":
         return self.remove(old).add(new)

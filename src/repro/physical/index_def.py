@@ -46,6 +46,25 @@ class IndexDef:
         if overlap:
             raise AdvisorError(f"columns {overlap} both key and included")
 
+    def __hash__(self) -> int:
+        # The dataclass's own field-tuple hash, computed once per
+        # instance: every Configuration set operation and size-map
+        # lookup hashes its members.  Not pickled (__getstate__): str
+        # hashes differ between processes.
+        cached = self.__dict__.get("_hash_cache")
+        if cached is None:
+            cached = hash((
+                self.table, self.key_columns, self.included_columns,
+                self.kind, self.method, self.filter, self.mv,
+            ))
+            object.__setattr__(self, "_hash_cache", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash_cache", None)
+        return state
+
     # ------------------------------------------------------------------
     @property
     def is_partial(self) -> bool:

@@ -23,9 +23,9 @@ def test_memoized_lanes_match_cost_access_to_the_float(small_stats):
     stats = small_stats.table("fact")
     predicates = (Comparison("f_cat", "=", "CAT_1"),)
     needed = ("f_cat", "f_price")
-    base = (IndexDef("fact", (), kind=IndexKind.HEAP), 40 * 8192.0)
+    base = IndexDef("fact", (), kind=IndexKind.HEAP)
     structures = [
-        (base[0], base[1], 4000.0),
+        (base, 40 * 8192.0, 4000.0),
         (IndexDef("fact", ("f_cat",), included_columns=("f_price",)),
          10 * 8192.0, 4000.0),
         (IndexDef("fact", ("f_cat",)), 6 * 8192.0, 4000.0),

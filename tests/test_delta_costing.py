@@ -570,7 +570,7 @@ class TestSweepMajor:
                         stmt.predicates_of_table(db, ix.table),
                         stmt.columns_of_table(db, ix.table),
                         whatif.stats.table(ix.table), constants,
-                        base_lookup=(heap, whatif._sizes(heap)[0]),
+                        base_lookup=heap,
                     )
                     chosen = whatif.cost_with_plans(stmt, ref)[1][
                         stmt.tables.index(ix.table)

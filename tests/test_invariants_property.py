@@ -10,8 +10,11 @@ from repro.advisor.selection import (
     select_skyline,
     select_top_k,
 )
+from repro.compression.base import CompressionMethod
 from repro.physical.configuration import Configuration
 from repro.physical.index_def import IndexDef
+from repro.physical.mv_def import MVDefinition
+from repro.workload import Aggregate, Join
 from repro.storage.index_build import IndexKind
 from repro.storage.page import PAGE_SIZE, quantize_bytes
 
@@ -27,6 +30,29 @@ def index_defs(draw):
     keys = tuple(draw(key_sets))
     kind = draw(st.sampled_from([IndexKind.SECONDARY, IndexKind.CLUSTERED]))
     return IndexDef("t", keys, kind=kind)
+
+
+MV = MVDefinition(
+    name="m", fact_table="t", tables=("t", "u"), joins=(Join("a", "b"),),
+    group_by=("c",), aggregates=(Aggregate("SUM", ("d",)),),
+)
+
+
+@st.composite
+def structures(draw):
+    """Any member a configuration can hold, on two tables: heaps,
+    clustered and secondary indexes under several methods, and an MV
+    index (clustered, yet no table's base)."""
+    kind = draw(st.sampled_from(list(IndexKind)))
+    method = draw(st.sampled_from([
+        CompressionMethod.NONE, CompressionMethod.ROW, CompressionMethod.PAGE,
+    ]))
+    if draw(st.integers(0, 5)) == 0:
+        return IndexDef("m", ("c",), kind=IndexKind.CLUSTERED,
+                        method=method, mv=MV)
+    table = draw(st.sampled_from(["t", "u"]))
+    keys = () if kind is IndexKind.HEAP else tuple(draw(key_sets))
+    return IndexDef(table, keys, kind=kind, method=method)
 
 
 @st.composite
@@ -78,6 +104,49 @@ class TestConfigurationAlgebra:
         if all(i.kind is IndexKind.SECONDARY for i in indexes):
             assert forward == backward
             assert hash(forward) == hash(backward)
+
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_derived_configurations_equal_fresh_ones(self, data):
+        """``add`` / ``remove`` / ``replace`` derive the new base map
+        from the old one; whatever the sequence, the result is the
+        configuration built from scratch over the same members."""
+        draw = data.draw
+        config = Configuration()
+        members: set[IndexDef] = set()
+        for _ in range(draw(st.integers(0, 12))):
+            op = draw(st.sampled_from(["add", "add", "remove", "replace"]))
+            if op != "add" and not members:
+                continue
+            old = None if op == "add" else draw(st.sampled_from(
+                sorted(members, key=repr)
+            ))
+            if old is not None:
+                members.discard(old)
+            if op == "remove":
+                config = config.remove(old)
+                continue
+            new = draw(structures())
+            if new.kind is not IndexKind.SECONDARY and new.mv is None:
+                members = {
+                    ix for ix in members
+                    if ix.table != new.table or ix.mv is not None
+                    or ix.kind is IndexKind.SECONDARY
+                }
+            members.add(new)
+            config = (
+                config.add(new) if old is None else config.replace(old, new)
+            )
+            fresh = Configuration(members)
+            assert config.indexes == fresh.indexes == members
+            assert config == fresh and hash(config) == hash(fresh)
+            assert config.mv_indexes() == fresh.mv_indexes()
+            for table in ("t", "u", "m"):
+                assert config.base_structure(table) == \
+                    fresh.base_structure(table)
+                assert config.structures_on(table) == \
+                    fresh.structures_on(table)
 
 
 # ----------------------------------------------------------------------

@@ -115,7 +115,7 @@ class TestAccessPaths:
             needed_columns=("f_qty",),
             stats=small_stats.table("fact"),
             constants=DEFAULT_COST_CONSTANTS,
-            base_lookup=(heap(), 8192.0 * 40),
+            base_lookup=heap(),
         )
         assert plan is None
         plan2 = cost_access(
@@ -124,7 +124,7 @@ class TestAccessPaths:
             needed_columns=("f_qty",),
             stats=small_stats.table("fact"),
             constants=DEFAULT_COST_CONSTANTS,
-            base_lookup=(heap(), 8192.0 * 40),
+            base_lookup=heap(),
         )
         assert plan2 is not None
 

@@ -1,5 +1,9 @@
 """Tests for IndexDef, Configuration and MVDefinition."""
 
+import os
+import pickle
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.catalog import IntType, decimal
@@ -62,6 +66,100 @@ class TestIndexDef:
         b = IndexDef("t", ("a",))
         assert a == b
         assert len({a, b}) == 1
+
+
+def _hash_cases() -> list[IndexDef]:
+    mv = MVDefinition(
+        name="m", fact_table="fact", tables=("fact", "dim"),
+        joins=(Join("f_dkey", "d_key"),), group_by=("d_group",),
+        aggregates=(Aggregate("SUM", ("f_price",)),),
+    )
+    return [
+        IndexDef("t", (), kind=IndexKind.HEAP),
+        IndexDef("t", ("a", "b"), kind=IndexKind.CLUSTERED,
+                 method=CompressionMethod.PAGE),
+        IndexDef("t", ("a",), included_columns=("c",),
+                 method=CompressionMethod.ROW),
+        IndexDef("t", ("a",), filter=Comparison("b", "=", "x")),
+        IndexDef("m", ("d_group",), kind=IndexKind.CLUSTERED, mv=mv),
+    ]
+
+
+class CountedHash:
+    """A filter stand-in that counts how often it is hashed."""
+
+    def __init__(self) -> None:
+        self.hashed = 0
+
+    def __hash__(self) -> int:
+        self.hashed += 1
+        return 7
+
+
+_UNPICKLE_SCRIPT = """\
+import pickle
+from tests.test_physical import _hash_cases
+
+loaded = pickle.loads(bytes.fromhex({blob!r}))
+fresh = _hash_cases()
+assert loaded == fresh
+print([hash(ix) == hash(again) for ix, again in zip(loaded, fresh)])
+print([hash(ix) for ix in fresh])
+"""
+
+
+class TestIndexDefHash:
+    """``IndexDef`` caches its hash; it must stay the dataclass's own
+    field-tuple hash (so set iteration order under every hash seed is
+    what it was) and never travel with a copy or a pickle."""
+
+    def test_equals_the_field_tuple_hash(self):
+        for ix in _hash_cases():
+            assert hash(ix) == hash(
+                tuple(getattr(ix, f.name) for f in fields(ix))
+            )
+            assert hash(ix) == hash(ix)
+
+    def test_computed_once_per_instance(self):
+        counted = CountedHash()
+        ix = IndexDef("t", ("a",), filter=counted)
+        for _ in range(3):
+            hash(ix)
+        assert ix in frozenset([ix]) | {IndexDef("t", ("b",))}
+        assert counted.hashed == 1
+
+    def test_replaced_instances_compute_their_own(self):
+        counted = CountedHash()
+        ix = IndexDef("t", ("a",), filter=counted)
+        hash(ix)
+        for other in (
+            ix.with_method(CompressionMethod.ROW),
+            replace(ix, key_columns=("b",)),
+            replace(ix),
+        ):
+            assert "_hash_cache" not in other.__dict__
+            before = counted.hashed
+            assert hash(other) == hash(other)
+            assert counted.hashed == before + 1
+            assert hash(other) == hash(
+                tuple(getattr(other, f.name) for f in fields(other))
+            )
+
+    def test_not_pickled(self, run_with_hashseed):
+        cases = _hash_cases()
+        ours = [hash(ix) for ix in cases]
+        blob = pickle.dumps(cases)
+        assert all(
+            "_hash_cache" not in ix.__dict__ for ix in pickle.loads(blob)
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        same, theirs = run_with_hashseed(
+            _UNPICKLE_SCRIPT.format(blob=blob.hex()), seed
+        ).splitlines()
+        assert same == str([True] * len(cases))
+        # The child's hashes really differ from ours (str hashes are
+        # seeded), so a pickled cache could not have passed.
+        assert theirs != str(ours)
 
 
 class TestConfiguration:

@@ -1,8 +1,8 @@
 """The delta coster's plan table against the optimizer's plan search.
 
 ``DeltaWorkloadCoster`` keeps one piece of costing state — the plan
-table, ``(statement, table, structure, base) -> AccessPlan`` — and
-claims that the first strict minimum over a configuration's entries in
+table, ``(statement, table, structure, base method) -> AccessPlan`` —
+and claims that the first strict minimum over a configuration's entries in
 ``Configuration.structures_on`` order *is* the plan
 ``best_access_plan(_structures_for(table, config))`` picks, so every
 term rebuilt from those plans is the optimizer's own float.  The oracle
@@ -11,11 +11,15 @@ ROW/PAGE, method swaps, removals of the chosen plan, partial and MV
 indexes, an untracked table, forced exact-cost ties) the choice must
 match field for field and every total bit for bit, cold and through a
 warm persistent ``CostCache``; and a counting kernel pins that nothing
-is evaluated twice.
+is evaluated twice.  The key itself is checked too: every base with one
+compression method gives a structure the same plan, and bases with
+different methods do not.
 """
 
+import math
 import tempfile
 from functools import partial
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -30,7 +34,7 @@ from repro.advisor.advisor import (
 from repro.advisor.candidates import CandidateOptions, candidate_indexes
 from repro.compression.base import CompressionMethod
 from repro.datasets.sales import sales_database, sales_workload
-from repro.optimizer.access_paths import best_access_plan
+from repro.optimizer.access_paths import best_access_plan, cost_access
 from repro.optimizer.kernels import CostKernel
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.parallel.cache import CostCache
@@ -44,6 +48,8 @@ from repro.workload.query import Workload
 from tests.test_delta_costing import update_heavy_workload
 
 COMPRESSED = (CompressionMethod.ROW, CompressionMethod.PAGE)
+#: the methods the search gives a base.
+METHODS = (CompressionMethod.NONE, *COMPRESSED)
 #: the table some drawn configurations leave without a base structure.
 UNTRACKED = "stores"
 TIE_SQL = (
@@ -74,17 +80,23 @@ def sales_inputs():
     return db, sales_workload(db), DatabaseStats(db)
 
 
-def _members(db, wl, base):
-    """What the drawn configurations are made of: per table its base
-    variants, and the secondaries — plain, compressed, partial, MV."""
+def _generated(db, wl) -> list[IndexDef]:
+    """Every uncompressed candidate of the workload's statements:
+    secondary, partial, clustered and MV."""
     options = CandidateOptions(
         enable_compression=False, enable_partial=True, enable_mv=True,
         max_candidates_per_query=40,
     )
-    generated = list(dict.fromkeys(
+    return list(dict.fromkeys(
         ix for ws in wl.queries
         for ix in candidate_indexes(db, ws.statement, options)
     ))
+
+
+def _members(db, wl, base):
+    """What the drawn configurations are made of: per table its base
+    variants, and the secondaries — plain, compressed, partial, MV."""
+    generated = _generated(db, wl)
     plain = [
         ix for ix in generated
         if ix.kind is IndexKind.SECONDARY and not ix.is_partial
@@ -363,6 +375,76 @@ def test_disagreeing_plan_costs_retire_a_statement_to_full_recosts(
     assert delta.stats()["full_recosts"] - recosts == len(adds)
     monkeypatch.undo()
     assert costs == [_full(whatif, wl, config) for config in adds]
+
+
+# ----------------------------------------------------------------------
+# the key: a plan reads its base's compression method, nothing else
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", ["sales", "update-heavy"])
+def test_a_plan_reads_only_the_base_method(rigs, name):
+    """The plan table shares one entry between every base with the same
+    compression method.  For each plan-choosing statement (a SELECT or
+    a find probe) and each secondary candidate on each table, the
+    optimizer's own plan against the heap and against every clustered
+    variant with one method is the same, field for field; and with each
+    of those bases as the reference's, the coster's entry under the key
+    it derives is that plan, and the candidate's probe row its costs.
+    Across methods the key must not be shared: every pair of methods
+    has a non-covering secondary whose plan differs."""
+    rig = rigs[name]
+    whatif = rig.whatif
+    constants = whatif.coster.constants
+    delta = whatif.delta_coster(rig.wl)
+    heaps = Configuration(variants[0] for variants in rig.bases.values())
+    generated = _generated(rig.db, rig.wl)
+    differing = set()
+    for table, variants in rig.bases.items():
+        structures = [variants[0], *(
+            ix for ix in generated
+            if ix.table == table and ix.kind is IndexKind.CLUSTERED
+            and not ix.is_mv_index
+        )]
+        assert len(structures) > 1
+        secondaries = [
+            ix for ix in generated
+            if ix.table == table and ix.kind is IndexKind.SECONDARY
+            and not ix.is_mv_index
+        ]
+        stats = whatif.stats.table(table)
+        planned = [
+            (si, *shape.inputs[table])
+            for si, shape in enumerate(delta.tables.shapes)
+            if shape is not None and table in shape.inputs
+        ]
+        plans: dict = {}
+        for method in METHODS:
+            for base in (ix.with_method(method) for ix in structures):
+                delta.rebase(heaps.add(base))
+                key = delta._ref_base(table)[1]
+                for ix in secondaries:
+                    costs = {}
+                    for si, preds, needed in planned:
+                        plan = cost_access(
+                            ix, *whatif._sizes(ix), preds, needed, stats,
+                            constants, base_lookup=base,
+                        )
+                        assert plans.setdefault((si, ix, method), plan) \
+                            == plan
+                        assert delta._plan(si, table, ix, base, key) == plan
+                        if plan is not None and delta.tables.is_select[si]:
+                            costs[si] = plan.cost
+                    assert delta._probe_row(ix) == [
+                        costs.get(si, math.inf)
+                        for si in delta.tables.by_table[table]
+                    ]
+        differing.update(
+            pair
+            for si, _preds, needed in planned
+            for ix in secondaries if not ix.covers(needed)
+            for pair in combinations(METHODS, 2)
+            if plans[si, ix, pair[0]] != plans[si, ix, pair[1]]
+        )
+    assert differing == set(combinations(METHODS, 2))
 
 
 # ----------------------------------------------------------------------
