@@ -83,15 +83,21 @@ def cmd_tune(args) -> int:
         print(f"delta costing: {ds['reused_terms']} terms reused, "
               f"{ds['patched_terms']} plan-patched, "
               f"{ds['full_recosts']} full recosts, "
+              f"{ds['cost_memo_hits']} costings read from the memo, "
               f"{ds['pruned_zero_delta']} candidates pruned by "
               "zero-delta certificates")
     else:
         print(f"full recost: {result.optimizer_calls} optimizer calls "
               "(delta costing off)")
+    _print_configuration(result)
+    return 0
+
+
+def _print_configuration(result) -> None:
+    """One indented line per recommended structure, with its size."""
     for ix in sorted(result.configuration, key=lambda i: i.display_name()):
         print(f"  {ix.display_name():58s} "
               f"{result.sizes[ix] / 1024:8.0f} KiB")
-    return 0
 
 
 def cmd_sweep(args) -> int:
@@ -116,6 +122,7 @@ def cmd_sweep(args) -> int:
               f"{outcome.improvement_pct:>9.1f} "
               f"{outcome.consumed_bytes / 1024:>13.0f} "
               f"{outcome.elapsed_seconds:>7.1f}")
+        _print_configuration(outcome)
     if result.estimation_cache_stats:
         est, cost = result.estimation_cache_stats, result.cost_cache_stats
         print(f"size-estimate cache: {est['hit_rate']:.1%} hit rate "

@@ -64,12 +64,29 @@ single float:
   :meth:`WhatIfOptimizer.cost_with_plans`, which owns the statement
   cache and the persistent :class:`~repro.parallel.cache.CostCache`.
 
+* **The cost memo.**  A workload cost is a pure function of (the
+  configuration, the weights, the stage), so :meth:`DeltaWorkloadCoster.
+  workload_cost` stores each one it costs and answers the same
+  configuration again — in a later sweep, a converging seeded start, a
+  rerun, the next budget of a sweep — with the stored float: the one
+  the costing body returned.  A sweep-shaped configuration
+  ``reference ∪ {secondary}`` is keyed by (the reference's members,
+  the secondary), so one frozenset serves a whole sweep; any other by
+  its own members (a frozenset).  The memo lives beside the plan table in
+  :class:`PlanTables` and holds one weight vector at a time: a coster
+  with other weights (a retune phase) replaces it, and a statement
+  joining ``distrusted`` empties it, since entries may have been built
+  from that statement's plans.  The first reference and the reference
+  itself are answered before the memo is consulted; every read is
+  counted in ``cost_memo_hits``.
+
 * **Zero-delta certificates.**  :meth:`improvement_possible` lets the
   enumerator skip a pure add without costing it when every affected
   statement is a SELECT whose probes all strictly lose: the
   candidate's total is bit-identical to the current cost, so the full
   path would compute ``delta_cost == 0`` and skip it anyway.  Exact
-  under every search strategy.
+  under every search strategy.  A candidate the memo holds is read
+  instead of certified, and a certified one is never stored.
 
 Determinism contract: recommendations with delta costing on are
 byte-identical to the full-recost path at any worker count.  A term is
@@ -79,12 +96,13 @@ whose outcome is provably invisible.
 
 State comes in two lifetimes.  A **coster** is per-run state: its
 weights, reference and counters belong to one search and are never
-shared.  The :class:`PlanTables` under it are weight-,
-budget- and reference-free — every entry a pure function of its key
-under one optimizer's sizes and statistics — so any number of costers
-over the same statement sequence (a rerun, another budget or algorithm,
-a drifted phase's weights) may read and fill one set of tables, one
-after another.  The one rule that bounds that sharing: plan-table keys
+shared.  The :class:`PlanTables` under it are budget- and
+reference-free — every entry a pure function of its key under one
+optimizer's sizes and statistics (a cost-memo entry also of the weight
+vector the memo is held for) — so any number of costers over the same
+statement sequence (a rerun, another budget or algorithm, a drifted
+phase's weights) may read and fill one set of tables, one after
+another.  The one rule that bounds that sharing: plan-table keys
 do not embed size estimates (unlike the persistent
 :class:`~repro.parallel.cache.CostCache`), so **a plan table must never
 outlive the estimator whose sizes it was built from**.  The advisor
@@ -148,15 +166,6 @@ class _RefVector:
         self.reusable = reusable
 
 
-def _sole_addition(added, removed) -> "IndexDef | None":
-    """The one non-MV index a pure single-add diff adds (the sweep
-    shape ``reference ∪ {candidate}``), else None."""
-    if removed or len(added) != 1:
-        return None
-    (ix,) = added
-    return ix if ix.mv is None else None
-
-
 def _plan_tables(diff: Iterable[IndexDef]) -> set[str]:
     """The tables whose plan search a diff changes: its non-MV
     members' (an MV index only ever enters through substitution)."""
@@ -170,20 +179,25 @@ def _mv_tables(config: Configuration) -> list[tuple[str, ...]]:
 
 
 class PlanTables:
-    """The weight-free half of delta costing, shareable by every coster
-    over one optimizer and one statement sequence.
+    """The stage-lifetime half of delta costing, shareable by every
+    coster over one optimizer and one statement sequence.
 
     Holds the statement skeleton and the tables whose entries are pure
     functions of (statement position, structures, the optimizer's sizes
     and statistics): the plan table, the probe rows read off it, the
     per-SELECT shapes, the maintenance contributions, and the first
-    (base) reference's unweighted totals and plans.  Nothing here
+    (base) reference's unweighted totals and plans.  None of these
     depends on statement weights, a budget or a reference
     configuration, so costers built over reweighted copies of the same
     statements (a rerun, another budget, a drifted phase) read and fill
     the same entries.  Keys do not embed sizes: the tables share the
     lifetime of the optimizer — and the estimator behind its size
     lookup — they were built against, never a longer one.
+
+    The one weighted field is the **cost memo**, configuration ->
+    weighted workload cost, held for one weight vector at a time:
+    a coster with other weights replaces it (:meth:`cost_memo_for`),
+    and a distrusted statement empties it (:meth:`distrust`).
     """
 
     def __init__(self, coster: StatementCoster,
@@ -238,6 +252,29 @@ class PlanTables:
         #: coster starts from, so a later coster weights it instead of
         #: asking the optimizer again.
         self.first_reference: tuple | None = None
+        #: the one weighted field: configuration -> workload cost under
+        #: the weight vector ``memo_weights`` (:meth:`cost_memo_for`),
+        #: keyed by (reference members, secondary) for the sweep shape
+        #: and by the members otherwise
+        #: (:meth:`DeltaWorkloadCoster._memo_key`); emptied whenever a
+        #: statement joins ``distrusted``.
+        self.cost_memo: dict = {}
+        self.memo_weights: list | None = None
+
+    def cost_memo_for(self, weights: list) -> dict:
+        """The workload-cost memo a coster with ``weights`` reads: the
+        held one if it was filled under an equal weight vector, else an
+        empty one that replaces it — one weight vector at a time."""
+        if weights != self.memo_weights:
+            self.cost_memo = {}
+            self.memo_weights = weights
+        return self.cost_memo
+
+    def distrust(self, si: int) -> None:
+        """Retire statement ``si`` to full recosts, and drop every memo
+        entry that may have been built from its plans."""
+        self.distrusted.add(si)
+        self.cost_memo.clear()
 
 
 class DeltaWorkloadCoster:
@@ -271,6 +308,7 @@ class DeltaWorkloadCoster:
             )
         self.tables = tables
         self._weights = [ws.weight for ws in statements]
+        self._memo = tables.cost_memo_for(self._weights)
         # The shared containers under the names the costing code reads
         # (filled in place, never rebound).
         self._stmts = tables.stmts
@@ -320,6 +358,7 @@ class DeltaWorkloadCoster:
         self.full_recosts = 0
         self.probe_evals = 0
         self.pruned_zero_delta = 0
+        self.cost_memo_hits = 0
 
     # ------------------------------------------------------------------
     # reference management
@@ -374,21 +413,51 @@ class DeltaWorkloadCoster:
     # costing
     # ------------------------------------------------------------------
     def workload_cost(self, config: Configuration) -> float:
-        """Weighted workload cost of ``config``, re-evaluating only the
-        statements on the tables its diff against the reference touches
-        — and, for ``reference ∪ {one secondary}``, only those the
-        candidate's probe row does not strictly lose on."""
+        """Weighted workload cost of ``config``: read from the cost
+        memo when this weight vector costed it before over these
+        tables, else costed and stored.  Costing re-evaluates only the
+        statements on the tables the diff against the reference touches
+        — and, for the sweep shape ``reference ∪ {one secondary}``, only
+        those the candidate's probe row does not strictly lose on."""
         if self._ref_config is None:
             return self.rebase(config)
-        ref = self._ref_config
-        if config == ref:
+        if config == self._ref_config:
             return self._ref_total
-        added = config.indexes - ref.indexes
-        removed = ref.indexes - config.indexes
-        ix = _sole_addition(added, removed)
-        if ix is not None and ix.kind is IndexKind.SECONDARY:
-            return self._sole_add_cost(ix, config)
-        diff = added | removed
+        key, ix = self._memo_key(config)
+        memo = self._memo
+        if memo is not self.tables.cost_memo:
+            # A coster with other weights has taken the memo since.
+            memo = {}
+        cost = memo.get(key)
+        if cost is not None:
+            self.cost_memo_hits += 1
+            return cost
+        cost = memo[key] = (
+            self._diff_cost(config) if ix is None
+            else self._sole_add_cost(ix, config)
+        )
+        return cost
+
+    def _memo_key(self, config: Configuration) -> tuple:
+        """(cost-memo key, sweep candidate) of ``config``.  The sweep
+        shape ``reference ∪ {secondary}`` is keyed by (reference
+        members, the secondary), so a whole sweep shares one frozenset;
+        any other configuration by its own members."""
+        ref = self._ref_config.indexes
+        members = config.indexes
+        if len(members) == len(ref) + 1:
+            added = members - ref
+            if len(added) == 1:
+                (ix,) = added
+                if ix.mv is None and ix.kind is IndexKind.SECONDARY:
+                    return (ref, ix), ix
+        return members, None
+
+    def _diff_cost(self, config: Configuration) -> float:
+        """Workload cost of any configuration but the sweep shape:
+        re-choose on the tables the diff touches, and keep the
+        reference's plans elsewhere."""
+        diff = config.indexes ^ self._ref_config.indexes
         affected = self._affected(diff)
         if not affected:
             return self._ref_total
@@ -457,15 +526,15 @@ class DeltaWorkloadCoster:
 
         False (a zero-delta certificate) means its total is provably
         bit-identical to the reference cost, so the enumerator may skip
-        it entirely."""
+        it entirely.  A configuration the cost memo holds is never
+        certified: reading its cost is cheaper than the certificate."""
         ref = self._ref_config
         if ref is None:
             return True
-        added = config.indexes - ref.indexes
-        if ref.indexes - config.indexes:
-            return True  # swaps/base replacements: never certified
-        ix = _sole_addition(added, ())
-        if ix is not None and ix.kind is IndexKind.SECONDARY:
+        key, ix = self._memo_key(config)
+        if self._memo is self.tables.cost_memo and key in self._memo:
+            return True
+        if ix is not None:
             # The sweep shape: every statement on the table must have a
             # chosen plan the candidate's probe strictly loses to.
             certified = all(map(
@@ -473,6 +542,9 @@ class DeltaWorkloadCoster:
                 self._probe_row(ix), self._ref_vector(ix.table).chosen,
             ))
         else:
+            added = config.indexes - ref.indexes
+            if ref.indexes - config.indexes:
+                return True  # swaps/base replacements: never certified
             certified = all(
                 self._is_select[si]
                 and self._ref_plans[si] is not None
@@ -515,6 +587,7 @@ class DeltaWorkloadCoster:
             "probe_entries": len(self._probes),
             "maintenance_entries": len(self._maint_terms),
             "pruned_zero_delta": self.pruned_zero_delta,
+            "cost_memo_hits": self.cost_memo_hits,
         }
 
     # ------------------------------------------------------------------
@@ -608,7 +681,7 @@ class DeltaWorkloadCoster:
             if plans is not None and plan_costs != tuple(
                 plan.cost for plan in plans
             ):
-                self._distrusted.add(si)
+                self.tables.distrust(si)
                 plans = None
         return (
             self._weights[si] * breakdown.total, breakdown.total, plans

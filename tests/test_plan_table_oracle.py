@@ -13,7 +13,10 @@ match field for field and every total bit for bit, cold and through a
 warm persistent ``CostCache``; and a counting kernel pins that nothing
 is evaluated twice.  The key itself is checked too: every base with one
 compression method gives a structure the same plan, and bases with
-different methods do not.
+different methods do not.  Last, the cost memo above the terms: every
+float it stores or answers is what a fresh coster over fresh tables
+and the optimizer answer, and it holds one weight vector at a time,
+starts empty in a fork view and empties when a statement is distrusted.
 """
 
 import math
@@ -523,3 +526,142 @@ def test_a_tune_evaluates_each_plan_once(sales_inputs):
     assert delta["probe_evals"] == delta["probe_entries"]
     assert kernel.lanes_total - recost_lanes <= delta["probe_entries"]
     assert kernel.lanes_total == result.kernel_stats["lanes_total"]
+
+
+# ----------------------------------------------------------------------
+# the cost memo: one weighted answer per configuration, per stage
+# ----------------------------------------------------------------------
+def _heaps_and_adds(rig):
+    heaps = Configuration(variants[0] for variants in rig.bases.values())
+    adds = [
+        heaps.add(ix) for ix in rig.extras
+        if ix.kind is IndexKind.SECONDARY and not ix.is_mv_index
+    ]
+    return heaps, adds
+
+
+def _memo_entries(tables):
+    """The memo as (configuration, stored cost) pairs: a sweep entry is
+    keyed by (reference members, the added secondary)."""
+    for key, cost in tables.cost_memo.items():
+        if isinstance(key, tuple):
+            ref, ix = key
+            key = ref | {ix}
+        yield Configuration(key), cost
+
+
+@PROPERTY
+@given(data=st.data())
+def test_the_cost_memo_holds_the_bodys_answers(rigs, data):
+    """A search-like walk — adds, removals, base swaps, method swaps,
+    rebases — costs every configuration twice in a row through one
+    coster, and once more after the walk has moved on.  Every answer,
+    and every float the memo stores, is what the costing body of a
+    fresh coster over fresh tables answers, and the optimizer's."""
+    rig = rigs["sales"]
+    whatif, wl = rig.whatif, rig.wl
+    draw = data.draw
+    delta = whatif.delta_coster(wl)
+    start = ref = _draw_config(draw, rig)
+    delta.rebase(ref)
+    walk = []
+    for _ in range(draw(st.integers(2, 6))):
+        config = _draw_neighbour(draw, rig, ref)
+        first = delta.workload_cost(config)
+        hits = delta.cost_memo_hits
+        assert delta.workload_cost(config) == first
+        assert delta.cost_memo_hits - hits == (config != ref)
+        walk.append((config, first))
+        if draw(st.booleans()):
+            ref = config
+            delta.rebase(ref)
+    again = [delta.workload_cost(config) for config, _cost in walk]
+
+    def body(config):
+        fresh = whatif.delta_coster(wl)
+        fresh.rebase(start)
+        return fresh.workload_cost(config)
+
+    for (config, first), last in zip(walk, again):
+        assert first == last == body(config) == _full(whatif, wl, config)
+    for config, cost in _memo_entries(delta.tables):
+        assert cost == _full(whatif, wl, config)
+
+
+def test_a_coster_over_other_weights_reads_no_entry_of_the_memo(rigs):
+    """The memo holds one weight vector at a time: a coster over the
+    same statements reweighted replaces it, reads none of the first
+    weights' entries, and neither does the first coster afterwards; a
+    coster with equal weights shares what is held."""
+    rig = rigs["sales"]
+    whatif, wl = rig.whatif, rig.wl
+    heaps, adds = _heaps_and_adds(rig)
+    first = whatif.delta_coster(wl)
+    first.rebase(heaps)
+    first.batch(adds)
+    tables = first.tables
+    assert len(tables.cost_memo) == len(adds)
+
+    reweighted = wl.reweighted(1.0, 25.0)
+    other = whatif.delta_coster(reweighted, tables)
+    assert not tables.cost_memo
+    other.rebase(heaps)
+    costs = other.batch(adds)
+    assert other.cost_memo_hits == 0
+    assert costs == [_full(whatif, reweighted, config) for config in adds]
+    held = dict(tables.cost_memo)
+
+    assert first.batch(adds) == [_full(whatif, wl, c) for c in adds]
+    assert first.cost_memo_hits == 0
+    assert tables.cost_memo == held
+
+    same = whatif.delta_coster(wl.reweighted(1.0, 25.0), tables)
+    same.rebase(heaps)
+    assert same.batch(adds) == costs
+    assert same.cost_memo_hits == len(adds)
+
+
+def test_a_fork_view_starts_with_an_empty_memo(rigs):
+    rig = rigs["sales"]
+    heaps, adds = _heaps_and_adds(rig)
+    delta = rig.whatif.delta_coster(rig.wl)
+    delta.rebase(heaps)
+    costs = delta.batch(adds)
+    view = delta.fork_view()
+    assert view.tables is not delta.tables
+    assert view.tables.cost_memo == {}
+    view.rebase(heaps)
+    assert view.batch(adds) == costs
+    assert view.cost_memo_hits == 0
+    assert len(delta.tables.cost_memo) == len(adds)
+
+
+def test_a_distrusted_statement_empties_the_memo(rigs, monkeypatch):
+    """A statement joins ``distrusted`` when the optimizer reports plan
+    costs its plan-table choice does not reproduce; every memo entry
+    may have been built from its plans, so none survives."""
+    rig = rigs["sales"]
+    whatif, wl = rig.whatif, rig.wl
+    heaps, adds = _heaps_and_adds(rig)
+    delta = whatif.delta_coster(wl)
+    delta.rebase(heaps)
+    delta.batch(adds)
+    assert delta.tables.cost_memo and not delta._distrusted
+
+    victim = wl.statements[0].statement
+    reported = whatif.cost_with_plans
+
+    def stale(statement, config):
+        breakdown, plan_costs = reported(statement, config)
+        if statement is victim:
+            plan_costs = tuple(cost * 2 for cost in plan_costs)
+        return breakdown, plan_costs
+
+    monkeypatch.setattr(whatif, "cost_with_plans", stale)
+    # Another first reference over the same tables asks the optimizer.
+    other = whatif.delta_coster(wl, delta.tables)
+    other.rebase(adds[0])
+    assert delta._distrusted == {0}
+    assert not delta.tables.cost_memo
+    monkeypatch.undo()
+    assert other.batch(adds) == [_full(whatif, wl, c) for c in adds]

@@ -787,6 +787,77 @@ def test_run_after_an_aborted_run_equals_a_fresh_session(inputs, delta):
             assert result.cache_stats["misses"] == 0
 
 
+# ----------------------------------------------------------------------
+# the cost memo: what later searches over a held stage do not cost again
+# ----------------------------------------------------------------------
+def test_a_second_budget_over_the_held_memo_equals_a_cold_tune(inputs):
+    """tune(0.1) then tune(0.2) on one session: the second search reads
+    the costs the first one left, and is the cold tune at 0.2, result
+    and event stream."""
+    total = inputs[0].total_data_bytes()
+    held = _Recorded(inputs)
+    held.run("tune", total * 0.1)
+    second = held.run("tune", total * 0.2)
+    assert second[:2] == _Recorded(inputs).run("tune", total * 0.2)[:2]
+    assert second[2].delta_stats["cost_memo_hits"] > 0
+
+
+def test_a_tune_after_a_retune_equals_a_cold_tune(inputs):
+    """tune -> retune(phase 1) -> tune on one session: the retune's
+    weights replace the memo, and the last tune, under the first
+    weights again, is the cold tune, result and event stream."""
+    spec = DriftSpec(**DRIFT)
+    phases = [drift_phase(inputs[1], spec, k) for k in range(2)]
+
+    def session():
+        return _Recorded(inputs, workload=None, budget_fraction=0.15)
+
+    held = session()
+    held.run("tune", workload=phases[0])
+    held.run("retune", workload=phases[1])
+    last = held.run("tune", workload=phases[0])
+    assert last[:2] == session().run("tune", workload=phases[0])[:2]
+
+
+def test_a_rerun_costs_nothing_anew(inputs, monkeypatch):
+    """The same request again: every costing that is not the reference
+    itself is read from the memo, which gains no entry, and no plan is
+    evaluated and no statement recosted."""
+    from repro.optimizer.delta import DeltaWorkloadCoster
+
+    budget = _budgets(inputs)[0]
+    held = _Recorded(inputs)
+    held.run("tune", budget)
+    stored = len(held.stage.tables.cost_memo)
+    asked = 0
+    workload_cost = DeltaWorkloadCoster.workload_cost
+
+    def counted(coster, config):
+        nonlocal asked
+        ref = coster._ref_config
+        asked += ref is not None and config != ref
+        return workload_cost(coster, config)
+
+    monkeypatch.setattr(DeltaWorkloadCoster, "workload_cost", counted)
+    delta = held.run("tune", budget)[2].delta_stats
+    assert asked > 0
+    assert delta["cost_memo_hits"] == asked
+    assert delta["probe_evals"] == delta["full_recosts"] == 0
+    assert len(held.stage.tables.cost_memo) == stored
+
+
+def test_converging_seeded_starts_read_the_memo_on_tpch():
+    """A cold tune's later seeded starts re-walk configurations the
+    first one costed (the INSERT-heavy, skewed TPC-H mix)."""
+    from repro.datasets.tpch import tpch_database, tpch_workload
+
+    db = tpch_database(scale=0.1, z=1.0)
+    wl = tpch_workload(db, select_weight=1, insert_weight=10)
+    result = Session(db, wl, variant="dtac-both",
+                     budget_fraction=0.2).tune()
+    assert result.delta_stats["cost_memo_hits"] > 0
+
+
 class _Served:
     """A service context whose jobs are recorded: ``run(kind, **fields)``
     returns the canonical envelope (everything but ``meta``), the

@@ -27,8 +27,9 @@ from repro.api import run_sweep, tune
 from repro.datasets import tpch_database, tpch_workload
 from repro.datasets.sales import sales_database, sales_workload
 from repro.errors import AdvisorError, JobCancelled, ServiceError
-from repro.service import AdvisorService, describe_algorithms
+from repro.service import AdvisorService, describe_algorithms, faults
 from repro.service.context import _REQUEST_OPTION_FIELDS
+from repro.service.faults import FaultPlan
 
 
 ALL_ALGORITHMS = algorithms.names()
@@ -321,7 +322,11 @@ class TestServiceIntegration:
     ):
         """An anytime tune job streams best_so_far events; cancelling
         mid-run leaves the job cancelled with the streamed prefix
-        intact — the client keeps the last best_so_far as its result."""
+        intact — the client keeps the last best_so_far as its result.
+
+        Every costing step is held for a quarter second, so the cancel
+        sent on the second best_so_far lands while the search still
+        has steps to go, however fast the search is."""
         db, wl = service_inputs
 
         async def scenario():
@@ -347,7 +352,11 @@ class TestServiceIntegration:
             finally:
                 await service.stop()
 
-        snapshot, events = self._run(scenario())
+        faults.install(FaultPlan.parse("coster.batch:delay=0.25"))
+        try:
+            snapshot, events = self._run(scenario())
+        finally:
+            faults.clear()
         best = [e for e in events if e["event"] == "best_so_far"]
         assert len(best) >= 2
         assert snapshot["state"] == "cancelled"
