@@ -6,6 +6,8 @@ merging, enumeration — with the compression extensions of Sections 4-6.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -30,7 +32,7 @@ from repro.advisor.selection import (
 from repro.catalog.schema import Database
 from repro.compression.base import CompressionMethod
 from repro.errors import AdvisorError
-from repro.optimizer.constants import DEFAULT_COST_CONSTANTS, CostConstants
+from repro.optimizer.constants import DEFAULT_COST_CONSTANTS
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.parallel.cache import CostCache
 from repro.physical.configuration import Configuration
@@ -69,6 +71,94 @@ def quantized_size_lookup(
     )
 
 
+def check_budget(name: str, value) -> float:
+    """``value`` as a storage budget — a real number (a bool is not
+    one), finite and non-negative — or :class:`AdvisorError` naming
+    ``name``.  The one rule for a budget in bytes or as a fraction, and
+    for any finite non-negative number: :data:`OPTION_RULES`, a
+    session's budgets, :func:`repro.api.run_sweep`'s budgets, a service
+    payload's budgets and the job tier's routing numbers apply it."""
+    budget = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            budget = float(value)
+        except OverflowError:  # an int past float range
+            pass
+    if not 0 <= budget < math.inf:
+        raise AdvisorError(
+            f"{name} must be a finite non-negative number, got {value!r}"
+        )
+    return budget
+
+
+def check_seed(name: str, value) -> int:
+    """``value`` as a sampling seed — an integer (a bool is not one),
+    as a plain ``int`` so every spelling of it draws one sample stream
+    — or :class:`AdvisorError` naming ``name``.  A session, a sweep's
+    seeds and a service payload's seeds apply it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise AdvisorError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _flag(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise AdvisorError(f"{name} must be a bool, got {value!r}")
+    return value
+
+
+def _count(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < 1:
+        raise AdvisorError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def _probability(name: str, value) -> float:
+    number = check_budget(name, value)
+    if number > 1:
+        raise AdvisorError(f"{name} must be in [0, 1], got {value!r}")
+    return number
+
+
+def _one_of(choices: "Callable[[], list[str]]") -> Callable:
+    """The check that a value is one of ``choices()``: a callable, so
+    an algorithm registered after this module is imported counts."""
+    def check(name: str, value) -> str:
+        if not isinstance(value, str) or value not in choices():
+            raise AdvisorError(
+                f"{name} {value!r} is unknown; choose from {choices()}"
+            )
+        return value
+    return check
+
+
+#: The one rule for every :class:`AdvisorOptions` field: field -> check,
+#: which returns the value (numbers as plain ``int``/``float``) or
+#: raises :class:`AdvisorError` naming the field.  A new field must get
+#: an entry (``tests/test_api_facade.py`` fails otherwise).
+OPTION_RULES: "dict[str, Callable[[str, object], object]]" = {
+    "budget_bytes": check_budget,
+    "enable_compression": _flag,
+    "candidate_selection": _one_of(lambda: ["topk", "skyline"]),
+    "top_k": _count,
+    "strategy": _one_of(lambda: ["greedy", "density"]),
+    "backtracking": _flag,
+    "seed_fanout": _count,
+    "min_improvement": check_budget,
+    "enable_partial": _flag,
+    "enable_mv": _flag,
+    "enable_merging": _flag,
+    "compression_aware_merging": _flag,
+    "max_key_columns": _count,
+    "skyline_cluster_max": _count,
+    "e": check_budget,
+    "q": _probability,
+    "delta_costing": _flag,
+    "algorithm": _one_of(algorithms.names),
+}
+
+
 @dataclass(frozen=True)
 class AdvisorOptions:
     """Advisor configuration.
@@ -91,6 +181,9 @@ class AdvisorOptions:
     context, a sweep) picks the caches its runs fork.
     A run never forks: parallelism is :func:`repro.api.run_sweep`'s,
     whose shard unit is a whole run.
+
+    Building one checks every field against :data:`OPTION_RULES`; each
+    entry point builds its options before doing any work.
     """
 
     budget_bytes: float
@@ -119,6 +212,10 @@ class AdvisorOptions:
     #: ``best_so_far`` events).  Orthogonal to ``variant``: a variant
     #: bundles candidate/costing flags, the algorithm picks the search.
     algorithm: str = "greedy-backtrack"
+
+    def __post_init__(self) -> None:
+        for name, check in OPTION_RULES.items():
+            object.__setattr__(self, name, check(name, getattr(self, name)))
 
 
 @dataclass
@@ -238,8 +335,7 @@ class PreparedStage:
     tables: "PlanTables | None"
 
 
-def _cost_context(estimator: SizeEstimator, e: float, q: float,
-                  constants: CostConstants) -> str:
+def _cost_context(estimator: SizeEstimator, e: float, q: float) -> str:
     """Fingerprint of every run-level input a persisted what-if cost
     depends on beyond the (statement, sized structures) key: the
     sampled data behind the size estimates, the accuracy constraint
@@ -255,7 +351,7 @@ def _cost_context(estimator: SizeEstimator, e: float, q: float,
         f"deduction={estimator.use_deduction};"
         f"default_fraction={estimator.default_fraction!r};"
         f"fractions={estimator.fractions!r};"
-        f"constants={constants!r}"
+        f"constants={DEFAULT_COST_CONSTANTS!r}"
     )
     return hashlib.sha256(material.encode()).hexdigest()
 
@@ -275,8 +371,6 @@ class TuningAdvisor:
         options: AdvisorOptions,
         estimator: SizeEstimator | None = None,
         stats: DatabaseStats | None = None,
-        constants: CostConstants = DEFAULT_COST_CONSTANTS,
-        base_config: Configuration | None = None,
         cost_cache: CostCache | None = None,
         progress: ProgressHook | None = None,
         algorithm_cls: "Callable[..., object] | None" = None,
@@ -286,14 +380,12 @@ class TuningAdvisor:
         self.database = database
         self.workload = workload
         self.options = options
-        #: resolved up front so an unknown name fails before any
-        #: estimation work (and so the service can 400 at submit time).
-        #: A caller-supplied ``algorithm_cls`` (e.g. the retune search,
+        #: a caller-supplied ``algorithm_cls`` (e.g. the retune search,
         #: which carries a previous configuration no registry name can)
-        #: overrides the registry lookup but never skips it.
-        self._algorithm_cls = algorithms.get(options.algorithm)
-        if algorithm_cls is not None:
-            self._algorithm_cls = algorithm_cls
+        #: overrides the registry lookup.
+        self._algorithm_cls = (
+            algorithm_cls or algorithms.get(options.algorithm)
+        )
         #: structures injected into the enumeration pool beyond what
         #: candidate generation finds — retunes pass the previous
         #: configuration's members so drops can be re-added.
@@ -304,8 +396,8 @@ class TuningAdvisor:
         self.stage = stage
         if stage is not None:
             # Everything preparation built, and what it was built over
-            # (``estimator``/``stats``/``constants``/``base_config``/
-            # ``cost_cache`` arguments are the stage's).
+            # (``estimator``/``stats``/``cost_cache`` arguments are the
+            # stage's).
             if stage.whatif.database is not database \
                     or stage.key != stage_key(
                         workload, options, stage.estimator.manager.seed
@@ -327,15 +419,12 @@ class TuningAdvisor:
             self.whatif = WhatIfOptimizer(
                 database, self.stats,
                 sizes=partial(quantized_size_lookup, self.estimator),
-                constants=constants, cost_cache=cost_cache,
+                cost_cache=cost_cache,
                 cost_context=partial(
                     _cost_context, self.estimator, options.e, options.q,
-                    constants,
                 ),
             )
-            self.base_config = (
-                base_config or self.default_base_configuration()
-            )
+            self.base_config = default_base_configuration(database)
         self.cost_cache = self.whatif.cost_cache
         self._original_base_sizes = {
             ix.table: self._index_size(ix) for ix in self.base_config
@@ -353,10 +442,6 @@ class TuningAdvisor:
         )
 
     # ------------------------------------------------------------------
-    def default_base_configuration(self) -> Configuration:
-        """Uncompressed heaps for every table (the untuned database)."""
-        return default_base_configuration(self.database)
-
     def _emit(self, event: str, **fields) -> None:
         """Report one progress event (no-op without a hook).  The hook
         may raise to abort the run — cancellation rides this path."""
@@ -501,12 +586,8 @@ class TuningAdvisor:
                 for keep in select_top_k(configs, options.top_k):
                     if keep not in selected:
                         selected.append(keep)
-            elif options.candidate_selection == "topk":
-                selected = select_top_k(configs, options.top_k)
             else:
-                raise AdvisorError(
-                    f"unknown selection {options.candidate_selection!r}"
-                )
+                selected = select_top_k(configs, options.top_k)
             for config in selected:
                 # Stable order: pool order feeds greedy tie-breaking,
                 # so it must not follow frozenset iteration.

@@ -40,15 +40,10 @@ class AnytimeGreedyAlgorithm(SelectionAlgorithm):
         "best_so_far event; cancel early and keep the last one"
     )
 
-    @classmethod
-    def options_schema(cls) -> dict:
-        return {
-            **super().options_schema(),
-            "strategy": {
-                "type": "string", "default": "greedy",
-                "description": "'greedy' or 'density' step scoring",
-            },
-        }
+    option_descriptions = {
+        **SelectionAlgorithm.option_descriptions,
+        "strategy": "'greedy' or 'density' step scoring",
+    }
 
     def run(self, pool: list[IndexDef],
             base_config: Configuration) -> EnumerationResult:

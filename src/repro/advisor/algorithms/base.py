@@ -44,7 +44,9 @@ name through :func:`get`; ``names()`` lists the valid set.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import typing
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -66,6 +68,9 @@ DENSITY_FLOOR_BYTES = 8192.0
 
 #: Hard cap on the iterations of one greedy fill.
 MAX_FILL_STEPS = 60
+
+#: JSON schema type of each :class:`AdvisorOptions` field type.
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string"}
 
 #: Accepted-step hook of the moves: ``(configuration, cost, step label)``.
 #: Observational, like the progress hook it usually feeds.
@@ -135,6 +140,13 @@ class SelectionAlgorithm:
     name: "str | None" = None
     #: one-line description for ``/v1/algorithms`` and the CLI table.
     summary: str = ""
+    #: every :class:`~repro.advisor.advisor.AdvisorOptions` field this
+    #: algorithm reads -> its description.  Every algorithm honors the
+    #: shared budget/improvement knobs; subclasses extend the mapping.
+    option_descriptions: "dict[str, str]" = {
+        "budget_bytes": "storage budget for additional structures",
+        "min_improvement": "relative cost-drop acceptance threshold",
+    }
 
     def __init__(
         self,
@@ -170,19 +182,22 @@ class SelectionAlgorithm:
     @classmethod
     def options_schema(cls) -> dict:
         """JSON-able schema of the options this algorithm reads —
-        served by ``GET /v1/algorithms``.  Every algorithm honors the
-        shared budget/improvement knobs; subclasses extend with their
-        own."""
-        return {
-            "budget_bytes": {
-                "type": "number",
-                "description": "storage budget for additional structures",
-            },
-            "min_improvement": {
-                "type": "number", "default": 1e-4,
-                "description": "relative cost-drop acceptance threshold",
-            },
-        }
+        served by ``GET /v1/algorithms``: each field's type and default
+        are :class:`~repro.advisor.advisor.AdvisorOptions`' own, so the
+        schema cannot drift from what a run accepts."""
+        # Imported here: the advisor module imports this package.
+        from repro.advisor.advisor import AdvisorOptions
+
+        types = typing.get_type_hints(AdvisorOptions)
+        defaults = {f.name: f.default
+                    for f in dataclasses.fields(AdvisorOptions)}
+        schema = {}
+        for name, description in cls.option_descriptions.items():
+            entry = schema[name] = {"type": _JSON_TYPES[types[name]]}
+            if defaults[name] is not dataclasses.MISSING:
+                entry["default"] = defaults[name]
+            entry["description"] = description
+        return schema
 
     # ------------------------------------------------------------------
     def consumed(self, config: Configuration) -> float:

@@ -43,26 +43,15 @@ class GreedyBacktrackAlgorithm(SelectionAlgorithm):
         "final method polish (the paper's DTA/DTAc search; default)"
     )
 
-    @classmethod
-    def options_schema(cls) -> dict:
-        return {
-            **super().options_schema(),
-            "strategy": {
-                "type": "string", "default": "greedy",
-                "description": "'greedy' (cost drop) or 'density' "
-                               "(cost drop per byte) step scoring",
-            },
-            "backtracking": {
-                "type": "boolean", "default": False,
-                "description": "recover oversized picks by compressing "
-                               "members until they fit (Figure 8)",
-            },
-            "seed_fanout": {
-                "type": "integer", "default": 3,
-                "description": "distinct first choices to grow full "
-                               "greedy runs from",
-            },
-        }
+    option_descriptions = {
+        **SelectionAlgorithm.option_descriptions,
+        "strategy": "'greedy' (cost drop) or 'density' (cost drop per "
+                    "byte) step scoring",
+        "backtracking": "recover oversized picks by compressing members "
+                        "until they fit (Figure 8)",
+        "seed_fanout": "distinct first choices to grow full greedy runs "
+                       "from",
+    }
 
     def run(self, pool: list[IndexDef],
             base_config: Configuration) -> EnumerationResult:

@@ -34,11 +34,9 @@ docstring is the determinism contract of every entry point.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.advisor.advisor import (
     AdvisorOptions,
@@ -47,6 +45,8 @@ from repro.advisor.advisor import (
     ProgressHook,
     TuningAdvisor,
     _tune_decoupled,
+    check_budget,
+    check_seed,
     get_variant,
     stage_key,
 )
@@ -294,48 +294,6 @@ class RetuneResult:
         return self.result.improvement
 
 
-def check_budget(name: str, value) -> float:
-    """``value`` as a storage budget — a real number (a bool is not
-    one), finite and non-negative — or :class:`AdvisorError` naming
-    ``name``.  The one rule for a budget in bytes or as a fraction: the
-    session, :func:`repro.api.run_sweep` and the service apply it."""
-    budget = math.nan
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            budget = float(value)
-        except OverflowError:  # an int past float range
-            pass
-    if not 0 <= budget < math.inf:
-        raise AdvisorError(
-            f"{name} must be a finite non-negative number, got {value!r}"
-        )
-    return budget
-
-
-def check_options(options: Mapping) -> None:
-    """The one rule for advisor option values that type-check but mean
-    nothing, over whichever of them ``options`` names: ``strategy`` is
-    ``"greedy"`` or ``"density"``; ``top_k``, ``max_key_columns`` and
-    ``seed_fanout`` are integers >= 1 (a bool is not one);
-    ``min_improvement`` is a budget-like number (:func:`check_budget`).
-    :class:`AdvisorError` names the first bad field.  The session,
-    :func:`repro.api.run_sweep` and the service apply it."""
-    if options.get("strategy", "greedy") not in ("greedy", "density"):
-        raise AdvisorError(
-            f"strategy must be 'greedy' or 'density', "
-            f"got {options['strategy']!r}"
-        )
-    for name in ("top_k", "max_key_columns", "seed_fanout"):
-        value = options.get(name, 1)
-        if isinstance(value, bool) or not isinstance(
-            value, numbers.Integral
-        ) or value < 1:
-            raise AdvisorError(f"{name} must be an integer >= 1, "
-                               f"got {value!r}")
-    if "min_improvement" in options:
-        check_budget("min_improvement", options["min_improvement"])
-
-
 def _fork(cache):
     return cache.fork_view() if cache is not None else None
 
@@ -411,9 +369,12 @@ class TuningSession:
         self.stats = stats or DatabaseStats(database)
         self.progress = progress
         self.options_extra = dict(options_extra)
-        check_options(self.options_extra)
         self._default_budget = self._resolve_budget(
             budget_bytes, budget_fraction, required=False
+        )
+        # Built only to check every option now, before any run.
+        get_variant(variant).advisor_options(
+            self._default_budget or 0.0, **self.options_extra
         )
         #: the previous recommendation — the next retune's input.  May
         #: be seeded directly (e.g. from a persisted result) to retune
@@ -426,6 +387,17 @@ class TuningSession:
         self.costs: CostCache | None = CostCache(cache_dir)
         #: the latest run's prepared stage.
         self.stage: PreparedStage | None = None
+
+    @property
+    def seed(self) -> int:
+        """The sampling seed of every run; setting it applies
+        :func:`~repro.advisor.advisor.check_seed`, so a holder that
+        reassigns it (a service context, per job) is checked too."""
+        return self._seed
+
+    @seed.setter
+    def seed(self, value) -> None:
+        self._seed = check_seed("seed", value)
 
     # ------------------------------------------------------------------
     def _resolve_budget(
@@ -481,7 +453,6 @@ class TuningSession:
         workload = self._resolve_workload(workload)
         budget = self._resolve_budget(budget_bytes, budget_fraction)
         extra = {**self.options_extra, **extra}
-        check_options(extra)
         options = get_variant(self.variant).advisor_options(budget, **extra)
         if self.stage is not None and \
                 self.stage.key != stage_key(workload, options, self.seed):
@@ -571,7 +542,6 @@ class TuningSession:
         workload = self._resolve_workload(workload)
         budget = self._resolve_budget(budget_bytes, budget_fraction)
         extra = {**self.options_extra, **extra}
-        check_options(extra)
         return _tune_decoupled(
             self.database,
             workload,

@@ -37,9 +37,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.advisor import algorithms
-from repro.advisor.advisor import AdvisorResult, get_variant
-from repro.advisor.retune import TuningSession, check_budget, check_options
+from repro.advisor.advisor import (
+    AdvisorResult,
+    check_budget,
+    check_seed,
+    get_variant,
+)
+from repro.advisor.retune import TuningSession
 from repro.catalog.schema import Database
 from repro.errors import AdvisorError
 from repro.parallel.cache import CostCache, EstimationCache
@@ -235,9 +239,6 @@ def _run_sweep(
     Returns:
         A :class:`SweepResult`, runs ordered seeds-outer budgets-inner.
     """
-    get_variant(variant)
-    algorithms.get(options_extra.get("algorithm", algorithms.DEFAULT_ALGORITHM))
-    check_options(options_extra)
     if "budget_bytes" in options_extra:
         raise AdvisorError(
             "pass budgets as the run_sweep argument, not 'budget_bytes' "
@@ -247,7 +248,11 @@ def _run_sweep(
         raise AdvisorError("run_sweep needs at least one budget")
     budgets = [check_budget(f"budgets[{i}]", budget)
                for i, budget in enumerate(budgets)]
-    seeds = tuple(seeds) if seeds else (DEFAULT_SAMPLE_SEED,)
+    # Built only to check every option before any unit runs.
+    get_variant(variant).advisor_options(budgets[0], **options_extra)
+    seeds = tuple(check_seed(f"seeds[{i}]", seed)
+                  for i, seed in enumerate(seeds or ())) \
+        or (DEFAULT_SAMPLE_SEED,)
     units = [(seed, budget) for seed in seeds for budget in budgets]
 
     start = time.perf_counter()

@@ -113,8 +113,7 @@ as a whole; stage lifetime == estimator lifetime.  A session and a
 service context each hold their latest stage; a sweep holds one stage
 per seed per process, each prepared against a fork view of the
 pre-sweep caches, which keeps sharded and sequential sweeps
-byte-identical.  :meth:`DeltaWorkloadCoster.fork_view` is the explicit
-way out: a sibling coster with empty tables of its own.
+byte-identical.
 """
 
 from __future__ import annotations
@@ -564,18 +563,8 @@ class DeltaWorkloadCoster:
         return None
 
     # ------------------------------------------------------------------
-    # views & stats
+    # stats
     # ------------------------------------------------------------------
-    def fork_view(self) -> "DeltaWorkloadCoster":
-        """A fresh, isolated coster over the same workload.
-
-        Like the persistent caches' :meth:`fork_view`, but the overlay
-        starts *empty* — its own :class:`PlanTables`, not these: keys
-        do not embed size estimates, so entries are only valid under
-        the estimator state that produced them.  For embedders that
-        need a sibling which can never observe this coster's plans."""
-        return type(self)(self.whatif, self.workload)
-
     def stats(self) -> dict:
         return {
             "statements": len(self._stmts),

@@ -21,23 +21,16 @@ complete one.
 
 from __future__ import annotations
 
-import math
-import typing
-
-from repro.advisor import algorithms
 from repro.advisor.advisor import (
     AdvisorOptions,
     AdvisorResult,
+    check_budget,
+    check_seed,
     default_base_configuration,
     get_variant,
     quantized_size_lookup,
 )
-from repro.advisor.retune import (
-    RetuneResult,
-    TuningSession,
-    check_budget,
-    check_options,
-)
+from repro.advisor.retune import RetuneResult, TuningSession
 from repro.catalog.schema import Database
 from repro.compression.base import CompressionMethod
 from repro.errors import AdvisorError, ServiceError
@@ -59,51 +52,6 @@ _REQUEST_OPTION_FIELDS = frozenset({
     "enable_merging", "compression_aware_merging", "max_key_columns",
     "skyline_cluster_max", "e", "q", "delta_costing", "algorithm",
 })
-
-#: AdvisorOptions field -> the Python type its wire value must have.
-_OPTION_TYPES = {
-    name: kind for name, kind in typing.get_type_hints(AdvisorOptions).items()
-    if name in _REQUEST_OPTION_FIELDS
-}
-
-
-def _is_int(value) -> bool:
-    """A JSON integer (a bool is not one)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _as_finite(value) -> "float | None":
-    """A JSON number as a finite float, or None: a bool, a string, NaN,
-    an infinity (JSON text may carry both) or an int past float range
-    is not one."""
-    if not (_is_int(value) or isinstance(value, float)):
-        return None
-    try:
-        number = float(value)
-    except OverflowError:
-        return None
-    return number if math.isfinite(number) else None
-
-
-def _check_seed(name: str, value) -> int:
-    if not _is_int(value):
-        raise ServiceError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _check_option(name: str, value) -> None:
-    expected = _OPTION_TYPES[name]
-    if expected is float:
-        ok = _as_finite(value) is not None
-    elif expected is int:
-        ok = _is_int(value)
-    else:  # bool, str
-        ok = isinstance(value, expected)
-    if not ok:
-        raise ServiceError(
-            f"option {name!r} must be a {expected.__name__}, got {value!r}"
-        )
-
 
 def _column_list(spec: dict, field: str) -> tuple[str, ...]:
     columns = spec.get(field, [])
@@ -305,7 +253,7 @@ class ServiceContext:
             return None
         if not isinstance(seeds, list):
             raise ServiceError(f"'seeds' must be a list, got {seeds!r}")
-        return [_check_seed(f"seeds[{i}]", seed)
+        return [check_seed(f"seeds[{i}]", seed)
                 for i, seed in enumerate(seeds)] or None
 
     def _advisor_extra(self, payload: dict) -> dict:
@@ -319,18 +267,11 @@ class ServiceContext:
                 f"unknown advisor options {sorted(unknown)}; allowed: "
                 f"{sorted(_REQUEST_OPTION_FIELDS)}"
             )
-        for name, value in extra.items():
-            _check_option(name, value)
-        check_options(extra)
-        if "algorithm" in extra:
-            # Validate at submission time: an unknown algorithm must
-            # 400 with the valid set, not 500 out of a running lane.
-            name = extra["algorithm"]
-            if name not in algorithms.names():
-                raise ServiceError(
-                    f"unknown algorithm {name!r}; choose from "
-                    f"{algorithms.names()}"
-                )
+        try:
+            # The options' own rule; the budget is checked on its own.
+            AdvisorOptions(budget_bytes=0.0, **extra)
+        except AdvisorError as exc:
+            raise ServiceError(str(exc)) from None
         return extra
 
     def _variant(self, payload: dict) -> str:
@@ -349,7 +290,7 @@ class ServiceContext:
         job."""
         variant = self._variant(payload)
         extra = self._advisor_extra(payload)
-        seed = _check_seed("seed", payload.get("seed", DEFAULT_SAMPLE_SEED))
+        seed = check_seed("seed", payload.get("seed", DEFAULT_SAMPLE_SEED))
         for field in ("budget_bytes", "budget_fraction"):
             if field in payload:
                 extra[field] = check_budget(field, payload[field])
@@ -440,7 +381,10 @@ class ServiceContext:
         retune's ``from_config`` when the submission did not pin one
         itself.  Bad variants, options, seeds, budgets, index specs and
         drift specs all fail here (HTTP 400), never out of a running
-        lane.  Unknown kinds pass: the job tier names them."""
+        lane: the options by building the job's :class:`AdvisorOptions`,
+        which checks every field against
+        :data:`~repro.advisor.advisor.OPTION_RULES`.  Unknown kinds
+        pass: the job tier names them."""
         if kind == "tune":
             self._resolve(payload)
         elif kind == "sweep":

@@ -88,7 +88,7 @@ import threading
 import time
 import zlib
 
-from repro.advisor.retune import check_budget
+from repro.advisor.advisor import check_budget
 from repro.errors import (
     AdvisorError,
     BackpressureError,

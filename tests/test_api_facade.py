@@ -4,11 +4,14 @@ functional one-shot ``repro.api.tune``.
 """
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.advisor import AdvisorOptions
+from repro.advisor.advisor import OPTION_RULES
 from repro.api import Session, run_sweep
 from repro.datasets.sales import sales_database, sales_workload
 from repro.errors import AdvisorError
@@ -59,36 +62,79 @@ class TestSession:
         Session(db, wl, budget_bytes=Fraction(1, 4))
         Session(db, wl, budget_fraction=0)
 
-    def test_option_validation(self, inputs):
-        """Option values that type-check but mean nothing fail naming
-        the field — at construction, per call and in a sweep — before
-        any tuning work."""
+    def test_option_validation(self, inputs, monkeypatch):
+        """Option values of the wrong type, or that type-check but mean
+        nothing, fail naming the field — at construction, per call and
+        in a sweep — before any tuning work (no sample is drawn)."""
         db, wl = inputs
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("a bad option reached estimation")
+
+        monkeypatch.setattr(SampleManager, "__init__", no_sampling)
         for field, value in (("top_k", -1), ("top_k", 0), ("top_k", True),
                              ("max_key_columns", -1),
                              ("strategy", "Greedy"),
                              ("min_improvement", -1.0),
                              ("min_improvement", math.nan),
-                             ("seed_fanout", 0), ("seed_fanout", -3)):
-            with pytest.raises(AdvisorError, match=field):
+                             ("seed_fanout", 0), ("seed_fanout", -3),
+                             ("skyline_cluster_max", 0),
+                             ("skyline_cluster_max", -3),
+                             ("candidate_selection", "bogus"),
+                             ("q", 2.0), ("q", -0.1), ("q", math.nan),
+                             ("e", -1.0), ("e", math.nan), ("e", math.inf),
+                             ("backtracking", 1)):
+            named = f"^{field} "
+            with pytest.raises(AdvisorError, match=named):
                 Session(db, wl, **{field: value})
-            with pytest.raises(AdvisorError, match=field):
+            with pytest.raises(AdvisorError, match=named):
                 Session(db, wl, budget_fraction=0.1).tune(**{field: value})
-            with pytest.raises(AdvisorError, match=field):
+            with pytest.raises(AdvisorError, match=named):
                 run_sweep(db, wl, [1.0], **{field: value})
+        # A seed is an integer, not a bool: at construction, when a
+        # holder sets it before a run, and in a sweep's seed list.
+        for value in ("7", True, 7.0):
+            with pytest.raises(AdvisorError, match="^seed must"):
+                Session(db, wl, seed=value)
+            session = Session(db, wl, budget_fraction=0.1)
+            with pytest.raises(AdvisorError, match="^seed must"):
+                session.seed = value
+            with pytest.raises(AdvisorError, match=r"^seeds\[0\] must"):
+                run_sweep(db, wl, [1.0], seeds=[value])
         Session(db, wl, strategy="density", top_k=1, seed_fanout=1,
                 min_improvement=0)
 
+    def test_an_integral_seed_is_a_plain_int(self, inputs):
+        """Every spelling of seed 7 draws seed 7's sample stream (the
+        sample manager hashes the seed's repr)."""
+        db, wl = inputs
+        session = Session(db, wl, seed=np.int64(7))
+        assert type(session.seed) is int and session.seed == 7
+        session.seed = np.int32(8)
+        assert type(session.seed) is int and session.seed == 8
+
+    def test_boundary_option_values_tune(self, inputs):
+        """The closed ends of each range are values, not errors."""
+        db, wl = inputs
+        for extra in (dict(q=0), dict(q=1), dict(e=0),
+                      dict(skyline_cluster_max=1)):
+            result = Session(db, wl, budget_fraction=0.1, **extra).tune()
+            assert result.final_cost <= result.base_cost
+
+    def test_every_option_has_a_rule(self):
+        """A new :class:`AdvisorOptions` field must get an entry in
+        ``OPTION_RULES``, the one place its values are checked."""
+        assert set(OPTION_RULES) == {f.name for f in fields(AdvisorOptions)}
+
     def test_workers_is_not_a_tuning_option(self, inputs):
-        """Parallelism belongs to ``sweep(workers=)`` alone: a tune
-        handed ``workers`` refuses it instead of ignoring it."""
+        """Parallelism belongs to ``sweep(workers=)`` alone: a session
+        handed ``workers`` refuses it when it is built."""
         db, wl = inputs
         with pytest.raises(TypeError, match="workers"):
             AdvisorOptions(budget_bytes=1.0, workers=2)
-        session = Session(db, wl, budget_fraction=0.15,
-                          variant="dtac-none", workers=2)
         with pytest.raises(TypeError, match="workers"):
-            session.tune()
+            Session(db, wl, budget_fraction=0.15, variant="dtac-none",
+                    workers=2)
 
     def test_sweep_and_decoupled_do_not_advance_session(self, inputs):
         db, wl = inputs

@@ -189,17 +189,6 @@ class TestIncrementalEqualsFull:
         whatif.clear_cache()
         assert incremental == whatif.workload_cost(wl, swapped)
 
-    def test_fork_view_is_isolated(self, costing_rig):
-        whatif, wl, base, pool = costing_rig
-        delta = whatif.delta_coster(wl)
-        delta.rebase(base)
-        delta.workload_cost(base.add(pool[0]))
-        view = delta.fork_view()
-        assert view.stats()["probe_entries"] == 0
-        assert view.stats()["probe_evals"] == 0
-        assert view.workload_cost(base) == delta.rebase(base)
-        assert delta.stats()["probe_entries"] > 0
-
 
 def update_heavy_workload(wl):
     """A workload dominated by UPDATE/DELETE/INSERT statements (plus a

@@ -621,21 +621,6 @@ def test_a_coster_over_other_weights_reads_no_entry_of_the_memo(rigs):
     assert same.cost_memo_hits == len(adds)
 
 
-def test_a_fork_view_starts_with_an_empty_memo(rigs):
-    rig = rigs["sales"]
-    heaps, adds = _heaps_and_adds(rig)
-    delta = rig.whatif.delta_coster(rig.wl)
-    delta.rebase(heaps)
-    costs = delta.batch(adds)
-    view = delta.fork_view()
-    assert view.tables is not delta.tables
-    assert view.tables.cost_memo == {}
-    view.rebase(heaps)
-    assert view.batch(adds) == costs
-    assert view.cost_memo_hits == 0
-    assert len(delta.tables.cost_memo) == len(adds)
-
-
 def test_a_distrusted_statement_empties_the_memo(rigs, monkeypatch):
     """A statement joins ``distrusted`` when the optimizer reports plan
     costs its plan-table choice does not reproduce; every memo entry

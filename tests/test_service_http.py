@@ -350,6 +350,20 @@ _BAD_TUNING = [
      "min_improvement"),
     ({"budget_fraction": 0.1, "options": {"seed_fanout": 0}},
      "seed_fanout"),
+    ({"budget_fraction": 0.1, "seed": "7"}, "seed"),
+    ({"budget_fraction": 0.1, "seed": 7.0}, "seed"),
+    ({"budget_fraction": 0.1, "options": {"skyline_cluster_max": 0}},
+     "skyline_cluster_max"),
+    ({"budget_fraction": 0.1, "options": {"skyline_cluster_max": -3}},
+     "skyline_cluster_max"),
+    ({"budget_fraction": 0.1,
+      "options": {"candidate_selection": "bogus"}}, "candidate_selection"),
+    ({"budget_fraction": 0.1, "options": {"q": 2.0}}, "q must"),
+    ({"budget_fraction": 0.1, "options": {"q": -0.1}}, "q must"),
+    ({"budget_fraction": 0.1, "options": {"q": float("nan")}}, "q must"),
+    ({"budget_fraction": 0.1, "options": {"e": -1}}, "e must"),
+    ({"budget_fraction": 0.1, "options": {"e": float("nan")}}, "e must"),
+    ({"budget_fraction": 0.1, "options": {"e": float("inf")}}, "e must"),
 ]
 _BAD_TUNING_IDS = [
     "budget-string", "budget-negative", "budget-bool", "budget-inf",
@@ -357,7 +371,10 @@ _BAD_TUNING_IDS = [
     "option-int-as-string", "option-bool-as-int", "option-float-as-string",
     "option-top-k-negative", "option-key-columns-zero",
     "option-strategy-unknown", "option-min-improvement-negative",
-    "option-seed-fanout-zero",
+    "option-seed-fanout-zero", "seed-digit-string", "seed-integral-float",
+    "option-cluster-max-zero", "option-cluster-max-negative",
+    "option-selection-unknown", "option-q-above-one", "option-q-negative",
+    "option-q-nan", "option-e-negative", "option-e-nan", "option-e-inf",
 ]
 
 #: the same checks on a sweep's budget and seed lists.
@@ -373,11 +390,21 @@ _BAD_SWEEP = [
     ({"budget_fractions": [0.1], "options": {"top_k": "x"}}, "top_k"),
     ({"budget_fractions": [0.1], "options": {"seed_fanout": -3}},
      "seed_fanout"),
+    ({"budget_fractions": [0.1], "seeds": ["7"]}, "seeds[0]"),
+    ({"budget_fractions": [0.1], "seeds": [1, 7.0]}, "seeds[1]"),
+    ({"budget_fractions": [0.1], "options": {"skyline_cluster_max": 0}},
+     "skyline_cluster_max"),
+    ({"budget_fractions": [0.1],
+      "options": {"candidate_selection": "bogus"}}, "candidate_selection"),
+    ({"budget_fractions": [0.1], "options": {"q": 2.0}}, "q must"),
+    ({"budget_fractions": [0.1], "options": {"e": -1.0}}, "e must"),
 ]
 _BAD_SWEEP_IDS = [
     "budgets-string", "budgets-empty", "budget-string", "budget-negative",
     "budget-nan", "seeds-int", "seed-string", "seed-bool",
     "option-int-as-string", "option-seed-fanout-negative",
+    "seed-digit-string", "seed-integral-float", "option-cluster-max-zero",
+    "option-selection-unknown", "option-q-above-one", "option-e-negative",
 ]
 
 
