@@ -6,7 +6,6 @@ merging, enumeration — with the compression extensions of Sections 4-6.
 from __future__ import annotations
 
 import hashlib
-import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -30,6 +29,7 @@ from repro.advisor.selection import (
     select_top_k,
 )
 from repro.catalog.schema import Database
+from repro.checks import check_budget, check_probability
 from repro.compression.base import CompressionMethod
 from repro.errors import AdvisorError
 from repro.optimizer.constants import DEFAULT_COST_CONSTANTS
@@ -71,26 +71,6 @@ def quantized_size_lookup(
     )
 
 
-def check_budget(name: str, value) -> float:
-    """``value`` as a storage budget — a real number (a bool is not
-    one), finite and non-negative — or :class:`AdvisorError` naming
-    ``name``.  The one rule for a budget in bytes or as a fraction, and
-    for any finite non-negative number: :data:`OPTION_RULES`, a
-    session's budgets, :func:`repro.api.run_sweep`'s budgets, a service
-    payload's budgets and the job tier's routing numbers apply it."""
-    budget = math.nan
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            budget = float(value)
-        except OverflowError:  # an int past float range
-            pass
-    if not 0 <= budget < math.inf:
-        raise AdvisorError(
-            f"{name} must be a finite non-negative number, got {value!r}"
-        )
-    return budget
-
-
 def check_seed(name: str, value) -> int:
     """``value`` as a sampling seed — an integer (a bool is not one),
     as a plain ``int`` so every spelling of it draws one sample stream
@@ -112,13 +92,6 @@ def _count(name: str, value) -> int:
             or value < 1:
         raise AdvisorError(f"{name} must be an integer >= 1, got {value!r}")
     return int(value)
-
-
-def _probability(name: str, value) -> float:
-    number = check_budget(name, value)
-    if number > 1:
-        raise AdvisorError(f"{name} must be in [0, 1], got {value!r}")
-    return number
 
 
 def _one_of(choices: "Callable[[], list[str]]") -> Callable:
@@ -153,7 +126,7 @@ OPTION_RULES: "dict[str, Callable[[str, object], object]]" = {
     "max_key_columns": _count,
     "skyline_cluster_max": _count,
     "e": check_budget,
-    "q": _probability,
+    "q": check_probability,
     "delta_costing": _flag,
     "algorithm": _one_of(algorithms.names),
 }

@@ -304,12 +304,14 @@ class TuningSession:
 
     :class:`repro.api.Session` is this class, and every tuning entry
     point runs through one: the library, each service context (one
-    session, set to each job's variant, seed and hook), and a sweep (one
-    session per seed per process).  ``tune()`` is a cold run;
-    ``retune()`` runs the incremental drop-then-refill search from the
-    previous configuration and returns the diff; ``tune_decoupled()``
-    is the paper's staged strawman; ``sweep()`` is a sharded budget
-    sweep / seed ablation.  Pass ``workload=`` to any of them to move
+    session, set to each job's variant, seed and hook), a sweep (one
+    session per seed per process), and the paper's experiments (one per
+    figure, switched between variants or option sets; Figure 11 alone
+    builds its advisor, for an estimator without deduction).
+    ``tune()`` is a cold run; ``retune()`` runs the incremental
+    drop-then-refill search from the previous configuration and returns
+    the diff; ``tune_decoupled()`` is the paper's staged strawman;
+    ``sweep()`` is a sharded budget sweep / seed ablation.  Pass ``workload=`` to any of them to move
     the session onto a new drift phase.
 
     Determinism contract.  A run is :meth:`TuningAdvisor.prepare` +
@@ -339,11 +341,13 @@ class TuningSession:
     runs is result-neutral.  A result is therefore a function of the
     arguments and of what ``estimates`` holds — the same whatever ran
     before it in this session.  A holder picks the caches by assigning
-    the two attributes: a library session owns them (persistent under
-    ``cache_dir``, in memory otherwise); a service context takes a
-    registration-time snapshot of the service's estimate cache and the
-    service's live cost cache; a sweep's sessions share the pre-sweep
-    caches.
+    the two attributes: a library session owns them under ``cache_dir``
+    and holds none without one (an in-memory cost cache would only
+    re-key costings the held stage's memo already answers, and a forked
+    estimate view that is never absorbed is never read again); a service
+    context takes a registration-time snapshot of the service's estimate
+    cache and the service's live cost cache; a sweep's sessions share
+    the pre-sweep caches (none without a cache directory either).
     """
 
     def __init__(
@@ -363,7 +367,7 @@ class TuningSession:
     ) -> None:
         self.database = database
         self.workload = workload
-        self.variant = get_variant(variant).name
+        self.variant = variant
         self.seed = seed
         self.cache_dir = cache_dir
         self.stats = stats or DatabaseStats(database)
@@ -373,7 +377,7 @@ class TuningSession:
             budget_bytes, budget_fraction, required=False
         )
         # Built only to check every option now, before any run.
-        get_variant(variant).advisor_options(
+        get_variant(self.variant).advisor_options(
             self._default_budget or 0.0, **self.options_extra
         )
         #: the previous recommendation — the next retune's input.  May
@@ -382,11 +386,29 @@ class TuningSession:
         self.configuration = configuration
         #: completed runs (tune + retune) in this session.
         self.generation = 0
-        #: what a preparing run forks (None: no cache).
-        self.estimates: EstimationCache | None = EstimationCache(cache_dir)
-        self.costs: CostCache | None = CostCache(cache_dir)
+        #: what a preparing run forks (None: no cache, the default
+        #: without a ``cache_dir``).
+        self.estimates: EstimationCache | None = (
+            EstimationCache(cache_dir) if cache_dir is not None else None
+        )
+        self.costs: CostCache | None = (
+            CostCache(cache_dir) if cache_dir is not None else None
+        )
         #: the latest run's prepared stage.
         self.stage: PreparedStage | None = None
+
+    @property
+    def variant(self) -> str:
+        """The advisor variant of every run; setting it resolves the
+        name through :func:`~repro.advisor.advisor.get_variant`, so a
+        holder that reassigns it (a service context per job, a figure's
+        budget sweep per column) fails on an unknown name before any
+        run."""
+        return self._variant
+
+    @variant.setter
+    def variant(self, value) -> None:
+        self._variant = get_variant(value).name
 
     @property
     def seed(self) -> int:

@@ -14,11 +14,13 @@ every tuning mode as a method:
 * :meth:`Session.sweep` — sharded budget sweep / seed ablation.
 
 Its docstring is the determinism contract of every entry point — the
-service's jobs and the sweep's units run through a session too.
+service's jobs, the sweep's units and the paper's experiments run
+through a session too.
 
-For callers that genuinely want the one-shot functional form (explicit
-estimators — mostly tests and benchmarks), this module
-also exports it: ``repro.api.tune`` / ``tune_decoupled`` / ``run_sweep``.
+This module also exports the one-shot functional forms ``repro.api.tune``
+/ ``tune_decoupled`` (explicit estimators) and ``run_sweep``.  Nothing in
+the library or the experiments calls the first two: they are references
+the tests and benchmarks compare sessions against.
 
 Example::
 

@@ -1,0 +1,45 @@
+"""The value rules shared by every boundary that takes a number.
+
+:data:`repro.advisor.advisor.OPTION_RULES` applies them to advisor
+options, and :class:`~repro.sizeest.estimator.SizeEstimator` to its
+``(e, q)`` accuracy constraint — which is why they live below both.
+Each returns the value as a plain ``float`` or raises
+:class:`AdvisorError` naming the field.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+
+from repro.errors import AdvisorError
+
+
+def check_budget(name: str, value) -> float:
+    """``value`` as a storage budget — a real number (a bool is not
+    one), finite and non-negative — or :class:`AdvisorError` naming
+    ``name``.  The one rule for a budget in bytes or as a fraction, and
+    for any finite non-negative number: :data:`OPTION_RULES`, a
+    session's budgets, :func:`repro.api.run_sweep`'s budgets, a service
+    payload's budgets, the job tier's routing numbers and an
+    estimator's error tolerance ``e`` apply it."""
+    budget = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            budget = float(value)
+        except OverflowError:  # an int past float range
+            pass
+    if not 0 <= budget < math.inf:
+        raise AdvisorError(
+            f"{name} must be a finite non-negative number, got {value!r}"
+        )
+    return budget
+
+
+def check_probability(name: str, value) -> float:
+    """``value`` as a probability in [0, 1] (an estimator's confidence
+    ``q``), or :class:`AdvisorError` naming ``name``."""
+    number = check_budget(name, value)
+    if number > 1:
+        raise AdvisorError(f"{name} must be in [0, 1], got {value!r}")
+    return number

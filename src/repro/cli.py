@@ -25,6 +25,7 @@ import importlib
 import sys
 
 from repro.advisor import algorithms, variant_names, variants
+from repro.advisor.advisor import OPTION_RULES
 from repro.api import Session
 from repro.datasets import (
     sales_database,
@@ -32,6 +33,7 @@ from repro.datasets import (
     tpch_database,
     tpch_workload,
 )
+from repro.errors import AdvisorError
 
 
 def _make_dataset(name: str, args):
@@ -269,23 +271,19 @@ def cmd_experiments(args) -> int:
 
 def cmd_validate(args) -> int:
     from repro.engine import validate_recommendation
-    from repro.sizeest import SizeEstimator
-    from repro.stats import DatabaseStats
 
     db, wl = _make_dataset(args.dataset, args)
-    stats = DatabaseStats(db)
-    estimator = SizeEstimator(db, stats=stats)
     budget = db.total_data_bytes() * args.budget
     session = Session(
         db, wl,
         variant=args.variant,
         cache_dir=args.cache_dir,
-        stats=stats,
         delta_costing=not args.full_recost,
     )
     result = session.tune(budget_bytes=budget)
     report = validate_recommendation(
-        result, db, wl, stats=stats, estimator=estimator
+        result, db, wl, stats=session.stats,
+        estimator=session.stage.estimator,
     )
     print(f"estimated improvement: {report.estimated_improvement:8.1%}")
     print(f"deployed improvement:  {report.true_size_improvement:8.1%}")
@@ -490,6 +488,17 @@ _fraction_list = _csv_list(float, "budget")
 _seed_list = _csv_list(int, "seed")
 
 
+def _option_arg(name: str):
+    """argparse type for a number under ``OPTION_RULES[name]``, the
+    rule the advisor option ``name`` gets everywhere else."""
+    def parse(value: str) -> float:
+        try:
+            return OPTION_RULES[name](name, float(value))
+        except (ValueError, AdvisorError) as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return parse
+
+
 _WORKERS_HELP = ("advisor runs in flight at once (sweep units); "
                  "0 = one per CPU, 1 = sequential")
 
@@ -608,8 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate",
                            help="demo the size-estimation framework")
     add_dataset_args(p_est)
-    p_est.add_argument("--error", type=float, default=0.5)
-    p_est.add_argument("--confidence", type=float, default=0.9)
+    p_est.add_argument("--error", type=_option_arg("e"), default=0.5)
+    p_est.add_argument("--confidence", type=_option_arg("q"), default=0.9)
     p_est.set_defaults(fn=cmd_estimate)
 
     p_exp = sub.add_parser("experiments", help="run paper experiments")

@@ -13,6 +13,10 @@ fixed-width columns (the decoupled tool's view of the world) and only
 the final recommendation is re-measured with encodings — reproducing the
 paper's core observation, now for sort orders: a tool blind to RLE's
 order sensitivity picks the wrong projections.
+
+It is its own advisor loop, not a :class:`~repro.api.Session` run: its
+structures are projections, not indexes, and it shares no candidate,
+sizing or costing layer with the row-store advisor a session drives.
 """
 
 from __future__ import annotations

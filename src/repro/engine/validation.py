@@ -86,14 +86,9 @@ def validate_recommendation(
     stats = stats or DatabaseStats(database)
     estimator = estimator or SizeEstimator(database, stats=stats)
 
-    true_sizes: dict[IndexDef, float] = {}
-
     def true_lookup(index: IndexDef) -> tuple[float, float]:
-        cached = true_sizes.get(index)
-        if cached is None:
-            cached = estimator.true_size(index)
-            true_sizes[index] = cached
-        return cached, estimator.sizer.estimated_rows(index)
+        return (estimator.true_size(index),
+                estimator.sizer.estimated_rows(index))
 
     whatif = WhatIfOptimizer(
         database, stats, sizes=true_lookup, constants=constants

@@ -11,19 +11,21 @@ from repro.experiments.common import (
     EXPERIMENT_SCALE,
     ExperimentResult,
     TPCH_ERROR_KEYSETS,
+    error_stats,
     get_tpch,
 )
-from repro.experiments.table2_error_fit import FRACTIONS, measure_dataset
+from repro.experiments.table2_error_fit import FRACTIONS, measure
 
 
 def run(scale: float = EXPERIMENT_SCALE) -> ExperimentResult:
-    database = get_tpch(scale)
-    per_fraction = measure_dataset(database, TPCH_ERROR_KEYSETS, FRACTIONS)
     result = ExperimentResult(
         name="Figure 9: Error Bias and Variance of SampleCF",
         headers=("f", "LD-Bias%", "NS-Stddev%", "LD-Stddev%", "NS-Bias%"),
     )
-    for f, (ns_bias, ns_std, ld_bias, ld_std) in per_fraction.items():
+    errors = measure(get_tpch(scale), TPCH_ERROR_KEYSETS)
+    for f in FRACTIONS:
+        ns_bias, ns_std = error_stats(errors.get(("NS", f), []))
+        ld_bias, ld_std = error_stats(errors.get(("LD", f), []))
         result.rows.append(
             (f, 100 * ld_bias, 100 * ns_std, 100 * ld_std, 100 * ns_bias)
         )

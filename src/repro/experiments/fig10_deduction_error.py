@@ -8,7 +8,6 @@ bias slightly positive.
 
 from __future__ import annotations
 
-from repro.compression.base import CompressionMethod
 from repro.experiments.common import (
     EXPERIMENT_SCALE,
     ExperimentResult,
@@ -16,22 +15,18 @@ from repro.experiments.common import (
     error_stats,
     get_tpch,
 )
-from repro.experiments.table3_deduction_fit import measure_errors
+from repro.experiments.table3_deduction_fit import composite_errors
 
 
 def run(scale: float = EXPERIMENT_SCALE) -> ExperimentResult:
-    database = get_tpch(scale)
-    colext, _colset = measure_errors(database, TPCH_ERROR_KEYSETS)
+    colext, _colset = composite_errors(get_tpch(scale), TPCH_ERROR_KEYSETS)
     result = ExperimentResult(
         name="Figure 10: Error Bias and Variance of Deduction",
         headers=("a", "NS-Bias%", "NS-Stddev%", "LD-Bias%", "LD-Stddev%"),
     )
-    arities = sorted(
-        set(colext[CompressionMethod.ROW]) | set(colext[CompressionMethod.PAGE])
-    )
-    for a in arities:
-        ns_bias, ns_std = error_stats(colext[CompressionMethod.ROW].get(a, []))
-        ld_bias, ld_std = error_stats(colext[CompressionMethod.PAGE].get(a, []))
+    for a in sorted({a for _cls, a in colext}):
+        ns_bias, ns_std = error_stats(colext.get(("NS", a), []))
+        ld_bias, ld_std = error_stats(colext.get(("LD", a), []))
         result.rows.append(
             (a, 100 * ns_bias, 100 * ns_std, 100 * ld_bias, 100 * ld_std)
         )

@@ -9,6 +9,12 @@ stacked categories: Other, {Table, Partial, MV} x {Sample, Estimate}.
 Paper shape: deductions shrink Table-Estimate from the dominating share
 to modest; sampling itself stays small because of the amortized sample
 manager.
+
+The one experiment that builds its own ``TuningAdvisor``: the "w/o
+deduction" arm needs ``SizeEstimator(use_deduction=False)``, a switch
+:class:`~repro.api.Session` does not have (adding it would be a new
+option for one figure), and the breakdown reads that estimator's
+timings directly.
 """
 
 from __future__ import annotations

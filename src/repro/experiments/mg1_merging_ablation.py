@@ -5,20 +5,21 @@ the context of compression "could have significant impact on quality of
 database design".  This experiment measures it: the full DTAc with
 merging disabled, with classic prefix merging, and with the
 compression-aware reshapes (key permutation + included-column
-promotion) enabled.
+promotion) enabled.  Every run goes through one
+:class:`~repro.api.Session`, merge modes outside and budgets inside: the
+merging flags shape the candidate pool, so the session prepares once
+per mode and searches that stage at every budget.
 """
 
 from __future__ import annotations
 
-from repro.advisor.advisor import AdvisorOptions, TuningAdvisor, get_variant
+from repro.api import Session
 from repro.datasets import tpch_workload
 from repro.experiments.common import (
     EXPERIMENT_SCALE,
     ExperimentResult,
     get_tpch,
 )
-from repro.sizeest.estimator import SizeEstimator
-from repro.stats.column_stats import DatabaseStats
 
 BUDGET_FRACTIONS = (0.1, 0.3)
 
@@ -36,28 +37,20 @@ def run(scale: float = EXPERIMENT_SCALE) -> ExperimentResult:
     workload = tpch_workload(
         database, select_weight=5.0, insert_weight=1.0
     )
-    stats = DatabaseStats(database)
-    estimator = SizeEstimator(database, stats=stats)
+    session = Session(database, workload, variant="dtac-both")
     total = database.total_data_bytes()
-
+    columns = [
+        [session.tune(total * fraction, **flags).improvement_pct
+         for fraction in BUDGET_FRACTIONS]
+        for _name, flags in MODES
+    ]
     result = ExperimentResult(
         name="MG1: Index merging ablation under compression "
              "(improvement %)",
         headers=("Budget%",) + tuple(name for name, _ in MODES),
+        rows=[(100.0 * fraction, *cells)
+              for fraction, cells in zip(BUDGET_FRACTIONS, zip(*columns))],
     )
-    for fraction in BUDGET_FRACTIONS:
-        row = [100.0 * fraction]
-        for _name, flags in MODES:
-            options = AdvisorOptions(
-                budget_bytes=total * fraction,
-                **{**dict(get_variant("dtac-both").options), **flags},
-            )
-            advisor = TuningAdvisor(
-                database, workload, options,
-                estimator=estimator, stats=stats,
-            )
-            row.append(advisor.run().improvement_pct)
-        result.rows.append(tuple(row))
     result.notes.append(
         "paper conjecture (Section 6.2): compression-aware merging "
         "should not lose to plain merging, and merging helps overall"

@@ -9,6 +9,9 @@ will contain, from a 1% sample (Appendix B.3):
 
 Paper's numbers: Optimizer 96%, Multiply 379%, AE 6%.  Expected shape:
 AE << Optimizer << Multiply.
+
+Drives the sampling and distinct-count components directly, on purpose:
+the table compares estimators of one quantity, not advisor runs.
 """
 
 from __future__ import annotations

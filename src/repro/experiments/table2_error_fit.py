@@ -13,57 +13,39 @@ differ because the substrate (and sample row counts) differ.
 
 from __future__ import annotations
 
-from repro.compression.base import CompressionMethod
+import math
+
 from repro.experiments.common import (
     EXPERIMENT_SCALE,
     ExperimentResult,
     TPCDS_ERROR_KEYSETS,
     TPCH_ERROR_KEYSETS,
-    error_stats,
-    fit_through_origin,
     get_tpcds,
     get_tpch,
     index_population,
 )
-from repro.experiments.samplecf_errors import ErrorLab
-
-import math
+from repro.sizeest.calibration import ErrorLab, fit_errors
 
 FRACTIONS = (0.01, 0.025, 0.05, 0.10)
 
 
-def measure_dataset(database, keysets, fractions=FRACTIONS):
-    """Per fraction: (NS bias, NS std, LD bias, LD std)."""
-    lab = ErrorLab(database)
-    indexes = index_population(database, keysets)
-    out: dict[float, tuple[float, float, float, float]] = {}
-    for f in fractions:
-        ns_errors, ld_errors = [], []
-        for ix in indexes:
-            err = lab.samplecf_error(ix, f)
-            if ix.method is CompressionMethod.ROW:
-                ns_errors.append(err)
-            else:
-                ld_errors.append(err)
-        ns_bias, ns_std = error_stats(ns_errors)
-        ld_bias, ld_std = error_stats(ld_errors)
-        out[f] = (ns_bias, ns_std, ld_bias, ld_std)
-    return out
+def measure(database, keysets) -> dict[tuple[str, float], list[float]]:
+    """SampleCF errors over ``keysets``' index population at each of
+    :data:`FRACTIONS`, keyed by (class, f)."""
+    return ErrorLab(database).samplecf_errors(
+        index_population(database, keysets), FRACTIONS
+    )
 
 
-def fit_coefficients(per_fraction) -> dict[str, float]:
-    """Fit each statistic to -c*ln(f); returns the c values."""
-    xs = [-math.log(f) for f in per_fraction]
-    ns_bias = [v[0] for v in per_fraction.values()]
-    ns_std = [v[1] for v in per_fraction.values()]
-    ld_bias = [v[2] for v in per_fraction.values()]
-    ld_std = [v[3] for v in per_fraction.values()]
-    return {
-        "NS-Bias": fit_through_origin(xs, ns_bias),
-        "NS-Stddev": fit_through_origin(xs, ns_std),
-        "LD-Bias": fit_through_origin(xs, ld_bias),
-        "LD-Stddev": fit_through_origin(xs, ld_std),
-    }
+def fit_coefficients(errors) -> dict[str, float]:
+    """Fit each class's bias and stddev to -c*ln(f); returns the c
+    values."""
+    coefs: dict[str, float] = {}
+    for cls in ("NS", "LD"):
+        coefs[f"{cls}-Bias"], coefs[f"{cls}-Stddev"] = fit_errors(
+            (-math.log(f), errors.get((cls, f), [])) for f in FRACTIONS
+        )
+    return coefs
 
 
 def run(scale: float = EXPERIMENT_SCALE) -> ExperimentResult:
@@ -80,8 +62,7 @@ def run(scale: float = EXPERIMENT_SCALE) -> ExperimentResult:
     )
     coefs_per_dataset = []
     for name, database, keysets in datasets:
-        per_fraction = measure_dataset(database, keysets)
-        coefs = fit_coefficients(per_fraction)
+        coefs = fit_coefficients(measure(database, keysets))
         coefs_per_dataset.append(coefs)
         result.rows.append(
             (name, coefs["LD-Bias"], coefs["NS-Stddev"], coefs["LD-Stddev"])

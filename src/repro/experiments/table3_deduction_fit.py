@@ -11,54 +11,30 @@ Paper: ColSet(NS) bias 0 / stddev 0.0003; ColExt(NS) bias 0.01a / stddev
 
 from __future__ import annotations
 
-from repro.compression.base import CompressionMethod
 from repro.experiments.common import (
     EXPERIMENT_SCALE,
     ExperimentResult,
     TPCH_ERROR_KEYSETS,
     error_stats,
-    fit_through_origin,
     get_tpch,
+    index_population,
 )
-from repro.experiments.samplecf_errors import ErrorLab
-from repro.physical.index_def import IndexDef
-from repro.storage.index_build import IndexKind
+from repro.sizeest.calibration import ErrorLab, fit_errors
 
 
-def composite_population(keysets) -> dict[int, list[tuple[str, tuple[str, ...]]]]:
-    """Composite key sets grouped by arity a = #columns."""
-    out: dict[int, list] = {}
-    for table, keys in keysets.items():
-        for cols in keys:
-            if len(cols) >= 2:
-                out.setdefault(len(cols), []).append((table, cols))
-    return out
-
-
-def measure_errors(database, keysets):
-    """Returns per-method per-a deduction errors + colset errors."""
-    lab = ErrorLab(database)
-    composites = composite_population(keysets)
-    colext: dict[CompressionMethod, dict[int, list[float]]] = {
-        CompressionMethod.ROW: {},
-        CompressionMethod.PAGE: {},
-    }
-    colset_errors: list[float] = []
-    for a, entries in sorted(composites.items()):
-        for table, cols in entries:
-            for method in (CompressionMethod.ROW, CompressionMethod.PAGE):
-                ix = IndexDef(table, cols, kind=IndexKind.SECONDARY,
-                              method=method)
-                err = lab.colext_error(ix)
-                colext[method].setdefault(a, []).append(err)
-                if method is CompressionMethod.ROW:
-                    colset_errors.append(lab.colset_error(ix))
-    return colext, colset_errors
+def composite_errors(database, keysets):
+    """:meth:`~repro.sizeest.calibration.ErrorLab.deduction_errors` over
+    ``keysets``' index population, fewest key columns first."""
+    return ErrorLab(database).deduction_errors(sorted(
+        index_population(database, keysets),
+        key=lambda ix: len(ix.key_columns),
+    ))
 
 
 def run(scale: float = EXPERIMENT_SCALE) -> ExperimentResult:
-    database = get_tpch(scale)
-    colext, colset_errors = measure_errors(database, TPCH_ERROR_KEYSETS)
+    colext, colset_errors = composite_errors(
+        get_tpch(scale), TPCH_ERROR_KEYSETS
+    )
 
     result = ExperimentResult(
         name="Table 3: Error Formula for Deduction (fit: value = c * a)",
@@ -68,25 +44,15 @@ def run(scale: float = EXPERIMENT_SCALE) -> ExperimentResult:
     result.rows.append(("ColSet(NS)", cs_bias, cs_std, 0.0, 0.0003))
 
     paper = {
-        CompressionMethod.ROW: ("ColExt(NS)", 0.01, 0.002),
-        CompressionMethod.PAGE: ("ColExt(LD)", -0.03, 0.01),
+        "NS": ("ColExt(NS)", 0.01, 0.002),
+        "LD": ("ColExt(LD)", -0.03, 0.01),
     }
-    for method, (label, p_bias, p_std) in paper.items():
-        xs, bias_ys, std_ys = [], [], []
-        for a, errors in sorted(colext[method].items()):
-            bias, std = error_stats(errors)
-            xs.append(float(a))
-            bias_ys.append(bias)
-            std_ys.append(std)
-        result.rows.append(
-            (
-                label,
-                fit_through_origin(xs, bias_ys),
-                fit_through_origin(xs, std_ys),
-                p_bias,
-                p_std,
-            )
+    for cls, (label, p_bias, p_std) in paper.items():
+        bias_c, std_c = fit_errors(
+            (float(a), errors)
+            for (c, a), errors in sorted(colext.items()) if c == cls
         )
+        result.rows.append((label, bias_c, std_c, p_bias, p_std))
     result.notes.append(
         "children sizes are measured truths (isolates the deduction's own "
         "error, as in the paper's X_ColExt)"

@@ -11,6 +11,9 @@ targets at e=0.5, q=0.9 for a grid of sampling fractions:
 Paper shape: Greedy needs 2-6x less cost than All and stays within ~30%
 (8% average) of Optimal; Greedy runs in under a second where Optimal
 explodes.
+
+Drives the estimation-graph planners directly, on purpose: the table
+compares three planners over one graph, not advisor runs.
 """
 
 from __future__ import annotations

@@ -4,12 +4,15 @@ Not a paper table, but the experiment a skeptical reader runs first:
 take the recommendation DTAc produced from *estimates*, physically build
 every recommended structure on the full data, and re-evaluate.  The
 paper's Section 7.1 claim that "most cases have less than 10% errors"
-in size estimation is checked here as a by-product.
+in size estimation is checked here as a by-product.  Every run goes
+through one :class:`~repro.api.Session`, and each recommendation is
+validated with the session's statistics and the estimator of the stage
+that produced it.
 """
 
 from __future__ import annotations
 
-from repro.api import tune
+from repro.api import Session
 from repro.datasets import tpch_workload
 from repro.engine import validate_recommendation
 from repro.experiments.common import (
@@ -17,8 +20,6 @@ from repro.experiments.common import (
     ExperimentResult,
     get_tpch,
 )
-from repro.sizeest.estimator import SizeEstimator
-from repro.stats.column_stats import DatabaseStats
 
 BUDGET_FRACTIONS = (0.1, 0.3, 0.6)
 
@@ -28,8 +29,7 @@ def run(scale: float = EXPERIMENT_SCALE) -> ExperimentResult:
     workload = tpch_workload(
         database, select_weight=5.0, insert_weight=1.0
     )
-    stats = DatabaseStats(database)
-    estimator = SizeEstimator(database, stats=stats)
+    session = Session(database, workload, variant="dtac-both")
     total = database.total_data_bytes()
 
     result = ExperimentResult(
@@ -38,12 +38,10 @@ def run(scale: float = EXPERIMENT_SCALE) -> ExperimentResult:
                  "budget-ok"),
     )
     for fraction in BUDGET_FRACTIONS:
-        rec = tune(
-            database, workload, total * fraction, variant="dtac-both",
-            estimator=estimator, stats=stats,
-        )
+        rec = session.tune(total * fraction)
         report = validate_recommendation(
-            rec, database, workload, stats=stats, estimator=estimator
+            rec, database, workload, stats=session.stats,
+            estimator=session.stage.estimator,
         )
         result.rows.append((
             100.0 * fraction,

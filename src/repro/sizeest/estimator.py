@@ -17,6 +17,7 @@ from collections import defaultdict
 from typing import Iterable, Sequence
 
 from repro.catalog.schema import Database
+from repro.checks import check_budget, check_probability
 from repro.parallel.cache import EstimationCache
 from repro.parallel.signature import sample_fingerprint
 from repro.physical.index_def import IndexDef
@@ -45,7 +46,11 @@ class SizeEstimator:
         stats: per-table statistics (built lazily when omitted).
         manager: the shared sample manager.
         error_model: fitted error coefficients.
-        e, q: default accuracy constraint for batch planning.
+        e, q: default accuracy constraint for batch planning, checked
+            by the rules :data:`~repro.advisor.advisor.OPTION_RULES`
+            applies to the options of the same names (an
+            :class:`~repro.errors.AdvisorError` naming the field,
+            before any sample is drawn).
         default_fraction: sampling fraction for one-off estimates.
         use_deduction: disable to force SampleCF on everything.
         cache: persistent estimate cache shared across runs (optional).
@@ -64,12 +69,12 @@ class SizeEstimator:
         use_deduction: bool = True,
         cache: EstimationCache | None = None,
     ) -> None:
+        self.e = check_budget("e", e)
+        self.q = check_probability("q", q)
         self.database = database
         self.stats = stats or DatabaseStats(database)
         self.manager = manager or SampleManager(database)
         self.error_model = error_model
-        self.e = e
-        self.q = q
         self.default_fraction = default_fraction
         self.fractions = tuple(fractions)
         self.use_deduction = use_deduction
@@ -84,6 +89,7 @@ class SizeEstimator:
         self._cache: dict[IndexDef, SizeEstimate] = {}
         self._existing: list[IndexDef] = []
         self._full_serialized: dict[str, SerializedTable] = {}
+        self._truths: dict[IndexDef, float] = {}
         #: planning/estimation wall-clock per category (Fig 11)
         self.timings: dict[str, float] = defaultdict(float)
 
@@ -238,7 +244,11 @@ class SizeEstimator:
     def true_size(self, index: IndexDef) -> float:
         """Ground truth: build the structure on the FULL data and measure
         (used by experiments to quantify estimation error, and for
-        existing indexes whose size the catalog would know)."""
+        existing indexes whose size the catalog would know).  Built once
+        per index."""
+        truth = self._truths.get(index)
+        if truth is not None:
+            return truth
         if index.is_mv_index or index.is_partial:
             serialized = self._full_structure_data(index)
         else:
@@ -250,7 +260,8 @@ class SizeEstimator:
             serialized, index.kind, index.key_columns,
             index.included_columns, index.method,
         )
-        return float(size.total_bytes)
+        truth = self._truths[index] = float(size.total_bytes)
+        return truth
 
     def _full_structure_data(self, index: IndexDef) -> SerializedTable:
         """Materialize the full rows behind a partial index or MV."""

@@ -13,9 +13,12 @@ import pytest
 from repro.advisor import AdvisorOptions
 from repro.advisor.advisor import OPTION_RULES
 from repro.api import Session, run_sweep
+from repro.cli import main
 from repro.datasets.sales import sales_database, sales_workload
 from repro.errors import AdvisorError
 from repro.sampling.sample_manager import DEFAULT_SAMPLE_SEED, SampleManager
+from repro.service.service import AdvisorService
+from repro.sizeest import SizeEstimator
 
 
 @pytest.fixture(scope="module")
@@ -62,10 +65,13 @@ class TestSession:
         Session(db, wl, budget_bytes=Fraction(1, 4))
         Session(db, wl, budget_fraction=0)
 
-    def test_option_validation(self, inputs, monkeypatch):
+    def test_option_validation(self, inputs, monkeypatch, capsys):
         """Option values of the wrong type, or that type-check but mean
         nothing, fail naming the field — at construction, per call and
-        in a sweep — before any tuning work (no sample is drawn)."""
+        in a sweep — before any tuning work (no sample is drawn).  The
+        accuracy constraint ``(e, q)`` gets the same rule wherever else
+        it is taken: a ``SizeEstimator``, a service registration and
+        ``repro estimate``."""
         db, wl = inputs
 
         def no_sampling(*args, **kwargs):
@@ -91,6 +97,18 @@ class TestSession:
                 Session(db, wl, budget_fraction=0.1).tune(**{field: value})
             with pytest.raises(AdvisorError, match=named):
                 run_sweep(db, wl, [1.0], **{field: value})
+            if field not in ("e", "q"):
+                continue
+            with pytest.raises(AdvisorError, match=named):
+                SizeEstimator(db, **{field: value})
+            with pytest.raises(AdvisorError, match=named):
+                AdvisorService().register("sales", db, wl, **{field: value})
+            flag = {"e": "--error", "q": "--confidence"}[field]
+            with pytest.raises(SystemExit) as exited:
+                main(["estimate", "--dataset", "sales", "--scale", "0.02",
+                      flag, str(value)])
+            assert exited.value.code == 2
+            assert f"argument {flag}: {field} must" in capsys.readouterr().err
         # A seed is an integer, not a bool: at construction, when a
         # holder sets it before a run, and in a sweep's seed list.
         for value in ("7", True, 7.0):

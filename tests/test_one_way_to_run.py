@@ -1,0 +1,76 @@
+"""Fences around the one way to run the advisor and the one way to
+measure estimation errors.
+
+* Only the advisor module itself (``advisor.py``: the class and the
+  functional ``tune`` / ``tune_decoupled``), the session (``retune.py``)
+  and Figure 11 (which needs an estimator without deduction, a switch
+  ``Session`` does not have) construct a ``TuningAdvisor``; every other
+  caller — the paper's experiments included — goes through a
+  ``Session``.
+* The library's error calibration does not reach into the paper's
+  experiments: ``repro.sizeest`` runs ``calibrate_error_model`` with
+  ``repro.experiments`` never imported.
+"""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: the modules allowed to construct a ``TuningAdvisor`` (see above).
+ADVISOR_BUILDERS = {
+    "repro/advisor/advisor.py",
+    "repro/advisor/retune.py",
+    "repro/experiments/fig11_runtime_breakdown.py",
+}
+
+
+def _constructs(tree: ast.AST, name: str) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else \
+                getattr(func, "attr", None)
+            if called == name:
+                return True
+    return False
+
+
+def test_only_the_session_and_fig11_build_an_advisor():
+    builders = {
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.glob("repro/**/*.py"))
+        if _constructs(ast.parse(path.read_text()), "TuningAdvisor")
+    }
+    assert builders <= ADVISOR_BUILDERS, builders - ADVISOR_BUILDERS
+
+
+def test_experiments_build_no_estimation_components():
+    """Error analyses measure through ``ErrorLab``'s estimator."""
+    for path in sorted(SRC.glob("repro/experiments/*.py")):
+        tree = ast.parse(path.read_text())
+        for name in ("SampleCFRunner", "DeductionEngine"):
+            assert not _constructs(tree, name), (path.name, name)
+
+
+def test_calibration_does_not_import_the_experiments():
+    script = (
+        "import sys\n"
+        "from repro.datasets import sales_database\n"
+        "from repro.sizeest import calibrate_error_model\n"
+        "db = sales_database(scale=0.02)\n"
+        "keys = [('sa_storekey',), ('sa_storekey', 'sa_salekey')]\n"
+        "report = calibrate_error_model(db, {'sales': keys},\n"
+        "                               fractions=(0.1,))\n"
+        "assert report.colext_errors\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith('repro.experiments')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+        check=True, timeout=300,
+    ).stdout.strip()
+    assert out == "[]"

@@ -557,18 +557,33 @@ class _Recorded:
         return self.stage.estimator.runner.run_count
 
 
-def _assert_nothing_repeated(result, entries_before: int) -> None:
+def _estimation_work(stage) -> "tuple[int, int]":
+    """(SampleCF runs, compressed estimates held) of a stage's
+    estimator: any estimate batch that does work grows one of them."""
+    estimator = stage.estimator
+    return (estimator.runner.run_count,
+            sum(ix.method.is_compressed for ix in estimator._cache))
+
+
+def _assert_nothing_repeated(result, entries_before: int,
+                             work_before=None, stage=None) -> None:
     """The saving of a run over a held stage, as counts: every plan
     evaluation made a *new* plan-table entry (none the stage already
     held was evaluated again), the first reference came from the
-    tables, and the estimate cache was not even asked."""
+    tables, and no estimation work was done — the stage's estimator
+    (when the caller holds it) ran no SampleCF and sized nothing new,
+    and with a cache directory the estimate cache was not even
+    asked."""
     delta = result.delta_stats
     if delta:
         assert delta["probe_evals"] == \
             delta["probe_entries"] - entries_before
         assert delta["full_recosts"] == 0
+    if stage is not None:
+        assert _estimation_work(stage) == work_before
     lookups = result.cache_stats
-    assert lookups["hits"] + lookups["misses"] + lookups["stores"] == 0
+    if lookups:
+        assert lookups["hits"] + lookups["misses"] + lookups["stores"] == 0
 
 
 def _budgets(inputs) -> "tuple[float, float]":
@@ -590,12 +605,13 @@ def test_reruns_over_a_held_stage_equal_fresh_sessions(
     first = held.run("tune", b1)
     stage, samplecf = held.stage, held.samplecf_runs()
     entries = first[2].delta_stats.get("probe_entries", 0)
+    work = _estimation_work(stage)
 
     # Same request again: same bytes, same stream, and nothing — not
     # one plan, optimizer call or estimate lookup — is done twice.
     again = held.run("tune", b1)
     assert again[:2] == first[:2]
-    _assert_nothing_repeated(again[2], entries)
+    _assert_nothing_repeated(again[2], entries, work, stage)
     assert again[2].delta_stats.get("probe_evals", 0) == 0
     assert again[2].optimizer_calls == 0
     assert again[2].kernel_stats["lanes_total"] == 0
@@ -607,12 +623,13 @@ def test_reruns_over_a_held_stage_equal_fresh_sessions(
 
     other = held.run("tune", b2)
     assert other[:2] == fresh(b2)[:2]
-    _assert_nothing_repeated(other[2], entries)
+    _assert_nothing_repeated(other[2], entries, work, stage)
     for name in algorithms.names():
         entries = len(stage.tables.probes) if delta else 0
+        work = _estimation_work(stage)
         searched = held.run("tune", b1, algorithm=name)
         assert searched[:2] == fresh(b1, algorithm=name)[:2], name
-        _assert_nothing_repeated(searched[2], entries)
+        _assert_nothing_repeated(searched[2], entries, work, stage)
     assert held.stage is stage
     assert held.samplecf_runs() == samplecf
 
@@ -639,6 +656,7 @@ def test_retune_chain_over_one_stage_equals_seeded_sessions(
         previous = chain.session.configuration
         generation = chain.session.generation
         entries = len(stage.tables.probes) if delta else 0
+        work = _estimation_work(stage)
         retuned = chain.run("retune", workload=phases[k])
         seeded = _Recorded(inputs, cache_dir, workload=None,
                            budget_fraction=0.15, delta_costing=delta,
@@ -648,7 +666,7 @@ def test_retune_chain_over_one_stage_equals_seeded_sessions(
         assert retuned[:2] == expected[:2], f"phase {k}"
         assert (retuned[2].dropped, retuned[2].added, retuned[2].kept) \
             == (expected[2].dropped, expected[2].added, expected[2].kept)
-        _assert_nothing_repeated(retuned[2].result, entries)
+        _assert_nothing_repeated(retuned[2].result, entries, work, stage)
     assert chain.stage is stage
     assert chain.samplecf_runs() == samplecf
 
@@ -775,6 +793,7 @@ def test_run_after_an_aborted_run_equals_a_fresh_session(inputs, delta):
         # the stage is complete.
         assert (session.stage is None) == (n <= 2), n
         kept = session.stage
+        work = _estimation_work(kept) if kept is not None else None
         # The next run gets its own hook: a stage holds none.
         hook.events = None
         events: list = []
@@ -784,7 +803,7 @@ def test_run_after_an_aborted_run_equals_a_fresh_session(inputs, delta):
         assert events == stream, n
         if kept is not None:
             assert session.stage is kept
-            assert result.cache_stats["misses"] == 0
+            assert _estimation_work(kept) == work
 
 
 # ----------------------------------------------------------------------
@@ -984,9 +1003,10 @@ def keyed(inputs):
     return recorded, budget
 
 
-def _assert_reused(recorded, stage, result, entries_before) -> None:
+def _assert_reused(recorded, stage, result, entries_before,
+                   work_before) -> None:
     assert recorded.stage is stage
-    _assert_nothing_repeated(result, entries_before)
+    _assert_nothing_repeated(result, entries_before, work_before, stage)
 
 
 def _assert_prepared_anew(recorded, stage, result, statements) -> None:
@@ -1006,11 +1026,12 @@ def test_stage_reuse_follows_the_option_class(inputs, keyed, name):
     recorded, budget = keyed
     recorded.run("tune", budget)  # back onto the default key
     stage, entries = recorded.stage, len(recorded.stage.tables.probes)
+    work = _estimation_work(stage)
     assert getattr(_default_options(budget), name) != OTHER_VALUE[name]
     args = () if name == "budget_bytes" else (budget,)
     result = recorded.run("tune", *args, **{name: OTHER_VALUE[name]})[2]
     if name in SEARCH_ONLY_OPTIONS:
-        _assert_reused(recorded, stage, result, entries)
+        _assert_reused(recorded, stage, result, entries, work)
     else:
         _assert_prepared_anew(recorded, stage, result, len(inputs[1]))
 
@@ -1020,11 +1041,12 @@ def test_stage_reuse_follows_statements_and_seed_not_weights(inputs, keyed):
     wl = inputs[1]
     recorded.run("tune", budget, workload=wl)
     stage, entries = recorded.stage, len(recorded.stage.tables.probes)
+    work = _estimation_work(stage)
     reweighted = wl.reweighted(select_weight=3.0, update_weight=0.5)
     assert stage_key(reweighted, _default_options(budget), SEED) \
         == stage.key
     result = recorded.run("tune", budget, workload=reweighted)[2]
-    _assert_reused(recorded, stage, result, entries)
+    _assert_reused(recorded, stage, result, entries, work)
 
     shorter = Workload(list(wl)[1:])
     result = recorded.run("tune", budget, workload=shorter)[2]

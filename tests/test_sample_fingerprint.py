@@ -157,13 +157,19 @@ def test_equal_across_processes_and_hash_seeds(run_with_hashseed):
     assert seen == {here}
 
 
-def test_one_session_scans_each_table_once():
-    """Every run gets a fresh estimator, so the fingerprint is asked for
-    per run — but the tables it digests outlive the runs."""
+def test_one_session_scans_each_table_once(tmp_path):
+    """Every preparing run gets a fresh estimator, so the fingerprint
+    its persistent cache keys embed is asked for per run — but the
+    tables it digests outlive the runs.  A session without a cache
+    directory holds no cache, and never asks."""
     db = sales_database(scale=0.02)
+    wl = sales_workload(db)
     lists = count_scans(db)
-    session = Session(db, sales_workload(db), budget_fraction=0.15)
+    Session(db, wl, budget_fraction=0.15).tune()
+    assert {c.reprs for c in lists} == {0}
+    session = Session(db, wl, budget_fraction=0.15, cache_dir=str(tmp_path))
     session.tune()
     session.tune()
     session.retune()
+    Session(db, wl, budget_fraction=0.15, cache_dir=str(tmp_path)).tune()
     assert {c.reprs for c in lists} == {1}
