@@ -289,8 +289,11 @@ def cmd_validate(args) -> int:
     print(f"deployed improvement:  {report.true_size_improvement:8.1%}")
     print(f"budget respected:      {report.budget_holds}")
     print(f"worst size estimate:   {report.max_abs_size_error:8.1%} off")
-    for check in sorted(report.size_checks,
-                        key=lambda c: -abs(c.ratio_error)):
+    # Equal errors are common (exact estimates read 0.0%), so the name
+    # breaks ties: the configuration's set order varies between runs.
+    for check in sorted(report.size_checks, key=lambda c: (
+        -abs(c.ratio_error), c.index.display_name()
+    )):
         print(f"  {check.ratio_error:+7.1%}  "
               f"est {check.estimated / 1024:8.0f} KiB  "
               f"true {check.measured / 1024:8.0f} KiB  "

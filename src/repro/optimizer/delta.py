@@ -64,21 +64,29 @@ single float:
   :meth:`WhatIfOptimizer.cost_with_plans`, which owns the statement
   cache and the persistent :class:`~repro.parallel.cache.CostCache`.
 
-* **The cost memo.**  A workload cost is a pure function of (the
-  configuration, the weights, the stage), so :meth:`DeltaWorkloadCoster.
-  workload_cost` stores each one it costs and answers the same
-  configuration again — in a later sweep, a converging seeded start, a
-  rerun, the next budget of a sweep — with the stored float: the one
-  the costing body returned.  A sweep-shaped configuration
-  ``reference ∪ {secondary}`` is keyed by (the reference's members,
-  the secondary), so one frozenset serves a whole sweep; any other by
-  its own members (a frozenset).  The memo lives beside the plan table in
-  :class:`PlanTables` and holds one weight vector at a time: a coster
-  with other weights (a retune phase) replaces it, and a statement
-  joining ``distrusted`` empties it, since entries may have been built
-  from that statement's plans.  The first reference and the reference
-  itself are answered before the memo is consulted; every read is
-  counted in ``cost_memo_hits``.
+* **The cost memo.**  A configuration's per-statement raw totals are a
+  pure function of (the configuration, the stage); only the final
+  multiply-and-sum reads the weights.  So :meth:`DeltaWorkloadCoster.
+  workload_cost` stores, for each configuration it costs, two layers:
+  the raw totals, sparse — the totals tuple of the reference it was
+  costed against, shared by every entry costed from that reference,
+  plus the statements the body recosted or patched — and the weighted
+  cost it returned, kept for the weight vector in force.  The same
+  configuration again under those weights — in a later sweep, a
+  converging seeded start, a rerun, the next budget of a sweep — is
+  one dict read; under other weights over the same statements (a
+  retune phase) the raw totals are reweighted, ``sum(w[i] * t[i])`` in
+  statement order, which is the float the body would return: every
+  term the body sums is one such product, and a reused term
+  ``w[i] * ref_totals[i]``.  A sweep-shaped configuration ``reference ∪
+  {secondary}`` is keyed by (the reference's members, the secondary),
+  so one frozenset serves a whole sweep; any other by its own members
+  (a frozenset).  The memo lives
+  beside the plan table in :class:`PlanTables`, and a statement joining
+  ``distrusted`` empties it, raw totals and weighted costs alike, since
+  entries may have been built from that statement's plans.  The first
+  reference and the reference itself are answered before the memo is
+  consulted; every read is counted in ``cost_memo_hits``.
 
 * **Zero-delta certificates.**  :meth:`improvement_possible` lets the
   enumerator skip a pure add without costing it when every affected
@@ -86,7 +94,8 @@ single float:
   candidate's total is bit-identical to the current cost, so the full
   path would compute ``delta_cost == 0`` and skip it anyway.  Exact
   under every search strategy.  A candidate the memo holds is read
-  instead of certified, and a certified one is never stored.
+  instead of certified, under any weights, and a certified one is
+  never stored.
 
 Determinism contract: recommendations with delta costing on are
 byte-identical to the full-recost path at any worker count.  A term is
@@ -96,13 +105,13 @@ whose outcome is provably invisible.
 
 State comes in two lifetimes.  A **coster** is per-run state: its
 weights, reference and counters belong to one search and are never
-shared.  The :class:`PlanTables` under it are budget- and
-reference-free — every entry a pure function of its key under one
-optimizer's sizes and statistics (a cost-memo entry also of the weight
-vector the memo is held for) — so any number of costers over the same
-statement sequence (a rerun, another budget or algorithm, a drifted
-phase's weights) may read and fill one set of tables, one after
-another.  The one rule that bounds that sharing: plan-table keys
+shared.  The :class:`PlanTables` under it are budget-, reference- and
+weight-free — every entry a pure function of its key under one
+optimizer's sizes and statistics (the cost memo's weighted layer is a
+cache of its raw totals under the weights in force) — so any
+number of costers over the same statement sequence (a rerun, another
+budget or algorithm, a drifted phase's weights) may read and fill one
+set of tables, one after another.  The one rule that bounds that sharing: plan-table keys
 do not embed size estimates (unlike the persistent
 :class:`~repro.parallel.cache.CostCache`), so **a plan table must never
 outlive the estimator whose sizes it was built from**.  The advisor
@@ -165,6 +174,19 @@ class _RefVector:
         self.reusable = reusable
 
 
+def _weighted_cost(raw: tuple, weights: list) -> float:
+    """The workload cost of a raw cost-memo entry — ``(reference
+    totals, si, total, si, total, ...)`` — under ``weights``:
+    ``sum(w[i] * t[i])`` in statement order, the float a costing body
+    with these weights returns, since every term it sums is one such
+    product."""
+    pairs = iter(raw)
+    totals = list(next(pairs))
+    for si, total in zip(pairs, pairs):
+        totals[si] = total
+    return sum(map(operator.mul, weights, totals))
+
+
 def _plan_tables(diff: Iterable[IndexDef]) -> set[str]:
     """The tables whose plan search a diff changes: its non-MV
     members' (an MV index only ever enters through substitution)."""
@@ -184,8 +206,9 @@ class PlanTables:
     Holds the statement skeleton and the tables whose entries are pure
     functions of (statement position, structures, the optimizer's sizes
     and statistics): the plan table, the probe rows read off it, the
-    per-SELECT shapes, the maintenance contributions, and the first
-    (base) reference's unweighted totals and plans.  None of these
+    per-SELECT shapes, the maintenance contributions, the first (base)
+    reference's unweighted totals and plans, and the **cost memo**,
+    configuration -> its unweighted per-statement totals.  None of these
     depends on statement weights, a budget or a reference
     configuration, so costers built over reweighted copies of the same
     statements (a rerun, another budget, a drifted phase) read and fill
@@ -193,10 +216,12 @@ class PlanTables:
     lifetime of the optimizer — and the estimator behind its size
     lookup — they were built against, never a longer one.
 
-    The one weighted field is the **cost memo**, configuration ->
-    weighted workload cost, held for one weight vector at a time:
-    a coster with other weights replaces it (:meth:`cost_memo_for`),
-    and a distrusted statement empties it (:meth:`distrust`).
+    Beside the raw memo sits its weighted layer, the workload costs
+    under the weights in force (:meth:`held_weights`): a coster with
+    those weights rereads a configuration in one dict read, and a
+    coster with other weights puts its own in force over an empty
+    weighted layer.  A distrusted statement empties both layers
+    (:meth:`distrust`).
     """
 
     def __init__(self, coster: StatementCoster,
@@ -251,29 +276,37 @@ class PlanTables:
         #: coster starts from, so a later coster weights it instead of
         #: asking the optimizer again.
         self.first_reference: tuple | None = None
-        #: the one weighted field: configuration -> workload cost under
-        #: the weight vector ``memo_weights`` (:meth:`cost_memo_for`),
-        #: keyed by (reference members, secondary) for the sweep shape
-        #: and by the members otherwise
-        #: (:meth:`DeltaWorkloadCoster._memo_key`); emptied whenever a
-        #: statement joins ``distrusted``.
+        #: the cost memo's raw layer: configuration -> its unweighted
+        #: per-statement totals, as (the totals tuple of the reference
+        #: it was costed against, then each statement its costing body
+        #: recosted or patched and that statement's total, flat); keyed
+        #: by (reference members, secondary) for the sweep shape and by
+        #: the members otherwise (:meth:`DeltaWorkloadCoster._memo_key`).
+        #: Flat tuples of numbers, so the collector soon stops tracking
+        #: them.
         self.cost_memo: dict = {}
-        self.memo_weights: list | None = None
+        #: the weighted layer: configuration -> workload cost under
+        #: ``weights``, the vector in force (:meth:`held_weights`).
+        self.weighted_costs: dict = {}
+        self.weights: list | None = None
 
-    def cost_memo_for(self, weights: list) -> dict:
-        """The workload-cost memo a coster with ``weights`` reads: the
-        held one if it was filled under an equal weight vector, else an
-        empty one that replaces it — one weight vector at a time."""
-        if weights != self.memo_weights:
-            self.cost_memo = {}
-            self.memo_weights = weights
-        return self.cost_memo
+    def held_weights(self, weights: list) -> list:
+        """Put ``weights`` in force and return the list the costers
+        with them share: the held one if equal, whose weighted costs
+        stand, else ``weights`` over an empty weighted layer.  The raw
+        layer stays either way."""
+        if weights != self.weights:
+            self.weights = weights
+            self.weighted_costs = {}
+        return self.weights
 
     def distrust(self, si: int) -> None:
         """Retire statement ``si`` to full recosts, and drop every memo
-        entry that may have been built from its plans."""
+        entry, raw and weighted, that may have been built from its
+        plans."""
         self.distrusted.add(si)
         self.cost_memo.clear()
+        self.weighted_costs.clear()
 
 
 class DeltaWorkloadCoster:
@@ -306,8 +339,10 @@ class DeltaWorkloadCoster:
                 "plan tables were built for another statement sequence"
             )
         self.tables = tables
-        self._weights = [ws.weight for ws in statements]
-        self._memo = tables.cost_memo_for(self._weights)
+        self._weights = tables.held_weights(
+            [ws.weight for ws in statements]
+        )
+        self._memo = tables.cost_memo
         # The shared containers under the names the costing code reads
         # (filled in place, never rebound).
         self._stmts = tables.stmts
@@ -325,7 +360,8 @@ class DeltaWorkloadCoster:
         # chosen per-table plans under the reference configuration.
         self._ref_config: Configuration | None = None
         self._ref_terms: list[float] = []
-        self._ref_totals: list[float] = []
+        #: a tuple, shared by the memo entries costed against it.
+        self._ref_totals: tuple = ()
         #: per SELECT, its chosen plans aligned with ``tables`` — None
         #: where the optimizer reported none (an MV substitution) or
         #: the plan table cannot reproduce them.
@@ -401,7 +437,7 @@ class DeltaWorkloadCoster:
             )
         self._ref_config = config
         self._ref_terms = terms
-        self._ref_totals = totals
+        self._ref_totals = tuple(totals)
         self._ref_plans = plans
         self._ref_total = sum(terms)
         self._ref_bases = {}
@@ -413,8 +449,9 @@ class DeltaWorkloadCoster:
     # ------------------------------------------------------------------
     def workload_cost(self, config: Configuration) -> float:
         """Weighted workload cost of ``config``: read from the cost
-        memo when this weight vector costed it before over these
-        tables, else costed and stored.  Costing re-evaluates only the
+        memo when any coster costed it before over these tables —
+        reweighting its raw totals if that was under other weights —
+        else costed and stored.  Costing re-evaluates only the
         statements on the tables the diff against the reference touches
         — and, for the sweep shape ``reference ∪ {one secondary}``, only
         those the candidate's probe row does not strictly lose on."""
@@ -423,18 +460,28 @@ class DeltaWorkloadCoster:
         if config == self._ref_config:
             return self._ref_total
         key, ix = self._memo_key(config)
-        memo = self._memo
-        if memo is not self.tables.cost_memo:
-            # A coster with other weights has taken the memo since.
-            memo = {}
-        cost = memo.get(key)
+        tables = self.tables
+        # Weighted costs are kept for the weights in force only: a
+        # coster another coster's weights displaced reads raw totals.
+        weighted = (
+            tables.weighted_costs if self._weights is tables.weights
+            else {}
+        )
+        cost = weighted.get(key)
         if cost is not None:
             self.cost_memo_hits += 1
             return cost
-        cost = memo[key] = (
+        raw = self._memo.get(key)
+        if raw is not None:
+            self.cost_memo_hits += 1
+            cost = weighted[key] = _weighted_cost(raw, self._weights)
+            return cost
+        cost, changes = (
             self._diff_cost(config) if ix is None
             else self._sole_add_cost(ix, config)
         )
+        self._memo[key] = (self._ref_totals, *changes)
+        weighted[key] = cost
         return cost
 
     def _memo_key(self, config: Configuration) -> tuple:
@@ -452,19 +499,26 @@ class DeltaWorkloadCoster:
                     return (ref, ix), ix
         return members, None
 
-    def _diff_cost(self, config: Configuration) -> float:
-        """Workload cost of any configuration but the sweep shape:
-        re-choose on the tables the diff touches, and keep the
-        reference's plans elsewhere."""
+    def _diff_cost(self, config: Configuration) -> tuple:
+        """(workload cost, [si, raw total, ...] of the statements it
+        recosted) of any configuration but the sweep shape: re-choose
+        on the tables the diff touches, and keep the reference's plans
+        elsewhere."""
         diff = config.indexes ^ self._ref_config.indexes
         affected = self._affected(diff)
         if not affected:
-            return self._ref_total
+            return self._ref_total, ()
         mv_tables, touched = _mv_tables(config), _plan_tables(diff)
         out = list(self._ref_terms)
+        ref_totals = self._ref_totals
+        changes = []
         for si in affected:
-            out[si] = self._recost(si, config, mv_tables, touched)[0]
-        return sum(out)
+            out[si], total, _plans = self._recost(
+                si, config, mv_tables, touched
+            )
+            if total is not ref_totals[si]:  # not a reused term
+                changes += (si, total)
+        return sum(out), changes
 
     def batch(self, configs: Sequence[Configuration]) -> list[float]:
         """Workload costs of many configurations, in input order."""
@@ -525,13 +579,14 @@ class DeltaWorkloadCoster:
 
         False (a zero-delta certificate) means its total is provably
         bit-identical to the reference cost, so the enumerator may skip
-        it entirely.  A configuration the cost memo holds is never
-        certified: reading its cost is cheaper than the certificate."""
+        it entirely.  A configuration the cost memo holds, under any
+        weights, is never certified: reading its cost is cheaper than
+        the certificate."""
         ref = self._ref_config
         if ref is None:
             return True
         key, ix = self._memo_key(config)
-        if self._memo is self.tables.cost_memo and key in self._memo:
+        if key in self._memo:
             return True
         if ix is not None:
             # The sweep shape: every statement on the table must have a
@@ -676,9 +731,11 @@ class DeltaWorkloadCoster:
             self._weights[si] * breakdown.total, breakdown.total, plans
         )
 
-    def _sole_add_cost(self, ix: IndexDef, config: Configuration) -> float:
-        """Workload cost of ``reference ∪ {ix}`` for a secondary ``ix``:
-        one ``probe > chosen`` pass over its table's statements."""
+    def _sole_add_cost(self, ix: IndexDef, config: Configuration) -> tuple:
+        """(workload cost, [si, raw total, ...] of the statements it
+        recosted or patched) of ``reference ∪ {ix}`` for a secondary
+        ``ix``: one ``probe > chosen`` pass over its table's
+        statements."""
         table = ix.table
         vector = self._ref_vector(table)
         contested = [
@@ -690,8 +747,9 @@ class DeltaWorkloadCoster:
         # Strict losers keep their reference term, bit for bit.
         self.reused_terms += len(vector.stmts) - len(contested)
         if not contested:
-            return self._ref_total
+            return self._ref_total, ()
         out = list(self._ref_terms)
+        changes = []
         plan_key = (table, index_identity(ix), self._ref_base(table)[1])
         mv_tables = None
         for si, probe, chosen in contested:
@@ -700,7 +758,10 @@ class DeltaWorkloadCoster:
                 # scope, no reference plans.
                 if mv_tables is None:
                     mv_tables = _mv_tables(config)
-                out[si] = self._recost(si, config, mv_tables, {table})[0]
+                out[si], total, _plans = self._recost(
+                    si, config, mv_tables, {table}
+                )
+                changes += (si, total)
                 continue
             self.patched_terms += 1
             plans = self._ref_plans[si]
@@ -718,8 +779,10 @@ class DeltaWorkloadCoster:
                 *plans[:pos], self._probes[(si, *plan_key)],
                 *plans[pos + 1:],
             )
-            out[si] = self._weights[si] * self._select_total(si, plans)
-        return sum(out)
+            total = self._select_total(si, plans)
+            out[si] = self._weights[si] * total
+            changes += (si, total)
+        return sum(out), changes
 
     def _maintenance_total(
         self, si: int, config: Configuration

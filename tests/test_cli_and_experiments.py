@@ -99,6 +99,35 @@ class TestCLI:
         assert "deployed improvement" in out
         assert "budget respected" in out
 
+    def test_validate_prints_the_same_bytes_twice(self, capsys,
+                                                   monkeypatch):
+        """Size checks with equal errors print in name order, whatever
+        order the configuration hands them over in: the second run gets
+        its checks reversed and must print the same bytes."""
+        import repro.engine
+
+        validate = repro.engine.validate_recommendation
+        runs = []
+
+        def handed_over(*args, **kwargs):
+            report = validate(*args, **kwargs)
+            if runs:
+                report.size_checks.reverse()
+            runs.append(report)
+            return report
+
+        monkeypatch.setattr(repro.engine, "validate_recommendation",
+                            handed_over)
+        argv = ["validate", "--dataset", "sales", "--scale", "0.02",
+                "--budget", "0.2"]
+        outs = []
+        for _ in range(2):
+            main(argv)
+            outs.append(capsys.readouterr().out)
+        errors = [abs(c.ratio_error) for c in runs[0].size_checks]
+        assert len(errors) > len(set(errors))  # the run has ties
+        assert outs[0] == outs[1]
+
     def test_columnstore(self, capsys):
         assert main([
             "columnstore", "--dataset", "tpch", "--scale", "0.03",

@@ -15,8 +15,9 @@ is evaluated twice.  The key itself is checked too: every base with one
 compression method gives a structure the same plan, and bases with
 different methods do not.  Last, the cost memo above the terms: every
 float it stores or answers is what a fresh coster over fresh tables
-and the optimizer answer, and it holds one weight vector at a time,
-starts empty in a fork view and empties when a statement is distrusted.
+and the optimizer answer, under the weights that costed it and under
+any reweighting of the same statements, and it empties when a statement
+is distrusted.
 """
 
 import math
@@ -38,6 +39,7 @@ from repro.advisor.candidates import CandidateOptions, candidate_indexes
 from repro.compression.base import CompressionMethod
 from repro.datasets.sales import sales_database, sales_workload
 from repro.optimizer.access_paths import best_access_plan, cost_access
+from repro.optimizer.delta import _weighted_cost
 from repro.optimizer.kernels import CostKernel
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.parallel.cache import CostCache
@@ -529,7 +531,8 @@ def test_a_tune_evaluates_each_plan_once(sales_inputs):
 
 
 # ----------------------------------------------------------------------
-# the cost memo: one weighted answer per configuration, per stage
+# the cost memo: raw totals per configuration, per stage, read under
+# any weights
 # ----------------------------------------------------------------------
 def _heaps_and_adds(rig):
     heaps = Configuration(variants[0] for variants in rig.bases.values())
@@ -541,13 +544,30 @@ def _heaps_and_adds(rig):
 
 
 def _memo_entries(tables):
-    """The memo as (configuration, stored cost) pairs: a sweep entry is
-    keyed by (reference members, the added secondary)."""
-    for key, cost in tables.cost_memo.items():
+    """The memo as (configuration, workload cost) pairs, one per raw
+    entry, the cost rebuilt from its raw totals under the weights in
+    force; and every weighted entry must hold that same cost.  A sweep
+    entry is keyed by (reference members, the added secondary)."""
+    assert tables.weighted_costs.keys() <= tables.cost_memo.keys()
+    for key, raw in tables.cost_memo.items():
+        cost = _weighted_cost(raw, tables.weights)
+        assert tables.weighted_costs.get(key, cost) == cost
         if isinstance(key, tuple):
             ref, ix = key
             key = ref | {ix}
         yield Configuration(key), cost
+
+
+def _reweighted(wl, factors) -> Workload:
+    """``wl`` with statement ``i``'s weight times ``factors[i]``."""
+    out = Workload()
+    for ws, factor in zip(wl, factors):
+        out.add(ws.statement, ws.weight * factor, ws.name)
+    return out
+
+
+#: per-statement weight factors: dropped, scaled down or up 25x, kept.
+FACTORS = st.sampled_from([0.0, 1 / 25, 1.0, 25.0])
 
 
 @PROPERTY
@@ -588,50 +608,84 @@ def test_the_cost_memo_holds_the_bodys_answers(rigs, data):
         assert cost == _full(whatif, wl, config)
 
 
-def test_a_coster_over_other_weights_reads_no_entry_of_the_memo(rigs):
-    """The memo holds one weight vector at a time: a coster over the
-    same statements reweighted replaces it, reads none of the first
-    weights' entries, and neither does the first coster afterwards; a
-    coster with equal weights shares what is held."""
+@PROPERTY
+@given(data=st.data())
+def test_a_reweighted_coster_reads_every_entry_of_the_memo(rigs, data):
+    """A walk like the one above fills the memo; costers over the same
+    statements reweighted — zero weights, 25x ratios — replay it over
+    the same tables.  Each reads every entry the walk stored and stores
+    none, and each answer is the optimizer's under its own weights; the
+    first weights again read the first answers."""
     rig = rigs["sales"]
     whatif, wl = rig.whatif, rig.wl
-    heaps, adds = _heaps_and_adds(rig)
+    draw = data.draw
     first = whatif.delta_coster(wl)
-    first.rebase(heaps)
-    first.batch(adds)
+    start = ref = _draw_config(draw, rig)
+    first.rebase(ref)
+    walk, answers, asked = [], [], 0
+    for _ in range(draw(st.integers(2, 6))):
+        config = _draw_neighbour(draw, rig, ref)
+        walk.append(("cost", config))
+        answers.append(first.workload_cost(config))
+        asked += config != ref
+        if draw(st.booleans()):
+            ref = config
+            walk.append(("rebase", config))
+            first.rebase(ref)
     tables = first.tables
-    assert len(tables.cost_memo) == len(adds)
+    stored = len(tables.cost_memo)
 
-    reweighted = wl.reweighted(1.0, 25.0)
-    other = whatif.delta_coster(reweighted, tables)
-    assert not tables.cost_memo
-    other.rebase(heaps)
-    costs = other.batch(adds)
-    assert other.cost_memo_hits == 0
-    assert costs == [_full(whatif, reweighted, config) for config in adds]
-    held = dict(tables.cost_memo)
+    def replay(coster) -> list[float]:
+        coster.rebase(start)
+        costs = []
+        for step, config in walk:
+            if step == "rebase":
+                coster.rebase(config)
+            else:
+                costs.append(coster.workload_cost(config))
+        return costs
 
-    assert first.batch(adds) == [_full(whatif, wl, c) for c in adds]
-    assert first.cost_memo_hits == 0
-    assert tables.cost_memo == held
+    n = len(wl)
+    for factors in draw(st.lists(
+        st.lists(FACTORS, min_size=n, max_size=n), min_size=1, max_size=3,
+    )):
+        reweighted = _reweighted(wl, factors)
+        other = whatif.delta_coster(reweighted, tables)
+        costs = replay(other)
+        assert other.cost_memo_hits == asked
+        assert len(tables.cost_memo) == stored
+        assert costs == [
+            _full(whatif, reweighted, config)
+            for step, config in walk if step == "cost"
+        ]
+        for config, cost in _memo_entries(tables):
+            assert cost == _full(whatif, reweighted, config)
 
-    same = whatif.delta_coster(wl.reweighted(1.0, 25.0), tables)
-    same.rebase(heaps)
-    assert same.batch(adds) == costs
-    assert same.cost_memo_hits == len(adds)
+    again = whatif.delta_coster(wl, tables)
+    assert replay(again) == answers
+    assert again.cost_memo_hits == asked
+    assert len(tables.cost_memo) == stored
 
 
 def test_a_distrusted_statement_empties_the_memo(rigs, monkeypatch):
     """A statement joins ``distrusted`` when the optimizer reports plan
     costs its plan-table choice does not reproduce; every memo entry
-    may have been built from its plans, so none survives."""
+    may have been built from its plans, so none survives — neither the
+    raw totals nor the weighted costs of the reweighted coster in
+    force — and costers under either weights cost anew."""
     rig = rigs["sales"]
     whatif, wl = rig.whatif, rig.wl
     heaps, adds = _heaps_and_adds(rig)
     delta = whatif.delta_coster(wl)
     delta.rebase(heaps)
     delta.batch(adds)
-    assert delta.tables.cost_memo and not delta._distrusted
+    assert len(delta.tables.cost_memo) == len(adds)
+    assert not delta._distrusted
+    reweighted = wl.reweighted(1.0, 25.0)
+    other = whatif.delta_coster(reweighted, delta.tables)
+    other.rebase(heaps)
+    other.batch(adds)
+    assert other.cost_memo_hits == len(adds)
 
     victim = wl.statements[0].statement
     reported = whatif.cost_with_plans
@@ -643,10 +697,22 @@ def test_a_distrusted_statement_empties_the_memo(rigs, monkeypatch):
         return breakdown, plan_costs
 
     monkeypatch.setattr(whatif, "cost_with_plans", stale)
-    # Another first reference over the same tables asks the optimizer.
-    other = whatif.delta_coster(wl, delta.tables)
-    other.rebase(adds[0])
+    # Another first reference over the same tables asks the optimizer;
+    # its weights are ``other``'s, whose weighted costs stay in force.
+    third = whatif.delta_coster(reweighted, delta.tables)
+    assert delta.tables.weighted_costs
+    third.rebase(adds[0])
     assert delta._distrusted == {0}
     assert not delta.tables.cost_memo
+    assert not delta.tables.weighted_costs
     monkeypatch.undo()
-    assert other.batch(adds) == [_full(whatif, wl, c) for c in adds]
+    # The reweighted coster costs every add anew; the first weights
+    # then read what it stored.
+    for coster, weighted, read in (
+        (other, reweighted, 0), (delta, wl, len(adds)),
+    ):
+        hits = coster.cost_memo_hits
+        assert coster.batch(adds) == [
+            _full(whatif, weighted, c) for c in adds
+        ]
+        assert coster.cost_memo_hits == hits + read

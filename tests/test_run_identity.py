@@ -822,9 +822,10 @@ def test_a_second_budget_over_the_held_memo_equals_a_cold_tune(inputs):
 
 
 def test_a_tune_after_a_retune_equals_a_cold_tune(inputs):
-    """tune -> retune(phase 1) -> tune on one session: the retune's
-    weights replace the memo, and the last tune, under the first
-    weights again, is the cold tune, result and event stream."""
+    """tune -> retune(phase 1) -> tune on one session: the retune reads
+    the tune's entries under its own weights, and the last tune, under
+    the first weights again, is the cold tune, result and event
+    stream."""
     spec = DriftSpec(**DRIFT)
     phases = [drift_phase(inputs[1], spec, k) for k in range(2)]
 
@@ -842,26 +843,94 @@ def test_a_rerun_costs_nothing_anew(inputs, monkeypatch):
     """The same request again: every costing that is not the reference
     itself is read from the memo, which gains no entry, and no plan is
     evaluated and no statement recosted."""
-    from repro.optimizer.delta import DeltaWorkloadCoster
-
     budget = _budgets(inputs)[0]
     held = _Recorded(inputs)
     held.run("tune", budget)
     stored = len(held.stage.tables.cost_memo)
-    asked = 0
+    asked = _count_costings(monkeypatch)
+    delta = held.run("tune", budget)[2].delta_stats
+    assert asked[0] > 0
+    assert delta["cost_memo_hits"] == asked[0]
+    assert delta["probe_evals"] == delta["full_recosts"] == 0
+    assert len(held.stage.tables.cost_memo) == stored
+
+
+def _count_costings(monkeypatch) -> list:
+    """Count every ``workload_cost`` call that is not the reference
+    itself — what the cost memo or a costing body answers — into the
+    returned one-element list."""
+    from repro.optimizer.delta import DeltaWorkloadCoster
+
+    asked = [0]
     workload_cost = DeltaWorkloadCoster.workload_cost
 
     def counted(coster, config):
-        nonlocal asked
         ref = coster._ref_config
-        asked += ref is not None and config != ref
+        asked[0] += ref is not None and config != ref
         return workload_cost(coster, config)
 
     monkeypatch.setattr(DeltaWorkloadCoster, "workload_cost", counted)
-    delta = held.run("tune", budget)[2].delta_stats
-    assert asked > 0
-    assert delta["cost_memo_hits"] == asked
-    assert delta["probe_evals"] == delta["full_recosts"] == 0
+    return asked
+
+
+def _retuned(retune) -> tuple:
+    """A recorded retune as what must repeat: result bytes, event
+    stream and the dropped/added/kept diff."""
+    canon, events, result = retune
+    return canon, events, (result.dropped, result.added, result.kept)
+
+
+def test_retunes_over_the_memo_equal_retunes_over_an_empty_one(inputs):
+    """tune(phase 0), then retunes to phases 1, 2, 1, 2 on one session,
+    each reading the raw totals the runs before it left under its own
+    weights, equal the same retunes with the memo (raw totals and
+    weighted costs) emptied before each: result, stream and diff."""
+    spec = DriftSpec(**DRIFT)
+    phases = [drift_phase(inputs[1], spec, k) for k in range(3)]
+
+    def session():
+        recorded = _Recorded(inputs, workload=None, budget_fraction=0.15)
+        recorded.run("tune", workload=phases[0])
+        return recorded
+
+    held, emptied = session(), session()
+    hits = []
+    for k in (1, 2, 1, 2):
+        tables = emptied.stage.tables
+        tables.cost_memo.clear()
+        tables.weighted_costs.clear()
+        expected = emptied.run("retune", workload=phases[k])
+        retuned = held.run("retune", workload=phases[k])
+        assert _retuned(retuned) == _retuned(expected), f"phase {k}"
+        hits.append(retuned[2].result.delta_stats["cost_memo_hits"])
+    assert hits[2] > 0 and hits[3] > 0
+
+
+def test_a_second_retune_cycle_costs_nothing_anew(inputs, monkeypatch):
+    """The reuse cycle: reset one session to its phase-0 recommendation,
+    retune through phases 1-4, twice.  The second cycle repeats the
+    first, result, stream and diff, and every costing of it is read
+    from the memo, which gains no entry; no plan is evaluated and no
+    statement recosted."""
+    phases = [drift_phase(inputs[1], DriftSpec(), k) for k in range(5)]
+    held = _Recorded(inputs, workload=None, budget_fraction=0.15)
+    held.run("tune", workload=phases[0])
+    phase0 = held.session.configuration
+
+    def cycle() -> list:
+        held.session.configuration = phase0
+        held.session.generation = 1
+        return [held.run("retune", workload=phases[k]) for k in range(1, 5)]
+
+    first = cycle()
+    stored = len(held.stage.tables.cost_memo)
+    asked = _count_costings(monkeypatch)
+    second = cycle()
+    assert [_retuned(r) for r in second] == [_retuned(r) for r in first]
+    deltas = [r[2].result.delta_stats for r in second]
+    assert asked[0] > 0
+    assert sum(d["cost_memo_hits"] for d in deltas) == asked[0]
+    assert all(d["probe_evals"] == d["full_recosts"] == 0 for d in deltas)
     assert len(held.stage.tables.cost_memo) == stored
 
 
