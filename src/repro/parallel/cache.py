@@ -31,9 +31,13 @@ both can be persisted and replayed across processes and runs:
   pure, so — unlike size estimates — a cost-cache hit can *never* steer
   a run onto a different result, warm or cold.
 
-Both caches persist as JSON in the same cache directory and merge
-concurrently-written entries on save, so forked sweep workers can share
-one directory.  :meth:`fork_view` hands each run in a sweep its own
+Both caches persist as JSON lines in the same cache directory: a head
+line ``{"version": 2, "entries": {...}}``, then one ``[key, record]``
+line per entry.  A save appends the entries stored since the last one,
+under an exclusive lock, so forked sweep workers can share one directory
+and a save costs its new entries, never the whole file.  A file the
+single-object layout wrote is a valid head line: it loads, and later
+saves append to it.  :meth:`fork_view` hands each run in a sweep its own
 overlay of the pre-sweep snapshot, which keeps sharded and sequential
 sweeps byte-identical (a run never observes a sibling's fresh entries).
 """
@@ -44,7 +48,6 @@ import errno
 import hashlib
 import json
 import os
-import tempfile
 import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -69,6 +72,9 @@ COST_CACHE_FILE = "costs.json"
 #: forward as entries that can never hit.  2: the sample fingerprint
 #: became column-wise (Table.content_digest); 1: row-wise fingerprint.
 _FORMAT_VERSION = 2
+#: the head line a save starts a new (or unreadable) file with.
+_HEAD = json.dumps({"version": _FORMAT_VERSION, "entries": {}}).encode() \
+    + b"\n"
 
 #: fault-injection hook (see :mod:`repro.service.faults`): rebound to
 #: that module's ``fire`` when a plan is installed, None otherwise.
@@ -84,10 +90,24 @@ FAULT_HOOK = None
 _DEGRADED_ERRNOS = frozenset({errno.ENOSPC, errno.EIO})
 
 
+def _head_entries(line: bytes) -> dict | None:
+    """The entries of a head line in the current format, else None (a
+    missing, corrupt or older-format head: nothing after it loads)."""
+    try:
+        payload = json.loads(line)
+    except ValueError:
+        return None
+    if not isinstance(payload, dict) \
+            or payload.get("version") != _FORMAT_VERSION:
+        return None
+    entries = payload.get("entries")
+    return entries if isinstance(entries, dict) else None
+
+
 class _PersistentJsonCache:
     """Shared machinery of the persistent caches: a string-keyed dict of
-    JSON records with atomic merge-on-save, hit/miss accounting, and
-    per-run snapshot views.
+    JSON records that a save appends to its file, hit/miss accounting,
+    and per-run snapshot views.
 
     Args:
         path: directory to persist into (created on first save); None
@@ -120,10 +140,10 @@ class _PersistentJsonCache:
         #: own fork views, never a shared instance, on hot paths.)
         self._mutate_lock = threading.Lock()
         self._entries: dict[str, dict] = {}
-        self._loaded_entries: dict[str, dict] = {}
+        #: entries stored since the last save: what the next one appends.
+        self._unsaved: dict[str, dict] = {}
         if self.path is not None:
-            self._loaded_entries = self._read_file()
-            self._entries.update(self._loaded_entries)
+            self._entries.update(self._read_file())
 
     # ------------------------------------------------------------------
     @property
@@ -131,17 +151,28 @@ class _PersistentJsonCache:
         return self.path / type(self).FILE if self.path is not None else None
 
     def _read_file(self) -> dict[str, dict]:
-        file = self.file
-        if file is None or not file.exists():
-            return {}
         try:
-            payload = json.loads(file.read_text())
-        except (OSError, json.JSONDecodeError):
+            data = self.file.read_bytes()
+        except OSError:
             return {}
-        if payload.get("version") != _FORMAT_VERSION:
+        head, _, body = data.partition(b"\n")
+        entries = _head_entries(head)
+        if entries is None:
             return {}
-        entries = payload.get("entries")
-        return entries if isinstance(entries, dict) else {}
+        lines = [line for line in body.split(b"\n") if line]
+        try:
+            # One C-level parse for every complete line.
+            entries.update(json.loads(b"[" + b",".join(lines) + b"]"))
+        except (ValueError, TypeError):
+            # A torn line (a writer died mid-append) fails the joined
+            # parse: keep every line that parses whole on its own.
+            for line in lines:
+                try:
+                    key, record = json.loads(line)
+                    entries[key] = record
+                except (ValueError, TypeError):
+                    pass
+        return entries
 
     # ------------------------------------------------------------------
     def _lookup(self, key: str) -> dict | None:
@@ -154,6 +185,7 @@ class _PersistentJsonCache:
 
     def _store(self, key: str, record: dict) -> None:
         self._entries[key] = record
+        self._unsaved[key] = record
         self.stores += 1
 
     # ------------------------------------------------------------------
@@ -162,17 +194,18 @@ class _PersistentJsonCache:
 
         The view starts from exactly the entries this cache holds *now*
         (no file re-read, so entries persisted by concurrent runs stay
-        invisible), accumulates its own puts, and saves them to the same
-        directory.  Sweep orchestration hands one view to every run:
-        each run then sees the identical pre-sweep state whether it
-        executes in the parent or in a forked worker, which is what
-        keeps sharded and sequential sweeps byte-identical.
+        invisible), accumulates its own puts, and saves them — with the
+        ones this cache has not saved yet — to the same directory.
+        Sweep orchestration hands one view to every run: each run then
+        sees the identical pre-sweep state whether it executes in the
+        parent or in a forked worker, which is what keeps sharded and
+        sequential sweeps byte-identical.
         """
         with self._mutate_lock:
             view = type(self)(None)
             view.path = self.path
             view._entries = dict(self._entries)
-            view._loaded_entries = dict(self._loaded_entries)
+            view._unsaved = dict(self._unsaved)
             return view
 
     def absorb(self, view: "_PersistentJsonCache") -> int:
@@ -193,65 +226,71 @@ class _PersistentJsonCache:
 
     # ------------------------------------------------------------------
     def save(self) -> None:
-        """Persist atomically, merging with concurrent writers.
+        """Append the entries stored since the last save to the file.
 
-        Entries are immutable (same key -> same value), so merge order
-        does not matter; the re-read + atomic replace only prevents one
-        process from dropping another's fresh entries, and an exclusive
-        advisory lock serializes the read-merge-replace so two sweep
-        workers saving simultaneously cannot lose each other's updates
-        (on platforms without ``fcntl`` the lock degrades to the
-        unlocked merge).  A no-op when every entry is already on disk,
-        so per-batch save calls against a large warm cache don't redo
-        O(entries) JSON work.
+        All of a save's ``[key, record]`` lines go out in one write
+        under an exclusive advisory lock, so two sweep workers saving
+        at once cannot interleave or lose each other's lines (on
+        platforms without ``fcntl`` the lock degrades to unlocked
+        appends).  Under the lock the save re-reads the head line only:
+        a missing, corrupt or older-format head starts the file over
+        with a fresh head, and a file that does not end in a newline
+        (a torn last line, or the single-object layout) gets one before
+        the new lines.  Entries are immutable (same key -> same value),
+        so a key on two lines loads once.  A no-op when nothing was
+        stored since the last save.
 
         Disk pressure (``ENOSPC``/``EIO``) does not raise: the save is
         skipped, ``degraded`` flips (probe-and-recover — the next save
-        retries and clears it), and the run continues on memory alone;
-        cache entries are pure replay state, so the cost is
-        recomputation, never correctness.
+        writes the same entries again and clears it), and the run
+        continues on memory alone; cache entries are pure replay state,
+        so the cost is recomputation, never correctness.
         """
         if self.path is None:
             return
         with self._mutate_lock:
-            if all(key in self._loaded_entries for key in self._entries):
+            if not self._unsaved:
                 return
+            pending, self._unsaved = self._unsaved, {}
             try:
                 if FAULT_HOOK is not None:
                     FAULT_HOOK("cache.save", file=type(self).FILE)
                 self.path.mkdir(parents=True, exist_ok=True)
-                lock_fh = self._acquire_lock()
-                try:
-                    merged = self._read_file()
-                    merged.update(self._entries)
-                    payload = {
-                        "version": _FORMAT_VERSION, "entries": merged
-                    }
-                    fd, tmp = tempfile.mkstemp(
-                        dir=self.path, prefix=f".{type(self).FILE}-",
-                        suffix=".tmp"
-                    )
-                    try:
-                        with os.fdopen(fd, "w") as fh:
-                            json.dump(payload, fh)
-                        os.replace(tmp, self.file)
-                    except BaseException:
-                        try:
-                            os.unlink(tmp)
-                        except OSError:
-                            pass
-                        raise
-                finally:
-                    if lock_fh is not None:
-                        lock_fh.close()
-            except OSError as exc:
-                if exc.errno not in _DEGRADED_ERRNOS:
+                self._append(pending)
+            except BaseException as exc:
+                # None of them counts as saved: the next save writes
+                # them again (a line that did land loads once anyway).
+                self._unsaved = {**pending, **self._unsaved}
+                if not isinstance(exc, OSError) \
+                        or exc.errno not in _DEGRADED_ERRNOS:
                     raise
                 self.degraded = True
                 self.save_errors += 1
                 return
-            self._loaded_entries = dict(merged)
             self.degraded = False
+
+    def _append(self, pending: dict[str, dict]) -> None:
+        """Write one line per pending entry to the file in one append,
+        under the lock (the head and newline rules are :meth:`save`'s)."""
+        lines = "".join(
+            json.dumps([key, record]) + "\n"
+            for key, record in pending.items()
+        ).encode()
+        lock_fh = self._acquire_lock()
+        try:
+            with open(self.file, "a+b") as fh:
+                fh.seek(0)
+                if _head_entries(fh.readline()) is None:
+                    fh.truncate(0)
+                    lines = _HEAD + lines
+                else:
+                    fh.seek(-1, os.SEEK_END)
+                    if fh.read(1) != b"\n":
+                        lines = b"\n" + lines
+                fh.write(lines)
+        finally:
+            if lock_fh is not None:
+                lock_fh.close()
 
     def _acquire_lock(self):
         """Exclusive advisory lock on ``<FILE>.lock`` (held until the

@@ -1,0 +1,93 @@
+"""A cache directory written by the single-object file layout.
+
+``tests/golden/cache/`` holds the ``estimates.json`` and ``costs.json``
+that a cold
+
+    repro sweep --dataset sales --scale 0.02 --budgets 0.1,0.2 \\
+        --cache-dir DIR
+
+left behind when each file was one ``{"version": 2, "entries": {...}}``
+object, rewritten whole on every save; ``recommendations.json`` is the
+result section of each of that sweep's runs.  The line layout reads such
+a directory warm and appends to it without rewriting a byte of it.
+"""
+
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from repro.cli import _make_dataset, _make_session, build_parser
+from repro.parallel.cache import CACHE_FILE, COST_CACHE_FILE
+from repro.service.context import serialize_result
+
+GOLDEN = Path(__file__).parent / "golden" / "cache"
+SWEEP = ["sweep", "--dataset", "sales", "--scale", "0.02",
+         "--budgets", "0.1,0.2"]
+
+
+def sweep(cache_dir, *extra):
+    """``repro sweep`` with the golden's flags (plus ``extra``) over
+    ``cache_dir``, without the printing."""
+    args = build_parser().parse_args(
+        [*SWEEP, "--cache-dir", str(cache_dir), *extra]
+    )
+    db, wl = _make_dataset(args.dataset, args)
+    total = db.total_data_bytes()
+    return _make_session(args, db, wl).sweep(
+        [total * fraction for fraction in args.budgets],
+        seeds=args.seeds, workers=args.workers,
+    )
+
+
+def recommendations(result) -> str:
+    """The sweep's runs as ``recommendations.json`` spells them."""
+    return json.dumps([
+        {"seed": run.seed, "budget_bytes": run.budget_bytes,
+         **serialize_result(run.result)["result"]}
+        for run in result.runs
+    ], indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture()
+def cache_dir(tmp_path):
+    copy = tmp_path / "cache"
+    shutil.copytree(GOLDEN, copy)
+    (copy / "recommendations.json").unlink()
+    return copy
+
+
+def _assert_warm(result) -> None:
+    assert result.estimation_cache_stats["hit_rate"] == 1.0
+    assert result.cost_cache_stats["hit_rate"] == 1.0
+    assert recommendations(result) == \
+        (GOLDEN / "recommendations.json").read_text()
+
+
+def test_the_golden_directory_sweeps_warm_and_stays_as_it_was(cache_dir):
+    _assert_warm(sweep(cache_dir))
+    for name in (CACHE_FILE, COST_CACHE_FILE):
+        assert (cache_dir / name).read_bytes() == \
+            (GOLDEN / name).read_bytes()
+
+
+def test_a_new_seed_appends_after_the_golden_bytes(cache_dir):
+    cold = sweep(cache_dir, "--seeds", "7")
+    for name, stats in ((CACHE_FILE, cold.estimation_cache_stats),
+                        (COST_CACHE_FILE, cold.cost_cache_stats)):
+        golden = (GOLDEN / name).read_bytes()
+        grown = (cache_dir / name).read_bytes()
+        assert grown.startswith(golden)
+        # The golden file ends without a newline; the append starts
+        # with one, then writes one line per entry the sweep stored.
+        appended = grown[len(golden):].split(b"\n")
+        assert appended[0] == appended[-1] == b""
+        assert stats["stores"] > 0
+        assert len({json.loads(line)[0] for line in appended[1:-1]}) \
+            == len(appended) - 2 == stats["stores"]
+    # Both seeds now replay from the one directory.
+    _assert_warm(sweep(cache_dir))
+    again = sweep(cache_dir, "--seeds", "7")
+    assert again.estimation_cache_stats["hit_rate"] == 1.0
+    assert again.cost_cache_stats["hit_rate"] == 1.0

@@ -1,8 +1,11 @@
 """Tests for the persistent EstimationCache: content-addressed keys
-(compression method can never alias), persistence round-trips, and
-invalidation when the sample fingerprint changes."""
+(compression method can never alias), persistence round-trips, the
+append-only file layout (a save writes its new lines only; torn, corrupt
+and older-format files), and invalidation when the sample fingerprint
+changes."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -83,15 +86,25 @@ class TestPersistence:
         assert merged.get(b, "fp", 0.5, 0.9) is not None
 
     def test_corrupt_file_is_ignored(self, tmp_path):
-        (tmp_path / "estimates.json").write_text("{not json")
+        file = tmp_path / "estimates.json"
+        file.write_text("{not json")
         cache = EstimationCache(tmp_path)
         assert len(cache) == 0
+        # The next save replaces the file instead of appending after the
+        # corrupt head, so the cache warms again.
+        ix = IndexDef("fact", ("f_qty",), method=CompressionMethod.ROW)
+        cache.put(ix, "fp", 0.5, 0.9, _estimate_for(ix))
+        cache.save()
+        assert b"not json" not in file.read_bytes()
+        warm = EstimationCache(tmp_path)
+        assert len(warm) == 1
+        assert warm.get(ix, "fp", 0.5, 0.9) is not None
 
     @pytest.mark.parametrize("cache_cls", [EstimationCache, CostCache])
     def test_older_format_is_ignored_and_overwritten(self, tmp_path, cache_cls):
         # A file written under format 1 (row-wise sample fingerprints)
         # holds keys no current run can produce: it must not load, and
-        # the next save must replace it rather than merge it forward.
+        # the next save must replace it rather than append after it.
         file = tmp_path / cache_cls.FILE
         file.write_text(json.dumps(
             {"version": 1, "entries": {"stale-key": {"stale": True}}}
@@ -100,9 +113,87 @@ class TestPersistence:
         assert len(cache) == 0
         cache._store("fresh-key", {"fresh": True})
         cache.save()
-        payload = json.loads(file.read_text())
-        assert payload["version"] == 2
-        assert list(payload["entries"]) == ["fresh-key"]
+        head, *lines = file.read_bytes().splitlines()
+        assert json.loads(head) == {"version": 2, "entries": {}}
+        assert [json.loads(line) for line in lines] == \
+            [["fresh-key", {"fresh": True}]]
+        reloaded = cache_cls(tmp_path)
+        assert reloaded._entries == {"fresh-key": {"fresh": True}}
+
+    def test_a_save_appends_exactly_its_new_entries(self, tmp_path):
+        file = tmp_path / CostCache.FILE
+        cache = CostCache(tmp_path)
+        cache._store("k1", {"v": 1})
+        cache.save()
+        first = file.read_bytes()
+        assert first.splitlines() == [
+            b'{"version": 2, "entries": {}}', b'["k1", {"v": 1}]',
+        ]
+        cache._store("k2", {"v": 2})
+        cache._store("k3", {"v": 3.5})
+        cache.save()
+        grown = file.read_bytes()
+        assert grown.startswith(first)
+        assert grown[len(first):] == \
+            b'["k2", {"v": 2}]\n["k3", {"v": 3.5}]\n'
+        assert CostCache(tmp_path)._entries == \
+            {"k1": {"v": 1}, "k2": {"v": 2}, "k3": {"v": 3.5}}
+
+    def test_a_save_with_nothing_new_leaves_the_file_alone(self, tmp_path):
+        file = tmp_path / CostCache.FILE
+        cache = CostCache(tmp_path)
+        cache._store("k1", {"v": 1})
+        cache.save()
+        before = file.stat()
+        cache.save()
+        CostCache(tmp_path).save()
+        cache.fork_view().save()
+        after = file.stat()
+        assert (after.st_size, after.st_mtime_ns) == \
+            (before.st_size, before.st_mtime_ns)
+
+    def test_a_torn_last_line_loses_only_itself(self, tmp_path):
+        file = tmp_path / CostCache.FILE
+        cache = CostCache(tmp_path)
+        for i in range(3):
+            cache._store(f"k{i}", {"v": i})
+        cache.save()
+        torn = file.read_bytes()[:-6]  # mid-record of k2's line
+        file.write_bytes(torn)
+        reloaded = CostCache(tmp_path)
+        assert reloaded._entries == {"k0": {"v": 0}, "k1": {"v": 1}}
+        # The next save starts a fresh line after the fragment.
+        reloaded._store("k3", {"v": 3})
+        reloaded.save()
+        assert file.read_bytes() == torn + b'\n["k3", {"v": 3}]\n'
+        assert CostCache(tmp_path)._entries == \
+            {"k0": {"v": 0}, "k1": {"v": 1}, "k3": {"v": 3}}
+
+    def test_forked_writers_saving_at_once_keep_both_sets(self, tmp_path):
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(2)
+
+        def writer(tag: str) -> None:
+            cache = CostCache(tmp_path)
+            for i in range(500):
+                cache._store(f"{tag}{i}", {"v": i})
+            barrier.wait(timeout=30)
+            cache.save()
+
+        procs = [ctx.Process(target=writer, args=(tag,)) for tag in "ab"]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60)
+            assert not proc.is_alive()
+            assert proc.exitcode == 0
+        fresh = CostCache(tmp_path)
+        assert fresh._entries == {
+            f"{tag}{i}": {"v": i} for tag in "ab" for i in range(500)
+        }
+        # One head line, then exactly one line per entry.
+        assert len((tmp_path / CostCache.FILE).read_bytes().splitlines()) \
+            == 1 + 1000
 
     def test_file_path_rejected_up_front(self, tmp_path):
         from repro.errors import ReproError

@@ -468,6 +468,7 @@ class TestDiskPressureDegradation:
         cache._store("k", {"v": 1})
         faults.install(FaultPlan.parse("cache.save:enospcx1"))
         cache.save()                      # injected ENOSPC: swallowed
+        assert not cache.file.exists()    # fired before any byte
         assert cache.degraded is True
         assert cache.save_errors == 1
         assert cache.stats()["degraded"] is True
