@@ -2,13 +2,12 @@
 
 from conftest import run_and_print
 
-from repro.experiments import fig12_tpch_select_ablation
+from repro.experiments import experiment
 
 
 def test_fig12_tpch_select_ablation(benchmark, bench_scale):
-    result = run_and_print(
-        benchmark, fig12_tpch_select_ablation.run, scale=bench_scale
-    )
+    result = run_and_print(benchmark, experiment("fig12_tpch_select_ablation"),
+                           scale=bench_scale)
     both = result.column("dtac-both")
     dta = result.column("dta")
     # Paper shape: DTAc(Both) dominates DTA at every budget; the gap is

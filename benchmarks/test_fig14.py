@@ -2,11 +2,11 @@
 
 from conftest import run_and_print
 
-from repro.experiments import fig14_sales_select
+from repro.experiments import experiment
 
 
 def test_fig14_sales_select(benchmark, bench_scale):
-    result = run_and_print(benchmark, fig14_sales_select.run,
+    result = run_and_print(benchmark, experiment("fig14_sales_select"),
                            scale=bench_scale)
     both = result.column("dtac-both")
     dta = result.column("dta")

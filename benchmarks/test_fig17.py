@@ -2,11 +2,11 @@
 
 from conftest import run_and_print
 
-from repro.experiments import fig17_tpch_insert_full
+from repro.experiments import experiment
 
 
 def test_fig17_tpch_insert_full(benchmark, bench_scale):
-    result = run_and_print(benchmark, fig17_tpch_insert_full.run,
+    result = run_and_print(benchmark, experiment("fig17_tpch_insert_full"),
                            scale=bench_scale)
     both = result.column("dtac-both")
     dta = result.column("dta")

@@ -21,8 +21,9 @@ def check_budget(name: str, value) -> float:
     ``name``.  The one rule for a budget in bytes or as a fraction, and
     for any finite non-negative number: :data:`OPTION_RULES`, a
     session's budgets, :func:`repro.api.run_sweep`'s budgets, a service
-    payload's budgets, the job tier's routing numbers and an
-    estimator's error tolerance ``e`` apply it."""
+    payload's budgets, the job tier's routing numbers, an estimator's
+    error tolerance ``e``, a statement's weight, a drift spec's numbers
+    and the CLI's dataset flags apply it."""
     budget = math.nan
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:

@@ -21,12 +21,13 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
+import time
 
 from repro.advisor import algorithms, variant_names, variants
 from repro.advisor.advisor import OPTION_RULES
 from repro.api import Session
+from repro.checks import check_budget
 from repro.datasets import (
     sales_database,
     sales_workload,
@@ -259,13 +260,12 @@ def cmd_algorithms(args) -> int:
 
 
 def cmd_experiments(args) -> int:
-    from repro.experiments import ALL_EXPERIMENTS
+    from repro.experiments import ALL_EXPERIMENTS, experiment
 
-    names = [args.only] if args.only else list(ALL_EXPERIMENTS)
-    for name in names:
-        module = importlib.import_module(f"repro.experiments.{name}")
-        module.run(scale=args.scale).print()
-        print()
+    for name in [args.only] if args.only else ALL_EXPERIMENTS:
+        start = time.perf_counter()
+        experiment(name)(scale=args.scale).print()
+        print(f"[{name}: {time.perf_counter() - start:.1f}s]\n")
     return 0
 
 
@@ -491,15 +491,37 @@ _fraction_list = _csv_list(float, "budget")
 _seed_list = _csv_list(int, "seed")
 
 
-def _option_arg(name: str):
-    """argparse type for a number under ``OPTION_RULES[name]``, the
-    rule the advisor option ``name`` gets everywhere else."""
+def _checked_arg(rule, name: str):
+    """argparse type for a number under ``rule(name, value)``, one of
+    the value rules every other boundary applies too."""
     def parse(value: str) -> float:
         try:
-            return OPTION_RULES[name](name, float(value))
+            return rule(name, float(value))
         except (ValueError, AdvisorError) as exc:
             raise argparse.ArgumentTypeError(str(exc))
     return parse
+
+
+def _option_arg(name: str):
+    """argparse type for the advisor option ``name``."""
+    return _checked_arg(OPTION_RULES[name], name)
+
+
+def _number_arg(name: str):
+    """argparse type for a finite non-negative number (a dataset's
+    scale, Zipf skew or statement weight)."""
+    return _checked_arg(check_budget, name)
+
+
+def _experiment_arg(name: str) -> str:
+    """argparse type for an experiment name the lookup knows."""
+    from repro.experiments import experiment
+
+    try:
+        experiment(name)
+    except LookupError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return name
 
 
 _WORKERS_HELP = ("advisor runs in flight at once (sweep units); "
@@ -524,13 +546,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_data_args(p):
+        p.add_argument("--scale", type=_number_arg("scale"), default=0.2)
+        p.add_argument("--zipf", type=_number_arg("zipf"), default=0.0)
+        p.add_argument("--select-weight", type=_number_arg("select_weight"),
+                       default=5.0)
+        p.add_argument("--insert-weight", type=_number_arg("insert_weight"),
+                       default=1.0)
+
     def add_dataset_args(p):
         p.add_argument("--dataset", choices=("tpch", "sales"),
                        default="tpch")
-        p.add_argument("--scale", type=float, default=0.2)
-        p.add_argument("--zipf", type=float, default=0.0)
-        p.add_argument("--select-weight", type=float, default=5.0)
-        p.add_argument("--insert-weight", type=float, default=1.0)
+        add_data_args(p)
         p.add_argument("--cache-dir", default=None,
                        help="directory for the persistent size-estimate "
                             "cache (shared across runs)")
@@ -582,11 +609,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--drift-seed", type=int, default=0,
                        help="base seed of the deterministic drift "
                             "schedule")
-        p.add_argument("--hot-fraction", type=float, default=0.3,
+        p.add_argument("--hot-fraction", type=_number_arg("hot_fraction"),
+                       default=0.3,
                        help="share of the SELECTs boosted per phase")
-        p.add_argument("--hot-weight", type=float, default=8.0)
-        p.add_argument("--cold-weight", type=float, default=0.05)
-        p.add_argument("--arrival-jitter", type=float, default=0.25)
+        p.add_argument("--hot-weight", type=_number_arg("hot_weight"),
+                       default=8.0)
+        p.add_argument("--cold-weight", type=_number_arg("cold_weight"),
+                       default=0.05)
+        p.add_argument("--arrival-jitter",
+                       type=_number_arg("arrival_jitter"), default=0.25)
         p.add_argument("--update-weights", type=_fraction_list,
                        default=[1.0, 4.0],
                        help="per-phase update/bulk weights, cycled")
@@ -625,8 +656,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(fn=cmd_estimate)
 
     p_exp = sub.add_parser("experiments", help="run paper experiments")
-    p_exp.add_argument("--only", default=None)
-    p_exp.add_argument("--scale", type=float, default=0.2)
+    p_exp.add_argument("--only", type=_experiment_arg, default=None,
+                       metavar="NAME", help="run only this experiment")
+    p_exp.add_argument("--scale", type=_number_arg("scale"), default=0.2)
     p_exp.set_defaults(fn=cmd_experiments)
 
     p_val = sub.add_parser(
@@ -649,10 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--dataset", choices=("tpch", "sales", "both"),
                        default="sales",
                        help="context(s) to register at boot")
-    p_srv.add_argument("--scale", type=float, default=0.2)
-    p_srv.add_argument("--zipf", type=float, default=0.0)
-    p_srv.add_argument("--select-weight", type=float, default=5.0)
-    p_srv.add_argument("--insert-weight", type=float, default=1.0)
+    add_data_args(p_srv)
     p_srv.add_argument("--host", default="127.0.0.1")
     p_srv.add_argument("--port", type=int, default=8765,
                        help="TCP port (0 = ephemeral, printed at boot)")

@@ -1,9 +1,16 @@
 """Experiments reproducing every table and figure of the paper's
-evaluation (see DESIGN.md for the index).
+evaluation.
 
-Each module exposes ``run(...) -> ExperimentResult`` and can be executed
-directly: ``python -m repro.experiments.table1_mv_rowcount``.
+Figures 12-17 are the six rows of the budget-sweep table
+(:data:`repro.experiments.budget_sweep.FIGURES`); every other
+experiment is a module exposing ``run(scale=...) -> ExperimentResult``.
+:func:`experiment` resolves a name in :data:`ALL_EXPERIMENTS` to its
+``run``, and ``repro experiments [--only NAME] [--scale S]`` is the one
+way to run them from the shell.
 """
+
+import importlib
+from typing import Callable
 
 from repro.experiments.common import (
     EXPERIMENT_SCALE,
@@ -34,10 +41,27 @@ ALL_EXPERIMENTS = (
     "vl1_validation",
 )
 
+
+def experiment(name: str) -> Callable[..., ExperimentResult]:
+    """The ``run(scale=...)`` of the experiment registered as ``name``,
+    or :class:`LookupError` listing the registered names."""
+    if name not in ALL_EXPERIMENTS:
+        raise LookupError(
+            f"unknown experiment {name!r}; registered: "
+            f"{', '.join(ALL_EXPERIMENTS)}"
+        )
+    from repro.experiments.budget_sweep import FIGURES
+
+    if name in FIGURES:
+        return FIGURES[name].run
+    return importlib.import_module(f"repro.experiments.{name}").run
+
+
 __all__ = [
     "ExperimentResult",
     "EXPERIMENT_SCALE",
     "ALL_EXPERIMENTS",
+    "experiment",
     "get_tpch",
     "get_sales",
     "get_tpcds",

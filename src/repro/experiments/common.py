@@ -1,10 +1,10 @@
 """Shared infrastructure for the paper-reproduction experiments.
 
-Each experiment module exposes ``run(...) -> ExperimentResult`` plus a
-``main()`` so it can be executed as ``python -m repro.experiments.<mod>``;
-the benchmark harness under ``benchmarks/`` wraps the same entry points.
-Datasets are cached per (kind, scale, z) because several experiments share
-them.
+Every experiment's ``run(scale=...)`` returns an
+:class:`ExperimentResult`; ``repro experiments``, the golden tests and
+the benchmark harness under ``benchmarks/`` all reach it through
+:func:`repro.experiments.experiment`.  Datasets are cached per (kind,
+scale, z) because several experiments share them.
 """
 
 from __future__ import annotations

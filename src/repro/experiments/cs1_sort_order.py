@@ -81,11 +81,3 @@ def run(scale: float = EXPERIMENT_SCALE) -> ExperimentResult:
         "leaders by orders of magnitude and gains little on unique orders"
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    run().print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

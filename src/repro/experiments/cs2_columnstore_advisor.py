@@ -49,11 +49,3 @@ def run(scale: float = EXPERIMENT_SCALE) -> ExperimentResult:
         "the design search wins, most at tight budgets"
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    run().print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

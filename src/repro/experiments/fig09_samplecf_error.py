@@ -33,11 +33,3 @@ def run(scale: float = EXPERIMENT_SCALE) -> ExperimentResult:
         "paper shape: errors shrink quickly as f grows; NS-Bias ~ 0"
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    run().print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -32,11 +32,3 @@ def run(scale: float = EXPERIMENT_SCALE) -> ExperimentResult:
         )
     result.notes.append("paper shape: errors grow ~linearly with a")
     return result
-
-
-def main() -> None:  # pragma: no cover
-    run().print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -119,11 +119,3 @@ def run(scale: float = EXPERIMENT_SCALE) -> ExperimentResult:
         "samples are amortized so *-Sample stays small"
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    run().print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -56,11 +56,3 @@ def run(scale: float = EXPERIMENT_SCALE) -> ExperimentResult:
         "should not lose to plain merging, and merging helps overall"
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    run().print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

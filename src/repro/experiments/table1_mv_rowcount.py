@@ -114,11 +114,3 @@ def run(scale: float = EXPERIMENT_SCALE, fraction: float = 0.05) -> ExperimentRe
         f"{skipped} skipped (empty sample)"
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    run().print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

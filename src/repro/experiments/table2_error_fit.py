@@ -76,11 +76,3 @@ def run(scale: float = EXPERIMENT_SCALE) -> ExperimentResult:
         lo, hi = min(values), max(values)
         result.notes.append(f"{key}: range {lo:.4f}..{hi:.4f} across datasets")
     return result
-
-
-def main() -> None:  # pragma: no cover
-    run().print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

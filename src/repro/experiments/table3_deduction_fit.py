@@ -58,11 +58,3 @@ def run(scale: float = EXPERIMENT_SCALE) -> ExperimentResult:
         "error, as in the paper's X_ColExt)"
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    run().print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -110,11 +110,3 @@ def run(scale: float = EXPERIMENT_SCALE, e: float = 0.5,
         "cost unit: uncompressed sample pages to index (Section 5.1)"
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    run().print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -55,11 +55,3 @@ def run(scale: float = EXPERIMENT_SCALE) -> ExperimentResult:
         "recommendations must hold once structures are physically built"
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    run().print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

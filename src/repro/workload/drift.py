@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from random import Random
 
+from repro.checks import check_budget
 from repro.errors import AdvisorError
 from repro.workload.query import Workload
 
@@ -62,18 +63,23 @@ class DriftSpec:
     update_weights: tuple[float, ...] = (1.0, 4.0)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.hot_fraction <= 1.0:
+        """Every number passes :func:`check_budget` (a finite
+        non-negative real, not a bool); ``hot_fraction`` is in (0, 1]
+        and every weight is positive."""
+        if not self.update_weights:
+            raise AdvisorError("update_weights must be non-empty")
+        check_budget("arrival_jitter", self.arrival_jitter)
+        if not 0 < check_budget("hot_fraction", self.hot_fraction) <= 1:
             raise AdvisorError(
                 f"hot_fraction must be in (0, 1], got {self.hot_fraction}"
             )
-        if self.hot_weight <= 0 or self.cold_weight <= 0:
-            raise AdvisorError("drift weights must be positive")
-        if self.arrival_jitter < 0:
-            raise AdvisorError("arrival_jitter must be >= 0")
-        if not self.update_weights or any(
-            w <= 0 for w in self.update_weights
-        ):
-            raise AdvisorError("update_weights must be positive and non-empty")
+        weights = {"hot_weight": self.hot_weight,
+                   "cold_weight": self.cold_weight}
+        weights.update((f"update_weights[{i}]", w)
+                       for i, w in enumerate(self.update_weights))
+        for name, weight in weights.items():
+            if check_budget(name, weight) == 0:
+                raise AdvisorError(f"{name} must be positive, got {weight!r}")
 
     # ------------------------------------------------------------------
     # wire form (the service reconstructs a spec from a job payload)
@@ -105,19 +111,15 @@ class DriftSpec:
         for name in ("hot_fraction", "hot_weight", "cold_weight",
                      "arrival_jitter"):
             if name in kwargs:
-                value = kwargs[name]
-                if not isinstance(value, (int, float)) or \
-                        isinstance(value, bool):
-                    raise AdvisorError(f"drift {name} must be a number")
-                kwargs[name] = float(value)
+                kwargs[name] = check_budget(name, kwargs[name])
         if "update_weights" in kwargs:
             weights = kwargs["update_weights"]
-            if not isinstance(weights, (list, tuple)) or not all(
-                isinstance(w, (int, float)) and not isinstance(w, bool)
-                for w in weights
-            ):
-                raise AdvisorError("drift update_weights must be numbers")
-            kwargs["update_weights"] = tuple(float(w) for w in weights)
+            if not isinstance(weights, (list, tuple)):
+                raise AdvisorError("drift update_weights must be a list")
+            kwargs["update_weights"] = tuple(
+                check_budget(f"update_weights[{i}]", w)
+                for i, w in enumerate(weights)
+            )
         return cls(**kwargs)
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.catalog.schema import Database
+from repro.checks import check_budget
 from repro.errors import WorkloadError
 from repro.workload.expr import Predicate
 
@@ -220,11 +221,15 @@ Statement = SelectQuery | InsertQuery | UpdateQuery | DeleteQuery
 
 @dataclass(frozen=True)
 class WorkloadStatement:
-    """One workload entry: a statement with an execution weight."""
+    """One workload entry: a statement with an execution weight (a
+    finite non-negative number, kept as given)."""
 
     statement: Statement
     weight: float = 1.0
     name: str = ""
+
+    def __post_init__(self) -> None:
+        check_budget("weight", self.weight)
 
 
 class Workload:

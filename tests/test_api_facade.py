@@ -16,9 +16,12 @@ from repro.api import Session, run_sweep
 from repro.cli import main
 from repro.datasets.sales import sales_database, sales_workload
 from repro.errors import AdvisorError
+from repro.experiments import ALL_EXPERIMENTS
 from repro.sampling.sample_manager import DEFAULT_SAMPLE_SEED, SampleManager
 from repro.service.service import AdvisorService
 from repro.sizeest import SizeEstimator
+from repro.workload.drift import DriftSpec
+from repro.workload.query import Workload
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +133,58 @@ class TestSession:
         assert type(session.seed) is int and session.seed == 7
         session.seed = np.int32(8)
         assert type(session.seed) is int and session.seed == 8
+
+    def test_weight_and_dataset_validation(self, inputs, capsys):
+        """A statement weight and a drift spec's numbers get the budget
+        rule where they are built, and the CLI's dataset, drift and
+        experiment flags fail in argparse (exit 2) naming the flag —
+        never a traceback from the generator or a NaN improvement."""
+        _, wl = inputs
+        statement = wl.statements[0].statement
+        for value in (math.nan, math.inf, -1.0, True, "1"):
+            with pytest.raises(AdvisorError, match="^weight must"):
+                Workload().add(statement, weight=value)
+        # A check only: an int weight stays an int, and 0 is a weight.
+        checked = Workload()
+        checked.add(statement, weight=3)
+        checked.add(statement, weight=0)
+        assert [type(s.weight) for s in checked] == [int, int]
+        for field, value in (("hot_weight", math.nan),
+                             ("hot_weight", 0.0),
+                             ("cold_weight", -1.0),
+                             ("hot_fraction", math.nan),
+                             ("hot_fraction", 1.5),
+                             ("arrival_jitter", math.inf),
+                             ("update_weights", (1.0, math.nan)),
+                             ("update_weights", (1.0, 0))):
+            with pytest.raises(AdvisorError, match=f"^{field}"):
+                DriftSpec(**{field: value})
+            raw = list(value) if field == "update_weights" else value
+            with pytest.raises(AdvisorError, match=f"^{field}"):
+                DriftSpec.from_dict({field: raw})
+        DriftSpec(hot_fraction=1, arrival_jitter=0)
+        for argv, flag in (
+            (["tune", "--scale", "nan"], "--scale"),
+            (["tune", "--scale", "-1"], "--scale"),
+            (["tune", "--zipf", "nan"], "--zipf"),
+            (["tune", "--zipf", "-2"], "--zipf"),
+            (["tune", "--select-weight", "nan"], "--select-weight"),
+            (["sweep", "--insert-weight", "inf"], "--insert-weight"),
+            (["serve", "--scale", "nan"], "--scale"),
+            (["serve", "--select-weight", "-1"], "--select-weight"),
+            (["retune", "--hot-weight", "nan"], "--hot-weight"),
+            (["experiments", "--scale", "-1"], "--scale"),
+            (["experiments", "--only", "nope"], "--only"),
+        ):
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            assert exited.value.code == 2
+            assert f"argument {flag}: " in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["experiments", "--only", "bogus"])
+        err = capsys.readouterr().err
+        assert "unknown experiment 'bogus'" in err
+        assert all(name in err for name in ALL_EXPERIMENTS)
 
     def test_boundary_option_values_tune(self, inputs):
         """The closed ends of each range are values, not errors."""

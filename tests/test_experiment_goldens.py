@@ -12,10 +12,13 @@ regenerate with::
 and commit the diff.
 """
 
-import importlib
+import re
 from pathlib import Path
 
 import pytest
+
+from repro.cli import main
+from repro.experiments import experiment
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "experiments"
 
@@ -47,8 +50,7 @@ def _name(param) -> str:
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_experiment_table_is_golden(name, request):
-    module = importlib.import_module(f"repro.experiments.{name}")
-    fresh = module.run(scale=SCALE).format() + "\n"
+    fresh = experiment(name)(scale=SCALE).format() + "\n"
     golden = GOLDEN_DIR / f"{name}.txt"
     if request.config.getoption("--update-golden"):
         GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
@@ -66,3 +68,14 @@ def test_experiment_table_is_golden(name, request):
 def test_experiment_goldens_have_no_strays():
     known = {_name(param) for param in EXPERIMENTS}
     assert {p.stem for p in GOLDEN_DIR.glob("*.txt")} == known
+
+
+def test_the_cli_prints_the_golden_table(capsys):
+    """``repro experiments`` prints the table, its timing line and a
+    blank line; bar the timing, the bytes are the golden file's."""
+    assert main(["experiments", "--only", "fig14_sales_select",
+                 "--scale", str(SCALE)]) == 0
+    out = capsys.readouterr().out
+    table, timing = out.removesuffix("\n\n").rsplit("\n", 1)
+    assert re.fullmatch(r"\[fig14_sales_select: \d+\.\ds\]", timing)
+    assert table + "\n" == (GOLDEN_DIR / "fig14_sales_select.txt").read_text()

@@ -10,6 +10,10 @@ measure estimation errors.
 * The library's error calibration does not reach into the paper's
   experiments: ``repro.sizeest`` runs ``calibrate_error_model`` with
   ``repro.experiments`` never imported.
+* ``repro experiments`` is the one way to run a paper experiment: no
+  module under ``repro/experiments/`` defines ``main`` or an
+  ``if __name__ == "__main__"`` block, and the package has no
+  ``__main__.py``.
 """
 
 import ast
@@ -74,3 +78,20 @@ def test_calibration_does_not_import_the_experiments():
         check=True, timeout=300,
     ).stdout.strip()
     assert out == "[]"
+
+
+def _is_main_guard(node: ast.AST) -> bool:
+    return isinstance(node, ast.If) and "__main__" in {
+        n.value for n in ast.walk(node.test)
+        if isinstance(n, ast.Constant)
+    }
+
+
+def test_experiments_have_one_runner():
+    experiments = SRC / "repro" / "experiments"
+    assert not (experiments / "__main__.py").exists()
+    for path in sorted(experiments.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            assert not (isinstance(node, ast.FunctionDef)
+                        and node.name == "main"), path.name
+            assert not _is_main_guard(node), path.name
