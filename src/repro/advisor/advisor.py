@@ -29,12 +29,16 @@ from repro.advisor.selection import (
     select_top_k,
 )
 from repro.catalog.schema import Database
-from repro.checks import check_budget, check_probability
+from repro.checks import check_budget, check_count, check_probability
 from repro.compression.base import CompressionMethod
 from repro.errors import AdvisorError
 from repro.optimizer.constants import DEFAULT_COST_CONSTANTS
 from repro.optimizer.whatif import WhatIfOptimizer
-from repro.parallel.cache import CostCache
+from repro.parallel.cache import CostCache, CostMemoFile
+from repro.parallel.signature import (
+    sized_index_signature,
+    statement_signature,
+)
 from repro.physical.configuration import Configuration
 from repro.physical.index_def import IndexDef
 from repro.sizeest.estimator import SizeEstimator
@@ -87,13 +91,6 @@ def _flag(name: str, value) -> bool:
     return value
 
 
-def _count(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-            or value < 1:
-        raise AdvisorError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
 def _one_of(choices: "Callable[[], list[str]]") -> Callable:
     """The check that a value is one of ``choices()``: a callable, so
     an algorithm registered after this module is imported counts."""
@@ -114,17 +111,17 @@ OPTION_RULES: "dict[str, Callable[[str, object], object]]" = {
     "budget_bytes": check_budget,
     "enable_compression": _flag,
     "candidate_selection": _one_of(lambda: ["topk", "skyline"]),
-    "top_k": _count,
+    "top_k": check_count,
     "strategy": _one_of(lambda: ["greedy", "density"]),
     "backtracking": _flag,
-    "seed_fanout": _count,
+    "seed_fanout": check_count,
     "min_improvement": check_budget,
     "enable_partial": _flag,
     "enable_mv": _flag,
     "enable_merging": _flag,
     "compression_aware_merging": _flag,
-    "max_key_columns": _count,
-    "skyline_cluster_max": _count,
+    "max_key_columns": check_count,
+    "skyline_cluster_max": check_count,
     "e": check_budget,
     "q": check_probability,
     "delta_costing": _flag,
@@ -292,8 +289,9 @@ class PreparedStage:
 
     One lifetime for all of it — a plan table must never outlive the
     estimator whose sizes it was built from, and here neither outlives
-    the stage.  The stage holds the cache objects it was prepared with
-    and no progress hook.
+    the stage.  Only the raw cost memo outlives it, in ``memo_file``,
+    whose namespace pins every size the stage sized.  The stage holds
+    the cache objects it was prepared with and no progress hook.
     """
 
     key: tuple
@@ -306,6 +304,9 @@ class PreparedStage:
     candidate_count: int
     #: None when delta costing is off.
     tables: "PlanTables | None"
+    #: where the raw layer of ``tables``' cost memo persists: None
+    #: without delta costing or a cache directory.
+    memo_file: CostMemoFile | None
 
 
 def _cost_context(estimator: SizeEstimator, e: float, q: float) -> str:
@@ -613,6 +614,10 @@ class TuningAdvisor:
             self.estimator.estimate_many(base_variants, options.e, options.q)
             pool.extend(v for v in base_variants if v not in pool)
 
+        # What runs in earlier processes costed over this very stage.
+        memo_file = self._memo_file(pool)
+        if memo_file is not None:
+            memo_file.load(self.delta.tables)
         self.stage = PreparedStage(
             key=stage_key(
                 self.workload, options, self.estimator.manager.seed
@@ -623,8 +628,32 @@ class TuningAdvisor:
             pool=tuple(pool),
             candidate_count=len(unique_candidates),
             tables=self.delta.tables if self.delta is not None else None,
+            memo_file=memo_file,
         )
         return self.stage
+
+    def _memo_file(self, pool: list[IndexDef]) -> CostMemoFile | None:
+        """The cost memo's file in the cost cache's directory (None
+        without one, or without delta costing).  Its namespace pins the
+        cost context, the statements and the size of every structure
+        the stage sized: each member of the candidate universe — the
+        pool, the base configuration and their method variants — whose
+        size needs no new estimation work.  MV indexes stay out, since
+        their row counts draw an MV sample."""
+        cache = self.cost_cache
+        if self.delta is None or cache is None or cache.path is None:
+            return None
+        sized = {}
+        for ix in self._candidate_universe(pool):
+            size = None if ix.is_mv_index else self._size_if_known(ix)
+            if size is not None:
+                sized[sized_index_signature(ix, *size)] = ix
+        return CostMemoFile(
+            cache.path,
+            _cost_context(self.estimator, self.options.e, self.options.q),
+            [statement_signature(ws.statement) for ws in self.workload],
+            sized,
+        )
 
     def search(self, before: dict | None = None) -> AdvisorResult:
         """Enumeration (Section 6.2) over the prepared pool, under this
@@ -700,6 +729,8 @@ class TuningAdvisor:
                    steps=len(result.steps))
         if self.cost_cache is not None:
             self.cost_cache.save()
+        if stage.memo_file is not None:
+            stage.memo_file.save(stage.tables)
         return AdvisorResult(
             configuration=result.configuration,
             base_configuration=self.base_config,

@@ -338,13 +338,23 @@ class TuningSession:
     through a :meth:`fork_view` of ``costs`` that is absorbed back after
     every run: cost keys carry sized structures and the sample
     fingerprint, so a hit replays identical arithmetic and warming later
-    runs is result-neutral.  A result is therefore a function of the
-    arguments and of what ``estimates`` holds — the same whatever ran
-    before it in this session.  A holder picks the caches by assigning
-    the two attributes: a library session owns them under ``cache_dir``
-    and holds none without one (an in-memory cost cache would only
-    re-key costings the held stage's memo already answers, and a forked
-    estimate view that is never absorbed is never read again); a service
+    runs is result-neutral.  With a cache directory behind ``costs``,
+    a preparing run also loads the cost memo its stage's namespace left
+    there (:class:`~repro.parallel.cache.CostMemoFile`), and every run
+    appends what its search costed.  The namespace digests the cost
+    context, the statements and the size of every structure the stage
+    sized, so an entry only loads into a stage of bit-identical sizes,
+    where it is the float a costing body would return: loading spares
+    costings and moves nothing (a partially warm estimate cache that
+    steers deduction elsewhere is another namespace).  A result is
+    therefore a function of the arguments and of what ``estimates``
+    holds — the same whatever ran before it in this session or in any
+    process over the same directory.  A holder picks the caches by
+    assigning the two attributes: a library session owns them under
+    ``cache_dir`` and holds none without one (an in-memory cost cache
+    would only re-key costings the held stage's memo already answers,
+    and a forked estimate view that is never absorbed is never read
+    again); a service
     context takes a registration-time snapshot of the service's estimate
     cache and the service's live cost cache; a sweep's sessions share
     the pre-sweep caches (none without a cache directory either).

@@ -24,7 +24,13 @@ the identical pre-sweep state (cost entries an earlier seed of the same
 process absorbed ride along, but carry that seed's sample fingerprint
 and never hit); entries a sibling persists mid-sweep are invisible, and
 fresh entries reach the cache directory when a unit's run saves them,
-so the *next* sweep runs warm.
+so the *next* sweep runs warm.  The cost memo follows the stage: a
+seed's stage loads its memo file once, when it is prepared, and each
+unit appends what its search costed, so workers preparing one seed
+each append their own blocks to the one file.  A worker that prepares
+a seed after a sibling saved under it reads the sibling's entries too:
+memo entries are pure, so that spares costings and moves no result
+(only the units' ``delta_stats`` counts differ).
 
 Shared state that is *safe* to share — the database, the workload, and
 :class:`DatabaseStats` (a pure function of the data) — is built once
@@ -224,8 +230,12 @@ def _run_sweep(
         workers: advisor runs in flight at once (0 = one per CPU,
             1 = sequential); results are identical at any value.
         cache_dir: directory for the persistent size-estimate and
-            what-if cost caches, shared by every unit and across sweeps
-            (a rerun of the same sweep skips costing almost entirely).
+            what-if cost caches and the per-stage cost memo files,
+            shared by every unit and across sweeps.  A rerun of the
+            same sweep over it replays every estimate, and each unit's
+            search reads every configuration it costs from the memo
+            its stage persisted; preparation still evaluates every
+            per-query candidate.
         stats: precomputed :class:`DatabaseStats` (built once if
             omitted).
         progress: observational event hook (may raise to abort — the

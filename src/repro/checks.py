@@ -3,8 +3,8 @@
 :data:`repro.advisor.advisor.OPTION_RULES` applies them to advisor
 options, and :class:`~repro.sizeest.estimator.SizeEstimator` to its
 ``(e, q)`` accuracy constraint — which is why they live below both.
-Each returns the value as a plain ``float`` or raises
-:class:`AdvisorError` naming the field.
+Each returns the value as a plain ``float`` (a count as a plain
+``int``) or raises :class:`AdvisorError` naming the field.
 """
 
 from __future__ import annotations
@@ -44,3 +44,13 @@ def check_probability(name: str, value) -> float:
     if number > 1:
         raise AdvisorError(f"{name} must be in [0, 1], got {value!r}")
     return number
+
+
+def check_count(name: str, value) -> int:
+    """``value`` as a count — an integer (a bool is not one) >= 1 — or
+    :class:`AdvisorError` naming ``name``.  :data:`OPTION_RULES` applies
+    it to the advisor's integer options, and the CLI to ``--phases``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < 1:
+        raise AdvisorError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)

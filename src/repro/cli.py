@@ -25,9 +25,9 @@ import sys
 import time
 
 from repro.advisor import algorithms, variant_names, variants
-from repro.advisor.advisor import OPTION_RULES
+from repro.advisor.advisor import OPTION_RULES, check_seed
 from repro.api import Session
-from repro.checks import check_budget
+from repro.checks import check_budget, check_count
 from repro.datasets import (
     sales_database,
     sales_workload,
@@ -81,7 +81,14 @@ def cmd_tune(args) -> int:
         print(f"costing kernel: {ks.get('lanes_total', 0)} lanes in "
               f"{ks.get('batches_scalar', 0)} batches, "
               f"{ks.get('shape_entries', 0)} memoized shapes")
-    ds = result.delta_stats
+    _print_costing(result.delta_stats, result.optimizer_calls)
+    _print_configuration(result)
+    return 0
+
+
+def _print_costing(ds: dict, optimizer_calls: int) -> None:
+    """The ``delta costing:`` line of a run or a sweep (its summed
+    counters), or the optimizer calls with delta costing off."""
     if ds:
         print(f"delta costing: {ds['reused_terms']} terms reused, "
               f"{ds['patched_terms']} plan-patched, "
@@ -90,10 +97,8 @@ def cmd_tune(args) -> int:
               f"{ds['pruned_zero_delta']} candidates pruned by "
               "zero-delta certificates")
     else:
-        print(f"full recost: {result.optimizer_calls} optimizer calls "
+        print(f"full recost: {optimizer_calls} optimizer calls "
               "(delta costing off)")
-    _print_configuration(result)
-    return 0
 
 
 def _print_configuration(result) -> None:
@@ -126,6 +131,8 @@ def cmd_sweep(args) -> int:
               f"{outcome.consumed_bytes / 1024:>13.0f} "
               f"{outcome.elapsed_seconds:>7.1f}")
         _print_configuration(outcome)
+    _print_costing(result.delta_stats,
+                   sum(outcome.optimizer_calls for outcome in result.results))
     if result.estimation_cache_stats:
         est, cost = result.estimation_cache_stats, result.cost_cache_stats
         print(f"size-estimate cache: {est['hit_rate']:.1%} hit rate "
@@ -472,31 +479,24 @@ def cmd_columnstore(args) -> int:
     return 0
 
 
-def _csv_list(cast, label):
-    """argparse type for a non-empty comma-separated list of ``cast``."""
+def _csv_list(item, label):
+    """argparse type for a non-empty comma-separated list, each item
+    parsed by the argparse type ``item``."""
     def parse(value: str):
-        try:
-            items = [cast(part) for part in value.split(",") if part]
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"not a comma-separated {cast.__name__} list: {value!r}"
-            )
+        items = [item(part) for part in value.split(",") if part]
         if not items:
             raise argparse.ArgumentTypeError(f"need at least one {label}")
         return items
     return parse
 
 
-_fraction_list = _csv_list(float, "budget")
-_seed_list = _csv_list(int, "seed")
-
-
-def _checked_arg(rule, name: str):
-    """argparse type for a number under ``rule(name, value)``, one of
-    the value rules every other boundary applies too."""
-    def parse(value: str) -> float:
+def _checked_arg(rule, name: str, cast=float):
+    """argparse type for a number: ``cast`` the text, then apply
+    ``rule(name, value)``, one of the value rules every other boundary
+    applies too."""
+    def parse(value: str):
         try:
-            return rule(name, float(value))
+            return rule(name, cast(value))
         except (ValueError, AdvisorError) as exc:
             raise argparse.ArgumentTypeError(str(exc))
     return parse
@@ -508,9 +508,15 @@ def _option_arg(name: str):
 
 
 def _number_arg(name: str):
-    """argparse type for a finite non-negative number (a dataset's
-    scale, Zipf skew or statement weight)."""
+    """argparse type for a finite non-negative number (a budget, a
+    dataset's scale, Zipf skew or statement weight)."""
     return _checked_arg(check_budget, name)
+
+
+_fraction_list = _csv_list(_number_arg("budgets"), "budget")
+_weight_list = _csv_list(_number_arg("update_weights"), "weight")
+_seed_list = _csv_list(_checked_arg(check_seed, "seeds", int), "seed")
+_phases_arg = _checked_arg(check_count, "phases", int)
 
 
 def _experiment_arg(name: str) -> str:
@@ -560,7 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
         add_data_args(p)
         p.add_argument("--cache-dir", default=None,
                        help="directory for the persistent size-estimate "
-                            "cache (shared across runs)")
+                            "and what-if cost caches and the cost memo "
+                            "(shared across runs)")
         p.add_argument("--full-recost", action="store_true",
                        help="disable delta-aware workload costing and "
                             "re-cost the whole workload per candidate "
@@ -569,7 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tune = sub.add_parser("tune", help="run the tuning advisor")
     add_dataset_args(p_tune)
-    p_tune.add_argument("--budget", type=float, default=0.2,
+    p_tune.add_argument("--budget", type=_number_arg("budget"),
+                        default=0.2,
                         help="storage budget as a fraction of raw data")
     p_tune.add_argument("--variant", choices=variant_names(),
                         default="dtac-both")
@@ -618,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=0.05)
         p.add_argument("--arrival-jitter",
                        type=_number_arg("arrival_jitter"), default=0.25)
-        p.add_argument("--update-weights", type=_fraction_list,
+        p.add_argument("--update-weights", type=_weight_list,
                        default=[1.0, 4.0],
                        help="per-phase update/bulk weights, cycled")
 
@@ -629,13 +637,14 @@ def build_parser() -> argparse.ArgumentParser:
              "greedy re-fill) through the remaining phases",
     )
     add_dataset_args(p_re)
-    p_re.add_argument("--budget", type=float, default=0.2,
+    p_re.add_argument("--budget", type=_number_arg("budget"),
+                      default=0.2,
                       help="storage budget as a fraction of raw data")
     p_re.add_argument("--variant", choices=variant_names(),
                       default="dtac-both")
     p_re.add_argument("--algorithm", choices=algorithms.names(),
                       default=algorithms.DEFAULT_ALGORITHM)
-    p_re.add_argument("--phases", type=int, default=3,
+    p_re.add_argument("--phases", type=_phases_arg, default=3,
                       help="number of drift phases to tune through")
     add_drift_args(p_re)
     p_re.set_defaults(fn=cmd_retune, all_features=False)
@@ -667,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
              "physically built structures",
     )
     add_dataset_args(p_val)
-    p_val.add_argument("--budget", type=float, default=0.2)
+    p_val.add_argument("--budget", type=_number_arg("budget"), default=0.2)
     p_val.add_argument("--variant", choices=variant_names(),
                        default="dtac-both")
     p_val.set_defaults(fn=cmd_validate)
@@ -738,7 +747,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_jobs.add_argument("--context", default="sales")
     p_jobs.add_argument("--kind", choices=("tune", "sweep", "retune"),
                         default="tune")
-    p_jobs.add_argument("--budget", type=float, default=0.15,
+    p_jobs.add_argument("--budget", type=_number_arg("budget"),
+                        default=0.15,
                         help="tune-job storage budget (fraction of raw)")
     p_jobs.add_argument("--budgets", type=_fraction_list,
                         default=[0.1, 0.2, 0.3],
@@ -791,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the column-store projection advisor (Section 8)",
     )
     add_dataset_args(p_cs)
-    p_cs.add_argument("--budget", type=float, default=0.25)
+    p_cs.add_argument("--budget", type=_number_arg("budget"), default=0.25)
     p_cs.add_argument("--blind", action="store_true",
                       help="size candidates as fixed-width columns "
                            "(the decoupled strawman)")

@@ -86,7 +86,10 @@ single float:
   ``distrusted`` empties it, raw totals and weighted costs alike, since
   entries may have been built from that statement's plans.  The first
   reference and the reference itself are answered before the memo is
-  consulted; every read is counted in ``cost_memo_hits``.
+  consulted; every read is counted in ``cost_memo_hits``.  With a cache
+  directory the raw layer persists per stage
+  (:class:`~repro.parallel.cache.CostMemoFile`): a new process over the
+  same stage reads its search instead of recosting it.
 
 * **Zero-delta certificates.**  :meth:`improvement_possible` lets the
   enumerator skip a pure add without costing it when every affected
@@ -111,18 +114,25 @@ optimizer's sizes and statistics (the cost memo's weighted layer is a
 cache of its raw totals under the weights in force) — so any
 number of costers over the same statement sequence (a rerun, another
 budget or algorithm, a drifted phase's weights) may read and fill one
-set of tables, one after another.  The one rule that bounds that sharing: plan-table keys
-do not embed size estimates (unlike the persistent
-:class:`~repro.parallel.cache.CostCache`), so **a plan table must never
-outlive the estimator whose sizes it was built from**.  The advisor
-keeps the rule by giving both one owner and one lifetime — the
-:class:`~repro.advisor.advisor.PreparedStage` holds the estimator, the
-optimizer over its size lookup and the tables, and is used or dropped
-as a whole; stage lifetime == estimator lifetime.  A session and a
-service context each hold their latest stage; a sweep holds one stage
-per seed per process, each prepared against a fork view of the
-pre-sweep caches, which keeps sharded and sequential sweeps
-byte-identical.
+set of tables, one after another.  The one rule that bounds that
+sharing: these keys do not embed size estimates (unlike the persistent
+:class:`~repro.parallel.cache.CostCache`), so **an entry must never
+meet sizes other than the ones it was built from**.  In memory the
+advisor keeps the rule by giving the tables and the estimator one
+owner and one lifetime — the :class:`~repro.advisor.advisor.
+PreparedStage` holds the estimator, the optimizer over its size lookup
+and the tables, and is used or dropped as a whole; stage lifetime ==
+estimator lifetime.  A session and a service context each hold their
+latest stage; a sweep holds one stage per seed per process, each
+prepared against a fork view of the pre-sweep caches, which keeps
+sharded and sequential sweeps byte-identical.  The cost memo's raw
+layer alone outlives its process, through a
+:class:`~repro.parallel.cache.CostMemoFile` whose namespace is keyed by
+sizes instead: a digest of the cost context, the statements and the
+sized signature of every structure the stage sized, so an entry loads
+only into a stage whose sizes are bit-identical, and an entry naming a
+structure outside that set is never written.  Plan tables, probe rows
+and the weighted layer still die with their stage.
 """
 
 from __future__ import annotations
@@ -214,7 +224,9 @@ class PlanTables:
     statements (a rerun, another budget, a drifted phase) read and fill
     the same entries.  Keys do not embed sizes: the tables share the
     lifetime of the optimizer — and the estimator behind its size
-    lookup — they were built against, never a longer one.
+    lookup — they were built against, never a longer one; only the raw
+    memo reloads elsewhere, into a stage of bit-identical sizes (see
+    the module docstring).
 
     Beside the raw memo sits its weighted layer, the workload costs
     under the weights in force (:meth:`held_weights`): a coster with

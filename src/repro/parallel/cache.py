@@ -1,5 +1,5 @@
-"""Persistent, content-addressed caches for the advisor's two replayable
-computations: size estimates and what-if costs.
+"""Persistent state for the advisor's three replayable computations:
+size estimates, what-if costs, and a prepared stage's cost memo.
 
 Size estimation is the advisor's dominant cost on estimation-heavy
 workloads; what-if costing dominates enumeration-heavy ones (budget
@@ -40,12 +40,26 @@ single-object layout wrote is a valid head line: it loads, and later
 saves append to it.  :meth:`fork_view` hands each run in a sweep its own
 overlay of the pre-sweep snapshot, which keeps sharded and sequential
 sweeps byte-identical (a run never observes a sibling's fresh entries).
+
+* :class:`CostMemoFile` persists the raw layer of one prepared stage's
+  cost memo (configuration -> per-statement totals, see
+  :mod:`repro.optimizer.delta`): the costings a whole search asked for,
+  not single statements.  Its keys name structures without sizes, so
+  the file is a *namespace*: one file per digest of the cost context,
+  the statements and the sized signature of every structure the stage
+  sized.  An entry can only load into a stage whose sizes are
+  bit-identical to the writer's — a partially warm estimate cache that
+  steered deduction elsewhere is another namespace — and a new process
+  over the same stage reads its search instead of recosting it.  It
+  follows the same append discipline, in blocks: one line per save.
 """
 
 from __future__ import annotations
 
+import collections
 import errno
 import hashlib
+import itertools
 import json
 import os
 import threading
@@ -88,6 +102,71 @@ FAULT_HOOK = None
 #: replay state, so losing a save costs recomputation, never
 #: correctness.
 _DEGRADED_ERRNOS = frozenset({errno.ENOSPC, errno.EIO})
+
+
+def _disk_pressure(exc: BaseException) -> bool:
+    """Whether a failed save is disk pressure (:data:`_DEGRADED_ERRNOS`):
+    swallowed, with the saver's ``degraded`` flag up."""
+    return isinstance(exc, OSError) and exc.errno in _DEGRADED_ERRNOS
+
+
+def _exclusive_lock(lock_path: Path):
+    """Exclusive advisory lock on ``lock_path`` (held until the returned
+    handle is closed), or None when unavailable."""
+    try:
+        import fcntl
+    except ImportError:  # pragma: no cover - non-POSIX
+        return None
+    try:
+        lock_fh = open(lock_path, "a")
+    except OSError:  # pragma: no cover - exotic filesystems
+        return None
+    try:
+        fcntl.flock(lock_fh, fcntl.LOCK_EX)
+    except OSError:  # pragma: no cover - exotic filesystems
+        lock_fh.close()
+        return None
+    return lock_fh
+
+
+def _append_lines(file: Path, lock_path: Path, lines: bytes, head: bytes,
+                  head_ok) -> None:
+    """Write ``lines`` to ``file`` in one append, under an exclusive lock
+    on ``lock_path``.  A file whose first line fails ``head_ok`` starts
+    over with ``head``; one that does not end in a newline (a torn last
+    line) gets one first."""
+    lock_fh = _exclusive_lock(lock_path)
+    try:
+        with open(file, "a+b") as fh:
+            fh.seek(0)
+            if not head_ok(fh.readline()):
+                fh.truncate(0)
+                lines = head + lines
+            else:
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    lines = b"\n" + lines
+            fh.write(lines)
+    finally:
+        if lock_fh is not None:
+            lock_fh.close()
+
+
+def _json_lines(body: bytes) -> list:
+    """The JSON values of ``body``'s complete lines, in order: one
+    C-level parse for all of them, and only when a line is torn (a
+    writer died mid-append) a parse per line that skips it."""
+    lines = [line for line in body.split(b"\n") if line]
+    try:
+        return json.loads(b"[" + b",".join(lines) + b"]")
+    except ValueError:
+        values = []
+        for line in lines:
+            try:
+                values.append(json.loads(line))
+            except ValueError:
+                pass
+        return values
 
 
 def _head_entries(line: bytes) -> dict | None:
@@ -159,19 +238,15 @@ class _PersistentJsonCache:
         entries = _head_entries(head)
         if entries is None:
             return {}
-        lines = [line for line in body.split(b"\n") if line]
+        lines = _json_lines(body)
         try:
-            # One C-level parse for every complete line.
-            entries.update(json.loads(b"[" + b",".join(lines) + b"]"))
+            entries.update(lines)
         except (ValueError, TypeError):
-            # A torn line (a writer died mid-append) fails the joined
-            # parse: keep every line that parses whole on its own.
+            # A line that is not a [key, record] pair loads nothing.
             for line in lines:
-                try:
-                    key, record = json.loads(line)
-                    entries[key] = record
-                except (ValueError, TypeError):
-                    pass
+                if isinstance(line, list) and len(line) == 2 \
+                        and isinstance(line[0], str):
+                    entries[line[0]] = line[1]
         return entries
 
     # ------------------------------------------------------------------
@@ -261,8 +336,7 @@ class _PersistentJsonCache:
                 # None of them counts as saved: the next save writes
                 # them again (a line that did land loads once anyway).
                 self._unsaved = {**pending, **self._unsaved}
-                if not isinstance(exc, OSError) \
-                        or exc.errno not in _DEGRADED_ERRNOS:
+                if not _disk_pressure(exc):
                     raise
                 self.degraded = True
                 self.save_errors += 1
@@ -272,43 +346,14 @@ class _PersistentJsonCache:
     def _append(self, pending: dict[str, dict]) -> None:
         """Write one line per pending entry to the file in one append,
         under the lock (the head and newline rules are :meth:`save`'s)."""
-        lines = "".join(
-            json.dumps([key, record]) + "\n"
-            for key, record in pending.items()
-        ).encode()
-        lock_fh = self._acquire_lock()
-        try:
-            with open(self.file, "a+b") as fh:
-                fh.seek(0)
-                if _head_entries(fh.readline()) is None:
-                    fh.truncate(0)
-                    lines = _HEAD + lines
-                else:
-                    fh.seek(-1, os.SEEK_END)
-                    if fh.read(1) != b"\n":
-                        lines = b"\n" + lines
-                fh.write(lines)
-        finally:
-            if lock_fh is not None:
-                lock_fh.close()
-
-    def _acquire_lock(self):
-        """Exclusive advisory lock on ``<FILE>.lock`` (held until the
-        returned handle is closed), or None when unavailable."""
-        try:
-            import fcntl
-        except ImportError:  # pragma: no cover - non-POSIX
-            return None
-        try:
-            lock_fh = open(self.path / f".{type(self).FILE}.lock", "a")
-        except OSError:  # pragma: no cover - exotic filesystems
-            return None
-        try:
-            fcntl.flock(lock_fh, fcntl.LOCK_EX)
-        except OSError:  # pragma: no cover - exotic filesystems
-            lock_fh.close()
-            return None
-        return lock_fh
+        _append_lines(
+            self.file, self.path / f".{type(self).FILE}.lock",
+            "".join(
+                json.dumps([key, record]) + "\n"
+                for key, record in pending.items()
+            ).encode(),
+            _HEAD, lambda head: _head_entries(head) is not None,
+        )
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -494,3 +539,237 @@ class CostCache(_PersistentJsonCache):
             # replayed plan cost compares bit-identically in probes.
             record["plan_costs"] = [plan.cost for plan in breakdown.plans]
         self._store(key, record)
+
+
+#: bumped whenever a memo entry's meaning or encoding changes; part of
+#: every namespace, so files of another format are never opened.
+_MEMO_FORMAT_VERSION = 1
+#: errors a block that parses as JSON but is not one this format wrote
+#: raises while it decodes: the block loads nothing.
+_BAD_BLOCK = (IndexError, KeyError, TypeError, ValueError)
+
+
+class CostMemoFile:
+    """The raw layer of one prepared stage's cost memo
+    (:attr:`repro.optimizer.delta.PlanTables.cost_memo`), persisted: a
+    raw entry is a pure function of (configuration, stage), so it may
+    outlive its process wherever the stage is rebuilt with bit-identical
+    sizes.
+
+    One append-only JSON-lines file per namespace,
+    ``costmemo-<namespace>.json`` in the cache directory: a head line
+    ``{"version": 1, "namespace": ...}``, then one line per save, a
+    *block*::
+
+        {"totals": [total, ...], "sets": [[n, ...], ...],
+         "refs": [[t, ...], ...],
+         "entries": [[set, n | null, ref, si, t, si, t, ...], ...]}
+
+    A structure is its number ``n``, its position among the stage's
+    sized structures in signature order; a total is its position ``t``
+    in ``totals``, which holds each distinct total of the block once
+    (a sales search repeats each about ten times); ``sets`` holds each
+    member frozenset of the block once and ``refs`` each
+    reference-totals tuple once.  An entry is its key — a set, or (a
+    set, the added secondary ``n``) for the sweep shape — then the raw
+    tuple: its reference's totals and the flat (statement, total)
+    pairs.  JSON writes a float as its ``repr``, so every total
+    round-trips bit for bit, and the loaded entries share one float
+    object per distinct total.  An entry that names a structure
+    outside the sized set is never written: its size is not in the
+    namespace.
+
+    :meth:`load` fills a stage's memo from the file (keys rebuilt over
+    the stage's own :class:`IndexDef` objects, equal reference totals
+    shared) and keeps no copy of it; :meth:`save` appends the entries
+    stored since the last save in one write, under the directory's
+    ``.costmemo.lock``, behind the ``cache.save`` fault hook, with the
+    caches' disk-pressure rule (``ENOSPC``/``EIO`` flip ``degraded``
+    and leave the entries for the next save).  A torn line loses only
+    itself.  A stage that distrusted a statement loads nothing, and
+    its next save starts the file over, so entries built before a
+    distrust never load again.
+
+    Args:
+        directory: the cache directory (created on first save).
+        context: the stage's cost context (sample fingerprint, accuracy
+            constraint, estimator settings, cost constants).
+        statements: the stage's statement signatures, in order.
+        sized: :func:`sized_index_signature` -> structure, for every
+            structure the stage sized.
+    """
+
+    def __init__(self, directory: str | os.PathLike, context: str,
+                 statements: Iterable[str],
+                 sized: "dict[str, IndexDef]") -> None:
+        signatures = sorted(sized)
+        #: the namespace: a digest of the format version, the context,
+        #: the statements and the sized signatures, so an entry only
+        #: ever loads into a stage whose sizes are bit-identical.
+        self.namespace = hashlib.sha256("\n".join([
+            f"costmemo v{_MEMO_FORMAT_VERSION}", context, *statements, "",
+            *signatures,
+        ]).encode()).hexdigest()
+        self.path = Path(directory)
+        self.file = self.path / f"costmemo-{self.namespace}.json"
+        self.structures = [sized[sig] for sig in signatures]
+        self._numbers = {ix: n for n, ix in enumerate(self.structures)}
+        self._head = json.dumps({
+            "version": _MEMO_FORMAT_VERSION, "namespace": self.namespace,
+        }).encode() + b"\n"
+        self.degraded = False
+        self.save_errors = 0
+        #: memo entries, in insertion order, that are on file already.
+        self._saved = 0
+        #: distrusted statements at the last save or load.
+        self._distrusted = 0
+
+    # ------------------------------------------------------------------
+    def load(self, tables) -> int:
+        """Put every entry on file into ``tables.cost_memo`` (the memo of
+        a stage that has costed nothing yet) and return how many the
+        memo now holds; nothing when a statement is distrusted."""
+        memo = tables.cost_memo
+        if not tables.distrusted:
+            try:
+                data = self.file.read_bytes()
+            except OSError:
+                data = b""
+            head, _, body = data.partition(b"\n")
+            if head + b"\n" == self._head:
+                shared: dict = {}
+                for block in _json_lines(body):
+                    try:
+                        memo.update(self._decode(
+                            block, len(tables.stmts), shared
+                        ))
+                    except _BAD_BLOCK:
+                        pass
+        self._saved = len(memo)
+        return self._saved
+
+    def _decode(self, block: dict, statements: int, shared: dict) -> dict:
+        """One block's entries, keyed over this stage's structures;
+        ``shared`` interns equal reference totals across blocks."""
+        structures = self.structures
+        values = block["totals"]
+        if not all(type(value) is float for value in values):
+            raise ValueError("a total that is not a float")
+        sets = []
+        for row in block["sets"]:
+            if row and min(row) < 0:
+                raise ValueError("structure number out of range")
+            sets.append(frozenset([structures[n] for n in row]))
+        refs = []
+        for row in block["refs"]:
+            if len(row) != statements or row and min(row) < 0:
+                raise ValueError("totals of another statement count")
+            totals = tuple([values[v] for v in row])
+            refs.append(shared.setdefault(totals, totals))
+        total_at = values.__getitem__
+        entries = {}
+        for s, n, r, *pairs in block["entries"]:
+            changed, totals = pairs[::2], pairs[1::2]
+            if min(s, r, n or 0, *changed, *totals, 0) < 0 \
+                    or len(changed) != len(totals) \
+                    or changed and max(changed) >= statements:
+                raise ValueError("number out of range")
+            key = sets[s] if n is None else (sets[s], structures[n])
+            entries[key] = (refs[r], *itertools.chain.from_iterable(
+                zip(changed, map(total_at, totals))
+            ))
+        return entries
+
+    # ------------------------------------------------------------------
+    def save(self, tables) -> None:
+        """Append the entries ``tables.cost_memo`` stored since the last
+        save or load as one block (a no-op when there are none); after
+        a distrust, start the file over with the memo as it stands."""
+        memo = tables.cost_memo
+        distrusted = len(tables.distrusted)
+        restart = distrusted != self._distrusted
+        if not restart and len(memo) <= self._saved:
+            return
+        block = self._encode(itertools.islice(
+            memo.items(), 0 if restart else self._saved, None
+        ))
+        if block or restart:
+            try:
+                if FAULT_HOOK is not None:
+                    FAULT_HOOK("cache.save", file=self.file.name)
+                self.path.mkdir(parents=True, exist_ok=True)
+                # A missing or foreign head, or a restart, starts the
+                # file over.
+                _append_lines(
+                    self.file, self.path / ".costmemo.lock", block,
+                    self._head,
+                    lambda head: not restart and head == self._head,
+                )
+            except BaseException as exc:
+                # Nothing counts as saved: the next save writes it all
+                # again (an entry on two lines loads once).
+                if not _disk_pressure(exc):
+                    raise
+                self.degraded = True
+                self.save_errors += 1
+                return
+            self.degraded = False
+        self._saved = len(memo)
+        self._distrusted = distrusted
+
+    def _encode(self, items) -> bytes:
+        """The block line of ``items`` (memo ``(key, raw)`` pairs), or
+        nothing when every entry names an unsized structure."""
+        # A structure's number by object first: equal structures are
+        # often other objects, and IndexDef equality runs in Python.
+        numbers: dict = {}
+
+        def number(ix: IndexDef) -> "int | None":
+            n = numbers.get(id(ix), -1)
+            if n == -1:
+                n = numbers[id(ix)] = self._numbers.get(ix)
+            return n
+
+        # Distinct total -> its position, in order; a zero is keyed by
+        # its repr, since -0.0 == 0.0 but their bits differ.
+        position = collections.defaultdict(itertools.count().__next__)
+        sets: dict = {}  # id(frozenset) -> its position, or None: unsized
+        set_rows: list = []
+        refs: dict = {}  # id(totals tuple) -> its position
+        ref_rows: list = []
+        entries: list = []
+        for key, raw in items:
+            if type(key) is tuple:
+                members, added = key
+                n = number(added)
+                if n is None:
+                    continue
+            else:
+                members, n = key, None
+            s = sets.get(id(members), -1)
+            if s == -1:
+                row = [number(ix) for ix in members]
+                s = None if None in row else len(set_rows)
+                if s is not None:
+                    set_rows.append(sorted(row))
+                sets[id(members)] = s
+            if s is None:
+                continue
+            ref = raw[0]
+            r = refs.get(id(ref))
+            if r is None:
+                r = refs[id(ref)] = len(ref_rows)
+                ref_rows.append([position[t if t else repr(t)] for t in ref])
+            row = [s, n, r]
+            row += itertools.chain.from_iterable(zip(raw[1::2], [
+                position[t if t else repr(t)] for t in raw[2::2]
+            ]))
+            entries.append(row)
+        if not entries:
+            return b""
+        totals = [float(t) if type(t) is str else t for t in position]
+        return json.dumps(
+            {"totals": totals, "sets": set_rows, "refs": ref_rows,
+             "entries": entries},
+            separators=(",", ":"),
+        ).encode() + b"\n"

@@ -1,5 +1,7 @@
 """Smoke tests: CLI subcommands and fast experiments at tiny scale."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -25,10 +27,19 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "2 runs" in out
         assert "what-if cost cache" in out
-        # Warm rerun through the same cache directory.
+        # Warm rerun through the same cache directory: its searches
+        # read what the cold ones costed from the cost memo's file.
         assert main(argv) == 0
         warm_out = capsys.readouterr().out
         assert "100.0% hit rate" in warm_out
+
+        def memo_reads(text):
+            return int(re.search(
+                r"^delta costing: .* (\d+) costings read from the memo",
+                text, re.M,
+            ).group(1))
+
+        assert memo_reads(warm_out) > memo_reads(out)
 
     def test_tune_delta_and_full_recost_both_print_cleanly(self, capsys):
         """The stats summary must not assume delta counters exist: the
@@ -71,6 +82,29 @@ class TestCLI:
     def test_sweep_rejects_bad_budget_list(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--budgets", "abc"])
+
+    @pytest.mark.parametrize("argv", [
+        ["tune", "--budget", "nan"],
+        ["retune", "--budget", "-0.1"],
+        ["validate", "--budget", "inf"],
+        ["columnstore", "--budget", "nan"],
+        ["jobs", "submit", "--budget", "nan"],
+        ["sweep", "--budgets", "0.1,nan"],
+        ["jobs", "submit", "--budgets", "0.1,-1"],
+        ["retune", "--update-weights", "1,nan"],
+        ["retune", "--phases", "0"],
+        ["retune", "--phases", "-1"],
+        ["retune", "--phases", "1.5"],
+        ["sweep", "--seeds", "1,x"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_a_bad_number_is_a_usage_error_naming_its_flag(
+        self, capsys, argv
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        flag = next(arg for arg in argv if arg.startswith("--"))
+        assert f"argument {flag}: " in capsys.readouterr().err
 
     def test_estimate(self, capsys):
         assert main([

@@ -17,11 +17,13 @@ different methods do not.  Last, the cost memo above the terms: every
 float it stores or answers is what a fresh coster over fresh tables
 and the optimizer answer, under the weights that costed it and under
 any reweighting of the same statements, and it empties when a statement
-is distrusted.
+is distrusted; and what its file loads into fresh tables is what it
+stored, float for float.
 """
 
 import math
 import tempfile
+from dataclasses import replace
 from functools import partial
 from itertools import combinations
 from types import SimpleNamespace
@@ -42,7 +44,11 @@ from repro.optimizer.access_paths import best_access_plan, cost_access
 from repro.optimizer.delta import _weighted_cost
 from repro.optimizer.kernels import CostKernel
 from repro.optimizer.whatif import WhatIfOptimizer
-from repro.parallel.cache import CostCache
+from repro.parallel.cache import CostCache, CostMemoFile
+from repro.parallel.signature import (
+    sized_index_signature,
+    statement_signature,
+)
 from repro.physical.configuration import Configuration
 from repro.physical.index_def import IndexDef
 from repro.sizeest.estimator import SizeEstimator
@@ -716,3 +722,71 @@ def test_a_distrusted_statement_empties_the_memo(rigs, monkeypatch):
             _full(whatif, weighted, c) for c in adds
         ]
         assert coster.cost_memo_hits == hits + read
+
+
+def _memo_file(directory, whatif, wl, structures) -> CostMemoFile:
+    """The file of a memo over ``whatif``'s sizes, sizing
+    ``structures``."""
+    return CostMemoFile(
+        directory, "plan-table-oracle",
+        [statement_signature(ws.statement) for ws in wl],
+        {sized_index_signature(ix, *whatif._sizes(ix)): ix
+         for ix in structures},
+    )
+
+
+@PROPERTY
+@given(data=st.data())
+def test_a_loaded_memo_holds_the_bodys_answers(rigs, data):
+    """A search-like walk fills the memo and its file saves it; the
+    tables of a fresh coster load it over equal structures that are
+    other objects.  Every entry loaded is the raw tuple the walk
+    stored, float for float, and answers what a memo-emptied body and
+    the optimizer answer; the entries that name a structure outside
+    the sized set — the MV indexes, and method variants a walk made —
+    never reach the file."""
+    rig = rigs["sales"]
+    whatif, wl = rig.whatif, rig.wl
+    draw = data.draw
+    delta = whatif.delta_coster(wl)
+    start = ref = _draw_config(draw, rig)
+    delta.rebase(ref)
+    for _ in range(draw(st.integers(2, 6))):
+        config = _draw_neighbour(draw, rig, ref)
+        delta.workload_cost(config)
+        if draw(st.booleans()):
+            ref = config
+            delta.rebase(ref)
+    sized = [
+        ix for ix in dict.fromkeys(
+            [*(b for bases in rig.bases.values() for b in bases),
+             *rig.extras]
+        ) if not ix.is_mv_index
+    ]
+    stored = {
+        key: raw for key, raw in delta.tables.cost_memo.items()
+        if (key[0] | {key[1]} if isinstance(key, tuple) else key)
+        <= set(sized)
+    }
+    fresh = whatif.delta_coster(wl)
+    with tempfile.TemporaryDirectory() as directory:
+        _memo_file(directory, whatif, wl, sized).save(delta.tables)
+        loaded = _memo_file(directory, whatif, wl,
+                            [replace(ix) for ix in sized])
+        assert loaded.load(fresh.tables) == len(stored)
+    assert fresh.tables.cost_memo.keys() == stored.keys()
+    shared = {}
+    for key, raw in fresh.tables.cost_memo.items():
+        original = stored[key]
+        assert [*map(repr, raw[0]), *map(repr, raw[1:])] == \
+            [*map(repr, original[0]), *map(repr, original[1:])]
+        # One loaded totals tuple per stored one.
+        assert shared.setdefault(id(original[0]), raw[0]) is raw[0]
+
+    def body(config):
+        emptied = whatif.delta_coster(wl)
+        emptied.rebase(start)
+        return emptied.workload_cost(config)
+
+    for config, cost in _memo_entries(fresh.tables):
+        assert cost == body(config) == _full(whatif, wl, config)

@@ -484,16 +484,21 @@ def test_sweep_units_equal_references(
     1, pytest.param(2, marks=NEEDS_FORK),
 ])
 def test_warm_sweep_after_a_cold_one_equals_references(
-    shapes, reference, cold_cached_sweep, two_cpus, workers
+    shapes, reference, cold_cached_sweep, two_cpus, workers, monkeypatch
 ):
     """A one-worker sweep over what the cold sweep at ``workers``
-    persisted reproduces every unit and costs nothing: every unit's
-    entries reached disk, and no save clobbered a sibling's."""
+    persisted reproduces every unit and costs nothing: both caches hit
+    on every lookup, and no costing body runs in any unit's search —
+    every configuration it asks for is read from the cost memo the
+    cold units persisted.  So every unit's entries reached disk, and
+    no save clobbered a sibling's."""
     _cold, cache_dir = cold_cached_sweep(workers)
+    asked = _count_costings(monkeypatch)
     warm = _sweep(shapes, reference, CACHED_SWEEP_SEEDS[workers], 1,
                   cache_dir=str(cache_dir))
     assert warm.cost_cache_stats["hit_rate"] == 1.0
     assert warm.estimation_cache_stats["hit_rate"] == 1.0
+    assert asked[0] == warm.delta_stats["cost_memo_hits"] > 0
 
 
 @pytest.mark.parametrize("name", MATRIX)
