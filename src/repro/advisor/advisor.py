@@ -633,15 +633,16 @@ class TuningAdvisor:
         return self.stage
 
     def _memo_file(self, pool: list[IndexDef]) -> CostMemoFile | None:
-        """The cost memo's file in the cost cache's directory (None
-        without one, or without delta costing).  Its namespace pins the
-        cost context, the statements and the size of every structure
-        the stage sized: each member of the candidate universe — the
-        pool, the base configuration and their method variants — whose
-        size needs no new estimation work.  MV indexes stay out, since
-        their row counts draw an MV sample."""
+        """The cost memo's file in the cost cache's directory, written
+        through that cache's log, so a failed save reports into its
+        health (None without one, or without delta costing).  Its
+        namespace pins the cost context, the statements and the size of
+        every structure the stage sized: each member of the candidate
+        universe — the pool, the base configuration and their method
+        variants — whose size needs no new estimation work.  MV indexes
+        stay out, since their row counts draw an MV sample."""
         cache = self.cost_cache
-        if self.delta is None or cache is None or cache.path is None:
+        if self.delta is None or cache is None or cache.log is None:
             return None
         sized = {}
         for ix in self._candidate_universe(pool):
@@ -649,7 +650,7 @@ class TuningAdvisor:
             if size is not None:
                 sized[sized_index_signature(ix, *size)] = ix
         return CostMemoFile(
-            cache.path,
+            cache.log,
             _cost_context(self.estimator, self.options.e, self.options.q),
             [statement_signature(ws.statement) for ws in self.workload],
             sized,

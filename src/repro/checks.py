@@ -1,4 +1,5 @@
-"""The value rules shared by every boundary that takes a number.
+"""The value rules shared by every boundary that takes a number or a
+path.
 
 :data:`repro.advisor.advisor.OPTION_RULES` applies them to advisor
 options, and :class:`~repro.sizeest.estimator.SizeEstimator` to its
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 
 from repro.errors import AdvisorError
 
@@ -54,3 +56,15 @@ def check_count(name: str, value) -> int:
             or value < 1:
         raise AdvisorError(f"{name} must be an integer >= 1, got {value!r}")
     return int(value)
+
+
+def check_path(name: str, value) -> str:
+    """``value`` as a path string — a non-empty ``str`` or path-like —
+    or :class:`AdvisorError` naming ``name``.  An empty path would name
+    the working directory (``Path("")`` is ``.``), which nobody asks for
+    by leaving a path empty.  A cache directory's append log applies it,
+    and the CLI to ``--cache-dir``."""
+    path = os.fspath(value)
+    if not path:
+        raise AdvisorError(f"{name} must be a non-empty path, got {value!r}")
+    return path

@@ -27,7 +27,7 @@ import time
 from repro.advisor import algorithms, variant_names, variants
 from repro.advisor.advisor import OPTION_RULES, check_seed
 from repro.api import Session
-from repro.checks import check_budget, check_count
+from repro.checks import check_budget, check_count, check_path
 from repro.datasets import (
     sales_database,
     sales_workload,
@@ -224,7 +224,8 @@ def cmd_estimate(args) -> int:
     db, wl = _make_dataset(args.dataset, args)
     estimator = SizeEstimator(
         db, e=args.error, q=args.confidence,
-        cache=EstimationCache(args.cache_dir) if args.cache_dir else None,
+        cache=(EstimationCache(args.cache_dir)
+               if args.cache_dir is not None else None),
     )
     fact = "lineitem" if args.dataset == "tpch" else "sales"
     table = db.table(fact)
@@ -491,7 +492,7 @@ def _csv_list(item, label):
 
 
 def _checked_arg(rule, name: str, cast=float):
-    """argparse type for a number: ``cast`` the text, then apply
+    """argparse type for a number or a path: ``cast`` the text, then apply
     ``rule(name, value)``, one of the value rules every other boundary
     applies too."""
     def parse(value: str):
@@ -517,6 +518,7 @@ _fraction_list = _csv_list(_number_arg("budgets"), "budget")
 _weight_list = _csv_list(_number_arg("update_weights"), "weight")
 _seed_list = _csv_list(_checked_arg(check_seed, "seeds", int), "seed")
 _phases_arg = _checked_arg(check_count, "phases", int)
+_cache_dir_arg = _checked_arg(check_path, "cache_dir", str)
 
 
 def _experiment_arg(name: str) -> str:
@@ -564,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dataset", choices=("tpch", "sales"),
                        default="tpch")
         add_data_args(p)
-        p.add_argument("--cache-dir", default=None,
+        p.add_argument("--cache-dir", type=_cache_dir_arg, default=None,
                        help="directory for the persistent size-estimate "
                             "and what-if cost caches and the cost memo "
                             "(shared across runs)")
@@ -696,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0 = ephemeral, printed at boot)")
     p_srv.add_argument("--workers", type=_workers_arg, default=1,
                        help=_WORKERS_HELP)
-    p_srv.add_argument("--cache-dir", default=None,
+    p_srv.add_argument("--cache-dir", type=_cache_dir_arg, default=None,
                        help="directory for the persistent size-estimate "
                             "and what-if cost caches")
     p_srv.add_argument("--max-pending", type=int, default=64,

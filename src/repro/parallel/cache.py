@@ -31,16 +31,6 @@ both can be persisted and replayed across processes and runs:
   pure, so — unlike size estimates — a cost-cache hit can *never* steer
   a run onto a different result, warm or cold.
 
-Both caches persist as JSON lines in the same cache directory: a head
-line ``{"version": 2, "entries": {...}}``, then one ``[key, record]``
-line per entry.  A save appends the entries stored since the last one,
-under an exclusive lock, so forked sweep workers can share one directory
-and a save costs its new entries, never the whole file.  A file the
-single-object layout wrote is a valid head line: it loads, and later
-saves append to it.  :meth:`fork_view` hands each run in a sweep its own
-overlay of the pre-sweep snapshot, which keeps sharded and sequential
-sweeps byte-identical (a run never observes a sibling's fresh entries).
-
 * :class:`CostMemoFile` persists the raw layer of one prepared stage's
   cost memo (configuration -> per-statement totals, see
   :mod:`repro.optimizer.delta`): the costings a whole search asked for,
@@ -50,8 +40,20 @@ sweeps byte-identical (a run never observes a sibling's fresh entries).
   sized.  An entry can only load into a stage whose sizes are
   bit-identical to the writer's — a partially warm estimate cache that
   steered deduction elsewhere is another namespace — and a new process
-  over the same stage reads its search instead of recosting it.  It
-  follows the same append discipline, in blocks: one line per save.
+  over the same stage reads its search instead of recosting it.
+
+Every file in the cache directory is written and read through one
+append log (:class:`_AppendLog`), which owns the file discipline — the
+lock, the head line, torn lines, the one parse, the ``cache.save``
+fault hook, disk pressure — and the health of the saves; the three
+stores above are codecs that only encode and decode lines.  Both caches
+write a head line ``{"version": 2, "entries": {...}}``, then one ``[key,
+record]`` line per entry, so a save costs its new entries, never the
+whole file; a file the single-object layout wrote is a valid head line:
+it loads, and later saves append to it.  :meth:`fork_view` hands each
+run in a sweep its own overlay of the pre-sweep snapshot, which keeps
+sharded and sequential sweeps byte-identical (a run never observes a
+sibling's fresh entries).  A memo file writes one block line per save.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
+from repro.checks import check_path
 from repro.errors import ReproError
 from repro.parallel.signature import (
     index_signature,
@@ -73,6 +76,11 @@ from repro.parallel.signature import (
     statement_signature,
 )
 from repro.physical.index_def import IndexDef
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX: unlocked appends
+    fcntl = None
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with repro.sizeest
     from repro.optimizer.statement_cost import CostBreakdown
@@ -86,9 +94,8 @@ COST_CACHE_FILE = "costs.json"
 #: forward as entries that can never hit.  2: the sample fingerprint
 #: became column-wise (Table.content_digest); 1: row-wise fingerprint.
 _FORMAT_VERSION = 2
-#: the head line a save starts a new (or unreadable) file with.
-_HEAD = json.dumps({"version": _FORMAT_VERSION, "entries": {}}).encode() \
-    + b"\n"
+#: the head line a cache's save starts a new (or unreadable) file with.
+_HEAD = json.dumps({"version": _FORMAT_VERSION, "entries": {}}).encode()
 
 #: fault-injection hook (see :mod:`repro.service.faults`): rebound to
 #: that module's ``fire`` when a plan is installed, None otherwise.
@@ -96,91 +103,123 @@ _HEAD = json.dumps({"version": _FORMAT_VERSION, "entries": {}}).encode() \
 #: saves stay import-cycle-free and cost one ``is None`` check.
 FAULT_HOOK = None
 
-#: write errors treated as disk pressure: the save is skipped, the
-#: cache flips its ``degraded`` flag (the service surfaces it via
-#: ``/healthz``), and the next save retries — the caches are pure
-#: replay state, so losing a save costs recomputation, never
-#: correctness.
+#: write errors treated as disk pressure (see :class:`_AppendLog`).
 _DEGRADED_ERRNOS = frozenset({errno.ENOSPC, errno.EIO})
 
 
-def _disk_pressure(exc: BaseException) -> bool:
-    """Whether a failed save is disk pressure (:data:`_DEGRADED_ERRNOS`):
-    swallowed, with the saver's ``degraded`` flag up."""
-    return isinstance(exc, OSError) and exc.errno in _DEGRADED_ERRNOS
+class _AppendLog:
+    """The one file discipline under every persisted store: append-only
+    JSON-lines files in one cache directory, and the health of the
+    saves made through it.
+
+    A file's first line is a head that names its format; what follows
+    is the store's own.  The rules:
+
+    * An append is one write under an exclusive ``flock`` on the lock
+      file its store names, so concurrent writers (forked sweep
+      workers) never interleave or lose each other's lines.  Under the
+      lock it re-reads the first line only: one that fails the store's
+      head predicate (missing, corrupt, older or foreign) starts the
+      file over with the store's head, and a file that does not end in
+      a newline (a torn last line, or the single-object layout) gets
+      one before the new lines.
+    * A read parses every complete line in one C-level ``json.loads``,
+      and only when a line is torn (a writer died mid-append) line by
+      line, skipping it.  A first line that fails the predicate loads
+      nothing.  The log keeps no copy of what it reads.
+    * An append fires the ``cache.save`` fault hook first, then creates
+      the directory.  Disk pressure (``ENOSPC``/``EIO``) does not
+      raise: the append is dropped, ``degraded`` flips and
+      ``save_errors`` counts it, and the next append that lands clears
+      it (the store keeps what it could not write for that one).  The
+      stores are pure replay state, so a lost save costs recomputation,
+      never correctness.
+
+    Health has one owner: a cache's fork views share its log, and a
+    stage's memo file writes through the log of the cost cache it is
+    opened from, so the ``degraded`` flag of the caches a holder keeps
+    (the tuning service's ``/healthz``) sees every save made below them.
+
+    Args:
+        directory: the cache directory, created by the first append;
+            an empty path or an existing non-directory is an error.
+    """
+
+    def __init__(self, directory: str | os.PathLike) -> None:
+        self.path = Path(check_path("cache path", directory))
+        if self.path.exists() and not self.path.is_dir():
+            # Fail at construction, not at the first save deep inside a
+            # tuning run.
+            raise ReproError(
+                f"cache path {self.path} exists and is not a directory"
+            )
+        self.degraded = False
+        self.save_errors = 0
+
+    def read(self, name: str, head_ok) -> list:
+        """The JSON values of file ``name``'s complete lines, its head
+        first; empty when the file is missing or its first line fails
+        ``head_ok``."""
+        try:
+            data = (self.path / name).read_bytes()
+        except OSError:
+            return []
+        if not head_ok(data.partition(b"\n")[0]):
+            return []
+        lines = [line for line in data.split(b"\n") if line]
+        try:
+            return json.loads(b"[" + b",".join(lines) + b"]")
+        except ValueError:
+            values = []
+            for line in lines:
+                try:
+                    values.append(json.loads(line))
+                except ValueError:
+                    pass
+            return values
+
+    def append(self, name: str, lock: str, lines: bytes, head: bytes,
+               head_ok) -> bool:
+        """Append ``lines`` (complete lines) to file ``name`` under the
+        lock file ``lock``, starting the file over with the line
+        ``head`` when its first line fails ``head_ok``.  False when
+        disk pressure dropped the append."""
+        try:
+            if FAULT_HOOK is not None:
+                FAULT_HOOK("cache.save", file=name)
+            self.path.mkdir(parents=True, exist_ok=True)
+            with open(self.path / lock, "a") as lock_fh:
+                if fcntl is not None:
+                    fcntl.flock(lock_fh, fcntl.LOCK_EX)
+                with open(self.path / name, "a+b") as fh:
+                    fh.seek(0)
+                    if not head_ok(fh.readline().rstrip(b"\n")):
+                        fh.truncate(0)
+                        lines = head + b"\n" + lines
+                    else:
+                        fh.seek(-1, os.SEEK_END)
+                        if fh.read(1) != b"\n":
+                            lines = b"\n" + lines
+                    fh.write(lines)
+        except OSError as exc:
+            if exc.errno not in _DEGRADED_ERRNOS:
+                raise
+            self.degraded = True
+            self.save_errors += 1
+            return False
+        self.degraded = False
+        return True
 
 
-def _exclusive_lock(lock_path: Path):
-    """Exclusive advisory lock on ``lock_path`` (held until the returned
-    handle is closed), or None when unavailable."""
+def _head_ok(line: bytes) -> bool:
+    """Whether ``line`` is a cache head in the current format."""
     try:
-        import fcntl
-    except ImportError:  # pragma: no cover - non-POSIX
-        return None
-    try:
-        lock_fh = open(lock_path, "a")
-    except OSError:  # pragma: no cover - exotic filesystems
-        return None
-    try:
-        fcntl.flock(lock_fh, fcntl.LOCK_EX)
-    except OSError:  # pragma: no cover - exotic filesystems
-        lock_fh.close()
-        return None
-    return lock_fh
-
-
-def _append_lines(file: Path, lock_path: Path, lines: bytes, head: bytes,
-                  head_ok) -> None:
-    """Write ``lines`` to ``file`` in one append, under an exclusive lock
-    on ``lock_path``.  A file whose first line fails ``head_ok`` starts
-    over with ``head``; one that does not end in a newline (a torn last
-    line) gets one first."""
-    lock_fh = _exclusive_lock(lock_path)
-    try:
-        with open(file, "a+b") as fh:
-            fh.seek(0)
-            if not head_ok(fh.readline()):
-                fh.truncate(0)
-                lines = head + lines
-            else:
-                fh.seek(-1, os.SEEK_END)
-                if fh.read(1) != b"\n":
-                    lines = b"\n" + lines
-            fh.write(lines)
-    finally:
-        if lock_fh is not None:
-            lock_fh.close()
-
-
-def _json_lines(body: bytes) -> list:
-    """The JSON values of ``body``'s complete lines, in order: one
-    C-level parse for all of them, and only when a line is torn (a
-    writer died mid-append) a parse per line that skips it."""
-    lines = [line for line in body.split(b"\n") if line]
-    try:
-        return json.loads(b"[" + b",".join(lines) + b"]")
+        head = json.loads(line)
     except ValueError:
-        values = []
-        for line in lines:
-            try:
-                values.append(json.loads(line))
-            except ValueError:
-                pass
-        return values
-
-
-def _head_entries(line: bytes) -> dict | None:
-    """The entries of a head line in the current format, else None (a
-    missing, corrupt or older-format head: nothing after it loads)."""
-    try:
-        payload = json.loads(line)
-    except ValueError:
-        return None
-    if not isinstance(payload, dict) \
-            or payload.get("version") != _FORMAT_VERSION:
-        return None
-    entries = payload.get("entries")
-    return entries if isinstance(entries, dict) else None
+        return False
+    return isinstance(head, dict) \
+        and head.get("version") == _FORMAT_VERSION \
+        and isinstance(head.get("entries"), dict)
 
 
 class _PersistentJsonCache:
@@ -197,21 +236,12 @@ class _PersistentJsonCache:
     FILE = "cache.json"
 
     def __init__(self, path: str | os.PathLike | None = None) -> None:
-        self.path = Path(path) if path is not None else None
-        if self.path is not None and self.path.exists() \
-                and not self.path.is_dir():
-            # Fail at construction, not at the first save deep inside a
-            # tuning run.
-            raise ReproError(
-                f"cache path {self.path} exists and is not a directory"
-            )
+        #: the cache directory's log (None: in memory only), shared by
+        #: every fork view of this cache.
+        self.log = _AppendLog(path) if path is not None else None
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        #: disk-pressure degradation: True after a save failed with
-        #: ``ENOSPC``/``EIO``; cleared by the next save that succeeds.
-        self.degraded = False
-        self.save_errors = 0
         #: serializes fork_view/absorb/save against each other — the
         #: tuning service's per-context lanes snapshot and re-absorb
         #: the *shared* caches from different threads concurrently.
@@ -221,33 +251,29 @@ class _PersistentJsonCache:
         self._entries: dict[str, dict] = {}
         #: entries stored since the last save: what the next one appends.
         self._unsaved: dict[str, dict] = {}
-        if self.path is not None:
-            self._entries.update(self._read_file())
+        if self.log is not None:
+            self._load()
 
     # ------------------------------------------------------------------
-    @property
-    def file(self) -> Path | None:
-        return self.path / type(self).FILE if self.path is not None else None
-
-    def _read_file(self) -> dict[str, dict]:
+    def _load(self) -> None:
+        values = self.log.read(self.FILE, _head_ok)
+        if not values:
+            return
+        self._entries = values[0]["entries"]
         try:
-            data = self.file.read_bytes()
-        except OSError:
-            return {}
-        head, _, body = data.partition(b"\n")
-        entries = _head_entries(head)
-        if entries is None:
-            return {}
-        lines = _json_lines(body)
-        try:
-            entries.update(lines)
+            self._entries.update(itertools.islice(values, 1, None))
         except (ValueError, TypeError):
             # A line that is not a [key, record] pair loads nothing.
-            for line in lines:
+            for line in itertools.islice(values, 1, None):
                 if isinstance(line, list) and len(line) == 2 \
                         and isinstance(line[0], str):
-                    entries[line[0]] = line[1]
-        return entries
+                    self._entries[line[0]] = line[1]
+
+    @property
+    def degraded(self) -> bool:
+        """Whether the last save through this cache's log (its own, a
+        fork view's or a memo file's) met disk pressure."""
+        return self.log is not None and self.log.degraded
 
     # ------------------------------------------------------------------
     def _lookup(self, key: str) -> dict | None:
@@ -270,7 +296,7 @@ class _PersistentJsonCache:
         The view starts from exactly the entries this cache holds *now*
         (no file re-read, so entries persisted by concurrent runs stay
         invisible), accumulates its own puts, and saves them — with the
-        ones this cache has not saved yet — to the same directory.
+        ones this cache has not saved yet — through the same log.
         Sweep orchestration hands one view to every run: each run then
         sees the identical pre-sweep state whether it executes in the
         parent or in a forked worker, which is what keeps sharded and
@@ -278,7 +304,7 @@ class _PersistentJsonCache:
         """
         with self._mutate_lock:
             view = type(self)(None)
-            view.path = self.path
+            view.log = self.log
             view._entries = dict(self._entries)
             view._unsaved = dict(self._unsaved)
             return view
@@ -301,59 +327,28 @@ class _PersistentJsonCache:
 
     # ------------------------------------------------------------------
     def save(self) -> None:
-        """Append the entries stored since the last save to the file.
-
-        All of a save's ``[key, record]`` lines go out in one write
-        under an exclusive advisory lock, so two sweep workers saving
-        at once cannot interleave or lose each other's lines (on
-        platforms without ``fcntl`` the lock degrades to unlocked
-        appends).  Under the lock the save re-reads the head line only:
-        a missing, corrupt or older-format head starts the file over
-        with a fresh head, and a file that does not end in a newline
-        (a torn last line, or the single-object layout) gets one before
-        the new lines.  Entries are immutable (same key -> same value),
-        so a key on two lines loads once.  A no-op when nothing was
-        stored since the last save.
-
-        Disk pressure (``ENOSPC``/``EIO``) does not raise: the save is
-        skipped, ``degraded`` flips (probe-and-recover — the next save
-        writes the same entries again and clears it), and the run
-        continues on memory alone; cache entries are pure replay state,
-        so the cost is recomputation, never correctness.
-        """
-        if self.path is None:
+        """Append the entries stored since the last save to the file,
+        one ``[key, record]`` line each, through the log (a no-op when
+        nothing was stored since).  Entries are immutable (same key ->
+        same value), so a key on two lines loads once; entries an
+        append could not write stay for the next save."""
+        if self.log is None:
             return
         with self._mutate_lock:
             if not self._unsaved:
                 return
             pending, self._unsaved = self._unsaved, {}
+            saved = False
             try:
-                if FAULT_HOOK is not None:
-                    FAULT_HOOK("cache.save", file=type(self).FILE)
-                self.path.mkdir(parents=True, exist_ok=True)
-                self._append(pending)
-            except BaseException as exc:
-                # None of them counts as saved: the next save writes
-                # them again (a line that did land loads once anyway).
-                self._unsaved = {**pending, **self._unsaved}
-                if not _disk_pressure(exc):
-                    raise
-                self.degraded = True
-                self.save_errors += 1
-                return
-            self.degraded = False
-
-    def _append(self, pending: dict[str, dict]) -> None:
-        """Write one line per pending entry to the file in one append,
-        under the lock (the head and newline rules are :meth:`save`'s)."""
-        _append_lines(
-            self.file, self.path / f".{type(self).FILE}.lock",
-            "".join(
-                json.dumps([key, record]) + "\n"
-                for key, record in pending.items()
-            ).encode(),
-            _HEAD, lambda head: _head_entries(head) is not None,
-        )
+                saved = self.log.append(
+                    self.FILE, f".{self.FILE}.lock", "".join(
+                        json.dumps([key, record]) + "\n"
+                        for key, record in pending.items()
+                    ).encode(), _HEAD, _head_ok,
+                )
+            finally:
+                if not saved:
+                    self._unsaved = {**pending, **self._unsaved}
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -382,7 +377,7 @@ class _PersistentJsonCache:
             "stores": self.stores - since.get("stores", 0),
             "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
             "degraded": self.degraded,
-            "save_errors": self.save_errors,
+            "save_errors": self.log.save_errors if self.log is not None else 0,
         }
 
 
@@ -582,16 +577,15 @@ class CostMemoFile:
     :meth:`load` fills a stage's memo from the file (keys rebuilt over
     the stage's own :class:`IndexDef` objects, equal reference totals
     shared) and keeps no copy of it; :meth:`save` appends the entries
-    stored since the last save in one write, under the directory's
-    ``.costmemo.lock``, behind the ``cache.save`` fault hook, with the
-    caches' disk-pressure rule (``ENOSPC``/``EIO`` flip ``degraded``
-    and leave the entries for the next save).  A torn line loses only
-    itself.  A stage that distrusted a statement loads nothing, and
-    its next save starts the file over, so entries built before a
-    distrust never load again.
+    stored since the last save as one block, through the log under the
+    directory's ``.costmemo.lock``.  A stage that distrusted a
+    statement loads nothing, and its next save starts the file over, so
+    entries built before a distrust never load again.
 
     Args:
-        directory: the cache directory (created on first save).
+        directory: the cache directory, or the log of the cost cache
+            the stage costs through (then a failed save reports into
+            that cache's health).
         context: the stage's cost context (sample fingerprint, accuracy
             constraint, estimator settings, cost constants).
         statements: the stage's statement signatures, in order.
@@ -599,8 +593,8 @@ class CostMemoFile:
             structure the stage sized.
     """
 
-    def __init__(self, directory: str | os.PathLike, context: str,
-                 statements: Iterable[str],
+    def __init__(self, directory: "str | os.PathLike | _AppendLog",
+                 context: str, statements: Iterable[str],
                  sized: "dict[str, IndexDef]") -> None:
         signatures = sorted(sized)
         #: the namespace: a digest of the format version, the context,
@@ -610,15 +604,14 @@ class CostMemoFile:
             f"costmemo v{_MEMO_FORMAT_VERSION}", context, *statements, "",
             *signatures,
         ]).encode()).hexdigest()
-        self.path = Path(directory)
-        self.file = self.path / f"costmemo-{self.namespace}.json"
+        self.log = directory if isinstance(directory, _AppendLog) \
+            else _AppendLog(directory)
+        self.file = self.log.path / f"costmemo-{self.namespace}.json"
         self.structures = [sized[sig] for sig in signatures]
         self._numbers = {ix: n for n, ix in enumerate(self.structures)}
         self._head = json.dumps({
             "version": _MEMO_FORMAT_VERSION, "namespace": self.namespace,
-        }).encode() + b"\n"
-        self.degraded = False
-        self.save_errors = 0
+        }).encode()
         #: memo entries, in insertion order, that are on file already.
         self._saved = 0
         #: distrusted statements at the last save or load.
@@ -631,20 +624,15 @@ class CostMemoFile:
         memo now holds; nothing when a statement is distrusted."""
         memo = tables.cost_memo
         if not tables.distrusted:
-            try:
-                data = self.file.read_bytes()
-            except OSError:
-                data = b""
-            head, _, body = data.partition(b"\n")
-            if head + b"\n" == self._head:
-                shared: dict = {}
-                for block in _json_lines(body):
-                    try:
-                        memo.update(self._decode(
-                            block, len(tables.stmts), shared
-                        ))
-                    except _BAD_BLOCK:
-                        pass
+            shared: dict = {}
+            blocks = self.log.read(self.file.name, self._head.__eq__)
+            for block in itertools.islice(blocks, 1, None):
+                try:
+                    memo.update(self._decode(
+                        block, len(tables.stmts), shared
+                    ))
+                except _BAD_BLOCK:
+                    pass
         self._saved = len(memo)
         return self._saved
 
@@ -693,27 +681,14 @@ class CostMemoFile:
         block = self._encode(itertools.islice(
             memo.items(), 0 if restart else self._saved, None
         ))
-        if block or restart:
-            try:
-                if FAULT_HOOK is not None:
-                    FAULT_HOOK("cache.save", file=self.file.name)
-                self.path.mkdir(parents=True, exist_ok=True)
-                # A missing or foreign head, or a restart, starts the
-                # file over.
-                _append_lines(
-                    self.file, self.path / ".costmemo.lock", block,
-                    self._head,
-                    lambda head: not restart and head == self._head,
-                )
-            except BaseException as exc:
-                # Nothing counts as saved: the next save writes it all
-                # again (an entry on two lines loads once).
-                if not _disk_pressure(exc):
-                    raise
-                self.degraded = True
-                self.save_errors += 1
-                return
-            self.degraded = False
+        # A missing or foreign head, or a restart, starts the file over;
+        # an append that disk pressure dropped leaves everything for the
+        # next save (an entry on two lines loads once).
+        if (block or restart) and not self.log.append(
+            self.file.name, ".costmemo.lock", block, self._head,
+            lambda head: not restart and head == self._head,
+        ):
+            return
         self._saved = len(memo)
         self._distrusted = distrusted
 

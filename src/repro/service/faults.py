@@ -58,7 +58,7 @@ SITES = {
     "journal.append": "JobJournal._append, before the segment write",
     "journal.fsync": "JobJournal._append, before the per-line fsync",
     "journal.rotate": "JobJournal segment rotation, before the rename",
-    "cache.save": "_PersistentJsonCache.save and CostMemoFile.save, "
+    "cache.save": "_AppendLog.append (every cache and memo-file save), "
                   "before the append",
     "coster.batch": "SelectionAlgorithm._costs entry",
     "estimator.estimate": "SizeEstimator.estimate_many entry",

@@ -568,8 +568,10 @@ class AdvisorService:
     @property
     def degraded(self) -> bool:
         """True while any disk-pressure degradation is active: the job
-        journal is buffering in memory, or a persistent cache's last
-        save failed with ``ENOSPC``/``EIO``."""
+        journal is buffering in memory, or the last save through a
+        persistent cache's log — a job's fork views and its stage's memo
+        file write through the same log — failed with
+        ``ENOSPC``/``EIO``."""
         if self.jobs.degraded:
             return True
         for cache in (self.estimation_cache, self.cost_cache):

@@ -96,6 +96,10 @@ class TestCLI:
         ["retune", "--phases", "-1"],
         ["retune", "--phases", "1.5"],
         ["sweep", "--seeds", "1,x"],
+        # An empty path is the working directory, never a cache.
+        ["tune", "--cache-dir", ""],
+        ["estimate", "--cache-dir", ""],
+        ["serve", "--cache-dir", ""],
     ], ids=lambda argv: " ".join(argv))
     def test_a_bad_number_is_a_usage_error_naming_its_flag(
         self, capsys, argv

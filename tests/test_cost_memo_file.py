@@ -2,11 +2,12 @@
 (:attr:`repro.optimizer.delta.PlanTables.cost_memo`), persisted per
 stage namespace by :class:`repro.parallel.cache.CostMemoFile`.
 
-First the file discipline over a synthetic memo: floats round-trip bit
-for bit, a block writes each shared set and totals tuple once, an entry
-naming an unsized structure is never written, a torn line loses only
-itself, disk pressure degrades and recovers, and a distrust keeps every
-earlier entry from loading again.  Then the namespace through real
+First the codec over a synthetic memo: floats round-trip bit for bit,
+a block writes each shared set and totals tuple once, an entry naming an
+unsized structure is never written, a save appends only what is new and
+a torn line loses only itself, and a distrust keeps every earlier entry
+from loading again (the append log's rules over every store, disk
+pressure among them, are ``tests/test_append_log.py``'s).  Then the namespace through real
 advisor runs: a new session over the same stage reads its whole search
 from the file; another seed, another (e, q) or another statement list
 loads nothing, reweighted statements load everything; and forked sweep
@@ -25,8 +26,6 @@ from repro.datasets.sales import sales_database, sales_workload
 from repro.parallel.cache import CostMemoFile
 from repro.parallel.engine import fork_available
 from repro.physical.index_def import IndexDef
-from repro.service import faults
-from repro.service.faults import FaultPlan
 from repro.storage.index_build import IndexKind
 from repro.workload.query import Workload
 from tests.test_run_identity import _count_costings
@@ -188,40 +187,6 @@ def test_a_torn_last_line_loses_only_itself(tmp_path):
     reread = _tables()
     assert _memo_file(tmp_path).load(reread) == 3
     assert reread.cost_memo[frozenset({HEAP, B})] == (REF, 0, 2.0)
-
-
-def test_a_foreign_head_loads_nothing_and_the_next_save_replaces_it(
-    tmp_path
-):
-    ours = _memo_file(tmp_path)
-    other = _memo_file(tmp_path / "other", context="another context")
-    assert other.namespace != ours.namespace
-    other.save(_tables(_memo()))
-    ours.path.mkdir(exist_ok=True)
-    ours.file.write_bytes(other.file.read_bytes())
-    tables = _tables()
-    assert ours.load(tables) == 0
-    tables.cost_memo.update(_memo())
-    ours.save(tables)
-    assert len(_blocks(ours)) == 1
-
-
-def test_disk_pressure_degrades_and_the_next_save_recovers(tmp_path):
-    faults.clear()
-    memo_file = _memo_file(tmp_path / "cache")
-    tables = _tables(_memo())
-    faults.install(FaultPlan.parse("cache.save:enospcx1"))
-    try:
-        memo_file.save(tables)             # injected ENOSPC: swallowed
-        assert not memo_file.file.exists()  # fired before any byte
-        assert memo_file.degraded is True
-        assert memo_file.save_errors == 1
-        memo_file.save(tables)             # probe-and-recover
-    finally:
-        faults.clear()
-    assert memo_file.degraded is False
-    loaded = _tables()
-    assert _memo_file(tmp_path / "cache").load(loaded) == 4
 
 
 def test_entries_saved_before_a_distrust_never_load_again(tmp_path):

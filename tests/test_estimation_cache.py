@@ -11,6 +11,7 @@ import pytest
 
 from repro.compression import CompressionMethod
 from repro.parallel import CostCache, EstimationCache, index_signature, sample_fingerprint
+from repro.parallel.cache import CostMemoFile
 from repro.physical import IndexDef
 from repro.sizeest import SizeEstimator
 from repro.sizeest.samplecf import SizeEstimate
@@ -202,6 +203,20 @@ class TestPersistence:
         not_a_dir.write_text("")
         with pytest.raises(ReproError, match="not a directory"):
             EstimationCache(not_a_dir)
+
+    @pytest.mark.parametrize("open_store", [
+        EstimationCache, CostCache,
+        lambda path: CostMemoFile(path, "ctx", [], {}),
+    ], ids=["estimates", "costs", "memo"])
+    def test_an_empty_path_is_rejected_up_front(self, open_store,
+                                                tmp_path, monkeypatch):
+        # Path("") is the working directory, which nobody names by
+        # leaving a path empty.
+        from repro.errors import ReproError
+
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ReproError, match="non-empty path"):
+            open_store("")
 
 
 class TestForkView:

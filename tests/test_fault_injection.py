@@ -461,21 +461,46 @@ class TestDiskPressureDegradation:
 
         assert run(scenario()) is False
 
-    def test_cache_save_degrades_and_recovers(self, tmp_path):
-        from repro.parallel.cache import _PersistentJsonCache
+    def test_a_jobs_failed_cache_saves_reach_the_service_health(
+            self, tuning_inputs, tmp_path):
+        """A served job saves through its run's fork views and its
+        stage's memo file, never through the service's caches: under
+        disk pressure the job still ends done, nothing reaches the
+        cache directory, and the service reads degraded until a later
+        job's saves land."""
+        db, wl = tuning_inputs
+        cache_dir = tmp_path / "cache"
 
-        cache = _PersistentJsonCache(str(tmp_path / "cache"))
-        cache._store("k", {"v": 1})
-        faults.install(FaultPlan.parse("cache.save:enospcx1"))
-        cache.save()                      # injected ENOSPC: swallowed
-        assert not cache.file.exists()    # fired before any byte
-        assert cache.degraded is True
-        assert cache.save_errors == 1
-        assert cache.stats()["degraded"] is True
-        cache.save()                      # probe-and-recover
-        assert cache.degraded is False
-        assert _PersistentJsonCache(str(tmp_path / "cache")) \
-            ._lookup("k") == {"v": 1}
+        async def job(service, **payload):
+            record = service.submit_job(
+                "tune", "sales",
+                dict(budget_fraction=0.12, variant="dtac-none", **payload),
+            )
+            async for _event in service.job_events(record.id):
+                pass
+            return record.state, service.degraded, \
+                service.stats()["degraded"]
+
+        async def scenario():
+            service = AdvisorService(cache_dir=str(cache_dir))
+            service.register("sales", db, wl)
+            await service.start()
+            try:
+                faults.install(FaultPlan.parse("cache.save:enospcx50"))
+                pressed = await job(service)
+                files = sorted(path.name for path in cache_dir.iterdir())
+                faults.clear()
+                # Another seed prepares a stage of its own, so it saves
+                # estimates, costs and a memo file.
+                recovered = await job(service, seed=2)
+                return pressed, files, recovered
+            finally:
+                await service.stop()
+
+        pressed, files, recovered = run(scenario(), timeout=300)
+        assert pressed == ("done", True, True)
+        assert files == ["jobs-journal"]
+        assert recovered == ("done", False, False)
 
 
 class TestPollTask:

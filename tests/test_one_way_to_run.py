@@ -14,6 +14,9 @@ measure estimation errors.
   module under ``repro/experiments/`` defines ``main`` or an
   ``if __name__ == "__main__"`` block, and the package has no
   ``__main__.py``.
+* One append log writes every persisted store: under
+  ``repro/parallel/`` exactly one function fires the ``cache.save``
+  fault hook, and exactly one takes ``fcntl.flock``.
 """
 
 import ast
@@ -95,3 +98,33 @@ def test_experiments_have_one_runner():
             assert not (isinstance(node, ast.FunctionDef)
                         and node.name == "main"), path.name
             assert not _is_main_guard(node), path.name
+
+
+def _functions_calling(package: Path, matches) -> list[str]:
+    """``file:function`` for every function under ``package`` whose own
+    body holds a call ``matches`` accepts."""
+    found = []
+    for path in sorted(package.glob("**/*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and any(isinstance(call, ast.Call) and matches(call)
+                            for call in ast.walk(node)):
+                found.append(f"{path.name}:{node.name}")
+    return found
+
+
+def test_one_append_log_writes_every_store():
+    parallel = SRC / "repro" / "parallel"
+
+    def fires_cache_save(call: ast.Call) -> bool:
+        return getattr(call.func, "id", None) == "FAULT_HOOK" \
+            and bool(call.args) \
+            and getattr(call.args[0], "value", None) == "cache.save"
+
+    def takes_flock(call: ast.Call) -> bool:
+        return getattr(call.func, "attr", None) == "flock" \
+            and getattr(call.func.value, "id", None) == "fcntl"
+
+    for matches in (fires_cache_save, takes_flock):
+        assert _functions_calling(parallel, matches) == \
+            ["cache.py:append"], matches.__name__
