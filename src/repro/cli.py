@@ -21,6 +21,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -314,24 +315,13 @@ def cmd_serve(args) -> int:
 
     from repro.service import AdvisorService, serve
 
-    tenant_weights = {}
-    for spec in args.tenant_weight or ():
-        name, _, weight = spec.partition("=")
-        try:
-            tenant_weights[name] = int(weight)
-        except ValueError:
-            print(f"bad --tenant-weight {spec!r}; expected NAME=INT")
-            return 2
     service = AdvisorService(
         workers=args.workers,
         cache_dir=args.cache_dir,
         max_pending=args.max_pending,
         max_context_workers=args.max_context_workers,
         tenant_quota=args.tenant_quota,
-        tenant_weights=tenant_weights,
         poll_interval=args.poll_interval,
-        journal_max_segment_bytes=args.journal_max_segment_bytes
-        or None,
         fault_plan=args.fault_plan,
     )
     names = (
@@ -514,11 +504,26 @@ def _number_arg(name: str):
     return _checked_arg(check_budget, name)
 
 
+def _check_interval(name: str, value: float) -> float:
+    """A sleep between ticks: finite and > 0, or a loop would spin."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite number > 0, "
+                         f"got {value!r}")
+    return value
+
+
+def _check_port(name: str, value: int) -> int:
+    if not 0 <= value <= 65535:
+        raise ValueError(f"{name} must be in [0, 65535], got {value!r}")
+    return value
+
+
 _fraction_list = _csv_list(_number_arg("budgets"), "budget")
 _weight_list = _csv_list(_number_arg("update_weights"), "weight")
 _seed_list = _csv_list(_checked_arg(check_seed, "seeds", int), "seed")
 _phases_arg = _checked_arg(check_count, "phases", int)
 _cache_dir_arg = _checked_arg(check_path, "cache_dir", str)
+_port_arg = _checked_arg(_check_port, "port", int)
 
 
 def _experiment_arg(name: str) -> str:
@@ -694,38 +699,37 @@ def build_parser() -> argparse.ArgumentParser:
                        help="context(s) to register at boot")
     add_data_args(p_srv)
     p_srv.add_argument("--host", default="127.0.0.1")
-    p_srv.add_argument("--port", type=int, default=8765,
+    p_srv.add_argument("--port", type=_port_arg, default=8765,
                        help="TCP port (0 = ephemeral, printed at boot)")
     p_srv.add_argument("--workers", type=_workers_arg, default=1,
                        help=_WORKERS_HELP)
     p_srv.add_argument("--cache-dir", type=_cache_dir_arg, default=None,
                        help="directory for the persistent size-estimate "
                             "and what-if cost caches")
-    p_srv.add_argument("--max-pending", type=int, default=64,
+    p_srv.add_argument("--max-pending",
+                       type=_checked_arg(check_count, "max_pending", int),
+                       default=64,
                        help="request-queue bound; beyond it the HTTP "
                             "layer answers 503 (backpressure)")
-    p_srv.add_argument("--max-context-workers", type=int, default=4,
+    p_srv.add_argument("--max-context-workers",
+                       type=_checked_arg(check_count, "max_context_workers",
+                                         int),
+                       default=4,
                        help="scheduler lane cap: at most this many "
                             "contexts tune concurrently (each context "
                             "always serializes on its own lane)")
-    p_srv.add_argument("--tenant-quota", type=int, default=None,
+    p_srv.add_argument("--tenant-quota",
+                       type=_checked_arg(check_count, "tenant_quota", int),
+                       default=None,
                        help="per-tenant cap on active jobs; beyond it "
                             "submissions answer 429 (per-tenant "
                             "backpressure)")
-    p_srv.add_argument("--tenant-weight", action="append", default=[],
-                       metavar="NAME=W",
-                       help="weighted round-robin weight for one "
-                            "tenant inside each priority lane "
-                            "(repeatable; default weight 1)")
-    p_srv.add_argument("--poll-interval", type=float, default=0.25,
+    p_srv.add_argument("--poll-interval",
+                       type=_checked_arg(_check_interval, "poll_interval"),
+                       default=0.25,
                        help="housekeeping cadence in seconds, with "
                             "--cache-dir: the degraded-journal probe "
                             "and the queued-deadline sweep")
-    p_srv.add_argument("--journal-max-segment-bytes", type=int,
-                       default=0,
-                       help="rotate the job journal's live segment "
-                            "once it grows past this many bytes "
-                            "(0 = never rotate)")
     p_srv.add_argument("--fault-plan", default=None,
                        metavar="PLAN",
                        help="deterministic fault-injection plan, e.g. "
@@ -745,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_jobs.add_argument("id", nargs="?", default=None,
                         help="job id (status/events/cancel)")
     p_jobs.add_argument("--host", default="127.0.0.1")
-    p_jobs.add_argument("--port", type=int, default=8765)
+    p_jobs.add_argument("--port", type=_port_arg, default=8765)
     p_jobs.add_argument("--context", default="sales")
     p_jobs.add_argument("--kind", choices=("tune", "sweep", "retune"),
                         default="tune")

@@ -40,7 +40,7 @@ from repro.service.jobs import (
     JobManager,
     JobRecord,
 )
-from repro.service.journal import JobImage, JobJournal, JournalError
+from repro.service.journal import JobImage, JobJournal
 from repro.service.scheduler import (
     PRIORITIES,
     ContextLane,
@@ -63,7 +63,6 @@ __all__ = [
     "JobJournal",
     "JobManager",
     "JobRecord",
-    "JournalError",
     "JOB_KINDS",
     "JOB_STATES",
     "PRIORITIES",

@@ -56,8 +56,6 @@ from repro.errors import ReproError
 #: every registered injection point: site name -> where it fires.
 SITES = {
     "journal.append": "JobJournal._append, before the segment write",
-    "journal.fsync": "JobJournal._append, before the per-line fsync",
-    "journal.rotate": "JobJournal segment rotation, before the rename",
     "cache.save": "_AppendLog.append (every cache and memo-file save), "
                   "before the append",
     "coster.batch": "SelectionAlgorithm._costs entry",

@@ -36,18 +36,20 @@ execute and the journal's only writer.
   the next event — cancellation latency is bounded by one greedy step.
   A cancelled or failed run gives its scheduler lane back.
 * **Write-through journal.**  With a ``cache_dir``, every record is
-  appended to the :class:`~repro.service.journal.JobJournal` before
-  clients can observe it.  :meth:`JobManager.recover` replays the
-  journal at boot: terminal jobs come back poll-able with their full
-  event logs (``GET /v1/jobs/<id>/events?after=N`` survives restarts),
-  ``queued`` jobs re-enqueue and run, and interrupted ``running`` jobs
-  are finished ``failed`` with a ``recovered`` marker.  New events
-  continue the restored ``seq`` series, so logs stay gap-free across
-  the restart boundary.
+  appended (and flushed, so a killed process loses none of it) to the
+  :class:`~repro.service.journal.JobJournal` before clients can observe
+  it.  :meth:`JobManager.recover` replays the journal at boot:
+  terminal jobs come back poll-able with their full event logs
+  (``GET /v1/jobs/<id>/events?after=N`` survives restarts), ``queued``
+  jobs re-enqueue and run, and interrupted ``running`` jobs are
+  finished ``failed`` with a ``recovered`` marker.  New events continue
+  the restored ``seq`` series, so logs stay gap-free across the restart
+  boundary.  The boot compaction that follows is what bounds the
+  journal on disk.
 * **Priority lanes + tenant fairness.**  Submissions carry a
   ``priority`` (``high``/``normal``/``low``) and a ``tenant`` tag.
   Inside each context, the next job to run is picked high-first, and
-  *within* a priority by weighted round-robin across tenants
+  *within* a priority by round-robin across tenants
   (:class:`FairQueue`), so one heavy client cannot starve a context.
   Per-tenant admission quotas bound how many non-terminal jobs a
   tenant may hold (:class:`~repro.errors.QuotaExceededError` → HTTP
@@ -344,19 +346,14 @@ class JobManager:
         tenant_quota: per-tenant cap on non-terminal jobs (None = no
             per-tenant cap; the global ``max_pending`` bound always
             applies).
-        tenant_weights: tenant -> weighted-round-robin weight (default
-            1); heavier tenants get proportionally more turns inside
-            each priority lane.
     """
 
     def __init__(self, service, max_history: int = 256,
-                 journal=None, tenant_quota: int | None = None,
-                 tenant_weights: dict | None = None) -> None:
+                 journal=None, tenant_quota: int | None = None) -> None:
         self.service = service
         self.max_history = max_history
         self.journal = journal
         self.tenant_quota = tenant_quota
-        self.tenant_weights = dict(tenant_weights or {})
         self.jobs: dict[str, JobRecord] = {}
         self._order: list[str] = []
         self._counter = 1
@@ -672,9 +669,7 @@ class JobManager:
     def _queue_for(self, context: str) -> FairQueue:
         queue = self._queues.get(context)
         if queue is None:
-            queue = self._queues[context] = FairQueue(
-                self.tenant_weights
-            )
+            queue = self._queues[context] = FairQueue()
         return queue
 
     async def _acquire_turn(self, record: JobRecord) -> bool:

@@ -27,22 +27,24 @@ The serving process is the journal's only writer.  Layout::
 
     <cache_dir>/jobs-journal/
         segment-coordinator.jsonl        the live, append-only segment
-        segment-coordinator.rNNNN.jsonl  rotated (sealed) segments
 
 * **Replay** merges every ``segment-*.jsonl`` in the directory, so a
-  journal written by an older version — whose worker processes each
-  kept a ``segment-<worker>.jsonl`` beside directories of claim,
-  cancel-marker and presence files — still boots; nothing but the
-  segments is ever read.
+  journal written by an older version — which sealed rotated
+  ``segment-coordinator.rNNNN.jsonl`` segments, and whose worker
+  processes each kept a ``segment-<worker>.jsonl`` beside directories
+  of claim, cancel-marker and presence files — still boots; nothing
+  but the segments is ever read.
 * **Compaction** (:meth:`JobJournal.compact`) rewrites the journal at
-  boot, keeping only the retained job set, into one segment.
+  boot, keeping only the retained job set, into one segment (fsynced
+  before it replaces the old ones).  It is what bounds the journal on
+  disk.
 
 Durability model: every appended line is flushed to the OS immediately,
 so a ``kill -9`` of the process loses nothing already appended (the
-page cache survives process death); ``fsync=True`` additionally forces
-each line to stable storage for machine-crash durability.  A line torn
-by a crash mid-append ends its segment's replay, and the boot-time
-compaction drops it before anything is appended after it.
+page cache survives process death); a machine crash may lose the lines
+the OS had not written back yet.  A line torn by a crash mid-append
+ends its segment's replay, and the boot-time compaction drops it before
+anything is appended after it.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from __future__ import annotations
 import json
 import os
 
-from repro.errors import ServiceError
 from repro.service.faults import fire
 
 #: journal format version, embedded in every line for forward safety.
@@ -179,11 +180,7 @@ RECORDS = {"submit": submit_record, "state": state_record,
            "event": event_record, "result": result_record}
 
 
-class JournalError(ServiceError):
-    """Journal directory or segment problem."""
-
-
-#: the live segment's file name (rotated segments insert ``.rNNNN``).
+#: the live segment's file name.
 SEGMENT = "segment-coordinator.jsonl"
 
 
@@ -192,32 +189,15 @@ class JobJournal:
 
     Args:
         root: the journal directory (created if missing).
-        fsync: force every appended line to stable storage (machine-
-            crash durability); off by default — process-crash
-            durability only needs the flush.
-        max_segment_bytes: rotate the live segment once it grows past
-            this size (None = never): the full segment is renamed to
-            ``segment-coordinator.rNNNN.jsonl`` — still merged by replay
-            and compaction — and appends continue in a fresh file, so a
-            long-lived server never rewrites one ever-growing file.
     """
 
-    def __init__(self, root: str, *, fsync: bool = False,
-                 max_segment_bytes: int | None = None) -> None:
-        if max_segment_bytes is not None and max_segment_bytes < 1:
-            raise JournalError(
-                f"max_segment_bytes must be >= 1, got {max_segment_bytes}"
-            )
+    def __init__(self, root: str) -> None:
         self.root = root
-        self.fsync = fsync
-        self.max_segment_bytes = max_segment_bytes
         os.makedirs(root, exist_ok=True)
         self._segment_path = os.path.join(root, SEGMENT)
         self._segment = None
         #: appended-line counters (stats/tests).
         self.appended = 0
-        #: completed segment rotations (also the rotated-name cursor).
-        self.rotations = 0
 
     # ------------------------------------------------------------------
     # appending
@@ -235,35 +215,10 @@ class JobJournal:
         if self._segment is None:
             self._segment = open(self._segment_path, "a",
                                  encoding="utf-8")
-        if self.max_segment_bytes is not None and \
-                self._segment.tell() >= self.max_segment_bytes:
-            self._rotate()
-            self._segment = open(self._segment_path, "a",
-                                 encoding="utf-8")
         self._segment.write(line)
         self._segment.flush()
-        if self.fsync:
-            fire("journal.fsync")
-            os.fsync(self._segment.fileno())
         self.appended += 1
         return record
-
-    def _rotate(self) -> None:
-        """Seal the live segment under a rotated name (replay and
-        compaction keep merging it) and leave the live path free for a
-        fresh file."""
-        self.close()
-        n = self.rotations + 1
-        while True:
-            target = os.path.join(
-                self.root, SEGMENT.replace(".jsonl", f".r{n:04d}.jsonl")
-            )
-            if not os.path.exists(target):
-                break
-            n += 1  # pragma: no cover - survivor from a prior process
-        fire("journal.rotate")
-        os.replace(self._segment_path, target)
-        self.rotations = n
 
     def append_submit(self, *fields, **marks) -> dict:
         """Append one ``submit`` record; arguments as
@@ -353,9 +308,9 @@ class JobJournal:
         fold behind a boot-time :meth:`replay` and the serving
         process's own transitions.  Commutative and idempotent: the
         image depends on the *set* of records folded, not on their
-        order or repetition (replay reads rotated segments out of write
-        order, and a journal written by an older multi-writer version
-        merges several segments).
+        order or repetition (a journal written by an older version holds
+        rotated segments, which replay reads out of write order, and
+        worker segments, which it merges).
 
         * ``submit``: first write wins.
         * ``state``: a record of a higher ``attempt`` opens that
@@ -468,5 +423,4 @@ class JobJournal:
             "root": self.root,
             "appended": self.appended,
             "segments": len(self._segment_paths()),
-            "rotations": self.rotations,
         }

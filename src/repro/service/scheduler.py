@@ -11,9 +11,9 @@ no processes: a tune or retune runs in the lane thread, and a sweep job
 forks its pool for the duration of its own ``map``.
 
 The module also owns :class:`FairQueue` — the job tier's per-context
-turn-taking policy (priority lanes + weighted round-robin across
-tenants), sitting *in front of* the lane: the lane serializes, the
-queue decides who goes next.
+turn-taking policy (priority lanes + round-robin across tenants),
+sitting *in front of* the lane: the lane serializes, the queue decides
+who goes next.
 """
 
 from __future__ import annotations
@@ -33,28 +33,27 @@ PRIORITIES = ("high", "normal", "low")
 
 class FairQueue:
     """Per-context turn-taking for the job tier: priority lanes, with
-    weighted round-robin across tenants inside each lane.
+    round-robin across tenants inside each lane.
 
     A :class:`ContextLane` already *serializes* execution; this queue
     decides **which** parked job reaches the lane next, so one heavy
     tenant cannot starve a context.  The pick is deterministic: strict
-    priority order first, then a deficit-style rotation over the
-    tenants that have work — tenant names in sorted order, each served
-    ``weight`` consecutive jobs per visit — so the order never depends
-    on timing or hash seeds.  Items are any objects with ``tenant`` and
-    ``priority`` attributes (the job tier parks its ``JobRecord``\\ s).
+    priority order first, then a rotation over the tenants that have
+    work — tenant names in sorted order, one job per tenant per visit —
+    so the order never depends on timing or hash seeds.  Items are any
+    objects with ``tenant`` and ``priority`` attributes (the job tier
+    parks its ``JobRecord``\\ s).
     """
 
-    def __init__(self, weights: dict | None = None) -> None:
-        self.weights = dict(weights or {})
+    def __init__(self) -> None:
         #: the item currently holding this context's turn.
         self.active = None
         #: priority -> tenant -> FIFO of parked items.
         self.pending: dict[str, dict[str, deque]] = {
             priority: {} for priority in PRIORITIES
         }
-        #: priority -> (last tenant served, items served this visit).
-        self._cursor: dict[str, tuple[str | None, int]] = {}
+        #: priority -> the tenant served last.
+        self._cursor: dict[str, str] = {}
 
     def park(self, item) -> None:
         lanes = self.pending[item.priority]
@@ -66,9 +65,6 @@ class FairQueue:
             for q in lanes.values()
         )
 
-    def _weight(self, tenant: str) -> int:
-        return max(int(self.weights.get(tenant, 1)), 1)
-
     def pick(self):
         """Pop the next item to run (None when nothing is parked)."""
         for priority in PRIORITIES:
@@ -76,20 +72,15 @@ class FairQueue:
             names = sorted(t for t, q in lanes.items() if q)
             if not names:
                 continue
-            tenant, served = self._cursor.get(priority, (None, 0))
-            if tenant in names and served < self._weight(tenant):
-                pass  # tenant keeps its visit
-            else:
-                # Advance to the next tenant with work, cyclically past
-                # the cursor position (bisect keeps this deterministic
-                # even when the cursor tenant has drained away).
-                index = bisect.bisect_right(names, tenant or "")
-                tenant = names[index % len(names)]
-                served = 0
+            # The next tenant with work, cyclically past the one served
+            # last (bisect keeps this deterministic even when that
+            # tenant has drained away).
+            index = bisect.bisect_right(names, self._cursor.get(priority, ""))
+            tenant = names[index % len(names)]
             item = lanes[tenant].popleft()
             if not lanes[tenant]:
                 del lanes[tenant]
-            self._cursor[priority] = (tenant, served + 1)
+            self._cursor[priority] = tenant
             return item
         return None
 

@@ -48,6 +48,7 @@ import asyncio
 import copy
 import json
 import logging
+import math
 import os
 import sys
 
@@ -100,15 +101,9 @@ class AdvisorService:
         tenant_quota: per-tenant cap on active (non-terminal) jobs —
             submissions beyond it raise
             :class:`~repro.errors.QuotaExceededError` (HTTP 429).
-        tenant_weights: tenant -> round-robin weight inside each
-            priority lane (default weight 1).
         poll_interval: seconds between housekeeping ticks (only with a
             ``cache_dir``): the degraded-mode journal probe and the
             queued-deadline sweep.
-        journal_max_segment_bytes: rotate the journal's live segment
-            past this size (None = never) — a long-lived server caps
-            its live segment, compaction still merges the rotated
-            ones.
         fault_plan: a :mod:`repro.service.faults` plan string to
             install at construction (chaos tests / ``repro serve
             --fault-plan``); the ``REPRO_FAULTS`` environment variable
@@ -123,9 +118,7 @@ class AdvisorService:
         max_pending: int = 64,
         max_context_workers: int = 4,
         tenant_quota: int | None = None,
-        tenant_weights: dict | None = None,
         poll_interval: float = 0.25,
-        journal_max_segment_bytes: int | None = None,
         fault_plan: str | None = None,
     ) -> None:
         if max_pending < 1:
@@ -136,6 +129,15 @@ class AdvisorService:
             raise ServiceError(
                 f"max_context_workers must be >= 1, "
                 f"got {max_context_workers}"
+            )
+        if tenant_quota is not None and tenant_quota < 1:
+            raise ServiceError(
+                f"tenant_quota must be >= 1, got {tenant_quota}"
+            )
+        if not 0 < poll_interval < math.inf:
+            raise ServiceError(
+                f"poll_interval must be a finite number > 0, "
+                f"got {poll_interval}"
             )
         self.workers = workers
         self.cache_dir = cache_dir
@@ -157,15 +159,13 @@ class AdvisorService:
         if fault_plan:
             install(FaultPlan.parse(fault_plan))
         self.journal = (
-            JobJournal(os.path.join(cache_dir, "jobs-journal"),
-                       max_segment_bytes=journal_max_segment_bytes)
+            JobJournal(os.path.join(cache_dir, "jobs-journal"))
             if cache_dir is not None else None
         )
         self.poll_interval = poll_interval
         self._poll_task: asyncio.Task | None = None
         self.jobs = JobManager(
             self, journal=self.journal, tenant_quota=tenant_quota,
-            tenant_weights=tenant_weights,
         )
 
         self._inflight: dict[tuple, asyncio.Future] = {}

@@ -10,7 +10,8 @@ cache and one cost memo namespace.
   starts the file over;
 * disk pressure (``ENOSPC``) degrades the store, and the next save
   recovers;
-* two forked writers saving at once both land.
+* a save waits for its store's lock, and two forked writers saving at
+  once both land.
 
 What each codec writes on a line is its own test's business
 (``tests/test_estimation_cache.py``, ``tests/test_cost_memo_file.py``).
@@ -19,6 +20,7 @@ What each codec writes on a line is its own test's business
 import itertools
 import json
 import multiprocessing
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -42,6 +44,7 @@ class CacheStore:
         self.cache = cls(directory)
         self.log = self.cache.log
         self.file = directory / cls.FILE
+        self.lock = directory / f".{cls.FILE}.lock"
         self.head = json.dumps({"version": 2, "entries": {}}).encode()
         #: a head no cache writes: a memo file's.
         self.foreign = json.dumps({"version": 2, "namespace": "n"}).encode()
@@ -49,6 +52,10 @@ class CacheStore:
     @staticmethod
     def entry(n):
         return f"k{n}", {"v": n, "total": n / 7}
+
+    @staticmethod
+    def lines_per_save(entries):
+        return entries
 
     def put(self, n):
         self.cache._store(*self.entry(n))
@@ -72,6 +79,7 @@ class MemoStore:
         self.memo_file.load(self.tables)
         self.log = self.memo_file.log
         self.file = self.memo_file.file
+        self.lock = self.file.parent / ".costmemo.lock"
         self.head = json.dumps({
             "version": 1, "namespace": self.memo_file.namespace,
         }).encode()
@@ -83,6 +91,10 @@ class MemoStore:
     @staticmethod
     def entry(n):
         return frozenset(PAIRS[n]), (REF, n % 3, n / 7)
+
+    @staticmethod
+    def lines_per_save(entries):
+        return 1
 
     def put(self, n):
         key, raw = self.entry(n)
@@ -115,21 +127,34 @@ def _saved(store, numbers):
     store.save()
 
 
+def _lines(data: bytes) -> int:
+    """How many complete lines ``data`` holds, all of them whole."""
+    assert data.endswith(b"\n")
+    return data.count(b"\n")
+
+
 def test_a_save_appends_only_what_is_new(open_store, tmp_path):
     store = open_store(tmp_path)
     _saved(store, range(3))
     first = store.file.read_bytes()
     assert first.split(b"\n", 1)[0] == store.head
+    # The head, then the saved entries: a cache writes a line per
+    # entry, a memo file one block per save.
+    assert _lines(first) == 1 + store.lines_per_save(3)
     _saved(store, range(3, 5))
     grown = store.file.read_bytes()
     assert grown.startswith(first)
+    assert _lines(grown[len(first):]) == store.lines_per_save(2)
     assert store.loaded() == _expected(store, range(5))
-    # A save with nothing new, and one by a store that loaded the file
-    # and stored nothing since, leave the file alone.
+    # A save with nothing new, one by a store that loaded the file and
+    # stored nothing since, and one by a cache's fork view that stored
+    # nothing, leave the file alone.
     before = store.file.stat()
     store.save()
     again = open_store(tmp_path)
     again.save()
+    if isinstance(store, CacheStore):
+        store.cache.fork_view().save()
     after = store.file.stat()
     assert (after.st_size, after.st_mtime_ns) == \
         (before.st_size, before.st_mtime_ns)
@@ -146,9 +171,12 @@ def test_a_torn_last_line_loses_only_itself(open_store, tmp_path):
     store.file.write_bytes(torn)
     reloaded = open_store(tmp_path)
     assert reloaded.loaded() == _expected(store, range(3))
-    # The next save starts a line of its own after the torn one.
+    # The next save starts a line of its own after the torn one, and
+    # writes only entry 4.
     _saved(reloaded, [4])
-    assert reloaded.file.read_bytes().startswith(torn + b"\n")
+    data = reloaded.file.read_bytes()
+    assert data.startswith(torn + b"\n")
+    assert _lines(data[len(torn) + 1:]) == store.lines_per_save(1)
     assert reloaded.loaded() == _expected(store, [0, 1, 2, 4])
 
 
@@ -196,6 +224,25 @@ def test_disk_pressure_degrades_and_the_next_save_recovers(
         faults.clear()
     assert store.log.degraded is False
     assert store.loaded() == _expected(store, range(4))
+
+
+def test_an_append_waits_for_the_lock(open_store, tmp_path):
+    """Two writers that both find the file missing or unreadable would
+    each start it over: a save holds its store's lock file while it
+    looks at the head and appends, so a second one waits."""
+    fcntl = pytest.importorskip("fcntl")
+    store = open_store(tmp_path)
+    store.put(0)
+    with open(store.lock, "a") as held:
+        fcntl.flock(held, fcntl.LOCK_EX)
+        saver = threading.Thread(target=store.save)
+        saver.start()
+        saver.join(timeout=0.2)
+        assert saver.is_alive()
+        assert not store.file.exists()
+    saver.join(timeout=30)
+    assert not saver.is_alive()
+    assert store.loaded() == _expected(store, [0])
 
 
 def test_two_forked_writers_both_land(open_store, tmp_path):

@@ -100,6 +100,16 @@ class TestCLI:
         ["tune", "--cache-dir", ""],
         ["estimate", "--cache-dir", ""],
         ["serve", "--cache-dir", ""],
+        ["serve", "--max-pending", "0"],
+        ["serve", "--max-context-workers", "0"],
+        ["serve", "--tenant-quota", "0"],
+        ["serve", "--tenant-quota", "-3"],
+        ["serve", "--poll-interval", "0"],
+        ["serve", "--poll-interval", "-1"],
+        ["serve", "--poll-interval", "nan"],
+        ["serve", "--poll-interval", "inf"],
+        ["serve", "--port", "65536"],
+        ["serve", "--port", "-1"],
     ], ids=lambda argv: " ".join(argv))
     def test_a_bad_number_is_a_usage_error_naming_its_flag(
         self, capsys, argv

@@ -1,8 +1,8 @@
 """Tests for the persistent EstimationCache: content-addressed keys
-(compression method can never alias), persistence round-trips, the
-append-only file layout (a save writes its new lines only; torn, corrupt
-and older-format files), and invalidation when the sample fingerprint
-changes."""
+(compression method can never alias), persistence round-trips, corrupt
+and older-format files, and invalidation when the sample fingerprint
+changes.  The append log's rules (a save writes its new lines only, a
+torn last line loses only itself) are ``tests/test_append_log.py``'s."""
 
 import json
 import multiprocessing
@@ -120,55 +120,6 @@ class TestPersistence:
             [["fresh-key", {"fresh": True}]]
         reloaded = cache_cls(tmp_path)
         assert reloaded._entries == {"fresh-key": {"fresh": True}}
-
-    def test_a_save_appends_exactly_its_new_entries(self, tmp_path):
-        file = tmp_path / CostCache.FILE
-        cache = CostCache(tmp_path)
-        cache._store("k1", {"v": 1})
-        cache.save()
-        first = file.read_bytes()
-        assert first.splitlines() == [
-            b'{"version": 2, "entries": {}}', b'["k1", {"v": 1}]',
-        ]
-        cache._store("k2", {"v": 2})
-        cache._store("k3", {"v": 3.5})
-        cache.save()
-        grown = file.read_bytes()
-        assert grown.startswith(first)
-        assert grown[len(first):] == \
-            b'["k2", {"v": 2}]\n["k3", {"v": 3.5}]\n'
-        assert CostCache(tmp_path)._entries == \
-            {"k1": {"v": 1}, "k2": {"v": 2}, "k3": {"v": 3.5}}
-
-    def test_a_save_with_nothing_new_leaves_the_file_alone(self, tmp_path):
-        file = tmp_path / CostCache.FILE
-        cache = CostCache(tmp_path)
-        cache._store("k1", {"v": 1})
-        cache.save()
-        before = file.stat()
-        cache.save()
-        CostCache(tmp_path).save()
-        cache.fork_view().save()
-        after = file.stat()
-        assert (after.st_size, after.st_mtime_ns) == \
-            (before.st_size, before.st_mtime_ns)
-
-    def test_a_torn_last_line_loses_only_itself(self, tmp_path):
-        file = tmp_path / CostCache.FILE
-        cache = CostCache(tmp_path)
-        for i in range(3):
-            cache._store(f"k{i}", {"v": i})
-        cache.save()
-        torn = file.read_bytes()[:-6]  # mid-record of k2's line
-        file.write_bytes(torn)
-        reloaded = CostCache(tmp_path)
-        assert reloaded._entries == {"k0": {"v": 0}, "k1": {"v": 1}}
-        # The next save starts a fresh line after the fragment.
-        reloaded._store("k3", {"v": 3})
-        reloaded.save()
-        assert file.read_bytes() == torn + b'\n["k3", {"v": 3}]\n'
-        assert CostCache(tmp_path)._entries == \
-            {"k0": {"v": 0}, "k1": {"v": 1}, "k3": {"v": 3}}
 
     def test_forked_writers_saving_at_once_keep_both_sets(self, tmp_path):
         ctx = multiprocessing.get_context("fork")

@@ -149,12 +149,12 @@ class TestFaultPlanGrammar:
 
     def test_errno_kinds_raise_oserror(self):
         plan = FaultPlan([FaultSpec("journal.append", "enospc"),
-                          FaultSpec("journal.fsync", "eio")])
+                          FaultSpec("cache.save", "eio")])
         with pytest.raises(OSError) as err:
             plan.fire("journal.append")
         assert err.value.errno == errno.ENOSPC
         with pytest.raises(OSError) as err:
-            plan.fire("journal.fsync")
+            plan.fire("cache.save")
         assert err.value.errno == errno.EIO
 
     def test_seeded_schedules_are_deterministic(self):

@@ -4,11 +4,13 @@ One hypothesis ``RuleBasedStateMachine`` drives the journal's one
 writer — the serving process — through the transitions the tier can
 make (``repro.service.jobs``: ``announce`` / ``start`` / ``emit`` /
 ``finish`` / ``requeue``, the same functions the manager calls), across
-segment rotations and restarts (``replay()``, boot compaction, and the
-``recovered`` failure of every job that was running).  Its records also
-reach a second view *late, out of order and twice*: what replay does
-when it reads a sealed segment after the live one, and what any reader
-of a directory whose segments arrive in arbitrary order must tolerate.
+restarts (``replay()``, boot compaction, and the ``recovered`` failure
+of every job that was running).  At each boot part of the log is first
+sealed into a hand-written ``segment-coordinator.r0001.jsonl``, as an
+older version's segment rotation left it, so replay reads the live
+segment before the sealed one — out of write order.  Its records also
+reach a second view *late, out of order and twice*: what any reader of
+a directory whose segments arrive in arbitrary order must tolerate.
 Every view is kept by the one fold, :meth:`JobJournal.apply`; the oracle
 is :func:`reference` below, which recomputes a job from the *set* of its
 records with no incremental state, so order and repetition cannot
@@ -47,7 +49,7 @@ from hypothesis.stateful import (
 )
 
 from repro.service import jobs
-from repro.service.journal import STATE_RANK, JobJournal
+from repro.service.journal import SEGMENT, STATE_RANK, JobJournal
 
 STATE_FIELDS = ("state", "attempt", "started", "finished", "error",
                 "timeout", "recovered", "not_before", "result")
@@ -101,10 +103,17 @@ class FoldModel(RuleBasedStateMachine):
         self.high = {}  # (view, job) -> highest (attempt, rank) seen
         FoldModel.ticks = itertools.count(1)
 
-    def boot(self):
-        # Small segments: rotation seals them, and replay then reads
-        # the live segment before the sealed ones — out of write order.
-        self.journal = JobJournal(str(self.root), max_segment_bytes=600)
+    def boot(self, sealed=0):
+        """Open the journal as a booting process does, after moving the
+        live segment's first ``sealed`` lines into a sealed segment:
+        replay then reads the live segment before the sealed one."""
+        live = self.root / SEGMENT
+        if sealed and live.exists():
+            lines = live.read_bytes().splitlines(keepends=True)
+            (self.root / SEGMENT.replace(".jsonl", ".r0001.jsonl")) \
+                .write_bytes(b"".join(lines[:sealed]))
+            live.write_bytes(b"".join(lines[sealed:]))
+        self.journal = JobJournal(str(self.root))
         self.view = self.journal.replay()
 
     def teardown(self):
@@ -209,13 +218,13 @@ class FoldModel(RuleBasedStateMachine):
             self.write("state", image.id, state, ts,
                        attempt=image.attempt, error="older version")
 
-    @rule()
-    def restart(self):
+    @rule(sealed=st.integers(1, 40))
+    def restart(self, sealed):
         """The process dies and boots again, as ``JobManager.recover``
-        does: replay, compact every job into one segment, fail what was
-        running."""
+        does: replay (the first ``sealed`` lines sealed aside), compact
+        every job into one segment, fail what was running."""
         self.journal.close()
-        self.boot()
+        self.boot(sealed)
         self.journal.compact(frozenset(self.view))
         for _, image in sorted(self.view.items()):
             if image.state == "running":

@@ -3,7 +3,7 @@ tier.
 
 The contract under test (see ``repro.service.scheduler.FairQueue`` and
 ``repro.service.jobs``): within one context, the next job to run is
-picked high-priority-first, and inside a priority lane by weighted
+picked high-priority-first, and inside a priority lane by
 round-robin across tenants in sorted-name order — fully deterministic,
 never timing- or hash-dependent.  Per-tenant quotas bound non-terminal
 jobs per tenant (:class:`QuotaExceededError`, HTTP 429, retryable),
@@ -56,13 +56,6 @@ class TestFairQueue:
             queue.park(it)
         assert [queue.pick() for _ in range(4)] == [a1, b1, c1, a2]
 
-    def test_weights_grant_consecutive_turns(self):
-        queue = FairQueue(weights={"big": 2})
-        b1, b2, b3, s1 = item("big"), item("big"), item("big"), item("small")
-        for it in (b1, b2, b3, s1):
-            queue.park(it)
-        assert [queue.pick() for _ in range(4)] == [b1, b2, s1, b3]
-
     def test_cursor_survives_tenant_draining_away(self):
         queue = FairQueue()
         a1, c1 = item("a"), item("c")
@@ -98,8 +91,8 @@ class StubService:
 
 class TestExecutionOrder:
     def test_priority_then_tenant_round_robin(self):
-        """Parked jobs run high-first, then WRR by tenant inside each
-        priority — regardless of submission order."""
+        """Parked jobs run high-first, then round-robin by tenant
+        inside each priority — regardless of submission order."""
 
         async def scenario():
             service = StubService()
@@ -123,24 +116,6 @@ class TestExecutionOrder:
                 service.shutdown()
 
         assert run(scenario()) == ["A", "C", "D", "E", "B"]
-
-    def test_weighted_tenant_gets_consecutive_turns(self):
-        async def scenario():
-            service = StubService(tenant_weights={"big": 2})
-            try:
-                plan = [("hold", "x"), ("b1", "big"), ("b2", "big"),
-                        ("s1", "small"), ("b3", "big")]
-                for name, tenant in plan:
-                    service.jobs.submit("tune", "alpha", {"name": name},
-                                        tenant=tenant)
-                await asyncio.sleep(0.05)
-                service.gate.set()
-                await service.jobs.drain()
-                return service.executed
-            finally:
-                service.shutdown()
-
-        assert run(scenario()) == ["hold", "b1", "b2", "s1", "b3"]
 
     def test_contexts_do_not_share_a_turnstile(self):
         """Fairness is per context: one context's queue depth never

@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.service.jobs import JobManager, JobRecord
-from repro.service.journal import JobJournal
+from repro.service.journal import SEGMENT, JobJournal
 from repro.service.scheduler import ContextScheduler
 
 #: a journal directory the parent version wrote (see TestFormatHolds).
@@ -422,13 +422,25 @@ def fold_live(service, records):
     return record
 
 
+def seal(journal, n):
+    """Seal the live segment under the rotated name an older version
+    gave it, ``segment-coordinator.rNNNN.jsonl``; the next append
+    starts a fresh live segment."""
+    journal.close()
+    os.replace(os.path.join(journal.root, SEGMENT),
+               os.path.join(journal.root,
+                            SEGMENT.replace(".jsonl", f".r{n:04d}.jsonl")))
+
+
 class TestSegmentRotation:
-    """``max_segment_bytes`` seals the live segment under a rotated
-    name; replay keeps merging it (reading the live segment *before*
-    the rotated ones, out of write order), and compaction merges it
-    back into one segment."""
+    """A journal an older version wrote holds rotated (sealed)
+    segments beside the live one.  Replay keeps merging them (reading
+    the live segment *before* the sealed ones, out of write order), and
+    compaction merges them back into one segment.  Each case seals its
+    segments by hand."""
 
     def fill(self, journal, jobs=8):
+        """Two jobs per segment: three sealed, the last one live."""
         for i in range(1, jobs + 1):
             job_id = "job-%06d" % i
             journal.append_submit(job_id, "tune", "alpha", {"i": i},
@@ -436,35 +448,35 @@ class TestSegmentRotation:
             journal.append_event(job_id, {"event": "state",
                                           "state": "queued", "seq": 1})
             journal.append_state(job_id, "done", float(i) + 0.5)
+            if i % 2 == 0 and i < jobs:
+                seal(journal, i // 2)
         return ["job-%06d" % i for i in range(1, jobs + 1)]
 
     def test_rotation_seals_segments_and_replay_merges(self, tmp_path):
-        journal = JobJournal(str(tmp_path), max_segment_bytes=256)
+        journal = JobJournal(str(tmp_path))
         ids = self.fill(journal)
-        rotated = [n for n in os.listdir(str(tmp_path))
-                   if n.startswith("segment-coordinator.r")]
-        assert journal.rotations == len(rotated) > 0
-        # Replay merges rotated + live segments: every job, terminal.
+        assert journal.stats()["segments"] == 4
+        # Replay merges sealed + live segments: every job, terminal.
         images = journal.replay()
         assert sorted(images) == ids
         assert all(images[i].state == "done" for i in ids)
-        assert journal.stats()["rotations"] == journal.rotations
         journal.close()
 
     def test_stale_running_redelivered_after_requeue_is_ignored(
             self, tmp_path):
         """The three-record case: ``running`` @0, a retry requeue @1,
-        then the @0 ``running`` again.  Replay meets it whenever a
-        rotation seals the ``running`` line (a sealed segment sorts
-        after the live one); the live view meets it on re-delivery.
-        Neither may move the parked job back to ``running``."""
-        journal = JobJournal(str(tmp_path), max_segment_bytes=1)
+        then the @0 ``running`` again.  Replay meets it when the
+        ``running`` line sits in a sealed segment (which sorts after
+        the live one); the live view meets it on re-delivery.  Neither
+        may move the parked job back to ``running``."""
+        journal = JobJournal(str(tmp_path))
         service = StubService(journal=journal)
         try:
             running = journal.append_state("job-000001", "running", 10.0)
+            seal(journal, 1)
             requeue = journal.append_state("job-000001", "queued", 11.0,
                                            attempt=1, not_before=11.5)
-            assert journal.rotations == 1
+            assert journal.stats()["segments"] == 2
             record = fold_live(service, [running, requeue, running])
             assert (record.state, record.attempt) == ("queued", 1)
             assert record.not_before == 11.5
@@ -475,7 +487,7 @@ class TestSegmentRotation:
             service.shutdown()
 
     def test_compaction_merges_rotated_segments(self, tmp_path):
-        journal = JobJournal(str(tmp_path), max_segment_bytes=256)
+        journal = JobJournal(str(tmp_path))
         ids = self.fill(journal)
         journal.compact(frozenset(ids[-2:]))
         segments = [n for n in os.listdir(str(tmp_path))

@@ -17,12 +17,19 @@ measure estimation errors.
 * One append log writes every persisted store: under
   ``repro/parallel/`` exactly one function fires the ``cache.save``
   fault hook, and exactly one takes ``fcntl.flock``.
+* Every registered fault site is live: each key of ``faults.SITES``
+  has exactly one ``fire("<site>", ...)`` or ``FAULT_HOOK("<site>",
+  ...)`` call under ``repro/``, and no call names a site not
+  registered.
 """
 
 import ast
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+from repro.service.faults import SITES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -128,3 +135,15 @@ def test_one_append_log_writes_every_store():
     for matches in (fires_cache_save, takes_flock):
         assert _functions_calling(parallel, matches) == \
             ["cache.py:append"], matches.__name__
+
+
+def test_every_fault_site_has_one_call():
+    fired = Counter(
+        node.args[0].value
+        for path in sorted(SRC.glob("repro/**/*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in ("fire", "FAULT_HOOK")
+        and node.args and isinstance(node.args[0], ast.Constant)
+    )
+    assert fired == dict.fromkeys(SITES, 1)

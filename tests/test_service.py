@@ -426,6 +426,24 @@ class TestLifecycle:
         with pytest.raises(ServiceError, match="already registered"):
             service.register("sales", db, wl)
 
+    @pytest.mark.parametrize("bad", [
+        {"max_pending": 0},
+        {"max_context_workers": 0},
+        {"tenant_quota": 0},
+        {"tenant_quota": -3},
+        {"poll_interval": 0.0},
+        {"poll_interval": -1.0},
+        {"poll_interval": float("nan")},
+        {"poll_interval": float("inf")},
+    ], ids=lambda bad: "%s=%s" % next(iter(bad.items())))
+    def test_a_bad_setting_is_refused_at_construction(self, bad):
+        """A poll interval <= 0 would make the poll task spin (a
+        negative sleep returns at once), and a quota < 1 would refuse
+        every job: each is refused before anything is built."""
+        (name, _), = bad.items()
+        with pytest.raises(ServiceError, match=name):
+            AdvisorService(**bad)
+
     def test_request_before_start_rejected(self, service_inputs):
         db, wl = service_inputs
 
