@@ -34,8 +34,9 @@ from repro.compression.base import CompressionMethod
 from repro.errors import AdvisorError
 from repro.optimizer.constants import DEFAULT_COST_CONSTANTS
 from repro.optimizer.whatif import WhatIfOptimizer
-from repro.parallel.cache import CostCache, CostMemoFile
+from repro.parallel.cache import CostCache, CostMemoFile, SelectionFile
 from repro.parallel.signature import (
+    index_signature,
     sized_index_signature,
     statement_signature,
 )
@@ -289,9 +290,11 @@ class PreparedStage:
 
     One lifetime for all of it — a plan table must never outlive the
     estimator whose sizes it was built from, and here neither outlives
-    the stage.  Only the raw cost memo outlives it, in ``memo_file``,
-    whose namespace pins every size the stage sized.  The stage holds
-    the cache objects it was prepared with and no progress hook.
+    the stage.  Two of its parts outlive it on disk, each in a
+    namespace that pins the sizes it was built from: the per-query
+    selection (a :class:`~repro.parallel.cache.SelectionFile`), and
+    the raw cost memo, in ``memo_file``.  The stage holds the cache
+    objects it was prepared with and no progress hook.
     """
 
     key: tuple
@@ -494,11 +497,16 @@ class TuningAdvisor:
 
     def prepare(self) -> PreparedStage:
         """Candidate generation, batch size estimation, per-query
-        selection and merging: the pool, with every member sized and
-        its plans in the tables.  Reads neither the budget, the search
-        options nor a statement weight.  Sets :attr:`stage` only on
-        completion, so a progress hook that aborts it leaves nothing
-        half-built to reuse."""
+        selection and merging: the pool, with every member sized.
+        Reads neither the budget, the search options nor a statement
+        weight.  With a cost cache directory the per-query selection is
+        read from the file an earlier process wrote over the same
+        namespace, and only costed (and written) when there is none;
+        candidate generation and sizing run either way, and the plan
+        tables and probe rows the costing would have filled are filled
+        by the search.  Sets :attr:`stage` only on completion, so a
+        progress hook that aborts it leaves nothing half-built to
+        reuse."""
         options = self.options
         self._emit("phase", phase="candidates",
                    queries=len(self.workload.queries))
@@ -533,40 +541,23 @@ class TuningAdvisor:
         if compressed:
             self.estimator.estimate_many(compressed, options.e, options.q)
 
-        # 2. Candidate selection per query: top-k or skyline (Section 6.1).
+        # 2. Candidate selection per query: top-k or skyline (Section
+        #    6.1) — read from the cache directory when an earlier
+        #    process selected over this very namespace.
         self._emit("phase", phase="selection",
                    candidates=len(unique_candidates))
-        if self.delta is not None:
-            # Base the delta coster before any candidate costing.
-            self.delta.rebase(self.base_config)
-        per_query_configs = evaluate_candidates_batch(
-            [ws.statement for ws in self.workload.queries],
-            per_query,
-            self.base_config,
-            self._query_cost,
-            self._index_size,
-        )
-        pool: list[IndexDef] = []
-        for qi, ws in enumerate(self.workload.queries):
-            configs = per_query_configs[qi]
-            if options.candidate_selection == "skyline":
-                selected = select_skyline(configs)
-                selected = cluster_skyline(
-                    selected, options.skyline_cluster_max
-                )
-                # The skyline *adds* slow-but-small candidates; it must
-                # not lose the fast ones top-k keeps (the second-best
-                # may be dominated and off the skyline entirely).
-                for keep in select_top_k(configs, options.top_k):
-                    if keep not in selected:
-                        selected.append(keep)
-            else:
-                selected = select_top_k(configs, options.top_k)
-            for config in selected:
-                # Stable order: pool order feeds greedy tie-breaking,
-                # so it must not follow frozenset iteration.
-                pool.extend(sorted(config.indexes, key=repr))
-        pool = list(dict.fromkeys(pool))
+        selection_file = self._selection_file(unique_candidates)
+        picked = selection_file.load() if selection_file is not None \
+            else None
+        if picked is not None:
+            pool = [unique_candidates[n] for n in picked]
+        else:
+            pool = self._select(per_query)
+            if selection_file is not None and not (
+                self.delta is not None and self.delta.tables.distrusted
+            ):
+                position = {ix: n for n, ix in enumerate(unique_candidates)}
+                selection_file.save([position[ix] for ix in pool])
 
         # 3. Merging (Figure 1): merged variants join the pool.  With
         #    compression enabled, each merged object also spawns the
@@ -631,6 +622,62 @@ class TuningAdvisor:
             memo_file=memo_file,
         )
         return self.stage
+
+    def _select(self, per_query: list[list[IndexDef]]) -> list[IndexDef]:
+        """Cost every query's candidates and keep its top-k or skyline
+        configurations' members: the pool before merging."""
+        options = self.options
+        if self.delta is not None:
+            # Base the delta coster before any candidate costing.
+            self.delta.rebase(self.base_config)
+        per_query_configs = evaluate_candidates_batch(
+            [ws.statement for ws in self.workload.queries],
+            per_query,
+            self.base_config,
+            self._query_cost,
+            self._index_size,
+        )
+        pool: list[IndexDef] = []
+        for configs in per_query_configs:
+            if options.candidate_selection == "skyline":
+                selected = select_skyline(configs)
+                selected = cluster_skyline(
+                    selected, options.skyline_cluster_max
+                )
+                # The skyline *adds* slow-but-small candidates; it must
+                # not lose the fast ones top-k keeps (the second-best
+                # may be dominated and off the skyline entirely).
+                for keep in select_top_k(configs, options.top_k):
+                    if keep not in selected:
+                        selected.append(keep)
+            else:
+                selected = select_top_k(configs, options.top_k)
+            for config in selected:
+                # Stable order: pool order feeds greedy tie-breaking,
+                # so it must not follow frozenset iteration.
+                pool.extend(sorted(config.indexes, key=repr))
+        return list(dict.fromkeys(pool))
+
+    def _selection_file(
+        self, candidates: list[IndexDef]
+    ) -> SelectionFile | None:
+        """The per-query selection's file in the cost cache's directory,
+        written through that cache's log (None without one).  Its
+        namespace pins the cost context, the statements, the
+        pool-shaping options and each candidate with its size — read
+        here in candidate order, which sizes every candidate the
+        selection's costing would have."""
+        cache = self.cost_cache
+        if cache is None or cache.log is None:
+            return None
+        return SelectionFile(
+            cache.log,
+            _cost_context(self.estimator, self.options.e, self.options.q),
+            [statement_signature(ws.statement) for ws in self.workload],
+            [getattr(self.options, name) for name in _KEYED_OPTIONS],
+            [f"{index_signature(ix)}@bytes={self._index_size(ix)!r}"
+             for ix in candidates],
+        )
 
     def _memo_file(self, pool: list[IndexDef]) -> CostMemoFile | None:
         """The cost memo's file in the cost cache's directory, written

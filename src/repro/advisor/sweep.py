@@ -24,13 +24,14 @@ the identical pre-sweep state (cost entries an earlier seed of the same
 process absorbed ride along, but carry that seed's sample fingerprint
 and never hit); entries a sibling persists mid-sweep are invisible, and
 fresh entries reach the cache directory when a unit's run saves them,
-so the *next* sweep runs warm.  The cost memo follows the stage: a
-seed's stage loads its memo file once, when it is prepared, and each
-unit appends what its search costed, so workers preparing one seed
-each append their own blocks to the one file.  A worker that prepares
-a seed after a sibling saved under it reads the sibling's entries too:
-memo entries are pure, so that spares costings and moves no result
-(only the units' ``delta_stats`` counts differ).
+so the *next* sweep runs warm.  The selection and the cost memo follow
+the stage: a seed's stage reads its selection file (or costs the
+candidates and writes it) and loads its memo file once, when it is
+prepared, and each unit appends what its search costed, so workers
+preparing one seed each append their own blocks to the one memo file.
+A worker that prepares a seed after a sibling saved under it reads the
+sibling's entries too: memo entries are pure, so that spares costings
+and moves no result (only the units' ``delta_stats`` counts differ).
 
 Shared state that is *safe* to share — the database, the workload, and
 :class:`DatabaseStats` (a pure function of the data) — is built once
@@ -230,12 +231,14 @@ def _run_sweep(
         workers: advisor runs in flight at once (0 = one per CPU,
             1 = sequential); results are identical at any value.
         cache_dir: directory for the persistent size-estimate and
-            what-if cost caches and the per-stage cost memo files,
-            shared by every unit and across sweeps.  A rerun of the
-            same sweep over it replays every estimate, and each unit's
-            search reads every configuration it costs from the memo
-            its stage persisted; preparation still evaluates every
-            per-query candidate.
+            what-if cost caches and the per-stage selection and cost
+            memo files, shared by every unit and across sweeps.  A
+            rerun of the same sweep over it replays every estimate,
+            reads each stage's per-query selection instead of costing
+            every candidate, and each unit's search reads every
+            configuration it costs from the memo its stage persisted;
+            what is recomputed is candidate generation, the sizes, and
+            the plan tables and probe rows the search fills.
         stats: precomputed :class:`DatabaseStats` (built once if
             omitted).
         progress: observational event hook (may raise to abort — the

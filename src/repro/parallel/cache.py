@@ -1,5 +1,6 @@
-"""Persistent state for the advisor's three replayable computations:
-size estimates, what-if costs, and a prepared stage's cost memo.
+"""Persistent state for the advisor's four replayable computations:
+size estimates, what-if costs, and a prepared stage's per-query
+selection and cost memo.
 
 Size estimation is the advisor's dominant cost on estimation-heavy
 workloads; what-if costing dominates enumeration-heavy ones (budget
@@ -42,10 +43,16 @@ both can be persisted and replayed across processes and runs:
   steered deduction elsewhere is another namespace — and a new process
   over the same stage reads its search instead of recosting it.
 
+* :class:`SelectionFile` persists one stage's per-query candidate
+  selection (the pool before merging) as positions among its per-query
+  candidates, one file per digest of the cost context, the statements,
+  the pool-shaping options and every candidate's size, so a new process
+  over the same stage skips costing every candidate of every query.
+
 Every file in the cache directory is written and read through one
 append log (:class:`_AppendLog`), which owns the file discipline — the
 lock, the head line, torn lines, the one parse, the ``cache.save``
-fault hook, disk pressure — and the health of the saves; the three
+fault hook, disk pressure — and the health of the saves; the four
 stores above are codecs that only encode and decode lines.  Both caches
 write a head line ``{"version": 2, "entries": {...}}``, then one ``[key,
 record]`` line per entry, so a save costs its new entries, never the
@@ -53,7 +60,8 @@ whole file; a file the single-object layout wrote is a valid head line:
 it loads, and later saves append to it.  :meth:`fork_view` hands each
 run in a sweep its own overlay of the pre-sweep snapshot, which keeps
 sharded and sequential sweeps byte-identical (a run never observes a
-sibling's fresh entries).  A memo file writes one block line per save.
+sibling's fresh entries).  A memo file writes one block line per save,
+a selection file one line per namespace.
 """
 
 from __future__ import annotations
@@ -748,3 +756,87 @@ class CostMemoFile:
              "entries": entries},
             separators=(",", ":"),
         ).encode() + b"\n"
+
+
+#: bumped whenever a selection line's meaning or encoding changes; part
+#: of every namespace, so files of another format are never opened.
+_SELECTION_FORMAT_VERSION = 1
+
+
+class SelectionFile:
+    """One prepared stage's per-query candidate selection, persisted:
+    the top-k or skyline picks of every query (Section 6.1), merged
+    into the pool that merging starts from.  The selection is a pure
+    function of the stage's per-query candidates, their sizes and the
+    cost model, so it may outlive its process wherever the stage is
+    rebuilt over the same candidates with bit-identical sizes.
+
+    One append-only JSON-lines file per namespace,
+    ``selection-<namespace>.json`` in the cache directory: a head line
+    ``{"version": 1, "namespace": ...}``, then one line
+    ``{"pool": [n, ...]}``, the pool as positions among the stage's
+    unique per-query candidates in pool order.  The namespace digests
+    every input the selection depends on, so the line of a namespace
+    never changes: :meth:`load` reads the first valid one, and
+    :meth:`save` writes nothing over a namespace it found a line in.
+    Two writers that both found none (forked sweep workers on one
+    stage) each append an equal line.
+
+    Args:
+        directory: the cache directory, or the log of the cost cache
+            the stage costs through (then a failed save reports into
+            that cache's health).
+        context: the stage's cost context (sample fingerprint, accuracy
+            constraint, estimator settings, cost constants).
+        statements: the stage's statement signatures, in order.
+        options: the stage's pool-shaping option values, in one fixed
+            order.
+        candidates: each unique per-query candidate's signature with
+            its size, in candidate order.
+    """
+
+    def __init__(self, directory: "str | os.PathLike | _AppendLog",
+                 context: str, statements: Iterable[str],
+                 options: Iterable, candidates: Iterable[str]) -> None:
+        candidates = list(candidates)
+        self.namespace = hashlib.sha256("\n".join([
+            f"selection v{_SELECTION_FORMAT_VERSION}", context,
+            *statements, "", repr(tuple(options)), "", *candidates,
+        ]).encode()).hexdigest()
+        self.log = directory if isinstance(directory, _AppendLog) \
+            else _AppendLog(directory)
+        self.file = self.log.path / f"selection-{self.namespace}.json"
+        self._count = len(candidates)
+        self._head = json.dumps({
+            "version": _SELECTION_FORMAT_VERSION,
+            "namespace": self.namespace,
+        }).encode()
+        #: whether the file holds this namespace's line (found or saved).
+        self._on_file = False
+
+    def load(self) -> "list[int] | None":
+        """The pool on file — distinct positions among the candidates —
+        or None when no line holds one."""
+        lines = self.log.read(self.file.name, self._head.__eq__)
+        for line in itertools.islice(lines, 1, None):
+            pool = line.get("pool") if isinstance(line, dict) else None
+            if isinstance(pool, list) \
+                    and all(type(n) is int and 0 <= n < self._count
+                            for n in pool) \
+                    and len(set(pool)) == len(pool):
+                self._on_file = True
+                return pool
+        return None
+
+    def save(self, pool: "list[int]") -> None:
+        """Append ``pool`` as the namespace's line, through the log
+        under the directory's ``.selection.lock`` (a no-op once the file
+        holds one; an append disk pressure dropped writes nothing)."""
+        if self._on_file:
+            return
+        self._on_file = self.log.append(
+            self.file.name, ".selection.lock",
+            json.dumps({"pool": pool}, separators=(",", ":")).encode()
+            + b"\n",
+            self._head, self._head.__eq__,
+        )

@@ -56,8 +56,8 @@ from repro.errors import ReproError
 #: every registered injection point: site name -> where it fires.
 SITES = {
     "journal.append": "JobJournal._append, before the segment write",
-    "cache.save": "_AppendLog.append (every cache and memo-file save), "
-                  "before the append",
+    "cache.save": "_AppendLog.append (every cache, selection-file and "
+                  "memo-file save), before the append",
     "coster.batch": "SelectionAlgorithm._costs entry",
     "estimator.estimate": "SizeEstimator.estimate_many entry",
     "scheduler.lane": "ContextScheduler.lane_for entry",

@@ -49,11 +49,13 @@ import copy
 import json
 import logging
 import math
+import numbers
 import os
 import sys
 
 from repro.catalog.schema import Database
-from repro.errors import BackpressureError, ServiceError
+from repro.checks import check_count
+from repro.errors import AdvisorError, BackpressureError, ServiceError
 from repro.parallel.cache import CostCache, EstimationCache
 from repro.service.context import ServiceContext
 from repro.service.faults import (
@@ -121,25 +123,26 @@ class AdvisorService:
         poll_interval: float = 0.25,
         fault_plan: str | None = None,
     ) -> None:
-        if max_pending < 1:
+        if isinstance(workers, bool) \
+                or not isinstance(workers, numbers.Integral) or workers < 0:
             raise ServiceError(
-                f"max_pending must be >= 1, got {max_pending}"
+                f"workers must be an integer >= 0, got {workers!r}"
             )
-        if max_context_workers < 1:
-            raise ServiceError(
-                f"max_context_workers must be >= 1, "
-                f"got {max_context_workers}"
+        try:
+            max_pending = check_count("max_pending", max_pending)
+            max_context_workers = check_count(
+                "max_context_workers", max_context_workers
             )
-        if tenant_quota is not None and tenant_quota < 1:
-            raise ServiceError(
-                f"tenant_quota must be >= 1, got {tenant_quota}"
-            )
+            if tenant_quota is not None:
+                tenant_quota = check_count("tenant_quota", tenant_quota)
+        except AdvisorError as exc:
+            raise ServiceError(str(exc)) from None
         if not 0 < poll_interval < math.inf:
             raise ServiceError(
                 f"poll_interval must be a finite number > 0, "
                 f"got {poll_interval}"
             )
-        self.workers = workers
+        self.workers = int(workers)
         self.cache_dir = cache_dir
         self.estimation_cache = (
             EstimationCache(cache_dir) if cache_dir is not None else None
@@ -569,8 +572,8 @@ class AdvisorService:
     def degraded(self) -> bool:
         """True while any disk-pressure degradation is active: the job
         journal is buffering in memory, or the last save through a
-        persistent cache's log — a job's fork views and its stage's memo
-        file write through the same log — failed with
+        persistent cache's log — a job's fork views and its stage's
+        selection and memo files write through the same log — failed with
         ``ENOSPC``/``EIO``."""
         if self.jobs.degraded:
             return True

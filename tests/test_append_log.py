@@ -1,10 +1,11 @@
 """The append log under every persisted store
 (:class:`repro.parallel.cache._AppendLog`), one rule at a time, over
-each of its three codecs: the size-estimate cache, the what-if cost
-cache and one cost memo namespace.
+each of its four codecs: the size-estimate cache, the what-if cost
+cache, one cost memo namespace and one selection namespace.
 
 * a save appends only what is new, and a save with nothing new leaves
-  the file alone;
+  the file alone (a selection namespace holds one line: once it is on
+  file, nothing is new);
 * a torn last line loses only itself;
 * a corrupt, older or foreign head loads nothing, and the next save
   starts the file over;
@@ -14,7 +15,8 @@ cache and one cost memo namespace.
   once both land.
 
 What each codec writes on a line is its own test's business
-(``tests/test_estimation_cache.py``, ``tests/test_cost_memo_file.py``).
+(``tests/test_estimation_cache.py``, ``tests/test_cost_memo_file.py``,
+``tests/test_selection_file.py``).
 """
 
 import itertools
@@ -25,7 +27,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.parallel.cache import CostCache, CostMemoFile, EstimationCache
+from repro.parallel.cache import (
+    CostCache,
+    CostMemoFile,
+    EstimationCache,
+    SelectionFile,
+)
 from repro.physical.index_def import IndexDef
 from repro.service import faults
 from repro.service.faults import FaultPlan
@@ -39,6 +46,9 @@ REF = (0.1 + 0.2, -0.0, 2.5)
 
 class CacheStore:
     """An estimate or cost cache, its entries numbered."""
+
+    #: whether the file holds one line, written once (a selection).
+    once = False
 
     def __init__(self, cls, directory):
         self.cache = cls(directory)
@@ -70,6 +80,8 @@ class CacheStore:
 
 class MemoStore:
     """One cost memo namespace and the memo of the stage it serves."""
+
+    once = False
 
     def __init__(self, directory):
         self.memo_file = CostMemoFile(directory, "ctx", STATEMENTS,
@@ -107,13 +119,58 @@ class MemoStore:
         return MemoStore(self.file.parent).tables.cost_memo
 
 
-@pytest.fixture(params=["estimates", "costs", "memo"])
+class SelectionStore:
+    """One selection namespace: its entries are the positions of the
+    pool the next save writes, and the file holds the first pool saved.
+    """
+
+    once = True
+
+    def __init__(self, directory):
+        self.selection = SelectionFile(
+            directory, "ctx", STATEMENTS, (True, 2),
+            [f"c{n}@bytes={n * 8192.0!r}" for n in range(400)],
+        )
+        self.selection.load()
+        self.pool = []
+        self.log = self.selection.log
+        self.file = self.selection.file
+        self.lock = self.file.parent / ".selection.lock"
+        self.head = json.dumps({
+            "version": 1, "namespace": self.selection.namespace,
+        }).encode()
+        #: another namespace's head.
+        self.foreign = json.dumps({
+            "version": 1, "namespace": "another",
+        }).encode()
+
+    @staticmethod
+    def entry(n):
+        return n, n
+
+    @staticmethod
+    def lines_per_save(entries):
+        return 1
+
+    def put(self, n):
+        self.pool.append(n)
+
+    def save(self):
+        self.selection.save(self.pool)
+
+    def loaded(self) -> dict:
+        pool = SelectionStore(self.file.parent).selection.load()
+        return dict(map(self.entry, pool or ()))
+
+
+@pytest.fixture(params=["estimates", "costs", "memo", "selection"])
 def open_store(request):
     """A function opening the parametrized store over a directory."""
     return {
         "estimates": lambda directory: CacheStore(EstimationCache, directory),
         "costs": lambda directory: CacheStore(CostCache, directory),
         "memo": MemoStore,
+        "selection": SelectionStore,
     }[request.param]
 
 
@@ -139,13 +196,18 @@ def test_a_save_appends_only_what_is_new(open_store, tmp_path):
     first = store.file.read_bytes()
     assert first.split(b"\n", 1)[0] == store.head
     # The head, then the saved entries: a cache writes a line per
-    # entry, a memo file one block per save.
+    # entry, a memo file one block per save, a selection file its pool.
     assert _lines(first) == 1 + store.lines_per_save(3)
     _saved(store, range(3, 5))
     grown = store.file.read_bytes()
-    assert grown.startswith(first)
-    assert _lines(grown[len(first):]) == store.lines_per_save(2)
-    assert store.loaded() == _expected(store, range(5))
+    if store.once:
+        # A namespace that holds its line has nothing new to write.
+        assert grown == first
+        assert store.loaded() == _expected(store, range(3))
+    else:
+        assert grown.startswith(first)
+        assert _lines(grown[len(first):]) == store.lines_per_save(2)
+        assert store.loaded() == _expected(store, range(5))
     # A save with nothing new, one by a store that loaded the file and
     # stored nothing since, and one by a cache's fork view that stored
     # nothing, leave the file alone.
@@ -158,6 +220,13 @@ def test_a_save_appends_only_what_is_new(open_store, tmp_path):
     after = store.file.stat()
     assert (after.st_size, after.st_mtime_ns) == \
         (before.st_size, before.st_mtime_ns)
+    if store.once:
+        return
+    # A store that loaded the file appends only what it stored since.
+    _saved(again, [5])
+    assert _lines(store.file.read_bytes()[len(grown):]) == \
+        store.lines_per_save(1)
+    assert store.loaded() == _expected(store, range(6))
     # The second save wrote the two new entries and nothing else.
     store.file.write_bytes(store.head + b"\n" + grown[len(first):])
     assert store.loaded() == _expected(store, range(3, 5))
@@ -166,18 +235,21 @@ def test_a_save_appends_only_what_is_new(open_store, tmp_path):
 def test_a_torn_last_line_loses_only_itself(open_store, tmp_path):
     store = open_store(tmp_path)
     _saved(store, range(3))
-    _saved(store, [3])  # the last line holds entry 3 alone
+    # The last line holds entry 3 alone — or, in a selection file,
+    # the only line holds the pool.
+    _saved(store, [3])
     torn = store.file.read_bytes()[:-6]  # a writer died mid-append
     store.file.write_bytes(torn)
     reloaded = open_store(tmp_path)
-    assert reloaded.loaded() == _expected(store, range(3))
+    kept = [] if store.once else range(3)
+    assert reloaded.loaded() == _expected(store, kept)
     # The next save starts a line of its own after the torn one, and
     # writes only entry 4.
     _saved(reloaded, [4])
     data = reloaded.file.read_bytes()
     assert data.startswith(torn + b"\n")
     assert _lines(data[len(torn) + 1:]) == store.lines_per_save(1)
-    assert reloaded.loaded() == _expected(store, [0, 1, 2, 4])
+    assert reloaded.loaded() == _expected(store, [*kept, 4])
 
 
 @pytest.mark.parametrize("kind", ["corrupt", "older", "foreign"])
@@ -265,6 +337,11 @@ def test_two_forked_writers_both_land(open_store, tmp_path):
         assert not proc.is_alive()
         assert proc.exitcode == 0
     store = open_store(tmp_path)
-    assert store.loaded() == _expected(store, range(400))
+    if store.once:
+        # Neither found a line, so both wrote one; the first loads.
+        assert store.loaded() in [_expected(store, half) for half in halves]
+        assert len(store.file.read_bytes().splitlines()) == 3
+    else:
+        assert store.loaded() == _expected(store, range(400))
     # One head line: neither writer started the file over.
     assert store.file.read_bytes().splitlines().count(store.head) == 1

@@ -10,7 +10,8 @@ left behind when each file was one ``{"version": 2, "entries": {...}}``
 object, rewritten whole on every save; ``recommendations.json`` is the
 result section of each of that sweep's runs.  The line layout reads such
 a directory warm and appends to it without rewriting a byte of it; the
-cost memo's file, which the golden predates, joins it beside them.
+cost memo's and the selection's files, which the golden predates, join
+them.
 """
 
 import json
@@ -22,7 +23,7 @@ import pytest
 from repro.cli import _make_dataset, _make_session, build_parser
 from repro.parallel.cache import CACHE_FILE, COST_CACHE_FILE
 from repro.service.context import serialize_result
-from tests.test_run_identity import _count_costings
+from tests.test_run_identity import _count_costings, _count_evaluations
 
 GOLDEN = Path(__file__).parent / "golden" / "cache"
 SWEEP = ["sweep", "--dataset", "sales", "--scale", "0.02",
@@ -71,15 +72,19 @@ def test_the_golden_directory_sweeps_warm_and_stays_as_it_was(
     cache_dir, monkeypatch
 ):
     _assert_warm(sweep(cache_dir))
-    # The golden directory holds no cost memo: the first warm sweep
-    # searches anew and writes one, and the next reads its search there.
+    # The golden directory holds no cost memo and no selection: the
+    # first warm sweep selects and searches anew and writes both, and
+    # the next reads its selection and its search there.
     (memo,) = cache_dir.glob("costmemo-*.json")
-    written = memo.read_bytes()
+    (selection,) = cache_dir.glob("selection-*.json")
+    written = memo.read_bytes(), selection.read_bytes()
     asked = _count_costings(monkeypatch)
+    evaluations = _count_evaluations(monkeypatch)
     again = sweep(cache_dir)
     _assert_warm(again)
     assert asked[0] == again.delta_stats["cost_memo_hits"] > 0
-    assert memo.read_bytes() == written
+    assert evaluations[0] == 0
+    assert (memo.read_bytes(), selection.read_bytes()) == written
     for name in (CACHE_FILE, COST_CACHE_FILE):
         assert (cache_dir / name).read_bytes() == \
             (GOLDEN / name).read_bytes()

@@ -11,7 +11,7 @@ import pytest
 
 from repro.compression import CompressionMethod
 from repro.parallel import CostCache, EstimationCache, index_signature, sample_fingerprint
-from repro.parallel.cache import CostMemoFile
+from repro.parallel.cache import CostMemoFile, SelectionFile
 from repro.physical import IndexDef
 from repro.sizeest import SizeEstimator
 from repro.sizeest.samplecf import SizeEstimate
@@ -158,7 +158,8 @@ class TestPersistence:
     @pytest.mark.parametrize("open_store", [
         EstimationCache, CostCache,
         lambda path: CostMemoFile(path, "ctx", [], {}),
-    ], ids=["estimates", "costs", "memo"])
+        lambda path: SelectionFile(path, "ctx", [], (), []),
+    ], ids=["estimates", "costs", "memo", "selection"])
     def test_an_empty_path_is_rejected_up_front(self, open_store,
                                                 tmp_path, monkeypatch):
         # Path("") is the working directory, which nobody names by

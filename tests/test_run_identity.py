@@ -878,6 +878,56 @@ def _count_costings(monkeypatch) -> list:
     return asked
 
 
+def _count_evaluations(monkeypatch) -> list:
+    """Count every per-query candidate evaluation (one call costs every
+    candidate of every query) into the returned one-element list."""
+    from repro.advisor import advisor
+
+    calls = [0]
+    evaluate = advisor.evaluate_candidates_batch
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(advisor, "evaluate_candidates_batch", counted)
+    return calls
+
+
+@pytest.mark.parametrize("extra", [
+    {}, dict(enable_partial=True, enable_mv=True),
+], ids=["default", "partial-mv"])
+def test_a_warm_prepare_reads_the_cold_ones_selection(
+    inputs, tmp_path, monkeypatch, extra
+):
+    """A new session over a cache directory that a cold one prepared
+    the same stage in builds that stage — the pool, the candidate
+    count, the memo namespace — without costing one per-query
+    candidate, and runs with the cold result and event stream, which
+    are the in-memory run's.  With MV candidates in the pool, sizing
+    draws MV samples: the warm prepare must not draw them otherwise."""
+    budget = _budgets(inputs)[0]
+    cache_dir = str(tmp_path)
+    reference = _Recorded(inputs).run("tune", budget, **extra)
+    cold = _Recorded(inputs, cache_dir)
+    cold_run = cold.run("tune", budget, **extra)
+    (selection,) = tmp_path.glob("selection-*.json")
+    written = selection.read_bytes()
+    evaluations = _count_evaluations(monkeypatch)
+    warm = _Recorded(inputs, cache_dir)
+    warm_run = warm.run("tune", budget, **extra)
+    assert evaluations[0] == 0
+    assert warm_run[:2] == cold_run[:2] == reference[:2]
+    assert warm.stage.pool == cold.stage.pool
+    assert warm.stage.candidate_count == cold.stage.candidate_count
+    assert warm.stage.memo_file.namespace == \
+        cold.stage.memo_file.namespace
+    # The warm stage read the line and wrote none.
+    assert selection.read_bytes() == written
+    assert warm_run[2].cache_stats["hits"] > 0
+    assert warm_run[2].cost_cache_stats["hits"] > 0
+
+
 def _retuned(retune) -> tuple:
     """A recorded retune as what must repeat: result bytes, event
     stream and the dropped/added/kept diff."""

@@ -427,10 +427,16 @@ class TestLifecycle:
             service.register("sales", db, wl)
 
     @pytest.mark.parametrize("bad", [
+        {"workers": -3},
+        {"workers": 1.5},
+        {"workers": True},
         {"max_pending": 0},
+        {"max_pending": 1.5},
         {"max_context_workers": 0},
+        {"max_context_workers": 2.0},
         {"tenant_quota": 0},
         {"tenant_quota": -3},
+        {"tenant_quota": 1.5},
         {"poll_interval": 0.0},
         {"poll_interval": -1.0},
         {"poll_interval": float("nan")},
@@ -438,8 +444,10 @@ class TestLifecycle:
     ], ids=lambda bad: "%s=%s" % next(iter(bad.items())))
     def test_a_bad_setting_is_refused_at_construction(self, bad):
         """A poll interval <= 0 would make the poll task spin (a
-        negative sleep returns at once), and a quota < 1 would refuse
-        every job: each is refused before anything is built."""
+        negative sleep returns at once), a quota < 1 would refuse
+        every job, and a count that is not an integer (or a negative
+        worker count) is one ``repro serve`` refuses too: each is
+        refused before anything is built."""
         (name, _), = bad.items()
         with pytest.raises(ServiceError, match=name):
             AdvisorService(**bad)
