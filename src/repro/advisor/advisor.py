@@ -71,7 +71,7 @@ def quantized_size_lookup(
     accuracy.  One definition, so the advisor's costings and the
     service's estimate/cost endpoints can never quantize differently."""
     return (
-        quantize_bytes(estimator.estimate(index).est_bytes),
+        estimator.quantized_bytes(index),
         estimator.sizer.estimated_rows(index),
     )
 
@@ -429,7 +429,8 @@ class TuningAdvisor:
     def _index_size(self, index: IndexDef) -> float:
         # Bytes only: must not touch estimated_rows, which samples the
         # MV for MV indexes (extra estimation work this path never did).
-        return quantize_bytes(self.estimator.estimate(index).est_bytes)
+        # Read once per structure for the life of the estimates.
+        return self.estimator.quantized_bytes(index)
 
     def _candidate_universe(self, pool: list[IndexDef]) -> list[IndexDef]:
         """Every structure enumeration could ever place in a
@@ -597,9 +598,13 @@ class TuningAdvisor:
         #     or the greedy search can never reach them when nothing
         #     is oversized.
         if options.enable_compression:
+            # In member order: the variants' estimation batch and their
+            # pool positions must not follow frozenset iteration, which
+            # an IndexDef's hash (of None, by address) ties to the
+            # process even under one PYTHONHASHSEED.
             base_variants = [
                 ix.with_method(method)
-                for ix in self.base_config
+                for ix in self.base_config.ordered()
                 for method in (CompressionMethod.ROW, CompressionMethod.PAGE)
             ]
             self.estimator.estimate_many(base_variants, options.e, options.q)

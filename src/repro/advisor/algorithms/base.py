@@ -12,7 +12,7 @@ strategies share:
 * storage accounting (``consumed`` / ``fits``): secondary/MV indexes
   consume their full size; a base structure consumes the *difference*
   against the table's original base, so compressing a heap frees budget
-  (Appendix D.2);
+  (Appendix D.2); each structure's term is worked out once per search;
 * progress events (``_emit`` / ``_emit_step``) — the tuning service's
   cancellation path rides these hooks;
 * costing: ``_costs`` is the one multi-configuration entry (and the
@@ -177,6 +177,12 @@ class SelectionAlgorithm:
         #: optional DeltaWorkloadCoster: zero-delta certificates +
         #: reference rebasing.
         self.delta = delta
+        #: structure -> its :meth:`consumed` term (sizes are fixed for
+        #: the life of a search).
+        self._terms: "dict[IndexDef, float]" = {}
+        #: (members, their terms) of the last configuration
+        #: :meth:`consumed` summed member by member.
+        self._summed: "tuple[frozenset | None, list[float]]" = (None, [])
 
     # -- registry metadata ---------------------------------------------
     @classmethod
@@ -203,21 +209,43 @@ class SelectionAlgorithm:
     def consumed(self, config: Configuration) -> float:
         """Budget bytes a configuration consumes: secondary/MV indexes in
         full; base structures as the delta against the original base
-        (compressing a heap *frees* budget)."""
-        terms = []
-        for ix in config:
+        (compressing a heap *frees* budget).
+
+        The ``math.fsum`` of one term per member: exact, hence
+        independent of the order of the terms — the budget boundary
+        must not wobble with PYTHONHASHSEED.  Each structure's term is
+        worked out once per search (:meth:`_term`), and a candidate
+        :meth:`Configuration.add` built from the configuration this
+        method last summed member by member — a sweep's ``current`` —
+        sums that configuration's terms plus its one new member's:
+        the same multiset, so the same float."""
+        provenance = config.provenance
+        if provenance is not None and provenance[0] is self._summed[0]:
+            return math.fsum([*self._summed[1], self._term(provenance[1])])
+        members = config.indexes
+        known = self._terms
+        try:
+            terms = [known[ix] for ix in members]
+        except KeyError:
+            terms = [self._term(ix) for ix in members]
+        self._summed = (members, terms)
+        return math.fsum(terms)
+
+    def _term(self, ix: IndexDef) -> float:
+        """One structure's share of :meth:`consumed` (memoised)."""
+        term = self._terms.get(ix)
+        if term is None:
             if ix.kind is IndexKind.SECONDARY or ix.is_mv_index:
-                terms.append(self.index_size(ix))
+                term = self.index_size(ix)
             else:
                 original = self.original_base_sizes.get(ix.table)
                 if original is None:
                     raise AdvisorError(
                         f"no original base size for table {ix.table!r}"
                     )
-                terms.append(self.index_size(ix) - original)
-        # fsum: exact, hence independent of set iteration order — the
-        # budget boundary must not wobble with PYTHONHASHSEED.
-        return math.fsum(terms)
+                term = self.index_size(ix) - original
+            self._terms[ix] = term
+        return term
 
     def fits(self, config: Configuration) -> bool:
         """Whether a configuration stays within the storage budget."""
@@ -386,8 +414,7 @@ class SelectionAlgorithm:
         the configuration it leads to, in pool order."""
         moves = []
         for ix in pool:
-            if ix in config:
-                continue
+            # A member already here adds to an equal configuration.
             candidate = config.add(ix)
             if candidate == config:
                 continue

@@ -80,8 +80,9 @@ single float:
   term the body sums is one such product, and a reused term
   ``w[i] * ref_totals[i]``.  A sweep-shaped configuration ``reference ∪
   {secondary}`` is keyed by (the reference's members, the secondary),
-  so one frozenset serves a whole sweep; any other by its own members
-  (a frozenset).  The memo lives
+  so one frozenset serves a whole sweep — the pair ``Configuration.add``
+  recorded as the candidate's provenance, with no set difference; any
+  other by its own members (a frozenset).  The memo lives
   beside the plan table in :class:`PlanTables`, and a statement joining
   ``distrusted`` empties it, raw totals and weighted costs alike, since
   entries may have been built from that statement's plans.  The first
@@ -500,7 +501,28 @@ class DeltaWorkloadCoster:
         """(cost-memo key, sweep candidate) of ``config``.  The sweep
         shape ``reference ∪ {secondary}`` is keyed by (reference
         members, the secondary), so a whole sweep shares one frozenset;
-        any other configuration by its own members."""
+        any other configuration by its own members.
+
+        A sweep candidate is its parent plus one: when ``config``'s
+        :attr:`~repro.physical.configuration.Configuration.provenance`
+        names the reference's members as its parent's, that pair is the
+        key (built once, by ``add``), and no set difference recovers
+        the index its caller just added.  Any other configuration takes
+        :meth:`_diff_key`, which gives the same key."""
+        ref = self._ref_config.indexes
+        provenance = config.provenance
+        if provenance is not None:
+            parent, ix = provenance
+            if parent is ref or parent == ref:
+                if ix.mv is None and ix.kind is IndexKind.SECONDARY:
+                    # The reference's own set in the key: the memo
+                    # file numbers sets by object.
+                    return (provenance if parent is ref else (ref, ix)), ix
+                return config.indexes, None
+        return self._diff_key(config)
+
+    def _diff_key(self, config: Configuration) -> tuple:
+        """:meth:`_memo_key` of ``config`` from its members alone."""
         ref = self._ref_config.indexes
         members = config.indexes
         if len(members) == len(ref) + 1:

@@ -45,6 +45,11 @@ def _is_base(index: IndexDef) -> bool:
 class Configuration:
     """An immutable set of :class:`IndexDef` (hashable, comparable)."""
 
+    #: ``(the parent's members, the added member)`` of a configuration
+    #: :meth:`add` built by putting one new non-base structure into a
+    #: parent; None otherwise.  Outside eq/hash and never pickled.
+    provenance: "tuple[frozenset[IndexDef], IndexDef] | None" = None
+
     def __init__(self, indexes: Iterable[IndexDef] = ()) -> None:
         members = frozenset(indexes)
         base_tables: dict[str, IndexDef] = {}
@@ -101,6 +106,13 @@ class Configuration:
 
     def __hash__(self) -> int:
         return hash(self._indexes)
+
+    def __getstate__(self) -> dict:
+        # Provenance is the search's bookkeeping: pickled, it would
+        # ship the parent's member set along with every sweep result.
+        state = dict(self.__dict__)
+        state.pop("provenance", None)
+        return state
 
     def ordered(self) -> tuple[IndexDef, ...]:
         """Members in a stable, content-determined order (cached).
@@ -160,9 +172,19 @@ class Configuration:
     # ------------------------------------------------------------------
     def add(self, index: IndexDef) -> "Configuration":
         """A new configuration with ``index`` added; adding a base
-        structure replaces the table's existing base structure."""
+        structure replaces the table's existing base structure.
+
+        A non-base ``index`` that is new here makes the result a child
+        of this configuration: its :attr:`provenance` is ``(these
+        members, index)``, so a reader that knows this parent — the
+        delta coster's memo key, the search's budget sum — takes the
+        one new member from it instead of a set difference."""
         if not _is_base(index):
-            return self._derived(self._indexes.union((index,)), self._base)
+            indexes = self._indexes
+            config = self._derived(indexes.union((index,)), self._base)
+            if len(config._indexes) != len(indexes):
+                config.provenance = (indexes, index)
+            return config
         existing = self._base.get(index.table)
         if existing == index:
             return self

@@ -63,6 +63,7 @@ class IndexDef:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_hash_cache", None)
+        state.pop("_variants", None)
         return state
 
     # ------------------------------------------------------------------
@@ -89,8 +90,22 @@ class IndexDef:
 
     # ------------------------------------------------------------------
     def with_method(self, method: CompressionMethod) -> "IndexDef":
-        """The same index under a different compression package."""
-        return replace(self, method=method)
+        """The same index under ``method``: ``self`` for its own
+        method, else one variant per method, built on first request and
+        kept on the instance.  The search asks for the same variants of
+        the same structures on every sweep and every rerun, and a held
+        stage's structures outlive its runs.  Invisible to eq/hash, and
+        not pickled (``__getstate__``)."""
+        if method is self.method:
+            return self
+        variants = self.__dict__.get("_variants")
+        if variants is None:
+            variants = {}
+            object.__setattr__(self, "_variants", variants)
+        variant = variants.get(method)
+        if variant is None:
+            variant = variants[method] = replace(self, method=method)
+        return variant
 
     def uncompressed(self) -> "IndexDef":
         return self.with_method(CompressionMethod.NONE)

@@ -30,6 +30,7 @@ from repro.sizeest.planner import choose_plan, execute_plan
 from repro.sizeest.samplecf import SampleCFRunner, SizeEstimate, index_category
 from repro.stats.column_stats import DatabaseStats
 from repro.storage.index_build import measure_structure
+from repro.storage.page import quantize_bytes
 from repro.storage.rowcache import SerializedTable
 
 #: fault-injection hook (see :mod:`repro.service.faults`): rebound to
@@ -87,6 +88,8 @@ class SizeEstimator:
         self.deduction = DeductionEngine(database, self.sizer, self.distinct)
 
         self._cache: dict[IndexDef, SizeEstimate] = {}
+        #: index -> its estimate in whole pages (:meth:`quantized_bytes`).
+        self._quantized: dict[IndexDef, float] = {}
         self._existing: list[IndexDef] = []
         self._full_serialized: dict[str, SerializedTable] = {}
         self._truths: dict[IndexDef, float] = {}
@@ -98,6 +101,7 @@ class SizeEstimator:
         """Declare indexes that already exist (exact size, zero cost)."""
         for index in indexes:
             self._existing.append(index)
+            self._quantized.pop(index, None)
             self._cache[index] = SizeEstimate(
                 index=index,
                 est_bytes=self.true_size(index),
@@ -131,6 +135,19 @@ class SizeEstimator:
             return self._cache[index]
         self._cache[index] = est
         return est
+
+    def quantized_bytes(self, index: IndexDef) -> float:
+        """The estimate of ``index`` rounded up to whole pages, as the
+        advisor budgets and costs it.  Asks :meth:`estimate` once per
+        structure: an estimate is never replaced once made (but by
+        :meth:`register_existing`, which drops the rounded one too).
+        Bytes only — never the row count, which samples an MV."""
+        size = self._quantized.get(index)
+        if size is None:
+            size = self._quantized[index] = quantize_bytes(
+                self.estimate(index).est_bytes
+            )
+        return size
 
     def peek(self, index: IndexDef) -> SizeEstimate | None:
         """The estimate for ``index`` only if no new estimation *work*

@@ -275,6 +275,8 @@ def test_an_unreadable_head_loads_nothing_and_the_next_save_starts_over(
     data = store.file.read_bytes()
     assert data.startswith(store.head + b"\n")
     assert head not in data and body not in data
+    # The head, then the one save's lines: nothing of the old file.
+    assert _lines(data) == 1 + store.lines_per_save(1)
     assert store.loaded() == _expected(store, [3])
 
 
@@ -343,5 +345,8 @@ def test_two_forked_writers_both_land(open_store, tmp_path):
         assert len(store.file.read_bytes().splitlines()) == 3
     else:
         assert store.loaded() == _expected(store, range(400))
+        # The head, then each writer's save: nothing written twice.
+        assert _lines(store.file.read_bytes()) == \
+            1 + 2 * store.lines_per_save(200)
     # One head line: neither writer started the file over.
     assert store.file.read_bytes().splitlines().count(store.head) == 1

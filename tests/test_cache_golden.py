@@ -109,3 +109,24 @@ def test_a_new_seed_appends_after_the_golden_bytes(cache_dir):
     again = sweep(cache_dir, "--seeds", "7")
     assert again.estimation_cache_stats["hit_rate"] == 1.0
     assert again.cost_cache_stats["hit_rate"] == 1.0
+
+
+def test_two_cold_sweeps_write_the_same_bytes(run_with_hashseed, tmp_path):
+    """Every file a cold sweep leaves is a function of its flags: two
+    interpreters under one hash seed write the same bytes.  The seed
+    alone does not pin set order — an ``IndexDef`` hashes ``None``,
+    whose hash is its address on CPython 3.11 — so nothing written may
+    follow a frozenset's iteration."""
+    dirs = [tmp_path / "one", tmp_path / "two"]
+    for directory in dirs:
+        run_with_hashseed(
+            "from tests.test_cache_golden import sweep; "
+            f"sweep({str(directory)!r})", "0",
+        )
+    names = sorted(path.name for path in dirs[0].iterdir())
+    assert names == sorted(path.name for path in dirs[1].iterdir())
+    assert {name.split("-")[0] for name in names} >= \
+        {CACHE_FILE, COST_CACHE_FILE, "costmemo", "selection"}
+    for name in names:
+        assert (dirs[0] / name).read_bytes() == \
+            (dirs[1] / name).read_bytes(), name
