@@ -40,7 +40,7 @@ from repro.parallel.signature import (
     sized_index_signature,
     statement_signature,
 )
-from repro.physical.configuration import Configuration
+from repro.physical.configuration import Configuration, member_order_key
 from repro.physical.index_def import IndexDef
 from repro.sizeest.estimator import SizeEstimator
 from repro.stats.column_stats import DatabaseStats
@@ -144,8 +144,8 @@ class AdvisorOptions:
 
     ``delta_costing`` routes enumeration costing through the
     delta-aware :class:`~repro.optimizer.delta.DeltaWorkloadCoster`
-    (terms rebuilt from the prepared stage's plan table, zero-delta
-    certificates); recommendations are byte-identical with it on or
+    (terms rebuilt from the prepared stage's plan table, and read from
+    its cost memo); recommendations are byte-identical with it on or
     off — off only costs time.
     Persistent caches are not an option: every run belongs to a
     :class:`~repro.api.Session`, whose holder (the library, a service
@@ -436,8 +436,7 @@ class TuningAdvisor:
         """Every structure enumeration could ever place in a
         configuration: the pool, the base structures, and the method
         variants the polish/backtracking phases may introduce — the
-        secondaries the delta coster batches into one kernel call per
-        table and base."""
+        structures the cost memo file's namespace sizes."""
         methods = [CompressionMethod.NONE]
         if self.options.enable_compression or self.options.backtracking:
             methods += [CompressionMethod.ROW, CompressionMethod.PAGE]
@@ -462,8 +461,8 @@ class TuningAdvisor:
     def _size_if_known(self, index: IndexDef) -> "tuple[float, float] | None":
         """(bytes, rows) exactly as the optimizer's size lookup would
         report — but only when answering requires no new estimation
-        work, so the delta coster's probe batches can never reorder
-        estimation between the delta-on and delta-off paths."""
+        work, so naming the cost memo file's namespace can never
+        reorder estimation between the delta-on and delta-off paths."""
         est = self.estimator.peek(index)
         if est is None:
             return None
@@ -660,7 +659,7 @@ class TuningAdvisor:
             for config in selected:
                 # Stable order: pool order feeds greedy tie-breaking,
                 # so it must not follow frozenset iteration.
-                pool.extend(sorted(config.indexes, key=repr))
+                pool.extend(sorted(config.indexes, key=member_order_key))
         return list(dict.fromkeys(pool))
 
     def _selection_file(
@@ -758,9 +757,6 @@ class TuningAdvisor:
             # place after this advisor's own prepare; weighted from the
             # tables' first reference over a handed-in stage).
             self.delta.rebase(self.base_config)
-            self.delta.register_universe(
-                self._candidate_universe(pool), self._size_if_known
-            )
         search = self._algorithm_cls(
             self.workload,
             self._workload_cost,

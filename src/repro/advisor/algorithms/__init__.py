@@ -3,7 +3,8 @@
 ``AdvisorOptions.algorithm`` names a strategy registered here; the
 advisor resolves it through :func:`get` and hands it the shared
 machinery (candidate pool, a workload coster and a per-statement
-coster, the delta coster's certificates, progress hooks).  Importing this package registers the built-ins:
+coster, the delta coster, progress hooks).  Importing this package
+registers the built-ins:
 
 ========================  ============================================
 ``greedy-backtrack``      the paper's DTA/DTAc search (default)

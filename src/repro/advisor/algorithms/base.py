@@ -16,9 +16,8 @@ strategies share:
 * progress events (``_emit`` / ``_emit_step``) — the tuning service's
   cancellation path rides these hooks;
 * costing: ``_costs`` is the one multi-configuration entry (and the
-  ``coster.batch`` fault site); ``_rebase`` / ``_candidate_costs`` add
-  the delta coster, skipping the candidates a zero-delta certificate
-  proves unchanged;
+  ``coster.batch`` fault site); ``_rebase`` moves the delta coster's
+  reference onto each accepted step;
 * per-statement benefit attribution (``_attributed_benefits``), shared
   by the knapsack and relaxation strategies;
 * the **moves** — each written once; a strategy's ``run`` is an ordering
@@ -174,8 +173,8 @@ class SelectionAlgorithm:
         #: one statement's unweighted cost under one configuration, for
         #: per-statement benefit attribution (knapsack, relaxation).
         self.query_cost = query_cost
-        #: optional DeltaWorkloadCoster: zero-delta certificates +
-        #: reference rebasing.
+        #: optional DeltaWorkloadCoster, whose reference follows the
+        #: accepted steps (:meth:`_rebase`).
         self.delta = delta
         #: structure -> its :meth:`consumed` term (sizes are fixed for
         #: the life of a search).
@@ -292,26 +291,6 @@ class SelectionAlgorithm:
             FAULT_HOOK("coster.batch", configs=len(configs))
         return [self.workload_cost(config) for config in configs]
 
-    def _candidate_costs(
-        self, candidates: Sequence[Configuration]
-    ) -> "list[float | None]":
-        """Costs of a candidate sweep, with None for candidates a
-        zero-delta certificate proves cost exactly the reference — the
-        full path would compute ``delta_cost == 0`` and skip them
-        identically."""
-        if self.delta is None:
-            return self._costs(candidates)
-        decisions = [
-            self.delta.improvement_possible(candidate)
-            for candidate in candidates
-        ]
-        survivors = [
-            candidate
-            for candidate, keep in zip(candidates, decisions) if keep
-        ]
-        costs = iter(self._costs(survivors))
-        return [next(costs) if keep else None for keep in decisions]
-
     # ------------------------------------------------------------------
     def _attributed_benefits(
         self,
@@ -424,7 +403,7 @@ class SelectionAlgorithm:
     def _score_adds(
         self,
         moves: "list[tuple[IndexDef, Configuration]]",
-        costs: "Sequence[float | None]",
+        costs: "Sequence[float]",
         current: Configuration,
         current_cost: float,
         backtrack: bool,
@@ -439,8 +418,6 @@ class SelectionAlgorithm:
         best_any = None  # (delta_cost, config)
         current_consumed = self.consumed(current)
         for (ix, candidate), cost in zip(moves, costs):
-            if cost is None:
-                continue
             delta_cost = current_cost - cost
             if delta_cost <= 0:
                 continue
@@ -478,9 +455,7 @@ class SelectionAlgorithm:
             # A cancellation point even when no step gets accepted:
             # every candidate sweep reports in before costing.
             self._emit("sweep", candidates=len(moves), cost=current_cost)
-            costs = self._candidate_costs(
-                [candidate for _ix, candidate in moves]
-            )
+            costs = self._costs([candidate for _ix, candidate in moves])
             feasible, recovered = self._score_adds(
                 moves, costs, current, current_cost, backtrack
             )

@@ -88,7 +88,7 @@ class GreedyBacktrackAlgorithm(SelectionAlgorithm):
         """Top ``seed_fanout`` feasible first moves (by score), plus a
         backtrack-recovery of the best oversized move when enabled."""
         moves = self._add_moves(pool, base)
-        costs = self._candidate_costs([candidate for _ix, candidate in moves])
+        costs = self._costs([candidate for _ix, candidate in moves])
         feasible, recovered = self._score_adds(
             moves, costs, base, base_cost, self.options.backtracking
         )

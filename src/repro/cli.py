@@ -94,9 +94,7 @@ def _print_costing(ds: dict, optimizer_calls: int) -> None:
         print(f"delta costing: {ds['reused_terms']} terms reused, "
               f"{ds['patched_terms']} plan-patched, "
               f"{ds['full_recosts']} full recosts, "
-              f"{ds['cost_memo_hits']} costings read from the memo, "
-              f"{ds['pruned_zero_delta']} candidates pruned by "
-              "zero-delta certificates")
+              f"{ds['cost_memo_hits']} costings read from the memo")
     else:
         print(f"full recost: {optimizer_calls} optimizer calls "
               "(delta costing off)")

@@ -15,8 +15,9 @@ single float:
   non-covering structure's row lookups, which the cost model charges by
   the base's compression method alone, so every base with that method
   (the heap and each clustered variant) shares the entry; the base's
-  own plan sits under its own identity.  An entry is evaluated once
-  per :class:`PlanTables`, through the kernel's shape memo, by
+  own plan sits under its own identity.  An entry is evaluated when a
+  costing first reads it, once per :class:`PlanTables`, through the
+  kernel's shape memo, by
   :func:`~repro.optimizer.access_paths.plan_from_shape` with exactly
   the inputs ``StatementCoster._structures_for`` would feed it — so it
   *is* the plan the optimizer's search would see for that structure.
@@ -48,13 +49,14 @@ single float:
   candidate's **probe row** (its plan cost for every statement on its
   table, valid as long as the tables are) against the table's
   **reference vector** (the plan cost the reference chose, rebuilt
-  after each :meth:`rebase`) in one pass of ``probe > chosen``.  A strict loser
-  keeps its reference term; a strict winner is the new first minimum
-  whatever its position, so its plan is patched into the reference's
-  chosen plans; a tie goes to whichever of the two the structure order
-  puts first.  Every other diff (swaps, removals, multi-adds, a rebase)
-  re-chooses only on the tables the diff touches and keeps the
-  reference's plans elsewhere.
+  after each :meth:`rebase`) in one pass of ``probe > chosen``, for
+  every candidate of the sweep.  A strict loser keeps its reference
+  term; a strict winner is the new first minimum whatever its
+  position, so its plan is patched into the reference's chosen plans;
+  a tie goes to whichever of the two the structure order puts first.
+  Every other diff (swaps, removals, multi-adds, a rebase) re-chooses
+  only on the tables the diff touches and keeps the reference's plans
+  elsewhere.
 
 * **Full recosts.**  The first reference costed over a set of tables
   (later costers over them weight the totals it left), statements with
@@ -92,20 +94,10 @@ single float:
   (:class:`~repro.parallel.cache.CostMemoFile`): a new process over the
   same stage reads its search instead of recosting it.
 
-* **Zero-delta certificates.**  :meth:`improvement_possible` lets the
-  enumerator skip a pure add without costing it when every affected
-  statement is a SELECT whose probes all strictly lose: the
-  candidate's total is bit-identical to the current cost, so the full
-  path would compute ``delta_cost == 0`` and skip it anyway.  Exact
-  under every search strategy.  A candidate the memo holds is read
-  instead of certified, under any weights, and a certified one is
-  never stored.
-
 Determinism contract: recommendations with delta costing on are
 byte-identical to the full-recost path at any worker count.  A term is
 only ever rebuilt from plans that are *provably the bit-identical
-plans* the full path would choose; a certificate only ever skips work
-whose outcome is provably invisible.
+plans* the full path would choose.
 
 State comes in two lifetimes.  A **coster** is per-run state: its
 weights, reference and counters belong to one search and are never
@@ -141,14 +133,13 @@ from __future__ import annotations
 import math
 import operator
 from collections import defaultdict
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.optimizer.access_paths import plan_from_shape
 from repro.optimizer.statement_cost import (
     SelectShape,
     StatementCoster,
     find_probe,
-    mv_matches_query,
 )
 from repro.parallel.signature import index_identity
 from repro.physical.configuration import Configuration, structure_order_key
@@ -164,25 +155,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with whatif
 _UNPROBED = object()
 
 _INF = math.inf
-
-
-class _RefVector:
-    """What a sweep compares one table's probe rows against under one
-    reference: ``stmts`` is the interned ``_by_table`` list, and the
-    other lists align with it.
-
-    ``chosen`` holds the cost of the plan the reference chose on the
-    table — inf where there is none to lose to (a maintenance
-    statement, an MV substitution).  ``reusable`` is ``chosen`` with
-    inf also where an MV is in the statement's scope: reuse needs a
-    recost there, the zero-delta certificate does not."""
-
-    __slots__ = ("stmts", "chosen", "reusable")
-
-    def __init__(self, stmts, chosen, reusable) -> None:
-        self.stmts = stmts
-        self.chosen = chosen
-        self.reusable = reusable
 
 
 def _weighted_cost(raw: tuple, weights: list) -> float:
@@ -381,22 +353,14 @@ class DeltaWorkloadCoster:
         self._ref_plans: list[tuple | None] = []
         self._ref_total = 0.0
 
-        # Probe-batch state (populated by register_universe): the
-        # universe's secondaries by table, and the peek-only size
-        # resolver that sizes whole lane groups without triggering
-        # estimation work.
-        self._universe_by_table: dict[str, list[IndexDef]] = {}
-        self._size_peek: Callable | None = None
-        #: (table, base method value) groups already batch-probed.
-        self._probe_filled: set = set()
-
         # Sweep state: depends on the reference configuration, reset on
         # every rebase (the probe rows they are compared with live in
         # the tables, like the plans they are read from).
         #: table -> (base structure, its method value) under the
         #: reference.
         self._ref_bases: dict = {}
-        #: table -> _RefVector under the reference.
+        #: table -> the reference's reusable plan costs, aligned with
+        #: ``_by_table`` (:meth:`_ref_vector`).
         self._ref_vectors: dict = {}
 
         # Instrumentation.
@@ -405,7 +369,6 @@ class DeltaWorkloadCoster:
         self.patched_maintenance = 0
         self.full_recosts = 0
         self.probe_evals = 0
-        self.pruned_zero_delta = 0
         self.cost_memo_hits = 0
 
     # ------------------------------------------------------------------
@@ -575,81 +538,15 @@ class DeltaWorkloadCoster:
         )[1]
 
     # ------------------------------------------------------------------
-    # universe & certificates
+    # ledger-only names
     # ------------------------------------------------------------------
-    def register_universe(
-        self,
-        universe: Iterable[IndexDef],
-        size_if_known: Callable[[IndexDef], "tuple[float, float] | None"],
-    ) -> None:
-        """Declare every structure an enumeration could ever place in a
-        configuration, so the first sweep against a table's base fills
-        the plan-table entries of its whole secondary group in one
-        kernel batch (see :meth:`_fill_probe_group`).
+    def _ledger_only(self, *_args) -> None:
+        """Does nothing, and nothing in the library calls it: the
+        benchmark ledger wraps these three names, and they go when its
+        next revision retires them (ROADMAP direction 2)."""
 
-        Args:
-            universe: candidate pool plus base structures plus every
-                method variant the search phases may introduce.
-            size_if_known: resolves an index to ``(est_bytes, est_rows)``
-                **only when no new estimation work is needed**, agreeing
-                with the optimizer's own size lookup whenever it
-                resolves — a probe batch must never trigger size
-                estimation, or the delta-on and delta-off estimation
-                orders (and therefore their deduction plans) could
-                diverge.
-        """
-        seen: dict = {}
-        for ix in universe:
-            seen.setdefault(index_identity(ix), ix)
-        self._universe_by_table = defaultdict(list)
-        for ix in seen.values():
-            if ix.kind is IndexKind.SECONDARY and not ix.is_mv_index:
-                self._universe_by_table[ix.table].append(ix)
-        self._size_peek = size_if_known
-        self._probe_filled = set()
-
-    def improvement_possible(self, config: Configuration) -> bool:
-        """Whether costing ``config`` could possibly change the search.
-
-        False (a zero-delta certificate) means its total is provably
-        bit-identical to the reference cost, so the enumerator may skip
-        it entirely.  A configuration the cost memo holds, under any
-        weights, is never certified: reading its cost is cheaper than
-        the certificate."""
-        ref = self._ref_config
-        if ref is None:
-            return True
-        key, ix = self._memo_key(config)
-        if key in self._memo:
-            return True
-        if ix is not None:
-            # The sweep shape: every statement on the table must have a
-            # chosen plan the candidate's probe strictly loses to.
-            certified = all(map(
-                operator.gt,
-                self._probe_row(ix), self._ref_vector(ix.table).chosen,
-            ))
-        else:
-            added = config.indexes - ref.indexes
-            if ref.indexes - config.indexes:
-                return True  # swaps/base replacements: never certified
-            certified = all(
-                self._is_select[si]
-                and self._ref_plans[si] is not None
-                and all(
-                    self._probe_loses(si, ix)
-                    for ix in added if self._relevant(si, ix)
-                )
-                for si in self._affected(added)
-            )
-        if certified:
-            self.pruned_zero_delta += 1
-        return not certified
-
-    def improvement_cap(self, config: Configuration) -> None:
-        """Always None; nothing calls it.  Kept because
-        ``benchmarks/ledger/layers.py`` wraps this name."""
-        return None
+    register_universe = improvement_possible = improvement_cap = \
+        _ledger_only
 
     # ------------------------------------------------------------------
     # stats
@@ -664,7 +561,6 @@ class DeltaWorkloadCoster:
             "probe_evals": self.probe_evals,
             "probe_entries": len(self._probes),
             "maintenance_entries": len(self._maint_terms),
-            "pruned_zero_delta": self.pruned_zero_delta,
             "cost_memo_hits": self.cost_memo_hits,
         }
 
@@ -771,15 +667,15 @@ class DeltaWorkloadCoster:
         ``ix``: one ``probe > chosen`` pass over its table's
         statements."""
         table = ix.table
-        vector = self._ref_vector(table)
+        stmts = self._by_table.get(table, ())
         contested = [
             (si, probe, chosen) for si, probe, chosen in zip(
-                vector.stmts, self._probe_row(ix), vector.reusable
+                stmts, self._probe_row(ix), self._ref_vector(table)
             )
             if not probe > chosen
         ]
         # Strict losers keep their reference term, bit for bit.
-        self.reused_terms += len(vector.stmts) - len(contested)
+        self.reused_terms += len(stmts) - len(contested)
         if not contested:
             return self._ref_total, ()
         out = list(self._ref_terms)
@@ -913,25 +809,23 @@ class DeltaWorkloadCoster:
             self._ref_bases[table] = cached
         return cached
 
-    def _ref_vector(self, table: str) -> _RefVector:
-        """The reference's chosen plan costs for every statement on
-        ``table`` (built on first demand after a rebase)."""
+    def _ref_vector(self, table: str) -> list[float]:
+        """The cost of the plan the reference chose on ``table`` for
+        every statement on it, aligned with ``_by_table`` — inf where
+        there is none to lose to: a maintenance statement, an MV
+        substitution, or an MV in the statement's scope, where reuse
+        needs a recost (built on first demand after a rebase)."""
         vector = self._ref_vectors.get(table)
         if vector is None:
-            stmts = self._by_table.get(table, [])
             mv_tables = _mv_tables(self._ref_config)
-            chosen, reusable = [], []
-            for si in stmts:
+            vector = []
+            for si in self._by_table.get(table, ()):
                 plans = self._ref_plans[si]
-                cost = (
-                    plans[self._stmts[si].tables.index(table)].cost
-                    if plans is not None else _INF
+                vector.append(
+                    _INF if plans is None
+                    or self._mv_in_scope(si, mv_tables)
+                    else plans[self._stmts[si].tables.index(table)].cost
                 )
-                chosen.append(cost)
-                reusable.append(
-                    _INF if self._mv_in_scope(si, mv_tables) else cost
-                )
-            vector = _RefVector(stmts, chosen, reusable)
             self._ref_vectors[table] = vector
         return vector
 
@@ -949,8 +843,6 @@ class DeltaWorkloadCoster:
         row = self._probe_rows.get(key)
         if row is None:
             row = []
-            if base is not None:
-                self._fill_probe_group(table, base, method)
             for si in self._by_table.get(table, ()):
                 plan = (
                     self._plan(si, table, ix, base, method)
@@ -972,87 +864,6 @@ class DeltaWorkloadCoster:
         if plan is _UNPROBED:
             plan = self._probes[key] = self._probe(si, table, ix, base)
         return plan
-
-    def _fill_probe_group(
-        self, table: str, base: IndexDef, method: str
-    ) -> None:
-        """Batch the plan-table entries of every universe secondary on
-        ``table`` whose size is already peekable, across **every**
-        SELECT statement touching the table, on the first sweep against
-        a base with this compression method.  Sweeps read all affected
-        statements for each candidate, so the whole group is demanded
-        work — one lane batch per group instead of one :meth:`_probe`
-        per entry.
-
-        Sizing is strictly peek-only (``size_if_known``): a lane is
-        only filled when no new estimation work is needed, so the
-        delta-on estimation order stays identical to the full-recost
-        path — structures the peek cannot resolve fall back to the
-        scalar :meth:`_probe` (sized via the optimizer's own lookup) at
-        the moment they are actually requested.  Each filled lane is
-        the same :func:`plan_from_shape` arithmetic over the same
-        memoized shape and lands in the same table, so plans are
-        bit-identical to the unbatched path."""
-        group = (table, method)
-        if group in self._probe_filled:
-            return
-        self._probe_filled.add(group)
-        if self._size_peek is None:
-            return
-        whatif = self.whatif
-        kernel = whatif.kernel
-        stats = whatif.stats.table(table)
-        constants = whatif.coster.constants
-        secondaries = [
-            (cand, index_identity(cand), self._size_peek(cand))
-            for cand in self._universe_by_table.get(table, [])
-        ]
-        lanes: list = []
-        keys: list = []
-        for sj in self._by_table.get(table, ()):
-            if not self._is_select[sj]:
-                continue
-            preds, needed = self._shapes[sj].inputs[table]
-            for cand, cand_id, size in secondaries:
-                if size is None:
-                    continue
-                ckey = (sj, table, cand_id, method)
-                if ckey in self._probes:
-                    continue
-                self.probe_evals += 1
-                shape = kernel.shape_for(
-                    (sj, table), cand, preds, needed, stats, constants
-                )
-                if shape is None:
-                    self._probes[ckey] = None
-                    continue
-                lanes.append((cand, size[0], size[1], shape))
-                keys.append(ckey)
-        if not lanes:
-            return
-        plans = kernel.batch_access_plans(lanes, constants, base)
-        for ckey, plan in zip(keys, plans):
-            self._probes[ckey] = plan
-
-    def _probe_loses(self, si: int, ix: IndexDef) -> bool:
-        """True iff adding ``ix`` provably cannot change statement
-        ``si``'s cost: a non-matching MV, an unusable plan, or an access
-        plan that strictly loses to the chosen plan on its table."""
-        stmt = self._stmts[si]
-        if ix.is_mv_index:
-            # Non-matching MVs are skipped by both the access-path and
-            # the MV-substitution scans; matching ones need a recost.
-            return not mv_matches_query(ix.mv, stmt)
-        if ix.kind is not IndexKind.SECONDARY:
-            return False  # base adds surface as removed+added upstream
-        base, method = self._ref_base(ix.table)
-        if base is None:  # pragma: no cover - bases always tracked
-            return False
-        plan = self._plan(si, ix.table, ix, base, method)
-        if plan is None:
-            return True
-        chosen = self._ref_plans[si][stmt.tables.index(ix.table)]
-        return plan.cost > chosen.cost
 
     def _probe(self, si: int, table: str, ix: IndexDef, base: IndexDef):
         """One plan evaluation with exactly the inputs

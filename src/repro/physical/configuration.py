@@ -33,6 +33,18 @@ def structure_order_key(index: IndexDef) -> tuple[str, str]:
     return key
 
 
+def member_order_key(index: IndexDef) -> str:
+    """The key :meth:`Configuration.ordered` sorts members by: the
+    index's ``repr``, total and content-determined.  Cached on the
+    (frozen) index, like :func:`structure_order_key`: a search orders
+    many configurations over the same structures."""
+    key = index.__dict__.get("_member_key")
+    if key is None:
+        key = repr(index)
+        object.__setattr__(index, "_member_key", key)
+    return key
+
+
 def _is_base(index: IndexDef) -> bool:
     """Whether ``index`` is its table's base structure (heap or
     clustered, not on an MV)."""
@@ -123,7 +135,9 @@ class Configuration:
         runs are reproducible across processes and PYTHONHASHSEED.
         """
         if self._ordered is None:
-            self._ordered = tuple(sorted(self._indexes, key=repr))
+            self._ordered = tuple(
+                sorted(self._indexes, key=member_order_key)
+            )
         return self._ordered
 
     # ------------------------------------------------------------------
@@ -165,7 +179,7 @@ class Configuration:
         if self._mv_indexes is None:
             self._mv_indexes = tuple(sorted(
                 (ix for ix in self._indexes if ix.mv is not None),
-                key=repr,
+                key=member_order_key,
             ))
         return self._mv_indexes
 

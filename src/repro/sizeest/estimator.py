@@ -157,8 +157,9 @@ class SizeEstimator:
         plans a SampleCF batch, so calling it cannot change which
         estimates later batches compute or how deduction plans them.
         That is what its readers rely on: the advisor's
-        ``_size_if_known``, which sizes the delta coster's probe-group
-        fill, and the benchmark ledger's ``_count_new_compressed``."""
+        ``_size_if_known``, which sizes the structures of the cost memo
+        file's namespace, and the benchmark ledger's
+        ``_count_new_compressed``."""
         if not index.method.is_compressed:
             return self.estimate(index)
         return self._cache.get(index)

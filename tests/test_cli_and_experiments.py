@@ -52,7 +52,7 @@ class TestCLI:
         assert main(base) == 0
         delta_out = capsys.readouterr().out
         assert "delta costing:" in delta_out
-        assert "candidates pruned" in delta_out
+        assert "costings read from the memo" in delta_out
         assert "costing kernel:" in delta_out
         assert "memoized shapes" in delta_out
 

@@ -1,14 +1,12 @@
 """Delta-aware workload costing at the coster: incremental totals must
-be bit-equal to full recosting, and pruning must never change a
-recommendation.
+be bit-equal to full recosting.
 
 The contract under test (see ``repro.optimizer.delta``): the
 ``DeltaWorkloadCoster`` only ever reuses a float it can prove is the
 bit-identical value the full-recost path would compute (probe-lose
-reuse, plan patching), and only ever skips a candidate whose costing
-provably cannot change the search (zero-delta certificates).  So every
-test here asserts *exact* equality — no tolerances.  Whole advisor runs
-with delta costing on and off are cells of ``tests/test_run_identity.py``.
+reuse, plan patching).  So every test here asserts *exact* equality —
+no tolerances.  Whole advisor runs with delta costing on and off are
+cells of ``tests/test_run_identity.py``.
 """
 
 import random
@@ -387,26 +385,40 @@ class TestColdAndWarmCostCache:
         assert replayed_costs == plan_costs  # ...but their costs are
 
 
-class TestPruning:
-    def test_zero_delta_certificates_fire(self, costing_rig):
+class TestSweepBody:
+    def test_a_probe_losing_candidate_costs_the_reference(
+        self, costing_rig
+    ):
         """A table whose best pool index is already in the reference:
-        the weaker candidates on it all probe-lose, so they are
-        certified unable to change anything — and skipping them is
-        exact, because their delta would be 0.0 bit-for-bit."""
+        the weaker candidates on it probe-lose on every statement, so
+        their costing body reuses every reference term — the total is
+        the reference's bit for bit, only ``reused_terms`` moves, and
+        the memo entry names no changed statement."""
         whatif, wl, base, pool = costing_rig
         delta = whatif.delta_coster(wl)
         delta.rebase(base)
         cust = [ix for ix in pool if ix.table == "customers"]
         ref = base.add(max(cust, key=lambda ix: len(ix.key_columns)))
         ref_cost = delta.rebase(ref)
-        certified = [
-            d for d in cust
-            if d not in ref and not delta.improvement_possible(ref.add(d))
+        losers = [
+            d for d in cust if d not in ref and all(map(
+                float.__gt__,
+                delta._probe_row(d), delta._ref_vector(d.table),
+            ))
         ]
-        assert certified
-        assert delta.pruned_zero_delta == len(certified)
-        for d in certified:
+        assert losers
+        statements = len(delta.tables.by_table["customers"])
+        for d in losers:
+            before = delta.stats()
             assert delta.workload_cost(ref.add(d)) == ref_cost
+            after = delta.stats()
+            assert after.pop("reused_terms") - before.pop("reused_terms") \
+                == statements
+            assert after == before
+            raw = delta.tables.cost_memo[(ref.indexes, d)]
+            assert raw == (delta._ref_totals,)
+            whatif.clear_cache()
+            assert whatif.workload_cost(wl, ref.add(d)) == ref_cost
 
 # ----------------------------------------------------------------------
 # the sweep shape: probe rows against per-table reference vectors
@@ -511,9 +523,6 @@ class TestSweepMajor:
             lambda c: c.add(third),
         ]
         delta = whatif.delta_coster(wl)
-        delta.register_universe(
-            [*sweep_pool, *base.ordered()], lambda ix: whatif._sizes(ix)
-        )
         ref = base
         for step in chain:
             ref = step(ref)

@@ -21,6 +21,9 @@ measure estimation errors.
   has exactly one ``fire("<site>", ...)`` or ``FAULT_HOOK("<site>",
   ...)`` call under ``repro/``, and no call names a site not
   registered.
+* The names only the benchmark ledger wraps or calls
+  (:data:`LEDGER_ONLY`) are called by nothing under ``repro/``: the
+  list the ledger's next revision deletes.
 """
 
 import ast
@@ -32,6 +35,12 @@ from pathlib import Path
 from repro.service.faults import SITES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: names kept for the benchmark ledger alone (see above).
+LEDGER_ONLY = {
+    "improvement_cap", "improvement_possible", "register_universe",
+    "resolve_backend",
+}
 
 #: the modules allowed to construct a ``TuningAdvisor`` (see above).
 ADVISOR_BUILDERS = {
@@ -147,3 +156,15 @@ def test_every_fault_site_has_one_call():
         and node.args and isinstance(node.args[0], ast.Constant)
     )
     assert fired == dict.fromkeys(SITES, 1)
+
+
+def test_ledger_only_names_are_called_by_nothing():
+    callers = sorted(
+        f"{path.relative_to(SRC).as_posix()}:{node.lineno}"
+        for path in sorted(SRC.glob("repro/**/*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        in LEDGER_ONLY
+    )
+    assert callers == []

@@ -11,7 +11,7 @@ ROW/PAGE, method swaps, removals of the chosen plan, partial and MV
 indexes, an untracked table, forced exact-cost ties) the choice must
 match field for field and every total bit for bit, cold and through a
 warm persistent ``CostCache``; and a counting kernel pins that nothing
-is evaluated twice.  The key itself is checked too: every base with one
+is evaluated twice, nor before a costing reads it.  The key itself is checked too: every base with one
 compression method gives a structure the same plan, and bases with
 different methods do not.  Last, the cost memo above the terms: every
 float it stores or answers is what a fresh coster over fresh tables
@@ -41,11 +41,12 @@ from repro.advisor.candidates import CandidateOptions, candidate_indexes
 from repro.compression.base import CompressionMethod
 from repro.datasets.sales import sales_database, sales_workload
 from repro.optimizer.access_paths import best_access_plan, cost_access
-from repro.optimizer.delta import _weighted_cost
+from repro.optimizer.delta import DeltaWorkloadCoster, _weighted_cost
 from repro.optimizer.kernels import CostKernel
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.parallel.cache import CostCache, CostMemoFile
 from repro.parallel.signature import (
+    index_identity,
     sized_index_signature,
     statement_signature,
 )
@@ -253,15 +254,10 @@ def _assert_choices_match(rig, delta, config: Configuration) -> None:
             )
 
 
-def _assert_costs_match(rig, delta, data, registered: bool) -> None:
+def _assert_costs_match(rig, delta, data) -> None:
     whatif, wl = rig.whatif, rig.wl
     draw = data.draw
     ref = _draw_config(draw, rig)
-    if registered:
-        universe = [
-            *rig.extras, *(b for bases in rig.bases.values() for b in bases)
-        ]
-        delta.register_universe(universe, whatif._sizes)
     assert delta.rebase(ref) == _full(whatif, wl, ref)
     for _ in range(draw(st.integers(2, 5))):
         config = _draw_neighbour(draw, rig, ref)
@@ -290,13 +286,11 @@ PROPERTY = settings(
 @pytest.mark.parametrize("name", ["sales", "update-heavy", "ties"])
 class TestPlanTableIsTheOptimizersChoice:
     @PROPERTY
-    @given(data=st.data(), registered=st.booleans())
-    def test_choices_and_totals_match_full_recost(
-        self, rigs, name, data, registered
-    ):
+    @given(data=st.data())
+    def test_choices_and_totals_match_full_recost(self, rigs, name, data):
         rig = rigs[name]
         delta = rig.whatif.delta_coster(rig.wl)
-        _assert_costs_match(rig, delta, data, registered)
+        _assert_costs_match(rig, delta, data)
 
 
 def test_ties_are_really_ties(rigs):
@@ -481,10 +475,6 @@ def test_repeated_sweeps_and_swaps_evaluate_nothing(rigs, name):
         for ix in secondaries[:3] for method in COMPRESSED
     ] + [ref.add(heap.with_method(CompressionMethod.ROW)) for heap in heaps]
     delta = whatif.delta_coster(rig.wl)
-    delta.register_universe(
-        [*rig.extras, *(b for bases in rig.bases.values() for b in bases)],
-        whatif._sizes,
-    )
 
     def sweep_swap_and_rebase():
         costs = [delta.rebase(ref), *delta.batch(adds + swaps)]
@@ -506,10 +496,10 @@ def test_repeated_sweeps_and_swaps_evaluate_nothing(rigs, name):
         assert again[key] == evaluated[key]
 
 
-def test_a_tune_evaluates_each_plan_once(sales_inputs):
-    """Over a whole tune, the lanes the kernel evaluates outside the
-    optimizer's own full recosts never exceed the plan table's entries:
-    no plan is searched for a second time."""
+def test_a_tune_evaluates_each_plan_once(sales_inputs, monkeypatch):
+    """Over a whole tune, every plan-table entry is one a costing read,
+    and none is evaluated twice: the lanes the kernel evaluates outside
+    the optimizer's own full recosts never exceed the entries."""
     db, wl, stats = sales_inputs
     advisor = TuningAdvisor(
         db, wl, AdvisorOptions(budget_bytes=db.total_data_bytes() * 0.15),
@@ -519,6 +509,8 @@ def test_a_tune_evaluates_each_plan_once(sales_inputs):
     kernel = whatif.kernel = whatif.coster.kernel = CountingKernel()
     optimizer_cost = whatif.coster.cost
     recost_lanes = 0
+    read = set()
+    read_plan = DeltaWorkloadCoster._plan
 
     def counted_cost(statement, config):
         nonlocal recost_lanes
@@ -528,9 +520,15 @@ def test_a_tune_evaluates_each_plan_once(sales_inputs):
         finally:
             recost_lanes += kernel.lanes_total - before
 
+    def counted_plan(coster, si, table, ix, base, method):
+        read.add((si, table, index_identity(ix), method))
+        return read_plan(coster, si, table, ix, base, method)
+
     whatif.coster.cost = counted_cost
+    monkeypatch.setattr(DeltaWorkloadCoster, "_plan", counted_plan)
     result = advisor.run()
     delta = result.delta_stats
+    assert read == advisor.delta.tables.probes.keys()
     assert delta["probe_evals"] == delta["probe_entries"]
     assert kernel.lanes_total - recost_lanes <= delta["probe_entries"]
     assert kernel.lanes_total == result.kernel_stats["lanes_total"]

@@ -74,8 +74,8 @@ DRIFT = dict(seed=0, hot_fraction=0.2, hot_weight=20.0, cold_weight=0.01)
 def _marginal_weight_workload(db) -> Workload:
     """Four sales SELECTs beside customers statements worth almost
     nothing, so every customers candidate's improvement sits under a
-    coarse greedy threshold, next to an UPDATE no zero-delta certificate
-    can skip."""
+    coarse greedy threshold, next to an UPDATE whose term no sweep
+    reuses."""
     wl = Workload()
     for ws in sales_workload(db).queries[:4]:
         wl.add(ws.statement, weight=ws.weight, name=ws.name)
@@ -92,7 +92,7 @@ def _marginal_weight_workload(db) -> Workload:
 def _maintenance_first_workload(db) -> Workload:
     """The update-heavy mix with its maintenance statements ahead of
     the SELECTs: the first statement on ``sales`` and ``customers`` is
-    one no probe can certify, so every zero-delta sweep on those tables
+    one whose term no sweep reuses, so every sweep on those tables
     meets it before any SELECT."""
     wl = update_heavy_workload(sales_workload(db))
     return Workload([*wl.updates, *wl.queries])

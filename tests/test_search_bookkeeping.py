@@ -10,8 +10,9 @@ it out again, and that keeping it changes no answer.
   coster's memo key read off it is the set-difference key;
 * ``IndexDef.with_method`` keeps one variant per method, equal to
   ``dataclasses.replace``, and neither cache crosses a pickle;
-* a rerun over a held stage builds no new ``IndexDef`` and asks the
-  estimator about each structure at most once.
+* a rerun over a held stage builds no new ``IndexDef``, formats no
+  ``repr`` (member order reads each structure's cached key) and asks
+  the estimator about each structure at most once.
 """
 
 import dataclasses
@@ -213,22 +214,31 @@ def test_a_rerun_over_a_held_stage_builds_and_sizes_nothing_again(
                       budget_fraction=0.2, seed=1)
     cold = session.tune()
     built = [0]
+    formatted = [0]
     asked: Counter = Counter()
     post_init = IndexDef.__post_init__
+    index_repr = IndexDef.__repr__
     estimate = SizeEstimator.estimate
 
     def counted_post_init(ix):
         built[0] += 1
         post_init(ix)
 
+    def counted_repr(ix):
+        formatted[0] += 1
+        return index_repr(ix)
+
     def counted_estimate(estimator, ix):
         asked[ix] += 1
         return estimate(estimator, ix)
 
     monkeypatch.setattr(IndexDef, "__post_init__", counted_post_init)
+    monkeypatch.setattr(IndexDef, "__repr__", counted_repr)
     monkeypatch.setattr(SizeEstimator, "estimate", counted_estimate)
     rerun = session.tune()
     assert rerun.configuration == cold.configuration
     assert rerun.final_cost == cold.final_cost
     assert built[0] == 0
+    # Member order is read from each structure's cached key.
+    assert formatted[0] == 0
     assert max(asked.values(), default=0) <= 1

@@ -5,8 +5,9 @@
 ``repro.advisor.retune.TuningSession.retune``, by name.  Its smoke test
 catches a wrapped name that no longer exists; these catch one that
 still exists but is no longer called — by the library or by the
-service.  The one wrapped name that must stay uncalled is
-``DeltaWorkloadCoster.improvement_cap``, a stub kept for the wrap list.
+service.  The wrapped names that must stay uncalled are
+``DeltaWorkloadCoster``'s ``improvement_cap``, ``improvement_possible``
+and ``register_universe``: one no-op kept for the wrap list.
 """
 
 import pytest
@@ -94,12 +95,17 @@ def test_library_and_served_retunes_call_session_retune(inputs, monkeypatch):
 
 def test_no_search_calls_the_improvement_cap_stub(inputs, monkeypatch):
     """Every registered algorithm and the retune search, with
-    backtracking on (the ``dtac-both`` variant), over delta costing."""
+    backtracking on (the ``dtac-both`` variant), over delta costing,
+    calls none of the no-op's three names."""
     db, wl = inputs
-    calls = _spy(monkeypatch, DeltaWorkloadCoster, "improvement_cap")
+    calls = [
+        _spy(monkeypatch, DeltaWorkloadCoster, name)
+        for name in ("improvement_cap", "improvement_possible",
+                     "register_universe")
+    ]
     session = api.Session(db, wl, variant="dtac-both",
                           budget_fraction=FRACTION)
     for name in algorithms.names():
         session.tune(algorithm=name)
         session.retune(algorithm=name)
-    assert calls == []
+    assert calls == [[], [], []]
