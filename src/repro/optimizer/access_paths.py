@@ -279,7 +279,7 @@ def best_access_plan(
             must contain at least the base structure.
         kernel: the run's :class:`~repro.optimizer.kernels.CostKernel`
             (shape memo + lane evaluator).
-        shape_key: hashable (statement context, table) key identifying
+        shape_key: hashable ``(kernel key, table)`` key identifying
             the fixed (predicates, needed columns) context, enabling
             the kernel's per-run shape cache.
     """

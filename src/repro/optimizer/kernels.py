@@ -18,6 +18,11 @@ from repro.parallel.signature import index_identity
 #: sentinel distinguishing "shape not yet computed" from "unusable".
 _UNSHAPED = object()
 
+#: Entries one kernel's shape memo holds.  An advisor run stays far
+#: below it; a served context's ad-hoc questions add entries under new
+#: keys every time, so past this the memo starts over.
+_SHAPE_MEMO_ENTRIES = 1 << 16
+
 
 def resolve_backend(name: str = "auto") -> "CostKernel":
     """A fresh :class:`CostKernel`; ``name`` is ignored.  Kept because
@@ -45,7 +50,7 @@ class CostKernel:
         #: (shape_key, index identity) -> AccessShape | None.  Shapes
         #: are pure functions of (structure, predicate context) and a
         #: run's stats/constants never change, so one entry serves
-        #: every sweep of the run.
+        #: every sweep of the run.  Bounded by ``_SHAPE_MEMO_ENTRIES``.
         self._shapes: dict = {}
 
     def stats(self, since: "dict | None" = None) -> dict:
@@ -65,8 +70,10 @@ class CostKernel:
     ):
         """Memoized :func:`~repro.optimizer.access_paths.access_shape`.
 
-        ``shape_key`` names the fixed predicate context (statement,
-        table); pass None to bypass the cache."""
+        ``shape_key`` names the fixed predicate context: ``(kernel key,
+        table)`` of :meth:`~repro.optimizer.statement_cost.
+        StatementCoster.statement_shape`; pass None to bypass the
+        cache."""
         if shape_key is None:
             return access_shape(
                 index, predicates, needed_columns, stats, constants
@@ -77,6 +84,8 @@ class CostKernel:
             shape = access_shape(
                 index, predicates, needed_columns, stats, constants
             )
+            if len(self._shapes) >= _SHAPE_MEMO_ENTRIES:
+                self._shapes.clear()
             self._shapes[key] = shape
         return shape
 

@@ -37,6 +37,11 @@ from repro.workload.query import (
 #: (index -> (est_bytes, est_rows)) provider the advisor wires in.
 SizeLookup = Callable[[IndexDef], tuple[float, float]]
 
+#: Statements one coster's shape memo holds.  A workload's statements
+#: come back question after question; a served context's ad-hoc SQL is
+#: a new statement every time, so past this the memo starts over.
+_STATEMENT_MEMO_ENTRIES = 4096
+
 
 @dataclass(frozen=True, slots=True)
 class CostBreakdown:
@@ -81,6 +86,11 @@ class StatementCoster:
         self.sizes = sizes
         self.constants = constants
         self.kernel = kernel
+        #: the shape memo: id(statement) -> (statement, the SELECT that
+        #: plans it, its SelectShape, its kernel key).  Each entry holds
+        #: its statement, so no other statement can take its id while
+        #: the entry lives.
+        self._statement_shapes: dict = {}
 
     # ------------------------------------------------------------------
     def cost(self, statement: Statement, config: Configuration) -> CostBreakdown:
@@ -138,6 +148,37 @@ class StatementCoster:
             bool(query.group_by or query.aggregates), tuple(query.order_by),
         )
 
+    def _statement_entry(self, stmt: Statement) -> tuple:
+        """``stmt``'s shape-memo entry (see :meth:`statement_shape`),
+        derived on first demand."""
+        memo = self._statement_shapes
+        entry = memo.get(id(stmt))
+        if entry is None:
+            planned = (
+                stmt if isinstance(stmt, SelectQuery) else find_probe(stmt)
+            )
+            if planned is None:
+                entry = (stmt, None, None, None)
+            else:
+                # A fresh object per derivation: it equals no other
+                # kernel key, and the kernel's entries keep it alive.
+                entry = (stmt, planned, self.select_shape(planned),
+                         object())
+            if len(memo) >= _STATEMENT_MEMO_ENTRIES:
+                memo.clear()
+            memo[id(stmt)] = entry
+        return entry
+
+    def statement_shape(self, stmt: Statement) -> tuple:
+        """(:class:`SelectShape` | None, kernel key) of ``stmt``,
+        derived once per statement object: a SELECT's own shape, the
+        shape of an UPDATE's or DELETE's :func:`find_probe`, None for a
+        bulk INSERT.  The shape memo of table ``t``'s plans is keyed
+        ``(kernel key, t)`` — by the full recost here and by the delta
+        coster's plan table alike."""
+        entry = self._statement_entry(stmt)
+        return entry[2], entry[3]
+
     def select_total(
         self, shape: SelectShape, plans: Sequence[AccessPlan]
     ) -> tuple[float, float]:
@@ -173,13 +214,19 @@ class StatementCoster:
 
     def _cost_select(self, query: SelectQuery,
                      config: Configuration) -> CostBreakdown:
+        _stmt, planned, shape, key = self._statement_entry(query)
+        return self._cost_planned(planned, shape, key, config)
+
+    def _cost_planned(self, query: SelectQuery, shape: SelectShape, key,
+                      config: Configuration) -> CostBreakdown:
+        """A SELECT's (or a find probe's) cost from its memoized shape
+        and kernel key: the plan search, else an MV substitution."""
         mv_plan = self._try_mv_plan(query, config)
-        shape = self.select_shape(query)
         plans = tuple(
             best_access_plan(
                 self.stats.table(table), table,
                 self._structures_for(table, config), preds, needed,
-                self.constants, self.kernel, shape_key=(query, table),
+                self.constants, self.kernel, shape_key=(key, table),
             )
             for table, (preds, needed) in shape.inputs.items()
         )
@@ -292,8 +339,11 @@ class StatementCoster:
                           config: Configuration) -> CostBreakdown:
         """Find the rows (UPDATE/DELETE, see :func:`find_probe`), then
         maintain every structure that stores them."""
-        probe = find_probe(stmt)
-        find = None if probe is None else self._cost_select(probe, config)
+        _stmt, probe, shape, key = self._statement_entry(stmt)
+        find = (
+            None if probe is None
+            else self._cost_planned(probe, shape, key, config)
+        )
         maintain = self._maintenance_cost(
             stmt.table, self.affected_rows(stmt), config
         )

@@ -532,12 +532,15 @@ class ServiceContext:
         config = self.base_config
         for spec in specs:
             config = config.add(parse_index_spec(self.database, spec))
-        # Cost through the stateless coster, not WhatIfOptimizer.cost:
-        # clients control both the statement (ad-hoc SQL) and the
-        # configuration, so routing through the optimizer would grow
-        # its process-lifetime signature cache without bound in a
-        # long-lived service.  Same floats either way — the optimizer
-        # layer only memoizes around this exact call.
+        # Cost through the coster, not WhatIfOptimizer.cost: clients
+        # control both the statement (ad-hoc SQL) and the
+        # configuration, so the optimizer's process-lifetime signature
+        # cache would grow without bound in a long-lived service.  The
+        # coster's own memos (a statement's shape, its access shapes)
+        # are bounded by module constants and start over when full, so
+        # a workload statement asked by index is derived once and an
+        # ad-hoc statement costs one derivation.  Same floats either
+        # way — both layers only memoize around this exact call.
         breakdown = self.whatif.coster.cost(statement, config)
         return {
             "context": self.name,
