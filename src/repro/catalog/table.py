@@ -1,11 +1,8 @@
 """In-memory table: schema plus column-wise data.
 
-Tables hold their data column-wise, which is convenient both for the
-compression codecs (which operate per column) and for the statistics
-builders.  A column is a list while rows are appended and a tuple once
-it is read: the collector untracks a tuple of atomic values after one
-pass, where it would traverse a list's every slot on each full
-collection.  Row-wise views are materialized on demand.
+Tables hold their data column-wise (one Python list per column), which is
+convenient both for the compression codecs (which operate per column) and
+for the statistics builders.  Row-wise views are materialized on demand.
 """
 
 from __future__ import annotations
@@ -16,13 +13,6 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.catalog.column import Column
 from repro.errors import CatalogError
-
-
-def column_repr(values: Sequence) -> str:
-    """One column's serialisation in :meth:`Table.content_digest`: the
-    ``repr`` of its values as a list, whether the table holds them as a
-    list or a tuple."""
-    return repr(list(values))
 
 
 class Table:
@@ -54,11 +44,7 @@ class Table:
         self.columns: tuple[Column, ...] = tuple(columns)
         self.primary_key: tuple[str, ...] = tuple(primary_key)
         self._by_name = {c.name: c for c in self.columns}
-        #: column -> its values: a list while rows are appended, a
-        #: tuple from the first read on (:meth:`column_values`).
-        self._data: dict[str, list | tuple] = {
-            c.name: [] for c in self.columns
-        }
+        self._data: dict[str, list] = {c.name: [] for c in self.columns}
         #: memo of :meth:`content_digest`; the mutators below drop it
         self._digest: str | None = None
 
@@ -93,27 +79,16 @@ class Table:
     def num_rows(self) -> int:
         return len(self._data[self.columns[0].name])
 
-    def column_values(self, name: str) -> tuple:
-        """The values of one column, as a tuple (shared)."""
+    def column_values(self, name: str) -> list:
+        """The raw value list of one column (shared, do not mutate)."""
         self.column(name)
-        values = self._data[name]
-        if type(values) is not tuple:
-            values = self._data[name] = tuple(values)
-        return values
-
-    def _appendable(self, name: str) -> list:
-        """Column ``name`` as a list to append to: a read column's tuple
-        goes back to a list once, not once per appended row."""
-        values = self._data[name]
-        if type(values) is tuple:
-            values = self._data[name] = list(values)
-        return values
+        return self._data[name]
 
     def append_row(self, values: Sequence) -> None:
         """Append one row given values in column order."""
         self._check_arity(values)
         for col, value in zip(self.columns, values):
-            self._appendable(col.name).append(value)
+            self._data[col.name].append(value)
         self._digest = None
 
     def extend_rows(self, rows: Iterable[Sequence]) -> None:
@@ -125,7 +100,7 @@ class Table:
         if not rows:
             return
         for col, values in zip(self.columns, zip(*rows)):
-            self._appendable(col.name).extend(values)
+            self._data[col.name].extend(values)
         self._digest = None
 
     def _check_arity(self, values: Sequence) -> None:
@@ -135,7 +110,7 @@ class Table:
                 f"table {self.name!r}"
             )
 
-    def set_column_data(self, name: str, values: Sequence) -> None:
+    def set_column_data(self, name: str, values: list) -> None:
         """Replace one column's data wholesale (generators use this)."""
         self.column(name)
         if self.num_rows and len(values) != self.num_rows:
@@ -149,19 +124,19 @@ class Table:
     def content_digest(self) -> str:
         """Stable digest of the table's name, schema and every value.
 
-        Exact (no value is skipped) but column-wise: one
-        :func:`column_repr` per column, each prefixed by the column's
-        name and type, so a value cannot move between rows, columns or
-        tables — or change type, ``1`` vs ``'1'`` — without changing the
-        digest.  Memoised until the next :meth:`append_row` /
-        :meth:`set_column_data`.
+        Exact (no value is skipped) but column-wise: one ``repr`` per
+        column list, each prefixed by the column's name and type, so a
+        value cannot move between rows, columns or tables — or change
+        type, ``1`` vs ``'1'`` — without changing the digest.  Memoised
+        until the next :meth:`append_row` / :meth:`set_column_data`;
+        lists handed out by :meth:`column_values` must not be mutated.
         """
         if self._digest is None:
             h = hashlib.sha256()
             h.update(f"table={self.name!r};rows={self.num_rows};".encode())
             for col in self.columns:
                 h.update(f"column={col.name!r}:{col.dtype.name};".encode())
-                h.update(column_repr(self.column_values(col.name)).encode())
+                h.update(repr(self._data[col.name]).encode())
             self._digest = h.hexdigest()
         return self._digest
 
@@ -194,7 +169,7 @@ class Table:
         out = self.empty_clone(f"{self.name}_sample")
         if fraction >= 1.0:
             for col in self.column_names:
-                out.set_column_data(col, self.column_values(col))
+                out.set_column_data(col, list(self.column_values(col)))
             return out
         n = self.num_rows
         picks = [i for i in range(n) if rng.random() < fraction]
@@ -204,11 +179,11 @@ class Table:
         return out
 
     def project(self, columns: Sequence[str], name: str | None = None) -> "Table":
-        """A new table holding only ``columns`` (their tuples shared)."""
+        """A new table holding only ``columns`` (data shared by copy)."""
         cols = [self.column(c) for c in columns]
         out = Table(name or f"{self.name}_proj", cols)
         for c in columns:
-            out.set_column_data(c, self.column_values(c))
+            out.set_column_data(c, list(self.column_values(c)))
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

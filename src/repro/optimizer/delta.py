@@ -54,9 +54,7 @@ single float:
   term; a strict winner is the new first minimum whatever its
   position, so its plan is patched into the reference's chosen plans;
   a tie goes to whichever of the two the structure order puts first.
-  A bulk INSERT on the candidate's table sums the reference's
-  maintenance terms, kept until the next rebase, with the candidate's
-  own.  Every other diff (swaps, removals, multi-adds, a rebase) re-chooses
+  Every other diff (swaps, removals, multi-adds, a rebase) re-chooses
   only on the tables the diff touches and keeps the reference's plans
   elsewhere.
 
@@ -363,9 +361,6 @@ class DeltaWorkloadCoster:
         #: table -> the reference's reusable plan costs, aligned with
         #: ``_by_table`` (:meth:`_ref_vector`).
         self._ref_vectors: dict = {}
-        #: INSERT statement -> the reference's maintenance (io, cpu)
-        #: terms (:meth:`_insert_total`).
-        self._ref_maint: dict = {}
 
         # Instrumentation.
         self.reused_terms = 0
@@ -422,7 +417,6 @@ class DeltaWorkloadCoster:
         self._ref_total = sum(terms)
         self._ref_bases = {}
         self._ref_vectors = {}
-        self._ref_maint = {}
         return self._ref_total
 
     # ------------------------------------------------------------------
@@ -691,12 +685,6 @@ class DeltaWorkloadCoster:
             if chosen == _INF:
                 # Nothing to lose to: a maintenance statement, an MV in
                 # scope, no reference plans.
-                if self._shapes[si] is None:  # a bulk INSERT
-                    total = self._insert_total(si, ix)
-                    self.patched_maintenance += 1
-                    out[si] = self._weights[si] * total
-                    changes += (si, total)
-                    continue
                 if mv_tables is None:
                     mv_tables = _mv_tables(config)
                 out[si], total, _plans = self._recost(
@@ -740,56 +728,30 @@ class DeltaWorkloadCoster:
         UPDATE/DELETE find plan is the table's chosen plan for the find
         probe, costed by ``select_total``; None (an untracked table)
         falls back to a full recost."""
+        stmt = self._stmts[si]
+        table = stmt.table
         find = None
         if self._shapes[si] is not None:
-            find = self._choose(si, self._stmts[si].table, config)
+            find = self._choose(si, table, config)
             if find is None:
                 return None
-        io_terms, cpu_terms = self._maint_split(
-            si, self.whatif.coster.maintenance_structures(
-                self._stmts[si].table, config
-            ),
-        )
+        coster = self.whatif.coster
+        io_terms: list[float] = []
+        cpu_terms: list[float] = []
+        for ix in coster.maintenance_structures(table, config):
+            key = (si, index_identity(ix))
+            contrib = self._maint_terms.get(key)
+            if contrib is None:
+                affected = coster.affected_rows(stmt)
+                contrib = coster.structure_maintenance(table, affected, ix)
+                self._maint_terms[key] = contrib
+            io_terms.append(contrib[0])
+            cpu_terms.append(contrib[1])
         total = math.fsum(io_terms) + math.fsum(cpu_terms)
         if find is not None:
             # _cost_maintenance: total = find.total + maintain.total.
             total = self._select_total(si, (find,)) + total
         return total
-
-    def _insert_total(self, si: int, ix: IndexDef) -> float:
-        """:meth:`_maintenance_total` of INSERT ``si`` under ``reference
-        ∪ {ix}``: the reference's (io, cpu) terms, kept until the next
-        rebase, plus ``ix``'s — the same multiset, so the same
-        exactly-rounded sums."""
-        ref = self._ref_maint.get(si)
-        if ref is None:
-            ref = self._ref_maint[si] = self._maint_split(
-                si, self.whatif.coster.maintenance_structures(
-                    self._stmts[si].table, self._ref_config
-                ),
-            )
-        io, cpu = self._maint_split(si, (ix,))
-        return math.fsum(ref[0] + io) + math.fsum(ref[1] + cpu)
-
-    def _maint_split(self, si: int, structures: Iterable[IndexDef]) -> tuple:
-        """(io terms, cpu terms) of maintenance statement ``si`` over
-        ``structures``, from per-structure contributions memoized per
-        stage."""
-        stmt = self._stmts[si]
-        coster = self.whatif.coster
-        io_terms: list[float] = []
-        cpu_terms: list[float] = []
-        for ix in structures:
-            key = (si, index_identity(ix))
-            contrib = self._maint_terms.get(key)
-            if contrib is None:
-                contrib = coster.structure_maintenance(
-                    stmt.table, coster.affected_rows(stmt), ix
-                )
-                self._maint_terms[key] = contrib
-            io_terms.append(contrib[0])
-            cpu_terms.append(contrib[1])
-        return io_terms, cpu_terms
 
     def _chosen_plans(
         self, si: int, config: Configuration,

@@ -19,8 +19,8 @@ from repro.parallel.signature import index_identity
 _UNSHAPED = object()
 
 #: Entries one kernel's shape memo holds.  An advisor run stays far
-#: below it; a served context's ad-hoc questions add entries under new
-#: keys every time, so past this the memo starts over.
+#: below it; each distinct ad-hoc SQL a served context is asked adds
+#: entries under a new key, so past this the memo starts over.
 _SHAPE_MEMO_ENTRIES = 1 << 16
 
 

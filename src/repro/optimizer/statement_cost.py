@@ -38,8 +38,8 @@ from repro.workload.query import (
 SizeLookup = Callable[[IndexDef], tuple[float, float]]
 
 #: Statements one coster's shape memo holds.  A workload's statements
-#: come back question after question; a served context's ad-hoc SQL is
-#: a new statement every time, so past this the memo starts over.
+#: come back question after question; each distinct ad-hoc SQL a served
+#: context is asked adds one, so past this the memo starts over.
 _STATEMENT_MEMO_ENTRIES = 4096
 
 

@@ -53,6 +53,11 @@ _REQUEST_OPTION_FIELDS = frozenset({
     "skyline_cluster_max", "e", "q", "delta_costing", "algorithm",
 })
 
+#: Distinct ad-hoc statements a context holds for reuse.  Below the
+#: coster's statement memo bound, so a held statement keeps its shapes.
+_HELD_AD_HOC_STATEMENTS = 1024
+
+
 def _column_list(spec: dict, field: str) -> tuple[str, ...]:
     columns = spec.get(field, [])
     if not isinstance(columns, list) or \
@@ -206,6 +211,13 @@ class ServiceContext:
             database, self.stats, sizes=self._size_lookup,
         )
         self.base_config = default_base_configuration(database)
+        #: statement -> the held object equal to it, for ad-hoc SQL:
+        #: the coster's memos are keyed by statement identity, so a
+        #: question asked again reuses the first asking's shapes.
+        self._workload_statements = {
+            ws.statement: ws.statement for ws in workload
+        }
+        self._ad_hoc_statements: dict = {}
 
     # ------------------------------------------------------------------
     def _size_lookup(self, index: IndexDef) -> tuple[float, float]:
@@ -499,6 +511,19 @@ class ServiceContext:
             "error_var": estimate.error.var,
         }
 
+    def _held_statement(self, statement):
+        """The held statement equal to ``statement``: the workload's,
+        else the first asking's (at most ``_HELD_AD_HOC_STATEMENTS``
+        held; past that the holding starts over)."""
+        held = self._workload_statements.get(statement)
+        if held is None:
+            held = self._ad_hoc_statements.get(statement)
+        if held is None:
+            if len(self._ad_hoc_statements) >= _HELD_AD_HOC_STATEMENTS:
+                self._ad_hoc_statements.clear()
+            held = self._ad_hoc_statements[statement] = statement
+        return held
+
     def run_whatif_cost(self, payload: dict) -> dict:
         """What-if cost one statement under a hypothetical configuration
         (the base heaps plus the payload's indexes)."""
@@ -520,6 +545,7 @@ class ServiceContext:
                 raise ServiceError(f"'sql' must be a string, got {sql!r}")
             statement = parse_statement(sql)
             statement.validate(self.database)
+            statement = self._held_statement(statement)
         else:
             raise ServiceError(
                 "whatif_cost payload needs 'statement_index' or 'sql'"
@@ -537,10 +563,11 @@ class ServiceContext:
         # configuration, so the optimizer's process-lifetime signature
         # cache would grow without bound in a long-lived service.  The
         # coster's own memos (a statement's shape, its access shapes)
-        # are bounded by module constants and start over when full, so
-        # a workload statement asked by index is derived once and an
-        # ad-hoc statement costs one derivation.  Same floats either
-        # way — both layers only memoize around this exact call.
+        # are bounded by module constants and start over when full.
+        # An ad-hoc statement equal to one already held (a workload
+        # statement, an earlier question) is costed as that object, so
+        # only distinct SQL pays a derivation.  Same floats either way
+        # — both layers only memoize around this exact call.
         breakdown = self.whatif.coster.cost(statement, config)
         return {
             "context": self.name,

@@ -14,7 +14,6 @@ import pytest
 
 from repro.api import Session
 from repro.catalog import Column, Database, INT, Table, char
-from repro.catalog import table as table_module
 from repro.datasets.sales import sales_database, sales_workload
 from repro.parallel import sample_fingerprint
 from repro.sampling import SampleManager
@@ -34,34 +33,36 @@ def fingerprint(*tables, **manager_kwargs):
     return sample_fingerprint(SampleManager(db, **manager_kwargs))
 
 
-def count_scans(monkeypatch, database):
-    """Count how often the digest serializes each column whole; returns
-    one counter per column, in table and column order."""
-    columns = [
-        table.column_values(name)
-        for table in database.tables for name in table.column_names
-    ]
-    # The tuples are held above, so no other object takes their ids.
-    counts = {id(values): [0] for values in columns}
-    serialize = table_module.column_repr
+class CountingList(list):
+    """A column list that counts how often it is serialized whole."""
 
-    def counted(values):
-        counts.get(id(values), [0])[0] += 1
-        return serialize(values)
+    reprs = 0
 
-    monkeypatch.setattr(table_module, "column_repr", counted)
-    return [counts[id(values)] for values in columns]
+    def __repr__(self):
+        self.reprs += 1
+        return super().__repr__()
+
+
+def count_scans(database):
+    """Swap every column list for a counting one; returns them all."""
+    lists = []
+    for table in database.tables:
+        for name in table.column_names:
+            counted = CountingList(table.column_values(name))
+            table.set_column_data(name, counted)
+            lists.append(counted)
+    return lists
 
 
 class TestDigestMemo:
-    def test_scanned_once_until_the_data_changes(self, monkeypatch):
+    def test_scanned_once_until_the_data_changes(self):
         db = Database("db")
         db.add_table(make_table())
-        counts = count_scans(monkeypatch, db)
+        lists = count_scans(db)
         table = db.table("t")
         first = table.content_digest()
         assert table.content_digest() == first
-        assert [c[0] for c in counts] == [1, 1]
+        assert [c.reprs for c in lists] == [1, 1]
 
     def test_append_row_drops_the_memo(self):
         table = make_table()
@@ -156,19 +157,19 @@ def test_equal_across_processes_and_hash_seeds(run_with_hashseed):
     assert seen == {here}
 
 
-def test_one_session_scans_each_table_once(tmp_path, monkeypatch):
+def test_one_session_scans_each_table_once(tmp_path):
     """Every preparing run gets a fresh estimator, so the fingerprint
     its persistent cache keys embed is asked for per run — but the
     tables it digests outlive the runs.  A session without a cache
     directory holds no cache, and never asks."""
     db = sales_database(scale=0.02)
     wl = sales_workload(db)
-    counts = count_scans(monkeypatch, db)
+    lists = count_scans(db)
     Session(db, wl, budget_fraction=0.15).tune()
-    assert {c[0] for c in counts} == {0}
+    assert {c.reprs for c in lists} == {0}
     session = Session(db, wl, budget_fraction=0.15, cache_dir=str(tmp_path))
     session.tune()
     session.tune()
     session.retune()
     Session(db, wl, budget_fraction=0.15, cache_dir=str(tmp_path)).tune()
-    assert {c[0] for c in counts} == {1}
+    assert {c.reprs for c in lists} == {1}

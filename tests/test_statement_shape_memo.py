@@ -20,10 +20,11 @@ from repro.optimizer import kernels, statement_cost
 from repro.optimizer.kernels import CostKernel
 from repro.optimizer.statement_cost import StatementCoster
 from repro.physical.index_def import IndexDef
+from repro.service import context as context_module
 from repro.service.context import ServiceContext
 from repro.sizeest.estimator import SizeEstimator
 from repro.stats.column_stats import DatabaseStats
-from repro.workload.query import InsertQuery
+from repro.workload.query import InsertQuery, Workload
 
 from tests.test_delta_costing import update_heavy_workload
 
@@ -141,8 +142,16 @@ def test_one_tune_derives_each_statements_shape_once(sales_db, monkeypatch):
     assert len(derived) == len(planned)
 
 
-def _context(db):
-    return ServiceContext("sales", db, sales_workload(db))
+def _context(db, statements=None):
+    wl = sales_workload(db)
+    if statements is not None:
+        wl = Workload(wl.statements[:statements])
+    return ServiceContext("sales", db, wl)
+
+
+def _memo_sizes(context) -> tuple[int, int]:
+    return (len(context.whatif.coster._statement_shapes),
+            len(context.whatif.kernel._shapes))
 
 
 def test_a_question_by_sql_equals_it_by_statement_index(sales_db):
@@ -157,23 +166,45 @@ def test_a_question_by_sql_equals_it_by_statement_index(sales_db):
         assert by_sql == by_index
 
 
-def test_ad_hoc_questions_leave_both_memos_within_their_bounds(
+def test_a_repeated_question_derives_nothing_again(sales_db):
+    """Ad-hoc SQL equal to a statement already held — a workload
+    statement or an earlier question — is costed as that object, so
+    asking it again adds no entry to either memo."""
+    context = _context(sales_db, statements=6)
+    queries = sales_queries()
+    for _name, sql in queries[:12]:
+        question = {"sql": sql, "indexes": list(SPECS)}
+        answer = context.run_whatif_cost(question)
+        sizes = _memo_sizes(context)
+        assert context.run_whatif_cost(question) == answer
+        assert _memo_sizes(context) == sizes
+    # A workload statement asked by SQL shares what its index derived.
+    sizes = _memo_sizes(context)
+    for si in range(6):
+        context.run_whatif_cost({"statement_index": si,
+                                 "indexes": list(SPECS)})
+    assert _memo_sizes(context) == sizes
+
+
+def test_ad_hoc_questions_leave_every_memo_within_its_bound(
     sales_db, monkeypatch,
 ):
-    """Every ad-hoc SQL question is a new statement; past a memo's bound
-    it starts over, and the answers stay the same floats."""
+    """Distinct ad-hoc SQL adds held statements and shapes; past a
+    bound each memo starts over, and the answers stay the same floats."""
     questions = [
         {"sql": sql, "indexes": list(SPECS[:n % 3])}
         for n, (_name, sql) in enumerate(sales_queries())
     ]
     reference = _context(sales_db)
     expected = [reference.run_whatif_cost(q) for q in questions]
+    monkeypatch.setattr(context_module, "_HELD_AD_HOC_STATEMENTS", 6)
     monkeypatch.setattr(statement_cost, "_STATEMENT_MEMO_ENTRIES", 8)
     monkeypatch.setattr(kernels, "_SHAPE_MEMO_ENTRIES", 64)
-    context = _context(sales_db)
+    context = _context(sales_db, statements=4)
     assert len(questions) > 8
     for _round in range(2):
         for question, answer in zip(questions, expected):
             assert context.run_whatif_cost(question) == answer
-            assert len(context.whatif.coster._statement_shapes) <= 8
-            assert len(context.whatif.kernel._shapes) <= 64
+            assert len(context._ad_hoc_statements) <= 6
+            statements, shapes = _memo_sizes(context)
+            assert statements <= 8 and shapes <= 64
